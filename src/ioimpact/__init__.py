@@ -21,11 +21,9 @@ from .impact import (
     ImpactResult,
     apply_blowup,
     compare_methods,
-    demand_perturbation,
     estimate_blowup_factor,
     full_extraction,
     inoperability,
-    interdependency_matrix,
     make_extraction_spec,
     partial_extraction,
     satellite_deltas,
@@ -68,7 +66,14 @@ from .table import (
     drop_zero_sectors,
     validate_table,
 )
-from .testkit import EconomyGenSpec, canonical_e2, neumann_oracle, random_economy
+from .testkit import (
+    EconomyGenSpec,
+    canonical_e2,
+    demand_perturbation,
+    interdependency_matrix,
+    neumann_oracle,
+    random_economy,
+)
 
 __version__ = "0.1.0"
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import (
@@ -119,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="estimate the blowup factor from history files",
     )
     p.add_argument("--top-k", type=int, default=10, help="plot-data ranking depth")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scenario runs")
 
     p = sub.add_parser("compare", help="compare two impact result JSON files")
     p.add_argument("result_a")
@@ -219,18 +217,16 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     model = build_model(table)
     specs = [parse_scenario(path) for path in args.scenario]
+    runs = [_run_scenario(model, spec, args) for spec in specs]
 
-    if args.jobs > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            runs = list(pool.map(lambda s: _run_scenario(model, s, args), specs))
-    else:
-        runs = [_run_scenario(model, spec, args) for spec in specs]
-
+    # Shared by every scenario's bundle; report tables are immutable.
+    validation = validation_table(report)
+    multipliers = multiplier_table(model)
     multi = len(runs) > 1
     for spec, delta, blowup, results in runs:
         bundle = ReportBundle()
-        bundle.add(validation_table(report))
-        bundle.add(multiplier_table(model))
+        bundle.add(validation)
+        bundle.add(multipliers)
         for result in results:
             bundle.add(impact_table(result))
             bundle.documents[f"result_{result.method}"] = result_to_dict(result)

@@ -1,13 +1,26 @@
 """Economy-wide impacts of a demand shock.
 
-Two routes are implemented over the same model. The first propagates a
-final-demand change through the Leontief inverse and normalizes to output
-(dx = L df, q = dx / x), asserting on every call that the equivalent
-fixed-point system q = A* q + f* agrees. The second partially extracts the
-target sector's deliveries by scaling its coefficient row per purchaser and
-re-solves the economy. Output changes translate into satellite changes
-through the coefficient rows, and an aged-table correction can inflate the
-nominal figures without touching the normalized ones.
+Every result here is a matrix-vector product on the model's one Leontief
+inverse L = (I - A)^-1; no scenario factorizes or solves a matrix of its own.
+
+Inoperability propagates a final-demand change, dx = L df, normalizes it to
+output, q = dx / x, and checks on every call that q satisfies the equivalent
+fixed-point system q = A* q + f*. Since A* = D^-1 A D with D = diag(x), that
+residual is ((I - A) dx - df) / x, an O(n^2) check of L against A.
+
+Partial extraction scales the target sector k's deliveries per purchaser,
+which changes only row k of A: A_bar = A - e_k d' with d = b_k * alpha. The
+Sherman-Morrison formula then gives the extracted output from L directly,
+x_bar = y - L[:, k] (d . y) / (1 + d . L[:, k]) with y = L f_bar. Full
+extraction removes row and column k; the inverse of the remaining principal
+submatrix of (I - A) is L_-k,-k - L_-k,k L_k,-k / L_kk (Miller & Blair,
+Input-Output Analysis, 2009, ch. 12). With A >= 0 and alpha in [0, 1] both
+denominators are at least one, and the extracted economy is productive
+whenever the original is.
+
+Output changes translate into satellite changes through the coefficient
+rows, and an aged-table correction can inflate the nominal figures without
+touching the normalized ones.
 """
 
 from __future__ import annotations
@@ -17,12 +30,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EmptyEconomyError, InternalConsistencyError, StructuralError
-from .leontief import LeontiefModel, check_productive, resolve_satellite_coefficients
+from .errors import (
+    EmptyEconomyError,
+    InternalConsistencyError,
+    NonProductiveEconomyError,
+    StructuralError,
+)
+from .leontief import LeontiefModel, resolve_satellite_coefficients
 from .scenario import DemandDelta
 from .table import SATELLITE_KINDS, Sector
 
-# Agreement required between the direct and fixed-point inoperability routes.
+# Largest residual of the fixed-point system q = A* q + f* accepted for the
+# direct inoperability solution.
 FIXED_POINT_TOL = 1e-9
 
 # Satellite kinds reported in impact results, in output order.
@@ -114,17 +133,6 @@ class ImpactResult:
         return tuple(s.code for s in self.sectors)
 
 
-def interdependency_matrix(model: LeontiefModel) -> np.ndarray:
-    """A* with entries a_ij * (x_j / x_i); equals A when outputs are equal."""
-    x = model.x
-    return model.A * (x[np.newaxis, :] / x[:, np.newaxis])
-
-
-def demand_perturbation(delta: DemandDelta, x: np.ndarray) -> np.ndarray:
-    """Demand change normalized to output, positive for a loss."""
-    return -np.asarray(delta.delta, dtype=float) / x
-
-
 def _assemble(model, method, scenario, dx) -> ImpactResult:
     q = dx / model.x
     changes = satellite_deltas(model, dx)
@@ -147,40 +155,45 @@ def _assemble(model, method, scenario, dx) -> ImpactResult:
 def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
     """Propagate a final-demand change: dx = L df, q = dx / x.
 
-    The equivalent fixed-point system q = A* q + f* is solved on every call
-    and must agree with the direct route to within FIXED_POINT_TOL;
-    disagreement signals a defect in the model math, not in the inputs.
+    The fixed-point system q = A* q + f* must hold for the result to within
+    FIXED_POINT_TOL on every call; a larger or non-finite residual signals a
+    defect in the model math or a non-finite demand change, not a shock to
+    report.
     """
-    dx = model.L @ delta.delta
-    q = dx / model.x
-
-    a_star = interdependency_matrix(model)
-    f_star = demand_perturbation(delta, model.x)
-    q_loss = np.linalg.solve(np.eye(model.table.n) - a_star, f_star)
-    gap = np.abs(q_loss - (-q)).max()
-    if gap > FIXED_POINT_TOL:
+    df = delta.delta
+    dx = model.L @ df
+    gap = np.abs((dx - model.A @ dx - df) / model.x).max()
+    if not (gap <= FIXED_POINT_TOL):
         raise InternalConsistencyError(
-            f"direct and fixed-point inoperability disagree by {gap:.3e}"
+            f"inoperability violates the fixed-point system by {gap:.3e}"
         )
     return _assemble(model, "inoperability", delta.scenario, dx)
 
 
+def _check_denominator(denom: float, what: str) -> None:
+    # At least one whenever A >= 0; anything else, NaN included, means the
+    # coefficients are not those of a productive economy.
+    if not (denom >= 1.0):
+        raise NonProductiveEconomyError(
+            f"{what} is {denom:.6g}, not at least one; the coefficients are not "
+            "those of a productive economy"
+        )
+
+
 def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResult:
-    """Scale the target's deliveries per purchaser and re-solve the economy.
+    """Scale the target's deliveries per purchaser and solve for the new output.
 
     Row k of A becomes a_kj (1 - alpha_j) for j != k; the diagonal and the
-    whole k-th column stay untouched. The new output solves
-    (I - A_bar) x_bar = f_bar.
+    whole k-th column stay untouched. The new output x_bar solves
+    (I - A_bar) x_bar = f_bar, obtained from L by the rank-one update.
     """
-    A = model.A
+    L = model.L
     k = spec.k
-    n = A.shape[0]
-    a_bar = A.copy()
-    scale = 1.0 - spec.alpha
-    scale[k] = 1.0
-    a_bar[k, :] = A[k, :] * scale
-    check_productive(a_bar)
-    x_bar = np.linalg.solve(np.eye(n) - a_bar, spec.f_bar)
+    d = spec.b_k * spec.alpha
+    y = L @ spec.f_bar
+    denom = 1.0 + d @ L[:, k]
+    _check_denominator(denom, "the rank-one update denominator 1 + d . L[:, k]")
+    x_bar = y - L[:, k] * ((d @ y) / denom)
     dx = x_bar - model.x
     return _assemble(model, "extraction", spec.label, dx)
 
@@ -189,19 +202,19 @@ def full_extraction(model: LeontiefModel, target, label: str = "") -> ImpactResu
     """Remove sector k entirely: its row, its column, and its final demand.
 
     The classical bound for the partial form; with the target's demand gone
-    its output falls to zero and the rest of the economy re-solves without it.
+    its output falls to zero and the rest of the economy is solved without
+    it through the principal-submatrix inverse.
     """
     k = model.sector_index(target)
-    n = model.table.n
-    if n == 1:
+    if model.table.n == 1:
         raise EmptyEconomyError("extracting the only sector leaves an empty economy")
-    a_bar = model.A.copy()
-    a_bar[k, :] = 0.0
-    a_bar[:, k] = 0.0
+    L = model.L
     f_bar = model.f.copy()
     f_bar[k] = 0.0
-    check_productive(a_bar)
-    x_bar = np.linalg.solve(np.eye(n) - a_bar, f_bar)
+    y = L @ f_bar
+    _check_denominator(L[k, k], f"the diagonal entry L[{k}, {k}]")
+    x_bar = y - L[:, k] * (y[k] / L[k, k])
+    x_bar[k] = 0.0
     dx = x_bar - model.x
     return _assemble(model, "extraction", label, dx)
 
@@ -294,8 +307,8 @@ def compare_methods(a: ImpactResult, b: ImpactResult) -> ComparisonReport:
     k = min(TOP_OVERLAP_K, len(a.sectors))
 
     def top(result):
-        order = sorted(range(len(result.q)), key=lambda i: (result.q[i], i))
-        return [result.codes[i] for i in order[:k]]
+        order = np.argsort(result.q, kind="stable")[:k]
+        return [result.codes[i] for i in order]
 
     top_a = top(a)
     top_b = set(top(b))

@@ -1,9 +1,9 @@
 """Technical coefficients, the Leontief inverse, and multiplier families.
 
-Everything here is a pure function of a validated IOTable. The inverse is
-obtained by solving (I - A) against the identity with a dense LU
-factorization; the full matrix is materialized because multipliers, rankings,
-and reports all consume its columns.
+Everything here is a pure function of a validated IOTable. L = (I - A)^-1 is
+the program's only dense factorization: it is computed once per table, and
+multipliers, rankings, reports and every per-scenario result in impact.py
+are matrix-vector products on its rows and columns.
 """
 
 from __future__ import annotations
@@ -124,10 +124,12 @@ def leontief_inverse(coeffs: TechnicalCoefficients) -> LeontiefModel:
     """
     A = coeffs.A
     check_productive(A)
-    n = A.shape[0]
-    eye = np.eye(n)
+    # I - A is built in place: no identity or intermediate n x n copy sits on
+    # top of the resident data while the inverse allocates its own workspace.
+    i_minus_a = np.negative(A)
+    i_minus_a[np.diag_indices_from(i_minus_a)] += 1.0
     try:
-        L = np.linalg.solve(eye - A, eye)
+        L = np.linalg.inv(i_minus_a)
     except np.linalg.LinAlgError as exc:
         raise NonProductiveEconomyError(f"(I - A) is singular: {exc}") from exc
     return LeontiefModel(table=coeffs.table, coeffs=coeffs, L=L, x=coeffs.table.x)

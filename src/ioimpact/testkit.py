@@ -1,9 +1,12 @@
 """Independent oracles and generators backing the property tests.
 
 The truncated-expansion oracle recomputes the Leontief inverse by a route
-that shares no code with the solver; the economy generator produces seeded
-tables that are identity-consistent by construction; canonical_e2 is the
-two-sector worked example used throughout the test suite.
+that shares no code with the solver. The re-solve oracles answer each impact
+question with a fresh dense solve of the modified system, the slow routes
+that the rank-one and principal-submatrix updates in impact.py replace. The
+economy generator produces seeded tables that are identity-consistent by
+construction; canonical_e2 is the two-sector worked example used throughout
+the test suite.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonProductiveEconomyError
+from .impact import ExtractionSpec
+from .leontief import LeontiefModel
+from .scenario import DemandDelta
 from .table import FinalDemandBlock, IOTable, SatelliteAccount, Sector
 
 # Partial-sum norm above this is treated as divergence.
@@ -38,6 +44,49 @@ def neumann_oracle(A: np.ndarray, K: int) -> np.ndarray:
                 "power-series terms grow without bound; economy is not productive"
             )
     return total
+
+
+def interdependency_matrix(model: LeontiefModel) -> np.ndarray:
+    """A* with entries a_ij * (x_j / x_i); equals A when outputs are equal."""
+    x = model.x
+    return model.A * (x[np.newaxis, :] / x[:, np.newaxis])
+
+
+def demand_perturbation(delta: DemandDelta, x: np.ndarray) -> np.ndarray:
+    """Demand change normalized to output, positive for a loss."""
+    return -np.asarray(delta.delta, dtype=float) / x
+
+
+def inoperability_oracle(model: LeontiefModel, delta: DemandDelta) -> np.ndarray:
+    """Loss-positive inoperability from a dense solve of (I - A*) q = f*."""
+    n = model.table.n
+    return np.linalg.solve(
+        np.eye(n) - interdependency_matrix(model), demand_perturbation(delta, model.x)
+    )
+
+
+def partial_extraction_oracle(model: LeontiefModel, spec: ExtractionSpec) -> np.ndarray:
+    """Extracted output from a dense solve of (I - A_bar) x_bar = f_bar, where
+    row k of A_bar is a_kj (1 - alpha_j) off the diagonal."""
+    A = model.A
+    k = spec.k
+    a_bar = A.copy()
+    scale = 1.0 - spec.alpha
+    scale[k] = 1.0
+    a_bar[k, :] = A[k, :] * scale
+    return np.linalg.solve(np.eye(A.shape[0]) - a_bar, spec.f_bar)
+
+
+def full_extraction_oracle(model: LeontiefModel, target) -> np.ndarray:
+    """Output without sector k from a dense solve with its row, column and
+    final demand zeroed."""
+    k = model.sector_index(target)
+    a_bar = model.A.copy()
+    a_bar[k, :] = 0.0
+    a_bar[:, k] = 0.0
+    f_bar = model.f.copy()
+    f_bar[k] = 0.0
+    return np.linalg.solve(np.eye(model.table.n) - a_bar, f_bar)
 
 
 @dataclass(frozen=True)

@@ -166,7 +166,7 @@ class TestRunCmd:
         assert code == 3
         assert "diverge" in capsys.readouterr().err
 
-    def test_multiple_scenarios_with_jobs(self, tmp_path):
+    def test_multiple_scenarios_get_own_directories(self, tmp_path):
         s2 = tmp_path / "second.json"
         s2.write_text(
             '{"name": "second", "target_sector": "S2", "sub_service_drop": 0.25}'
@@ -174,7 +174,7 @@ class TestRunCmd:
         out = tmp_path / "reports"
         code = main(
             ["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json"), str(s2),
-             "--method", "inoperability", "--out", str(out), "--jobs", "2"]
+             "--method", "inoperability", "--out", str(out)]
         )
         assert code == 0
         assert (out / "e2_shock_s1" / "result_inoperability.json").exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from ioimpact import (
     DemandDelta,
     EconomyGenSpec,
     EmptyEconomyError,
+    InternalConsistencyError,
+    NonProductiveEconomyError,
     ScenarioSpec,
     apply_blowup,
     build_model,
@@ -21,6 +25,11 @@ from ioimpact import (
     partial_extraction,
     random_economy,
     satellite_deltas,
+)
+from ioimpact.testkit import (
+    full_extraction_oracle,
+    inoperability_oracle,
+    partial_extraction_oracle,
 )
 
 from test_table import make_table
@@ -120,6 +129,15 @@ class TestInoperability:
         f_star = demand_perturbation(delta, model.x)
         q_loss = np.linalg.solve(np.eye(n) - a_star, f_star)
         assert np.abs(q_loss - (-result.q)).max() < 1e-9
+
+    def test_nan_demand_change_rejected(self, e2, e2_model):
+        delta = e2_delta(e2)
+        nan_delta = DemandDelta(
+            scenario=delta.scenario, target=delta.target, delta=np.array([np.nan, 0.0]),
+            component_changes={}, total_drop_fraction=0.0,
+        )
+        with pytest.raises(InternalConsistencyError):
+            inoperability(e2_model, nan_delta)
 
     def test_sign_discipline_on_pure_loss(self):
         table = random_economy(EconomyGenSpec(n=10, seed=3))
@@ -232,6 +250,72 @@ class TestFullExtraction:
         assert partial.totals["output"] >= full.totals["output"] - 1e-9
 
 
+def oracle_alpha(kind, n, rng):
+    return {
+        "zero": np.zeros(n),
+        "uniform": np.full(n, rng.uniform()),
+        "one": np.ones(n),
+        "random": rng.uniform(0.0, 1.0, n),
+    }[kind]
+
+
+class TestFastRoutesMatchOracles:
+    """Each matrix-vector route on L against the dense re-solve it replaces."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 40))
+    def test_inoperability(self, seed, n):
+        model = build_model(random_economy(EconomyGenSpec(n=n, seed=seed)))
+        delta = random_loss(model.table, np.random.default_rng(seed + 1))
+        q_loss = inoperability_oracle(model, delta)
+        result = inoperability(model, delta)
+        assert np.abs(result.q + q_loss).max() <= 1e-12 * np.abs(q_loss).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 40),
+        kind=st.sampled_from(["zero", "uniform", "one", "random"]),
+    )
+    def test_partial_extraction(self, seed, n, kind):
+        model = build_model(random_economy(EconomyGenSpec(n=n, seed=seed)))
+        rng = np.random.default_rng(seed + 2)
+        k = int(rng.integers(0, n))
+        f_bar = model.f * rng.uniform(0.1, 1.0, n)
+        spec = make_extraction_spec(model, k, oracle_alpha(kind, n, rng), f_bar=f_bar)
+        x_bar = partial_extraction_oracle(model, spec)
+        result = partial_extraction(model, spec)
+        assert np.abs(result.dx - (x_bar - model.x)).max() <= 1e-12 * np.abs(x_bar).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 40))
+    def test_full_extraction(self, seed, n):
+        model = build_model(random_economy(EconomyGenSpec(n=n, seed=seed)))
+        k = seed % n
+        x_bar = full_extraction_oracle(model, k)
+        result = full_extraction(model, k)
+        assert result.dx[k] + model.x[k] == 0.0
+        assert np.abs(result.dx - (x_bar - model.x)).max() <= 1e-12 * np.abs(x_bar).max()
+
+
+class TestUpdateDenominators:
+    def test_negative_flows_rejected(self):
+        # A = [[0, -0.5], [0.5, 0]] passes the column-sum test but has
+        # L = [[0.8, -0.4], [0.4, 0.8]]: both denominators fall below one.
+        Z = np.array([[0.0, -50.0], [50.0, 0.0]])
+        model = build_model(make_table(Z, [150.0, 50.0], [100.0, 100.0]))
+        with pytest.raises(NonProductiveEconomyError, match="0.8"):
+            full_extraction(model, 0)
+        spec = make_extraction_spec(model, 1, np.ones(2))
+        with pytest.raises(NonProductiveEconomyError, match="0.8"):
+            partial_extraction(model, spec)
+
+    def test_nan_alpha_rejected(self, e2_model):
+        spec = make_extraction_spec(e2_model, "S1", np.array([np.nan, np.nan]))
+        with pytest.raises(NonProductiveEconomyError, match="nan"):
+            partial_extraction(e2_model, spec)
+
+
 class TestSatelliteDeltas:
     def test_elementwise_product(self, e2_model):
         deltas = satellite_deltas(e2_model, np.array([-30.0, -15.0]))
@@ -318,6 +402,23 @@ class TestCompare:
         report = compare_methods(ext, ino)
         assert report.total_diffs["output"] < 0
         assert "S1" in report.top_overlap
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([-1.5, -0.5, -0.0, 0.0, 0.25, 2.0]), min_size=1, max_size=30
+        )
+    )
+    def test_ranking_matches_sorted_key(self, values):
+        # Ascending q, ties (signed zeros included) broken by sector index.
+        n = len(values)
+        model = build_model(random_economy(EconomyGenSpec(n=n, seed=n)))
+        result = inoperability(model, random_loss(model.table, np.random.default_rng(0)))
+        result = replace(result, q=np.array(values))
+        order = sorted(range(n), key=lambda i: (values[i], i))[:10]
+        assert compare_methods(result, result).top_overlap == tuple(
+            model.sectors[i].code for i in order
+        )
 
     def test_mismatched_sectors_rejected(self, e2, e2_model):
         a = inoperability(e2_model, e2_delta(e2))
