@@ -68,7 +68,7 @@ class ExtractionSpec:
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=float)
-        if np.any((alpha < 0) | (alpha > 1)):
+        if not np.all((alpha >= 0) & (alpha <= 1)):
             raise ValueError("extraction intensities must lie in [0, 1]")
         b_k = np.array(self.b_k, dtype=float)
         if b_k[self.k] != 0.0:

@@ -1,6 +1,7 @@
 """File ingestion: IO tables, satellite accounts, scenarios, blowup history.
 
-Table layout (CSV, UTF-8, comma-delimited, period decimal separator)::
+Table layout (CSV, UTF-8 with or without a BOM, comma-delimited, period
+decimal separator)::
 
     sector,<code_1>,...,<code_n>,HH,NPISH,GOV,GFCF,INV,EXP,total_output
     <code_1>,z_11,...,z_1n,f_HH,...,f_EXP,x_1
@@ -14,13 +15,14 @@ Sector codes must match the metadata file (``code,name`` rows, order defines
 the matrix order). Satellite files are ``sector,<kind>`` CSVs with one row
 per sector. Scenario files are JSON; see parse_scenario. Parsing is total:
 either a fully populated object is returned or an error carrying the file
-coordinates is raised.
+coordinates is raised. Numeric cells must be finite.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -40,15 +42,34 @@ TRAILING_ROWS = ("IMPORTS", "VALUE_ADDED", "TOTAL_USES")
 
 
 def _read_rows(path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return [row for row in csv.reader(fh)]
 
 
 def _cell(raw: str, row: int, col: int) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise TableParseError(f"malformed numeric cell {raw!r}", row=row, column=col) from None
+    if not math.isfinite(value):
+        raise TableParseError(f"non-finite numeric cell {raw!r}", row=row, column=col)
+    return value
+
+
+def _row_values(cells: list[str], row: int) -> np.ndarray:
+    """Convert the numeric cells of one table row, which start at column 2.
+
+    Every cell goes through float(), as in _cell, so the values match a
+    per-cell parse exactly. When the row holds a malformed or non-finite
+    cell, a per-cell rescan raises with that cell's coordinates.
+    """
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return values
+    return np.array([_cell(raw, row, 2 + j) for j, raw in enumerate(cells)])
 
 
 def parse_sector_metadata(path) -> list[Sector]:
@@ -83,12 +104,13 @@ def parse_satellite_file(path, codes: tuple[str, ...]) -> SatelliteAccount:
         raise TableParseError(
             f"{path}: unknown satellite kind {kind!r}; expected one of {SATELLITE_KINDS}", row=1
         )
+    known = set(codes)
     values = {}
     for r, row in enumerate(rows[1:], start=2):
         if not row or not any(cell.strip() for cell in row):
             continue
         code = row[0].strip()
-        if code not in codes:
+        if code not in known:
             raise TableParseError(f"{path}: unknown sector code {code!r}", row=r)
         if code in values:
             raise TableParseError(f"{path}: duplicate sector {code!r}", row=r)
@@ -102,69 +124,67 @@ def parse_satellite_file(path, codes: tuple[str, ...]) -> SatelliteAccount:
 def parse_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTable:
     """Parse the table CSV plus metadata and satellite files into an IOTable.
 
-    The result is structurally checked but not identity-validated; run
-    validate_table (after drop_zero_sectors, for real tables) next.
+    The table is read in one pass: each row's numeric cells are converted
+    at once into a preallocated ``n x (n+7)`` body holding Z, the
+    final-demand block and x. The result is structurally checked but not
+    identity-validated; run validate_table (after drop_zero_sectors, for
+    real tables) next.
     """
     sectors = parse_sector_metadata(sector_metadata_file)
     codes = tuple(s.code for s in sectors)
     n = len(codes)
-    rows = _read_rows(table_file)
     expected_header = ["sector", *codes, *FD_CODES, "total_output"]
     width = len(expected_header)
-    if not rows:
-        raise TableParseError(f"{table_file}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if header != expected_header:
-        raise TableParseError(
-            f"{table_file}: header mismatch; expected {expected_header[:4]}... "
-            f"per the metadata file, got {header[:4]}...",
-            row=1,
-        )
-    if len(rows) != 1 + n + len(TRAILING_ROWS):
-        raise TableParseError(
-            f"{table_file}: expected {1 + n + len(TRAILING_ROWS)} rows "
-            f"({n} sectors + trailing {', '.join(TRAILING_ROWS)}), got {len(rows)}"
-        )
-
-    Z = np.zeros((n, n))
-    fd = np.zeros((n, len(FD_CODES)))
-    x = np.zeros(n)
-    for i in range(n):
-        r = 2 + i
-        row = rows[1 + i]
-        if len(row) != width:
-            raise TableParseError(f"row has {len(row)} cells, expected {width}", row=r)
-        if row[0].strip() != codes[i]:
-            raise TableParseError(
-                f"expected sector {codes[i]!r} per metadata order, got {row[0].strip()!r}",
-                row=r,
-                column=1,
-            )
-        for j in range(n):
-            Z[i, j] = _cell(row[1 + j], r, 2 + j)
-        for c in range(len(FD_CODES)):
-            fd[i, c] = _cell(row[1 + n + c], r, 2 + n + c)
-        x[i] = _cell(row[width - 1], r, width)
-
+    n_rows = 1 + n + len(TRAILING_ROWS)
+    body = np.empty((n, width - 1))
     trailing = {}
-    for t, label in enumerate(TRAILING_ROWS):
-        r = 2 + n + t
-        row = rows[1 + n + t]
-        if len(row) != width:
-            raise TableParseError(f"row has {len(row)} cells, expected {width}", row=r)
-        if row[0].strip() != label:
+    with open(table_file, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise TableParseError(f"{table_file}: empty file")
+        header = [c.strip() for c in header]
+        if header != expected_header:
             raise TableParseError(
-                f"expected trailing row {label!r}, got {row[0].strip()!r}", row=r, column=1
+                f"{table_file}: header mismatch; expected {expected_header[:4]}... "
+                f"per the metadata file, got {header[:4]}...",
+                row=1,
             )
-        values = np.zeros(n)
-        for j in range(n):
-            values[j] = _cell(row[1 + j], r, 2 + j)
-        for c in range(n + 1, width):
-            if row[c].strip():
+        r = 1
+        for r, row in enumerate(reader, start=2):
+            if r > n_rows:
+                continue  # only counted, for the row-count check below
+            if len(row) != width:
+                raise TableParseError(f"row has {len(row)} cells, expected {width}", row=r)
+            i = r - 2
+            label = row[0].strip()
+            if i < n:
+                if label != codes[i]:
+                    raise TableParseError(
+                        f"expected sector {codes[i]!r} per metadata order, got {label!r}",
+                        row=r,
+                        column=1,
+                    )
+                body[i] = _row_values(row[1:], r)
+                continue
+            expected = TRAILING_ROWS[i - n]
+            if label != expected:
                 raise TableParseError(
-                    f"trailing row {label} must leave final-demand cells empty", row=r, column=c + 1
+                    f"expected trailing row {expected!r}, got {label!r}", row=r, column=1
                 )
-        trailing[label] = values
+            trailing[expected] = _row_values(row[1 : 1 + n], r)
+            for c in range(n + 1, width):
+                if row[c].strip():
+                    raise TableParseError(
+                        f"trailing row {expected} must leave final-demand cells empty",
+                        row=r,
+                        column=c + 1,
+                    )
+    if r != n_rows:
+        raise TableParseError(
+            f"{table_file}: expected {n_rows} rows "
+            f"({n} sectors + trailing {', '.join(TRAILING_ROWS)}), got {r}"
+        )
 
     satellites = {}
     for sat_path in satellite_files:
@@ -175,12 +195,12 @@ def parse_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTa
 
     return IOTable(
         sectors=tuple(sectors),
-        Z=Z,
-        final_demand=FinalDemandBlock(fd),
+        Z=body[:, :n],
+        final_demand=FinalDemandBlock(body[:, n:-1]),
         imports=trailing["IMPORTS"],
         value_added=trailing["VALUE_ADDED"],
         satellites=satellites,
-        x=x,
+        x=body[:, -1],
     )
 
 

@@ -158,6 +158,7 @@ class IOTable:
         object.__setattr__(self, "x", _readonly(self.x))
         object.__setattr__(self, "satellites", dict(self.satellites))
         check_structure(self)
+        object.__setattr__(self, "_index", {s.code: s.index for s in self.sectors})
 
     @property
     def n(self) -> int:
@@ -173,10 +174,10 @@ class IOTable:
         return self.final_demand.totals()
 
     def sector_index(self, code: str) -> int:
-        for s in self.sectors:
-            if s.code == code:
-                return s.index
-        raise KeyError(f"unknown sector code {code!r}")
+        try:
+            return self._index[code]
+        except KeyError:
+            raise KeyError(f"unknown sector code {code!r}") from None
 
 
 def check_structure(table: IOTable) -> None:

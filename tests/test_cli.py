@@ -54,6 +54,15 @@ class TestValidateCmd:
         p.write_text(bad)
         assert main(["validate", *table_flags(e2_args(table=str(p)))]) == 2
 
+    def test_nan_flow_exits_two_with_coordinates(self, tmp_path, capsys):
+        bad = (E2 / "table.csv").read_text().replace("S2,30.0,40.0", "S2,30.0,nan")
+        p = tmp_path / "table.csv"
+        p.write_text(bad)
+        assert main(["validate", *table_flags(e2_args(table=str(p)))]) == 2
+        captured = capsys.readouterr()
+        assert "PASSED" not in captured.out
+        assert "non-finite numeric cell 'nan' (row 3, column 3)" in captured.err
+
     def test_unknown_scenario_sector_exits_two(self, tmp_path, capsys):
         scenario = tmp_path / "bad.json"
         scenario.write_text('{"name": "x", "target_sector": "S9", "sub_service_drop": 0.5}')
@@ -101,6 +110,19 @@ class TestRunCmd:
         assert (out / "plotdata_top10.csv").exists()
         summary = capsys.readouterr().out
         assert "change in output" in summary
+
+    def test_nan_satellite_cell_exits_two(self, tmp_path, capsys):
+        sat = tmp_path / "satellite_employment.csv"
+        sat.write_text("sector,employment\nS1,10.0\nS2,nan\n")
+        out = tmp_path / "reports"
+        args = e2_args(satellites=[str(sat), str(E2 / "satellite_income.csv")])
+        code = main(
+            ["run", *table_flags(args), "--scenario", str(E2 / "shock_s1.json"),
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert "non-finite numeric cell 'nan' (row 3, column 2)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_shock_is_all_zero(self, tmp_path):
         scenario = tmp_path / "none.json"

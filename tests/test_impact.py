@@ -9,6 +9,7 @@ from ioimpact import (
     DemandDelta,
     EconomyGenSpec,
     EmptyEconomyError,
+    ExtractionSpec,
     InternalConsistencyError,
     NonProductiveEconomyError,
     ScenarioSpec,
@@ -311,7 +312,11 @@ class TestUpdateDenominators:
             partial_extraction(model, spec)
 
     def test_nan_alpha_rejected(self, e2_model):
-        spec = make_extraction_spec(e2_model, "S1", np.array([np.nan, np.nan]))
+        with pytest.raises(ValueError, match="intensities"):
+            make_extraction_spec(e2_model, "S1", np.array([np.nan, np.nan]))
+
+    def test_nan_denominator_rejected(self, e2_model):
+        spec = ExtractionSpec(k=0, alpha=np.ones(2), b_k=np.array([0.0, np.nan]), f_bar=e2_model.f)
         with pytest.raises(NonProductiveEconomyError, match="nan"):
             partial_extraction(e2_model, spec)
 
