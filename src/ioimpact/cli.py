@@ -166,18 +166,19 @@ def cmd_multipliers(args) -> int:
     return EXIT_OK
 
 
-def _resolve_blowup(args, spec) -> float:
+def _blowup_override(args) -> float | None:
+    """The blowup factor --blowup or --blowup-history sets for every scenario."""
     if args.blowup is not None:
         return args.blowup
     if args.blowup_history:
         fd, gdp = parse_blowup_history(*args.blowup_history)
         return estimate_blowup_factor(fd, gdp)
-    return spec.blowup_factor if spec.blowup_factor > 0 else 1.0
+    return None
 
 
-def _run_scenario(model, spec, args):
+def _run_scenario(model, spec, args, override):
     delta = build_delta(model.table, spec)
-    blowup = _resolve_blowup(args, spec)
+    blowup = spec.blowup_factor if override is None else override
     results = []
     if args.method in ("inoperability", "both"):
         results.append(apply_blowup(inoperability(model, delta), blowup))
@@ -217,7 +218,8 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     model = build_model(table)
     specs = [parse_scenario(path) for path in args.scenario]
-    runs = [_run_scenario(model, spec, args) for spec in specs]
+    override = _blowup_override(args)
+    runs = [_run_scenario(model, spec, args, override) for spec in specs]
 
     # Shared by every scenario's bundle; report tables are immutable.
     validation = validation_table(report)

@@ -36,16 +36,13 @@ from .errors import (
     NonProductiveEconomyError,
     StructuralError,
 )
-from .leontief import LeontiefModel, resolve_satellite_coefficients
+from .leontief import LeontiefModel, sector_order
 from .scenario import DemandDelta
-from .table import SATELLITE_KINDS, Sector
+from .table import Sector
 
 # Largest residual of the fixed-point system q = A* q + f* accepted for the
 # direct inoperability solution.
 FIXED_POINT_TOL = 1e-9
-
-# Satellite kinds reported in impact results, in output order.
-IMPACT_KINDS = ("value_added", "income", "employment", "gross_fixed_capital_formation")
 
 TOP_OVERLAP_K = 10
 
@@ -137,9 +134,7 @@ def _assemble(model, method, scenario, dx) -> ImpactResult:
     q = dx / model.x
     changes = satellite_deltas(model, dx)
     totals = {"output": float(dx.sum())}
-    for kind in IMPACT_KINDS:
-        if kind in changes:
-            totals[kind] = float(changes[kind].sum())
+    totals.update((kind, float(change.sum())) for kind, change in changes.items())
     return ImpactResult(
         method=method,
         scenario=scenario,
@@ -220,25 +215,17 @@ def full_extraction(model: LeontiefModel, target, label: str = "") -> ImpactResu
 
 
 def satellite_deltas(model: LeontiefModel, dx: np.ndarray) -> dict[str, np.ndarray]:
-    """Translate an output change into per-satellite changes, dh = h_c * dx.
-
-    Kinds with neither a satellite account nor a table fallback are omitted.
-    """
-    out: dict[str, np.ndarray] = {}
-    for kind in SATELLITE_KINDS:
-        try:
-            coeff = resolve_satellite_coefficients(model, kind)
-        except ValueError:
-            continue
-        out[kind] = coeff * dx
-    return out
+    """Translate an output change into per-satellite changes, dh = h_c * dx,
+    for every kind the model has coefficients for."""
+    return {kind: coeff * dx for kind, coeff in model.coeffs.satellite_coefficients.items()}
 
 
 def apply_blowup(result: ImpactResult, b: float) -> ImpactResult:
     """Inflate every nominal figure by b; q and the percentage aggregate are
-    exact regardless of table age and stay untouched."""
-    if b <= 0:
-        raise ValueError(f"blowup factor must be positive, got {b}")
+    exact regardless of table age and stay untouched. b must be finite and
+    positive."""
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError(f"blowup factor must be finite and positive, got {b}")
     return replace(
         result,
         dx=result.dx * b,
@@ -262,6 +249,8 @@ def estimate_blowup_factor(fd_totals: dict, gdp_growth: dict) -> float:
         growth = gdp_growth.get(year)
         if growth is None or growth == 0:
             continue
+        if fd_totals[prev] == 0:
+            raise ValueError(f"final-demand total for {prev} is zero; its growth is undefined")
         fd_growth = fd_totals[year] / fd_totals[prev] - 1.0
         ratios.append(fd_growth / growth)
     if len(ratios) < 2:
@@ -307,8 +296,7 @@ def compare_methods(a: ImpactResult, b: ImpactResult) -> ComparisonReport:
     k = min(TOP_OVERLAP_K, len(a.sectors))
 
     def top(result):
-        order = np.argsort(result.q, kind="stable")[:k]
-        return [result.codes[i] for i in order]
+        return [result.sectors[i].code for i in sector_order(result.q)[:k]]
 
     top_a = top(a)
     top_b = set(top(b))

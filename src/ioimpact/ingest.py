@@ -13,9 +13,10 @@ decimal separator)::
 
 Sector codes must match the metadata file (``code,name`` rows, order defines
 the matrix order). Satellite files are ``sector,<kind>`` CSVs with one row
-per sector. Scenario files are JSON; see parse_scenario. Parsing is total:
-either a fully populated object is returned or an error carrying the file
-coordinates is raised. Numeric cells must be finite.
+per sector. Every CSV row has exactly as many cells as its header names;
+blank rows are skipped. Scenario files are JSON; see parse_scenario. Parsing
+is total: either a fully populated object is returned or an error carrying
+the file coordinates is raised. Numeric cells must be finite.
 """
 
 from __future__ import annotations
@@ -41,9 +42,28 @@ from .table import (
 TRAILING_ROWS = ("IMPORTS", "VALUE_ADDED", "TOTAL_USES")
 
 
-def _read_rows(path) -> list[list[str]]:
+def _csv_rows(path, width: int):
+    """Yield ``(1-based row number, cells)`` for each non-blank CSV row.
+
+    The caller checks the first row, the header; every later row must have
+    ``width`` cells. A row of another width, or one csv cannot read (such as
+    a cell over csv.field_size_limit()), raises TableParseError naming it.
+    """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        return [row for row in csv.reader(fh)]
+        r = 0
+        header = True
+        try:
+            for r, cells in enumerate(csv.reader(fh), start=1):
+                if not any(cell.strip() for cell in cells):
+                    continue
+                if not header and len(cells) != width:
+                    raise TableParseError(
+                        f"{path}: row has {len(cells)} cells, expected {width}", row=r
+                    )
+                header = False
+                yield r, cells
+        except csv.Error as exc:
+            raise TableParseError(f"{path}: {exc}", row=r + 1) from None
 
 
 def _cell(raw: str, row: int, col: int) -> float:
@@ -74,16 +94,13 @@ def _row_values(cells: list[str], row: int) -> np.ndarray:
 
 def parse_sector_metadata(path) -> list[Sector]:
     """Read the ``code,name`` metadata file; order defines matrix order."""
-    rows = _read_rows(path)
-    if not rows or [c.strip() for c in rows[0][:2]] != ["code", "name"]:
-        raise TableParseError(f"{path}: expected header 'code,name'", row=1)
+    rows = _csv_rows(path, 2)
+    r, header = next(rows, (1, []))
+    if [c.strip() for c in header] != ["code", "name"]:
+        raise TableParseError(f"{path}: expected header 'code,name'", row=r)
     sectors = []
     seen = set()
-    for r, row in enumerate(rows[1:], start=2):
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        if len(row) < 2:
-            raise TableParseError("metadata row needs code and name", row=r)
+    for r, row in rows:
         code = row[0].strip()
         if code in seen:
             raise TableParseError(f"duplicate sector code {code!r}", row=r)
@@ -96,19 +113,18 @@ def parse_sector_metadata(path) -> list[Sector]:
 
 def parse_satellite_file(path, codes: tuple[str, ...]) -> SatelliteAccount:
     """Read one ``sector,<kind>`` file covering every sector exactly once."""
-    rows = _read_rows(path)
-    if not rows or len(rows[0]) != 2 or rows[0][0].strip() != "sector":
-        raise TableParseError(f"{path}: expected header 'sector,<kind>'", row=1)
-    kind = rows[0][1].strip()
+    rows = _csv_rows(path, 2)
+    r, header = next(rows, (1, []))
+    if len(header) != 2 or header[0].strip() != "sector":
+        raise TableParseError(f"{path}: expected header 'sector,<kind>'", row=r)
+    kind = header[1].strip()
     if kind not in SATELLITE_KINDS:
         raise TableParseError(
-            f"{path}: unknown satellite kind {kind!r}; expected one of {SATELLITE_KINDS}", row=1
+            f"{path}: unknown satellite kind {kind!r}; expected one of {SATELLITE_KINDS}", row=r
         )
     known = set(codes)
     values = {}
-    for r, row in enumerate(rows[1:], start=2):
-        if not row or not any(cell.strip() for cell in row):
-            continue
+    for r, row in rows:
         code = row[0].strip()
         if code not in known:
             raise TableParseError(f"{path}: unknown sector code {code!r}", row=r)
@@ -138,52 +154,49 @@ def parse_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTa
     n_rows = 1 + n + len(TRAILING_ROWS)
     body = np.empty((n, width - 1))
     trailing = {}
-    with open(table_file, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise TableParseError(f"{table_file}: empty file")
-        header = [c.strip() for c in header]
-        if header != expected_header:
-            raise TableParseError(
-                f"{table_file}: header mismatch; expected {expected_header[:4]}... "
-                f"per the metadata file, got {header[:4]}...",
-                row=1,
-            )
-        r = 1
-        for r, row in enumerate(reader, start=2):
-            if r > n_rows:
-                continue  # only counted, for the row-count check below
-            if len(row) != width:
-                raise TableParseError(f"row has {len(row)} cells, expected {width}", row=r)
-            i = r - 2
-            label = row[0].strip()
-            if i < n:
-                if label != codes[i]:
-                    raise TableParseError(
-                        f"expected sector {codes[i]!r} per metadata order, got {label!r}",
-                        row=r,
-                        column=1,
-                    )
-                body[i] = _row_values(row[1:], r)
-                continue
-            expected = TRAILING_ROWS[i - n]
-            if label != expected:
+    rows = _csv_rows(table_file, width)
+    r, header = next(rows, (1, None))
+    if header is None:
+        raise TableParseError(f"{table_file}: empty file")
+    header = [c.strip() for c in header]
+    if header != expected_header:
+        raise TableParseError(
+            f"{table_file}: header mismatch; expected {expected_header[:4]}... "
+            f"per the metadata file, got {header[:4]}...",
+            row=r,
+        )
+    count = 1
+    for count, (r, row) in enumerate(rows, start=2):
+        if count > n_rows:
+            continue  # only counted, for the row-count check below
+        i = count - 2
+        label = row[0].strip()
+        if i < n:
+            if label != codes[i]:
                 raise TableParseError(
-                    f"expected trailing row {expected!r}, got {label!r}", row=r, column=1
+                    f"expected sector {codes[i]!r} per metadata order, got {label!r}",
+                    row=r,
+                    column=1,
                 )
-            trailing[expected] = _row_values(row[1 : 1 + n], r)
-            for c in range(n + 1, width):
-                if row[c].strip():
-                    raise TableParseError(
-                        f"trailing row {expected} must leave final-demand cells empty",
-                        row=r,
-                        column=c + 1,
-                    )
-    if r != n_rows:
+            body[i] = _row_values(row[1:], r)
+            continue
+        expected = TRAILING_ROWS[i - n]
+        if label != expected:
+            raise TableParseError(
+                f"expected trailing row {expected!r}, got {label!r}", row=r, column=1
+            )
+        trailing[expected] = _row_values(row[1 : 1 + n], r)
+        for c in range(n + 1, width):
+            if row[c].strip():
+                raise TableParseError(
+                    f"trailing row {expected} must leave final-demand cells empty",
+                    row=r,
+                    column=c + 1,
+                )
+    if count != n_rows:
         raise TableParseError(
             f"{table_file}: expected {n_rows} rows "
-            f"({n} sectors + trailing {', '.join(TRAILING_ROWS)}), got {r}"
+            f"({n} sectors + trailing {', '.join(TRAILING_ROWS)}), got {count}"
         )
 
     satellites = {}
@@ -274,7 +287,7 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
           "intermediate": {"apply": bool,
                            "use_ratios": {sector_code: float},
                            "default_ratio": float},            # optional
-          "blowup_factor": float >= 0                          # optional
+          "blowup_factor": finite float > 0                    # optional
         }
 
     An empty or missing reallocation block means the savings-only scenario.
@@ -341,13 +354,12 @@ def parse_blowup_history(fd_file, gdp_file) -> tuple[dict[int, float], dict[int,
     """Read ``year,total_final_demand`` and ``year,gdp_growth`` CSVs."""
 
     def read(path, value_name):
-        rows = _read_rows(path)
-        if not rows or rows[0][0].strip() != "year":
-            raise TableParseError(f"{path}: expected header 'year,{value_name}'", row=1)
+        rows = _csv_rows(path, 2)
+        r, header = next(rows, (1, []))
+        if len(header) != 2 or header[0].strip() != "year":
+            raise TableParseError(f"{path}: expected header 'year,{value_name}'", row=r)
         out = {}
-        for r, row in enumerate(rows[1:], start=2):
-            if not row or not any(c.strip() for c in row):
-                continue
+        for r, row in rows:
             try:
                 year = int(row[0])
             except ValueError:

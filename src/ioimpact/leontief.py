@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonProductiveEconomyError
-from .table import IOTable, Sector
+from .table import SATELLITE_KINDS, IOTable, Sector
 
 # A productive economy must have a convergent production expansion. Column
 # sums below one are sufficient; otherwise powers of A are examined by
@@ -25,9 +25,10 @@ _MAX_SQUARINGS = 40
 @dataclass(frozen=True)
 class TechnicalCoefficients:
     """Input requirements per unit of output, plus coefficient rows for
-    imports, value added, and every satellite account.
+    imports, value added, and every satellite kind the table can report.
 
     A[i, j] = Z[i, j] / x[j]; all coefficient rows divide by the same x.
+    satellite_coefficients holds its kinds in SATELLITE_KINDS order.
     """
 
     table: IOTable
@@ -59,35 +60,36 @@ class LeontiefModel:
         return self.table.f
 
     def sector_index(self, sector) -> int:
-        if isinstance(sector, Sector):
-            return sector.index
-        if isinstance(sector, (int, np.integer)):
-            if not 0 <= sector < self.table.n:
-                raise KeyError(f"sector index {sector} out of range")
-            return int(sector)
         return self.table.sector_index(sector)
 
 
 def technical_coefficients(table: IOTable) -> TechnicalCoefficients:
     """Derive A and all coefficient rows from a validated table.
 
-    Every retained sector must have positive output; call drop_zero_sectors
-    first if the source data contains empty sectors.
+    Satellite kinds backed by an account use it. Two kinds are read off the
+    table when no account was supplied: value added from the value-added
+    row, gross fixed capital formation from its final-demand column. Every
+    retained sector must have positive output; call drop_zero_sectors first
+    if the source data contains empty sectors.
     """
     if np.any(table.x <= 0):
         bad = [table.codes[j] for j in np.flatnonzero(table.x <= 0)]
         raise ValueError(f"sectors with non-positive output: {bad}; drop them before modeling")
     x = table.x
     A = table.Z / x[np.newaxis, :]
-    sat_coeffs = {kind: sat.values / x for kind, sat in table.satellites.items()}
-    coeffs = TechnicalCoefficients(
+    gfcf = "gross_fixed_capital_formation"
+    sources = {
+        "value_added": table.value_added,
+        gfcf: table.final_demand.component(gfcf),
+        **{kind: sat.values for kind, sat in table.satellites.items()},
+    }
+    return TechnicalCoefficients(
         table=table,
         A=A,
         import_coefficients=table.imports / x,
         value_added_coefficients=table.value_added / x,
-        satellite_coefficients=sat_coeffs,
+        satellite_coefficients={k: sources[k] / x for k in SATELLITE_KINDS if k in sources},
     )
-    return coeffs
 
 
 def check_productive(A: np.ndarray) -> None:
@@ -145,41 +147,35 @@ def output_multipliers(model: LeontiefModel) -> np.ndarray:
     return model.L.sum(axis=0)
 
 
-def resolve_satellite_coefficients(model: LeontiefModel, kind: str) -> np.ndarray:
-    """Coefficient row for a satellite kind.
-
-    Kinds backed by a satellite account use it directly. Two kinds have
-    natural table fallbacks when no account was supplied: value added falls
-    back to the table's value-added row, and gross fixed capital formation
-    to the matching final-demand column.
-    """
-    coeffs = model.coeffs
-    if kind in coeffs.satellite_coefficients:
-        return coeffs.satellite_coefficients[kind]
-    if kind == "value_added":
-        return coeffs.value_added_coefficients
-    if kind == "gross_fixed_capital_formation":
-        return model.table.final_demand.component(kind) / model.x
-    raise ValueError(f"no satellite account of kind {kind!r} in this table")
-
-
 def satellite_multipliers(model: LeontiefModel, kind: str) -> np.ndarray:
     """Row product h'_c L for one satellite kind.
 
     Units: currency per currency for monetary satellites, jobs per
     currency-million for employment.
     """
-    return resolve_satellite_coefficients(model, kind) @ model.L
+    coeffs = model.coeffs.satellite_coefficients
+    if kind not in coeffs:
+        raise ValueError(f"no satellite account of kind {kind!r} in this table")
+    return coeffs[kind] @ model.L
+
+
+def sector_order(values, descending: bool = False) -> list[int]:
+    """Sector positions ordered by value, ties (-0.0 against 0.0 included)
+    broken by sector index: the ranking rule behind every ranked view.
+    Python ints, which index faster than numpy integers, are returned."""
+    values = np.asarray(values, dtype=float)
+    return np.argsort(-values if descending else values, kind="stable").tolist()
 
 
 def _ranked(model: LeontiefModel, values: np.ndarray, top_k: int) -> list[tuple[Sector, float]]:
     if top_k < 0:
         raise ValueError("top_k must be non-negative")
-    entries = [
-        (model.sectors[i], float(values[i])) for i in range(len(values)) if values[i] > 0
+    # Descending order puts every positive value ahead of the rest.
+    return [
+        (model.sectors[i], float(values[i]))
+        for i in sector_order(values, descending=True)[:top_k]
+        if values[i] > 0
     ]
-    entries.sort(key=lambda e: (-e[1], e[0].index))
-    return entries[:top_k]
 
 
 def input_recipe(model: LeontiefModel, sector, top_k: int) -> list[tuple[Sector, float]]:
@@ -198,8 +194,4 @@ def downstream_importance(model: LeontiefModel, sector, top_k: int) -> list[tupl
 
 def import_share(coeffs: TechnicalCoefficients, sector) -> float:
     """Imported inputs per unit of output for one sector."""
-    if isinstance(sector, (int, np.integer)):
-        j = int(sector)
-    else:
-        j = coeffs.table.sector_index(sector)
-    return float(coeffs.import_coefficients[j])
+    return float(coeffs.import_coefficients[coeffs.table.sector_index(sector)])

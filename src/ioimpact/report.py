@@ -16,15 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .impact import IMPACT_KINDS, ComparisonReport, ImpactResult
+from .impact import ComparisonReport, ImpactResult
 from .leontief import (
     LeontiefModel,
     downstream_importance,
     input_recipe,
     output_multipliers,
     satellite_multipliers,
+    sector_order,
 )
-from .table import Sector, ValidationReport
+from .table import SATELLITE_KINDS, Sector, ValidationReport
 
 # Column formats: s = string, coef = 5 decimals, q = 6 decimals,
 # million = whole currency millions, pct = 2 decimals, int = integer.
@@ -97,25 +98,18 @@ def validation_table(report: ValidationReport) -> ReportTable:
     )
 
 
-def _ranked_rows(sectors, values, descending=True):
-    order = sorted(
-        range(len(values)),
-        key=lambda i: (-values[i] if descending else values[i], i),
-    )
-    return tuple(
-        (sectors[i].code, sectors[i].name, float(values[i]), rank)
-        for rank, i in enumerate(order, start=1)
-    )
-
-
 def multiplier_table(model: LeontiefModel) -> ReportTable:
     """All output multipliers, ranked descending."""
     mults = output_multipliers(model)
+    sectors = model.sectors
     return ReportTable(
         name="multipliers",
         columns=("sector_code", "sector_name", "value", "rank"),
         formats=("s", "s", "coef", "int"),
-        rows=_ranked_rows(model.sectors, mults),
+        rows=tuple(
+            (sectors[i].code, sectors[i].name, float(mults[i]), rank)
+            for rank, i in enumerate(sector_order(mults, descending=True), start=1)
+        ),
     )
 
 
@@ -124,11 +118,10 @@ def sector_profile_table(model: LeontiefModel, sector) -> ReportTable:
     j = model.sector_index(sector)
     code = model.sectors[j].code
     rows = [("output", float(output_multipliers(model)[j]))]
-    for kind in IMPACT_KINDS:
-        try:
-            rows.append((kind, float(satellite_multipliers(model, kind)[j])))
-        except ValueError:
-            continue
+    rows += [
+        (kind, float(satellite_multipliers(model, kind)[j]))
+        for kind in model.coeffs.satellite_coefficients
+    ]
     return ReportTable(
         name=f"sector_multipliers_{code}",
         columns=("multiplier", "value"),
@@ -162,13 +155,12 @@ def recipe_tables(model: LeontiefModel, sector, top_k: int) -> list[ReportTable]
 
 def impact_table(result: ImpactResult) -> ReportTable:
     """Per-sector impact, most affected first, with a trailing TOTAL row."""
-    kinds = [k for k in IMPACT_KINDS if k in result.satellite_changes]
+    kinds = [k for k in SATELLITE_KINDS if k in result.satellite_changes]
     columns = ["sector_code", "sector_name", "q", "output_change"]
     columns += [f"{k}_change" for k in kinds]
     formats = ["s", "s", "q", "million"] + ["million"] * len(kinds)
-    order = sorted(range(len(result.sectors)), key=lambda i: (result.q[i], i))
     rows = []
-    for i in order:
+    for i in sector_order(result.q):
         row = [result.sectors[i].code, result.sectors[i].name, float(result.q[i]), float(result.dx[i])]
         row += [float(result.satellite_changes[k][i]) for k in kinds]
         rows.append(tuple(row))
@@ -215,10 +207,9 @@ def comparison_table(comparison: ComparisonReport) -> ReportTable:
 
 def plotdata_table(result: ImpactResult, top_k: int = 10) -> ReportTable:
     """Most-affected sectors by normalized output change, for charting."""
-    order = sorted(range(len(result.sectors)), key=lambda i: (result.q[i], i))[:top_k]
     rows = tuple(
         (result.sectors[i].code, result.sectors[i].name, float(result.q[i]), rank)
-        for rank, i in enumerate(order, start=1)
+        for rank, i in enumerate(sector_order(result.q)[:top_k], start=1)
     )
     return ReportTable(
         name=f"plotdata_top{top_k}",

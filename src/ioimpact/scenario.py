@@ -11,6 +11,7 @@ intermediate-demand side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +103,7 @@ class ScenarioSpec:
     sub-service falls; component_ratios give the sub-service share of each
     final-demand component (short codes or full names). absolute_changes, if
     given, override the percentage rule for those components with signed
-    currency amounts.
+    currency amounts. blowup_factor must be finite and positive.
     """
 
     name: str
@@ -130,8 +131,11 @@ class ScenarioSpec:
                 raise ScenarioConfigError(f"unknown final-demand component {key!r}")
             absolute[comp] = float(amount)
         object.__setattr__(self, "absolute_changes", absolute)
-        if self.blowup_factor < 0:
-            raise ScenarioConfigError(f"blowup_factor must be >= 0, got {self.blowup_factor}")
+        blowup = float(self.blowup_factor)
+        if not (math.isfinite(blowup) and blowup > 0):
+            raise ScenarioConfigError(
+                f"blowup_factor must be finite and positive, got {self.blowup_factor}"
+            )
 
     def component_ratio(self, component: str) -> float:
         return self.component_ratios.get(component, DEFAULT_COMPONENT_RATIOS[component])
@@ -154,18 +158,6 @@ class DemandDelta:
         object.__setattr__(self, "delta", d)
 
 
-def _target_component_changes(table: IOTable, spec: ScenarioSpec) -> dict[str, float]:
-    k = table.sector_index(spec.target_sector)
-    alpha = spec.sub_service_drop
-    changes = {}
-    for comp in FD_COMPONENTS:
-        if comp in spec.absolute_changes:
-            changes[comp] = spec.absolute_changes[comp]
-        else:
-            changes[comp] = -float(table.final_demand.component(comp)[k]) * spec.component_ratio(comp) * alpha
-    return changes
-
-
 def build_scenario1(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
     """Pure-savings shock: the target sector loses demand, nothing returns.
 
@@ -177,19 +169,7 @@ def build_scenario1(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
         raise ScenarioConfigError(
             "savings-only construction requires no reallocation (or savings_fraction = 1)"
         )
-    k = table.sector_index(spec.target_sector)
-    changes = _target_component_changes(table, spec)
-    delta = np.zeros(table.n)
-    delta[k] = sum(changes.values())
-    f_total = float(table.f[k])
-    fraction = delta[k] / f_total if f_total != 0 else 0.0
-    return DemandDelta(
-        scenario=spec.name,
-        target=spec.target_sector,
-        delta=delta,
-        component_changes=changes,
-        total_drop_fraction=fraction,
-    )
+    return build_delta(table, spec)
 
 
 def build_scenario2(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
@@ -201,20 +181,37 @@ def build_scenario2(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
     """
     if spec.reallocation is None:
         raise ScenarioConfigError("reallocation block required for the reallocation scenario")
-    realloc = spec.reallocation
+    return build_delta(table, spec)
+
+
+def build_delta(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
+    """The final-demand change of a scenario: the target's drop as in
+    build_scenario1, plus, with a reallocation block, the gains of
+    build_scenario2 (zero when savings_fraction = 1)."""
     k = table.sector_index(spec.target_sector)
-    changes = _target_component_changes(table, spec)
+    changes = {}
+    for comp in FD_COMPONENTS:
+        if comp in spec.absolute_changes:
+            changes[comp] = spec.absolute_changes[comp]
+        else:
+            changes[comp] = (
+                -float(table.final_demand.component(comp)[k])
+                * spec.component_ratio(comp)
+                * spec.sub_service_drop
+            )
     delta = np.zeros(table.n)
     delta[k] = sum(changes.values())
 
-    consumption_drop = sum(changes[c] for c in CONSUMPTION_COMPONENTS)
-    pool = (1.0 - realloc.savings_fraction) * max(0.0, -consumption_drop)
     gains: dict[str, float] = {}
-    for code, share in realloc.shares.items():
-        j = table.sector_index(code)
-        gain = share * pool
-        delta[j] += gain
-        gains[code] = gain
+    realloc = spec.reallocation
+    if realloc is not None:
+        consumption_drop = sum(changes[c] for c in CONSUMPTION_COMPONENTS)
+        pool = (1.0 - realloc.savings_fraction) * max(0.0, -consumption_drop)
+        for code, share in realloc.shares.items():
+            j = table.sector_index(code)
+            gain = share * pool
+            delta[j] += gain
+            gains[code] = gain
 
     f_total = float(table.f[k])
     fraction = float(delta[k]) / f_total if f_total != 0 else 0.0
@@ -226,13 +223,6 @@ def build_scenario2(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
         total_drop_fraction=fraction,
         reallocated=gains,
     )
-
-
-def build_delta(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
-    """Dispatch on the presence of an effective reallocation block."""
-    if spec.reallocation is None or spec.reallocation.savings_fraction >= 1.0:
-        return build_scenario1(table, spec)
-    return build_scenario2(table, spec)
 
 
 def extraction_intensities(table: IOTable, spec: ScenarioSpec) -> np.ndarray:

@@ -15,7 +15,7 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,9 +38,12 @@ FD_COMPONENT_TO_CODE = dict(zip(FD_COMPONENTS, FD_CODES))
 # Only inventory changes are legitimately negative in national accounts.
 SIGNED_FD_COMPONENTS = frozenset({"inventory_changes"})
 
+# Satellite kinds, in report order. Value added and gross fixed capital
+# formation can always be reported: without an account they are read off the
+# table's value-added row and final-demand column (see technical_coefficients).
 SATELLITE_KINDS = (
-    "income",
     "value_added",
+    "income",
     "employment",
     "gross_fixed_capital_formation",
 )
@@ -173,11 +176,21 @@ class IOTable:
         """Total final demand per sector."""
         return self.final_demand.totals()
 
-    def sector_index(self, code: str) -> int:
+    def sector_index(self, sector) -> int:
+        """Matrix position of a sector given as a Sector, an index or a code.
+
+        Raises KeyError for an unknown code or an index outside 0..n-1.
+        """
+        if isinstance(sector, Sector):
+            return sector.index
+        if isinstance(sector, (int, np.integer)):
+            if not 0 <= sector < self.n:
+                raise KeyError(f"sector index {sector} out of range")
+            return int(sector)
         try:
-            return self._index[code]
+            return self._index[sector]
         except KeyError:
-            raise KeyError(f"unknown sector code {code!r}") from None
+            raise KeyError(f"unknown sector code {sector!r}") from None
 
 
 def check_structure(table: IOTable) -> None:
@@ -246,7 +259,7 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
     never modified. Structural defects raise StructuralError instead of
     being reported.
     """
-    if rel_tol <= 0:
+    if not rel_tol > 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     check_structure(table)
 
@@ -269,26 +282,25 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
 
     row_sums = table.Z.sum(axis=1) + table.f
     col_sums = table.Z.sum(axis=0) + table.imports + table.value_added
+    denom = np.maximum(np.abs(table.x), 1e-30)
     for kind, actual in (("row_identity", row_sums), ("column_identity", col_sums)):
-        for j in range(table.n):
-            expected = float(table.x[j])
-            got = float(actual[j])
-            denom = max(abs(expected), 1e-30)
-            rel_err = abs(expected - got) / denom
-            if rel_err > rel_tol:
-                violations.append(
-                    Violation(
-                        kind=kind,
-                        sector=codes[j],
-                        expected=expected,
-                        actual=got,
-                        rel_err=rel_err,
-                        message=(
-                            f"{kind.replace('_', ' ')} for {codes[j]}: "
-                            f"expected {expected:g}, got {got:g} (rel err {rel_err:.4g})"
-                        ),
-                    )
+        rel_errs = np.abs(table.x - actual) / denom
+        # Written so that a NaN error, from a NaN cell, is a violation.
+        for j in np.flatnonzero(~(rel_errs <= rel_tol)):
+            expected, got, rel_err = float(table.x[j]), float(actual[j]), float(rel_errs[j])
+            violations.append(
+                Violation(
+                    kind=kind,
+                    sector=codes[j],
+                    expected=expected,
+                    actual=got,
+                    rel_err=rel_err,
+                    message=(
+                        f"{kind.replace('_', ' ')} for {codes[j]}: "
+                        f"expected {expected:g}, got {got:g} (rel err {rel_err:.4g})"
+                    ),
                 )
+            )
 
     for comp in FD_COMPONENTS:
         if comp in SIGNED_FD_COMPONENTS:
@@ -354,21 +366,3 @@ def drop_zero_sectors(table: IOTable) -> tuple[IOTable, list[Sector]]:
     )
     return reduced, dropped
 
-
-def rescale(table: IOTable, factor: float) -> IOTable:
-    """Uniformly rescale all currency cells (unit change); employment is kept."""
-    if factor <= 0:
-        raise ValueError("rescale factor must be positive")
-    satellites = {}
-    for kind, sat in table.satellites.items():
-        vals = sat.values if kind == "employment" else sat.values * factor
-        satellites[kind] = SatelliteAccount(kind=kind, values=vals)
-    return replace(
-        table,
-        Z=table.Z * factor,
-        final_demand=FinalDemandBlock(table.final_demand.values * factor),
-        imports=table.imports * factor,
-        value_added=table.value_added * factor,
-        satellites=satellites,
-        x=table.x * factor,
-    )

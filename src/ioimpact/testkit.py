@@ -3,7 +3,8 @@
 The truncated-expansion oracle recomputes the Leontief inverse by a route
 that shares no code with the solver. The re-solve oracles answer each impact
 question with a fresh dense solve of the modified system, the slow routes
-that the rank-one and principal-submatrix updates in impact.py replace. The
+that the rank-one and principal-submatrix updates in impact.py replace.
+rescale changes a table's currency unit for the homogeneity properties. The
 economy generator produces seeded tables that are identity-consistent by
 construction; canonical_e2 is the two-sector worked example used throughout
 the test suite.
@@ -11,7 +12,7 @@ the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,6 +88,25 @@ def full_extraction_oracle(model: LeontiefModel, target) -> np.ndarray:
     f_bar = model.f.copy()
     f_bar[k] = 0.0
     return np.linalg.solve(np.eye(model.table.n) - a_bar, f_bar)
+
+
+def rescale(table: IOTable, factor: float) -> IOTable:
+    """Uniformly rescale all currency cells (unit change); employment is kept."""
+    if factor <= 0:
+        raise ValueError("rescale factor must be positive")
+    satellites = {}
+    for kind, sat in table.satellites.items():
+        vals = sat.values if kind == "employment" else sat.values * factor
+        satellites[kind] = SatelliteAccount(kind=kind, values=vals)
+    return replace(
+        table,
+        Z=table.Z * factor,
+        final_demand=FinalDemandBlock(table.final_demand.values * factor),
+        imports=table.imports * factor,
+        value_added=table.value_added * factor,
+        satellites=satellites,
+        x=table.x * factor,
+    )
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from ioimpact import canonical_e2, write_table_files
 from ioimpact.cli import main
-from ioimpact.table import rescale
+from ioimpact.testkit import rescale
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ioimpact" / "fixtures"
 E2 = FIXTURES / "e2"
@@ -293,3 +294,117 @@ class TestDropZeroIntegration:
         )
         assert code == 0
         assert "DEAD" in capsys.readouterr().err
+
+
+class TestMalformedRowsExitTwo:
+    def test_one_cell_satellite_row(self, tmp_path, capsys):
+        sat = tmp_path / "satellite_employment.csv"
+        sat.write_text("sector,employment\nS1\nS2,20.0\n")
+        args = e2_args(satellites=[str(sat)])
+        assert main(["validate", *table_flags(args)]) == 2
+        assert "row has 1 cells, expected 2 (row 2)" in capsys.readouterr().err
+
+    def test_one_cell_history_row(self, tmp_path, capsys):
+        fd = tmp_path / "fd.csv"
+        gdp = tmp_path / "gdp.csv"
+        fd.write_text("year,total_final_demand\n2015\n")
+        gdp.write_text("year,gdp_growth\n2016,0.04\n")
+        out = tmp_path / "reports"
+        code = main(
+            ["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json"),
+             "--out", str(out), "--blowup-history", str(fd), str(gdp)]
+        )
+        assert code == 2
+        assert "row has 1 cells, expected 2 (row 2)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cell_over_csv_field_limit(self, tmp_path, capsys):
+        bad = (E2 / "table.csv").read_text().replace("S2,30.0,40.0", "S2,30.0," + "4" * 140000)
+        p = tmp_path / "table.csv"
+        p.write_text(bad)
+        assert main(["validate", *table_flags(e2_args(table=str(p)))]) == 2
+        err = capsys.readouterr().err
+        assert "field larger than field limit" in err
+        assert "(row 3)" in err
+
+
+class TestBlowupRule:
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_flag_must_be_finite_and_positive(self, tmp_path, capsys, value):
+        out = tmp_path / "reports"
+        code = main(
+            ["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json"),
+             "--out", str(out), "--blowup", value]
+        )
+        assert code == 2
+        assert "blowup factor must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "0", "Infinity"])
+    def test_scenario_factor_must_be_finite_and_positive(self, tmp_path, capsys, value):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(
+            '{"name": "x", "target_sector": "S1", "sub_service_drop": 0.5, '
+            f'"blowup_factor": {value}}}'
+        )
+        out = tmp_path / "reports"
+        code = main(
+            ["run", *table_flags(e2_args()), "--scenario", str(scenario), "--out", str(out)]
+        )
+        assert code == 2
+        assert "blowup_factor must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_history_total(self, tmp_path, capsys):
+        fd = tmp_path / "fd.csv"
+        gdp = tmp_path / "gdp.csv"
+        fd.write_text("year,total_final_demand\n2015,0.0\n2016,1048.0\n2017,1089.92\n")
+        gdp.write_text("year,gdp_growth\n2016,0.04\n2017,0.04\n2018,0.04\n")
+        out = tmp_path / "reports"
+        code = main(
+            ["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json"),
+             "--out", str(out), "--blowup-history", str(fd), str(gdp)]
+        )
+        assert code == 2
+        assert "final-demand total for 2015 is zero" in capsys.readouterr().err
+
+
+class TestReportDigests:
+    """The e2 fixture's CSV reports, pinned byte for byte."""
+
+    RUN = {
+        "comparison.csv": "e4738222ccc9cdc9c23209b20638fd59d8db44ced46b05271160b33c2a80a263",
+        "impact_extraction.csv": "16616eecaeedf1a03ab2f5357945d133d46ddf81564002b5b39df79f3f9017ff",
+        "impact_inoperability.csv": "d969f13be095a78ee83f85306b0a54e31fc5acd2c17af19ca55cd79314f45608",
+        "multipliers.csv": "e7a157ab307945c7789f270ccb5bdf1c89e6a319030103584262853e976ff5a6",
+        "plotdata_top10.csv": "af366bcee221f4130000d2d8df36e5a0705aca5efd0fa0846366da7fa4b79365",
+        "validation.csv": "77e9da49d92d47048c83ae4bd470c4750188353f51ac210a5420a693366fe211",
+    }
+    MULTIPLIERS = {
+        "downstream_S1.csv": "b8160e736365100324cf381a8c2d2568fefdeb2663219cf7e14317b4cfd36e31",
+        "input_recipe_S1.csv": "94637384e711d2bd2147ece12160ad79e64f31414eb8cebf248fb526934f0aee",
+        "multipliers.csv": "e7a157ab307945c7789f270ccb5bdf1c89e6a319030103584262853e976ff5a6",
+        "sector_multipliers_S1.csv": "cb501670912e2e627a3607425ca6a7e3798f0291fbb3a5aacd06ac98ad1e9971",
+        "validation.csv": "77e9da49d92d47048c83ae4bd470c4750188353f51ac210a5420a693366fe211",
+    }
+
+    @staticmethod
+    def csv_digests(out):
+        return {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))
+        }
+
+    def test_run_method_both(self, tmp_path):
+        out = tmp_path / "reports"
+        code = main(
+            ["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json"),
+             "--method", "both", "--out", str(out)]
+        )
+        assert code == 0
+        assert self.csv_digests(out) == self.RUN
+
+    def test_multipliers_sector(self, tmp_path):
+        out = tmp_path / "reports"
+        assert main(["multipliers", *table_flags(e2_args()), "--sector", "S1",
+                     "--out", str(out)]) == 0
+        assert self.csv_digests(out) == self.MULTIPLIERS

@@ -369,6 +369,12 @@ class TestBlowup:
         with pytest.raises(ValueError):
             apply_blowup(result, 0.0)
 
+    @pytest.mark.parametrize("b", [float("nan"), float("inf")])
+    def test_non_finite_factor_rejected(self, e2, e2_model, b):
+        result = inoperability(e2_model, e2_delta(e2))
+        with pytest.raises(ValueError, match="finite and positive"):
+            apply_blowup(result, b)
+
 
 class TestBlowupEstimate:
     def test_two_ratio_history(self):
@@ -386,6 +392,12 @@ class TestBlowupEstimate:
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError, match="ratio observations"):
             estimate_blowup_factor({2017: 100.0}, {2018: 0.02})
+
+    def test_zero_total_rejected(self):
+        fd = {2015: 0.0, 2016: 1048.0, 2017: 1090.0}
+        gdp = {2016: 0.04, 2017: 0.04, 2018: 0.04}
+        with pytest.raises(ValueError, match="2015 is zero"):
+            estimate_blowup_factor(fd, gdp)
 
 
 class TestCompare:

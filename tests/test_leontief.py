@@ -18,7 +18,7 @@ from ioimpact import (
     technical_coefficients,
 )
 from ioimpact.leontief import check_productive
-from ioimpact.table import rescale
+from ioimpact.testkit import rescale
 
 from conftest import E2_A, E2_L
 from test_table import make_table
@@ -198,3 +198,36 @@ class TestProperties:
             np.abs(e2_model.L - neumann_oracle(e2_model.A, K)).max() for K in (10, 25, 50, 100)
         ]
         assert all(a > b for a, b in zip(errors, errors[1:]))
+
+
+class TestSectorLookup:
+    def test_sector_index_or_code(self, e2_model):
+        s2 = e2_model.sectors[1]
+        for sector in (s2, 1, np.int64(1), "S2"):
+            assert e2_model.sector_index(sector) == 1
+            assert e2_model.table.sector_index(sector) == 1
+
+    @pytest.mark.parametrize("sector", [-1, 2, 5, "S9"])
+    def test_import_share_rejects_unknown_sector(self, e2, sector):
+        with pytest.raises(KeyError):
+            import_share(technical_coefficients(e2), sector)
+
+    def test_import_share_by_index(self, e2):
+        coeffs = technical_coefficients(e2)
+        assert import_share(coeffs, 0) == import_share(coeffs, "S1") == pytest.approx(-0.1)
+
+
+class TestSatelliteKinds:
+    def test_report_order_with_table_fallbacks(self, e2):
+        coeffs = technical_coefficients(e2)
+        assert list(coeffs.satellite_coefficients) == [
+            "value_added", "income", "employment", "gross_fixed_capital_formation",
+        ]
+        assert np.array_equal(coeffs.satellite_coefficients["value_added"], [0.3, 0.4])
+
+    def test_without_accounts_only_fallbacks(self):
+        table = make_table([[50, 20], [30, 40]], [30, 30], [100, 100])
+        coeffs = technical_coefficients(table)
+        assert list(coeffs.satellite_coefficients) == [
+            "value_added", "gross_fixed_capital_formation",
+        ]

@@ -5,13 +5,19 @@ import pytest
 
 from ioimpact import (
     DemandDelta,
+    ImpactResult,
     apply_blowup,
+    build_model,
     compare_methods,
+    downstream_importance,
     inoperability,
+    input_recipe,
     make_extraction_spec,
+    output_multipliers,
     partial_extraction,
     validate_table,
 )
+from ioimpact.leontief import sector_order
 from ioimpact.report import (
     ReportBundle,
     comparison_table,
@@ -26,6 +32,8 @@ from ioimpact.report import (
     validation_table,
     write_reports,
 )
+
+from test_table import make_table
 
 
 @pytest.fixture
@@ -142,3 +150,75 @@ class TestWriteReports:
         assert result.method == "inoperability"
         payload = json.loads((tmp_path / "multipliers.json").read_text())
         assert payload[0]["sector_code"] == "S1"
+
+
+class TestTiesBreakBySectorIndex:
+    """Every ranked view orders tied values, -0.0 against 0.0 included, by
+    sector index."""
+
+    N = 12
+
+    @staticmethod
+    def ascending(values):
+        return sorted(range(len(values)), key=lambda i: (values[i], i))
+
+    @pytest.fixture
+    def tied_model(self):
+        # Diagonal flows in two tied groups give exactly tied multipliers;
+        # sector S1 buys equal amounts from four sectors, and sector S2 sells
+        # equal amounts to three.
+        n = self.N
+        Z = np.diag([20.0 if i % 2 else 10.0 for i in range(n)])
+        Z[[3, 5, 7, 9], 0] = 5.0
+        Z[1, [4, 6, 8]] = 5.0
+        return build_model(make_table(Z, [60.0] * n, [100.0] * n))
+
+    @pytest.fixture
+    def tied_results(self, tied_model):
+        q_a = np.array([0.0, -0.1, -0.0, -0.1, 0.0, -0.2, -0.0, -0.1, 0.0, -0.0, -0.2, 0.0])
+        q_b = np.array([-0.0, 0.0, -0.3, 0.0, -0.0, -0.3, 0.0, -0.0, -0.3, 0.0, -0.0, 0.0])
+
+        def result(method, q):
+            dx = q * 100.0
+            return ImpactResult(
+                method=method, scenario="ties", sectors=tied_model.sectors, q=q, dx=dx,
+                satellite_changes={}, totals={"output": float(dx.sum())},
+                pct_output=float(dx.sum()) / 1200.0,
+            )
+
+        return result("inoperability", q_a), result("extraction", q_b)
+
+    def test_sector_order_signed_zeros(self):
+        values = [0.0, -0.0, 1.0, -0.0, 0.0, 1.0]
+        assert sector_order(values) == [0, 1, 3, 4, 2, 5]
+        assert sector_order(values, descending=True) == [2, 5, 0, 1, 3, 4]
+        assert all(type(i) is int for i in sector_order(values))
+
+    def test_recipes(self, tied_model):
+        recipe = input_recipe(tied_model, "S1", top_k=self.N)
+        assert [s.code for s, _ in recipe] == ["S1", "S4", "S6", "S8", "S10"]
+        downstream = downstream_importance(tied_model, "S2", top_k=3)
+        assert [s.code for s, _ in downstream] == ["S2", "S5", "S7"]
+
+    def test_multipliers(self, tied_model):
+        mults = output_multipliers(tied_model)
+        rows = multiplier_table(tied_model).rows
+        assert len(set(mults.tolist())) < self.N  # ties are present
+        expected = self.ascending([-m for m in mults])
+        assert [r[0] for r in rows] == [f"S{i + 1}" for i in expected]
+
+    def test_impact_and_plotdata(self, tied_results):
+        result = tied_results[0]
+        expected = [f"S{i + 1}" for i in self.ascending(result.q.tolist())]
+        assert expected[:5] == ["S6", "S11", "S2", "S4", "S8"]
+        assert [r[0] for r in impact_table(result).rows[:-1]] == expected
+        assert [r[0] for r in plotdata_table(result, top_k=7).rows] == expected[:7]
+
+    def test_compare_overlap(self, tied_results):
+        a, b = tied_results
+        top_a = [f"S{i + 1}" for i in self.ascending(a.q.tolist())][:10]
+        top_b = {f"S{i + 1}" for i in self.ascending(b.q.tolist())[:10]}
+        overlap = compare_methods(a, b).top_overlap
+        assert overlap == tuple(c for c in top_a if c in top_b)
+        # S11 ties at 0.0 in b but falls past its top ten by index.
+        assert overlap == ("S6", "S2", "S4", "S8", "S1", "S3", "S5", "S7", "S9")

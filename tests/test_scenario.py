@@ -270,3 +270,21 @@ class TestSpecValidation:
         assert build_delta(e2, spec_s1()).reallocated == {}
         spec = spec_s1(reallocation=Reallocation(savings_fraction=0.5, shares={"S2": 1.0}))
         assert build_delta(e2, spec).reallocated != {}
+
+
+class TestBlowupFactorRule:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_must_be_finite_and_positive(self, value):
+        with pytest.raises(ScenarioConfigError, match="finite and positive"):
+            spec_s1(blowup_factor=value)
+
+
+class TestEntryPointsShareBuildDelta:
+    def test_same_delta(self, e2):
+        savings = spec_s1()
+        realloc = spec_s1(reallocation=Reallocation(savings_fraction=0.5, shares={"S2": 1.0}))
+        for build, spec in ((build_scenario1, savings), (build_scenario2, realloc)):
+            got, want = build(e2, spec), build_delta(e2, spec)
+            assert np.array_equal(got.delta, want.delta)
+            assert got.reallocated == want.reallocated
+            assert got.component_changes == want.component_changes

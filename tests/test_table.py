@@ -11,7 +11,7 @@ from ioimpact import (
     drop_zero_sectors,
     validate_table,
 )
-from ioimpact.table import rescale
+from ioimpact.testkit import rescale
 
 
 def make_table(Z, f_household, x, imports=None, value_added=None, satellites=None):
@@ -182,3 +182,22 @@ def test_rescale_keeps_employment():
     assert np.array_equal(scaled.satellites["income"].values,
                           table.satellites["income"].values * 3)
     assert validate_table(scaled).passed
+
+
+class TestNonFiniteLibraryTable:
+    def test_nan_cell_fails_validation(self):
+        table = canonical_e2()
+        Z = table.Z.copy()
+        Z[1, 0] = np.nan
+        report = validate_table(IOTable(
+            sectors=table.sectors, Z=Z, final_demand=table.final_demand,
+            imports=table.imports, value_added=table.value_added, x=table.x,
+        ))
+        assert not report.passed
+        assert {(v.kind, v.sector) for v in report.violations} == {
+            ("row_identity", "S2"), ("column_identity", "S1"),
+        }
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            validate_table(canonical_e2(), rel_tol=float("nan"))
