@@ -30,6 +30,7 @@ from .impact import (
 )
 from .ingest import (
     disaggregate_aggregate,
+    load_io_table,
     parse_io_table,
     parse_scenario,
     write_table_files,
@@ -120,6 +121,7 @@ __all__ = [
     "input_recipe",
     "interdependency_matrix",
     "leontief_inverse",
+    "load_io_table",
     "make_extraction_spec",
     "neumann_oracle",
     "output_multipliers",

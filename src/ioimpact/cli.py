@@ -29,7 +29,7 @@ from .impact import (
     make_extraction_spec,
     partial_extraction,
 )
-from .ingest import parse_blowup_history, parse_io_table, parse_scenario
+from .ingest import load_io_table, parse_blowup_history, parse_scenario
 from .leontief import build_model
 from .report import (
     ReportBundle,
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_validated(args):
-    table = parse_io_table(args.table, args.meta, args.satellites)
+    table = load_io_table(args.table, args.meta, args.satellites)
     table, dropped = drop_zero_sectors(table)
     for sector in dropped:
         print(f"dropped zero-output sector: {sector.code} ({sector.name})", file=sys.stderr)

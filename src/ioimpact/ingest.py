@@ -17,13 +17,22 @@ per sector. Every CSV row has exactly as many cells as its header names;
 blank rows are skipped. Scenario files are JSON; see parse_scenario. Parsing
 is total: either a fully populated object is returned or an error carrying
 the file coordinates is raised. Numeric cells must be finite.
+
+load_io_table is parse_io_table memoised on disk: a parsed table is stored
+under ``$XDG_CACHE_HOME/ioimpact`` (default ``~/.cache/ioimpact``), keyed by
+the sha256 of the table file, the metadata file and this module's source.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import json
 import math
+import os
+import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +50,19 @@ from .table import (
 
 TRAILING_ROWS = ("IMPORTS", "VALUE_ADDED", "TOTAL_USES")
 
+# Parsed tables kept in the cache; each write drops the least recently used.
+CACHE_ENTRIES = 8
+# What np.load raises on a damaged archive; any of them makes the entry a miss.
+_DAMAGED_ENTRY = (OSError, ValueError, KeyError, EOFError, RuntimeError, zipfile.BadZipFile)
+
 
 def _csv_rows(path, width: int):
     """Yield ``(1-based row number, cells)`` for each non-blank CSV row.
 
     The caller checks the first row, the header; every later row must have
-    ``width`` cells. A row of another width, or one csv cannot read (such as
-    a cell over csv.field_size_limit()), raises TableParseError naming it.
+    ``width`` cells. A row of another width, one csv cannot read (such as
+    a cell over csv.field_size_limit()) or one that is not valid UTF-8
+    raises TableParseError naming it.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         r = 0
@@ -64,6 +79,25 @@ def _csv_rows(path, width: int):
                 yield r, cells
         except csv.Error as exc:
             raise TableParseError(f"{path}: {exc}", row=r + 1) from None
+        except UnicodeDecodeError as exc:
+            raise TableParseError(
+                f"{path}: not valid UTF-8 ({exc.reason})", row=_undecodable_line(path)
+            ) from None
+
+
+def _undecodable_line(path) -> int | None:
+    """1-based number of the first line that is not valid UTF-8.
+
+    The text decoder works on blocks, so its error does not say which row
+    held the bad byte; a newline byte never occurs inside a UTF-8 sequence.
+    """
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return None
 
 
 def _cell(raw: str, row: int, col: int) -> float:
@@ -199,22 +233,133 @@ def parse_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTa
             f"({n} sectors + trailing {', '.join(TRAILING_ROWS)}), got {count}"
         )
 
-    satellites = {}
-    for sat_path in satellite_files:
-        sat = parse_satellite_file(sat_path, codes)
-        if sat.kind in satellites:
-            raise StructuralError(f"satellite kind {sat.kind!r} supplied twice")
-        satellites[sat.kind] = sat
-
     return IOTable(
         sectors=tuple(sectors),
         Z=body[:, :n],
         final_demand=FinalDemandBlock(body[:, n:-1]),
         imports=trailing["IMPORTS"],
         value_added=trailing["VALUE_ADDED"],
-        satellites=satellites,
+        satellites=_parse_satellites(satellite_files, codes),
         x=body[:, -1],
     )
+
+
+def _parse_satellites(satellite_files, codes: tuple[str, ...]) -> dict[str, SatelliteAccount]:
+    satellites = {}
+    for sat_path in satellite_files:
+        sat = parse_satellite_file(sat_path, codes)
+        if sat.kind in satellites:
+            raise StructuralError(f"satellite kind {sat.kind!r} supplied twice")
+        satellites[sat.kind] = sat
+    return satellites
+
+
+def load_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTable:
+    """parse_io_table, with the parsed table cached on disk between runs.
+
+    The cache key is the sha256 of the table file, the metadata file and
+    this module's source, so an edit to either file or to the parse rules
+    is a miss. A hit reads Z, final demand, x, imports and value added from
+    ``<key>.npz``; the metadata and satellite files are parsed every time
+    and the table is built through IOTable, so it is checked as on a miss.
+    A table that fails to parse is not cached. An entry that cannot be read
+    or holds the wrong shapes or a non-finite value is a miss, and is
+    overwritten. A cache that cannot be written leaves the run uncached.
+    """
+    sectors = parse_sector_metadata(sector_metadata_file)
+    inputs = (sector_metadata_file, table_file)
+    stamp = _stamp(inputs)
+    key = hashlib.sha256(hashlib.sha256(Path(__file__).read_bytes()).digest())
+    for path in inputs:
+        key.update(_file_digest(path))
+    entry = _cache_dir() / f"{key.hexdigest()}.npz"
+    arrays = _read_entry(entry, len(sectors))
+    if arrays is None:
+        table = parse_io_table(table_file, sector_metadata_file, satellite_files)
+        if _stamp(inputs) == stamp:  # the parsed bytes are the hashed bytes
+            with contextlib.suppress(OSError):
+                _write_entry(entry, table)
+        return table
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    return IOTable(
+        sectors=tuple(sectors),
+        Z=arrays["Z"],
+        final_demand=FinalDemandBlock(arrays["final_demand"]),
+        imports=arrays["imports"],
+        value_added=arrays["value_added"],
+        satellites=_parse_satellites(satellite_files, tuple(s.code for s in sectors)),
+        x=arrays["x"],
+    )
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the XDG default
+        base = Path.home() / ".cache"
+    return Path(base) / "ioimpact"
+
+
+def _stamp(paths) -> list[tuple[int, int, int]]:
+    return [(st.st_ino, st.st_size, st.st_mtime_ns) for st in map(os.stat, paths)]
+
+
+def _file_digest(path) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _read_entry(path: Path, n: int) -> dict[str, np.ndarray] | None:
+    """The cached arrays of an n-sector table, or None if the entry is unusable."""
+    shapes = {
+        "Z": (n, n),
+        "final_demand": (n, len(FD_CODES)),
+        "x": (n,),
+        "imports": (n,),
+        "value_added": (n,),
+    }
+    try:
+        entry = np.load(path, allow_pickle=False)
+        if not isinstance(entry, np.lib.npyio.NpzFile):
+            return None
+        with entry:
+            arrays = {name: entry[name] for name in shapes}
+    except _DAMAGED_ENTRY:
+        return None
+    for name, shape in shapes.items():
+        a = arrays[name]
+        if a.dtype != np.float64 or a.shape != shape or not np.isfinite(a).all():
+            return None
+    return arrays
+
+
+def _write_entry(path: Path, table: IOTable) -> None:
+    """Store the table's arrays atomically, then keep the CACHE_ENTRIES most
+    recently used entries."""
+    path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(
+                fh,
+                Z=table.Z,
+                final_demand=table.final_demand.values,
+                x=table.x,
+                imports=table.imports,
+                value_added=table.value_added,
+            )
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+    entries = sorted(
+        ((p.stat().st_mtime_ns, p.name, p) for p in path.parent.glob("*.npz")), reverse=True
+    )
+    for *_, stale in entries[CACHE_ENTRIES:]:
+        stale.unlink()
 
 
 def _num(v: float) -> str:
@@ -317,23 +462,28 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
         if required not in raw:
             raise ScenarioConfigError(f"{path}: missing required field {required!r}")
 
+    def mapping(block, what: str) -> dict:
+        if not isinstance(block, dict):
+            raise ScenarioConfigError(f"{path}: {what} must be an object, got {block!r:.40}")
+        return block
+
     realloc = None
-    block = raw.get("reallocation")
+    block = mapping(raw.get("reallocation") or {}, "reallocation")
     if block:
         if "savings_fraction" not in block:
             raise ScenarioConfigError(f"{path}: reallocation needs savings_fraction")
         realloc = Reallocation(
             savings_fraction=block["savings_fraction"],
-            shares=dict(block.get("shares", {})),
+            shares=mapping(block.get("shares", {}), "reallocation shares"),
         )
 
     intermediate = None
-    block = raw.get("intermediate")
+    block = mapping(raw.get("intermediate") or {}, "intermediate")
     if block:
         intermediate = IntermediateSpec(
             apply=bool(block.get("apply", True)),
             use_ratios=UseRatio(
-                ratios=dict(block.get("use_ratios", {})),
+                ratios=mapping(block.get("use_ratios", {}), "intermediate use_ratios"),
                 default=block.get("default_ratio", 1.0),
             ),
         )
@@ -342,8 +492,8 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
         name=str(raw["name"]),
         target_sector=str(raw["target_sector"]),
         sub_service_drop=raw["sub_service_drop"],
-        component_ratios=dict(raw.get("component_ratios", {})),
-        absolute_changes=dict(raw.get("absolute_changes", {})),
+        component_ratios=mapping(raw.get("component_ratios", {}), "component_ratios"),
+        absolute_changes=mapping(raw.get("absolute_changes", {}), "absolute_changes"),
         reallocation=realloc,
         intermediate=intermediate,
         blowup_factor=raw.get("blowup_factor", 1.0),

@@ -43,8 +43,15 @@ DEFAULT_COMPONENT_RATIOS = {
 SHARE_SUM_TOL = 1e-9
 
 
-def _check_fraction(value: float, what: str) -> float:
-    value = float(value)
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ScenarioConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _check_fraction(value, what: str) -> float:
+    value = _number(value, what)
     if not 0.0 <= value <= 1.0:
         raise ScenarioConfigError(f"{what} must lie in [0, 1], got {value}")
     return value
@@ -59,9 +66,11 @@ class UseRatio:
     default: float = 1.0
 
     def __post_init__(self):
-        for code, r in self.ratios.items():
-            _check_fraction(r, f"use ratio for {code!r}")
-        _check_fraction(self.default, "default use ratio")
+        ratios = {
+            code: _check_fraction(r, f"use ratio for {code!r}") for code, r in self.ratios.items()
+        }
+        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "default", _check_fraction(self.default, "default use ratio"))
 
     def get(self, code: str) -> float:
         return self.ratios.get(code, self.default)
@@ -87,10 +96,14 @@ class Reallocation:
     shares: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_fraction(self.savings_fraction, "savings_fraction")
-        for code, s in self.shares.items():
-            _check_fraction(s, f"reallocation share for {code!r}")
-        total = float(sum(self.shares.values()))
+        fraction = _check_fraction(self.savings_fraction, "savings_fraction")
+        object.__setattr__(self, "savings_fraction", fraction)
+        shares = {
+            code: _check_fraction(s, f"reallocation share for {code!r}")
+            for code, s in self.shares.items()
+        }
+        object.__setattr__(self, "shares", shares)
+        total = sum(shares.values())
         if self.shares and abs(total - 1.0) > SHARE_SUM_TOL:
             raise ScenarioConfigError(f"reallocation shares must sum to 1, got {total!r}")
 
@@ -116,7 +129,8 @@ class ScenarioSpec:
     blowup_factor: float = 1.0
 
     def __post_init__(self):
-        _check_fraction(self.sub_service_drop, "sub_service_drop")
+        drop = _check_fraction(self.sub_service_drop, "sub_service_drop")
+        object.__setattr__(self, "sub_service_drop", drop)
         normalized = {}
         for key, ratio in self.component_ratios.items():
             comp = FD_CODE_TO_COMPONENT.get(key, key)
@@ -129,13 +143,19 @@ class ScenarioSpec:
             comp = FD_CODE_TO_COMPONENT.get(key, key)
             if comp not in FD_COMPONENTS:
                 raise ScenarioConfigError(f"unknown final-demand component {key!r}")
-            absolute[comp] = float(amount)
+            amount = _number(amount, f"absolute change for {key!r}")
+            if not math.isfinite(amount):
+                raise ScenarioConfigError(
+                    f"absolute change for {key!r} must be finite, got {amount}"
+                )
+            absolute[comp] = amount
         object.__setattr__(self, "absolute_changes", absolute)
-        blowup = float(self.blowup_factor)
+        blowup = _number(self.blowup_factor, "blowup_factor")
         if not (math.isfinite(blowup) and blowup > 0):
             raise ScenarioConfigError(
                 f"blowup_factor must be finite and positive, got {self.blowup_factor}"
             )
+        object.__setattr__(self, "blowup_factor", blowup)
 
     def component_ratio(self, component: str) -> float:
         return self.component_ratios.get(component, DEFAULT_COMPONENT_RATIOS[component])

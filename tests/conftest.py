@@ -9,6 +9,12 @@ E2_L = np.array([[0.6, 0.2], [0.3, 0.5]]) / 0.24
 E2_A = np.array([[0.5, 0.2], [0.3, 0.4]])
 
 
+@pytest.fixture(autouse=True)
+def cold_parse_cache(tmp_path, monkeypatch):
+    """Every test starts with an empty parse cache outside the home directory."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg-cache"))
+
+
 @pytest.fixture
 def e2():
     return canonical_e2()

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ioimpact import canonical_e2, write_table_files
+from ioimpact import canonical_e2, ingest, write_table_files
 from ioimpact.cli import main
 from ioimpact.testkit import rescale
 
@@ -408,3 +409,97 @@ class TestReportDigests:
         assert main(["multipliers", *table_flags(e2_args()), "--sector", "S1",
                      "--out", str(out)]) == 0
         assert self.csv_digests(out) == self.MULTIPLIERS
+
+
+class TestParseCache:
+    @staticmethod
+    def run_both(out):
+        shutil.rmtree(out, ignore_errors=True)
+        return main(
+            ["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json"),
+             "--method", "both", "--out", str(out)]
+        )
+
+    @staticmethod
+    def files(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_hit_writes_identical_reports(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "reports"
+        assert self.run_both(out) == 0
+        miss, miss_stdout = self.files(out), capsys.readouterr().out
+        assert "manifest.json" in miss
+
+        def no_parse(*args):
+            raise AssertionError("parse_io_table called on a cache hit")
+
+        monkeypatch.setattr(ingest, "parse_io_table", no_parse)
+        assert self.run_both(out) == 0
+        assert self.files(out) == miss
+        assert capsys.readouterr().out == miss_stdout
+
+    def test_edited_cell_after_caching_exits_two(self, tmp_path, capsys):
+        d = tmp_path / "in"
+        shutil.copytree(E2, d)
+        args = e2_args(table=str(d / "table.csv"))
+        assert main(["validate", *table_flags(args)]) == 0
+        table = d / "table.csv"
+        table.write_text(table.read_text().replace("S2,30.0,40.0", "S2,30.0,abc"))
+        capsys.readouterr()
+        assert main(["validate", *table_flags(args)]) == 2
+        assert "malformed numeric cell 'abc' (row 3, column 3)" in capsys.readouterr().err
+
+    def test_unwritable_cache_dir(self, tmp_path, monkeypatch):
+        out = tmp_path / "reports"
+        assert self.run_both(out) == 0
+        cached = self.files(out)
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        assert self.run_both(out) == 0
+        assert self.files(out) == cached
+
+
+class TestScenarioValueTypes:
+    """A scenario value of the wrong type is a configuration error naming it."""
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ('"sub_service_drop": null', "sub_service_drop must be a number, got None"),
+            ('"sub_service_drop": [0.5]', "sub_service_drop must be a number, got [0.5]"),
+            ('"sub_service_drop": 0.5, "reallocation": {"savings_fraction": 0.5, "shares": null}',
+             "reallocation shares must be an object, got None"),
+            ('"sub_service_drop": 0.5, "reallocation": {"savings_fraction": null}',
+             "savings_fraction must be a number"),
+            ('"sub_service_drop": 0.5, "reallocation": [["savings_fraction", 1.0]]',
+             "reallocation must be an object"),
+            ('"sub_service_drop": 0.5, "component_ratios": [["HH", 1.0]]',
+             "component_ratios must be an object"),
+            ('"sub_service_drop": 0.5, "absolute_changes": [1.0]',
+             "absolute_changes must be an object"),
+            ('"sub_service_drop": 0.5, "intermediate": {"use_ratios": [0.5]}',
+             "intermediate use_ratios must be an object"),
+            ('"sub_service_drop": 0.5, "intermediate": {"use_ratios": {"S2": {}}}',
+             "use ratio for 'S2' must be a number"),
+            ('"sub_service_drop": 0.5, "intermediate": {"default_ratio": null}',
+             "default use ratio must be a number"),
+            ('"sub_service_drop": 0.5, "blowup_factor": null', "blowup_factor must be a number"),
+            ('"sub_service_drop": 0.5, "absolute_changes": {"HH": "x"}',
+             "absolute change for 'HH' must be a number"),
+            # Rejected when parsed, not later as a fixed-point violation by nan.
+            ('"sub_service_drop": 0.5, "absolute_changes": {"EXP": NaN}',
+             "absolute change for 'EXP' must be finite, got nan"),
+            ('"sub_service_drop": 0.5, "absolute_changes": {"EXP": -Infinity}',
+             "absolute change for 'EXP' must be finite, got -inf"),
+        ],
+    )
+    def test_wrong_type_exits_two(self, tmp_path, capsys, fields, message):
+        scenario = tmp_path / "s.json"
+        scenario.write_text('{"name": "x", "target_sector": "S1", ' + fields + "}")
+        out = tmp_path / "reports"
+        code = main(["run", *table_flags(e2_args()), "--scenario", str(scenario),
+                     "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()

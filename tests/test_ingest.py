@@ -1,6 +1,10 @@
+import os
+import shutil
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,17 +13,20 @@ from hypothesis import strategies as st
 
 from ioimpact import (
     EconomyGenSpec,
+    IOModelError,
     ScenarioConfigError,
     StructuralError,
     TableParseError,
     canonical_e2,
     disaggregate_aggregate,
+    load_io_table,
     parse_io_table,
     parse_scenario,
     random_economy,
     write_table_files,
 )
-from ioimpact.ingest import parse_blowup_history
+from ioimpact import ingest
+from ioimpact.ingest import CACHE_ENTRIES, parse_blowup_history
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ioimpact" / "fixtures"
 
@@ -183,6 +190,18 @@ class TestByteOrderMark:
         parsed = parse_io_table(FIXTURES / "e2" / "table.csv", meta)
         assert parsed.codes == canonical_e2().codes
 
+    @pytest.mark.parametrize("name,row", [("table.csv", 3), ("sectors.csv", 2)])
+    def test_invalid_utf8_names_the_row(self, tmp_path, name, row):
+        d = FIXTURES / "e2"
+        paths = {"table.csv": d / "table.csv", "sectors.csv": d / "sectors.csv"}
+        lines = paths[name].read_bytes().split(b"\n")
+        lines[row - 1] = lines[row - 1].replace(b",", b",\xff", 1)
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(b"\n".join(lines))
+        with pytest.raises(TableParseError, match="not valid UTF-8") as err:
+            parse_io_table(paths["table.csv"], paths["sectors.csv"])
+        assert err.value.row == row
+
 
 def _finite(**kw):
     return st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, **kw)
@@ -253,6 +272,295 @@ def test_parse_does_not_materialise_rows(tmp_path):
     arrays = [table.Z, table.final_demand.values, table.x, table.imports, table.value_added]
     arrays += [sat.values for sat in table.satellites.values()]
     assert peak < 4 * sum(a.nbytes for a in arrays)
+
+
+E2_FILES = ("table.csv", "sectors.csv", "satellite_employment.csv", "satellite_income.csv")
+
+
+def _copy_e2(d):
+    d.mkdir()
+    for name in E2_FILES:
+        shutil.copy(FIXTURES / "e2" / name, d / name)
+    return d
+
+
+def _load(d):
+    sats = [d / "satellite_employment.csv", d / "satellite_income.csv"]
+    return load_io_table(d / "table.csv", d / "sectors.csv", sats)
+
+
+def _cache_files():
+    """Every file in the cache directory, entries and temporaries alike."""
+    return set((Path(os.environ["XDG_CACHE_HOME"]) / "ioimpact").glob("*"))
+
+
+def _assert_bit_identical(got, want):
+    assert got.sectors == want.sectors
+    assert got.satellites.keys() == want.satellites.keys()
+    pairs = [
+        (got.Z, want.Z),
+        (got.final_demand.values, want.final_demand.values),
+        (got.x, want.x),
+        (got.imports, want.imports),
+        (got.value_added, want.value_added),
+    ]
+    pairs += [(got.satellites[k].values, want.satellites[k].values) for k in want.satellites]
+    for a, b in pairs:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The argument tuples of every parse_io_table call load_io_table makes."""
+    calls = []
+    real = ingest.parse_io_table
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ingest, "parse_io_table", counting)
+    return calls
+
+
+def _damage_truncate(path, arrays):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _damage_flip(path, arrays):
+    data = bytearray(path.read_bytes())
+    at = data.find(arrays["Z"].tobytes())
+    data[at : at + 8] = bytes(b ^ 0xFF for b in data[at : at + 8])
+    path.write_bytes(bytes(data))
+
+
+def _damage_nan(path, arrays):
+    arrays["Z"][0, 1] = np.nan
+    np.savez(path, **arrays)
+
+
+def _damage_shape(path, arrays):
+    arrays["x"] = np.ones(3)
+    np.savez(path, **arrays)
+
+
+def _damage_dtype(path, arrays):
+    arrays["Z"] = arrays["Z"].astype(np.float32)
+    np.savez(path, **arrays)
+
+
+def _damage_pickle(path, arrays):
+    arrays["Z"] = np.array([[None, None], [None, None]], dtype=object)
+    np.savez(path, **arrays)
+
+
+def _damage_npy(path, arrays):
+    with open(path, "wb") as fh:
+        np.save(fh, arrays["Z"])
+
+
+class TestParseCache:
+    def test_hit_is_bit_identical_to_parse(self, tmp_path, monkeypatch):
+        d = _copy_e2(tmp_path / "in")
+        _set_cell(d / "table.csv", 2, 5, "-0.0")
+        _set_cell(d / "table.csv", 2, 6, "5e-324")
+        parsed = parse_io_table(
+            d / "table.csv", d / "sectors.csv",
+            [d / "satellite_employment.csv", d / "satellite_income.csv"],
+        )
+        _assert_bit_identical(_load(d), parsed)
+        assert len(_cache_files()) == 1
+
+        def no_parse(*args):
+            raise AssertionError("parse_io_table called on a cache hit")
+
+        monkeypatch.setattr(ingest, "parse_io_table", no_parse)
+        hit = _load(d)
+        _assert_bit_identical(hit, parsed)
+        assert np.signbit(hit.final_demand.values[0, 1])
+
+    def test_renamed_sector_is_a_miss(self, tmp_path, parse_calls):
+        d = _copy_e2(tmp_path / "in")
+        _load(d)
+        (d / "sectors.csv").write_text("code,name\nS1,Air transport\nS2,Sector 2\n")
+        assert _load(d).sectors[0].name == "Air transport"
+        assert len(parse_calls) == 2
+        assert len(_cache_files()) == 2
+
+    def test_satellites_are_read_on_a_hit(self, tmp_path):
+        d = _copy_e2(tmp_path / "in")
+        _load(d)
+        (d / "satellite_income.csv").write_text("sector,income\nS1,1.5\nS2,2.5\n")
+        assert list(_load(d).satellites["income"].values) == [1.5, 2.5]
+        (d / "satellite_income.csv").write_text("sector,income\nS1,1.5\nS2,nan\n")
+        with pytest.raises(TableParseError, match="non-finite"):
+            _load(d)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [_damage_truncate, _damage_flip, _damage_nan, _damage_shape, _damage_dtype,
+         _damage_pickle, _damage_npy],
+        ids=lambda f: f.__name__.removeprefix("_damage_"),
+    )
+    def test_damaged_entry_is_not_served(self, tmp_path, parse_calls, damage):
+        d = _copy_e2(tmp_path / "in")
+        parsed = _load(d)
+        (entry,) = _cache_files()
+        with np.load(entry) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        damage(entry, arrays)
+        _assert_bit_identical(_load(d), parsed)
+        assert len(parse_calls) == 2
+        _assert_bit_identical(_load(d), parsed)  # the rewritten entry is served
+        assert len(parse_calls) == 2
+        assert _cache_files() == {entry}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        damage=st.lists(
+            st.tuples(st.integers(0, 10**6), st.binary(min_size=0, max_size=6)),
+            min_size=1, max_size=3,
+        ),
+        truncate=st.integers(0, 10**6) | st.none(),
+    )
+    def test_any_damage_is_a_miss_or_the_same_table(self, damage, truncate):
+        with tempfile.TemporaryDirectory() as d, mock.patch.dict(
+            os.environ, {"XDG_CACHE_HOME": os.path.join(d, "cache")}
+        ):
+            inputs = _copy_e2(Path(d) / "in")
+            parsed = _load(inputs)
+            (entry,) = _cache_files()
+            data = bytearray(entry.read_bytes())
+            for pos, chunk in damage:
+                i = pos % len(data)
+                data[i : i + len(chunk)] = chunk
+            if truncate is not None:
+                data = data[: truncate % len(data)]
+            entry.write_bytes(bytes(data))
+            _assert_bit_identical(_load(inputs), parsed)
+
+    @pytest.mark.parametrize(
+        "name,row,column",
+        [("table.csv", 3, 3), ("table.csv", 6, 2), ("satellite_income.csv", 2, 2)],
+    )
+    def test_failed_parse_leaves_no_entry(self, tmp_path, name, row, column):
+        d = _copy_e2(tmp_path / "in")
+        _set_cell(d / name, row, column, "abc")
+        with pytest.raises(TableParseError, match="malformed") as err:
+            _load(d)
+        assert (err.value.row, err.value.column) == (row, column)
+        assert _cache_files() == set()
+
+    def test_table_edited_during_parse_is_not_cached(self, tmp_path, monkeypatch):
+        d = _copy_e2(tmp_path / "in")
+        real = ingest.parse_io_table
+
+        def parse_then_edit(*args):
+            table = real(*args)
+            _set_cell(d / "table.csv", 2, 2, "50.25")
+            return table
+
+        monkeypatch.setattr(ingest, "parse_io_table", parse_then_edit)
+        assert _load(d).Z[0, 0] == 50.0
+        assert _cache_files() == set()
+
+    @pytest.mark.parametrize("xdg", [None, "", "relative/cache"])
+    def test_default_location(self, tmp_path, monkeypatch, xdg):
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        if xdg is None:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+        monkeypatch.chdir(tmp_path)
+        _load(_copy_e2(tmp_path / "in"))
+        cache = tmp_path / "home" / ".cache" / "ioimpact"
+        assert len(list(cache.glob("*.npz"))) == 1
+        assert cache.stat().st_mode & 0o777 == 0o700
+        assert not (tmp_path / "relative").exists()
+
+    @staticmethod
+    def _write_distinct(tmp_path, k, mtime):
+        """Load a table no other k gives, then date its new entry ``mtime``."""
+        d = _copy_e2(tmp_path / f"in{k}")
+        (d / "sectors.csv").write_text(f"code,name\nS1,Sector {k}\nS2,Sector 2\n")
+        before = _cache_files()
+        _load(d)
+        (entry,) = _cache_files() - before
+        os.utime(entry, (mtime, mtime))
+        return d, entry
+
+    def test_keeps_the_most_recent_entries(self, tmp_path):
+        base = time.time() - 1000
+        entries = [self._write_distinct(tmp_path, k, base + k)[1] for k in range(10)]
+        assert CACHE_ENTRIES == 8
+        assert _cache_files() == set(entries[2:])
+
+    def test_hit_refreshes_its_entry(self, tmp_path, parse_calls):
+        base = time.time() - 1000
+        written = [self._write_distinct(tmp_path, k, base + k) for k in range(CACHE_ENTRIES)]
+        oldest_dir, oldest_entry = written[0]
+        _load(oldest_dir)
+        assert len(parse_calls) == CACHE_ENTRIES  # a hit
+        newer = [self._write_distinct(tmp_path, k, base + k)[1] for k in (8, 9)]
+        kept = {oldest_entry, *(entry for _, entry in written[3:]), *newer}
+        assert _cache_files() == kept
+
+
+# Bytes that mean something to the CSV grammar or the number parser, plus
+# arbitrary ones.
+_FUZZ_BYTES = st.sampled_from(
+    [b",", b"\n", b"\r", b'"', b" ", b"-", b"+", b"e", b"0", b"1", b"9", b".", b"nan", b"inf",
+     b"\x00", b"\xff", b"\xef\xbb\xbf", b"S1", b"S2", b"1e400"]
+) | st.binary(min_size=1, max_size=4)
+_MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["insert", "replace", "delete"]), st.integers(0, 10**4), _FUZZ_BYTES),
+    max_size=3,
+)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    out = bytearray(data)
+    for kind, pos, chunk in mutations:
+        i = pos % (len(out) + 1)
+        if kind == "insert":
+            out[i:i] = chunk
+        elif kind == "replace":
+            out[i : i + len(chunk)] = chunk
+        else:
+            del out[i : i + len(chunk)]
+    return bytes(out)
+
+
+def _outcome(d):
+    try:
+        return load_io_table(d / "table.csv", d / "sectors.csv")
+    except IOModelError as exc:
+        return exc
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(table=_MUTATIONS, sectors=_MUTATIONS)
+    def test_mutated_inputs_give_a_finite_table_or_a_model_error(self, table, sectors):
+        with tempfile.TemporaryDirectory() as d, mock.patch.dict(
+            os.environ, {"XDG_CACHE_HOME": os.path.join(d, "cache")}
+        ), mock.patch.object(ingest, "parse_io_table", wraps=ingest.parse_io_table) as parse:
+            d = Path(d)
+            e2 = FIXTURES / "e2"
+            (d / "table.csv").write_bytes(_mutate((e2 / "table.csv").read_bytes(), table))
+            (d / "sectors.csv").write_bytes(_mutate((e2 / "sectors.csv").read_bytes(), sectors))
+            miss = _outcome(d)
+            hit = _outcome(d)
+            entries = list((d / "cache" / "ioimpact").glob("*.npz"))
+        if isinstance(miss, IOModelError):
+            assert (type(hit), str(hit)) == (type(miss), str(miss))
+            assert entries == []
+            return
+        assert parse.call_count == 1 and len(entries) == 1
+        _assert_bit_identical(hit, miss)
+        for a in (miss.Z, miss.final_demand.values, miss.x, miss.imports, miss.value_added):
+            assert np.isfinite(a).all()
 
 
 class TestSatelliteFiles:

@@ -266,6 +266,22 @@ class TestSpecValidation:
                 component_ratios={"XX": 0.5},
             )
 
+    def test_numbers_are_stored_as_floats(self, e2):
+        # float() accepts a numeric string; the spec keeps the converted value,
+        # so build_delta never multiplies by the string.
+        spec = ScenarioSpec(
+            name="s", target_sector="S1", sub_service_drop="0.4",
+            component_ratios={"HH": 1}, blowup_factor=np.float32(2.0),
+            reallocation=Reallocation(savings_fraction="0.5", shares={"S2": "1"}),
+            intermediate=IntermediateSpec(apply=True, use_ratios=UseRatio({"S2": "0.5"}, "1")),
+        )
+        values = [spec.sub_service_drop, spec.blowup_factor, spec.reallocation.savings_fraction,
+                  spec.reallocation.shares["S2"], spec.intermediate.use_ratios.get("S2"),
+                  spec.intermediate.use_ratios.get("S1")]
+        assert values == [0.4, 2.0, 0.5, 1.0, 0.5, 1.0]
+        assert all(type(v) is float for v in values)
+        assert build_delta(e2, spec).delta[0] == pytest.approx(-12.0)
+
     def test_build_delta_dispatches_on_reallocation(self, e2):
         assert build_delta(e2, spec_s1()).reallocated == {}
         spec = spec_s1(reallocation=Reallocation(savings_fraction=0.5, shares={"S2": 1.0}))
