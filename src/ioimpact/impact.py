@@ -1,20 +1,24 @@
 """Economy-wide impacts of a demand shock.
 
-Every result here is a matrix-vector product on the model's one Leontief
-inverse L = (I - A)^-1; no scenario factorizes or solves a matrix of its own.
+Every result here is a product with the Leontief inverse L = (I - A)^-1,
+taken through the model's one factorization of I - A (LeontiefModel.solve);
+no scenario factorizes or solves a matrix of its own, and L is never formed.
+Each scenario costs O(n^2).
 
 Inoperability propagates a final-demand change, dx = L df, normalizes it to
 output, q = dx / x, and checks on every call that q satisfies the equivalent
 fixed-point system q = A* q + f*. Since A* = D^-1 A D with D = diag(x), that
-residual is ((I - A) dx - df) / x, an O(n^2) check of L against A.
+residual is ((I - A) dx - df) / x, an O(n^2) check of the factors against A.
 
 Partial extraction scales the target sector k's deliveries per purchaser,
 which changes only row k of A: A_bar = A - e_k d' with d = b_k * alpha. The
-Sherman-Morrison formula then gives the extracted output from L directly,
+Sherman-Morrison formula then gives the extracted output from L,
 x_bar = y - L[:, k] (d . y) / (1 + d . L[:, k]) with y = L f_bar. Full
 extraction removes row and column k; the inverse of the remaining principal
 submatrix of (I - A) is L_-k,-k - L_-k,k L_k,-k / L_kk (Miller & Blair,
-Input-Output Analysis, 2009, ch. 12). With A >= 0 and alpha in [0, 1] both
+Input-Output Analysis, 2009, ch. 12). Both need only y and the column
+L[:, k], which one two-column solve against [f_bar, e_k] returns together.
+With A >= 0 (which the model guarantees) and alpha in [0, 1] both
 denominators are at least one, and the extracted economy is productive
 whenever the original is.
 
@@ -156,7 +160,7 @@ def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
     report.
     """
     df = delta.delta
-    dx = model.L @ df
+    dx = model.solve(df)
     gap = np.abs((dx - model.A @ dx - df) / model.x).max()
     if not (gap <= FIXED_POINT_TOL):
         raise InternalConsistencyError(
@@ -175,6 +179,16 @@ def _check_denominator(denom: float, what: str) -> None:
         )
 
 
+def _solve_with_column(model: LeontiefModel, f_bar: np.ndarray, k: int):
+    """y = L f_bar and the column L[:, k], from one two-column solve.
+    Column-major, so each returned column is contiguous."""
+    rhs = np.zeros((model.table.n, 2), order="F")
+    rhs[:, 0] = f_bar
+    rhs[k, 1] = 1.0
+    sol = model.solve(rhs)
+    return sol[:, 0], sol[:, 1]
+
+
 def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResult:
     """Scale the target's deliveries per purchaser and solve for the new output.
 
@@ -182,13 +196,12 @@ def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResu
     whole k-th column stay untouched. The new output x_bar solves
     (I - A_bar) x_bar = f_bar, obtained from L by the rank-one update.
     """
-    L = model.L
     k = spec.k
     d = spec.b_k * spec.alpha
-    y = L @ spec.f_bar
-    denom = 1.0 + d @ L[:, k]
+    y, l_k = _solve_with_column(model, spec.f_bar, k)
+    denom = 1.0 + d @ l_k
     _check_denominator(denom, "the rank-one update denominator 1 + d . L[:, k]")
-    x_bar = y - L[:, k] * ((d @ y) / denom)
+    x_bar = y - l_k * ((d @ y) / denom)
     dx = x_bar - model.x
     return _assemble(model, "extraction", spec.label, dx)
 
@@ -203,12 +216,11 @@ def full_extraction(model: LeontiefModel, target, label: str = "") -> ImpactResu
     k = model.sector_index(target)
     if model.table.n == 1:
         raise EmptyEconomyError("extracting the only sector leaves an empty economy")
-    L = model.L
     f_bar = model.f.copy()
     f_bar[k] = 0.0
-    y = L @ f_bar
-    _check_denominator(L[k, k], f"the diagonal entry L[{k}, {k}]")
-    x_bar = y - L[:, k] * (y[k] / L[k, k])
+    y, l_k = _solve_with_column(model, f_bar, k)
+    _check_denominator(l_k[k], f"the diagonal entry L[{k}, {k}]")
+    x_bar = y - l_k * (y[k] / l_k[k])
     x_bar[k] = 0.0
     dx = x_bar - model.x
     return _assemble(model, "extraction", label, dx)

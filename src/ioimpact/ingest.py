@@ -464,40 +464,45 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
 
     def mapping(block, what: str) -> dict:
         if not isinstance(block, dict):
-            raise ScenarioConfigError(f"{path}: {what} must be an object, got {block!r:.40}")
+            raise ScenarioConfigError(f"{what} must be an object, got {block!r:.40}")
         return block
 
-    realloc = None
-    block = mapping(raw.get("reallocation") or {}, "reallocation")
-    if block:
-        if "savings_fraction" not in block:
-            raise ScenarioConfigError(f"{path}: reallocation needs savings_fraction")
-        realloc = Reallocation(
-            savings_fraction=block["savings_fraction"],
-            shares=mapping(block.get("shares", {}), "reallocation shares"),
-        )
+    # Every error from here on, the spec classes' value checks included,
+    # names the file.
+    try:
+        realloc = None
+        block = mapping(raw.get("reallocation") or {}, "reallocation")
+        if block:
+            if "savings_fraction" not in block:
+                raise ScenarioConfigError("reallocation needs savings_fraction")
+            realloc = Reallocation(
+                savings_fraction=block["savings_fraction"],
+                shares=mapping(block.get("shares", {}), "reallocation shares"),
+            )
 
-    intermediate = None
-    block = mapping(raw.get("intermediate") or {}, "intermediate")
-    if block:
-        intermediate = IntermediateSpec(
-            apply=bool(block.get("apply", True)),
-            use_ratios=UseRatio(
-                ratios=mapping(block.get("use_ratios", {}), "intermediate use_ratios"),
-                default=block.get("default_ratio", 1.0),
-            ),
-        )
+        intermediate = None
+        block = mapping(raw.get("intermediate") or {}, "intermediate")
+        if block:
+            intermediate = IntermediateSpec(
+                apply=bool(block.get("apply", True)),
+                use_ratios=UseRatio(
+                    ratios=mapping(block.get("use_ratios", {}), "intermediate use_ratios"),
+                    default=block.get("default_ratio", 1.0),
+                ),
+            )
 
-    return ScenarioSpec(
-        name=str(raw["name"]),
-        target_sector=str(raw["target_sector"]),
-        sub_service_drop=raw["sub_service_drop"],
-        component_ratios=mapping(raw.get("component_ratios", {}), "component_ratios"),
-        absolute_changes=mapping(raw.get("absolute_changes", {}), "absolute_changes"),
-        reallocation=realloc,
-        intermediate=intermediate,
-        blowup_factor=raw.get("blowup_factor", 1.0),
-    )
+        return ScenarioSpec(
+            name=str(raw["name"]),
+            target_sector=str(raw["target_sector"]),
+            sub_service_drop=raw["sub_service_drop"],
+            component_ratios=mapping(raw.get("component_ratios", {}), "component_ratios"),
+            absolute_changes=mapping(raw.get("absolute_changes", {}), "absolute_changes"),
+            reallocation=realloc,
+            intermediate=intermediate,
+            blowup_factor=raw.get("blowup_factor", 1.0),
+        )
+    except ScenarioConfigError as exc:
+        raise ScenarioConfigError(f"{path}: {exc}") from exc
 
 
 def parse_blowup_history(fd_file, gdp_file) -> tuple[dict[int, float], dict[int, float]]:

@@ -1,9 +1,18 @@
-"""Technical coefficients, the Leontief inverse, and multiplier families.
+"""Technical coefficients, the factorized Leontief model, and multiplier families.
 
-Everything here is a pure function of a validated IOTable. L = (I - A)^-1 is
-the program's only dense factorization: it is computed once per table, and
-multipliers, rankings, reports and every per-scenario result in impact.py
-are matrix-vector products on its rows and columns.
+Everything here is a pure function of a validated IOTable. The Leontief
+inverse L = (I - A)^-1 is never formed. Instead I - A is factorized once per
+table into block LDU factors, and every consumer asks for a product with L:
+L v through LeontiefModel.solve, u'L through LeontiefModel.solve_t. Each
+product costs O(n^2) per right-hand side, the cost of a product with a dense L.
+
+The factorization eliminates without pivoting. That is sound because, for a
+productive A >= 0, I - A is a nonsingular M-matrix: every leading principal
+submatrix and every Schur complement met during elimination is again a
+nonsingular M-matrix, and elimination without pivoting is stable on it
+(Funderlic, Neumann & Plemmons 1982; Miller & Blair, Input-Output Analysis,
+2009, ch. 2). leontief_inverse therefore rejects an A with a negative or NaN
+entry before it factorizes.
 """
 
 from __future__ import annotations
@@ -20,6 +29,10 @@ from .table import SATELLITE_KINDS, IOTable, Sector
 # repeated squaring, with divergence declared once the norm passes this cap.
 _DIVERGENCE_CAP = 1e6
 _MAX_SQUARINGS = 40
+
+# Width of the diagonal blocks of the factorization. A table with at most
+# this many sectors is one block, factorized by a single LAPACK inverse.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -38,14 +51,57 @@ class TechnicalCoefficients:
     satellite_coefficients: dict[str, np.ndarray]
 
 
+def _blocks(n: int) -> list[tuple[int, int]]:
+    return [(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
+
+
 @dataclass(frozen=True)
 class LeontiefModel:
-    """A table bound to its coefficients and Leontief inverse L = (I-A)^-1."""
+    """A table bound to its coefficients and the block LDU factors of I - A.
+
+    With the sectors cut into _BLOCK-wide diagonal blocks, I - A = L D U,
+    where L is unit block lower triangular, D block diagonal and U unit block
+    upper triangular. factors holds all three in one read-only n x n array:
+    the blocks of L below the diagonal, the inverse of each D_j on it, and
+    the blocks of D U above it. The Leontief inverse is applied through
+    solve and solve_t, never formed.
+    """
 
     table: IOTable
     coeffs: TechnicalCoefficients
-    L: np.ndarray
+    factors: np.ndarray
     x: np.ndarray
+
+    def solve(self, rhs) -> np.ndarray:
+        """(I - A)^-1 rhs for a vector or an n x k matrix: a forward pass
+        through L, then a backward pass through D U."""
+        M = self.factors
+        n = len(M)
+        blocks = _blocks(n)
+        v = np.array(rhs, dtype=float)
+        for s, e in blocks[:-1]:
+            v[e:] -= M[e:, s:e] @ v[s:e]
+        for s, e in reversed(blocks):
+            if e < n:
+                v[s:e] -= M[s:e, e:] @ v[e:]
+            v[s:e] = M[s:e, s:e] @ v[s:e]
+        return v
+
+    def solve_t(self, rhs) -> np.ndarray:
+        """(I - A)^-T rhs for a vector or an n x k matrix: for a vector u this
+        is the row u'(I - A)^-1, for a matrix one such row per column. A
+        forward pass through (D U)', then a backward pass through L'."""
+        M = self.factors
+        n = len(M)
+        blocks = _blocks(n)
+        v = np.array(rhs, dtype=float)
+        for s, e in blocks:
+            v[s:e] = M[s:e, s:e].T @ v[s:e]
+            if e < n:
+                v[e:] -= M[s:e, e:].T @ v[s:e]
+        for s, e in reversed(blocks[:-1]):
+            v[s:e] -= M[e:, s:e].T @ v[e:]
+        return v
 
     @property
     def sectors(self) -> tuple[Sector, ...]:
@@ -118,37 +174,63 @@ def check_productive(A: np.ndarray) -> None:
     )
 
 
-def leontief_inverse(coeffs: TechnicalCoefficients) -> LeontiefModel:
-    """Build the model carrying L = (I - A)^-1.
+def _factorize(m: np.ndarray) -> None:
+    """Overwrite m = I - A with the block LDU factors LeontiefModel holds.
 
-    Raises NonProductiveEconomyError when the economy admits no convergent
+    For each diagonal block D_j: invert it, scale the block column below it
+    by D_j^-1, and subtract the Schur update from the trailing submatrix. No
+    pivoting; see the module docstring for why none is needed.
+    """
+    n = len(m)
+    for s, e in _blocks(n):
+        d_inv = np.linalg.inv(m[s:e, s:e])
+        m[s:e, s:e] = d_inv
+        if e < n:
+            m[e:, s:e] = m[e:, s:e] @ d_inv
+            m[e:, e:] -= m[e:, s:e] @ m[s:e, e:]
+
+
+def leontief_inverse(coeffs: TechnicalCoefficients) -> LeontiefModel:
+    """Build the model carrying the factors of I - A.
+
+    Raises ValueError, naming the flow, when A has a negative or NaN entry:
+    the factorization is sound only for A >= 0. Raises
+    NonProductiveEconomyError when the economy admits no convergent
     production expansion or (I - A) is singular.
     """
     A = coeffs.A
+    if not (A.min(initial=0.0) >= 0):  # NaN fails this test too
+        i, j = divmod(int(np.argmax(~(A >= 0))), A.shape[1])
+        codes = coeffs.table.codes
+        raise ValueError(
+            f"Z[{codes[i]}, {codes[j]}] is {float(coeffs.table.Z[i, j])}; the Leontief "
+            "factorization needs non-negative, non-NaN flows"
+        )
     check_productive(A)
-    # I - A is built in place: no identity or intermediate n x n copy sits on
-    # top of the resident data while the inverse allocates its own workspace.
-    i_minus_a = np.negative(A)
-    i_minus_a[np.diag_indices_from(i_minus_a)] += 1.0
+    # I - A is built without an identity matrix and factorized in place.
+    factors = np.negative(A)
+    factors[np.diag_indices_from(factors)] += 1.0
     try:
-        L = np.linalg.inv(i_minus_a)
+        _factorize(factors)
     except np.linalg.LinAlgError as exc:
         raise NonProductiveEconomyError(f"(I - A) is singular: {exc}") from exc
-    return LeontiefModel(table=coeffs.table, coeffs=coeffs, L=L, x=coeffs.table.x)
+    factors.setflags(write=False)
+    return LeontiefModel(table=coeffs.table, coeffs=coeffs, factors=factors, x=coeffs.table.x)
 
 
 def build_model(table: IOTable) -> LeontiefModel:
-    """Convenience composition: coefficients then inverse."""
+    """Convenience composition: coefficients then factors."""
     return leontief_inverse(technical_coefficients(table))
 
 
 def output_multipliers(model: LeontiefModel) -> np.ndarray:
-    """Column sums of L: total output gained per unit of final demand."""
-    return model.L.sum(axis=0)
+    """Column sums of (I - A)^-1, the row 1'(I - A)^-1: total output gained
+    per unit of final demand."""
+    return model.solve_t(np.ones(model.table.n))
 
 
 def satellite_multipliers(model: LeontiefModel, kind: str) -> np.ndarray:
-    """Row product h'_c L for one satellite kind.
+    """Row product h'_c (I - A)^-1 for one satellite kind.
 
     Units: currency per currency for monetary satellites, jobs per
     currency-million for employment.
@@ -156,7 +238,7 @@ def satellite_multipliers(model: LeontiefModel, kind: str) -> np.ndarray:
     coeffs = model.coeffs.satellite_coefficients
     if kind not in coeffs:
         raise ValueError(f"no satellite account of kind {kind!r} in this table")
-    return coeffs[kind] @ model.L
+    return model.solve_t(coeffs[kind])
 
 
 def sector_order(values, descending: bool = False) -> list[int]:

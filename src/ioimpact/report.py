@@ -22,7 +22,6 @@ from .leontief import (
     downstream_importance,
     input_recipe,
     output_multipliers,
-    satellite_multipliers,
     sector_order,
 )
 from .table import SATELLITE_KINDS, Sector, ValidationReport
@@ -114,14 +113,14 @@ def multiplier_table(model: LeontiefModel) -> ReportTable:
 
 
 def sector_profile_table(model: LeontiefModel, sector) -> ReportTable:
-    """Output plus satellite multipliers for one sector."""
+    """Output plus satellite multipliers for one sector, from one solve over
+    the stacked coefficient rows (ones for output)."""
     j = model.sector_index(sector)
     code = model.sectors[j].code
-    rows = [("output", float(output_multipliers(model)[j]))]
-    rows += [
-        (kind, float(satellite_multipliers(model, kind)[j]))
-        for kind in model.coeffs.satellite_coefficients
-    ]
+    coeffs = model.coeffs.satellite_coefficients
+    stacked = np.column_stack([np.ones(model.table.n), *coeffs.values()])
+    values = model.solve_t(stacked)[j]
+    rows = [(kind, float(v)) for kind, v in zip(("output", *coeffs), values)]
     return ReportTable(
         name=f"sector_multipliers_{code}",
         columns=("multiplier", "value"),

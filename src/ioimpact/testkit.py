@@ -1,9 +1,11 @@
 """Independent oracles and generators backing the property tests.
 
 The truncated-expansion oracle recomputes the Leontief inverse by a route
-that shares no code with the solver. The re-solve oracles answer each impact
-question with a fresh dense solve of the modified system, the slow routes
-that the rank-one and principal-submatrix updates in impact.py replace.
+that shares no code with the solver; dense_inverse forms L from the model's
+own factors, so assertions about L check the production factorization. The
+re-solve oracles answer each impact question with a fresh dense solve of the
+modified system, the slow routes that the rank-one and principal-submatrix
+updates in impact.py replace.
 rescale changes a table's currency unit for the homogeneity properties. The
 economy generator produces seeded tables that are identity-consistent by
 construction; canonical_e2 is the two-sector worked example used throughout
@@ -45,6 +47,12 @@ def neumann_oracle(A: np.ndarray, K: int) -> np.ndarray:
                 "power-series terms grow without bound; economy is not productive"
             )
     return total
+
+
+def dense_inverse(model: LeontiefModel) -> np.ndarray:
+    """The explicit Leontief inverse L = (I - A)^-1, solved from the model's
+    factors against the identity."""
+    return model.solve(np.eye(model.table.n))
 
 
 def interdependency_matrix(model: LeontiefModel) -> np.ndarray:

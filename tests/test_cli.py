@@ -503,3 +503,23 @@ class TestScenarioValueTypes:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"sub_service_drop": null',
+            '"sub_service_drop": 0.5, "reallocation": {"savings_fraction": 2.0}',
+            '"sub_service_drop": 0.5, "intermediate": {"use_ratios": {"S2": -1}}',
+        ],
+    )
+    def test_value_error_names_the_scenario_file(self, tmp_path, capsys, fields):
+        good = tmp_path / "a.json"
+        good.write_text('{"name": "a", "target_sector": "S1", "sub_service_drop": 0.5}')
+        bad = tmp_path / "b.json"
+        bad.write_text('{"name": "b", "target_sector": "S1", ' + fields + "}")
+        out = tmp_path / "reports"
+        code = main(["run", *table_flags(e2_args()), "--scenario", str(good), str(bad),
+                     "--out", str(out)])
+        assert code == 2
+        assert f"error: {bad}: " in capsys.readouterr().err
+        assert not out.exists()

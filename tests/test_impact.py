@@ -301,15 +301,14 @@ class TestFastRoutesMatchOracles:
 
 class TestUpdateDenominators:
     def test_negative_flows_rejected(self):
-        # A = [[0, -0.5], [0.5, 0]] passes the column-sum test but has
-        # L = [[0.8, -0.4], [0.4, 0.8]]: both denominators fall below one.
-        Z = np.array([[0.0, -50.0], [50.0, 0.0]])
-        model = build_model(make_table(Z, [150.0, 50.0], [100.0, 100.0]))
-        with pytest.raises(NonProductiveEconomyError, match="0.8"):
-            full_extraction(model, 0)
-        spec = make_extraction_spec(model, 1, np.ones(2))
-        with pytest.raises(NonProductiveEconomyError, match="0.8"):
-            partial_extraction(model, spec)
+        # A = [[0, -0.5], [0.5, 0]] passes the column-sum test, but its
+        # L = [[0.8, -0.4], [0.4, 0.8]] would put both update denominators
+        # below one; the model refuses a negative or NaN flow up front.
+        for flow, shown in ((-50.0, "-50.0"), (np.nan, "nan")):
+            Z = np.array([[0.0, flow], [50.0, 0.0]])
+            table = make_table(Z, [150.0, 50.0], [100.0, 100.0])
+            with pytest.raises(ValueError, match=rf"Z\[S1, S2\] is {shown};"):
+                build_model(table)
 
     def test_nan_alpha_rejected(self, e2_model):
         with pytest.raises(ValueError, match="intensities"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from ioimpact import (
     technical_coefficients,
 )
 from ioimpact.leontief import check_productive
-from ioimpact.testkit import rescale
+from ioimpact.testkit import dense_inverse, rescale
 
 from conftest import E2_A, E2_L
 from test_table import make_table
@@ -50,14 +52,15 @@ class TestTechnicalCoefficients:
 
 class TestLeontiefInverse:
     def test_e2_matches_analytic_inverse(self, e2_model):
-        assert np.allclose(e2_model.L, E2_L, atol=1e-12)
+        assert np.allclose(dense_inverse(e2_model), E2_L, atol=1e-12)
         n = 2
-        assert np.allclose(e2_model.L @ (np.eye(n) - e2_model.A), np.eye(n), atol=1e-9)
+        L = dense_inverse(e2_model)
+        assert np.allclose(L @ (np.eye(n) - e2_model.A), np.eye(n), atol=1e-9)
 
     def test_zero_matrix_gives_identity(self):
         table = make_table(np.zeros((3, 3)), [1, 2, 3], [1, 2, 3])
         model = build_model(table)
-        assert np.allclose(model.L, np.eye(3), atol=1e-15)
+        assert np.allclose(dense_inverse(model), np.eye(3), atol=1e-15)
 
     def test_non_productive_economy_rejected(self):
         # Column sums 1.2 with spectral radius 1.2: the expansion diverges.
@@ -72,11 +75,91 @@ class TestLeontiefInverse:
         check_productive(A)
 
     def test_model_reproduces_output_from_demand(self, e2_model):
-        assert np.allclose(e2_model.L @ e2_model.f, e2_model.x, atol=1e-9)
+        assert np.allclose(dense_inverse(e2_model) @ e2_model.f, e2_model.x, atol=1e-9)
 
     def test_nonnegative_inverse_with_unit_diagonal(self, e2_model):
-        assert np.all(e2_model.L >= 0)
-        assert np.all(np.diag(e2_model.L) >= 1)
+        L = dense_inverse(e2_model)
+        assert np.all(L >= 0)
+        assert np.all(np.diag(L) >= 1)
+
+
+def heavy_column_table(n: int, seed: int):
+    """A productive table whose first column of A sums to 0.6 n (above one
+    from n = 2) while every row of A sums below 0.9, so rho(A) < 1."""
+    rng = np.random.default_rng(seed)
+    A = np.full((n, n), 0.6)
+    if n > 1:
+        rest = rng.random((n, n - 1)) + 1e-3
+        A[:, 1:] = rest * (rng.uniform(0.0, 0.3, (n, 1)) / rest.sum(axis=1, keepdims=True))
+    x = rng.uniform(10.0, 100.0, n)
+    Z = A * x[np.newaxis, :]
+    return make_table(Z, x - Z.sum(axis=1), x)
+
+
+BLOCK_SIZES = [1, 2, 127, 128, 129, 255, 256, 257, 400]
+
+
+class TestBlockFactorization:
+    """The block LDU route against an explicit LAPACK inverse of I - A, on
+    sizes around the 128-wide block boundaries."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from(BLOCK_SIZES),
+        seed=st.integers(0, 10_000),
+        heavy=st.booleans(),
+    )
+    def test_solves_match_dense_inverse(self, n, seed, heavy):
+        table = (
+            heavy_column_table(n, seed)
+            if heavy
+            else random_economy(EconomyGenSpec(n=n, seed=seed))
+        )
+        model = build_model(table)
+        if heavy and n > 1:
+            assert model.A.sum(axis=0).max() > 1.0
+        L = np.linalg.inv(np.eye(n) - model.A)
+        rng = np.random.default_rng(seed + 1)
+        v = rng.standard_normal(n)
+        V = rng.standard_normal((n, 3))
+
+        def close(got, want):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        close(model.solve(v), L @ v)
+        close(model.solve(V), L @ V)
+        close(model.solve_t(v), v @ L)
+        close(model.solve_t(V), L.T @ V)
+        if n <= 128:
+            assert np.array_equal(model.solve(v), L @ v)
+
+    def test_factors_are_read_only(self, e2_model):
+        assert not e2_model.factors.flags.writeable
+
+    def test_no_full_inverse_above_one_block(self, monkeypatch):
+        shapes = []
+        inv = np.linalg.inv
+
+        def recording_inv(a):
+            shapes.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        build_model(random_economy(EconomyGenSpec(n=300, seed=4)))
+        assert shapes == [(128, 128), (128, 128), (44, 44)]
+
+    def test_peak_memory_below_two_dense_matrices(self):
+        # An explicit inverse holds I - A and L: 2 n^2 floats traced.
+        n = 600
+        coeffs = technical_coefficients(random_economy(EconomyGenSpec(n=n, seed=5)))
+        tracemalloc.start()
+        try:
+            leontief_inverse(coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * n * n * 8
 
 
 class TestMultipliers:
@@ -166,7 +249,9 @@ class TestProperties:
         model = build_model(table)
         scaled_model = build_model(rescale(table, scale))
         assert np.allclose(scaled_model.A, model.A, rtol=1e-12, atol=1e-15)
-        assert np.allclose(scaled_model.L, model.L, rtol=1e-12, atol=1e-12)
+        assert np.allclose(
+            dense_inverse(scaled_model), dense_inverse(model), rtol=1e-12, atol=1e-12
+        )
         assert np.allclose(
             output_multipliers(scaled_model), output_multipliers(model), rtol=1e-12
         )
@@ -191,11 +276,12 @@ class TestProperties:
         table = random_economy(EconomyGenSpec(n=n, seed=seed))
         model = build_model(table)
         approx = neumann_oracle(model.A, 200)
-        assert np.abs(model.L - approx).max() < 1e-8
+        assert np.abs(dense_inverse(model) - approx).max() < 1e-8
 
     def test_neumann_error_decreases_in_k(self, e2_model):
         errors = [
-            np.abs(e2_model.L - neumann_oracle(e2_model.A, K)).max() for K in (10, 25, 50, 100)
+            np.abs(dense_inverse(e2_model) - neumann_oracle(e2_model.A, K)).max()
+            for K in (10, 25, 50, 100)
         ]
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
