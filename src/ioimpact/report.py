@@ -5,6 +5,15 @@ coefficient/multiplier tables keep five decimals, normalized output changes
 six, and nominal currency figures are rounded to whole millions. Identical
 inputs produce byte-identical files, and the returned manifest carries a
 content digest per file.
+
+JSON reports follow one byte contract, that of
+``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` plus one
+trailing newline: two-space indentation, keys sorted by code point, strings
+with ASCII escapes, floats as ``float.__repr__``, and never a NaN or an
+infinity. A non-finite float cell raises ValueError naming the report and
+the column, in CSV and JSON alike. The encoder below works a column at a
+time; ``testkit.json_report_oracle`` is the ``json.dumps`` route it must
+match byte for byte.
 """
 
 from __future__ import annotations
@@ -12,6 +21,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +40,13 @@ from .table import SATELLITE_KINDS, Sector, ValidationReport
 
 # Column formats: s = string, coef = 5 decimals, q = 6 decimals,
 # million = whole currency millions, pct = 2 decimals, int = integer.
+# Each entry formats one cell and is mapped over a whole column.
 _FORMATTERS = {
     "s": str,
-    "coef": lambda v: f"{v:.5f}",
-    "q": lambda v: f"{v:.6f}",
-    "million": lambda v: f"{v:.0f}",
-    "pct": lambda v: f"{v:.2f}",
+    "coef": "{:.5f}".format,
+    "q": "{:.6f}".format,
+    "million": "{:.0f}".format,
+    "pct": "{:.2f}".format,
     "int": lambda v: f"{int(v)}",
     "raw": lambda v: repr(float(v)),
 }
@@ -55,22 +68,182 @@ class ReportTable:
     formats: tuple[str, ...]
     rows: tuple[tuple, ...]
 
-    def csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(
-                ",".join(_FORMATTERS[fmt](value) for fmt, value in zip(self.formats, row))
+    @cached_property
+    def _columns(self) -> list[tuple[tuple, set[type]]]:
+        """Each column's values and value types; a non-finite float raises."""
+        cells = list(zip(*self.rows, strict=True))
+        if self.rows and len(cells) != len(self.columns):
+            raise ValueError(
+                f"report {self.name!r}: rows have {len(cells)} values "
+                f"for {len(self.columns)} columns"
             )
-        return "\n".join(lines) + "\n"
+        return [
+            (values, _leaf_types(values, self.name, column))
+            for column, values in zip(self.columns, cells)
+        ]
 
-    def json_payload(self) -> list[dict]:
-        return [dict(zip(self.columns, map(_plain, row))) for row in self.rows]
+    def csv_text(self) -> str:
+        formatted = [
+            map(_FORMATTERS[fmt], values) for fmt, (values, _) in zip(self.formats, self._columns)
+        ]
+        lines = map(",".join, _transpose(formatted, len(self.rows)))
+        return "\n".join([",".join(self.columns), *lines]) + "\n"
+
+    def json_text(self) -> str:
+        """The rows as a JSON list of objects keyed by column; a repeated
+        column name keeps its last value, as a dict would."""
+        if not self.rows:
+            return "[]\n"
+        last = {column: i for i, column in enumerate(self.columns)}
+        keys = sorted(last)
+        encoded = [_encode_leaves(*self._columns[last[key]]) for key in keys]
+        return _encode_records(keys, encoded, len(self.rows)) + "\n"
+
+    # Encoded once per table: a table shared by several bundles is
+    # serialized and hashed once.
+    @cached_property
+    def _csv_file(self) -> tuple[bytes, str]:
+        return _file_bytes(self.csv_text())
+
+    @cached_property
+    def _json_file(self) -> tuple[bytes, str]:
+        return _file_bytes(self.json_text())
+
+
+def _transpose(columns: list, nrows: int):
+    """Row tuples from column iterables, also for a table without columns."""
+    return zip(*columns) if columns else [()] * nrows
+
+
+def _file_bytes(text: str) -> tuple[bytes, str]:
+    data = text.encode("utf-8")
+    return data, hashlib.sha256(data).hexdigest()
 
 
 def _plain(v):
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
     return v
+
+
+_FLOATS = (float, np.floating)
+_CONTAINERS = (dict, list, tuple)
+
+
+def _leaf_types(values, report: str, where: str) -> set[type]:
+    """The types among ``values``, after checking that no float is NaN or
+    infinite; ``where`` names the column or key for the error."""
+    types = set(map(type, values))
+    floats = [t for t in types if issubclass(t, _FLOATS)]
+    if floats:
+        if len(floats) == len(types):
+            finite = all(map(isfinite, values))
+        else:
+            finite = all(isfinite(v) for v in values if isinstance(v, _FLOATS))
+        if not finite:
+            raise ValueError(
+                f"report {report!r}: {where!r} holds a NaN or infinite value, "
+                "and reports never hold one"
+            )
+    return types
+
+
+# Types whose values all encode with one C-level function.
+_COLUMN_ENCODERS = {
+    float: float.__repr__,
+    np.float64: float.__repr__,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+}
+
+
+def _encode_leaves(values, types: set[type]) -> list[str]:
+    """JSON text of each value in a column of checked leaves: one ``map``
+    when a single C-level encoder covers every type, else value by value."""
+    encoders = {_COLUMN_ENCODERS.get(t) for t in types}
+    if len(encoders) == 1 and None not in encoders:
+        return list(map(encoders.pop(), values))
+    return list(map(_encode_leaf, values))
+
+
+def _encode_leaf(v) -> str:
+    v = _plain(v)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return float.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _encode_records(keys: list[str], encoded: list[list[str]], nrows: int, indent: str = "") -> str:
+    """JSON text of a non-empty list of flat objects with the same sorted
+    keys, from each key's column of encoded values: one ``%`` template per
+    list, applied row by row."""
+    inner = indent + "  "
+    fields = (",\n" + inner + "  ").join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+    )
+    template = inner + "{\n" + inner + "  " + fields + "\n" + inner + "}" if keys else inner + "{}"
+    rows = map(template.__mod__, _transpose(encoded, nrows))
+    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+
+
+def _encode_document(obj, report: str, column: str, indent: str = "") -> str:
+    """JSON text of a nested dict/list document, laid out like
+    ``json.dumps(obj, indent=2, sort_keys=True)``. ``column`` is the key the
+    value sits under, for error messages."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _encode_document(value, report, key, inner)
+            for key, value in sorted(obj.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        types = _leaf_types(obj, report, column)
+        if types == {dict}:
+            records = _encode_flat_records(obj, report, indent)
+            if records is not None:
+                return records
+        if any(issubclass(t, _CONTAINERS) for t in types):
+            items = [_encode_document(v, report, column, inner) for v in obj]
+        else:
+            items = _encode_leaves(obj, types)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    _leaf_types((obj,), report, column)
+    return _encode_leaf(obj)
+
+
+def _encode_flat_records(dicts: list[dict], report: str, indent: str) -> str | None:
+    """The records encoding of dicts that share one key order and hold only
+    leaves, or None when they do not."""
+    shapes = set(map(tuple, dicts))
+    if len(shapes) != 1:
+        return None
+    (keys,) = shapes
+    columns = sorted(zip(keys, zip(*map(dict.values, dicts))))
+    typed = [(values, _leaf_types(values, report, key)) for key, values in columns]
+    if any(issubclass(t, _CONTAINERS) for _, types in typed for t in types):
+        return None
+    encoded = [_encode_leaves(values, types) for values, types in typed]
+    return _encode_records([key for key, _ in columns], encoded, len(dicts), indent)
+
+
+def document_json_text(name: str, payload) -> str:
+    """A JSON document under the report byte contract."""
+    return _encode_document(payload, name, name) + "\n"
 
 
 @dataclass
@@ -100,14 +273,15 @@ def validation_table(report: ValidationReport) -> ReportTable:
 def multiplier_table(model: LeontiefModel) -> ReportTable:
     """All output multipliers, ranked descending."""
     mults = output_multipliers(model)
+    order = sector_order(mults, descending=True)
     sectors = model.sectors
     return ReportTable(
         name="multipliers",
         columns=("sector_code", "sector_name", "value", "rank"),
         formats=("s", "s", "coef", "int"),
         rows=tuple(
-            (sectors[i].code, sectors[i].name, float(mults[i]), rank)
-            for rank, i in enumerate(sector_order(mults, descending=True), start=1)
+            (sectors[i].code, sectors[i].name, value, rank)
+            for rank, (i, value) in enumerate(zip(order, mults[order].tolist()), start=1)
         ),
     )
 
@@ -158,11 +332,14 @@ def impact_table(result: ImpactResult) -> ReportTable:
     columns = ["sector_code", "sector_name", "q", "output_change"]
     columns += [f"{k}_change" for k in kinds]
     formats = ["s", "s", "q", "million"] + ["million"] * len(kinds)
-    rows = []
-    for i in sector_order(result.q):
-        row = [result.sectors[i].code, result.sectors[i].name, float(result.q[i]), float(result.dx[i])]
-        row += [float(result.satellite_changes[k][i]) for k in kinds]
-        rows.append(tuple(row))
+    order = sector_order(result.q)
+    ranked = [result.sectors[i] for i in order]
+    values = [result.q, result.dx, *(result.satellite_changes[k] for k in kinds)]
+    rows = list(zip(
+        [s.code for s in ranked],
+        [s.name for s in ranked],
+        *(np.asarray(v, dtype=float)[order].tolist() for v in values),
+    ))
     total = ["TOTAL", "", float(result.pct_output), result.totals["output"]]
     total += [result.totals[k] for k in kinds]
     rows.append(tuple(total))
@@ -177,25 +354,17 @@ def impact_table(result: ImpactResult) -> ReportTable:
 def comparison_table(comparison: ComparisonReport) -> ReportTable:
     """Aggregate metrics side by side: each method's value and a - b."""
     rows = []
+    # The cells are preformatted strings, so the numbers behind them are
+    # checked here.
     for key, label in _METRIC_LABELS:
         if key not in comparison.total_diffs:
             continue
-        rows.append(
-            (
-                label,
-                f"{comparison.totals_a[key]:.0f}",
-                f"{comparison.totals_b[key]:.0f}",
-                f"{comparison.total_diffs[key]:.0f}",
-            )
-        )
-    rows.append(
-        (
-            "change in output (%)",
-            f"{comparison.pct_a * 100:.2f}",
-            f"{comparison.pct_b * 100:.2f}",
-            f"{comparison.pct_diff * 100:.2f}",
-        )
-    )
+        values = (comparison.totals_a[key], comparison.totals_b[key], comparison.total_diffs[key])
+        _leaf_types(values, "comparison", label)
+        rows.append((label, *map("{:.0f}".format, values)))
+    pct = (comparison.pct_a * 100, comparison.pct_b * 100, comparison.pct_diff * 100)
+    _leaf_types(pct, "comparison", "change in output (%)")
+    rows.append(("change in output (%)", *map("{:.2f}".format, pct)))
     return ReportTable(
         name="comparison",
         columns=("metric", comparison.method_a, comparison.method_b, "difference"),
@@ -223,10 +392,11 @@ def result_to_dict(result: ImpactResult) -> dict:
         "method": result.method,
         "scenario": result.scenario,
         "sectors": [{"code": s.code, "name": s.name} for s in result.sectors],
-        "q": [float(v) for v in result.q],
-        "dx": [float(v) for v in result.dx],
+        "q": result.q.tolist(),
+        "dx": result.dx.tolist(),
         "satellite_changes": {
-            k: [float(v) for v in vec] for k, vec in sorted(result.satellite_changes.items())
+            k: np.asarray(vec, dtype=float).tolist()
+            for k, vec in sorted(result.satellite_changes.items())
         },
         "totals": {k: float(v) for k, v in sorted(result.totals.items())},
         "pct_output": float(result.pct_output),
@@ -234,25 +404,87 @@ def result_to_dict(result: ImpactResult) -> dict:
     }
 
 
+_RESULT_KEYS = ("method", "scenario", "sectors", "q", "dx", "satellite_changes", "totals", "pct_output")
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what!r} must be a string, got {value!r}")
+    return value
+
+
+def _finite_number(value, what: str) -> float:
+    if type(value) not in (int, float) or not isfinite(value):
+        raise ValueError(f"{what!r} must be a finite number, got {value!r}")
+    return value
+
+
+def _finite_vector(value, what: str, n: int) -> np.ndarray:
+    if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
+        raise ValueError(f"{what!r} must be a list of numbers")
+    if len(value) != n:
+        raise ValueError(f"{what!r} has {len(value)} values for {n} sectors")
+    if not all(map(isfinite, value)):
+        raise ValueError(f"{what!r} holds a non-finite number")
+    return np.array(value, dtype=float)
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what!r} must be an object")
+    return value
+
+
 def result_from_dict(payload: dict) -> ImpactResult:
-    sectors = tuple(
-        Sector(code=s["code"], name=s["name"], index=i) for i, s in enumerate(payload["sectors"])
-    )
+    """Rebuild an ImpactResult from its report form. ValueError names a
+    missing key, a value that is not a finite number, or a vector whose
+    length differs from the number of sectors."""
+    payload = _object(payload, "result")
+    missing = [key for key in _RESULT_KEYS if key not in payload]
+    if missing:
+        raise ValueError(f"missing key(s): {', '.join(map(repr, missing))}")
+    entries = payload["sectors"]
+    if not isinstance(entries, list) or not all(
+        isinstance(s, dict) and isinstance(s.get("code"), str) and isinstance(s.get("name"), str)
+        for s in entries
+    ):
+        raise ValueError("'sectors' must be a list of objects with string 'code' and 'name'")
+    n = len(entries)
+    totals = _object(payload["totals"], "totals")
     return ImpactResult(
-        method=payload["method"],
-        scenario=payload["scenario"],
-        sectors=sectors,
-        q=np.array(payload["q"]),
-        dx=np.array(payload["dx"]),
-        satellite_changes={k: np.array(v) for k, v in payload["satellite_changes"].items()},
-        totals=dict(payload["totals"]),
-        pct_output=payload["pct_output"],
-        blowup_applied=payload.get("blowup_applied", 1.0),
+        method=_text(payload["method"], "method"),
+        scenario=_text(payload["scenario"], "scenario"),
+        sectors=tuple(Sector(code=s["code"], name=s["name"], index=i) for i, s in enumerate(entries)),
+        q=_finite_vector(payload["q"], "q", n),
+        dx=_finite_vector(payload["dx"], "dx", n),
+        satellite_changes={
+            k: _finite_vector(v, f"satellite_changes.{k}", n)
+            for k, v in _object(payload["satellite_changes"], "satellite_changes").items()
+        },
+        totals={k: _finite_number(v, f"totals.{k}") for k, v in totals.items()},
+        pct_output=_finite_number(payload["pct_output"], "pct_output"),
+        blowup_applied=_finite_number(payload.get("blowup_applied", 1.0), "blowup_applied"),
     )
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
 
 
 def load_impact_result(path) -> ImpactResult:
-    return result_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a ``result_*.json`` report back. Invalid JSON, a NaN or infinity,
+    or an incomplete result raises ValueError naming the path; a syntax error
+    also gives its line and column."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+        return result_from_dict(json.loads(text, parse_constant=_reject_constant))
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_reports(bundle: ReportBundle, out_dir, formats=("csv", "json")) -> dict:
@@ -268,35 +500,27 @@ def write_reports(bundle: ReportBundle, out_dir, formats=("csv", "json")) -> dic
     unknown = set(formats) - {"csv", "json"}
     if unknown:
         raise ValueError(f"unknown report formats: {sorted(unknown)}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    entries = []
-
-    def emit(name: str, fmt: str, text: str):
-        path = out_dir / f"{name}.{fmt}"
-        data = text.encode("utf-8")
-        path.write_bytes(data)
-        entries.append(
-            {
-                "report": name,
-                "format": fmt,
-                "path": path.name,
-                "sha256": hashlib.sha256(data).hexdigest(),
-            }
-        )
-
+    # Everything is encoded before anything is written, so a report that
+    # cannot be encoded leaves no partial output behind.
+    files = []
     for table in bundle.tables:
         if "csv" in formats:
-            emit(table.name, "csv", table.csv_text())
+            files.append((table.name, "csv", table._csv_file))
         if "json" in formats:
-            emit(table.name, "json", json.dumps(table.json_payload(), indent=2, sort_keys=True) + "\n")
+            files.append((table.name, "json", table._json_file))
     for name, payload in sorted(bundle.documents.items()):
-        emit(name, "json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        files.append((name, "json", _file_bytes(document_json_text(name, payload))))
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for name, fmt, (data, digest) in files:
+        path = out_dir / f"{name}.{fmt}"
+        path.write_bytes(data)
+        entries.append({"report": name, "format": fmt, "path": path.name, "sha256": digest})
     entries.sort(key=lambda e: (e["report"], e["format"]))
     manifest = {"out_dir": str(out_dir), "files": entries}
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        document_json_text("manifest", manifest), encoding="utf-8"
     )
     return manifest

@@ -224,7 +224,12 @@ def check_structure(table: IOTable) -> None:
 
 @dataclass(frozen=True)
 class Violation:
-    """One accounting-identity or sign violation found by validation."""
+    """One accounting-identity or sign violation found by validation.
+
+    ``rel_err`` is |expected - actual| / max(|x|, 1e-30) with x the gross
+    output of ``sector``: for a negative flow Z_ij that is |Z_ij| / max(|x_i|,
+    1e-30), the denominator the identity checks use, so it is always finite.
+    """
 
     kind: str  # row_identity | column_identity | negative_flow
     sector: str
@@ -267,6 +272,7 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
     warnings: list[str] = []
     codes = table.codes
 
+    denom = np.maximum(np.abs(table.x), 1e-30)
     neg = np.argwhere(table.Z < 0)
     for i, j in neg:
         violations.append(
@@ -275,14 +281,13 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
                 sector=codes[i],
                 expected=0.0,
                 actual=float(table.Z[i, j]),
-                rel_err=float("nan"),
+                rel_err=float(abs(table.Z[i, j]) / denom[i]),
                 message=f"Z[{codes[i]},{codes[j]}] = {table.Z[i, j]:g} is negative",
             )
         )
 
     row_sums = table.Z.sum(axis=1) + table.f
     col_sums = table.Z.sum(axis=0) + table.imports + table.value_added
-    denom = np.maximum(np.abs(table.x), 1e-30)
     for kind, actual in (("row_identity", row_sums), ("column_identity", col_sums)):
         rel_errs = np.abs(table.x - actual) / denom
         # Written so that a NaN error, from a NaN cell, is a violation.

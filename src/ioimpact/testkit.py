@@ -6,6 +6,9 @@ own factors, so assertions about L check the production factorization. The
 re-solve oracles answer each impact question with a fresh dense solve of the
 modified system, the slow routes that the rank-one and principal-submatrix
 updates in impact.py replace.
+json_report_oracle is the json.dumps route that report.py's column-wise
+encoder must match byte for byte, and csv_report_oracle the cell-by-cell CSV
+formatting it replaced.
 rescale changes a table's currency unit for the homogeneity properties. The
 economy generator produces seeded tables that are identity-consistent by
 construction; canonical_e2 is the two-sector worked example used throughout
@@ -14,6 +17,7 @@ the test suite.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,6 +100,40 @@ def full_extraction_oracle(model: LeontiefModel, target) -> np.ndarray:
     f_bar = model.f.copy()
     f_bar[k] = 0.0
     return np.linalg.solve(np.eye(model.table.n) - a_bar, f_bar)
+
+
+def _plain_scalar(v):
+    return v.item() if isinstance(v, (np.floating, np.integer)) else v
+
+
+def table_payload(table) -> list[dict]:
+    """A report table as the list of row objects its JSON file holds."""
+    return [dict(zip(table.columns, map(_plain_scalar, row))) for row in table.rows]
+
+
+def json_report_oracle(obj) -> str:
+    """JSON report text by way of ``json.dumps``; non-finite floats raise
+    ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+_CSV_CELL = {
+    "s": str,
+    "coef": lambda v: f"{v:.5f}",
+    "q": lambda v: f"{v:.6f}",
+    "million": lambda v: f"{v:.0f}",
+    "pct": lambda v: f"{v:.2f}",
+    "int": lambda v: f"{int(v)}",
+    "raw": lambda v: repr(float(v)),
+}
+
+
+def csv_report_oracle(table) -> str:
+    """CSV report text formatted one cell at a time."""
+    lines = [",".join(table.columns)]
+    for row in table.rows:
+        lines.append(",".join(_CSV_CELL[fmt](v) for fmt, v in zip(table.formats, row)))
+    return "\n".join(lines) + "\n"
 
 
 def rescale(table: IOTable, factor: float) -> IOTable:

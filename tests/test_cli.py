@@ -47,6 +47,21 @@ class TestValidateCmd:
         assert code == 1
         assert "row identity" in capsys.readouterr().out
 
+    def test_negative_flow_report_is_finite(self, tmp_path, capsys):
+        broken = (E2 / "table.csv").read_text().replace("S1,50.0,20.0", "S1,50.0,-5.0")
+        p = tmp_path / "table.csv"
+        p.write_text(broken)
+        out = tmp_path / "reports"
+        assert main(["validate", *table_flags(e2_args(table=str(p))), "--out", str(out)]) == 1
+        rows = json.loads(
+            (out / "validation.json").read_text(), parse_constant=lambda c: pytest.fail(c)
+        )
+        negative = [r for r in rows if r["kind"] == "negative_flow"]
+        assert [(r["sector"], r["actual"], r["rel_err"]) for r in negative] == [("S1", -5.0, 0.05)]
+        numbers = [r[k] for r in rows for k in ("expected", "actual", "rel_err")]
+        assert numbers and all(np.isfinite(numbers))
+        assert "nan" not in (out / "validation.csv").read_text()
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "--table", "nope.csv", "--meta", str(E2 / "sectors.csv")]) == 2
 
@@ -204,6 +219,35 @@ class TestRunCmd:
         assert (out / "e2_shock_s1" / "result_inoperability.json").exists()
         assert (out / "second" / "result_inoperability.json").exists()
 
+    def test_shared_tables_encoded_once(self, tmp_path, monkeypatch):
+        from ioimpact.report import ReportTable
+
+        encoded = []
+        for method in ("csv_text", "json_text"):
+            original = getattr(ReportTable, method)
+
+            def spy(self, _original=original, _method=method):
+                encoded.append((self.name, _method))
+                return _original(self)
+
+            monkeypatch.setattr(ReportTable, method, spy)
+        scenarios = [str(E2 / "shock_s1.json")]
+        for name, target in (("second", "S2"), ("third", "S1")):
+            doc = {"name": name, "target_sector": target, "sub_service_drop": 0.25}
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            scenarios.append(str(tmp_path / f"{name}.json"))
+        out = tmp_path / "reports"
+        assert main(["run", *table_flags(e2_args()), "--scenario", *scenarios,
+                     "--method", "both", "--out", str(out)]) == 0
+        for shared in ("validation", "multipliers"):
+            assert encoded.count((shared, "csv_text")) == 1
+            assert encoded.count((shared, "json_text")) == 1
+            for fmt in ("csv", "json"):
+                files = [(out / d / f"{shared}.{fmt}").read_bytes()
+                         for d in ("e2_shock_s1", "second", "third")]
+                assert files[0] == files[1] == files[2]
+        assert encoded.count(("impact_inoperability", "json_text")) == 3
+
     def test_reruns_byte_identical(self, tmp_path):
         args = ["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json"),
                 "--method", "both"]
@@ -231,6 +275,58 @@ class TestCompareCmd:
         assert code == 0
         assert (cmp_out / "comparison.csv").exists()
         assert "output difference" in capsys.readouterr().out
+
+
+class TestCompareRejectsBrokenResults:
+    """compare exits 2 naming the file for a result that is not valid JSON,
+    holds a NaN or infinity, lacks a key, or has vectors of unequal length;
+    it writes no comparison."""
+
+    @staticmethod
+    def results(tmp_path):
+        out = tmp_path / "reports"
+        assert main(["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json"),
+                     "--method", "both", "--out", str(out)]) == 0
+        return out / "result_extraction.json", out / "result_inoperability.json"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text.replace('"pct_output": ', '"pct_output": NaN, "x": '),
+             "non-finite number NaN"),
+            (lambda text: text.replace('"blowup_applied": 1.0', '"blowup_applied": Infinity'),
+             "non-finite number Infinity"),
+            (lambda text: text.replace('"pct_output": ', '"pct_output": 1e400, "x": '),
+             "'pct_output' must be a finite number"),
+            (lambda text: text.replace('"q"', '"q_renamed"'), "missing key(s): 'q'"),
+            (lambda text: text.replace('"dx": [', '"dx": [1.0, '), "'dx' has 3 values for 2 sectors"),
+            (lambda text: text.replace('"income": [', '"income": [1.0, '),
+             "'satellite_changes.income' has 3 values for 2 sectors"),
+            (lambda text: text.replace('"sectors": [', '"sectors": [{"code": "S3", "name": "x"}, '),
+             "'q' has 2 values for 3 sectors"),
+        ],
+        ids=["nan", "infinity", "overflow", "missing-key", "dx-length", "satellite-length",
+             "extra-sector"],
+    )
+    def test_bad_content_exits_two(self, tmp_path, capsys, edit, message):
+        good, other = self.results(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(edit(good.read_text()))
+        cmp_out = tmp_path / "cmp"
+        assert main(["compare", str(bad), str(other), "--out", str(cmp_out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err
+        assert message in err
+        assert not cmp_out.exists()
+
+    def test_syntax_error_gives_line_and_column(self, tmp_path, capsys):
+        good, other = self.results(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(good.read_text().replace('"method": ', '"method" ', 1))
+        line = next(i for i, text in enumerate(bad.read_text().splitlines(), 1) if '"method"' in text)
+        assert main(["compare", str(other), str(bad), "--out", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: invalid JSON at line {line}, column 12: Expecting ':' delimiter" in err
 
 
 class TestNationalScalePipeline:
@@ -371,7 +467,7 @@ class TestBlowupRule:
 
 
 class TestReportDigests:
-    """The e2 fixture's CSV reports, pinned byte for byte."""
+    """The e2 fixture's CSV and JSON reports, pinned byte for byte."""
 
     RUN = {
         "comparison.csv": "e4738222ccc9cdc9c23209b20638fd59d8db44ced46b05271160b33c2a80a263",
@@ -389,10 +485,38 @@ class TestReportDigests:
         "validation.csv": "77e9da49d92d47048c83ae4bd470c4750188353f51ac210a5420a693366fe211",
     }
 
+    # The JSON reports, pinned byte for byte as json.dumps(indent=2,
+    # sort_keys=True) wrote them; manifest.json holds the output path.
+    RUN_JSON = {
+        "comparison.json": "3568b687a75ea5636b157958ff1d4d2c7897331e0a0ea644caba1a6436756385",
+        "impact_extraction.json": "6eff644a07c2759f2e0c22a9dbed7188dab83dc57ce86525bedc516d32d20624",
+        "impact_inoperability.json": "9c36210eaeb43431cfeb69d6dc6f9e72d2e47ddcdb33e9a5c4b2976e5b5d3111",
+        "multipliers.json": "a8f36154980eee620c28979078a9a0c202179f78b9616ccc754aa454ec696eae",
+        "plotdata_top10.json": "b5e82ff03ceca2bce3fe2816744e3557490c29e92a3871554936b078c44fb1f5",
+        "result_extraction.json": "47ef3017fb5961c6a45551860952545d51a3a8240522a19ada3465468ac57ea6",
+        "result_inoperability.json": "8e8d756573ef4978ed8007b6d7a7d244abbb2d01069a2d02dd54038974a883bb",
+        "validation.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    }
+    MULTIPLIERS_JSON = {
+        "downstream_S1.json": "7fa6691dbab1cdca77f55df59a3cd9e797c4e628f8b4363ccf86304c5f215ad9",
+        "input_recipe_S1.json": "af2b2c86f5cd1979147639dc0bfefec59c1ba3bb3800e754598a60c8c5299e1b",
+        "multipliers.json": "a8f36154980eee620c28979078a9a0c202179f78b9616ccc754aa454ec696eae",
+        "sector_multipliers_S1.json": "d76e59542c62482c91d2abd0ad6273c64b0b5c2521d06031904147dfa6d6dd55",
+        "validation.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    }
+
     @staticmethod
     def csv_digests(out):
         return {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))
+        }
+
+    @staticmethod
+    def json_digests(out):
+        return {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.glob("*.json"))
+            if p.name != "manifest.json"
         }
 
     def test_run_method_both(self, tmp_path):
@@ -403,12 +527,14 @@ class TestReportDigests:
         )
         assert code == 0
         assert self.csv_digests(out) == self.RUN
+        assert self.json_digests(out) == self.RUN_JSON
 
     def test_multipliers_sector(self, tmp_path):
         out = tmp_path / "reports"
         assert main(["multipliers", *table_flags(e2_args()), "--sector", "S1",
                      "--out", str(out)]) == 0
         assert self.csv_digests(out) == self.MULTIPLIERS
+        assert self.json_digests(out) == self.MULTIPLIERS_JSON
 
 
 class TestParseCache:

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ioimpact import (
     DemandDelta,
@@ -20,7 +23,9 @@ from ioimpact import (
 from ioimpact.leontief import sector_order
 from ioimpact.report import (
     ReportBundle,
+    ReportTable,
     comparison_table,
+    document_json_text,
     impact_table,
     load_impact_result,
     multiplier_table,
@@ -32,6 +37,7 @@ from ioimpact.report import (
     validation_table,
     write_reports,
 )
+from ioimpact.testkit import csv_report_oracle, json_report_oracle, table_payload
 
 from test_table import make_table
 
@@ -222,3 +228,156 @@ class TestTiesBreakBySectorIndex:
         assert overlap == tuple(c for c in top_a if c in top_b)
         # S11 ties at 0.0 in b but falls past its top ten by index.
         assert overlap == ("S6", "S2", "S4", "S8", "S1", "S3", "S5", "S7", "S9")
+
+
+# Floats at the edges of the encoding: signed zeros, the smallest subnormal,
+# the largest normals, and values on either side of repr's switch to
+# exponent notation.
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+    1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-4, 1e-5, 0.1, -2.5,
+)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+# Any code point but surrogates, with quotes, backslashes, control
+# characters, non-ASCII and the template's own '%' made likely.
+names = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",))
+    | st.sampled_from('%"\\\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+    max_size=6,
+)
+leaves = st.one_of(finite_floats, names, st.integers(), st.booleans(), st.none())
+
+# A column kind is its value strategy and the CSV formats that suit it.
+COLUMN_KINDS = {
+    "float": (finite_floats, ("coef", "q", "million", "pct", "raw", "s")),
+    "str": (names, ("s",)),
+    "int": (st.integers(-(2**70), 2**70), ("int", "s")),
+    "mixed": (
+        st.one_of(
+            leaves,
+            st.builds(np.float64, finite_floats),
+            st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+            st.builds(np.float32, st.floats(width=32, allow_nan=False, allow_infinity=False)),
+        ),
+        ("s",),
+    ),
+}
+
+
+@st.composite
+def report_tables(draw, min_rows=0, max_rows=5):
+    columns = draw(st.lists(names, max_size=6))  # repeated names included
+    kinds = [draw(st.sampled_from(sorted(COLUMN_KINDS))) for _ in columns]
+    nrows = draw(st.integers(min_rows, max_rows))
+    cells = [
+        draw(st.lists(COLUMN_KINDS[k][0], min_size=nrows, max_size=nrows)) for k in kinds
+    ]
+    formats = tuple(draw(st.sampled_from(COLUMN_KINDS[k][1])) for k in kinds)
+    rows = tuple(zip(*cells)) if cells else ((),) * nrows
+    return ReportTable(name="t%", columns=tuple(columns), formats=formats, rows=rows)
+
+
+@st.composite
+def records(draw):
+    """Lists of flat objects sharing one key order, the shape of
+    ``result_*.json``'s sectors."""
+    keys = draw(st.lists(names, max_size=4, unique=True))
+    return draw(st.lists(st.fixed_dictionaries({k: leaves for k in keys}), max_size=4))
+
+
+documents = st.recursive(
+    leaves | st.lists(finite_floats, max_size=5) | st.lists(names, max_size=5) | records(),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.tuples(kids, kids)
+    | st.dictionaries(names, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestSerializerMatchesOracle:
+    """The column-wise encoder writes the bytes of ``json.dumps(obj,
+    indent=2, sort_keys=True, allow_nan=False)`` plus a newline, and the
+    column-wise CSV the bytes of cell-by-cell formatting."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=report_tables())
+    def test_row_tables(self, table):
+        assert table.json_text() == json_report_oracle(table_payload(table))
+        assert table.csv_text() == csv_report_oracle(table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=documents)
+    def test_documents(self, doc):
+        assert document_json_text("doc", doc) == json_report_oracle(doc)
+
+    def test_empty_and_one_row_tables(self):
+        empty = ReportTable("e", ("a", "b"), ("s", "raw"), ())
+        one = ReportTable("o", ("b", "a"), ("s", "raw"), (("x", -0.0),))
+        no_columns = ReportTable("z", (), (), ((), ()))
+        for table in (empty, one, no_columns):
+            assert table.json_text() == json_report_oracle(table_payload(table))
+            assert table.csv_text() == csv_report_oracle(table)
+        assert one.json_text() == '[\n  {\n    "a": -0.0,\n    "b": "x"\n  }\n]\n'
+
+    def test_fixture_bundle(self, bundle):
+        for table in bundle.tables:
+            assert table.json_text() == json_report_oracle(table_payload(table))
+            assert table.csv_text() == csv_report_oracle(table)
+        for name, doc in bundle.documents.items():
+            assert document_json_text(name, doc) == json_report_oracle(doc)
+
+
+class TestNonFiniteNeverWritten:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        table=report_tables(min_rows=1, max_rows=4),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        data=st.data(),
+    )
+    def test_row_tables(self, table, bad, data):
+        # Insert a float or mixed column "x" with one non-finite cell.
+        c = data.draw(st.integers(0, len(table.columns)))
+        r = data.draw(st.integers(0, len(table.rows) - 1))
+        values, formats = COLUMN_KINDS[data.draw(st.sampled_from(["float", "mixed"]))]
+        fmt = data.draw(st.sampled_from(formats))
+        x = data.draw(st.lists(values, min_size=len(table.rows), max_size=len(table.rows)))
+        x[r] = bad
+        rows = tuple((*row[:c], x[i], *row[c:]) for i, row in enumerate(table.rows))
+        broken = ReportTable(
+            "broken",
+            (*table.columns[:c], "x", *table.columns[c:]),
+            (*table.formats[:c], fmt, *table.formats[c:]),
+            rows,
+        )
+        with pytest.raises(ValueError, match=r"report 'broken': 'x' holds a NaN or infinite"):
+            broken.csv_text()
+        with pytest.raises(ValueError, match=r"report 'broken': 'x' holds a NaN or infinite"):
+            broken.json_text()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_documents(self, bad):
+        doc = {"q": [1.0, 2.0], "totals": {"output": [0.5, bad]}}
+        with pytest.raises(ValueError):
+            json_report_oracle(doc)
+        with pytest.raises(ValueError, match=r"report 'result_x': 'output' holds a NaN"):
+            document_json_text("result_x", doc)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_write_reports_names_report_and_column(self, fmt, tmp_path):
+        bundle = ReportBundle()
+        bundle.add(ReportTable("impact_x", ("sector_code", "q"), ("s", "q"),
+                               (("S1", 0.5), ("S2", math.nan))))
+        bundle.documents["result_x"] = {"q": [0.5]}
+        out = tmp_path / "reports"
+        with pytest.raises(ValueError, match=r"report 'impact_x': 'q' holds a NaN"):
+            write_reports(bundle, out, formats=(fmt,))
+        assert not out.exists()
+
+    def test_comparison_numbers_checked(self, impact):
+        inflated = ImpactResult(
+            method="extraction", scenario="demo", sectors=impact.sectors, q=impact.q,
+            dx=impact.dx, satellite_changes={}, totals={"output": math.inf},
+            pct_output=impact.pct_output,
+        )
+        with pytest.raises(ValueError, match="'change in output \\(M\\)'"):
+            comparison_table(compare_methods(inflated, impact))

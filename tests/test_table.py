@@ -62,6 +62,9 @@ class TestValidate:
         assert not report.passed
         kinds = {v.kind for v in report.violations}
         assert "negative_flow" in kinds
+        (negative,) = [v for v in report.violations if v.kind == "negative_flow"]
+        # |Z_12| / x_1, the identity checks' denominator: finite, never NaN.
+        assert (negative.sector, negative.actual, negative.rel_err) == ("S1", -1.0, 0.01)
 
     def test_rel_tol_must_be_positive(self, e2):
         with pytest.raises(ValueError):
