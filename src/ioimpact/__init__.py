@@ -54,8 +54,6 @@ from .scenario import (
     ScenarioSpec,
     UseRatio,
     build_delta,
-    build_scenario1,
-    build_scenario2,
     extraction_intensities,
 )
 from .table import (
@@ -67,21 +65,12 @@ from .table import (
     drop_zero_sectors,
     validate_table,
 )
-from .testkit import (
-    EconomyGenSpec,
-    canonical_e2,
-    demand_perturbation,
-    interdependency_matrix,
-    neumann_oracle,
-    random_economy,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ComparisonReport",
     "DemandDelta",
-    "EconomyGenSpec",
     "EmptyEconomyError",
     "ExtractionSpec",
     "FinalDemandBlock",
@@ -105,11 +94,7 @@ __all__ = [
     "apply_blowup",
     "build_delta",
     "build_model",
-    "build_scenario1",
-    "build_scenario2",
-    "canonical_e2",
     "compare_methods",
-    "demand_perturbation",
     "disaggregate_aggregate",
     "downstream_importance",
     "drop_zero_sectors",
@@ -119,16 +104,13 @@ __all__ = [
     "import_share",
     "inoperability",
     "input_recipe",
-    "interdependency_matrix",
     "leontief_inverse",
     "load_io_table",
     "make_extraction_spec",
-    "neumann_oracle",
     "output_multipliers",
     "parse_io_table",
     "parse_scenario",
     "partial_extraction",
-    "random_economy",
     "satellite_deltas",
     "satellite_multipliers",
     "technical_coefficients",

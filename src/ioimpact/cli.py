@@ -176,6 +176,25 @@ def _blowup_override(args) -> float | None:
     return None
 
 
+def _check_scenario_names(paths, specs) -> None:
+    """Each scenario of a multi-scenario run writes to --out/<name>, so every
+    name must be one plain path component, and no two may be equal."""
+    seen = {}
+    for path, spec in zip(paths, specs):
+        name = spec.name
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ScenarioConfigError(
+                f"{path}: scenario name {name!r} must be a plain directory name "
+                "(not empty, '.' or '..', and without '/', '\\' or NUL) in a multi-scenario run"
+            )
+        if name in seen:
+            raise ScenarioConfigError(
+                f"{path}: scenario name {name!r} is also the name of {seen[name]}; "
+                "a multi-scenario run needs distinct names"
+            )
+        seen[name] = path
+
+
 def _run_scenario(model, spec, args, override):
     delta = build_delta(model.table, spec)
     blowup = spec.blowup_factor if override is None else override
@@ -218,13 +237,15 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     model = build_model(table)
     specs = [parse_scenario(path) for path in args.scenario]
+    multi = len(specs) > 1
+    if multi:
+        _check_scenario_names(args.scenario, specs)
     override = _blowup_override(args)
     runs = [_run_scenario(model, spec, args, override) for spec in specs]
 
     # Shared by every scenario's bundle; report tables are immutable.
     validation = validation_table(report)
     multipliers = multiplier_table(model)
-    multi = len(runs) > 1
     for spec, delta, blowup, results in runs:
         bundle = ReportBundle()
         bundle.add(validation)

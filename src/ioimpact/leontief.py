@@ -38,7 +38,7 @@ _BLOCK = 128
 @dataclass(frozen=True)
 class TechnicalCoefficients:
     """Input requirements per unit of output, plus coefficient rows for
-    imports, value added, and every satellite kind the table can report.
+    imports and for every satellite kind the table can report.
 
     A[i, j] = Z[i, j] / x[j]; all coefficient rows divide by the same x.
     satellite_coefficients holds its kinds in SATELLITE_KINDS order.
@@ -47,7 +47,6 @@ class TechnicalCoefficients:
     table: IOTable
     A: np.ndarray
     import_coefficients: np.ndarray
-    value_added_coefficients: np.ndarray
     satellite_coefficients: dict[str, np.ndarray]
 
 
@@ -70,7 +69,6 @@ class LeontiefModel:
     table: IOTable
     coeffs: TechnicalCoefficients
     factors: np.ndarray
-    x: np.ndarray
 
     def solve(self, rhs) -> np.ndarray:
         """(I - A)^-1 rhs for a vector or an n x k matrix: a forward pass
@@ -115,6 +113,10 @@ class LeontiefModel:
     def f(self) -> np.ndarray:
         return self.table.f
 
+    @property
+    def x(self) -> np.ndarray:
+        return self.table.x
+
     def sector_index(self, sector) -> int:
         return self.table.sector_index(sector)
 
@@ -143,7 +145,6 @@ def technical_coefficients(table: IOTable) -> TechnicalCoefficients:
         table=table,
         A=A,
         import_coefficients=table.imports / x,
-        value_added_coefficients=table.value_added / x,
         satellite_coefficients={k: sources[k] / x for k in SATELLITE_KINDS if k in sources},
     )
 
@@ -215,7 +216,7 @@ def leontief_inverse(coeffs: TechnicalCoefficients) -> LeontiefModel:
     except np.linalg.LinAlgError as exc:
         raise NonProductiveEconomyError(f"(I - A) is singular: {exc}") from exc
     factors.setflags(write=False)
-    return LeontiefModel(table=coeffs.table, coeffs=coeffs, factors=factors, x=coeffs.table.x)
+    return LeontiefModel(table=coeffs.table, coeffs=coeffs, factors=factors)
 
 
 def build_model(table: IOTable) -> LeontiefModel:

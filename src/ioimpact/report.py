@@ -68,6 +68,10 @@ class ReportTable:
     formats: tuple[str, ...]
     rows: tuple[tuple, ...]
 
+    def __post_init__(self):
+        if len(set(self.columns)) != len(self.columns):
+            raise ValueError(f"report {self.name!r}: repeated column name in {self.columns}")
+
     @cached_property
     def _columns(self) -> list[tuple[tuple, set[type]]]:
         """Each column's values and value types; a non-finite float raises."""
@@ -90,13 +94,12 @@ class ReportTable:
         return "\n".join([",".join(self.columns), *lines]) + "\n"
 
     def json_text(self) -> str:
-        """The rows as a JSON list of objects keyed by column; a repeated
-        column name keeps its last value, as a dict would."""
+        """The rows as a JSON list of objects keyed by column."""
         if not self.rows:
             return "[]\n"
-        last = {column: i for i, column in enumerate(self.columns)}
-        keys = sorted(last)
-        encoded = [_encode_leaves(*self._columns[last[key]]) for key in keys]
+        order = sorted(range(len(self.columns)), key=self.columns.__getitem__)
+        encoded = [_encode_leaves(*self._columns[i]) for i in order]
+        keys = [self.columns[i] for i in order]
         return _encode_records(keys, encoded, len(self.rows)) + "\n"
 
     # Encoded once per table: a table shared by several bundles is
@@ -352,7 +355,9 @@ def impact_table(result: ImpactResult) -> ReportTable:
 
 
 def comparison_table(comparison: ComparisonReport) -> ReportTable:
-    """Aggregate metrics side by side: each method's value and a - b."""
+    """Aggregate metrics side by side: each method's value and a - b. The
+    value columns take the method names, suffixed " (a)" and " (b)" when a
+    name would repeat a column, as it does for two results of one method."""
     rows = []
     # The cells are preformatted strings, so the numbers behind them are
     # checked here.
@@ -365,9 +370,13 @@ def comparison_table(comparison: ComparisonReport) -> ReportTable:
     pct = (comparison.pct_a * 100, comparison.pct_b * 100, comparison.pct_diff * 100)
     _leaf_types(pct, "comparison", "change in output (%)")
     rows.append(("change in output (%)", *map("{:.2f}".format, pct)))
+    a, b = comparison.method_a, comparison.method_b
+    columns = ("metric", a, b, "difference")
+    if len(set(columns)) != len(columns):
+        columns = ("metric", f"{a} (a)", f"{b} (b)", "difference")
     return ReportTable(
         name="comparison",
-        columns=("metric", comparison.method_a, comparison.method_b, "difference"),
+        columns=columns,
         formats=("s", "s", "s", "s"),
         rows=tuple(rows),
     )
@@ -375,6 +384,8 @@ def comparison_table(comparison: ComparisonReport) -> ReportTable:
 
 def plotdata_table(result: ImpactResult, top_k: int = 10) -> ReportTable:
     """Most-affected sectors by normalized output change, for charting."""
+    if top_k < 0:
+        raise ValueError("top_k must be non-negative")
     rows = tuple(
         (result.sectors[i].code, result.sectors[i].name, float(result.q[i]), rank)
         for rank, i in enumerate(sector_order(result.q)[:top_k], start=1)

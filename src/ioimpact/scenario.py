@@ -4,9 +4,10 @@ A scenario names a target sector and the fraction by which demand for its
 shocked sub-service falls, with per-component passenger shares deciding how
 much of each final-demand component is exposed. The savings variant removes
 all freed spending from the economy; the reallocation variant returns part
-of the freed *consumption* spending to named sectors. Use ratios translate
-the same shock into per-purchaser extraction intensities for the
-intermediate-demand side.
+of the freed *consumption* spending to named sectors. build_delta is the one
+entry point for both; a spec's reallocation block selects the variant. Use
+ratios translate the same shock into per-purchaser extraction intensities
+for the intermediate-demand side.
 """
 
 from __future__ import annotations
@@ -178,36 +179,17 @@ class DemandDelta:
         object.__setattr__(self, "delta", d)
 
 
-def build_scenario1(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
-    """Pure-savings shock: the target sector loses demand, nothing returns.
+def build_delta(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
+    """The final-demand change of a scenario, for both variants.
 
     The target's change is the sum over components of
-    -(component value) x (component ratio) x (sub-service drop); every other
-    sector is untouched.
+    -(component value) x (component ratio) x (sub-service drop). Without a
+    reallocation block (the savings variant) every other sector is
+    untouched. With one, the non-saved share of the *consumption* drop is
+    returned to the named sectors, distributed exactly by the configured
+    shares; export and capital-formation losses never reallocate, and
+    savings_fraction = 1 returns nothing.
     """
-    if spec.reallocation is not None and spec.reallocation.savings_fraction < 1.0:
-        raise ScenarioConfigError(
-            "savings-only construction requires no reallocation (or savings_fraction = 1)"
-        )
-    return build_delta(table, spec)
-
-
-def build_scenario2(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
-    """Reallocation shock: the target drop of the savings-only variant, with
-    the non-saved share of the *consumption* drop returned to named sectors.
-
-    Export and capital-formation losses never reallocate, and the pool is
-    distributed exactly by the configured shares.
-    """
-    if spec.reallocation is None:
-        raise ScenarioConfigError("reallocation block required for the reallocation scenario")
-    return build_delta(table, spec)
-
-
-def build_delta(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
-    """The final-demand change of a scenario: the target's drop as in
-    build_scenario1, plus, with a reallocation block, the gains of
-    build_scenario2 (zero when savings_fraction = 1)."""
     k = table.sector_index(spec.target_sector)
     changes = {}
     for comp in FD_COMPONENTS:

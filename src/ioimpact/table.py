@@ -151,7 +151,6 @@ class IOTable:
     value_added: np.ndarray
     satellites: dict[str, SatelliteAccount] = field(default_factory=dict)
     x: np.ndarray = None
-    unit: str = "currency millions"
 
     def __post_init__(self):
         object.__setattr__(self, "sectors", tuple(self.sectors))
@@ -367,7 +366,6 @@ def drop_zero_sectors(table: IOTable) -> tuple[IOTable, list[Sector]]:
         value_added=table.value_added[idx],
         satellites=satellites,
         x=table.x[idx],
-        unit=table.unit,
     )
     return reduced, dropped
 

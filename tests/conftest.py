@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ioimpact import build_model, canonical_e2
+from ioimpact import build_model
+from ioimpact.testkit import canonical_e2
 
 # Analytic 2x2 inverse of (I - A) for the canonical economy: adj / det,
 # det(I - A) = 0.5 * 0.6 - 0.2 * 0.3 = 0.24. Independent of the solver.

@@ -18,7 +18,13 @@ import pytest
 import ioimpact as io
 from ioimpact.cli import main
 from ioimpact.ingest import parse_scenario
-from ioimpact.testkit import dense_inverse
+from ioimpact.testkit import (
+    EconomyGenSpec,
+    canonical_e2,
+    dense_inverse,
+    neumann_oracle,
+    random_economy,
+)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ioimpact" / "fixtures"
 
@@ -38,7 +44,7 @@ def demand_delta(table, vec, name="acc"):
 
 def test_criterion_1_e2_exactness():
     start = time.perf_counter()
-    table = io.canonical_e2()
+    table = canonical_e2()
     model = io.build_model(table)
 
     assert np.abs(model.A - [[0.5, 0.2], [0.3, 0.4]]).max() < 1e-9
@@ -67,9 +73,9 @@ def test_criterion_2_oracle_equivalence():
     worst_balance = 0.0
     for i in range(100):
         n = 3 + (i * 7) % 28  # 3..30
-        table = io.random_economy(io.EconomyGenSpec(n=n, seed=1000 + i))
+        table = random_economy(EconomyGenSpec(n=n, seed=1000 + i))
         model = io.build_model(table)
-        oracle = io.neumann_oracle(model.A, 200)
+        oracle = neumann_oracle(model.A, 200)
         L = dense_inverse(model)
         worst_inverse = max(worst_inverse, np.abs(L - oracle).max())
         worst_balance = max(
@@ -87,7 +93,7 @@ def test_criterion_3_fixed_point_identity():
     worst = 0.0
     for i in range(100):
         n = 3 + (i * 5) % 28
-        table = io.random_economy(io.EconomyGenSpec(n=n, seed=2000 + i))
+        table = random_economy(EconomyGenSpec(n=n, seed=2000 + i))
         model = io.build_model(table)
         rng = np.random.default_rng(3000 + i)
         delta = demand_delta(table, -table.f * rng.uniform(0.0, 0.9, n))
@@ -107,7 +113,7 @@ def test_criterion_4_extraction_nesting_and_monotonicity():
     worst_nesting = 0.0
     for i in range(50):
         n = 3 + (i * 3) % 25
-        table = io.random_economy(io.EconomyGenSpec(n=n, seed=4000 + i))
+        table = random_economy(EconomyGenSpec(n=n, seed=4000 + i))
         model = io.build_model(table)
         rng = np.random.default_rng(5000 + i)
         delta = demand_delta(table, -table.f * rng.uniform(0.0, 0.9, n))
@@ -135,7 +141,7 @@ def test_criterion_5_rank_one_equivalence():
     worst = 0.0
     for i in range(25):
         n = 3 + (i * 2) % 20
-        table = io.random_economy(io.EconomyGenSpec(n=n, seed=6000 + i))
+        table = random_economy(EconomyGenSpec(n=n, seed=6000 + i))
         model = io.build_model(table)
         rng = np.random.default_rng(7000 + i)
         alpha = float(rng.uniform(0.0, 1.0))
@@ -158,7 +164,7 @@ def test_criterion_5_rank_one_equivalence():
 
 def test_criterion_6_scenario_conservation_and_dominance():
     for i in range(25):
-        table = io.random_economy(io.EconomyGenSpec(n=8, seed=8000 + i))
+        table = random_economy(EconomyGenSpec(n=8, seed=8000 + i))
         rng = np.random.default_rng(9000 + i)
         savings = float(rng.uniform(0.0, 0.9))
         spec1 = io.ScenarioSpec(name="c", target_sector="S1", sub_service_drop=0.6)
@@ -169,8 +175,8 @@ def test_criterion_6_scenario_conservation_and_dominance():
                 shares={"S2": 0.2, "S3": 0.3, "S4": 0.5},
             ),
         )
-        d1 = io.build_scenario1(table, spec1)
-        d2 = io.build_scenario2(table, spec2)
+        d1 = io.build_delta(table, spec1)
+        d2 = io.build_delta(table, spec2)
         from ioimpact.scenario import CONSUMPTION_COMPONENTS
 
         consumption_drop = sum(d2.component_changes[c] for c in CONSUMPTION_COMPONENTS)
@@ -183,7 +189,7 @@ def test_criterion_6_scenario_conservation_and_dominance():
 
 
 def test_criterion_7_blowup_invariance_and_estimate():
-    table = io.canonical_e2()
+    table = canonical_e2()
     model = io.build_model(table)
     result = io.inoperability(model, demand_delta(table, [-12.0, 0.0]))
     b = 1.092
@@ -309,7 +315,7 @@ def test_national_table_linkage_examples():
 
 def test_criterion_9_determinism_and_round_trip(tmp_path):
     # file round trip at 1e-12 per cell
-    for table in (io.canonical_e2(), io.random_economy(io.EconomyGenSpec(n=12, seed=99))):
+    for table in (canonical_e2(), random_economy(EconomyGenSpec(n=12, seed=99))):
         d = tmp_path / f"rt_{table.n}"
         paths = io.write_table_files(table, d)
         back = io.parse_io_table(paths["table"], paths["sectors"],

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ioimpact import canonical_e2, ingest, write_table_files
+from ioimpact import ingest, write_table_files
 from ioimpact.cli import main
-from ioimpact.testkit import rescale
+from ioimpact.testkit import canonical_e2, rescale
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ioimpact" / "fixtures"
 E2 = FIXTURES / "e2"
@@ -219,6 +219,15 @@ class TestRunCmd:
         assert (out / "e2_shock_s1" / "result_inoperability.json").exists()
         assert (out / "second" / "result_inoperability.json").exists()
 
+    @pytest.mark.parametrize("command", ["run", "multipliers"])
+    def test_negative_top_k_exits_two_before_writing(self, tmp_path, capsys, command):
+        out = tmp_path / "reports"
+        view = ["--scenario", str(E2 / "shock_s1.json")] if command == "run" else ["--sector", "S1"]
+        code = main([command, *table_flags(e2_args()), *view, "--top-k", "-1", "--out", str(out)])
+        assert code == 2
+        assert "top_k must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shared_tables_encoded_once(self, tmp_path, monkeypatch):
         from ioimpact.report import ReportTable
 
@@ -275,6 +284,63 @@ class TestCompareCmd:
         assert code == 0
         assert (cmp_out / "comparison.csv").exists()
         assert "output difference" in capsys.readouterr().out
+
+    def test_same_method_results_keep_both_columns(self, tmp_path):
+        out = tmp_path / "reports"
+        assert main(["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json"),
+                     "--method", "inoperability", "--out", str(out)]) == 0
+        result = str(out / "result_inoperability.json")
+        cmp_out = tmp_path / "cmp"
+        assert main(["compare", result, result, "--out", str(cmp_out)]) == 0
+        columns = ["metric", "inoperability (a)", "inoperability (b)", "difference"]
+        header = (cmp_out / "comparison.csv").read_text().splitlines()[0]
+        assert header == ",".join(columns)
+        rows = json.loads((cmp_out / "comparison.json").read_text())
+        assert all(sorted(row) == sorted(columns) for row in rows)
+        assert all(row["inoperability (a)"] == row["inoperability (b)"] for row in rows)
+
+
+class TestMultiScenarioNames:
+    """Each scenario of a multi-scenario run writes to --out/<name>. A name
+    that is not one plain path component, or that two scenarios share, exits
+    2 naming the scenario file, before any report is written."""
+
+    @staticmethod
+    def scenario(tmp_path, stem, name):
+        path = tmp_path / f"{stem}.json"
+        doc = {"name": name, "target_sector": "S2", "sub_service_drop": 0.25}
+        path.write_text(json.dumps(doc))
+        return path
+
+    @staticmethod
+    def run(scenarios, out):
+        return main(["run", *table_flags(e2_args()), "--scenario", *map(str, scenarios),
+                     "--method", "inoperability", "--out", str(out)])
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../../escaped", "a/b", "a\\b", "a\x00b"])
+    def test_name_must_be_one_path_component(self, tmp_path, capsys, name):
+        bad = self.scenario(tmp_path, "bad", name)
+        work = tmp_path / "work"
+        assert self.run([E2 / "shock_s1.json", bad], work / "o3" / "deep") == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: scenario name {name!r} must be a plain directory name" in err
+        assert not work.exists()
+
+    def test_names_must_differ(self, tmp_path, capsys):
+        first = self.scenario(tmp_path, "first", "same")
+        second = self.scenario(tmp_path, "second", "same")
+        out = tmp_path / "reports"
+        assert self.run([first, second], out) == 2
+        err = capsys.readouterr().err
+        assert f"{second}: scenario name 'same' is also the name of {first}" in err
+        assert not out.exists()
+
+    def test_single_scenario_writes_to_out_whatever_its_name(self, tmp_path):
+        only = self.scenario(tmp_path, "only", "../escaped")
+        out = tmp_path / "reports"
+        assert self.run([only], out) == 0
+        assert (out / "result_inoperability.json").exists()
+        assert not (tmp_path / "escaped").exists()
 
 
 class TestCompareRejectsBrokenResults:
@@ -337,7 +403,8 @@ class TestNationalScalePipeline:
     def test_covid_fixtures_run_end_to_end(self, tmp_path):
         import csv
 
-        from ioimpact import EconomyGenSpec, IOTable, Sector, random_economy
+        from ioimpact import IOTable, Sector
+        from ioimpact.testkit import EconomyGenSpec, random_economy
 
         with open(FIXTURES / "swedish_sectors.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))[1:]

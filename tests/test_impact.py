@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ioimpact import (
     DemandDelta,
-    EconomyGenSpec,
     EmptyEconomyError,
     ExtractionSpec,
     InternalConsistencyError,
@@ -15,22 +14,22 @@ from ioimpact import (
     ScenarioSpec,
     apply_blowup,
     build_model,
-    build_scenario1,
     compare_methods,
-    demand_perturbation,
     estimate_blowup_factor,
     full_extraction,
     inoperability,
-    interdependency_matrix,
     make_extraction_spec,
     partial_extraction,
-    random_economy,
     satellite_deltas,
 )
 from ioimpact.testkit import (
+    EconomyGenSpec,
+    demand_perturbation,
     full_extraction_oracle,
     inoperability_oracle,
+    interdependency_matrix,
     partial_extraction_oracle,
+    random_economy,
 )
 
 from test_table import make_table

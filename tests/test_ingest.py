@@ -12,21 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ioimpact import (
-    EconomyGenSpec,
     IOModelError,
     ScenarioConfigError,
     StructuralError,
     TableParseError,
-    canonical_e2,
     disaggregate_aggregate,
     load_io_table,
     parse_io_table,
     parse_scenario,
-    random_economy,
     write_table_files,
 )
 from ioimpact import ingest
 from ioimpact.ingest import CACHE_ENTRIES, parse_blowup_history
+from ioimpact.testkit import EconomyGenSpec, canonical_e2, random_economy
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ioimpact" / "fixtures"
 

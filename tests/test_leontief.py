@@ -6,21 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ioimpact import (
-    EconomyGenSpec,
     NonProductiveEconomyError,
     build_model,
     downstream_importance,
     import_share,
     input_recipe,
     leontief_inverse,
-    neumann_oracle,
     output_multipliers,
-    random_economy,
     satellite_multipliers,
     technical_coefficients,
 )
 from ioimpact.leontief import check_productive
-from ioimpact.testkit import dense_inverse, rescale
+from ioimpact.testkit import EconomyGenSpec, dense_inverse, neumann_oracle, random_economy, rescale
 
 from conftest import E2_A, E2_L
 from test_table import make_table
@@ -31,7 +28,7 @@ class TestTechnicalCoefficients:
         coeffs = technical_coefficients(e2)
         assert np.array_equal(coeffs.A, E2_A)
         assert np.array_equal(coeffs.import_coefficients, [-0.1, 0.0])
-        assert np.array_equal(coeffs.value_added_coefficients, [0.3, 0.4])
+        assert np.array_equal(e2.value_added / e2.x, [0.3, 0.4])
         assert np.array_equal(coeffs.satellite_coefficients["employment"], [0.1, 0.2])
 
     def test_zero_flows_give_zero_matrix(self):
@@ -46,7 +43,7 @@ class TestTechnicalCoefficients:
 
     def test_column_sums_account_for_everything(self, e2):
         coeffs = technical_coefficients(e2)
-        total = coeffs.A.sum(axis=0) + coeffs.import_coefficients + coeffs.value_added_coefficients
+        total = coeffs.A.sum(axis=0) + coeffs.import_coefficients + e2.value_added / e2.x
         assert np.allclose(total, 1.0, atol=1e-12)
 
 

@@ -1,9 +1,10 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ioimpact import (
@@ -101,6 +102,16 @@ class TestTables:
         t = plotdata_table(impact, top_k=1)
         assert len(t.rows) == 1
         assert t.rows[0][0] == "S1"
+
+    def test_plotdata_rejects_negative_top_k(self, impact):
+        with pytest.raises(ValueError, match="top_k must be non-negative"):
+            plotdata_table(impact, top_k=-1)
+
+    def test_comparison_of_one_method_keeps_both_columns(self, impact):
+        t = comparison_table(compare_methods(impact, impact))
+        assert t.columns == ("metric", "inoperability (a)", "inoperability (b)", "difference")
+        t = comparison_table(compare_methods(replace(impact, method="difference"), impact))
+        assert t.columns == ("metric", "difference (a)", "inoperability (b)", "difference")
 
 
 class TestResultSerialization:
@@ -266,7 +277,7 @@ COLUMN_KINDS = {
 
 @st.composite
 def report_tables(draw, min_rows=0, max_rows=5):
-    columns = draw(st.lists(names, max_size=6))  # repeated names included
+    columns = draw(st.lists(names, max_size=6, unique=True))
     kinds = [draw(st.sampled_from(sorted(COLUMN_KINDS))) for _ in columns]
     nrows = draw(st.integers(min_rows, max_rows))
     cells = [
@@ -319,6 +330,10 @@ class TestSerializerMatchesOracle:
             assert table.csv_text() == csv_report_oracle(table)
         assert one.json_text() == '[\n  {\n    "a": -0.0,\n    "b": "x"\n  }\n]\n'
 
+    def test_repeated_column_rejected(self):
+        with pytest.raises(ValueError, match=r"report 'd': repeated column name"):
+            ReportTable("d", ("a", "b", "a"), ("s", "s", "s"), (("x", "y", "z"),))
+
     def test_fixture_bundle(self, bundle):
         for table in bundle.tables:
             assert table.json_text() == json_report_oracle(table_payload(table))
@@ -336,6 +351,7 @@ class TestNonFiniteNeverWritten:
     )
     def test_row_tables(self, table, bad, data):
         # Insert a float or mixed column "x" with one non-finite cell.
+        assume("x" not in table.columns)
         c = data.draw(st.integers(0, len(table.columns)))
         r = data.draw(st.integers(0, len(table.rows) - 1))
         values, formats = COLUMN_KINDS[data.draw(st.sampled_from(["float", "mixed"]))]

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ioimpact import (
-    EconomyGenSpec,
     FinalDemandBlock,
     IOTable,
     Reallocation,
@@ -15,12 +14,10 @@ from ioimpact import (
     Sector,
     UseRatio,
     build_delta,
-    build_scenario1,
-    build_scenario2,
     extraction_intensities,
-    random_economy,
 )
 from ioimpact.scenario import IntermediateSpec
+from ioimpact.testkit import EconomyGenSpec, random_economy
 
 
 def spec_s1(alpha=0.4, **kwargs):
@@ -32,13 +29,13 @@ def spec_s1(alpha=0.4, **kwargs):
 
 class TestScenario1:
     def test_e2_drop(self, e2):
-        delta = build_scenario1(e2, spec_s1())
+        delta = build_delta(e2, spec_s1())
         assert np.allclose(delta.delta, [-12.0, 0.0], atol=1e-12)
         assert delta.component_changes["household_consumption"] == pytest.approx(-12.0)
         assert delta.total_drop_fraction == pytest.approx(-0.4)
 
     def test_zero_alpha_means_no_shock(self, e2):
-        delta = build_scenario1(e2, spec_s1(alpha=0.0))
+        delta = build_delta(e2, spec_s1(alpha=0.0))
         assert np.array_equal(delta.delta, [0.0, 0.0])
 
     def test_default_ratios_spare_capital_formation(self):
@@ -57,7 +54,7 @@ class TestScenario1:
             x=[60, 30],
         )
         spec = ScenarioSpec(name="d", target_sector="S1", sub_service_drop=0.5)
-        delta = build_scenario1(table, spec)
+        delta = build_delta(table, spec)
         # household and exports default to fully exposed, capital formation to exempt
         assert delta.component_changes["household_consumption"] == pytest.approx(-5.0)
         assert delta.component_changes["exports"] == pytest.approx(-5.0)
@@ -69,36 +66,27 @@ class TestScenario1:
             name="abs", target_sector="S1", sub_service_drop=0.4,
             component_ratios={"HH": 1.0}, absolute_changes={"HH": -7.5},
         )
-        delta = build_scenario1(e2, spec)
+        delta = build_delta(e2, spec)
         assert delta.delta[0] == pytest.approx(-7.5)
-
-    def test_rejects_active_reallocation(self, e2):
-        spec = spec_s1(reallocation=Reallocation(savings_fraction=0.5, shares={"S2": 1.0}))
-        with pytest.raises(ScenarioConfigError):
-            build_scenario1(e2, spec)
 
     def test_does_not_mutate_table(self, e2):
         before = e2.final_demand.values.copy()
-        build_scenario1(e2, spec_s1())
+        build_delta(e2, spec_s1())
         assert np.array_equal(e2.final_demand.values, before)
 
 
 class TestScenario2:
     def test_e2_reallocation(self, e2):
         spec = spec_s1(reallocation=Reallocation(savings_fraction=0.5, shares={"S2": 1.0}))
-        delta = build_scenario2(e2, spec)
+        delta = build_delta(e2, spec)
         assert np.allclose(delta.delta, [-12.0, 6.0], atol=1e-12)
         assert delta.reallocated == {"S2": pytest.approx(6.0)}
 
     def test_full_savings_matches_scenario1(self, e2):
         spec = spec_s1(reallocation=Reallocation(savings_fraction=1.0, shares={"S2": 1.0}))
-        d2 = build_scenario2(e2, spec)
-        d1 = build_scenario1(e2, spec_s1())
+        d2 = build_delta(e2, spec)
+        d1 = build_delta(e2, spec_s1())
         assert np.array_equal(d2.delta, d1.delta)
-
-    def test_requires_reallocation_block(self, e2):
-        with pytest.raises(ScenarioConfigError):
-            build_scenario2(e2, spec_s1())
 
     def test_exports_never_reallocate(self):
         fd = FinalDemandBlock.from_components(
@@ -116,7 +104,7 @@ class TestScenario2:
             name="exp", target_sector="S1", sub_service_drop=0.5,
             reallocation=Reallocation(savings_fraction=0.0, shares={"S2": 1.0}),
         )
-        delta = build_scenario2(table, spec)
+        delta = build_delta(table, spec)
         # pool excludes the 15 export loss: only the 5 household loss returns
         assert delta.reallocated["S2"] == pytest.approx(5.0)
         assert delta.delta[0] == pytest.approx(-20.0)
@@ -124,7 +112,7 @@ class TestScenario2:
     def test_unknown_reallocation_sector(self, e2):
         spec = spec_s1(reallocation=Reallocation(savings_fraction=0.5, shares={"S9": 1.0}))
         with pytest.raises(KeyError):
-            build_scenario2(e2, spec)
+            build_delta(e2, spec)
 
     def test_shares_must_sum_to_one(self):
         with pytest.raises(ScenarioConfigError, match="0.95"):
@@ -139,8 +127,8 @@ class TestScenario2:
             name="prop", target_sector="S1", sub_service_drop=0.6,
             reallocation=Reallocation(savings_fraction=savings, shares=shares),
         )
-        d2 = build_scenario2(table, spec)
-        d1 = build_scenario1(
+        d2 = build_delta(table, spec)
+        d1 = build_delta(
             table, ScenarioSpec(name="prop", target_sector="S1", sub_service_drop=0.6)
         )
         from ioimpact.scenario import CONSUMPTION_COMPONENTS
@@ -188,7 +176,7 @@ class TestPaperShapedArithmetic:
         )
 
     def test_component_changes_and_71pct_total(self):
-        delta = build_scenario1(self.table(), self.spec())
+        delta = build_delta(self.table(), self.spec())
         c = delta.component_changes
         assert c["household_consumption"] == pytest.approx(-4955, abs=0.01)
         assert c["npish_consumption"] == pytest.approx(-1.5, abs=0.01)
@@ -199,7 +187,7 @@ class TestPaperShapedArithmetic:
 
     def test_half_of_consumption_drop_reallocates(self):
         realloc = Reallocation(savings_fraction=0.5, shares={"WHS": 1.0})
-        delta = build_scenario2(self.table(), self.spec(realloc))
+        delta = build_delta(self.table(), self.spec(realloc))
         assert delta.reallocated["WHS"] == pytest.approx(0.5 * (4955 + 1.5 + 48), abs=0.01)
 
 
@@ -293,14 +281,3 @@ class TestBlowupFactorRule:
     def test_must_be_finite_and_positive(self, value):
         with pytest.raises(ScenarioConfigError, match="finite and positive"):
             spec_s1(blowup_factor=value)
-
-
-class TestEntryPointsShareBuildDelta:
-    def test_same_delta(self, e2):
-        savings = spec_s1()
-        realloc = spec_s1(reallocation=Reallocation(savings_fraction=0.5, shares={"S2": 1.0}))
-        for build, spec in ((build_scenario1, savings), (build_scenario2, realloc)):
-            got, want = build(e2, spec), build_delta(e2, spec)
-            assert np.array_equal(got.delta, want.delta)
-            assert got.reallocated == want.reallocated
-            assert got.component_changes == want.component_changes

@@ -1,0 +1,104 @@
+"""The package's public surface: what ``import ioimpact`` exports and loads,
+and the README's library quickstart, run as written."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import ioimpact
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC_NAMES = {
+    "ComparisonReport",
+    "DemandDelta",
+    "EmptyEconomyError",
+    "ExtractionSpec",
+    "FinalDemandBlock",
+    "IOModelError",
+    "IOTable",
+    "ImpactResult",
+    "IntermediateSpec",
+    "InternalConsistencyError",
+    "LeontiefModel",
+    "NonProductiveEconomyError",
+    "Reallocation",
+    "SatelliteAccount",
+    "ScenarioConfigError",
+    "ScenarioSpec",
+    "Sector",
+    "StructuralError",
+    "TableParseError",
+    "TechnicalCoefficients",
+    "UseRatio",
+    "ValidationReport",
+    "apply_blowup",
+    "build_delta",
+    "build_model",
+    "compare_methods",
+    "disaggregate_aggregate",
+    "downstream_importance",
+    "drop_zero_sectors",
+    "estimate_blowup_factor",
+    "extraction_intensities",
+    "full_extraction",
+    "import_share",
+    "inoperability",
+    "input_recipe",
+    "leontief_inverse",
+    "load_io_table",
+    "make_extraction_spec",
+    "output_multipliers",
+    "parse_io_table",
+    "parse_scenario",
+    "partial_extraction",
+    "satellite_deltas",
+    "satellite_multipliers",
+    "technical_coefficients",
+    "validate_table",
+    "write_table_files",
+}
+
+
+def test_all_lists_the_public_names():
+    assert len(PUBLIC_NAMES) == 47
+    assert set(ioimpact.__all__) == PUBLIC_NAMES
+    assert len(ioimpact.__all__) == len(PUBLIC_NAMES)
+    for name in ioimpact.__all__:
+        assert getattr(ioimpact, name) is not None
+
+
+def test_package_and_cli_do_not_load_testkit():
+    probe = (
+        "import sys\n"
+        "import ioimpact\n"
+        "print('ioimpact.testkit' in sys.modules)\n"
+        "import ioimpact.cli\n"
+        "print('ioimpact.testkit' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["False", "False"]
+
+
+def test_readme_quickstart_runs_and_matches_its_comments():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+    assert "from ioimpact.testkit import canonical_e2" in block
+    assert "# [3.75, 2.9167]" in block
+    assert "# delta.delta == [-12, 0]" in block
+    assert "# q == [-0.30, -0.15]" in block
+    ns = {}
+    exec(compile(block, "README.md quickstart", "exec"), ns)
+    io = ns["io"]
+    assert np.allclose(io.output_multipliers(ns["model"]), [3.75, 2.9167], atol=5e-5)
+    assert np.array_equal(ns["delta"].delta, [-12.0, 0.0])
+    assert np.allclose(ns["result"].q, [-0.30, -0.15], atol=1e-12)

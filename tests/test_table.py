@@ -7,11 +7,10 @@ from ioimpact import (
     SatelliteAccount,
     Sector,
     StructuralError,
-    canonical_e2,
     drop_zero_sectors,
     validate_table,
 )
-from ioimpact.testkit import rescale
+from ioimpact.testkit import canonical_e2, rescale
 
 
 def make_table(Z, f_household, x, imports=None, value_added=None, satellites=None):

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from ioimpact import (
+from ioimpact import NonProductiveEconomyError, build_model, validate_table
+from ioimpact.testkit import (
     EconomyGenSpec,
-    NonProductiveEconomyError,
-    build_model,
     canonical_e2,
+    dense_inverse,
     neumann_oracle,
     random_economy,
-    validate_table,
 )
-from ioimpact.testkit import dense_inverse
 
 from conftest import E2_A, E2_L
 
