@@ -29,8 +29,7 @@ from .impact import (
     make_extraction_spec,
     partial_extraction,
 )
-from .ingest import load_io_table, parse_blowup_history, parse_scenario
-from .leontief import build_model
+from .ingest import load_io_table, load_model, parse_blowup_history, parse_scenario
 from .report import (
     ReportBundle,
     comparison_table,
@@ -153,7 +152,7 @@ def cmd_multipliers(args) -> int:
         for line in report.lines():
             print(line, file=sys.stderr)
         return EXIT_VALIDATION
-    model = build_model(table)
+    model = load_model(table)
     bundle = ReportBundle()
     bundle.add(validation_table(report))
     bundle.add(multiplier_table(model))
@@ -230,16 +229,17 @@ def _print_summary(spec, blowup, results) -> None:
 
 
 def cmd_run(args) -> int:
+    # Scenarios first: a bad one exits 2 before the table is read.
+    specs = [parse_scenario(path) for path in args.scenario]
+    multi = len(specs) > 1
+    if multi:
+        _check_scenario_names(args.scenario, specs)
     table, report = _load_validated(args)
     if not report.passed:
         for line in report.lines():
             print(line, file=sys.stderr)
         return EXIT_VALIDATION
-    model = build_model(table)
-    specs = [parse_scenario(path) for path in args.scenario]
-    multi = len(specs) > 1
-    if multi:
-        _check_scenario_names(args.scenario, specs)
+    model = load_model(table)
     override = _blowup_override(args)
     runs = [_run_scenario(model, spec, args, override) for spec in specs]
 

@@ -151,6 +151,13 @@ def _assemble(model, method, scenario, dx) -> ImpactResult:
     )
 
 
+def fixed_point_gap(model: LeontiefModel, dx: np.ndarray, df: np.ndarray) -> float:
+    """Largest residual of the fixed-point system q = A* q + f* for a solution
+    dx of (I - A) dx = df, that is max |((I - A) dx - df) / x|: O(n^2), and NaN
+    when anything in it is not finite."""
+    return np.abs((dx - model.A @ dx - df) / model.x).max()
+
+
 def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
     """Propagate a final-demand change: dx = L df, q = dx / x.
 
@@ -161,7 +168,7 @@ def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
     """
     df = delta.delta
     dx = model.solve(df)
-    gap = np.abs((dx - model.A @ dx - df) / model.x).max()
+    gap = fixed_point_gap(model, dx, df)
     if not (gap <= FIXED_POINT_TOL):
         raise InternalConsistencyError(
             f"inoperability violates the fixed-point system by {gap:.3e}"
@@ -301,7 +308,7 @@ class ComparisonReport:
 def compare_methods(a: ImpactResult, b: ImpactResult) -> ComparisonReport:
     """Per-sector and aggregate differences (a minus b), plus the overlap of
     the two most-affected rankings. Requires identical sector sets."""
-    if a.codes != b.codes:
+    if a.sectors is not b.sectors and a.codes != b.codes:
         raise StructuralError("impact results cover different sector sets")
     metrics = sorted(set(a.totals) & set(b.totals))
     total_diffs = {m: a.totals[m] - b.totals[m] for m in metrics}

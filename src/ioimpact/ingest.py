@@ -21,6 +21,10 @@ the file coordinates is raised. Numeric cells must be finite.
 load_io_table is parse_io_table memoised on disk: a parsed table is stored
 under ``$XDG_CACHE_HOME/ioimpact`` (default ``~/.cache/ioimpact``), keyed by
 the sha256 of the table file, the metadata file and this module's source.
+load_model does the same for the block LDU factors of I - A, which it keeps
+in the ``models`` directory beside the tables. Its factors come either from
+leontief.ldu_factors or from the entry that an earlier run wrote for the
+same A, checked against A before use.
 """
 
 from __future__ import annotations
@@ -37,7 +41,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import leontief
 from .errors import ScenarioConfigError, StructuralError, TableParseError
+from .impact import FIXED_POINT_TOL, fixed_point_gap
+from .leontief import LeontiefModel, check_coefficients, ldu_factors, technical_coefficients
 from .scenario import IntermediateSpec, Reallocation, ScenarioSpec, UseRatio
 from .table import (
     FD_CODES,
@@ -50,7 +57,8 @@ from .table import (
 
 TRAILING_ROWS = ("IMPORTS", "VALUE_ADDED", "TOTAL_USES")
 
-# Parsed tables kept in the cache; each write drops the least recently used.
+# Entries of each kind kept in the cache, parsed tables and model factors
+# alike; each write drops the least recently used entry of its own kind.
 CACHE_ENTRIES = 8
 # What np.load raises on a damaged archive; any of them makes the entry a miss.
 _DAMAGED_ENTRY = (OSError, ValueError, KeyError, EOFError, RuntimeError, zipfile.BadZipFile)
@@ -267,21 +275,35 @@ def load_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTab
     overwritten. A cache that cannot be written leaves the run uncached.
     """
     sectors = parse_sector_metadata(sector_metadata_file)
+    n = len(sectors)
     inputs = (sector_metadata_file, table_file)
     stamp = _stamp(inputs)
-    key = hashlib.sha256(hashlib.sha256(Path(__file__).read_bytes()).digest())
+    key = hashlib.sha256(_source_digest(__file__))
     for path in inputs:
         key.update(_file_digest(path))
     entry = _cache_dir() / f"{key.hexdigest()}.npz"
-    arrays = _read_entry(entry, len(sectors))
+    arrays = _read_entry(
+        entry,
+        {
+            "Z": (n, n),
+            "final_demand": (n, len(FD_CODES)),
+            "x": (n,),
+            "imports": (n,),
+            "value_added": (n,),
+        },
+    )
     if arrays is None:
         table = parse_io_table(table_file, sector_metadata_file, satellite_files)
         if _stamp(inputs) == stamp:  # the parsed bytes are the hashed bytes
-            with contextlib.suppress(OSError):
-                _write_entry(entry, table)
+            _write_entry(
+                entry,
+                Z=table.Z,
+                final_demand=table.final_demand.values,
+                x=table.x,
+                imports=table.imports,
+                value_added=table.value_added,
+            )
         return table
-    with contextlib.suppress(OSError):
-        os.utime(entry)
     return IOTable(
         sectors=tuple(sectors),
         Z=arrays["Z"],
@@ -291,6 +313,40 @@ def load_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTab
         satellites=_parse_satellites(satellite_files, tuple(s.code for s in sectors)),
         x=arrays["x"],
     )
+
+
+def load_model(table: IOTable) -> LeontiefModel:
+    """leontief.build_model, with the factors of I - A cached on disk between runs.
+
+    check_coefficients runs first, on a hit as on a miss, so a cached entry
+    never lets a negative, NaN or non-productive A through. The cache key is
+    the sha256 of leontief.py's source, the numpy version, n and the bytes of
+    A, which is everything the factorization reads: an edited flow, a dropped
+    sector or a new factorization rule is a miss. A hit reads the factors
+    from ``models/<key>.npz`` and serves them only if they are a finite
+    float64 n x n array that solves (I - A) x = f to within FIXED_POINT_TOL,
+    the residual inoperability demands of every solve; any other entry is a
+    miss and is overwritten. A cache that cannot be written leaves the run
+    uncached.
+    """
+    coeffs = technical_coefficients(table)
+    check_coefficients(coeffs)
+    A = np.ascontiguousarray(coeffs.A, dtype=np.float64)
+    n = table.n
+    key = hashlib.sha256(_source_digest(leontief.__file__))
+    key.update(f"numpy {np.__version__}, n = {n}\n".encode())
+    key.update(A)
+    entry = _cache_dir() / "models" / f"{key.hexdigest()}.npz"
+    arrays = _read_entry(entry, {"factors": (n, n)})
+    if arrays is not None:
+        factors = arrays["factors"]
+        factors.setflags(write=False)
+        model = LeontiefModel(table=table, coeffs=coeffs, factors=factors)
+        if fixed_point_gap(model, model.solve(table.f), table.f) <= FIXED_POINT_TOL:
+            return model
+    factors = ldu_factors(A)
+    _write_entry(entry, factors=factors)
+    return LeontiefModel(table=table, coeffs=coeffs, factors=factors)
 
 
 def _cache_dir() -> Path:
@@ -304,6 +360,10 @@ def _stamp(paths) -> list[tuple[int, int, int]]:
     return [(st.st_ino, st.st_size, st.st_mtime_ns) for st in map(os.stat, paths)]
 
 
+def _source_digest(module_file) -> bytes:
+    return hashlib.sha256(Path(module_file).read_bytes()).digest()
+
+
 def _file_digest(path) -> bytes:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -312,15 +372,10 @@ def _file_digest(path) -> bytes:
     return digest.digest()
 
 
-def _read_entry(path: Path, n: int) -> dict[str, np.ndarray] | None:
-    """The cached arrays of an n-sector table, or None if the entry is unusable."""
-    shapes = {
-        "Z": (n, n),
-        "final_demand": (n, len(FD_CODES)),
-        "x": (n,),
-        "imports": (n,),
-        "value_added": (n,),
-    }
+def _read_entry(path: Path, shapes: dict[str, tuple]) -> dict[str, np.ndarray] | None:
+    """The arrays of a cache entry, one per name in ``shapes``, or None if the
+    entry is missing or unusable: unreadable, or with an array that is not
+    finite float64 of its shape. A usable entry is marked as just used."""
     try:
         entry = np.load(path, allow_pickle=False)
         if not isinstance(entry, np.lib.npyio.NpzFile):
@@ -333,33 +388,31 @@ def _read_entry(path: Path, n: int) -> dict[str, np.ndarray] | None:
         a = arrays[name]
         if a.dtype != np.float64 or a.shape != shape or not np.isfinite(a).all():
             return None
+    with contextlib.suppress(OSError):
+        os.utime(path)
     return arrays
 
 
-def _write_entry(path: Path, table: IOTable) -> None:
-    """Store the table's arrays atomically, then keep the CACHE_ENTRIES most
-    recently used entries."""
-    path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh,
-                Z=table.Z,
-                final_demand=table.final_demand.values,
-                x=table.x,
-                imports=table.imports,
-                value_added=table.value_added,
-            )
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-    entries = sorted(
-        ((p.stat().st_mtime_ns, p.name, p) for p in path.parent.glob("*.npz")), reverse=True
-    )
-    for *_, stale in entries[CACHE_ENTRIES:]:
-        stale.unlink()
+def _write_entry(path: Path, **arrays: np.ndarray) -> None:
+    """Store the arrays atomically, then keep the CACHE_ENTRIES most recently
+    used entries of the directory, which holds entries of one kind only. A
+    cache that cannot be written is left as it is."""
+    with contextlib.suppress(OSError):
+        _cache_dir().mkdir(mode=0o700, parents=True, exist_ok=True)
+        path.parent.mkdir(mode=0o700, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, **arrays)
+            os.replace(tmp, path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        entries = sorted(
+            ((p.stat().st_mtime_ns, p.name, p) for p in path.parent.glob("*.npz")), reverse=True
+        )
+        for *_, stale in entries[CACHE_ENTRIES:]:
+            stale.unlink()
 
 
 def _num(v: float) -> str:

@@ -11,8 +11,13 @@ productive A >= 0, I - A is a nonsingular M-matrix: every leading principal
 submatrix and every Schur complement met during elimination is again a
 nonsingular M-matrix, and elimination without pivoting is stable on it
 (Funderlic, Neumann & Plemmons 1982; Miller & Blair, Input-Output Analysis,
-2009, ch. 2). leontief_inverse therefore rejects an A with a negative or NaN
-entry before it factorizes.
+2009, ch. 2). check_coefficients therefore rejects an A with a negative or NaN
+entry, or one that is not productive, before anything is factorized.
+
+build_model and leontief_inverse always factorize and never touch the disk.
+The CLI gets its model from ingest.load_model instead, which runs the same
+check_coefficients and then either loads the factors that ldu_factors wrote
+for the same A in an earlier run or calls ldu_factors and caches the result.
 """
 
 from __future__ import annotations
@@ -191,13 +196,13 @@ def _factorize(m: np.ndarray) -> None:
             m[e:, e:] -= m[e:, s:e] @ m[s:e, e:]
 
 
-def leontief_inverse(coeffs: TechnicalCoefficients) -> LeontiefModel:
-    """Build the model carrying the factors of I - A.
+def check_coefficients(coeffs: TechnicalCoefficients) -> None:
+    """The checks A must pass before I - A is factorized.
 
     Raises ValueError, naming the flow, when A has a negative or NaN entry:
     the factorization is sound only for A >= 0. Raises
     NonProductiveEconomyError when the economy admits no convergent
-    production expansion or (I - A) is singular.
+    production expansion.
     """
     A = coeffs.A
     if not (A.min(initial=0.0) >= 0):  # NaN fails this test too
@@ -208,6 +213,12 @@ def leontief_inverse(coeffs: TechnicalCoefficients) -> LeontiefModel:
             "factorization needs non-negative, non-NaN flows"
         )
     check_productive(A)
+
+
+def ldu_factors(A: np.ndarray) -> np.ndarray:
+    """The read-only block LDU factors of I - A that LeontiefModel holds, for
+    an A that check_coefficients accepted. Raises NonProductiveEconomyError
+    when (I - A) is singular."""
     # I - A is built without an identity matrix and factorized in place.
     factors = np.negative(A)
     factors[np.diag_indices_from(factors)] += 1.0
@@ -216,7 +227,13 @@ def leontief_inverse(coeffs: TechnicalCoefficients) -> LeontiefModel:
     except np.linalg.LinAlgError as exc:
         raise NonProductiveEconomyError(f"(I - A) is singular: {exc}") from exc
     factors.setflags(write=False)
-    return LeontiefModel(table=coeffs.table, coeffs=coeffs, factors=factors)
+    return factors
+
+
+def leontief_inverse(coeffs: TechnicalCoefficients) -> LeontiefModel:
+    """Build the model carrying the factors of I - A, after check_coefficients."""
+    check_coefficients(coeffs)
+    return LeontiefModel(table=coeffs.table, coeffs=coeffs, factors=ldu_factors(coeffs.A))
 
 
 def build_model(table: IOTable) -> LeontiefModel:

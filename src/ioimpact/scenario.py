@@ -237,7 +237,7 @@ def extraction_intensities(table: IOTable, spec: ScenarioSpec) -> np.ndarray:
     if spec.intermediate is None or not spec.intermediate.apply:
         return np.zeros(table.n)
     ratios = spec.intermediate.use_ratios
-    for code in ratios.ratios:
-        table.sector_index(code)  # unknown codes fail loudly
-    alpha = spec.sub_service_drop
-    return np.array([ratios.get(code) * alpha for code in table.codes])
+    r = np.full(table.n, ratios.default)
+    for code, ratio in ratios.ratios.items():
+        r[table.sector_index(code)] = ratio  # unknown codes fail loudly
+    return r * spec.sub_service_drop

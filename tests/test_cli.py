@@ -1,14 +1,15 @@
 import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ioimpact import ingest, write_table_files
+from ioimpact import cli, drop_zero_sectors, ingest, leontief, write_table_files
 from ioimpact.cli import main
-from ioimpact.testkit import canonical_e2, rescale
+from ioimpact.testkit import EconomyGenSpec, canonical_e2, random_economy, rescale
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ioimpact" / "fixtures"
 E2 = FIXTURES / "e2"
@@ -651,6 +652,154 @@ class TestParseCache:
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
         assert self.run_both(out) == 0
         assert self.files(out) == cached
+
+
+class TestModelCache:
+    """run and multipliers load the factors of I - A from the cache when an
+    earlier run factorized the same A."""
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        calls = []
+        for name in ("_factorize", "leontief_inverse"):
+            real = getattr(leontief, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(leontief, name, counting)
+        return calls
+
+    @staticmethod
+    def n300_args(tmp_path):
+        """A generated 300-sector table (three diagonal blocks) and a scenario."""
+        paths = write_table_files(random_economy(EconomyGenSpec(n=300, seed=11)), tmp_path / "in")
+        doc = {
+            "name": "n300", "target_sector": "S17", "sub_service_drop": 0.6,
+            "intermediate": {"apply": True, "use_ratios": {"S3": 0.2}, "default_ratio": 0.5},
+        }
+        scenario = tmp_path / "in" / "n300.json"
+        scenario.write_text(json.dumps(doc))
+        args = e2_args(table=str(paths["table"]), meta=str(paths["sectors"]),
+                       satellites=[str(p) for p in paths["satellites"].values()])
+        return args, scenario
+
+    @pytest.mark.parametrize("fixture", ["e2", "n300"])
+    def test_second_run_does_not_factorize(self, tmp_path, factorizations, fixture):
+        if fixture == "e2":
+            args, scenario = e2_args(), E2 / "shock_s1.json"
+        else:
+            args, scenario = self.n300_args(tmp_path)
+        out = tmp_path / "reports"
+        argv = ["run", *table_flags(args), "--scenario", str(scenario), "--method", "both",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert factorizations == ["_factorize"]
+        miss = TestParseCache.files(out)
+        shutil.rmtree(out)
+        assert main(argv) == 0
+        assert factorizations == ["_factorize"]
+        assert TestParseCache.files(out) == miss
+
+    def test_multipliers_share_the_entry(self, tmp_path, factorizations):
+        out = tmp_path / "reports"
+        assert TestParseCache.run_both(out) == 0
+        assert main(["multipliers", *table_flags(e2_args()), "--sector", "S1",
+                     "--out", str(tmp_path / "m")]) == 0
+        assert factorizations == ["_factorize"]
+
+    NON_PRODUCTIVE = (
+        "sector,S1,S2,HH,NPISH,GOV,GFCF,INV,EXP,total_output\n"
+        "S1,70.0,50.0,-20.0,0.0,0.0,0.0,0.0,0.0,100.0\n"
+        "S2,50.0,70.0,-20.0,0.0,0.0,0.0,0.0,0.0,100.0\n"
+        "IMPORTS,-10.0,-10.0,,,,,,,\n"
+        "VALUE_ADDED,-10.0,-10.0,,,,,,,\n"
+        "TOTAL_USES,100.0,100.0,,,,,,,\n"
+    )
+
+    @pytest.mark.parametrize(
+        "text,code,message",
+        [((E2 / "table.csv").read_text().replace("S1,50.0,20.0", "S1,50.0,-5.0"), 1, "negative"),
+         (NON_PRODUCTIVE, 3, "diverge")],
+        ids=["negative-flow", "non-productive"],
+    )
+    def test_bad_table_fails_alike_with_a_populated_cache(
+        self, tmp_path, monkeypatch, capsys, text, code, message
+    ):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        args = e2_args(table=str(table), satellites=[])
+        argv = ["run", *table_flags(args), "--scenario", str(E2 / "shock_s1.json"),
+                "--out", str(tmp_path / "reports")]
+        assert main(argv) == code
+        cold = capsys.readouterr()
+        assert message in cold.err
+        # Plant the entry a hit would serve: the table's own, correct factors.
+        loaded, _ = drop_zero_sectors(ingest.load_io_table(args["table"], args["meta"]))
+        with monkeypatch.context() as m:
+            m.setattr(ingest, "check_coefficients", lambda coeffs: None)
+            ingest.load_model(loaded)
+        models = Path(os.environ["XDG_CACHE_HOME"]) / "ioimpact" / "models"
+        assert len(list(models.glob("*.npz"))) == 1
+        assert main(argv) == code
+        assert capsys.readouterr() == cold
+
+    def test_unwritable_cache_dir_factorizes_every_run(self, tmp_path, monkeypatch,
+                                                       factorizations):
+        out = tmp_path / "reports"
+        assert TestParseCache.run_both(out) == 0
+        cached = TestParseCache.files(out)
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        for _ in range(2):
+            assert TestParseCache.run_both(out) == 0
+            assert TestParseCache.files(out) == cached
+        assert factorizations == ["_factorize"] * 3
+
+
+class TestScenariosReadFirst:
+    """A scenario that fails to parse, or a bad or repeated scenario name,
+    exits 2 naming its file before the table is read."""
+
+    @pytest.fixture(autouse=True)
+    def no_table_read(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the table was read")
+
+        monkeypatch.setattr(cli, "load_io_table", fail)
+
+    def test_malformed_scenario(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"name": "x", ')
+        code = main(["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json"),
+                     str(bad), "--out", str(tmp_path / "reports")])
+        assert code == 2
+        assert f"error: {bad}: not valid JSON" in capsys.readouterr().err
+
+    def test_repeated_name(self, tmp_path, capsys):
+        first = tmp_path / "first.json"
+        second = tmp_path / "second.json"
+        for path in (first, second):
+            path.write_text('{"name": "same", "target_sector": "S1", "sub_service_drop": 0.5}')
+        code = main(["run", *table_flags(e2_args()), "--scenario", str(first), str(second),
+                     "--out", str(tmp_path / "reports")])
+        assert code == 2
+        assert f"{second}: scenario name 'same' is also the name of {first}" in (
+            capsys.readouterr().err
+        )
+
+
+def test_bad_scenario_wins_over_a_bad_table(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text((E2 / "table.csv").read_text().replace("S1,50.0,20.0", "S1,50.0,-5.0"))
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    code = main(["run", *table_flags(e2_args(table=str(table))), "--scenario", str(bad),
+                 "--out", str(tmp_path / "reports")])
+    assert code == 2
+    assert f"{bad}: top level must be an object" in capsys.readouterr().err
 
 
 class TestScenarioValueTypes:

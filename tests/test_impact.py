@@ -435,6 +435,19 @@ class TestCompare:
             model.sectors[i].code for i in order
         )
 
+    def test_sector_sets_compare_by_code(self, e2, e2_model):
+        a = inoperability(e2_model, e2_delta(e2))
+        renamed = replace(a, sectors=tuple(replace(s, name="renamed") for s in a.sectors))
+        assert renamed.sectors is not a.sectors
+        assert compare_methods(renamed, a).pct_diff == 0.0
+        swapped = replace(a, sectors=tuple(
+            replace(s, code=code) for s, code in zip(a.sectors, ("S2", "S1"))
+        ))
+        from ioimpact import StructuralError
+
+        with pytest.raises(StructuralError, match="different sector sets"):
+            compare_methods(swapped, a)
+
     def test_mismatched_sectors_rejected(self, e2, e2_model):
         a = inoperability(e2_model, e2_delta(e2))
         other = make_table(np.zeros((3, 3)), [1, 2, 3], [1, 2, 3])

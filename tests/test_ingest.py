@@ -22,9 +22,12 @@ from ioimpact import (
     parse_scenario,
     write_table_files,
 )
-from ioimpact import ingest
-from ioimpact.ingest import CACHE_ENTRIES, parse_blowup_history
+from ioimpact import NonProductiveEconomyError, ingest, leontief
+from ioimpact.ingest import CACHE_ENTRIES, load_model, parse_blowup_history
+from ioimpact.leontief import leontief_inverse, technical_coefficients
 from ioimpact.testkit import EconomyGenSpec, canonical_e2, random_economy
+
+from test_table import make_table
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ioimpact" / "fixtures"
 
@@ -503,6 +506,155 @@ class TestParseCache:
         newer = [self._write_distinct(tmp_path, k, base + k)[1] for k in (8, 9)]
         kept = {oldest_entry, *(entry for _, entry in written[3:]), *newer}
         assert _cache_files() == kept
+
+
+def _model_files():
+    """Every file in the model cache directory, entries and temporaries alike."""
+    return set((Path(os.environ["XDG_CACHE_HOME"]) / "ioimpact" / "models").glob("*"))
+
+
+def _fresh_factors(table):
+    return leontief_inverse(technical_coefficients(table)).factors
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    """The number of block LDU factorizations made so far."""
+    calls = []
+    real = leontief._factorize
+
+    def counting(m):
+        calls.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(leontief, "_factorize", counting)
+    return calls
+
+
+def _no_factorization(monkeypatch):
+    def fail(*args):
+        raise AssertionError("factorized on a cache hit")
+
+    monkeypatch.setattr(leontief, "_factorize", fail)
+    monkeypatch.setattr(leontief, "leontief_inverse", fail)
+
+
+def _damage_model_truncate(path, table):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _damage_model_shape(path, table):
+    np.savez(path, factors=np.eye(table.n + 1))
+
+
+def _damage_model_nan(path, table):
+    with np.load(path) as npz:
+        factors = npz["factors"]
+    factors[0, -1] = np.nan
+    np.savez(path, factors=factors)
+
+
+def _damage_model_other_table(path, table):
+    other = random_economy(EconomyGenSpec(n=table.n, seed=99))
+    other_factors = _fresh_factors(other)
+    assert np.isfinite(other_factors).all()
+    np.savez(path, factors=other_factors)
+
+
+def _e2_with_flow(z12):
+    Z = canonical_e2().Z.copy()
+    Z[0, 1] = z12
+    return make_table(Z, [30.0, 30.0], [100.0, 100.0])
+
+
+class TestModelCache:
+    @pytest.mark.parametrize("table", [canonical_e2(), random_economy(EconomyGenSpec(300, 4))],
+                             ids=["e2", "n300"])
+    def test_hit_does_not_factorize_and_is_bit_identical(self, monkeypatch, factorize_calls,
+                                                         table):
+        fresh = _fresh_factors(table)
+        miss = load_model(table)
+        assert len(factorize_calls) == 2  # the fresh model's and the miss's
+        assert len(_model_files()) == 1
+        _no_factorization(monkeypatch)
+        hit = load_model(table)
+        for model in (miss, hit):
+            assert model.factors.dtype == np.float64 and model.factors.shape == fresh.shape
+            assert model.factors.tobytes() == fresh.tobytes()
+            assert not model.factors.flags.writeable
+        assert hit.table is table
+        assert np.array_equal(hit.solve(table.f), miss.solve(table.f))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [_damage_model_truncate, _damage_model_shape, _damage_model_nan,
+         _damage_model_other_table],
+        ids=lambda f: f.__name__.removeprefix("_damage_model_"),
+    )
+    def test_damaged_entry_is_a_miss_and_rewritten(self, factorize_calls, damage):
+        table = random_economy(EconomyGenSpec(n=300, seed=4))
+        fresh = _fresh_factors(table)
+        load_model(table)
+        (entry,) = _model_files()
+        damage(entry, table)
+        before = len(factorize_calls)
+        assert load_model(table).factors.tobytes() == fresh.tobytes()
+        assert len(factorize_calls) == before + 1
+        assert load_model(table).factors.tobytes() == fresh.tobytes()  # the rewritten entry
+        assert len(factorize_calls) == before + 1
+        assert _model_files() == {entry}
+
+    @pytest.mark.parametrize(
+        "table,error",
+        [(_e2_with_flow(-5.0), ValueError), (_e2_with_flow(float("nan")), ValueError),
+         (make_table([[70, 50], [50, 70]], [-20, -20], [100, 100]), NonProductiveEconomyError)],
+        ids=["negative", "nan", "non-productive"],
+    )
+    def test_checks_run_before_the_lookup(self, monkeypatch, table, error):
+        with pytest.raises(error) as cold:
+            load_model(table)
+        # Plant the entry a hit would serve: the table's own, correct factors.
+        with monkeypatch.context() as m:
+            m.setattr(ingest, "check_coefficients", lambda coeffs: None)
+            if np.isfinite(table.Z).all():
+                load_model(table)
+                assert len(_model_files()) == 1
+        with pytest.raises(error) as warm:
+            load_model(table)
+        assert str(warm.value) == str(cold.value)
+
+    def test_edited_flow_is_a_miss(self, factorize_calls):
+        load_model(_e2_with_flow(20.0))
+        load_model(_e2_with_flow(20.5))
+        assert len(factorize_calls) == 2
+        assert len(_model_files()) == 2
+        assert load_model(_e2_with_flow(20.0)).A[0, 1] == 0.2
+        assert len(factorize_calls) == 2
+
+    def test_unwritable_cache_dir(self, tmp_path, monkeypatch, factorize_calls):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        table = canonical_e2()
+        models = [load_model(table) for _ in range(2)]
+        assert len(factorize_calls) == 2
+        assert models[0].factors.tobytes() == models[1].factors.tobytes()
+        assert blocker.read_text() == ""
+
+    def test_models_and_tables_do_not_evict_each_other(self, tmp_path):
+        table_dir = _copy_e2(tmp_path / "in")
+        _load(table_dir)
+        (table_entry,) = _cache_files()
+        for k in range(CACHE_ENTRIES + 1):
+            load_model(_e2_with_flow(10.0 + k))
+        assert len(_model_files()) == CACHE_ENTRIES
+        assert table_entry.exists()
+        models = _model_files()
+        for k in range(10, 11 + CACHE_ENTRIES):
+            TestParseCache._write_distinct(tmp_path, k, time.time() - 1000 + k)
+        assert _model_files() == models
+        assert len([p for p in _cache_files() if p.suffix == ".npz"]) == CACHE_ENTRIES
 
 
 # Bytes that mean something to the CSV grammar or the number parser, plus

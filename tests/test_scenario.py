@@ -226,6 +226,24 @@ class TestExtractionIntensities:
         with pytest.raises(ScenarioConfigError):
             UseRatio(ratios={"S1": 1.2})
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        drop=st.floats(0.0, 1.0),
+        default=st.floats(0.0, 1.0),
+        named=st.dictionaries(st.integers(0, 39), st.floats(0.0, 1.0), max_size=8),
+    )
+    def test_bit_identical_to_per_sector_route(self, n, drop, default, named):
+        table = random_economy(EconomyGenSpec(n=n, seed=1))
+        ratios = UseRatio(ratios={f"S{j % n + 1}": r for j, r in named.items()}, default=default)
+        spec = ScenarioSpec(
+            name="x", target_sector="S1", sub_service_drop=drop,
+            intermediate=IntermediateSpec(apply=True, use_ratios=ratios),
+        )
+        want = np.array([ratios.get(code) * drop for code in table.codes])
+        got = extraction_intensities(table, spec)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
     def test_unknown_ratio_sector_rejected(self, e2):
         spec = ScenarioSpec(
             name="x", target_sector="S1", sub_service_drop=0.5,
