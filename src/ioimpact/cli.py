@@ -15,12 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import (
-    IOModelError,
-    NonProductiveEconomyError,
-    ScenarioConfigError,
-    StructuralError,
-)
+from .errors import IOModelError, NonProductiveEconomyError, ScenarioConfigError
 from .impact import (
     apply_blowup,
     compare_methods,
@@ -287,10 +282,7 @@ def main(argv=None) -> int:
     except NonProductiveEconomyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_PRODUCTIVE
-    except (StructuralError, ScenarioConfigError, OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    except IOModelError as exc:
+    except (IOModelError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
 

@@ -293,8 +293,6 @@ class ComparisonReport:
     method_a: str
     method_b: str
     sectors: tuple[Sector, ...]
-    q_a: np.ndarray = field(repr=False)
-    q_b: np.ndarray = field(repr=False)
     dx_diff: np.ndarray = field(repr=False)
     totals_a: dict[str, float]
     totals_b: dict[str, float]
@@ -325,8 +323,6 @@ def compare_methods(a: ImpactResult, b: ImpactResult) -> ComparisonReport:
         method_a=a.method,
         method_b=b.method,
         sectors=a.sectors,
-        q_a=a.q,
-        q_b=b.q,
         dx_diff=a.dx - b.dx,
         totals_a={m: a.totals[m] for m in metrics},
         totals_b={m: b.totals[m] for m in metrics},

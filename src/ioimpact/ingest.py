@@ -24,7 +24,8 @@ the sha256 of the table file, the metadata file and this module's source.
 load_model does the same for the block LDU factors of I - A, which it keeps
 in the ``models`` directory beside the tables. Its factors come either from
 leontief.ldu_factors or from the entry that an earlier run wrote for the
-same A, checked against A before use.
+same A, checked against A before use; only factors that certify A as
+productive are served or cached.
 """
 
 from __future__ import annotations
@@ -319,15 +320,17 @@ def load_model(table: IOTable) -> LeontiefModel:
     """leontief.build_model, with the factors of I - A cached on disk between runs.
 
     check_coefficients runs first, on a hit as on a miss, so a cached entry
-    never lets a negative, NaN or non-productive A through. The cache key is
-    the sha256 of leontief.py's source, the numpy version, n and the bytes of
-    A, which is everything the factorization reads: an edited flow, a dropped
-    sector or a new factorization rule is a miss. A hit reads the factors
-    from ``models/<key>.npz`` and serves them only if they are a finite
-    float64 n x n array that solves (I - A) x = f to within FIXED_POINT_TOL,
-    the residual inoperability demands of every solve; any other entry is a
-    miss and is overwritten. A cache that cannot be written leaves the run
-    uncached.
+    never lets a negative or NaN A through. The cache key is the sha256 of
+    leontief.py's source, the numpy version, n and the bytes of A, which is
+    everything the factorization reads: an edited flow, a dropped sector or a
+    new factorization rule is a miss. A hit reads the factors from
+    ``models/<key>.npz`` and serves them only if they are a finite float64
+    n x n array that solves (I - A) x = f to within FIXED_POINT_TOL, the
+    residual inoperability demands of every solve; any other entry is a miss
+    and is overwritten. certify_productive runs after the residual check on
+    a hit and before the write on a miss, so a non-productive A fails alike
+    on both and is never cached. A cache that cannot be written leaves the
+    run uncached.
     """
     coeffs = technical_coefficients(table)
     check_coefficients(coeffs)
@@ -343,10 +346,12 @@ def load_model(table: IOTable) -> LeontiefModel:
         factors.setflags(write=False)
         model = LeontiefModel(table=table, coeffs=coeffs, factors=factors)
         if fixed_point_gap(model, model.solve(table.f), table.f) <= FIXED_POINT_TOL:
+            leontief.certify_productive(model)
             return model
-    factors = ldu_factors(A)
-    _write_entry(entry, factors=factors)
-    return LeontiefModel(table=table, coeffs=coeffs, factors=factors)
+    model = LeontiefModel(table=table, coeffs=coeffs, factors=ldu_factors(A))
+    leontief.certify_productive(model)
+    _write_entry(entry, factors=model.factors)
+    return model
 
 
 def _cache_dir() -> Path:
@@ -489,6 +494,8 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
         }
 
     An empty or missing reallocation block means the savings-only scenario.
+    Values must have their JSON types (float() would also take a numeric
+    string or a boolean), and no block may hold an unknown key.
     """
     path = Path(scenario_file)
     try:
@@ -498,61 +505,69 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
     if not isinstance(raw, dict):
         raise ScenarioConfigError(f"{path}: top level must be an object")
 
-    known = {
-        "name",
-        "target_sector",
-        "sub_service_drop",
-        "component_ratios",
-        "absolute_changes",
-        "reallocation",
-        "intermediate",
-        "blowup_factor",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ScenarioConfigError(f"{path}: unknown fields {sorted(unknown)}")
-    for required in ("name", "target_sector", "sub_service_drop"):
-        if required not in raw:
-            raise ScenarioConfigError(f"{path}: missing required field {required!r}")
-
-    def mapping(block, what: str) -> dict:
+    def mapping(block, what: str, known=None) -> dict:
         if not isinstance(block, dict):
             raise ScenarioConfigError(f"{what} must be an object, got {block!r:.40}")
+        unknown = set(block) - set(block if known is None else known)
+        if unknown:
+            raise ScenarioConfigError(f"{what} has unknown fields {sorted(unknown)}")
         return block
+
+    def number(value, what: str):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioConfigError(f"{what} must be a number, got {value!r}")
+        return value
+
+    def numbers(parent: dict, key: str, each: str, what=None) -> dict:
+        block = mapping(parent.get(key, {}), what or key)
+        return {k: number(v, f"{each} {k!r}") for k, v in block.items()}
 
     # Every error from here on, the spec classes' value checks included,
     # names the file.
     try:
+        top_level = ("name", "target_sector", "sub_service_drop", "component_ratios",
+                     "absolute_changes", "reallocation", "intermediate", "blowup_factor")
+        mapping(raw, "scenario", top_level)
+        for required in ("name", "target_sector", "sub_service_drop"):
+            if required not in raw:
+                raise ScenarioConfigError(f"missing required field {required!r}")
+        for key in ("name", "target_sector"):
+            if not isinstance(raw[key], str):
+                raise ScenarioConfigError(f"{key} must be a string, got {raw[key]!r}")
+
         realloc = None
-        block = mapping(raw.get("reallocation") or {}, "reallocation")
+        block = mapping(raw.get("reallocation", {}), "reallocation", ("savings_fraction", "shares"))
         if block:
             if "savings_fraction" not in block:
                 raise ScenarioConfigError("reallocation needs savings_fraction")
             realloc = Reallocation(
-                savings_fraction=block["savings_fraction"],
-                shares=mapping(block.get("shares", {}), "reallocation shares"),
+                savings_fraction=number(block["savings_fraction"], "savings_fraction"),
+                shares=numbers(block, "shares", "reallocation share for", "reallocation shares"),
             )
 
         intermediate = None
-        block = mapping(raw.get("intermediate") or {}, "intermediate")
+        known = ("apply", "use_ratios", "default_ratio")
+        block = mapping(raw.get("intermediate", {}), "intermediate", known)
         if block:
+            if not isinstance(apply := block.get("apply", True), bool):
+                raise ScenarioConfigError(f"intermediate apply must be a boolean, got {apply!r}")
             intermediate = IntermediateSpec(
-                apply=bool(block.get("apply", True)),
+                apply=apply,
                 use_ratios=UseRatio(
-                    ratios=mapping(block.get("use_ratios", {}), "intermediate use_ratios"),
-                    default=block.get("default_ratio", 1.0),
+                    ratios=numbers(block, "use_ratios", "use ratio for", "intermediate use_ratios"),
+                    default=number(block.get("default_ratio", 1.0), "default use ratio"),
                 ),
             )
 
         return ScenarioSpec(
-            name=str(raw["name"]),
-            target_sector=str(raw["target_sector"]),
-            sub_service_drop=raw["sub_service_drop"],
-            component_ratios=mapping(raw.get("component_ratios", {}), "component_ratios"),
-            absolute_changes=mapping(raw.get("absolute_changes", {}), "absolute_changes"),
+            name=raw["name"],
+            target_sector=raw["target_sector"],
+            sub_service_drop=number(raw["sub_service_drop"], "sub_service_drop"),
+            component_ratios=numbers(raw, "component_ratios", "component ratio for"),
+            absolute_changes=numbers(raw, "absolute_changes", "absolute change for"),
             reallocation=realloc,
             intermediate=intermediate,
-            blowup_factor=raw.get("blowup_factor", 1.0),
+            blowup_factor=number(raw.get("blowup_factor", 1.0), "blowup_factor"),
         )
     except ScenarioConfigError as exc:
         raise ScenarioConfigError(f"{path}: {exc}") from exc

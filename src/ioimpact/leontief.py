@@ -12,12 +12,14 @@ submatrix and every Schur complement met during elimination is again a
 nonsingular M-matrix, and elimination without pivoting is stable on it
 (Funderlic, Neumann & Plemmons 1982; Miller & Blair, Input-Output Analysis,
 2009, ch. 2). check_coefficients therefore rejects an A with a negative or NaN
-entry, or one that is not productive, before anything is factorized.
+entry before anything is factorized, and certify_productive proves from the
+factors, at the cost of one solve, that A is productive.
 
 build_model and leontief_inverse always factorize and never touch the disk.
 The CLI gets its model from ingest.load_model instead, which runs the same
 check_coefficients and then either loads the factors that ldu_factors wrote
 for the same A in an earlier run or calls ldu_factors and caches the result.
+Every model handed out, cached or not, has passed certify_productive.
 """
 
 from __future__ import annotations
@@ -28,12 +30,6 @@ import numpy as np
 
 from .errors import NonProductiveEconomyError
 from .table import SATELLITE_KINDS, IOTable, Sector
-
-# A productive economy must have a convergent production expansion. Column
-# sums below one are sufficient; otherwise powers of A are examined by
-# repeated squaring, with divergence declared once the norm passes this cap.
-_DIVERGENCE_CAP = 1e6
-_MAX_SQUARINGS = 40
 
 # Width of the diagonal blocks of the factorization. A table with at most
 # this many sectors is one block, factorized by a single LAPACK inverse.
@@ -154,32 +150,6 @@ def technical_coefficients(table: IOTable) -> TechnicalCoefficients:
     )
 
 
-def check_productive(A: np.ndarray) -> None:
-    """Raise NonProductiveEconomyError unless the expansion sum_k A^k converges.
-
-    Column sums all below one prove convergence directly. Otherwise powers of
-    A are squared repeatedly: a norm dropping below one proves convergence, a
-    norm exceeding the divergence cap proves the opposite.
-    """
-    colsums = A.sum(axis=0)
-    if np.all(colsums < 1.0):
-        return
-    power = A.copy()
-    for _ in range(_MAX_SQUARINGS):
-        norm = np.abs(power).sum(axis=1).max()
-        if norm < 1.0:
-            return
-        if norm > _DIVERGENCE_CAP:
-            raise NonProductiveEconomyError(
-                f"coefficient powers diverge (norm {norm:.3g}); "
-                f"max column sum is {colsums.max():.6g}"
-            )
-        power = power @ power
-    raise NonProductiveEconomyError(
-        f"coefficient powers do not shrink; max column sum is {colsums.max():.6g}"
-    )
-
-
 def _factorize(m: np.ndarray) -> None:
     """Overwrite m = I - A with the block LDU factors LeontiefModel holds.
 
@@ -197,12 +167,10 @@ def _factorize(m: np.ndarray) -> None:
 
 
 def check_coefficients(coeffs: TechnicalCoefficients) -> None:
-    """The checks A must pass before I - A is factorized.
+    """The check A must pass before I - A is factorized.
 
     Raises ValueError, naming the flow, when A has a negative or NaN entry:
-    the factorization is sound only for A >= 0. Raises
-    NonProductiveEconomyError when the economy admits no convergent
-    production expansion.
+    the factorization is sound only for A >= 0.
     """
     A = coeffs.A
     if not (A.min(initial=0.0) >= 0):  # NaN fails this test too
@@ -212,7 +180,6 @@ def check_coefficients(coeffs: TechnicalCoefficients) -> None:
             f"Z[{codes[i]}, {codes[j]}] is {float(coeffs.table.Z[i, j])}; the Leontief "
             "factorization needs non-negative, non-NaN flows"
         )
-    check_productive(A)
 
 
 def ldu_factors(A: np.ndarray) -> np.ndarray:
@@ -230,10 +197,40 @@ def ldu_factors(A: np.ndarray) -> np.ndarray:
     return factors
 
 
+def certify_productive(model: LeontiefModel) -> None:
+    """Raise NonProductiveEconomyError unless the factors prove rho(A) < 1,
+    so that sum_k A^k converges to (I - A)^-1.
+
+    Collatz-Wielandt: for A >= 0, any x > 0 with A x <= c x and c < 1 proves
+    rho(A) <= c, however x was computed. Here x = (I - A)^-1 1, one solve,
+    which is L 1 >= 1 for a productive A, and c = 1 - 2 n eps: the margin
+    covers the rounding of A x, whose entries are sums of n non-negative
+    products. A productive A fails only once x passes about 1 / (2 n eps),
+    where I - A is numerically singular. NaN fails every comparison.
+    """
+    n = model.table.n
+    with np.errstate(all="ignore"):  # a non-finite x is reported, not warned about
+        x = model.solve(np.ones(n))
+        Ax = model.A @ x
+        if not (x > 0).all():
+            i = int(np.argmax(~(x > 0)))
+            detail = f"(I - A)^-1 1 is {x[i]:.6g} at sector {model.table.codes[i]}"
+        elif (Ax < (1.0 - 2 * n * np.finfo(float).eps) * x).all():
+            return
+        else:
+            detail = f"max (A x)_i / x_i is {(Ax / x).max():.6g} for x = (I - A)^-1 1"
+    raise NonProductiveEconomyError(
+        f"no positive x with A x < x exists, so the expansion sum_k A^k diverges; {detail}"
+    )
+
+
 def leontief_inverse(coeffs: TechnicalCoefficients) -> LeontiefModel:
-    """Build the model carrying the factors of I - A, after check_coefficients."""
+    """Build the model carrying the factors of I - A: check_coefficients,
+    then ldu_factors, then certify_productive."""
     check_coefficients(coeffs)
-    return LeontiefModel(table=coeffs.table, coeffs=coeffs, factors=ldu_factors(coeffs.A))
+    model = LeontiefModel(table=coeffs.table, coeffs=coeffs, factors=ldu_factors(coeffs.A))
+    certify_productive(model)
+    return model
 
 
 def build_model(table: IOTable) -> LeontiefModel:

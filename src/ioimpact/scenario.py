@@ -47,7 +47,7 @@ SHARE_SUM_TOL = 1e-9
 def _number(value, what: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioConfigError(f"{what} must be a number, got {value!r}") from None
 
 

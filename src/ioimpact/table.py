@@ -33,7 +33,6 @@ FD_COMPONENTS = (
 )
 FD_CODES = ("HH", "NPISH", "GOV", "GFCF", "INV", "EXP")
 FD_CODE_TO_COMPONENT = dict(zip(FD_CODES, FD_COMPONENTS))
-FD_COMPONENT_TO_CODE = dict(zip(FD_COMPONENTS, FD_CODES))
 
 # Only inventory changes are legitimately negative in national accounts.
 SIGNED_FD_COMPONENTS = frozenset({"inventory_changes"})

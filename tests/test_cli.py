@@ -735,13 +735,20 @@ class TestModelCache:
         assert main(argv) == code
         cold = capsys.readouterr()
         assert message in cold.err
-        # Plant the entry a hit would serve: the table's own, correct factors.
+        models = Path(os.environ["XDG_CACHE_HOME"]) / "ioimpact" / "models"
+        assert list(models.glob("*")) == []
+        # Plant the entry a hit would serve: the table's own ldu_factors,
+        # written under its key by a load_model that checks nothing.
         loaded, _ = drop_zero_sectors(ingest.load_io_table(args["table"], args["meta"]))
         with monkeypatch.context() as m:
             m.setattr(ingest, "check_coefficients", lambda coeffs: None)
+            m.setattr(leontief, "certify_productive", lambda model: None)
             ingest.load_model(loaded)
-        models = Path(os.environ["XDG_CACHE_HOME"]) / "ioimpact" / "models"
-        assert len(list(models.glob("*.npz"))) == 1
+        (entry,) = models.glob("*.npz")
+        with np.load(entry) as npz:
+            planted = npz["factors"]
+        A = leontief.technical_coefficients(loaded).A
+        assert planted.tobytes() == leontief.ldu_factors(A).tobytes()
         assert main(argv) == code
         assert capsys.readouterr() == cold
 
@@ -834,6 +841,36 @@ class TestScenarioValueTypes:
              "absolute change for 'EXP' must be finite, got nan"),
             ('"sub_service_drop": 0.5, "absolute_changes": {"EXP": -Infinity}',
              "absolute change for 'EXP' must be finite, got -inf"),
+            # float() would take a numeric string or a boolean; a file must not.
+            ('"sub_service_drop": true', "sub_service_drop must be a number, got True"),
+            ('"sub_service_drop": "0.4"', "sub_service_drop must be a number, got '0.4'"),
+            ('"sub_service_drop": 0.5, "blowup_factor": "1.5"',
+             "blowup_factor must be a number, got '1.5'"),
+            ('"sub_service_drop": 0.5, "component_ratios": {"HH": "1"}',
+             "component ratio for 'HH' must be a number, got '1'"),
+            ('"sub_service_drop": 0.5, "absolute_changes": {"HH": false}',
+             "absolute change for 'HH' must be a number, got False"),
+            ('"sub_service_drop": 0.5, "reallocation": {"savings_fraction": "0.5"}',
+             "savings_fraction must be a number, got '0.5'"),
+            ('"sub_service_drop": 0.5, "reallocation": {"savings_fraction": 0.5, '
+             '"shares": {"S2": true}}',
+             "reallocation share for 'S2' must be a number, got True"),
+            ('"sub_service_drop": 0.5, "intermediate": {"use_ratios": {"S2": "0"}}',
+             "use ratio for 'S2' must be a number, got '0'"),
+            ('"sub_service_drop": 0.5, "intermediate": {"default_ratio": true}',
+             "default use ratio must be a number, got True"),
+            ('"sub_service_drop": 0.5, "intermediate": {"apply": "false"}',
+             "intermediate apply must be a boolean, got 'false'"),
+            ('"sub_service_drop": 0.5, "intermediate": {"apply": 0}',
+             "intermediate apply must be a boolean, got 0"),
+            ('"sub_service_drop": 0.5, "name": 5', "name must be a string, got 5"),
+            ('"sub_service_drop": 0.5, "target_sector": ["S1"]',
+             "target_sector must be a string, got ['S1']"),
+            ('"sub_service_drop": 0.5, "reallocation": null',
+             "reallocation must be an object, got None"),
+            # An integer literal beyond the float range, which float() refuses.
+            pytest.param('"sub_service_drop": 0.5, "blowup_factor": 1' + "0" * 400,
+                         "blowup_factor must be a number, got 1000", id="integer-overflow"),
         ],
     )
     def test_wrong_type_exits_two(self, tmp_path, capsys, fields, message):
@@ -843,7 +880,27 @@ class TestScenarioValueTypes:
         code = main(["run", *table_flags(e2_args()), "--scenario", str(scenario),
                      "--out", str(out)])
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert f"error: {scenario}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "block,fields,unknown",
+        [("reallocation", '"savings_fraction": 0.5, "share": {"S2": 1.0}', "share"),
+         ("intermediate", '"apply": true, "use_ratio": {"S2": 0.0}, "default_ratio": 0.5',
+          "use_ratio")],
+    )
+    def test_unknown_key_in_a_block_exits_two(self, tmp_path, capsys, block, fields, unknown):
+        # A misspelt key would otherwise drop its block's data without a word.
+        scenario = tmp_path / "s.json"
+        scenario.write_text('{"name": "x", "target_sector": "S1", "sub_service_drop": 0.5, '
+                            f'"{block}": {{{fields}}}}}')
+        out = tmp_path / "reports"
+        code = main(["run", *table_flags(e2_args()), "--scenario", str(scenario),
+                     "--out", str(out)])
+        assert code == 2
+        assert f"error: {scenario}: {block} has unknown fields ['{unknown}']" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

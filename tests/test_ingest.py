@@ -27,6 +27,7 @@ from ioimpact.ingest import CACHE_ENTRIES, load_model, parse_blowup_history
 from ioimpact.leontief import leontief_inverse, technical_coefficients
 from ioimpact.testkit import EconomyGenSpec, canonical_e2, random_economy
 
+from test_leontief import column_stochastic, table_with_A
 from test_table import make_table
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ioimpact" / "fixtures"
@@ -608,18 +609,27 @@ class TestModelCache:
     @pytest.mark.parametrize(
         "table,error",
         [(_e2_with_flow(-5.0), ValueError), (_e2_with_flow(float("nan")), ValueError),
-         (make_table([[70, 50], [50, 70]], [-20, -20], [100, 100]), NonProductiveEconomyError)],
-        ids=["negative", "nan", "non-productive"],
+         (make_table([[70, 50], [50, 70]], [-20, -20], [100, 100]), NonProductiveEconomyError),
+         # rho(A) = 1 over three 128-wide blocks.
+         (table_with_A(column_stochastic(300, seed=3)), NonProductiveEconomyError)],
+        ids=["negative", "nan", "non-productive", "column-stochastic"],
     )
     def test_checks_run_before_the_lookup(self, monkeypatch, table, error):
         with pytest.raises(error) as cold:
             load_model(table)
-        # Plant the entry a hit would serve: the table's own, correct factors.
+        assert _model_files() == set()
+        # Plant the entry a hit would serve: the table's own ldu_factors,
+        # written under its key by a load_model that checks nothing.
         with monkeypatch.context() as m:
             m.setattr(ingest, "check_coefficients", lambda coeffs: None)
+            m.setattr(leontief, "certify_productive", lambda model: None)
             if np.isfinite(table.Z).all():
                 load_model(table)
-                assert len(_model_files()) == 1
+                (entry,) = _model_files()
+                with np.load(entry) as npz:
+                    planted = npz["factors"]
+                A = technical_coefficients(table).A
+                assert planted.tobytes() == leontief.ldu_factors(A).tobytes()
         with pytest.raises(error) as warm:
             load_model(table)
         assert str(warm.value) == str(cold.value)

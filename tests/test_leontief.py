@@ -16,7 +16,6 @@ from ioimpact import (
     satellite_multipliers,
     technical_coefficients,
 )
-from ioimpact.leontief import check_productive
 from ioimpact.testkit import EconomyGenSpec, dense_inverse, neumann_oracle, random_economy, rescale
 
 from conftest import E2_A, E2_L
@@ -60,16 +59,17 @@ class TestLeontiefInverse:
         assert np.allclose(dense_inverse(model), np.eye(3), atol=1e-15)
 
     def test_non_productive_economy_rejected(self):
-        # Column sums 1.2 with spectral radius 1.2: the expansion diverges.
+        # Column sums 1.2 with spectral radius 1.2: the expansion diverges,
+        # and (I - A)^-1 1 = [-5, -5] is no certificate.
         table = make_table([[70, 50], [50, 70]], [-20, -20], [100, 100])
         coeffs = technical_coefficients(table)
-        with pytest.raises(NonProductiveEconomyError):
+        with pytest.raises(NonProductiveEconomyError, match=r"\(I - A\)\^-1 1 is -5 at sector S1"):
             leontief_inverse(coeffs)
 
     def test_high_column_sum_but_productive_is_accepted(self):
-        # Column sum 1.2 yet spectral radius 0.6: the power check must pass it.
+        # Column sum 1.2 yet spectral radius 0.6: the certificate must pass it.
         A = np.array([[0.6, 0.0], [0.6, 0.0]])
-        check_productive(A)
+        assert np.array_equal(build_model(table_with_A(A)).A, A)
 
     def test_model_reproduces_output_from_demand(self, e2_model):
         assert np.allclose(dense_inverse(e2_model) @ e2_model.f, e2_model.x, atol=1e-9)
@@ -78,6 +78,73 @@ class TestLeontiefInverse:
         L = dense_inverse(e2_model)
         assert np.all(L >= 0)
         assert np.all(np.diag(L) >= 1)
+
+
+def table_with_A(A):
+    """A table whose coefficient matrix is exactly A: unit outputs and Z = A."""
+    A = np.asarray(A, dtype=float)
+    x = np.ones(len(A))
+    return make_table(A, x - A.sum(axis=1), x)
+
+
+def column_stochastic(n: int, seed: int) -> np.ndarray:
+    """A positive A whose columns each sum to one, so that rho(A) = 1."""
+    B = np.random.default_rng(seed).random((n, n)) + 0.01
+    return B / B.sum(axis=0)
+
+
+def scaled_to_radius(n: int, seed: int, rho: float, non_normal: bool) -> np.ndarray:
+    """A random A >= 0 with spectral radius rho. A positive diagonal keeps the
+    radius of the draw above zero; a diagonal similarity D B D^-1, which
+    keeps the spectrum and the signs, makes it far from normal."""
+    rng = np.random.default_rng(seed)
+    B = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 1.0))
+    B[np.diag_indices(n)] += rng.uniform(0.01, 1.0, n)
+    if non_normal:
+        d = 10.0 ** rng.uniform(-2.0, 2.0, n)
+        B = B * d[:, np.newaxis] / d[np.newaxis, :]
+    return B * (rho / np.abs(np.linalg.eigvals(B)).max())
+
+
+class TestProductivityCertificate:
+    """build_model accepts A >= 0 iff rho(A) < 1, decided from the factors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 40, 129, 200]),
+        seed=st.integers(0, 10_000),
+        rho=st.floats(0.01, 0.99) | st.floats(1.01, 3.0),
+        non_normal=st.booleans(),
+    )
+    def test_accepted_iff_spectral_radius_below_one(self, n, seed, rho, non_normal):
+        A = scaled_to_radius(n, seed, rho, non_normal)
+        productive = np.abs(np.linalg.eigvals(A)).max() < 1.0
+        try:
+            build_model(table_with_A(A))
+            accepted = True
+        except NonProductiveEconomyError as exc:
+            assert "diverges" in str(exc)
+            accepted = False
+        assert accepted == productive
+
+    @pytest.mark.parametrize("n", [2, 300])
+    def test_column_stochastic_rejected(self, n):
+        with pytest.raises(NonProductiveEconomyError):
+            build_model(table_with_A(column_stochastic(n, seed=n)))
+
+    def test_one_large_coefficient_is_productive(self):
+        # rho(A) = 0.5, though every norm of A and of A^2 is 1e7.
+        A = np.array([[0.5, 1e7], [0.0, 0.5]])
+        model = build_model(table_with_A(A))
+        assert np.allclose(model.solve(np.ones(2)), [4e7 + 2, 2.0], rtol=1e-12)
+
+    def test_message_gives_the_bound(self):
+        # x = 2^52 > 0 solves (I - A) x = 1 exactly, but A x = x - 1 is above
+        # (1 - 2 eps) x: the margin fails. An x beyond 1 / (2 n eps) marks a
+        # numerically singular I - A, which is rejected though rho(A) < 1.
+        A = np.array([[1.0 - 2.0**-52]])
+        with pytest.raises(NonProductiveEconomyError, match=r"max \(A x\)_i / x_i is 1 "):
+            build_model(table_with_A(A))
 
 
 def heavy_column_table(n: int, seed: int):
