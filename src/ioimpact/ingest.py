@@ -16,7 +16,15 @@ the matrix order). Satellite files are ``sector,<kind>`` CSVs with one row
 per sector. Every CSV row has exactly as many cells as its header names;
 blank rows are skipped. Scenario files are JSON; see parse_scenario. Parsing
 is total: either a fully populated object is returned or an error carrying
-the file coordinates is raised. Numeric cells must be finite.
+the file coordinates is raised. Numeric cells must be finite. Files are
+decoded line by line, so the first bad line or cell in the file is the one
+named.
+
+A table file of at least 1 MiB is parsed in two processes where os.fork
+exists and two CPUs are usable: a forked worker parses the second half of
+the sector rows and the trailing rows into a shared mapping. The result,
+or the error with its row and column, is the one-process parse's; see
+_parse_rows.
 
 load_io_table is parse_io_table memoised on disk: a parsed table is stored
 under ``$XDG_CACHE_HOME/ioimpact`` (default ``~/.cache/ioimpact``), keyed by
@@ -35,8 +43,12 @@ import csv
 import hashlib
 import json
 import math
+import mmap
 import os
+import re
+import signal
 import tempfile
+import threading
 import zipfile
 from pathlib import Path
 
@@ -65,48 +77,83 @@ CACHE_ENTRIES = 8
 _DAMAGED_ENTRY = (OSError, ValueError, KeyError, EOFError, RuntimeError, zipfile.BadZipFile)
 
 
-def _csv_rows(path, width: int):
-    """Yield ``(1-based row number, cells)`` for each non-blank CSV row.
+# Where a lone carriage return ends a line inside a \n-ended one.
+_LONE_CR = re.compile("(?<=\r)(?!\n)")
 
-    The caller checks the first row, the header; every later row must have
-    ``width`` cells. A row of another width, one csv cannot read (such as
-    a cell over csv.field_size_limit()) or one that is not valid UTF-8
-    raises TableParseError naming it.
+
+class _Lines:
+    """The lines of a binary file, from its current position, decoded one
+    by one for csv.reader.
+
+    Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in a text file
+    opened with ``newline=""``. ``lines`` counts the ``\\n``-ended lines
+    handed out and ``end`` is the byte offset after them. ``plain`` stays
+    true while no line held a ``"`` or a lone ``\\r``: up to then every line
+    is one CSV record. Iteration stops at byte offset ``stop`` if the lines
+    before it were plain, and can be resumed by iterating again. A line that
+    is not valid UTF-8 raises TableParseError naming it, counted from where
+    the lines start.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        r = 0
-        header = True
-        try:
-            for r, cells in enumerate(csv.reader(fh), start=1):
-                if not any(cell.strip() for cell in cells):
-                    continue
-                if not header and len(cells) != width:
-                    raise TableParseError(
-                        f"{path}: row has {len(cells)} cells, expected {width}", row=r
-                    )
-                header = False
-                yield r, cells
-        except csv.Error as exc:
-            raise TableParseError(f"{path}: {exc}", row=r + 1) from None
-        except UnicodeDecodeError as exc:
-            raise TableParseError(
-                f"{path}: not valid UTF-8 ({exc.reason})", row=_undecodable_line(path)
-            ) from None
 
+    def __init__(self, fh, path, encoding="utf-8"):
+        self.fh = fh
+        self.path = path
+        self.encoding = encoding  # of the next line; "utf-8-sig" drops a BOM
+        self.lines = 0
+        self.end = fh.tell()
+        self.stop = None
+        self.plain = True
 
-def _undecodable_line(path) -> int | None:
-    """1-based number of the first line that is not valid UTF-8.
-
-    The text decoder works on blocks, so its error does not say which row
-    held the bad byte; a newline byte never occurs inside a UTF-8 sequence.
-    """
-    with open(path, "rb") as fh:
-        for number, line in enumerate(fh, start=1):
+    def __iter__(self):
+        while not (self.plain and self.end == self.stop):
+            line = self.fh.readline()
+            if not line:
+                return
+            self.lines += 1
+            self.end += len(line)
             try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return number
-    return None
+                text = line.decode(self.encoding)
+            except UnicodeDecodeError as exc:
+                raise TableParseError(
+                    f"{self.path}: not valid UTF-8 ({exc.reason})", row=self.lines
+                ) from None
+            self.encoding = "utf-8"
+            if b'"' in line:
+                self.plain = False
+            if b"\r" in line and line.count(b"\r") != line.endswith(b"\r\n"):
+                self.plain = False
+                yield from filter(None, _LONE_CR.split(text))
+            else:
+                yield text
+
+
+def _records(lines: _Lines, path, width: int, r: int = 0, header: bool = True):
+    """Yield ``(1-based row number, cells)`` for each non-blank CSV record,
+    numbering the records after the first ``r``.
+
+    While ``header`` holds, the next non-blank record is the header, which
+    the caller checks; every later record must have ``width`` cells. A
+    record of another width or one csv cannot read (such as a cell over
+    csv.field_size_limit()) raises TableParseError naming it.
+    """
+    try:
+        for r, cells in enumerate(csv.reader(lines), start=r + 1):
+            if not any(cell.strip() for cell in cells):
+                continue
+            if not header and len(cells) != width:
+                raise TableParseError(
+                    f"{path}: row has {len(cells)} cells, expected {width}", row=r
+                )
+            header = False
+            yield r, cells
+    except csv.Error as exc:
+        raise TableParseError(f"{path}: {exc}", row=r + 1) from None
+
+
+def _csv_rows(path, width: int):
+    """_records over a whole file, which may start with a UTF-8 BOM."""
+    with open(path, "rb") as fh:
+        yield from _records(_Lines(fh, path, "utf-8-sig"), path, width)
 
 
 def _cell(raw: str, row: int, col: int) -> float:
@@ -184,34 +231,60 @@ def parse_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTa
     """Parse the table CSV plus metadata and satellite files into an IOTable.
 
     The table is read in one pass: each row's numeric cells are converted
-    at once into a preallocated ``n x (n+7)`` body holding Z, the
-    final-demand block and x. The result is structurally checked but not
-    identity-validated; run validate_table (after drop_zero_sectors, for
-    real tables) next.
+    at once into a preallocated array holding Z, the final-demand block and
+    x, then the trailing rows. A large table is parsed in two processes
+    (see _parse_rows), with the same result or the same error as in one.
+    The result is structurally checked but not identity-validated; run
+    validate_table (after drop_zero_sectors, for real tables) next.
     """
     sectors = parse_sector_metadata(sector_metadata_file)
     codes = tuple(s.code for s in sectors)
     n = len(codes)
     expected_header = ["sector", *codes, *FD_CODES, "total_output"]
-    width = len(expected_header)
     n_rows = 1 + n + len(TRAILING_ROWS)
-    body = np.empty((n, width - 1))
-    trailing = {}
-    rows = _csv_rows(table_file, width)
-    r, header = next(rows, (1, None))
-    if header is None:
-        raise TableParseError(f"{table_file}: empty file")
-    header = [c.strip() for c in header]
-    if header != expected_header:
+    # Row i of the table after the header; trailing rows use n cells.
+    out = np.empty((n + len(TRAILING_ROWS), len(expected_header) - 1))
+    with open(table_file, "rb") as fh:
+        lines = _Lines(fh, table_file, "utf-8-sig")
+        rows = _records(lines, table_file, len(expected_header))
+        r, header = next(rows, (1, None))
+        if header is None:
+            raise TableParseError(f"{table_file}: empty file")
+        header = [c.strip() for c in header]
+        if header != expected_header:
+            raise TableParseError(
+                f"{table_file}: header mismatch; expected {expected_header[:4]}... "
+                f"per the metadata file, got {header[:4]}...",
+                row=r,
+            )
+        count = _parse_rows(table_file, fh, lines, rows, codes, out)
+    if count != n_rows:
         raise TableParseError(
-            f"{table_file}: header mismatch; expected {expected_header[:4]}... "
-            f"per the metadata file, got {header[:4]}...",
-            row=r,
+            f"{table_file}: expected {n_rows} rows "
+            f"({n} sectors + trailing {', '.join(TRAILING_ROWS)}), got {count}"
         )
-    count = 1
-    for count, (r, row) in enumerate(rows, start=2):
+
+    return IOTable(
+        sectors=tuple(sectors),
+        Z=out[:n, :n],
+        final_demand=FinalDemandBlock(out[:n, n:-1]),
+        imports=out[n, :n],
+        value_added=out[n + 1, :n],
+        satellites=_parse_satellites(satellite_files, codes),
+        x=out[:n, -1],
+    )
+
+
+def _fill(rows, codes: tuple[str, ...], out: np.ndarray, first: int, count: int) -> int:
+    """Parse table rows into ``out``: row i after the header, a sector row
+    or a trailing row, goes to ``out[i - first]``. ``count`` is the number
+    of non-blank rows before ``rows``, the header included; returns the
+    number after them. Rows past the expected count are only counted."""
+    n = len(codes)
+    n_rows = 1 + n + len(TRAILING_ROWS)
+    for count, (r, row) in enumerate(rows, start=count + 1):
         if count > n_rows:
-            continue  # only counted, for the row-count check below
+            continue  # only counted, for the row-count check
         i = count - 2
         label = row[0].strip()
         if i < n:
@@ -221,36 +294,170 @@ def parse_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTa
                     row=r,
                     column=1,
                 )
-            body[i] = _row_values(row[1:], r)
+            out[i - first] = _row_values(row[1:], r)
             continue
         expected = TRAILING_ROWS[i - n]
         if label != expected:
             raise TableParseError(
                 f"expected trailing row {expected!r}, got {label!r}", row=r, column=1
             )
-        trailing[expected] = _row_values(row[1 : 1 + n], r)
-        for c in range(n + 1, width):
+        out[i - first, :n] = _row_values(row[1 : 1 + n], r)
+        for c in range(n + 1, len(row)):
             if row[c].strip():
                 raise TableParseError(
                     f"trailing row {expected} must leave final-demand cells empty",
                     row=r,
                     column=c + 1,
                 )
-    if count != n_rows:
-        raise TableParseError(
-            f"{table_file}: expected {n_rows} rows "
-            f"({n} sectors + trailing {', '.join(TRAILING_ROWS)}), got {count}"
-        )
+    return count
 
-    return IOTable(
-        sectors=tuple(sectors),
-        Z=body[:, :n],
-        final_demand=FinalDemandBlock(body[:, n:-1]),
-        imports=trailing["IMPORTS"],
-        value_added=trailing["VALUE_ADDED"],
-        satellites=_parse_satellites(satellite_files, codes),
-        x=body[:, -1],
-    )
+
+# A table file smaller than this is parsed in one process. Forking a worker,
+# reading its report through a pipe and reaping it costs about 4 ms in a
+# process with numpy loaded, while a 0.8 MB table (n = 200) parses in about
+# 43 ms and a 91 KB one (n = 65) in 6.5 ms: below 1 MiB the second process
+# would spend most of what it saves.
+_SPLIT_BYTES = 1 << 20
+
+
+def _parse_rows(path, fh, lines: _Lines, rows, codes: tuple[str, ...], out: np.ndarray) -> int:
+    """_fill for the rows after the header, in two processes when it pays.
+
+    float() is most of a parse, so on a large table a forked worker parses
+    the second part of the file, from the line starting the sector row j
+    found by _split_point, into a shared mapping, while this process parses
+    the first part. The worker runs the same _fill on its own stream of the
+    file. Its result is used only if the first part holds exactly the
+    header and j sector rows and every line of it is one CSV record (no
+    ``"``, no lone ``\\r``), so that the worker started where a single pass
+    would have been; otherwise, and if the worker dies or reports anything
+    malformed, this process parses the rest itself. An error in the first
+    part wins, since a single pass would have met it first; the worker's
+    error is raised with its rows counted from the start of the file.
+    """
+    split = _split_point(path, fh, lines.end, codes)
+    if split is None:
+        return _fill(rows, codes, out, 0, 1)
+    offset, j = split
+    pid = None
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    try:
+        with mmap.mmap(-1, (len(out) - j) * out.strides[0]) as shared:
+            with contextlib.suppress(OSError):  # no process to spare: one pass
+                pid = os.fork()
+            if pid == 0:
+                _worker(path, offset, codes, j, shared, write_fd)
+            os.close(write_fd)
+            write_fd = None
+            if pid is not None:
+                lines.stop = offset
+            count = _fill(rows, codes, out, 0, 1)
+            if lines.end == offset and count == 1 + j:
+                with os.fdopen(read_fd, "rb") as pipe:
+                    read_fd = None
+                    data = pipe.read()
+                _, status = os.waitpid(pid, 0)
+                pid = None
+                report = _worker_report(data) if status == 0 else None
+                if report is not None and "count" in report:
+                    out[j:] = np.frombuffer(shared).reshape(len(out) - j, -1)
+                    return report["count"]
+                if report is not None:
+                    row = report["row"]
+                    raise TableParseError(
+                        report["message"],
+                        row=None if row is None else lines.lines + row,
+                        column=report["column"],
+                    )
+    finally:
+        if os.getpid() != parent:  # the worker, interrupted before _worker took over
+            os._exit(1)
+        if pid is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in (read_fd, write_fd):
+            if fd is not None:
+                os.close(fd)
+    # The worker's part was not parsed: go on from the split, as one pass.
+    lines.stop = None
+    rows = _records(lines, path, out.shape[1] + 1, lines.lines, header=False)
+    return _fill(rows, codes, out, 0, count)
+
+
+def _split_point(path, fh, start: int, codes: tuple[str, ...]) -> tuple[int, int] | None:
+    """Where _parse_rows splits the table, ``(byte offset, j)``, or None for
+    one process: the first line at or past the middle of the file (and past
+    ``start``) whose label is ``codes[j]`` with 0 < j < n.
+
+    None unless the file is at least _SPLIT_BYTES long, os.fork exists,
+    no other thread runs (a forked child would inherit only this one, with
+    any lock another thread held still held), and two CPUs are usable.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    if len(codes) < 2 or size < _SPLIT_BYTES:
+        return None
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return None
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return None
+    index = {code: j for j, code in enumerate(codes)}
+    with open(path, "rb") as probe:
+        probe.seek(max(size // 2, start) - 1)
+        probe.readline()  # to the next line start
+        offset = probe.tell()
+        for line in probe:
+            j = index.get(line.split(b",", 1)[0].decode("utf-8", "replace").strip())
+            if j:
+                return offset, j
+            offset += len(line)
+    return None
+
+
+def _worker(path, offset: int, codes: tuple[str, ...], j: int, shared: mmap.mmap, write_fd: int):
+    """The forked worker of _parse_rows: parse the table from ``offset``,
+    sector row j on, into ``shared``, and write a JSON report to
+    ``write_fd``: the final row count, or the TableParseError's message,
+    row (counted from ``offset``) and column. Never returns: it ends the
+    process, with status 0 once the report is written."""
+    status = 1
+    try:
+        out = np.frombuffer(shared).reshape(-1, len(codes) + len(FD_CODES) + 1)
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            rows = _records(_Lines(fh, path), path, out.shape[1] + 1, header=False)
+            try:
+                report = {"count": _fill(rows, codes, out, j, 1 + j)}
+            except TableParseError as exc:
+                where = str(TableParseError("", exc.row, exc.column))
+                message = str(exc).removesuffix(where)
+                report = {"message": message, "row": exc.row, "column": exc.column}
+        data = json.dumps(report).encode()
+        while data:
+            data = data[os.write(write_fd, data) :]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _worker_report(data: bytes) -> dict | None:
+    """The worker's report, or None if it is not one _worker writes."""
+    try:
+        report = json.loads(data)
+    except ValueError:
+        return None
+    if not isinstance(report, dict):
+        return None
+    if set(report) == {"count"} and type(report["count"]) is int:
+        return report
+    if (
+        set(report) == {"message", "row", "column"}
+        and type(report["message"]) is str
+        and all(v is None or type(v) is int for v in (report["row"], report["column"]))
+    ):
+        return report
+    return None
 
 
 def _parse_satellites(satellite_files, codes: tuple[str, ...]) -> dict[str, SatelliteAccount]:
@@ -271,49 +478,52 @@ def load_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTab
     is a miss. A hit reads Z, final demand, x, imports and value added from
     ``<key>.npz``; the metadata and satellite files are parsed every time
     and the table is built through IOTable, so it is checked as on a miss.
+    The metadata file is parsed once either way: here on a hit, by
+    parse_io_table on a miss.
     A table that fails to parse is not cached. An entry that cannot be read
     or holds the wrong shapes or a non-finite value is a miss, and is
     overwritten. A cache that cannot be written leaves the run uncached.
     """
-    sectors = parse_sector_metadata(sector_metadata_file)
-    n = len(sectors)
     inputs = (sector_metadata_file, table_file)
     stamp = _stamp(inputs)
     key = hashlib.sha256(_source_digest(__file__))
     for path in inputs:
         key.update(_file_digest(path))
     entry = _cache_dir() / f"{key.hexdigest()}.npz"
-    arrays = _read_entry(
-        entry,
-        {
-            "Z": (n, n),
-            "final_demand": (n, len(FD_CODES)),
-            "x": (n,),
-            "imports": (n,),
-            "value_added": (n,),
-        },
-    )
-    if arrays is None:
-        table = parse_io_table(table_file, sector_metadata_file, satellite_files)
-        if _stamp(inputs) == stamp:  # the parsed bytes are the hashed bytes
-            _write_entry(
-                entry,
-                Z=table.Z,
-                final_demand=table.final_demand.values,
-                x=table.x,
-                imports=table.imports,
-                value_added=table.value_added,
+    if entry.exists():
+        sectors = parse_sector_metadata(sector_metadata_file)
+        n = len(sectors)
+        arrays = _read_entry(
+            entry,
+            {
+                "Z": (n, n),
+                "final_demand": (n, len(FD_CODES)),
+                "x": (n,),
+                "imports": (n,),
+                "value_added": (n,),
+            },
+        )
+        if arrays is not None:
+            return IOTable(
+                sectors=tuple(sectors),
+                Z=arrays["Z"],
+                final_demand=FinalDemandBlock(arrays["final_demand"]),
+                imports=arrays["imports"],
+                value_added=arrays["value_added"],
+                satellites=_parse_satellites(satellite_files, tuple(s.code for s in sectors)),
+                x=arrays["x"],
             )
-        return table
-    return IOTable(
-        sectors=tuple(sectors),
-        Z=arrays["Z"],
-        final_demand=FinalDemandBlock(arrays["final_demand"]),
-        imports=arrays["imports"],
-        value_added=arrays["value_added"],
-        satellites=_parse_satellites(satellite_files, tuple(s.code for s in sectors)),
-        x=arrays["x"],
-    )
+    table = parse_io_table(table_file, sector_metadata_file, satellite_files)
+    if _stamp(inputs) == stamp:  # the parsed bytes are the hashed bytes
+        _write_entry(
+            entry,
+            Z=table.Z,
+            final_demand=table.final_demand.values,
+            x=table.x,
+            imports=table.imports,
+            value_added=table.value_added,
+        )
+    return table
 
 
 def load_model(table: IOTable) -> LeontiefModel:
@@ -382,11 +592,12 @@ def _read_entry(path: Path, shapes: dict[str, tuple]) -> dict[str, np.ndarray] |
     entry is missing or unusable: unreadable, or with an array that is not
     finite float64 of its shape. A usable entry is marked as just used."""
     try:
-        entry = np.load(path, allow_pickle=False)
-        if not isinstance(entry, np.lib.npyio.NpzFile):
-            return None
-        with entry:
-            arrays = {name: entry[name] for name in shapes}
+        with open(path, "rb") as fh:
+            entry = np.load(fh, allow_pickle=False)
+            if not isinstance(entry, np.lib.npyio.NpzFile):
+                return None
+            with entry:
+                arrays = {name: entry[name] for name in shapes}
     except _DAMAGED_ENTRY:
         return None
     for name, shape in shapes.items():
@@ -587,6 +798,8 @@ def parse_blowup_history(fd_file, gdp_file) -> tuple[dict[int, float], dict[int,
                 year = int(row[0])
             except ValueError:
                 raise TableParseError(f"malformed year {row[0]!r}", row=r, column=1) from None
+            if year in out:
+                raise TableParseError(f"{path}: duplicate year {year}", row=r, column=1)
             out[year] = _cell(row[1], r, 2)
         return out
 
@@ -596,25 +809,35 @@ def parse_blowup_history(fd_file, gdp_file) -> tuple[dict[int, float], dict[int,
 def disaggregate_aggregate(total: float, weights, integral: bool = False) -> np.ndarray:
     """Split an aggregate across sectors proportionally to weights.
 
+    The total must be finite, the weights finite and non-negative with a
+    positive sum; anything else raises ValueError naming the argument.
     With integral=True (headcounts) a largest-remainder correction keeps the
     parts summing to the whole; ties go to the lower index.
     """
+    if not math.isfinite(total):
+        raise ValueError(f"total must be finite, got {total!r}")
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    wsum = w.sum()
-    if wsum <= 0:
-        raise ValueError("weights must not all be zero")
-    shares = total * w / wsum
+    if not (w >= 0).all() or not np.isfinite(w).all():
+        raise ValueError("weights must be finite and non-negative")
+    with np.errstate(all="ignore"):  # a bad sum or an overflow is rejected below
+        wsum = w.sum()
+        shares = total * w / wsum
+    if not 0 < wsum < math.inf:
+        raise ValueError(f"weights must sum to a positive finite number, got {wsum!r}")
+    if not np.isfinite(shares).all():
+        raise ValueError(f"total {total!r} times the weights overflows")
     if not integral:
         return shares
     whole = round(total)
     if abs(total - whole) > 1e-9:
         raise ValueError(f"integral split needs an integral total, got {total!r}")
-    floors = np.floor(shares).astype(int)
+    # The shares then sum to within 1 of the total, so the floors leave a
+    # remainder of 0 to len(w), and whole floats add exactly.
+    if abs(whole) * (len(w) + 1) >= 2**53:
+        raise ValueError(f"total is too large for an exact integral split: {total!r}")
+    floors = np.floor(shares)
     remainder = int(whole - floors.sum())
     order = sorted(range(len(w)), key=lambda i: (-(shares[i] - floors[i]), i))
-    out = floors.astype(float)
     for i in order[:remainder]:
-        out[i] += 1
-    return out
+        floors[i] += 1
+    return floors

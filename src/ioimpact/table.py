@@ -15,6 +15,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,8 +263,8 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
     never modified. Structural defects raise StructuralError instead of
     being reported.
     """
-    if not rel_tol > 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    if not 0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     check_structure(table)
 
     violations: list[Violation] = []

@@ -48,6 +48,25 @@ class TestValidateCmd:
         assert code == 1
         assert "row identity" in capsys.readouterr().out
 
+    def test_infinite_tolerance_exits_two(self, tmp_path, capsys):
+        broken = (E2 / "table.csv").read_text().replace(
+            "S1,50.0,20.0,30.0,0.0,0.0,0.0,0.0,0.0,100.0",
+            "S1,50.0,20.0,30.0,0.0,0.0,0.0,0.0,0.0,1000.0",
+        )
+        p = tmp_path / "table.csv"
+        p.write_text(broken)
+        flags = table_flags(e2_args(table=str(p)))
+        assert main(["validate", *flags, "--rel-tol", "1e-6"]) == 1
+        assert "validation FAILED" in capsys.readouterr().out
+        assert main(["validate", *flags, "--rel-tol", "inf"]) == 2
+        assert "rel_tol must be positive and finite, got inf" in capsys.readouterr().err
+        out = tmp_path / "reports"
+        code = main(["run", *flags, "--scenario", str(E2 / "shock_s1.json"), "--out", str(out),
+                     "--rel-tol", "inf"])
+        assert code == 2
+        assert "rel_tol must be positive and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_flow_report_is_finite(self, tmp_path, capsys):
         broken = (E2 / "table.csv").read_text().replace("S1,50.0,20.0", "S1,50.0,-5.0")
         p = tmp_path / "table.csv"
@@ -532,6 +551,21 @@ class TestBlowupRule:
         )
         assert code == 2
         assert "final-demand total for 2015 is zero" in capsys.readouterr().err
+
+
+    def test_duplicate_history_year(self, tmp_path, capsys):
+        fd = tmp_path / "fd.csv"
+        gdp = tmp_path / "gdp.csv"
+        fd.write_text("year,total_final_demand\n2019,110\n2019,500\n")
+        gdp.write_text("year,gdp_growth\n2020,0.04\n")
+        out = tmp_path / "reports"
+        code = main(
+            ["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json"),
+             "--out", str(out), "--blowup-history", str(fd), str(gdp)]
+        )
+        assert code == 2
+        assert "fd.csv: duplicate year 2019 (row 3, column 1)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReportDigests:

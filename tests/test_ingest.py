@@ -1,5 +1,10 @@
+import contextlib
+import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -191,6 +196,25 @@ class TestByteOrderMark:
         meta.write_text("\ufeff" + (FIXTURES / "e2" / "sectors.csv").read_text(), encoding="utf-8")
         parsed = parse_io_table(FIXTURES / "e2" / "table.csv", meta)
         assert parsed.codes == canonical_e2().codes
+
+    @pytest.mark.parametrize("eol", [b"\r\n", b"\r"])
+    def test_line_ends(self, tmp_path, eol):
+        table = tmp_path / "table.csv"
+        table.write_bytes((FIXTURES / "e2" / "table.csv").read_bytes().replace(b"\n", eol))
+        parsed = parse_io_table(table, FIXTURES / "e2" / "sectors.csv")
+        _assert_bit_identical(parsed, parse_io_table(FIXTURES / "e2" / "table.csv",
+                                                     FIXTURES / "e2" / "sectors.csv"))
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        # The decoder used to work on 8 KB blocks and name a later bad byte.
+        lines = (FIXTURES / "e2" / "table.csv").read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"40.0", b"4O.0")
+        lines[4] = lines[4] + b"\xff"
+        table = tmp_path / "table.csv"
+        table.write_bytes(b"\n".join(lines))
+        with pytest.raises(TableParseError, match="malformed numeric cell '4O.0'") as err:
+            parse_io_table(table, FIXTURES / "e2" / "sectors.csv")
+        assert (err.value.row, err.value.column) == (3, 3)
 
     @pytest.mark.parametrize("name,row", [("table.csv", 3), ("sectors.csv", 2)])
     def test_invalid_utf8_names_the_row(self, tmp_path, name, row):
@@ -723,6 +747,248 @@ class TestParserFuzz:
             assert np.isfinite(a).all()
 
 
+def _parse_outcome(d, split_bytes):
+    """What parse_io_table gives with the split threshold at ``split_bytes``:
+    the array bytes, or the error's type, message and coordinates."""
+    with mock.patch.object(ingest, "_SPLIT_BYTES", split_bytes):
+        try:
+            t = parse_io_table(d / "table.csv", d / "sectors.csv")
+        except IOModelError as exc:
+            return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    return [a.tobytes() for a in (t.Z, t.final_demand.values, t.x, t.imports, t.value_added)]
+
+
+def _table_lines(n, values):
+    """The lines of a valid n-sector table with its cells drawn from ``values``."""
+    codes = [f"S{i + 1}" for i in range(n)]
+    lines = [",".join(["sector", *codes, "HH", "NPISH", "GOV", "GFCF", "INV", "EXP",
+                       "total_output"])]
+    lines += [",".join([code, *next(values)]) for code in codes]
+    lines += [",".join([label, *next(values)[:n], *[""] * 7]) for label in ingest.TRAILING_ROWS]
+    return codes, lines
+
+
+def _plant(lines, fault, row, col):
+    """Plant one fault (or a harmless variation) at ``row``/``col`` of the lines."""
+    cells = lines[row].split(",")
+    col = col % len(cells)
+    if fault == "malformed":
+        cells[col] = "1.0x"
+    elif fault == "non-finite":
+        cells[col] = "nan"
+    elif fault == "short-row":
+        del cells[col]
+    elif fault == "long-row":
+        cells.insert(col, "1.0")
+    elif fault == "label":
+        cells[0] = "BOGUS"
+    elif fault == "swap":
+        other = 1 + col % (len(lines) - 1)
+        lines[row], lines[other] = lines[other], lines[row]
+        return lines
+    elif fault == "missing-row":
+        del lines[row]
+        return lines
+    elif fault == "extra-row":
+        lines.insert(row, lines[row])
+        return lines
+    elif fault == "trailing":
+        lines[-1] = lines[-1] + "1.0"
+        return lines
+    elif fault == "quoted":
+        cells[col] = f'"{cells[col]}"'
+    elif fault == "blank":
+        lines.insert(row, "" if col % 2 else " , ")
+        return lines
+    lines[row] = ",".join(cells)
+    return lines
+
+
+FAULTS = ["none", "malformed", "non-finite", "short-row", "long-row", "label", "swap",
+          "missing-row", "extra-row", "trailing", "quoted", "blank", "utf8"]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or len(os.sched_getaffinity(0)) < 2,
+    reason="the split parse needs os.fork and two usable CPUs",
+)
+class TestSplitParse:
+    """parse_io_table in two processes against the one-process parse, the
+    oracle, which a threshold of infinity selects."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 7),
+        data=st.data(),
+        fault=st.sampled_from(FAULTS),
+        row=st.integers(1, 20),
+        col=st.integers(0, 20),
+        eol=st.sampled_from(["\n", "\r\n", "\r"]),
+        bom=st.booleans(),
+    )
+    def test_same_result_or_same_error(self, n, data, fault, row, col, eol, bom):
+        values = iter(data.draw(st.lists(
+            st.lists(_finite().map(repr), min_size=n + 7, max_size=n + 7),
+            min_size=n + 3, max_size=n + 3,
+        )))
+        codes, lines = _table_lines(n, values)
+        lines = _plant(lines, fault, 1 + row % (len(lines) - 1), col)
+        raw = (eol.join(lines) + eol).encode()
+        if fault == "utf8":
+            at = raw.index(b",", len(raw) * (row % 10) // 10)
+            raw = raw[:at] + b"\xff" + raw[at:]
+        self._compare(codes, (b"\xef\xbb\xbf" if bom else b"") + raw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 50), n=st.integers(2, 7), mutations=_MUTATIONS)
+    def test_mutated_tables(self, seed, n, mutations):
+        with tempfile.TemporaryDirectory() as d:
+            write_table_files(random_economy(EconomyGenSpec(n=n, seed=seed)), d)
+            raw = (Path(d) / "table.csv").read_bytes()
+        self._compare([f"S{i + 1}" for i in range(n)], _mutate(raw, mutations))
+
+    @staticmethod
+    def _compare(codes, raw):
+        with tempfile.TemporaryDirectory() as d:
+            d = Path(d)
+            (d / "sectors.csv").write_text("code,name\n" + "".join(f"{c},{c}\n" for c in codes))
+            (d / "table.csv").write_bytes(raw)
+            assert _parse_outcome(d, 0) == _parse_outcome(d, float("inf"))
+
+    @pytest.mark.parametrize("fault", ["missing-row", "extra-row", "swap", "other-code",
+                                       "quoted-newline"])
+    def test_fault_at_every_row(self, tmp_path, fault):
+        """Faults that move the rows against the lines, planted at every row,
+        so that one of them sits at the split."""
+        n = 30
+        paths = write_table_files(random_economy(EconomyGenSpec(n=n, seed=2)), tmp_path)
+        original = paths["table"].read_text().splitlines()
+        for k in range(1, n + 3):
+            lines = list(original)
+            if fault == "missing-row":
+                del lines[k]
+            elif fault == "extra-row":
+                lines.insert(k, lines[k])
+            elif fault == "swap":
+                lines[k], lines[k + 1] = lines[k + 1], lines[k]
+            elif fault == "other-code":
+                lines[k] = f"S{1 + (k + 5) % n}," + lines[k].split(",", 1)[1]
+            else:  # one quoted cell spanning the end of row k and all of row k + 1
+                head, last = lines[k].rsplit(",", 1)
+                lines[k] = f'{head},"{last}'
+                lines[k + 1] += '"'
+            paths["table"].write_text("\n".join(lines) + "\n")
+            assert _parse_outcome(tmp_path, 0) == _parse_outcome(tmp_path, float("inf")), k
+
+    @pytest.fixture
+    def big(self, tmp_path):
+        """A generated n = 200 table of about 0.8 MB, parsed split at threshold 0."""
+        paths = write_table_files(random_economy(EconomyGenSpec(n=200, seed=5)), tmp_path)
+        return paths["table"], paths["sectors"]
+
+    def test_splits_once_and_uses_the_worker(self, big, monkeypatch):
+        forks, reports = [], []
+        real_fork, real_report = os.fork, ingest._worker_report
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        monkeypatch.setattr(ingest, "_worker_report", lambda b: reports.append(b) or real_report(b))
+        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
+        table = parse_io_table(*big)
+        monkeypatch.setattr(ingest, "_SPLIT_BYTES", float("inf"))
+        _assert_bit_identical(table, parse_io_table(*big))
+        assert len(forks) == 1
+        assert [json.loads(r) for r in reports] == [{"count": 204}]
+
+    @pytest.mark.parametrize("death", ["exit", "kill", "garbage", "raise"])
+    def test_dead_worker_still_gives_the_table(self, big, monkeypatch, death):
+        def worker(path, offset, codes, j, shared, write_fd):
+            if death == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if death == "garbage":
+                os.write(write_fd, b'{"count": "204"}')
+                os._exit(0)
+            if death == "raise":  # the caller's finally must end the process
+                raise RuntimeError("worker escaped")
+            os._exit(1)
+
+        monkeypatch.setattr(ingest, "_SPLIT_BYTES", float("inf"))
+        want = parse_io_table(*big)
+        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(ingest, "_worker", worker)
+        _assert_bit_identical(parse_io_table(*big), want)
+
+    def test_parent_error_does_not_wait_for_the_worker(self, big, monkeypatch):
+        table, sectors = big
+        lines = table.read_text().splitlines()
+        lines[3] = lines[3].replace(",", ",x", 1)
+        table.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(ingest, "_worker", lambda *args: time.sleep(60) or os._exit(0))
+        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
+        start = time.monotonic()
+        with pytest.raises(TableParseError, match="malformed"):
+            parse_io_table(table, sectors)
+        assert time.monotonic() - start < 30
+
+    @pytest.mark.parametrize("case", ["success", "parent-error", "worker-error", "dead-worker"])
+    def test_leaves_no_child_fd_or_mapping(self, big, monkeypatch, case):
+        table, sectors = big
+        lines = table.read_text().splitlines()
+        if case == "parent-error":
+            lines[3] = lines[3].replace(",", ",x", 1)
+        if case == "worker-error":
+            lines[-5] = lines[-5].replace(",", ",x", 1)
+        table.write_text("\n".join(lines) + "\n")
+        if case == "dead-worker":
+            monkeypatch.setattr(ingest, "_worker", lambda *args: os._exit(1))
+        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
+
+        def maps():
+            return Path("/proc/self/maps").read_text().count("/dev/zero (deleted)")
+
+        fds, mappings = set(os.listdir("/proc/self/fd")), maps()
+        with contextlib.suppress(TableParseError):
+            parse_io_table(table, sectors)
+        assert set(os.listdir("/proc/self/fd")) == fds
+        assert maps() == mappings
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_error_is_named_from_the_start_of_the_file(self, big, monkeypatch):
+        table, sectors = big
+        lines = table.read_text().splitlines()
+        lines[180] = lines[180].replace(",", ",1e400,", 1)
+        lines[190] = lines[190].replace(",", ",oops,", 1)
+        table.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
+        with pytest.raises(TableParseError, match="row has 209 cells, expected 208") as err:
+            parse_io_table(table, sectors)
+        assert (err.value.row, err.value.column) == (181, None)
+
+    def test_with_a_live_blas_pool(self, big):
+        """A fork while OpenBLAS's own threads run (BLAS unpinned, a matmul
+        done first) still completes."""
+        script = (
+            "import numpy as np, os, sys\n"
+            "from ioimpact import ingest\n"
+            "a = np.ones((400, 400)); a @ a\n"
+            "forks = []; real = os.fork\n"
+            "os.fork = lambda: forks.append(1) or real()\n"
+            "ingest._SPLIT_BYTES = 0\n"
+            "t = ingest.parse_io_table(sys.argv[1], sys.argv[2])\n"
+            "print(len(forks), t.n)\n"
+        )
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(ingest.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, *map(str, big)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "200"]
+
+
 class TestSatelliteFiles:
     def write_e2(self, d):
         write_table_files(canonical_e2(), d)
@@ -856,6 +1122,15 @@ class TestBlowupHistoryFiles:
         assert fd_map == {2015: 1000.0, 2016: 1048.0}
         assert gdp_map == {2016: 0.04, 2017: 0.03}
 
+    def test_duplicate_year_rejected(self, tmp_path):
+        fd = tmp_path / "fd.csv"
+        gdp = tmp_path / "gdp.csv"
+        fd.write_text("year,total_final_demand\n2018,100.0\n2019,110\n2019,500\n")
+        gdp.write_text("year,gdp_growth\n2020,0.04\n")
+        with pytest.raises(TableParseError, match="fd.csv: duplicate year 2019") as err:
+            parse_blowup_history(fd, gdp)
+        assert (err.value.row, err.value.column) == (4, 1)
+
 
 class TestDisaggregate:
     def test_proportional(self):
@@ -872,6 +1147,41 @@ class TestDisaggregate:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):
             disaggregate_aggregate(10, [0, 0])
+
+    @pytest.mark.parametrize(
+        "total,weights,integral,message",
+        [
+            (100.0, [np.nan, 1.0], False, "weights"),
+            (100.0, [np.inf, 1.0], False, "weights"),
+            (100.0, [-1.0, 2.0], False, "weights"),
+            (100.0, [1e308, 1e308], False, "weights"),
+            (np.nan, [1.0, 1.0], False, "total"),
+            (np.nan, [1.0, 1.0], True, "total"),
+            (-np.inf, [1.0, 1.0], True, "total"),
+            (2.0**52, [1.0, 1.0], True, "total"),
+        ],
+    )
+    def test_non_finite_arguments_rejected(self, total, weights, integral, message):
+        with pytest.raises(ValueError, match=message):
+            disaggregate_aggregate(total, weights, integral=integral)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        total=st.floats(allow_nan=True, allow_infinity=True)
+        | st.integers(-(2**53), 2**53).map(float),
+        weights=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8),
+        integral=st.booleans(),
+    )
+    def test_finite_shares_or_value_error(self, total, weights, integral):
+        try:
+            got = disaggregate_aggregate(total, weights, integral=integral)
+        except ValueError:
+            return
+        assert got.shape == (len(weights),)
+        assert np.isfinite(got).all()
+        if integral:
+            assert got.sum() == round(total)
+            assert total < 0 or (got >= 0).all()
 
     @settings(max_examples=50, deadline=None)
     @given(

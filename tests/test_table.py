@@ -203,3 +203,7 @@ class TestNonFiniteLibraryTable:
     def test_nan_tolerance_rejected(self):
         with pytest.raises(ValueError):
             validate_table(canonical_e2(), rel_tol=float("nan"))
+
+    def test_infinite_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="must be positive and finite, got inf"):
+            validate_table(canonical_e2(), rel_tol=float("inf"))
