@@ -7,7 +7,6 @@ and partial hypothetical extraction under configurable demand scenarios.
 """
 
 from .errors import (
-    EmptyEconomyError,
     InternalConsistencyError,
     IOModelError,
     NonProductiveEconomyError,
@@ -22,7 +21,6 @@ from .impact import (
     apply_blowup,
     compare_methods,
     estimate_blowup_factor,
-    full_extraction,
     inoperability,
     make_extraction_spec,
     partial_extraction,
@@ -71,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ComparisonReport",
     "DemandDelta",
-    "EmptyEconomyError",
     "ExtractionSpec",
     "FinalDemandBlock",
     "IOModelError",
@@ -100,7 +97,6 @@ __all__ = [
     "drop_zero_sectors",
     "estimate_blowup_factor",
     "extraction_intensities",
-    "full_extraction",
     "import_share",
     "inoperability",
     "input_recipe",

@@ -24,11 +24,12 @@ from .impact import (
     make_extraction_spec,
     partial_extraction,
 )
-from .ingest import load_io_table, load_model, parse_blowup_history, parse_scenario
+from .ingest import load_model, load_table_entry, parse_blowup_history, parse_scenario
 from .report import (
     ReportBundle,
     comparison_table,
     impact_table,
+    is_plain_name,
     load_impact_result,
     multiplier_table,
     plotdata_table,
@@ -122,16 +123,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_validated(args):
-    table = load_io_table(args.table, args.meta, args.satellites)
+    """The table with its zero-output sectors dropped, its validation report
+    and its cache entry, which load_model reads the factors from."""
+    table, entry = load_table_entry(args.table, args.meta, args.satellites)
     table, dropped = drop_zero_sectors(table)
     for sector in dropped:
         print(f"dropped zero-output sector: {sector.code} ({sector.name})", file=sys.stderr)
     report = validate_table(table, rel_tol=args.rel_tol)
-    return table, report
+    return table, report, entry
 
 
 def cmd_validate(args) -> int:
-    table, report = _load_validated(args)
+    _, report, _ = _load_validated(args)
     for line in report.lines():
         print(line)
     if args.out:
@@ -142,12 +145,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_multipliers(args) -> int:
-    table, report = _load_validated(args)
+    table, report, entry = _load_validated(args)
     if not report.passed:
         for line in report.lines():
             print(line, file=sys.stderr)
         return EXIT_VALIDATION
-    model = load_model(table)
+    model = load_model(table, entry)
     bundle = ReportBundle()
     bundle.add(validation_table(report))
     bundle.add(multiplier_table(model))
@@ -176,7 +179,7 @@ def _check_scenario_names(paths, specs) -> None:
     seen = {}
     for path, spec in zip(paths, specs):
         name = spec.name
-        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        if not is_plain_name(name):
             raise ScenarioConfigError(
                 f"{path}: scenario name {name!r} must be a plain directory name "
                 "(not empty, '.' or '..', and without '/', '\\' or NUL) in a multi-scenario run"
@@ -229,12 +232,12 @@ def cmd_run(args) -> int:
     multi = len(specs) > 1
     if multi:
         _check_scenario_names(args.scenario, specs)
-    table, report = _load_validated(args)
+    table, report, entry = _load_validated(args)
     if not report.passed:
         for line in report.lines():
             print(line, file=sys.stderr)
         return EXIT_VALIDATION
-    model = load_model(table)
+    model = load_model(table, entry)
     override = _blowup_override(args)
     runs = [_run_scenario(model, spec, args, override) for spec in specs]
 

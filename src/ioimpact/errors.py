@@ -34,10 +34,6 @@ class NonProductiveEconomyError(IOModelError):
     expansion; (I - A) cannot be meaningfully inverted."""
 
 
-class EmptyEconomyError(IOModelError):
-    """An operation would leave no sectors to analyze."""
-
-
 class InternalConsistencyError(IOModelError):
     """Two computation routes that must agree did not; this signals a bug,
     not bad input."""

@@ -13,13 +13,11 @@ residual is ((I - A) dx - df) / x, an O(n^2) check of the factors against A.
 Partial extraction scales the target sector k's deliveries per purchaser,
 which changes only row k of A: A_bar = A - e_k d' with d = b_k * alpha. The
 Sherman-Morrison formula then gives the extracted output from L,
-x_bar = y - L[:, k] (d . y) / (1 + d . L[:, k]) with y = L f_bar. Full
-extraction removes row and column k; the inverse of the remaining principal
-submatrix of (I - A) is L_-k,-k - L_-k,k L_k,-k / L_kk (Miller & Blair,
-Input-Output Analysis, 2009, ch. 12). Both need only y and the column
+x_bar = y - L[:, k] (d . y) / (1 + d . L[:, k]) with y = L f_bar (Miller &
+Blair, Input-Output Analysis, 2009, ch. 12). It needs only y and the column
 L[:, k], which one two-column solve against [f_bar, e_k] returns together.
-With A >= 0 (which the model guarantees) and alpha in [0, 1] both
-denominators are at least one, and the extracted economy is productive
+With A >= 0 (which the model guarantees) and alpha in [0, 1] the
+denominator is at least one, and the extracted economy is productive
 whenever the original is.
 
 Output changes translate into satellite changes through the coefficient
@@ -34,12 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    EmptyEconomyError,
-    InternalConsistencyError,
-    NonProductiveEconomyError,
-    StructuralError,
-)
+from .errors import InternalConsistencyError, NonProductiveEconomyError, StructuralError
 from .leontief import LeontiefModel, sector_order
 from .scenario import DemandDelta
 from .table import Sector
@@ -176,16 +169,6 @@ def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
     return _assemble(model, "inoperability", delta.scenario, dx)
 
 
-def _check_denominator(denom: float, what: str) -> None:
-    # At least one whenever A >= 0; anything else, NaN included, means the
-    # coefficients are not those of a productive economy.
-    if not (denom >= 1.0):
-        raise NonProductiveEconomyError(
-            f"{what} is {denom:.6g}, not at least one; the coefficients are not "
-            "those of a productive economy"
-        )
-
-
 def _solve_with_column(model: LeontiefModel, f_bar: np.ndarray, k: int):
     """y = L f_bar and the column L[:, k], from one two-column solve.
     Column-major, so each returned column is contiguous."""
@@ -207,30 +190,16 @@ def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResu
     d = spec.b_k * spec.alpha
     y, l_k = _solve_with_column(model, spec.f_bar, k)
     denom = 1.0 + d @ l_k
-    _check_denominator(denom, "the rank-one update denominator 1 + d . L[:, k]")
+    # At least one whenever A >= 0; anything else, NaN included, means the
+    # coefficients are not those of a productive economy.
+    if not (denom >= 1.0):
+        raise NonProductiveEconomyError(
+            f"the rank-one update denominator 1 + d . L[:, k] is {denom:.6g}, not at least "
+            "one; the coefficients are not those of a productive economy"
+        )
     x_bar = y - l_k * ((d @ y) / denom)
     dx = x_bar - model.x
     return _assemble(model, "extraction", spec.label, dx)
-
-
-def full_extraction(model: LeontiefModel, target, label: str = "") -> ImpactResult:
-    """Remove sector k entirely: its row, its column, and its final demand.
-
-    The classical bound for the partial form; with the target's demand gone
-    its output falls to zero and the rest of the economy is solved without
-    it through the principal-submatrix inverse.
-    """
-    k = model.sector_index(target)
-    if model.table.n == 1:
-        raise EmptyEconomyError("extracting the only sector leaves an empty economy")
-    f_bar = model.f.copy()
-    f_bar[k] = 0.0
-    y, l_k = _solve_with_column(model, f_bar, k)
-    _check_denominator(l_k[k], f"the diagonal entry L[{k}, {k}]")
-    x_bar = y - l_k * (y[k] / l_k[k])
-    x_bar[k] = 0.0
-    dx = x_bar - model.x
-    return _assemble(model, "extraction", label, dx)
 
 
 def satellite_deltas(model: LeontiefModel, dx: np.ndarray) -> dict[str, np.ndarray]:

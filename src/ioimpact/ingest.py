@@ -27,13 +27,13 @@ or the error with its row and column, is the one-process parse's; see
 _parse_rows.
 
 load_io_table is parse_io_table memoised on disk: a parsed table is stored
-under ``$XDG_CACHE_HOME/ioimpact`` (default ``~/.cache/ioimpact``), keyed by
-the sha256 of the table file, the metadata file and this module's source.
-load_model does the same for the block LDU factors of I - A, which it keeps
-in the ``models`` directory beside the tables. Its factors come either from
-leontief.ldu_factors or from the entry that an earlier run wrote for the
-same A, checked against A before use; only factors that certify A as
-productive are served or cached.
+as one entry under ``$XDG_CACHE_HOME/ioimpact`` (default
+``~/.cache/ioimpact``), keyed by the sha256 of the table file, the metadata
+file, this module's and leontief.py's sources and the numpy version.
+load_model adds the block LDU factors of I - A to the same entry, so a table
+has one key and one file. Its factors come either from leontief.ldu_factors
+or from the entry, checked against A before use; only factors that certify
+A as productive are served or cached.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ import signal
 import tempfile
 import threading
 import zipfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +71,7 @@ from .table import (
 
 TRAILING_ROWS = ("IMPORTS", "VALUE_ADDED", "TOTAL_USES")
 
-# Entries of each kind kept in the cache, parsed tables and model factors
-# alike; each write drops the least recently used entry of its own kind.
+# Table entries kept in the cache; each write drops the least recently used.
 CACHE_ENTRIES = 8
 # What np.load raises on a damaged archive; any of them makes the entry a miss.
 _DAMAGED_ENTRY = (OSError, ValueError, KeyError, EOFError, RuntimeError, zipfile.BadZipFile)
@@ -471,30 +471,48 @@ def _parse_satellites(satellite_files, codes: tuple[str, ...]) -> dict[str, Sate
 
 
 def load_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTable:
-    """parse_io_table, with the parsed table cached on disk between runs.
+    """parse_io_table, cached on disk between runs; see load_table_entry."""
+    return load_table_entry(table_file, sector_metadata_file, satellite_files)[0]
 
-    The cache key is the sha256 of the table file, the metadata file and
-    this module's source, so an edit to either file or to the parse rules
-    is a miss. A hit reads Z, final demand, x, imports and value added from
-    ``<key>.npz``; the metadata and satellite files are parsed every time
-    and the table is built through IOTable, so it is checked as on a miss.
-    The metadata file is parsed once either way: here on a hit, by
-    parse_io_table on a miss.
-    A table that fails to parse is not cached. An entry that cannot be read
-    or holds the wrong shapes or a non-finite value is a miss, and is
-    overwritten. A cache that cannot be written leaves the run uncached.
+
+@dataclass(frozen=True)
+class TableEntry:
+    """A table's cache entry: its file, which holds the table's parsed
+    arrays and, once load_model has built a model from them, ``factors``,
+    and the table as parsed, before drop_zero_sectors."""
+
+    path: Path
+    table: IOTable
+
+
+def load_table_entry(
+    table_file, sector_metadata_file, satellite_files=()
+) -> tuple[IOTable, TableEntry | None]:
+    """load_io_table, and the table's cache entry for load_model.
+
+    The entry is named by the sha256 of this module's and leontief.py's
+    sources, the numpy version, the metadata file and the table file, so an
+    edit to either file, the parse rules or the factorization is a miss. A
+    hit reads Z, final demand, x, imports and value added from
+    ``<key>.npz``, where load_model keeps the factors of I - A; the
+    metadata and satellite files are parsed every time and the table is
+    built through IOTable, so it is checked as on a miss. A table that fails
+    to parse is not cached; one whose files changed while they were parsed
+    gets no entry (None). An entry that cannot be read or holds the wrong
+    shapes or a non-finite value is a miss, and is overwritten. A cache
+    that cannot be written leaves the run uncached.
     """
     inputs = (sector_metadata_file, table_file)
     stamp = _stamp(inputs)
-    key = hashlib.sha256(_source_digest(__file__))
-    for path in inputs:
+    key = hashlib.sha256(f"numpy {np.__version__}\n".encode())
+    for path in (__file__, leontief.__file__, *inputs):
         key.update(_file_digest(path))
-    entry = _cache_dir() / f"{key.hexdigest()}.npz"
-    if entry.exists():
+    path = _cache_dir() / f"{key.hexdigest()}.npz"
+    if path.exists():
         sectors = parse_sector_metadata(sector_metadata_file)
         n = len(sectors)
         arrays = _read_entry(
-            entry,
+            path,
             {
                 "Z": (n, n),
                 "final_demand": (n, len(FD_CODES)),
@@ -504,7 +522,7 @@ def load_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTab
             },
         )
         if arrays is not None:
-            return IOTable(
+            table = IOTable(
                 sectors=tuple(sectors),
                 Z=arrays["Z"],
                 final_demand=FinalDemandBlock(arrays["final_demand"]),
@@ -513,44 +531,35 @@ def load_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTab
                 satellites=_parse_satellites(satellite_files, tuple(s.code for s in sectors)),
                 x=arrays["x"],
             )
+            return table, TableEntry(path, table)
     table = parse_io_table(table_file, sector_metadata_file, satellite_files)
-    if _stamp(inputs) == stamp:  # the parsed bytes are the hashed bytes
-        _write_entry(
-            entry,
-            Z=table.Z,
-            final_demand=table.final_demand.values,
-            x=table.x,
-            imports=table.imports,
-            value_added=table.value_added,
-        )
-    return table
+    if _stamp(inputs) != stamp:  # the parsed bytes are not the hashed bytes
+        return table, None
+    entry = TableEntry(path, table)
+    _write_entry(entry)
+    return table, entry
 
 
-def load_model(table: IOTable) -> LeontiefModel:
-    """leontief.build_model, with the factors of I - A cached on disk between runs.
+def load_model(table: IOTable, entry: TableEntry | None) -> LeontiefModel:
+    """leontief.build_model, with the factors of I - A kept in the table's
+    cache entry between runs.
 
-    check_coefficients runs first, on a hit as on a miss, so a cached entry
-    never lets a negative or NaN A through. The cache key is the sha256 of
-    leontief.py's source, the numpy version, n and the bytes of A, which is
-    everything the factorization reads: an edited flow, a dropped sector or a
-    new factorization rule is a miss. A hit reads the factors from
-    ``models/<key>.npz`` and serves them only if they are a finite float64
-    n x n array that solves (I - A) x = f to within FIXED_POINT_TOL, the
-    residual inoperability demands of every solve; any other entry is a miss
-    and is overwritten. certify_productive runs after the residual check on
-    a hit and before the write on a miss, so a non-productive A fails alike
-    on both and is never cached. A cache that cannot be written leaves the
-    run uncached.
+    ``table`` is the entry's table after drop_zero_sectors, so the factors
+    are a function of the entry's parsed arrays. check_coefficients runs
+    before the entry's factors are read, so a cached entry never lets a
+    negative or NaN A through. The factors are served only if they are a
+    finite float64 n x n array that solves (I - A) x = f to within
+    FIXED_POINT_TOL, the residual inoperability demands of every solve;
+    otherwise they are computed again and the entry is rewritten with them
+    and the parsed arrays in memory. certify_productive runs after the
+    residual check on a hit and before the write on a miss, so a
+    non-productive A fails alike on both and is never cached. Without an
+    entry nothing is cached.
     """
     coeffs = technical_coefficients(table)
     check_coefficients(coeffs)
-    A = np.ascontiguousarray(coeffs.A, dtype=np.float64)
     n = table.n
-    key = hashlib.sha256(_source_digest(leontief.__file__))
-    key.update(f"numpy {np.__version__}, n = {n}\n".encode())
-    key.update(A)
-    entry = _cache_dir() / "models" / f"{key.hexdigest()}.npz"
-    arrays = _read_entry(entry, {"factors": (n, n)})
+    arrays = None if entry is None else _read_entry(entry.path, {"factors": (n, n)})
     if arrays is not None:
         factors = arrays["factors"]
         factors.setflags(write=False)
@@ -558,9 +567,10 @@ def load_model(table: IOTable) -> LeontiefModel:
         if fixed_point_gap(model, model.solve(table.f), table.f) <= FIXED_POINT_TOL:
             leontief.certify_productive(model)
             return model
-    model = LeontiefModel(table=table, coeffs=coeffs, factors=ldu_factors(A))
+    model = LeontiefModel(table=table, coeffs=coeffs, factors=ldu_factors(coeffs.A))
     leontief.certify_productive(model)
-    _write_entry(entry, factors=model.factors)
+    if entry is not None:
+        _write_entry(entry, factors=model.factors)
     return model
 
 
@@ -573,10 +583,6 @@ def _cache_dir() -> Path:
 
 def _stamp(paths) -> list[tuple[int, int, int]]:
     return [(st.st_ino, st.st_size, st.st_mtime_ns) for st in map(os.stat, paths)]
-
-
-def _source_digest(module_file) -> bytes:
-    return hashlib.sha256(Path(module_file).read_bytes()).digest()
 
 
 def _file_digest(path) -> bytes:
@@ -609,23 +615,32 @@ def _read_entry(path: Path, shapes: dict[str, tuple]) -> dict[str, np.ndarray] |
     return arrays
 
 
-def _write_entry(path: Path, **arrays: np.ndarray) -> None:
-    """Store the arrays atomically, then keep the CACHE_ENTRIES most recently
-    used entries of the directory, which holds entries of one kind only. A
-    cache that cannot be written is left as it is."""
+def _write_entry(entry: TableEntry, **factors: np.ndarray) -> None:
+    """Store the entry's parsed arrays and ``factors``, if given, atomically,
+    then keep the CACHE_ENTRIES most recently used entries. A cache that
+    cannot be written is left as it is."""
+    table = entry.table
     with contextlib.suppress(OSError):
-        _cache_dir().mkdir(mode=0o700, parents=True, exist_ok=True)
-        path.parent.mkdir(mode=0o700, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        entry.path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=entry.path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, **arrays)
-            os.replace(tmp, path)
+                np.savez(
+                    fh,
+                    Z=table.Z,
+                    final_demand=table.final_demand.values,
+                    x=table.x,
+                    imports=table.imports,
+                    value_added=table.value_added,
+                    **factors,
+                )
+            os.replace(tmp, entry.path)
         finally:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
         entries = sorted(
-            ((p.stat().st_mtime_ns, p.name, p) for p in path.parent.glob("*.npz")), reverse=True
+            ((p.stat().st_mtime_ns, p.name, p) for p in entry.path.parent.glob("*.npz")),
+            reverse=True,
         )
         for *_, stale in entries[CACHE_ENTRIES:]:
             stale.unlink()

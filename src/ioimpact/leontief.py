@@ -17,9 +17,10 @@ factors, at the cost of one solve, that A is productive.
 
 build_model and leontief_inverse always factorize and never touch the disk.
 The CLI gets its model from ingest.load_model instead, which runs the same
-check_coefficients and then either loads the factors that ldu_factors wrote
-for the same A in an earlier run or calls ldu_factors and caches the result.
-Every model handed out, cached or not, has passed certify_productive.
+check_coefficients and then either serves the factors an earlier run stored
+in the table's cache entry, once they solve (I - A) x = f, or calls
+ldu_factors and adds the result to that entry. Every model handed out,
+cached or not, has passed certify_productive.
 """
 
 from __future__ import annotations

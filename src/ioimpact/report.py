@@ -498,12 +498,20 @@ def load_impact_result(path) -> ImpactResult:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def is_plain_name(name: str) -> bool:
+    """Whether ``name`` is one plain path component: not empty, ``.`` or
+    ``..``, and without ``/``, ``\\`` or NUL."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
 def write_reports(bundle: ReportBundle, out_dir, formats=("csv", "json")) -> dict:
     """Write every report in the requested formats.
 
     Returns a manifest listing each file with its sha256 content digest;
     the manifest itself is written as ``manifest.json``. Re-running on
-    identical inputs yields byte-identical files.
+    identical inputs yields byte-identical files. A report name that is not
+    one plain path component (see is_plain_name) raises ValueError before
+    anything is written.
     """
     formats = tuple(formats)
     if not formats:
@@ -521,6 +529,12 @@ def write_reports(bundle: ReportBundle, out_dir, formats=("csv", "json")) -> dic
             files.append((table.name, "json", table._json_file))
     for name, payload in sorted(bundle.documents.items()):
         files.append((name, "json", _file_bytes(document_json_text(name, payload))))
+    for name, _, _ in files:
+        if not is_plain_name(name):
+            raise ValueError(
+                f"report name {name!r} must be one plain file name (not empty, '.' or '..', "
+                "and without '/', '\\' or NUL)"
+            )
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

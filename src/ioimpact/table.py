@@ -340,12 +340,13 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
 
 
 def drop_zero_sectors(table: IOTable) -> tuple[IOTable, list[Sector]]:
-    """Remove sectors with no gross output, re-indexing everything else.
+    """Remove sectors with no gross output (x == 0), re-indexing everything
+    else. A negative or NaN output is kept, for validate_table to report.
 
     Pairwise flows among retained sectors are preserved exactly. Returns the
     reduced table and the dropped sectors.
     """
-    keep = table.x > 0
+    keep = table.x != 0
     if keep.all():
         return table, []
     dropped = [s for s, k in zip(table.sectors, keep) if not k]

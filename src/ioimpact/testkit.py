@@ -90,18 +90,6 @@ def partial_extraction_oracle(model: LeontiefModel, spec: ExtractionSpec) -> np.
     return np.linalg.solve(np.eye(A.shape[0]) - a_bar, spec.f_bar)
 
 
-def full_extraction_oracle(model: LeontiefModel, target) -> np.ndarray:
-    """Output without sector k from a dense solve with its row, column and
-    final demand zeroed."""
-    k = model.sector_index(target)
-    a_bar = model.A.copy()
-    a_bar[k, :] = 0.0
-    a_bar[:, k] = 0.0
-    f_bar = model.f.copy()
-    f_bar[k] = 0.0
-    return np.linalg.solve(np.eye(model.table.n) - a_bar, f_bar)
-
-
 def _plain_scalar(v):
     return v.item() if isinstance(v, (np.floating, np.integer)) else v
 

@@ -479,6 +479,53 @@ class TestDropZeroIntegration:
         assert code == 0
         assert "DEAD" in capsys.readouterr().err
 
+    GHOST = (
+        "sector,S1,S2,S3,HH,NPISH,GOV,GFCF,INV,EXP,total_output\n"
+        "S1,50.0,20.0,0.0,30.0,0.0,0.0,0.0,0.0,0.0,100.0\n"
+        "S2,30.0,40.0,0.0,30.0,0.0,0.0,0.0,0.0,0.0,100.0\n"
+        "S3,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,-5.0\n"
+        "IMPORTS,-10.0,0.0,0.0,,,,,,,\n"
+        "VALUE_ADDED,30.0,40.0,0.0,,,,,,,\n"
+        "TOTAL_USES,100.0,100.0,0.0,,,,,,,\n"
+    )
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_negative_output_sector_is_kept_and_fails_validation(self, tmp_path, capsys,
+                                                                 command):
+        (tmp_path / "table.csv").write_text(self.GHOST)
+        (tmp_path / "sectors.csv").write_text("code,name\nS1,Sector 1\nS2,Sector 2\nS3,Ghost\n")
+        args = e2_args(table=str(tmp_path / "table.csv"), meta=str(tmp_path / "sectors.csv"),
+                       satellites=[])
+        extra = {"validate": [], "run": ["--scenario", str(E2 / "shock_s1.json"),
+                                         "--out", str(tmp_path / "reports")]}[command]
+        assert main([command, *table_flags(args), *extra]) == 1
+        captured = capsys.readouterr()
+        assert "dropped" not in captured.err
+        assert "violation [row_identity] row identity for S3: expected -5" in (
+            captured.out + captured.err
+        )
+        assert not (tmp_path / "reports").exists()
+
+
+class TestReportNames:
+    def test_sector_code_with_a_slash_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        d = tmp_path / "in"
+        shutil.copytree(E2, d)
+        for name in ("table.csv", "sectors.csv", "satellite_employment.csv",
+                     "satellite_income.csv"):
+            path = d / name
+            path.write_text(path.read_text().replace("S2", "S/2"))
+        args = e2_args(table=str(d / "table.csv"), meta=str(d / "sectors.csv"),
+                       satellites=[str(d / "satellite_employment.csv"),
+                                   str(d / "satellite_income.csv")])
+        out = tmp_path / "out"
+        assert main(["multipliers", *table_flags(args), "--sector", "S/2",
+                     "--out", str(out)]) == 2
+        assert "report name 'sector_multipliers_S/2' must be one plain file name" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
 
 class TestMalformedRowsExitTwo:
     def test_one_cell_satellite_row(self, tmp_path, capsys):
@@ -688,9 +735,13 @@ class TestParseCache:
         assert self.files(out) == cached
 
 
+def cache_files():
+    return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "ioimpact").glob("*.npz"))
+
+
 class TestModelCache:
-    """run and multipliers load the factors of I - A from the cache when an
-    earlier run factorized the same A."""
+    """run and multipliers load the factors of I - A from the table's cache
+    entry when an earlier run factorized the same A."""
 
     @pytest.fixture
     def factorizations(self, monkeypatch):
@@ -769,22 +820,92 @@ class TestModelCache:
         assert main(argv) == code
         cold = capsys.readouterr()
         assert message in cold.err
-        models = Path(os.environ["XDG_CACHE_HOME"]) / "ioimpact" / "models"
-        assert list(models.glob("*")) == []
-        # Plant the entry a hit would serve: the table's own ldu_factors,
-        # written under its key by a load_model that checks nothing.
-        loaded, _ = drop_zero_sectors(ingest.load_io_table(args["table"], args["meta"]))
+        (entry,) = cache_files()
+        with np.load(entry) as npz:
+            assert "factors" not in npz.files
+        # Plant the factors a hit would serve: the table's own ldu_factors,
+        # added to its entry by a load_model that checks nothing.
+        loaded, table_entry = ingest.load_table_entry(args["table"], args["meta"])
+        loaded, _ = drop_zero_sectors(loaded)
         with monkeypatch.context() as m:
             m.setattr(ingest, "check_coefficients", lambda coeffs: None)
             m.setattr(leontief, "certify_productive", lambda model: None)
-            ingest.load_model(loaded)
-        (entry,) = models.glob("*.npz")
+            ingest.load_model(loaded, table_entry)
+        assert cache_files() == [entry]
         with np.load(entry) as npz:
             planted = npz["factors"]
         A = leontief.technical_coefficients(loaded).A
         assert planted.tobytes() == leontief.ldu_factors(A).tobytes()
         assert main(argv) == code
         assert capsys.readouterr() == cold
+
+    def test_one_entry_for_validate_run_and_multipliers(self, tmp_path, monkeypatch,
+                                                        factorizations):
+        parses = []
+        real = ingest.parse_io_table
+
+        def counting(*args):
+            parses.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ingest, "parse_io_table", counting)
+        args, scenario = self.n300_args(tmp_path)
+        counts = []
+        for argv in (
+            ["validate"],
+            ["run", "--scenario", str(scenario), "--out", str(tmp_path / "run")],
+            ["multipliers", "--sector", "S17", "--out", str(tmp_path / "m")],
+        ):
+            assert main([argv[0], *table_flags(args), *argv[1:]]) == 0
+            counts.append((len(parses), factorizations.count("_factorize")))
+        # validate stores the parsed table; run adds the factors to its entry.
+        assert counts == [(1, 0), (1, 1), (1, 1)]
+        cache = Path(os.environ["XDG_CACHE_HOME"]) / "ioimpact"
+        assert [p.name for p in cache.iterdir()] == [cache_files()[0].name]
+        assert not (cache / "models").exists()
+
+    def test_warm_run_hashes_each_input_once_and_never_A(self, tmp_path, monkeypatch):
+        args, scenario = self.n300_args(tmp_path)
+        argv = ["run", *table_flags(args), "--scenario", str(scenario), "--out",
+                str(tmp_path / "reports")]
+        assert main(argv) == 0
+        digested, hashed = [], []
+        real_digest = ingest._file_digest
+
+        def file_digest(path):
+            digested.append(Path(path).resolve())
+            return real_digest(path)
+
+        class CountingHashlib:
+            @staticmethod
+            def sha256(data=b""):
+                digest = hashlib.sha256()
+
+                class Counted:
+                    def update(self, chunk):
+                        hashed.append(memoryview(chunk).nbytes)
+                        digest.update(chunk)
+
+                    def digest(self):
+                        return digest.digest()
+
+                    def hexdigest(self):
+                        return digest.hexdigest()
+
+                counted = Counted()
+                counted.update(data)
+                return counted
+
+        monkeypatch.setattr(ingest, "_file_digest", file_digest)
+        monkeypatch.setattr(ingest, "hashlib", CountingHashlib)
+        assert main(argv) == 0
+        inputs = [Path(p).resolve() for p in (ingest.__file__, leontief.__file__, args["meta"],
+                                              args["table"])]
+        assert sorted(digested) == sorted(inputs)
+        # The four files and the key's own few bytes; A alone is 8 n^2 bytes.
+        file_bytes = sum(p.stat().st_size for p in inputs)
+        assert file_bytes <= sum(hashed) <= file_bytes + 256
+        assert 8 * 300**2 not in hashed
 
     def test_unwritable_cache_dir_factorizes_every_run(self, tmp_path, monkeypatch,
                                                        factorizations):
@@ -809,7 +930,7 @@ class TestScenariosReadFirst:
         def fail(*args):
             raise AssertionError("the table was read")
 
-        monkeypatch.setattr(cli, "load_io_table", fail)
+        monkeypatch.setattr(cli, "load_table_entry", fail)
 
     def test_malformed_scenario(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ioimpact import (
     DemandDelta,
-    EmptyEconomyError,
     ExtractionSpec,
     InternalConsistencyError,
     NonProductiveEconomyError,
@@ -16,7 +15,6 @@ from ioimpact import (
     build_model,
     compare_methods,
     estimate_blowup_factor,
-    full_extraction,
     inoperability,
     make_extraction_spec,
     partial_extraction,
@@ -25,7 +23,6 @@ from ioimpact import (
 from ioimpact.testkit import (
     EconomyGenSpec,
     demand_perturbation,
-    full_extraction_oracle,
     inoperability_oracle,
     interdependency_matrix,
     partial_extraction_oracle,
@@ -212,44 +209,6 @@ class TestPartialExtraction:
             make_extraction_spec(e2_model, "S1", np.array([1.5, 0.0]))
 
 
-class TestFullExtraction:
-    def test_e2(self, e2_model):
-        result = full_extraction(e2_model, "S1")
-        assert np.allclose(result.dx + e2_model.x, [0.0, 50.0], atol=1e-9)
-        assert result.totals["output"] == pytest.approx(-150.0, abs=1e-9)
-
-    def test_single_sector_economy_rejected(self):
-        table = make_table([[20.0]], [80.0], [100.0])
-        model = build_model(table)
-        with pytest.raises(EmptyEconomyError):
-            full_extraction(model, 0)
-
-    def test_diagonal_matrix_only_target_drops(self):
-        Z = np.diag([4.0, 9.0])
-        table = make_table(Z, [16.0, 21.0], [20.0, 30.0])
-        model = build_model(table)
-        result = full_extraction(model, "S1")
-        assert result.dx[0] == pytest.approx(-16.0 / 0.8, abs=1e-9)  # f_k / (1 - a_kk)
-        assert result.dx[1] == pytest.approx(0.0, abs=1e-9)
-
-    def test_bounds_partial_extraction_with_full_alpha(self, e2, e2_model):
-        spec = make_extraction_spec(e2_model, "S1", np.ones(2), f_bar=e2.f)
-        partial = partial_extraction(e2_model, spec)
-        full = full_extraction(e2_model, "S1")
-        assert partial.totals["output"] >= full.totals["output"] - 1e-9
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_bound_holds_on_random_economies(self, seed):
-        table = random_economy(EconomyGenSpec(n=7, seed=seed))
-        model = build_model(table)
-        k = seed % 7
-        spec = make_extraction_spec(model, k, np.ones(7), f_bar=table.f)
-        partial = partial_extraction(model, spec)
-        full = full_extraction(model, k)
-        assert partial.totals["output"] >= full.totals["output"] - 1e-9
-
-
 def oracle_alpha(kind, n, rng):
     return {
         "zero": np.zeros(n),
@@ -287,22 +246,13 @@ class TestFastRoutesMatchOracles:
         result = partial_extraction(model, spec)
         assert np.abs(result.dx - (x_bar - model.x)).max() <= 1e-12 * np.abs(x_bar).max()
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(2, 40))
-    def test_full_extraction(self, seed, n):
-        model = build_model(random_economy(EconomyGenSpec(n=n, seed=seed)))
-        k = seed % n
-        x_bar = full_extraction_oracle(model, k)
-        result = full_extraction(model, k)
-        assert result.dx[k] + model.x[k] == 0.0
-        assert np.abs(result.dx - (x_bar - model.x)).max() <= 1e-12 * np.abs(x_bar).max()
-
 
 class TestUpdateDenominators:
     def test_negative_flows_rejected(self):
         # A = [[0, -0.5], [0.5, 0]] passes the column-sum test, but its
-        # L = [[0.8, -0.4], [0.4, 0.8]] would put both update denominators
-        # below one; the model refuses a negative or NaN flow up front.
+        # L = [[0.8, -0.4], [0.4, 0.8]] would put the rank-one update
+        # denominator below one; the model refuses a negative or NaN flow up
+        # front.
         for flow, shown in ((-50.0, "-50.0"), (np.nan, "nan")):
             Z = np.array([[0.0, flow], [50.0, 0.0]])
             table = make_table(Z, [150.0, 50.0], [100.0, 100.0])

@@ -29,6 +29,7 @@ from ioimpact import (
 )
 from ioimpact import NonProductiveEconomyError, ingest, leontief
 from ioimpact.ingest import CACHE_ENTRIES, load_model, parse_blowup_history
+from ioimpact.table import FinalDemandBlock, IOTable, Sector, drop_zero_sectors
 from ioimpact.leontief import leontief_inverse, technical_coefficients
 from ioimpact.testkit import EconomyGenSpec, canonical_e2, random_economy
 
@@ -533,13 +534,31 @@ class TestParseCache:
         assert _cache_files() == kept
 
 
-def _model_files():
-    """Every file in the model cache directory, entries and temporaries alike."""
-    return set((Path(os.environ["XDG_CACHE_HOME"]) / "ioimpact" / "models").glob("*"))
-
-
 def _fresh_factors(table):
     return leontief_inverse(technical_coefficients(table)).factors
+
+
+def _table_files(table, d):
+    """Write ``table`` to d in the file layout; returns d."""
+    write_table_files(table, d)
+    return d
+
+
+def _load_entry(d):
+    sats = sorted(d.glob("satellite_*.csv"))
+    return ingest.load_table_entry(d / "table.csv", d / "sectors.csv", sats)
+
+
+def _load_model(d):
+    """The model of the table files in d, loaded through the cache as the
+    CLI loads it: the table and its entry, then drop_zero_sectors."""
+    table, entry = _load_entry(d)
+    return load_model(drop_zero_sectors(table)[0], entry)
+
+
+def _entry_arrays(path):
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
 
 
 @pytest.fixture
@@ -564,27 +583,44 @@ def _no_factorization(monkeypatch):
     monkeypatch.setattr(leontief, "leontief_inverse", fail)
 
 
-def _damage_model_truncate(path, table):
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
+def _damage_model_missing(path, table):
+    arrays = _entry_arrays(path)
+    del arrays["factors"]
+    np.savez(path, **arrays)
 
 
 def _damage_model_shape(path, table):
-    np.savez(path, factors=np.eye(table.n + 1))
+    np.savez(path, **{**_entry_arrays(path), "factors": np.eye(table.n + 1)})
 
 
 def _damage_model_nan(path, table):
-    with np.load(path) as npz:
-        factors = npz["factors"]
-    factors[0, -1] = np.nan
-    np.savez(path, factors=factors)
+    arrays = _entry_arrays(path)
+    arrays["factors"][0, -1] = np.nan
+    np.savez(path, **arrays)
 
 
 def _damage_model_other_table(path, table):
     other = random_economy(EconomyGenSpec(n=table.n, seed=99))
     other_factors = _fresh_factors(other)
     assert np.isfinite(other_factors).all()
-    np.savez(path, factors=other_factors)
+    np.savez(path, **{**_entry_arrays(path), "factors": other_factors})
+
+
+def _damage_model_flip(path, table):
+    """Flip bytes inside the stored factors, so that their CRC fails."""
+    data = bytearray(path.read_bytes())
+    at = data.find(_entry_arrays(path)["factors"].tobytes()) + 8 * table.n
+    data[at : at + 8] = bytes(b ^ 0xFF for b in data[at : at + 8])
+    path.write_bytes(bytes(data))
+
+
+def _damage_model_truncate(path, table):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+_FACTOR_DAMAGE = [_damage_model_missing, _damage_model_shape, _damage_model_nan,
+                  _damage_model_other_table, _damage_model_flip]
 
 
 def _e2_with_flow(z12):
@@ -593,102 +629,190 @@ def _e2_with_flow(z12):
     return make_table(Z, [30.0, 30.0], [100.0, 100.0])
 
 
+def _with_dead_sector(table):
+    """``table`` with a zero-output sector inserted after its first."""
+    n = table.n
+    keep = [0, *range(2, n + 1)]
+    Z = np.zeros((n + 1, n + 1))
+    Z[np.ix_(keep, keep)] = table.Z
+    fd = np.zeros((n + 1, 6))
+    fd[keep] = table.final_demand.values
+
+    def padded(v):
+        out = np.zeros(n + 1)
+        out[keep] = v
+        return out
+
+    return IOTable(
+        sectors=tuple(Sector(c, c, i) for i, c in enumerate(["S1", "DEAD", *table.codes[1:]])),
+        Z=Z,
+        final_demand=FinalDemandBlock(fd),
+        imports=padded(table.imports),
+        value_added=padded(table.value_added),
+        x=padded(table.x),
+    )
+
+
 class TestModelCache:
+    """load_model keeps the factors of I - A in the table's cache entry."""
+
     @pytest.mark.parametrize("table", [canonical_e2(), random_economy(EconomyGenSpec(300, 4))],
                              ids=["e2", "n300"])
-    def test_hit_does_not_factorize_and_is_bit_identical(self, monkeypatch, factorize_calls,
-                                                         table):
+    def test_hit_does_not_factorize_and_is_bit_identical(self, tmp_path, monkeypatch,
+                                                         factorize_calls, table):
+        d = _table_files(table, tmp_path / "in")
         fresh = _fresh_factors(table)
-        miss = load_model(table)
+        miss = _load_model(d)
         assert len(factorize_calls) == 2  # the fresh model's and the miss's
-        assert len(_model_files()) == 1
+        (entry,) = _cache_files()
+        assert set(_entry_arrays(entry)) == {"Z", "final_demand", "x", "imports", "value_added",
+                                             "factors"}
         _no_factorization(monkeypatch)
-        hit = load_model(table)
+        loaded, table_entry = _load_entry(d)
+        hit = load_model(loaded, table_entry)
         for model in (miss, hit):
             assert model.factors.dtype == np.float64 and model.factors.shape == fresh.shape
             assert model.factors.tobytes() == fresh.tobytes()
             assert not model.factors.flags.writeable
-        assert hit.table is table
+        assert hit.table is loaded
         assert np.array_equal(hit.solve(table.f), miss.solve(table.f))
+        assert _cache_files() == {entry}
 
-    @pytest.mark.parametrize(
-        "damage",
-        [_damage_model_truncate, _damage_model_shape, _damage_model_nan,
-         _damage_model_other_table],
-        ids=lambda f: f.__name__.removeprefix("_damage_model_"),
-    )
-    def test_damaged_entry_is_a_miss_and_rewritten(self, factorize_calls, damage):
+    @pytest.mark.parametrize("damage", [*_FACTOR_DAMAGE, _damage_model_truncate],
+                             ids=lambda f: f.__name__.removeprefix("_damage_model_"))
+    def test_damaged_entry_is_a_miss_and_rewritten(self, tmp_path, factorize_calls, damage):
         table = random_economy(EconomyGenSpec(n=300, seed=4))
+        d = _table_files(table, tmp_path / "in")
         fresh = _fresh_factors(table)
-        load_model(table)
-        (entry,) = _model_files()
+        _load_model(d)
+        (entry,) = _cache_files()
         damage(entry, table)
         before = len(factorize_calls)
-        assert load_model(table).factors.tobytes() == fresh.tobytes()
+        assert _load_model(d).factors.tobytes() == fresh.tobytes()
         assert len(factorize_calls) == before + 1
-        assert load_model(table).factors.tobytes() == fresh.tobytes()  # the rewritten entry
+        assert _load_model(d).factors.tobytes() == fresh.tobytes()  # the rewritten entry
         assert len(factorize_calls) == before + 1
-        assert _model_files() == {entry}
+        assert _cache_files() == {entry}
+
+    @pytest.mark.parametrize("damage", _FACTOR_DAMAGE,
+                             ids=lambda f: f.__name__.removeprefix("_damage_model_"))
+    def test_damaged_factors_refactorize_without_a_parse(self, tmp_path, parse_calls,
+                                                         factorize_calls, damage):
+        table = random_economy(EconomyGenSpec(n=300, seed=4))
+        d = _table_files(table, tmp_path / "in")
+        _load_model(d)
+        (entry,) = _cache_files()
+        parsed = {k: v for k, v in _entry_arrays(entry).items() if k != "factors"}
+        damage(entry, table)
+        before = len(factorize_calls)
+        _load_model(d)
+        assert (len(parse_calls), len(factorize_calls)) == (1, before + 1)
+        rewritten = _entry_arrays(entry)
+        assert rewritten["factors"].tobytes() == _fresh_factors(table).tobytes()
+        for name, array in parsed.items():
+            assert rewritten[name].tobytes() == array.tobytes()
 
     @pytest.mark.parametrize(
         "table,error",
-        [(_e2_with_flow(-5.0), ValueError), (_e2_with_flow(float("nan")), ValueError),
+        [(_e2_with_flow(-5.0), ValueError),
          (make_table([[70, 50], [50, 70]], [-20, -20], [100, 100]), NonProductiveEconomyError),
          # rho(A) = 1 over three 128-wide blocks.
          (table_with_A(column_stochastic(300, seed=3)), NonProductiveEconomyError)],
-        ids=["negative", "nan", "non-productive", "column-stochastic"],
+        ids=["negative", "non-productive", "column-stochastic"],
     )
-    def test_checks_run_before_the_lookup(self, monkeypatch, table, error):
+    def test_checks_run_before_the_lookup(self, tmp_path, monkeypatch, table, error):
+        d = _table_files(table, tmp_path / "in")
         with pytest.raises(error) as cold:
-            load_model(table)
-        assert _model_files() == set()
-        # Plant the entry a hit would serve: the table's own ldu_factors,
-        # written under its key by a load_model that checks nothing.
+            _load_model(d)
+        (entry,) = _cache_files()
+        assert "factors" not in _entry_arrays(entry)
+        # Plant the factors a hit would serve: the table's own ldu_factors,
+        # added to its entry by a load_model that checks nothing.
         with monkeypatch.context() as m:
             m.setattr(ingest, "check_coefficients", lambda coeffs: None)
             m.setattr(leontief, "certify_productive", lambda model: None)
-            if np.isfinite(table.Z).all():
-                load_model(table)
-                (entry,) = _model_files()
-                with np.load(entry) as npz:
-                    planted = npz["factors"]
-                A = technical_coefficients(table).A
-                assert planted.tobytes() == leontief.ldu_factors(A).tobytes()
+            _load_model(d)
+        A = technical_coefficients(table).A
+        assert _entry_arrays(entry)["factors"].tobytes() == leontief.ldu_factors(A).tobytes()
         with pytest.raises(error) as warm:
-            load_model(table)
+            _load_model(d)
         assert str(warm.value) == str(cold.value)
 
-    def test_edited_flow_is_a_miss(self, factorize_calls):
-        load_model(_e2_with_flow(20.0))
-        load_model(_e2_with_flow(20.5))
+    def test_nan_flow_is_rejected_before_the_factors_are_read(self, tmp_path):
+        # A table file cannot hold a NaN, so a library table brings it along
+        # with the entry of the finite table it was edited from.
+        d = _table_files(_e2_with_flow(20.0), tmp_path / "in")
+        _load_model(d)
+        (entry,) = _cache_files()
+        stored = entry.read_bytes()
+        _, table_entry = _load_entry(d)
+        with pytest.raises(ValueError, match=r"Z\[S1, S2\] is nan"):
+            load_model(_e2_with_flow(float("nan")), table_entry)
+        assert entry.read_bytes() == stored
+
+    def test_edited_flow_is_a_miss(self, tmp_path, factorize_calls):
+        d = tmp_path / "in"
+        _table_files(_e2_with_flow(20.0), d)
+        _load_model(d)
+        _table_files(_e2_with_flow(20.5), d)
+        _load_model(d)
         assert len(factorize_calls) == 2
-        assert len(_model_files()) == 2
-        assert load_model(_e2_with_flow(20.0)).A[0, 1] == 0.2
+        assert len(_cache_files()) == 2
+        _table_files(_e2_with_flow(20.0), d)
+        assert _load_model(d).A[0, 1] == 0.2
         assert len(factorize_calls) == 2
 
+    def test_dropped_zero_sector_stores_the_reduced_factors(self, tmp_path, monkeypatch,
+                                                            factorize_calls):
+        table = random_economy(EconomyGenSpec(n=140, seed=2))
+        d = _table_files(_with_dead_sector(table), tmp_path / "in")
+        miss = _load_model(d)
+        assert miss.table.n == 140
+        (entry,) = _cache_files()
+        arrays = _entry_arrays(entry)
+        assert arrays["Z"].shape == (141, 141)
+        assert arrays["factors"].shape == (140, 140)
+        fresh = _fresh_factors(table)
+        _no_factorization(monkeypatch)
+        hit = _load_model(d)
+        assert hit.factors.tobytes() == miss.factors.tobytes() == fresh.tobytes()
+
+    def test_table_edited_during_parse_caches_nothing(self, tmp_path, monkeypatch,
+                                                      factorize_calls):
+        d = _copy_e2(tmp_path / "in")
+        real = ingest.parse_io_table
+
+        def parse_then_edit(*args):
+            table = real(*args)
+            _set_cell(d / "table.csv", 2, 2, "50.25")
+            return table
+
+        monkeypatch.setattr(ingest, "parse_io_table", parse_then_edit)
+        table, entry = _load_entry(d)
+        assert entry is None
+        assert load_model(table, entry).A[0, 0] == 0.5
+        assert _cache_files() == set()
+
+    def test_changed_factorization_source_is_a_miss(self, tmp_path, monkeypatch, parse_calls,
+                                                    factorize_calls):
+        d = _copy_e2(tmp_path / "in")
+        _load_model(d)
+        edited = tmp_path / "leontief.py"
+        edited.write_text(Path(leontief.__file__).read_text() + "# edited\n")
+        monkeypatch.setattr(leontief, "__file__", str(edited))
+        _load_model(d)
+        assert (len(parse_calls), len(factorize_calls)) == (2, 2)
+        assert len(_cache_files()) == 2
+
     def test_unwritable_cache_dir(self, tmp_path, monkeypatch, factorize_calls):
+        d = _copy_e2(tmp_path / "in")
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        table = canonical_e2()
-        models = [load_model(table) for _ in range(2)]
+        models = [_load_model(d) for _ in range(2)]
         assert len(factorize_calls) == 2
         assert models[0].factors.tobytes() == models[1].factors.tobytes()
         assert blocker.read_text() == ""
-
-    def test_models_and_tables_do_not_evict_each_other(self, tmp_path):
-        table_dir = _copy_e2(tmp_path / "in")
-        _load(table_dir)
-        (table_entry,) = _cache_files()
-        for k in range(CACHE_ENTRIES + 1):
-            load_model(_e2_with_flow(10.0 + k))
-        assert len(_model_files()) == CACHE_ENTRIES
-        assert table_entry.exists()
-        models = _model_files()
-        for k in range(10, 11 + CACHE_ENTRIES):
-            TestParseCache._write_distinct(tmp_path, k, time.time() - 1000 + k)
-        assert _model_files() == models
-        assert len([p for p in _cache_files() if p.suffix == ".npz"]) == CACHE_ENTRIES
 
 
 # Bytes that mean something to the CSV grammar or the number parser, plus

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -160,6 +161,18 @@ class TestWriteReports:
     def test_unknown_format_rejected(self, bundle, tmp_path):
         with pytest.raises(ValueError):
             write_reports(bundle, tmp_path, formats=("xml",))
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../up", "a\\b", "a\x00b"])
+    @pytest.mark.parametrize("kind", ["table", "document"])
+    def test_report_name_must_be_one_path_component(self, bundle, tmp_path, name, kind):
+        if kind == "table":
+            bundle.add(ReportTable(name, ("a",), ("s",), (("x",),)))
+        else:
+            bundle.documents[name] = {"a": 1}
+        out = tmp_path / "out" / "deep"
+        with pytest.raises(ValueError, match=f"report name {re.escape(repr(name))} must be"):
+            write_reports(bundle, out, formats=("csv", "json"))
+        assert not (tmp_path / "out").exists()
 
     def test_json_payload_loadable(self, bundle, tmp_path):
         write_reports(bundle, tmp_path, formats=("json",))

@@ -16,7 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PUBLIC_NAMES = {
     "ComparisonReport",
     "DemandDelta",
-    "EmptyEconomyError",
     "ExtractionSpec",
     "FinalDemandBlock",
     "IOModelError",
@@ -45,7 +44,6 @@ PUBLIC_NAMES = {
     "drop_zero_sectors",
     "estimate_blowup_factor",
     "extraction_intensities",
-    "full_extraction",
     "import_share",
     "inoperability",
     "input_recipe",
@@ -65,7 +63,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 45
     assert set(ioimpact.__all__) == PUBLIC_NAMES
     assert len(ioimpact.__all__) == len(PUBLIC_NAMES)
     for name in ioimpact.__all__:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,21 @@ class TestDropZeroSectors:
         reduced, dropped = drop_zero_sectors(table)
         assert all(reduced.x > 0)
         assert [s.code for s in dropped] == ["S2"]
+
+    @pytest.mark.parametrize("x3", [-5.0, np.nan])
+    def test_negative_or_nan_output_is_kept_and_fails_validation(self, x3):
+        Z = [[50, 20, 0], [30, 40, 0], [0, 0, 0]]
+        table = make_table(Z, [30, 30, 0], [100, 100, 0])
+        table = replace(table, x=[100.0, 100.0, x3])
+        reduced, dropped = drop_zero_sectors(table)
+        assert dropped == [] and reduced is table
+        report = validate_table(reduced)
+        assert not report.passed
+        assert ("row_identity", "S3") in [(v.kind, v.sector) for v in report.violations]
+
+    def test_negative_zero_output_is_dropped(self):
+        table = make_table([[0.0, 0], [0, 0]], [10, 0], [10, -0.0])
+        assert [s.code for s in drop_zero_sectors(table)[1]] == ["S2"]
 
 
 class TestFinalDemandBlock:
