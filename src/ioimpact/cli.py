@@ -192,14 +192,25 @@ def _check_scenario_names(paths, specs) -> None:
         seen[name] = path
 
 
-def _run_scenario(model, spec, args, override):
-    delta = build_delta(model.table, spec)
+def _build_shocks(table, paths, specs):
+    """Each scenario's final-demand change and extraction intensities, for
+    every method: a sector code the table lacks exits 2, naming the file,
+    before the model is built."""
+    shocks = []
+    for path, spec in zip(paths, specs):
+        try:
+            shocks.append((build_delta(table, spec), extraction_intensities(table, spec)))
+        except KeyError as exc:
+            raise ScenarioConfigError(f"{path}: {exc.args[0]}") from None
+    return shocks
+
+
+def _run_scenario(model, spec, delta, alpha, args, override):
     blowup = spec.blowup_factor if override is None else override
     results = []
     if args.method in ("inoperability", "both"):
         results.append(apply_blowup(inoperability(model, delta), blowup))
     if args.method in ("extraction", "both"):
-        alpha = extraction_intensities(model.table, spec)
         ext_spec = make_extraction_spec(
             model,
             spec.target_sector,
@@ -237,9 +248,13 @@ def cmd_run(args) -> int:
         for line in report.lines():
             print(line, file=sys.stderr)
         return EXIT_VALIDATION
+    shocks = _build_shocks(table, args.scenario, specs)
     model = load_model(table, entry)
     override = _blowup_override(args)
-    runs = [_run_scenario(model, spec, args, override) for spec in specs]
+    runs = [
+        _run_scenario(model, spec, delta, alpha, args, override)
+        for spec, (delta, alpha) in zip(specs, shocks)
+    ]
 
     # Shared by every scenario's bundle; report tables are immutable.
     validation = validation_table(report)
@@ -285,7 +300,10 @@ def main(argv=None) -> int:
     except NonProductiveEconomyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_PRODUCTIVE
-    except (IOModelError, OSError, KeyError, ValueError) as exc:
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return EXIT_STRUCTURAL
+    except (IOModelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
 

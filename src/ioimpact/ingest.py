@@ -22,16 +22,18 @@ named.
 
 A table file of at least 1 MiB is parsed in two processes where os.fork
 exists and two CPUs are usable: a forked worker parses the second half of
-the sector rows and the trailing rows into a shared mapping. The result,
-or the error with its row and column, is the one-process parse's; see
-_parse_rows.
+the sector rows and the trailing rows into a shared mapping, and its rows
+are used only if it parsed them all. Otherwise this process parses that
+half itself, so the result, or the error with its row and column, is the
+one-process parse's, and an error in the second half costs a one-process
+parse of that half; see _parse_rows.
 
 load_io_table is parse_io_table memoised on disk: a parsed table is stored
 as one entry under ``$XDG_CACHE_HOME/ioimpact`` (default
 ``~/.cache/ioimpact``), keyed by the sha256 of the table file, the metadata
 file, this module's and leontief.py's sources and the numpy version.
 load_model adds the block LDU factors of I - A to the same entry, so a table
-has one key and one file. Its factors come either from leontief.ldu_factors
+has one key and one file. Its factors come either from leontief_inverse
 or from the entry, checked against A before use; only factors that certify
 A as productive are served or cached.
 """
@@ -58,7 +60,7 @@ import numpy as np
 from . import leontief
 from .errors import ScenarioConfigError, StructuralError, TableParseError
 from .impact import FIXED_POINT_TOL, fixed_point_gap
-from .leontief import LeontiefModel, check_coefficients, ldu_factors, technical_coefficients
+from .leontief import LeontiefModel, check_coefficients, leontief_inverse, technical_coefficients
 from .scenario import IntermediateSpec, Reallocation, ScenarioSpec, UseRatio
 from .table import (
     FD_CODES,
@@ -312,11 +314,10 @@ def _fill(rows, codes: tuple[str, ...], out: np.ndarray, first: int, count: int)
     return count
 
 
-# A table file smaller than this is parsed in one process. Forking a worker,
-# reading its report through a pipe and reaping it costs about 4 ms in a
-# process with numpy loaded, while a 0.8 MB table (n = 200) parses in about
-# 43 ms and a 91 KB one (n = 65) in 6.5 ms: below 1 MiB the second process
-# would spend most of what it saves.
+# A table file smaller than this is parsed in one process. Forking a worker
+# and reaping it costs about 4 ms in a process with numpy loaded, while a
+# 0.8 MB table (n = 200) parses in about 43 ms and a 91 KB one (n = 65) in
+# 6.5 ms: below 1 MiB the second process would spend most of what it saves.
 _SPLIT_BYTES = 1 << 20
 
 
@@ -326,14 +327,15 @@ def _parse_rows(path, fh, lines: _Lines, rows, codes: tuple[str, ...], out: np.n
     float() is most of a parse, so on a large table a forked worker parses
     the second part of the file, from the line starting the sector row j
     found by _split_point, into a shared mapping, while this process parses
-    the first part. The worker runs the same _fill on its own stream of the
-    file. Its result is used only if the first part holds exactly the
-    header and j sector rows and every line of it is one CSV record (no
-    ``"``, no lone ``\\r``), so that the worker started where a single pass
-    would have been; otherwise, and if the worker dies or reports anything
-    malformed, this process parses the rest itself. An error in the first
-    part wins, since a single pass would have met it first; the worker's
-    error is raised with its rows counted from the start of the file.
+    the first part. The worker only speeds the parse up: its rows are used
+    if it exited with status 0, which it does only when the whole table
+    parsed with the right row count, and the first part holds exactly the
+    header and j sector rows with every line one CSV record (no ``"``, no
+    lone ``\\r``), so that the worker started where a single pass would
+    have been. Otherwise this process parses the rest itself, as one pass,
+    and that pass names any error with its row and column. So an error in
+    the second part of a large table is raised only after this process has
+    parsed that part at one-process speed.
     """
     split = _split_point(path, fh, lines.end, codes)
     if split is None:
@@ -341,35 +343,21 @@ def _parse_rows(path, fh, lines: _Lines, rows, codes: tuple[str, ...], out: np.n
     offset, j = split
     pid = None
     parent = os.getpid()
-    read_fd, write_fd = os.pipe()
     try:
         with mmap.mmap(-1, (len(out) - j) * out.strides[0]) as shared:
             with contextlib.suppress(OSError):  # no process to spare: one pass
                 pid = os.fork()
             if pid == 0:
-                _worker(path, offset, codes, j, shared, write_fd)
-            os.close(write_fd)
-            write_fd = None
+                _worker(path, offset, codes, j, shared)
             if pid is not None:
                 lines.stop = offset
             count = _fill(rows, codes, out, 0, 1)
             if lines.end == offset and count == 1 + j:
-                with os.fdopen(read_fd, "rb") as pipe:
-                    read_fd = None
-                    data = pipe.read()
                 _, status = os.waitpid(pid, 0)
                 pid = None
-                report = _worker_report(data) if status == 0 else None
-                if report is not None and "count" in report:
+                if status == 0:
                     out[j:] = np.frombuffer(shared).reshape(len(out) - j, -1)
-                    return report["count"]
-                if report is not None:
-                    row = report["row"]
-                    raise TableParseError(
-                        report["message"],
-                        row=None if row is None else lines.lines + row,
-                        column=report["column"],
-                    )
+                    return 1 + len(out)  # the header and every row of out
     finally:
         if os.getpid() != parent:  # the worker, interrupted before _worker took over
             os._exit(1)
@@ -377,10 +365,7 @@ def _parse_rows(path, fh, lines: _Lines, rows, codes: tuple[str, ...], out: np.n
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for fd in (read_fd, write_fd):
-            if fd is not None:
-                os.close(fd)
-    # The worker's part was not parsed: go on from the split, as one pass.
+    # The worker's rows are not used: go on from the split, as one pass.
     lines.stop = None
     rows = _records(lines, path, out.shape[1] + 1, lines.lines, header=False)
     return _fill(rows, codes, out, 0, count)
@@ -415,49 +400,21 @@ def _split_point(path, fh, start: int, codes: tuple[str, ...]) -> tuple[int, int
     return None
 
 
-def _worker(path, offset: int, codes: tuple[str, ...], j: int, shared: mmap.mmap, write_fd: int):
+def _worker(path, offset: int, codes: tuple[str, ...], j: int, shared: mmap.mmap):
     """The forked worker of _parse_rows: parse the table from ``offset``,
-    sector row j on, into ``shared``, and write a JSON report to
-    ``write_fd``: the final row count, or the TableParseError's message,
-    row (counted from ``offset``) and column. Never returns: it ends the
-    process, with status 0 once the report is written."""
+    sector row j on, into ``shared``. Never returns: it ends the process
+    with status 0 if every row parsed and the file holds exactly the header,
+    the n sector rows and the trailing rows, and with status 1 otherwise."""
     status = 1
     try:
         out = np.frombuffer(shared).reshape(-1, len(codes) + len(FD_CODES) + 1)
         with open(path, "rb") as fh:
             fh.seek(offset)
             rows = _records(_Lines(fh, path), path, out.shape[1] + 1, header=False)
-            try:
-                report = {"count": _fill(rows, codes, out, j, 1 + j)}
-            except TableParseError as exc:
-                where = str(TableParseError("", exc.row, exc.column))
-                message = str(exc).removesuffix(where)
-                report = {"message": message, "row": exc.row, "column": exc.column}
-        data = json.dumps(report).encode()
-        while data:
-            data = data[os.write(write_fd, data) :]
-        status = 0
+            if _fill(rows, codes, out, j, 1 + j) == 1 + j + len(out):
+                status = 0
     finally:
         os._exit(status)
-
-
-def _worker_report(data: bytes) -> dict | None:
-    """The worker's report, or None if it is not one _worker writes."""
-    try:
-        report = json.loads(data)
-    except ValueError:
-        return None
-    if not isinstance(report, dict):
-        return None
-    if set(report) == {"count"} and type(report["count"]) is int:
-        return report
-    if (
-        set(report) == {"message", "row", "column"}
-        and type(report["message"]) is str
-        and all(v is None or type(v) is int for v in (report["row"], report["column"]))
-    ):
-        return report
-    return None
 
 
 def _parse_satellites(satellite_files, codes: tuple[str, ...]) -> dict[str, SatelliteAccount]:
@@ -567,8 +524,7 @@ def load_model(table: IOTable, entry: TableEntry | None) -> LeontiefModel:
         if fixed_point_gap(model, model.solve(table.f), table.f) <= FIXED_POINT_TOL:
             leontief.certify_productive(model)
             return model
-    model = LeontiefModel(table=table, coeffs=coeffs, factors=ldu_factors(coeffs.A))
-    leontief.certify_productive(model)
+    model = leontief_inverse(coeffs)
     if entry is not None:
         _write_entry(entry, factors=model.factors)
     return model

@@ -19,7 +19,7 @@ build_model and leontief_inverse always factorize and never touch the disk.
 The CLI gets its model from ingest.load_model instead, which runs the same
 check_coefficients and then either serves the factors an earlier run stored
 in the table's cache entry, once they solve (I - A) x = f, or calls
-ldu_factors and adds the result to that entry. Every model handed out,
+leontief_inverse and adds its factors to that entry. Every model handed out,
 cached or not, has passed certify_productive.
 """
 
@@ -129,12 +129,15 @@ def technical_coefficients(table: IOTable) -> TechnicalCoefficients:
     Satellite kinds backed by an account use it. Two kinds are read off the
     table when no account was supplied: value added from the value-added
     row, gross fixed capital formation from its final-demand column. Every
-    retained sector must have positive output; call drop_zero_sectors first
-    if the source data contains empty sectors.
+    sector must have positive output: drop_zero_sectors removes the empty
+    ones, and validate_table reports a negative one.
     """
     if np.any(table.x <= 0):
         bad = [table.codes[j] for j in np.flatnonzero(table.x <= 0)]
-        raise ValueError(f"sectors with non-positive output: {bad}; drop them before modeling")
+        raise ValueError(
+            f"sectors with non-positive output: {bad}; the model needs every output to be "
+            "positive (drop_zero_sectors removes zero-output sectors)"
+        )
     x = table.x
     A = table.Z / x[np.newaxis, :]
     gfcf = "gross_fixed_capital_formation"

@@ -39,14 +39,13 @@ from .leontief import (
 from .table import SATELLITE_KINDS, Sector, ValidationReport
 
 # Column formats: s = string, coef = 5 decimals, q = 6 decimals,
-# million = whole currency millions, pct = 2 decimals, int = integer.
+# million = whole currency millions, int = integer.
 # Each entry formats one cell and is mapped over a whole column.
 _FORMATTERS = {
     "s": str,
     "coef": "{:.5f}".format,
     "q": "{:.6f}".format,
     "million": "{:.0f}".format,
-    "pct": "{:.2f}".format,
     "int": lambda v: f"{int(v)}",
     "raw": lambda v: repr(float(v)),
 }

@@ -228,9 +228,11 @@ class Violation:
     ``rel_err`` is |expected - actual| / max(|x|, 1e-30) with x the gross
     output of ``sector``: for a negative flow Z_ij that is |Z_ij| / max(|x_i|,
     1e-30), the denominator the identity checks use, so it is always finite.
+    A negative gross output x_j is reported with expected 0, actual x_j and
+    rel_err 1.
     """
 
-    kind: str  # row_identity | column_identity | negative_flow
+    kind: str  # row_identity | column_identity | negative_flow | negative_output
     sector: str
     expected: float
     actual: float
@@ -255,13 +257,15 @@ class ValidationReport:
 
 
 def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> ValidationReport:
-    """Check the row and column accounting identities and flow signs.
+    """Check the row and column accounting identities and the signs of
+    flows and outputs.
 
     Returns a report listing every violation with sector, expected, actual,
     and relative error. The report passes iff no identity violation exceeds
-    ``rel_tol`` and no interindustry flow is negative. The input table is
-    never modified. Structural defects raise StructuralError instead of
-    being reported.
+    ``rel_tol``, no interindustry flow is negative and no sector's gross
+    output is negative (the model needs x > 0, and drop_zero_sectors only
+    removes x == 0). The input table is never modified. Structural defects
+    raise StructuralError instead of being reported.
     """
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
@@ -282,6 +286,18 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
                 actual=float(table.Z[i, j]),
                 rel_err=float(abs(table.Z[i, j]) / denom[i]),
                 message=f"Z[{codes[i]},{codes[j]}] = {table.Z[i, j]:g} is negative",
+            )
+        )
+
+    for j in np.flatnonzero(table.x < 0):
+        violations.append(
+            Violation(
+                kind="negative_output",
+                sector=codes[j],
+                expected=0.0,
+                actual=float(table.x[j]),
+                rel_err=1.0,
+                message=f"total output of {codes[j]} = {table.x[j]:g} is negative",
             )
         )
 

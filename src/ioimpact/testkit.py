@@ -110,7 +110,6 @@ _CSV_CELL = {
     "coef": lambda v: f"{v:.5f}",
     "q": lambda v: f"{v:.6f}",
     "million": lambda v: f"{v:.0f}",
-    "pct": lambda v: f"{v:.2f}",
     "int": lambda v: f"{int(v)}",
     "raw": lambda v: repr(float(v)),
 }

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,15 @@ E2_A = np.array([[0.5, 0.2], [0.3, 0.4]])
 def cold_parse_cache(tmp_path, monkeypatch):
     """Every test starts with an empty parse cache outside the home directory."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg-cache"))
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """A test that leaves a child process (a forked parse worker, say)
+    unreaped fails."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -506,6 +506,27 @@ class TestDropZeroIntegration:
         )
         assert not (tmp_path / "reports").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_balanced_negative_output_sector_fails_validation(self, tmp_path, capsys, command):
+        """Both identities of S3 hold, so only the sign check can see it."""
+        (tmp_path / "table.csv").write_text(
+            self.GHOST.replace("S3," + "0.0," * 8, "S3," + "0.0," * 7 + "-5.0,")
+            .replace("IMPORTS,-10.0,0.0,0.0", "IMPORTS,-10.0,0.0,-5.0")
+            .replace("TOTAL_USES,100.0,100.0,0.0", "TOTAL_USES,100.0,100.0,-5.0")
+        )
+        (tmp_path / "sectors.csv").write_text("code,name\nS1,Sector 1\nS2,Sector 2\nS3,Ghost\n")
+        args = e2_args(table=str(tmp_path / "table.csv"), meta=str(tmp_path / "sectors.csv"),
+                       satellites=[])
+        extra = {"validate": [], "run": ["--scenario", str(E2 / "shock_s1.json"),
+                                         "--out", str(tmp_path / "reports")]}[command]
+        assert main([command, *table_flags(args), *extra]) == 1
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert "violation [negative_output] total output of S3 = -5 is negative" in text
+        assert "identity" not in text
+        assert "validation FAILED" in text
+        assert not (tmp_path / "reports").exists()
+
 
 class TestReportNames:
     def test_sector_code_with_a_slash_exits_two_and_writes_nothing(self, tmp_path, capsys):
@@ -829,6 +850,7 @@ class TestModelCache:
         loaded, _ = drop_zero_sectors(loaded)
         with monkeypatch.context() as m:
             m.setattr(ingest, "check_coefficients", lambda coeffs: None)
+            m.setattr(leontief, "check_coefficients", lambda coeffs: None)
             m.setattr(leontief, "certify_productive", lambda model: None)
             ingest.load_model(loaded, table_entry)
         assert cache_files() == [entry]
@@ -951,6 +973,43 @@ class TestScenariosReadFirst:
         assert f"{second}: scenario name 'same' is also the name of {first}" in (
             capsys.readouterr().err
         )
+
+
+class TestUnknownScenarioSectors:
+    """A sector code the table lacks exits 2 naming the scenario file, for
+    every method, before the model is built."""
+
+    @pytest.mark.parametrize("method", ["inoperability", "both"])
+    @pytest.mark.parametrize(
+        "fields,code",
+        [
+            ('"target_sector": "S9"', "S9"),
+            ('"target_sector": "S1", "reallocation": {"savings_fraction": 0.5,'
+             ' "shares": {"S7": 1.0}}', "S7"),
+            ('"target_sector": "S1", "intermediate": {"use_ratios": {"S8": 0.5}}', "S8"),
+        ],
+        ids=["target_sector", "reallocation", "use_ratios"],
+    )
+    def test_exits_two_naming_the_file(self, tmp_path, capsys, monkeypatch, method, fields,
+                                       code):
+        def fail(*args):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(cli, "load_model", fail)
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"name": "x", "sub_service_drop": 0.5, {fields}}}')
+        out = tmp_path / "reports"
+        assert main(["run", *table_flags(e2_args()), "--scenario", str(bad),
+                     "--method", method, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: unknown sector code '{code}'\n"
+        assert not out.exists()
+
+
+def test_key_error_is_printed_without_quotes(tmp_path, capsys):
+    code = main(["multipliers", *table_flags(e2_args()), "--sector", "S9",
+                 "--out", str(tmp_path / "reports")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown sector code 'S9'\n"
 
 
 def test_bad_scenario_wins_over_a_bad_table(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import contextlib
-import json
 import os
 import shutil
 import signal
@@ -730,6 +729,7 @@ class TestModelCache:
         # added to its entry by a load_model that checks nothing.
         with monkeypatch.context() as m:
             m.setattr(ingest, "check_coefficients", lambda coeffs: None)
+            m.setattr(leontief, "check_coefficients", lambda coeffs: None)
             m.setattr(leontief, "certify_productive", lambda model: None)
             _load_model(d)
         A = technical_coefficients(table).A
@@ -1010,26 +1010,30 @@ class TestSplitParse:
         paths = write_table_files(random_economy(EconomyGenSpec(n=200, seed=5)), tmp_path)
         return paths["table"], paths["sectors"]
 
+    @staticmethod
+    def _spy_fill(monkeypatch):
+        """The calls of _fill this process makes; the worker's are its own."""
+        calls, real_fill = [], ingest._fill
+        monkeypatch.setattr(ingest, "_fill", lambda *args: calls.append(1) or real_fill(*args))
+        return calls
+
     def test_splits_once_and_uses_the_worker(self, big, monkeypatch):
-        forks, reports = [], []
-        real_fork, real_report = os.fork, ingest._worker_report
+        forks = []
+        real_fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-        monkeypatch.setattr(ingest, "_worker_report", lambda b: reports.append(b) or real_report(b))
+        fills = self._spy_fill(monkeypatch)
         monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
         table = parse_io_table(*big)
+        assert len(forks) == 1
+        assert len(fills) == 1
         monkeypatch.setattr(ingest, "_SPLIT_BYTES", float("inf"))
         _assert_bit_identical(table, parse_io_table(*big))
-        assert len(forks) == 1
-        assert [json.loads(r) for r in reports] == [{"count": 204}]
 
-    @pytest.mark.parametrize("death", ["exit", "kill", "garbage", "raise"])
+    @pytest.mark.parametrize("death", ["exit", "kill", "raise"])
     def test_dead_worker_still_gives_the_table(self, big, monkeypatch, death):
-        def worker(path, offset, codes, j, shared, write_fd):
+        def worker(path, offset, codes, j, shared):
             if death == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
-            if death == "garbage":
-                os.write(write_fd, b'{"count": "204"}')
-                os._exit(0)
             if death == "raise":  # the caller's finally must end the process
                 raise RuntimeError("worker escaped")
             os._exit(1)
@@ -1039,6 +1043,25 @@ class TestSplitParse:
         monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
         monkeypatch.setattr(ingest, "_worker", worker)
         _assert_bit_identical(parse_io_table(*big), want)
+
+    def test_worker_error_resumes_the_one_pass(self, big, monkeypatch):
+        table, sectors = big
+        lines = table.read_text().splitlines()
+        lines[190] = lines[190].replace(",", ",oops,", 1)
+        lines[190] = lines[190][: lines[190].rindex(",")]  # keep the width
+        table.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TableParseError) as one:
+            parse_io_table(table, sectors)
+        fills = self._spy_fill(monkeypatch)
+        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
+        with pytest.raises(TableParseError) as two:
+            parse_io_table(table, sectors)
+        assert len(fills) == 2
+        assert type(two.value) is type(one.value)
+        assert (str(two.value), two.value.row, two.value.column) == (
+            str(one.value), one.value.row, one.value.column
+        )
+        assert (two.value.row, two.value.column) == (191, 2)
 
     def test_parent_error_does_not_wait_for_the_worker(self, big, monkeypatch):
         table, sectors = big

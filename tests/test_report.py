@@ -273,7 +273,7 @@ leaves = st.one_of(finite_floats, names, st.integers(), st.booleans(), st.none()
 
 # A column kind is its value strategy and the CSV formats that suit it.
 COLUMN_KINDS = {
-    "float": (finite_floats, ("coef", "q", "million", "pct", "raw", "s")),
+    "float": (finite_floats, ("coef", "q", "million", "raw", "s")),
     "str": (names, ("s",)),
     "int": (st.integers(-(2**70), 2**70), ("int", "s")),
     "mixed": (

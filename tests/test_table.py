@@ -67,6 +67,16 @@ class TestValidate:
         # |Z_12| / x_1, the identity checks' denominator: finite, never NaN.
         assert (negative.sector, negative.actual, negative.rel_err) == ("S1", -1.0, 0.01)
 
+    def test_negative_output_violation_with_balanced_identities(self):
+        # S2: Z row and column zero, final demand -5, imports -5, x = -5.
+        table = make_table([[50, 0], [0, 0]], [50, -5], [100, -5],
+                           imports=[0, -5], value_added=[50, 0])
+        report = validate_table(table)
+        assert not report.passed
+        (violation,) = report.violations
+        assert (violation.kind, violation.sector, violation.expected, violation.actual,
+                violation.rel_err) == ("negative_output", "S2", 0.0, -5.0, 1.0)
+
     def test_rel_tol_must_be_positive(self, e2):
         with pytest.raises(ValueError):
             validate_table(e2, rel_tol=0.0)
