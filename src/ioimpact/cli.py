@@ -18,6 +18,7 @@ from pathlib import Path
 from .errors import IOModelError, NonProductiveEconomyError, ScenarioConfigError
 from .impact import (
     apply_blowup,
+    check_blowup_factor,
     compare_methods,
     estimate_blowup_factor,
     inoperability,
@@ -25,6 +26,7 @@ from .impact import (
     partial_extraction,
 )
 from .ingest import load_model, load_table_entry, parse_blowup_history, parse_scenario
+from .leontief import check_top_k
 from .report import (
     ReportBundle,
     comparison_table,
@@ -34,13 +36,12 @@ from .report import (
     multiplier_table,
     plotdata_table,
     recipe_tables,
-    result_to_dict,
     sector_profile_table,
     validation_table,
     write_reports,
 )
 from .scenario import build_delta, extraction_intensities
-from .table import INGESTED_REL_TOL, drop_zero_sectors, validate_table
+from .table import INGESTED_REL_TOL, check_rel_tol, drop_zero_sectors, validate_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -124,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_validated(args):
     """The table with its zero-output sectors dropped, its validation report
-    and its cache entry, which load_model reads the factors from."""
+    and its cache entry, which load_model reads the factors from. A bad
+    --rel-tol exits 2 before the table is read."""
+    check_rel_tol(args.rel_tol)
     table, entry = load_table_entry(args.table, args.meta, args.satellites)
     table, dropped = drop_zero_sectors(table)
     for sector in dropped:
@@ -145,11 +148,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_multipliers(args) -> int:
+    if args.sector:
+        check_top_k(args.top_k)
     table, report, entry = _load_validated(args)
     if not report.passed:
         for line in report.lines():
             print(line, file=sys.stderr)
         return EXIT_VALIDATION
+    if args.sector:
+        table.sector_index(args.sector)  # an unknown code exits 2 before the model is built
     model = load_model(table, entry)
     bundle = ReportBundle()
     bundle.add(validation_table(report))
@@ -164,13 +171,16 @@ def cmd_multipliers(args) -> int:
 
 
 def _blowup_override(args) -> float | None:
-    """The blowup factor --blowup or --blowup-history sets for every scenario."""
+    """The blowup factor --blowup or --blowup-history sets for every
+    scenario, checked as apply_blowup would check it."""
     if args.blowup is not None:
-        return args.blowup
-    if args.blowup_history:
-        fd, gdp = parse_blowup_history(*args.blowup_history)
-        return estimate_blowup_factor(fd, gdp)
-    return None
+        blowup = args.blowup
+    elif args.blowup_history:
+        blowup = estimate_blowup_factor(*parse_blowup_history(*args.blowup_history))
+    else:
+        return None
+    check_blowup_factor(blowup)
+    return blowup
 
 
 def _check_scenario_names(paths, specs) -> None:
@@ -238,11 +248,13 @@ def _print_summary(spec, blowup, results) -> None:
 
 
 def cmd_run(args) -> int:
-    # Scenarios first: a bad one exits 2 before the table is read.
+    # Scenarios and arguments first: a bad one exits 2 before the table is read.
     specs = [parse_scenario(path) for path in args.scenario]
     multi = len(specs) > 1
     if multi:
         _check_scenario_names(args.scenario, specs)
+    check_top_k(args.top_k)
+    override = _blowup_override(args)
     table, report, entry = _load_validated(args)
     if not report.passed:
         for line in report.lines():
@@ -250,7 +262,6 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     shocks = _build_shocks(table, args.scenario, specs)
     model = load_model(table, entry)
-    override = _blowup_override(args)
     runs = [
         _run_scenario(model, spec, delta, alpha, args, override)
         for spec, (delta, alpha) in zip(specs, shocks)
@@ -260,12 +271,11 @@ def cmd_run(args) -> int:
     validation = validation_table(report)
     multipliers = multiplier_table(model)
     for spec, delta, blowup, results in runs:
-        bundle = ReportBundle()
+        bundle = ReportBundle(results=results)
         bundle.add(validation)
         bundle.add(multipliers)
         for result in results:
             bundle.add(impact_table(result))
-            bundle.documents[f"result_{result.method}"] = result_to_dict(result)
         bundle.add(plotdata_table(results[0], top_k=args.top_k))
         if len(results) == 2:
             bundle.add(comparison_table(compare_methods(results[1], results[0])))

@@ -208,12 +208,17 @@ def satellite_deltas(model: LeontiefModel, dx: np.ndarray) -> dict[str, np.ndarr
     return {kind: coeff * dx for kind, coeff in model.coeffs.satellite_coefficients.items()}
 
 
+def check_blowup_factor(b: float) -> None:
+    """ValueError unless the blowup factor ``b`` is finite and positive."""
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError(f"blowup factor must be finite and positive, got {b}")
+
+
 def apply_blowup(result: ImpactResult, b: float) -> ImpactResult:
     """Inflate every nominal figure by b; q and the percentage aggregate are
     exact regardless of table age and stay untouched. b must be finite and
     positive."""
-    if not (math.isfinite(b) and b > 0):
-        raise ValueError(f"blowup factor must be finite and positive, got {b}")
+    check_blowup_factor(b)
     return replace(
         result,
         dx=result.dx * b,

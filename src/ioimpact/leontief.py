@@ -268,9 +268,14 @@ def sector_order(values, descending: bool = False) -> list[int]:
     return np.argsort(-values if descending else values, kind="stable").tolist()
 
 
-def _ranked(model: LeontiefModel, values: np.ndarray, top_k: int) -> list[tuple[Sector, float]]:
+def check_top_k(top_k: int) -> None:
+    """ValueError unless ``top_k``, the depth of a ranked view, is non-negative."""
     if top_k < 0:
         raise ValueError("top_k must be non-negative")
+
+
+def _ranked(model: LeontiefModel, values: np.ndarray, top_k: int) -> list[tuple[Sector, float]]:
+    check_top_k(top_k)
     # Descending order puts every positive value ahead of the rest.
     return [
         (model.sectors[i], float(values[i]))

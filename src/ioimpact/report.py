@@ -10,10 +10,14 @@ JSON reports follow one byte contract, that of
 ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` plus one
 trailing newline: two-space indentation, keys sorted by code point, strings
 with ASCII escapes, floats as ``float.__repr__``, and never a NaN or an
-infinity. A non-finite float cell raises ValueError naming the report and
-the column, in CSV and JSON alike. The encoder below works a column at a
-time; ``testkit.json_report_oracle`` is the ``json.dumps`` route it must
-match byte for byte.
+infinity. A report cell is a str, a float or an int, and a JSON column holds
+only one of the three: one encoder maps the type's C-level encoder over the
+whole column. A non-finite float cell raises ValueError naming the report
+and the column, in CSV and JSON alike; any other JSON column (a bool, None,
+a numpy scalar or a mix of types) raises TypeError naming both. Row tables,
+``result_<method>.json`` and ``manifest.json`` each have a fixed layout
+built from encoded columns; ``testkit.json_report_oracle`` is the
+``json.dumps`` route they must match byte for byte.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from math import isfinite
+from math import isfinite, nan
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +35,7 @@ import numpy as np
 from .impact import ComparisonReport, ImpactResult
 from .leontief import (
     LeontiefModel,
+    check_top_k,
     downstream_importance,
     input_recipe,
     output_multipliers,
@@ -72,34 +77,30 @@ class ReportTable:
             raise ValueError(f"report {self.name!r}: repeated column name in {self.columns}")
 
     @cached_property
-    def _columns(self) -> list[tuple[tuple, set[type]]]:
-        """Each column's values and value types; a non-finite float raises."""
+    def _columns(self) -> list[tuple]:
+        """Each column's values; a non-finite float raises."""
         cells = list(zip(*self.rows, strict=True))
         if self.rows and len(cells) != len(self.columns):
             raise ValueError(
                 f"report {self.name!r}: rows have {len(cells)} values "
                 f"for {len(self.columns)} columns"
             )
-        return [
-            (values, _leaf_types(values, self.name, column))
-            for column, values in zip(self.columns, cells)
-        ]
+        for column, values in zip(self.columns, cells):
+            _check_finite([v for v in values if isinstance(v, float)], self.name, column)
+        return cells
 
     def csv_text(self) -> str:
         formatted = [
-            map(_FORMATTERS[fmt], values) for fmt, (values, _) in zip(self.formats, self._columns)
+            map(_FORMATTERS[fmt], values) for fmt, values in zip(self.formats, self._columns)
         ]
         lines = map(",".join, _transpose(formatted, len(self.rows)))
         return "\n".join([",".join(self.columns), *lines]) + "\n"
 
     def json_text(self) -> str:
         """The rows as a JSON list of objects keyed by column."""
-        if not self.rows:
-            return "[]\n"
-        order = sorted(range(len(self.columns)), key=self.columns.__getitem__)
-        encoded = [_encode_leaves(*self._columns[i]) for i in order]
-        keys = [self.columns[i] for i in order]
-        return _encode_records(keys, encoded, len(self.rows)) + "\n"
+        columns = sorted(zip(self.columns, self._columns))
+        encoded = [_encode_column(values, self.name, key) for key, values in columns]
+        return _encode_records([key for key, _ in columns], encoded, len(self.rows)) + "\n"
 
     # Encoded once per table: a table shared by several bundles is
     # serialized and hashed once.
@@ -122,73 +123,40 @@ def _file_bytes(text: str) -> tuple[bytes, str]:
     return data, hashlib.sha256(data).hexdigest()
 
 
-def _plain(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
+def _check_finite(numbers, report: str, column: str) -> None:
+    if not all(map(isfinite, numbers)):
+        raise ValueError(
+            f"report {report!r}: {column!r} holds a NaN or infinite value, "
+            "and reports never hold one"
+        )
 
 
-_FLOATS = (float, np.floating)
-_CONTAINERS = (dict, list, tuple)
-
-
-def _leaf_types(values, report: str, where: str) -> set[type]:
-    """The types among ``values``, after checking that no float is NaN or
-    infinite; ``where`` names the column or key for the error."""
+def _encode_column(values, report: str, column: str) -> list[str]:
+    """The JSON text of each value of a column that holds only str, only
+    float or only int, by one C-level encoder mapped over the column. A NaN
+    or infinity raises ValueError, and any other column TypeError, naming
+    the report and the column."""
     types = set(map(type, values))
-    floats = [t for t in types if issubclass(t, _FLOATS)]
-    if floats:
-        if len(floats) == len(types):
-            finite = all(map(isfinite, values))
-        else:
-            finite = all(isfinite(v) for v in values if isinstance(v, _FLOATS))
-        if not finite:
-            raise ValueError(
-                f"report {report!r}: {where!r} holds a NaN or infinite value, "
-                "and reports never hold one"
-            )
-    return types
-
-
-# Types whose values all encode with one C-level function.
-_COLUMN_ENCODERS = {
-    float: float.__repr__,
-    np.float64: float.__repr__,
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-}
-
-
-def _encode_leaves(values, types: set[type]) -> list[str]:
-    """JSON text of each value in a column of checked leaves: one ``map``
-    when a single C-level encoder covers every type, else value by value."""
-    encoders = {_COLUMN_ENCODERS.get(t) for t in types}
-    if len(encoders) == 1 and None not in encoders:
-        return list(map(encoders.pop(), values))
-    return list(map(_encode_leaf, values))
-
-
-def _encode_leaf(v) -> str:
-    v = _plain(v)
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return float.__repr__(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    if types <= {float}:  # an empty column, such as an empty manifest's, too
+        _check_finite(values, report, column)
+        return list(map(float.__repr__, values))
+    if types == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if types == {int}:
+        return list(map(int.__repr__, values))
+    held = ", ".join(sorted(t.__name__ for t in types))
+    raise TypeError(
+        f"report {report!r}: {column!r} holds {held} values; "
+        "a report column holds only str, only float or only int"
+    )
 
 
 def _encode_records(keys: list[str], encoded: list[list[str]], nrows: int, indent: str = "") -> str:
-    """JSON text of a non-empty list of flat objects with the same sorted
-    keys, from each key's column of encoded values: one ``%`` template per
-    list, applied row by row."""
+    """JSON text of a list of flat objects with the same sorted keys, from
+    each key's column of encoded values: one ``%`` template per list,
+    applied row by row."""
+    if not nrows:
+        return "[]"
     inner = indent + "  "
     fields = (",\n" + inner + "  ").join(
         encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
@@ -198,62 +166,55 @@ def _encode_records(keys: list[str], encoded: list[list[str]], nrows: int, inden
     return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
 
 
-def _encode_document(obj, report: str, column: str, indent: str = "") -> str:
-    """JSON text of a nested dict/list document, laid out like
-    ``json.dumps(obj, indent=2, sort_keys=True)``. ``column`` is the key the
-    value sits under, for error messages."""
+def _encode_object(members: dict[str, str], indent: str = "") -> str:
+    """JSON text of an object from each key's encoded value, keys sorted."""
+    if not members:
+        return "{}"
     inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            encode_basestring_ascii(key) + ": " + _encode_document(value, report, key, inner)
-            for key, value in sorted(obj.items())
-        ]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        types = _leaf_types(obj, report, column)
-        if types == {dict}:
-            records = _encode_flat_records(obj, report, indent)
-            if records is not None:
-                return records
-        if any(issubclass(t, _CONTAINERS) for t in types):
-            items = [_encode_document(v, report, column, inner) for v in obj]
-        else:
-            items = _encode_leaves(obj, types)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    _leaf_types((obj,), report, column)
-    return _encode_leaf(obj)
+    items = [inner + encode_basestring_ascii(k) + ": " + v for k, v in sorted(members.items())]
+    return "{\n" + ",\n".join(items) + "\n" + indent + "}"
 
 
-def _encode_flat_records(dicts: list[dict], report: str, indent: str) -> str | None:
-    """The records encoding of dicts that share one key order and hold only
-    leaves, or None when they do not."""
-    shapes = set(map(tuple, dicts))
-    if len(shapes) != 1:
-        return None
-    (keys,) = shapes
-    columns = sorted(zip(keys, zip(*map(dict.values, dicts))))
-    typed = [(values, _leaf_types(values, report, key)) for key, values in columns]
-    if any(issubclass(t, _CONTAINERS) for _, types in typed for t in types):
-        return None
-    encoded = [_encode_leaves(values, types) for values, types in typed]
-    return _encode_records([key for key, _ in columns], encoded, len(dicts), indent)
+def result_json_text(result: ImpactResult) -> str:
+    """``result_<method>.json``: the result's vectors in sector order, its
+    totals and its scalars, under the JSON byte contract."""
+    report = f"result_{result.method}"
 
+    def scalar(key, value) -> str:
+        return _encode_column([value], report, key)[0]
 
-def document_json_text(name: str, payload) -> str:
-    """A JSON document under the report byte contract."""
-    return _encode_document(payload, name, name) + "\n"
+    def vector(key, values, indent) -> str:
+        encoded = _encode_column(np.asarray(values, dtype=float).tolist(), report, key)
+        inner = indent + "  "
+        return "[\n" + inner + (",\n" + inner).join(encoded) + "\n" + indent + "]"
+
+    sectors = [
+        _encode_column([s.code for s in result.sectors], report, "code"),
+        _encode_column([s.name for s in result.sectors], report, "name"),
+    ]
+    changes = {k: vector(k, v, "    ") for k, v in result.satellite_changes.items()}
+    totals = {k: scalar(k, float(v)) for k, v in result.totals.items()}
+    document = {
+        "method": scalar("method", result.method),
+        "scenario": scalar("scenario", result.scenario),
+        "sectors": _encode_records(["code", "name"], sectors, len(result.sectors), "  "),
+        "q": vector("q", result.q, "  "),
+        "dx": vector("dx", result.dx, "  "),
+        "satellite_changes": _encode_object(changes, "  "),
+        "totals": _encode_object(totals, "  "),
+        "pct_output": scalar("pct_output", float(result.pct_output)),
+        "blowup_applied": scalar("blowup_applied", float(result.blowup_applied)),
+    }
+    return _encode_object(document) + "\n"
 
 
 @dataclass
 class ReportBundle:
-    """Everything one pipeline run wants written to disk."""
+    """Everything one pipeline run wants written to disk: row tables, and
+    impact results, each written as ``result_<method>.json``."""
 
     tables: list[ReportTable] = field(default_factory=list)
-    documents: dict[str, dict] = field(default_factory=dict)  # name -> JSON-only payload
+    results: list[ImpactResult] = field(default_factory=list)
 
     def add(self, table: ReportTable) -> None:
         self.tables.append(table)
@@ -342,8 +303,8 @@ def impact_table(result: ImpactResult) -> ReportTable:
         [s.name for s in ranked],
         *(np.asarray(v, dtype=float)[order].tolist() for v in values),
     ))
-    total = ["TOTAL", "", float(result.pct_output), result.totals["output"]]
-    total += [result.totals[k] for k in kinds]
+    total = ["TOTAL", "", float(result.pct_output), float(result.totals["output"])]
+    total += [float(result.totals[k]) for k in kinds]
     rows.append(tuple(total))
     return ReportTable(
         name=f"impact_{result.method}",
@@ -364,10 +325,10 @@ def comparison_table(comparison: ComparisonReport) -> ReportTable:
         if key not in comparison.total_diffs:
             continue
         values = (comparison.totals_a[key], comparison.totals_b[key], comparison.total_diffs[key])
-        _leaf_types(values, "comparison", label)
+        _check_finite(values, "comparison", label)
         rows.append((label, *map("{:.0f}".format, values)))
     pct = (comparison.pct_a * 100, comparison.pct_b * 100, comparison.pct_diff * 100)
-    _leaf_types(pct, "comparison", "change in output (%)")
+    _check_finite(pct, "comparison", "change in output (%)")
     rows.append(("change in output (%)", *map("{:.2f}".format, pct)))
     a, b = comparison.method_a, comparison.method_b
     columns = ("metric", a, b, "difference")
@@ -383,8 +344,7 @@ def comparison_table(comparison: ComparisonReport) -> ReportTable:
 
 def plotdata_table(result: ImpactResult, top_k: int = 10) -> ReportTable:
     """Most-affected sectors by normalized output change, for charting."""
-    if top_k < 0:
-        raise ValueError("top_k must be non-negative")
+    check_top_k(top_k)
     rows = tuple(
         (result.sectors[i].code, result.sectors[i].name, float(result.q[i]), rank)
         for rank, i in enumerate(sector_order(result.q)[:top_k], start=1)
@@ -397,23 +357,6 @@ def plotdata_table(result: ImpactResult, top_k: int = 10) -> ReportTable:
     )
 
 
-def result_to_dict(result: ImpactResult) -> dict:
-    return {
-        "method": result.method,
-        "scenario": result.scenario,
-        "sectors": [{"code": s.code, "name": s.name} for s in result.sectors],
-        "q": result.q.tolist(),
-        "dx": result.dx.tolist(),
-        "satellite_changes": {
-            k: np.asarray(vec, dtype=float).tolist()
-            for k, vec in sorted(result.satellite_changes.items())
-        },
-        "totals": {k: float(v) for k, v in sorted(result.totals.items())},
-        "pct_output": float(result.pct_output),
-        "blowup_applied": float(result.blowup_applied),
-    }
-
-
 _RESULT_KEYS = ("method", "scenario", "sectors", "q", "dx", "satellite_changes", "totals", "pct_output")
 
 
@@ -424,9 +367,13 @@ def _text(value, what: str) -> str:
 
 
 def _finite_number(value, what: str) -> float:
-    if type(value) not in (int, float) or not isfinite(value):
+    try:
+        number = float(value) if type(value) in (int, float) else nan
+    except OverflowError:
+        raise ValueError(f"{what!r} is an integer beyond the float range") from None
+    if not isfinite(number):
         raise ValueError(f"{what!r} must be a finite number, got {value!r}")
-    return value
+    return number
 
 
 def _finite_vector(value, what: str, n: int) -> np.ndarray:
@@ -434,9 +381,13 @@ def _finite_vector(value, what: str, n: int) -> np.ndarray:
         raise ValueError(f"{what!r} must be a list of numbers")
     if len(value) != n:
         raise ValueError(f"{what!r} has {len(value)} values for {n} sectors")
-    if not all(map(isfinite, value)):
+    try:
+        vector = np.array(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what!r} holds an integer beyond the float range") from None
+    if not np.isfinite(vector).all():
         raise ValueError(f"{what!r} holds a non-finite number")
-    return np.array(value, dtype=float)
+    return vector
 
 
 def _object(value, what: str) -> dict:
@@ -526,8 +477,8 @@ def write_reports(bundle: ReportBundle, out_dir, formats=("csv", "json")) -> dic
             files.append((table.name, "csv", table._csv_file))
         if "json" in formats:
             files.append((table.name, "json", table._json_file))
-    for name, payload in sorted(bundle.documents.items()):
-        files.append((name, "json", _file_bytes(document_json_text(name, payload))))
+    for result in bundle.results:
+        files.append((f"result_{result.method}", "json", _file_bytes(result_json_text(result))))
     for name, _, _ in files:
         if not is_plain_name(name):
             raise ValueError(
@@ -544,7 +495,11 @@ def write_reports(bundle: ReportBundle, out_dir, formats=("csv", "json")) -> dic
         entries.append({"report": name, "format": fmt, "path": path.name, "sha256": digest})
     entries.sort(key=lambda e: (e["report"], e["format"]))
     manifest = {"out_dir": str(out_dir), "files": entries}
-    (out_dir / "manifest.json").write_text(
-        document_json_text("manifest", manifest), encoding="utf-8"
-    )
+    keys = ["format", "path", "report", "sha256"]
+    columns = [_encode_column([e[k] for e in entries], "manifest", k) for k in keys]
+    text = _encode_object({
+        "files": _encode_records(keys, columns, len(entries), "  "),
+        "out_dir": _encode_column([manifest["out_dir"]], "manifest", "out_dir")[0],
+    })
+    (out_dir / "manifest.json").write_text(text + "\n", encoding="utf-8")
     return manifest

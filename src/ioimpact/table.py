@@ -256,6 +256,12 @@ class ValidationReport:
         return out
 
 
+def check_rel_tol(rel_tol: float) -> None:
+    """ValueError unless the identity tolerance is positive and finite."""
+    if not 0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+
+
 def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> ValidationReport:
     """Check the row and column accounting identities and the signs of
     flows and outputs.
@@ -267,8 +273,7 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
     removes x == 0). The input table is never modified. Structural defects
     raise StructuralError instead of being reported.
     """
-    if not 0 < rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    check_rel_tol(rel_tol)
     check_structure(table)
 
     violations: list[Violation] = []

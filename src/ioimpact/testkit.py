@@ -7,8 +7,10 @@ re-solve oracles answer each impact question with a fresh dense solve of the
 modified system, the slow routes that the rank-one and principal-submatrix
 updates in impact.py replace.
 json_report_oracle is the json.dumps route that report.py's column-wise
-encoder must match byte for byte, and csv_report_oracle the cell-by-cell CSV
-formatting it replaced.
+encoder must match byte for byte: table_payload and result_to_dict build the
+documents it encodes, the row objects of a report table and the payload of
+``result_<method>.json``. csv_report_oracle is the cell-by-cell CSV
+formatting that the column-wise CSV replaced.
 rescale changes a table's currency unit for the homogeneity properties. The
 economy generator produces seeded tables that are identity-consistent by
 construction; canonical_e2 is the two-sector worked example used throughout
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonProductiveEconomyError
-from .impact import ExtractionSpec
+from .impact import ExtractionSpec, ImpactResult
 from .leontief import LeontiefModel
 from .scenario import DemandDelta
 from .table import FinalDemandBlock, IOTable, SatelliteAccount, Sector
@@ -90,13 +92,27 @@ def partial_extraction_oracle(model: LeontiefModel, spec: ExtractionSpec) -> np.
     return np.linalg.solve(np.eye(A.shape[0]) - a_bar, spec.f_bar)
 
 
-def _plain_scalar(v):
-    return v.item() if isinstance(v, (np.floating, np.integer)) else v
-
-
 def table_payload(table) -> list[dict]:
     """A report table as the list of row objects its JSON file holds."""
-    return [dict(zip(table.columns, map(_plain_scalar, row))) for row in table.rows]
+    return [dict(zip(table.columns, row)) for row in table.rows]
+
+
+def result_to_dict(result: ImpactResult) -> dict:
+    """An impact result as the document its ``result_<method>.json`` holds."""
+    return {
+        "method": result.method,
+        "scenario": result.scenario,
+        "sectors": [{"code": s.code, "name": s.name} for s in result.sectors],
+        "q": result.q.tolist(),
+        "dx": result.dx.tolist(),
+        "satellite_changes": {
+            k: np.asarray(vec, dtype=float).tolist()
+            for k, vec in sorted(result.satellite_changes.items())
+        },
+        "totals": {k: float(v) for k, v in sorted(result.totals.items())},
+        "pct_output": float(result.pct_output),
+        "blowup_applied": float(result.blowup_applied),
+    }
 
 
 def json_report_oracle(obj) -> str:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -384,6 +385,10 @@ class TestCompareRejectsBrokenResults:
              "non-finite number Infinity"),
             (lambda text: text.replace('"pct_output": ', '"pct_output": 1e400, "x": '),
              "'pct_output' must be a finite number"),
+            (lambda text: text.replace('"output": ', f'"output": {10**400}, "x": '),
+             "'totals.output' is an integer beyond the float range"),
+            (lambda text: re.sub(r'("q": \[\s*)[^,\s]+', rf"\g<1>{10**400}", text),
+             "'q' holds an integer beyond the float range"),
             (lambda text: text.replace('"q"', '"q_renamed"'), "missing key(s): 'q'"),
             (lambda text: text.replace('"dx": [', '"dx": [1.0, '), "'dx' has 3 values for 2 sectors"),
             (lambda text: text.replace('"income": [', '"income": [1.0, '),
@@ -391,8 +396,8 @@ class TestCompareRejectsBrokenResults:
             (lambda text: text.replace('"sectors": [', '"sectors": [{"code": "S3", "name": "x"}, '),
              "'q' has 2 values for 3 sectors"),
         ],
-        ids=["nan", "infinity", "overflow", "missing-key", "dx-length", "satellite-length",
-             "extra-sector"],
+        ids=["nan", "infinity", "overflow", "int-overflow-total", "int-overflow-q", "missing-key",
+             "dx-length", "satellite-length", "extra-sector"],
     )
     def test_bad_content_exits_two(self, tmp_path, capsys, edit, message):
         good, other = self.results(tmp_path)
@@ -945,7 +950,8 @@ class TestModelCache:
 
 class TestScenariosReadFirst:
     """A scenario that fails to parse, or a bad or repeated scenario name,
-    exits 2 naming its file before the table is read."""
+    exits 2 naming its file before the table is read; so does every other
+    argument the table does not decide."""
 
     @pytest.fixture(autouse=True)
     def no_table_read(self, monkeypatch):
@@ -972,6 +978,57 @@ class TestScenariosReadFirst:
         assert code == 2
         assert f"{second}: scenario name 'same' is also the name of {first}" in (
             capsys.readouterr().err
+        )
+
+    @staticmethod
+    def run(tmp_path, *flags):
+        out = tmp_path / "reports"
+        code = main(["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json"),
+                     "--out", str(out), *flags])
+        assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_blowup(self, tmp_path, capsys, value):
+        assert self.run(tmp_path, "--blowup", value) == 2
+        assert capsys.readouterr().err == (
+            f"error: blowup factor must be finite and positive, got {float(value)}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "fd_rows, message",
+        [
+            ("2015\n", "row has 1 cells, expected 2 (row 2)"),
+            ("2015,1000.0\n2016,1048.0\n",
+             "need at least two historical final-demand/GDP ratio observations, got 1"),
+        ],
+        ids=["malformed", "too-short"],
+    )
+    def test_bad_blowup_history(self, tmp_path, capsys, fd_rows, message):
+        fd = tmp_path / "fd.csv"
+        gdp = tmp_path / "gdp.csv"
+        fd.write_text("year,total_final_demand\n" + fd_rows)
+        gdp.write_text("year,gdp_growth\n2016,0.04\n2017,0.04\n")
+        assert self.run(tmp_path, "--blowup-history", str(fd), str(gdp)) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "multipliers"])
+    def test_negative_top_k(self, tmp_path, capsys, command):
+        out = tmp_path / "reports"
+        view = ["--scenario", str(E2 / "shock_s1.json")] if command == "run" else ["--sector", "S1"]
+        code = main([command, *table_flags(e2_args()), *view, "--top-k", "-1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: top_k must be non-negative\n"
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    @pytest.mark.parametrize("command", ["validate", "multipliers", "run"])
+    def test_bad_rel_tol(self, tmp_path, capsys, command, value):
+        view = ["--scenario", str(E2 / "shock_s1.json")] if command == "run" else []
+        code = main([command, *table_flags(e2_args()), *view, "--rel-tol", value,
+                     "--out", str(tmp_path / "reports")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: rel_tol must be positive and finite, got {float(value)}\n"
         )
 
 
@@ -1005,7 +1062,11 @@ class TestUnknownScenarioSectors:
         assert not out.exists()
 
 
-def test_key_error_is_printed_without_quotes(tmp_path, capsys):
+def test_key_error_is_printed_without_quotes(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(cli, "load_model", fail)
     code = main(["multipliers", *table_flags(e2_args()), "--sector", "S9",
                  "--out", str(tmp_path / "reports")])
     assert code == 2

@@ -27,19 +27,19 @@ from ioimpact.report import (
     ReportBundle,
     ReportTable,
     comparison_table,
-    document_json_text,
     impact_table,
     load_impact_result,
     multiplier_table,
     plotdata_table,
     recipe_tables,
     result_from_dict,
-    result_to_dict,
+    result_json_text,
     sector_profile_table,
     validation_table,
     write_reports,
 )
-from ioimpact.testkit import csv_report_oracle, json_report_oracle, table_payload
+from ioimpact.table import SATELLITE_KINDS, Sector
+from ioimpact.testkit import csv_report_oracle, json_report_oracle, result_to_dict, table_payload
 
 from test_table import make_table
 
@@ -66,7 +66,7 @@ def bundle(e2, e2_model, impact):
     b.add(impact_table(extraction))
     b.add(comparison_table(compare_methods(extraction, impact)))
     b.add(plotdata_table(impact, top_k=10))
-    b.documents["result_inoperability"] = result_to_dict(impact)
+    b.results.append(impact)
     return b
 
 
@@ -163,14 +163,19 @@ class TestWriteReports:
             write_reports(bundle, tmp_path, formats=("xml",))
 
     @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../up", "a\\b", "a\x00b"])
-    @pytest.mark.parametrize("kind", ["table", "document"])
-    def test_report_name_must_be_one_path_component(self, bundle, tmp_path, name, kind):
-        if kind == "table":
-            bundle.add(ReportTable(name, ("a",), ("s",), (("x",),)))
-        else:
-            bundle.documents[name] = {"a": 1}
+    def test_report_name_must_be_one_path_component(self, bundle, tmp_path, name):
+        bundle.add(ReportTable(name, ("a",), ("s",), (("x",),)))
         out = tmp_path / "out" / "deep"
         with pytest.raises(ValueError, match=f"report name {re.escape(repr(name))} must be"):
+            write_reports(bundle, out, formats=("csv", "json"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["a/b", "../up", "a\\b", "a\x00b"])
+    def test_result_name_must_be_one_path_component(self, bundle, impact, tmp_path, method):
+        bundle.results.append(replace(impact, method=method))
+        out = tmp_path / "out" / "deep"
+        name = re.escape(repr(f"result_{method}"))
+        with pytest.raises(ValueError, match=f"report name {name} must be"):
             write_reports(bundle, out, formats=("csv", "json"))
         assert not (tmp_path / "out").exists()
 
@@ -269,22 +274,12 @@ names = st.text(
     | st.sampled_from('%"\\\x00\x1f\x7f\u00e9\u2028\U0001f600'),
     max_size=6,
 )
-leaves = st.one_of(finite_floats, names, st.integers(), st.booleans(), st.none())
 
 # A column kind is its value strategy and the CSV formats that suit it.
 COLUMN_KINDS = {
     "float": (finite_floats, ("coef", "q", "million", "raw", "s")),
     "str": (names, ("s",)),
     "int": (st.integers(-(2**70), 2**70), ("int", "s")),
-    "mixed": (
-        st.one_of(
-            leaves,
-            st.builds(np.float64, finite_floats),
-            st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
-            st.builds(np.float32, st.floats(width=32, allow_nan=False, allow_infinity=False)),
-        ),
-        ("s",),
-    ),
 }
 
 
@@ -302,26 +297,30 @@ def report_tables(draw, min_rows=0, max_rows=5):
 
 
 @st.composite
-def records(draw):
-    """Lists of flat objects sharing one key order, the shape of
-    ``result_*.json``'s sectors."""
-    keys = draw(st.lists(names, max_size=4, unique=True))
-    return draw(st.lists(st.fixed_dictionaries({k: leaves for k in keys}), max_size=4))
-
-
-documents = st.recursive(
-    leaves | st.lists(finite_floats, max_size=5) | st.lists(names, max_size=5) | records(),
-    lambda kids: st.lists(kids, max_size=4)
-    | st.tuples(kids, kids)
-    | st.dictionaries(names, kids, max_size=4),
-    max_leaves=25,
-)
+def impact_results(draw):
+    """Results of either method over 1 to 6 sectors, with any subset of the
+    satellite kinds, edge floats and awkward sector and scenario names."""
+    n = draw(st.integers(1, 6))
+    vectors = st.lists(finite_floats, min_size=n, max_size=n).map(np.array)
+    kinds = draw(st.lists(st.sampled_from(SATELLITE_KINDS), unique=True))
+    return ImpactResult(
+        method=draw(st.sampled_from(["inoperability", "extraction"])),
+        scenario=draw(names),
+        sectors=tuple(Sector(draw(names), draw(names), i) for i in range(n)),
+        q=draw(vectors),
+        dx=draw(vectors),
+        satellite_changes={k: draw(vectors) for k in kinds},
+        totals={k: draw(finite_floats) for k in ("output", *kinds)},
+        pct_output=draw(finite_floats),
+        blowup_applied=draw(finite_floats),
+    )
 
 
 class TestSerializerMatchesOracle:
-    """The column-wise encoder writes the bytes of ``json.dumps(obj,
-    indent=2, sort_keys=True, allow_nan=False)`` plus a newline, and the
-    column-wise CSV the bytes of cell-by-cell formatting."""
+    """Row tables and result documents are written as the bytes of
+    ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` plus a
+    newline, and the column-wise CSV as the bytes of cell-by-cell
+    formatting."""
 
     @settings(max_examples=150, deadline=None)
     @given(table=report_tables())
@@ -330,9 +329,9 @@ class TestSerializerMatchesOracle:
         assert table.csv_text() == csv_report_oracle(table)
 
     @settings(max_examples=150, deadline=None)
-    @given(doc=documents)
-    def test_documents(self, doc):
-        assert document_json_text("doc", doc) == json_report_oracle(doc)
+    @given(result=impact_results())
+    def test_results(self, result):
+        assert result_json_text(result) == json_report_oracle(result_to_dict(result))
 
     def test_empty_and_one_row_tables(self):
         empty = ReportTable("e", ("a", "b"), ("s", "raw"), ())
@@ -351,8 +350,18 @@ class TestSerializerMatchesOracle:
         for table in bundle.tables:
             assert table.json_text() == json_report_oracle(table_payload(table))
             assert table.csv_text() == csv_report_oracle(table)
-        for name, doc in bundle.documents.items():
-            assert document_json_text(name, doc) == json_report_oracle(doc)
+        for result in bundle.results:
+            assert result_json_text(result) == json_report_oracle(result_to_dict(result))
+
+    @pytest.mark.parametrize(
+        "values",
+        [(0.5, 1), (1, 0.5), (True, False), (1, True), (None, None), (np.float64(0.5), 0.5)],
+        ids=["float-int", "int-float", "bool", "int-bool", "none", "numpy-float"],
+    )
+    def test_other_columns_rejected(self, values):
+        table = ReportTable("t", ("code", "v"), ("s", "s"), tuple(zip(("S1", "S2"), values)))
+        with pytest.raises(TypeError, match=r"report 't': 'v' holds .*; a report column holds"):
+            table.json_text()
 
 
 class TestNonFiniteNeverWritten:
@@ -363,11 +372,11 @@ class TestNonFiniteNeverWritten:
         data=st.data(),
     )
     def test_row_tables(self, table, bad, data):
-        # Insert a float or mixed column "x" with one non-finite cell.
+        # Insert a float column "x" with one non-finite cell.
         assume("x" not in table.columns)
         c = data.draw(st.integers(0, len(table.columns)))
         r = data.draw(st.integers(0, len(table.rows) - 1))
-        values, formats = COLUMN_KINDS[data.draw(st.sampled_from(["float", "mixed"]))]
+        values, formats = COLUMN_KINDS["float"]
         fmt = data.draw(st.sampled_from(formats))
         x = data.draw(st.lists(values, min_size=len(table.rows), max_size=len(table.rows)))
         x[r] = bad
@@ -384,19 +393,28 @@ class TestNonFiniteNeverWritten:
             broken.json_text()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_documents(self, bad):
-        doc = {"q": [1.0, 2.0], "totals": {"output": [0.5, bad]}}
+    @pytest.mark.parametrize("where", ["q", "employment", "output", "pct_output"])
+    def test_results(self, impact, bad, where):
+        result = replace(impact, method="x")
+        if where == "q":
+            result = replace(result, q=[0.5, bad])
+        elif where == "employment":
+            result = replace(result, satellite_changes={"employment": np.array([bad, 1.0])})
+        elif where == "output":
+            result = replace(result, totals={**result.totals, "output": bad})
+        else:
+            result = replace(result, pct_output=bad)
         with pytest.raises(ValueError):
-            json_report_oracle(doc)
-        with pytest.raises(ValueError, match=r"report 'result_x': 'output' holds a NaN"):
-            document_json_text("result_x", doc)
+            json_report_oracle(result_to_dict(result))
+        with pytest.raises(ValueError, match=rf"report 'result_x': '{where}' holds a NaN"):
+            result_json_text(result)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_write_reports_names_report_and_column(self, fmt, tmp_path):
+    def test_write_reports_names_report_and_column(self, fmt, tmp_path, impact):
         bundle = ReportBundle()
         bundle.add(ReportTable("impact_x", ("sector_code", "q"), ("s", "q"),
                                (("S1", 0.5), ("S2", math.nan))))
-        bundle.documents["result_x"] = {"q": [0.5]}
+        bundle.results.append(replace(impact, method="x"))
         out = tmp_path / "reports"
         with pytest.raises(ValueError, match=r"report 'impact_x': 'q' holds a NaN"):
             write_reports(bundle, out, formats=(fmt,))
