@@ -35,15 +35,12 @@ from .ingest import (
 )
 from .leontief import (
     LeontiefModel,
-    TechnicalCoefficients,
     build_model,
     downstream_importance,
     import_share,
     input_recipe,
-    leontief_inverse,
     output_multipliers,
     satellite_multipliers,
-    technical_coefficients,
 )
 from .scenario import (
     DemandDelta,
@@ -85,7 +82,6 @@ __all__ = [
     "Sector",
     "StructuralError",
     "TableParseError",
-    "TechnicalCoefficients",
     "UseRatio",
     "ValidationReport",
     "apply_blowup",
@@ -100,7 +96,6 @@ __all__ = [
     "import_share",
     "inoperability",
     "input_recipe",
-    "leontief_inverse",
     "load_io_table",
     "make_extraction_spec",
     "output_multipliers",
@@ -109,7 +104,6 @@ __all__ = [
     "partial_extraction",
     "satellite_deltas",
     "satellite_multipliers",
-    "technical_coefficients",
     "validate_table",
     "write_table_files",
 ]

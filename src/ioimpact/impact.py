@@ -11,11 +11,13 @@ fixed-point system q = A* q + f*. Since A* = D^-1 A D with D = diag(x), that
 residual is ((I - A) dx - df) / x, an O(n^2) check of the factors against A.
 
 Partial extraction scales the target sector k's deliveries per purchaser,
-which changes only row k of A: A_bar = A - e_k d' with d = b_k * alpha. The
-Sherman-Morrison formula then gives the extracted output from L,
-x_bar = y - L[:, k] (d . y) / (1 + d . L[:, k]) with y = L f_bar (Miller &
-Blair, Input-Output Analysis, 2009, ch. 12). It needs only y and the column
-L[:, k], which one two-column solve against [f_bar, e_k] returns together.
+which changes only row k of A: A_bar = A - e_k d', where d = A[k, :] * alpha
+with d_k = 0 (own use is part of the sector's recipe and is never
+extracted). The Sherman-Morrison formula then gives the extracted output
+from L, x_bar = y - L[:, k] (d . y) / (1 + d . L[:, k]) with y = L f_bar
+(Miller & Blair, Input-Output Analysis, 2009, ch. 12). It needs only y and
+the column L[:, k], which one two-column solve against [f_bar, e_k] returns
+together.
 With A >= 0 (which the model guarantees) and alpha in [0, 1] the
 denominator is at least one, and the extracted economy is productive
 whenever the original is.
@@ -33,13 +35,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InternalConsistencyError, NonProductiveEconomyError, StructuralError
-from .leontief import LeontiefModel, sector_order
+from .leontief import FIXED_POINT_TOL, LeontiefModel, fixed_point_gap, sector_order
 from .scenario import DemandDelta
 from .table import Sector
-
-# Largest residual of the fixed-point system q = A* q + f* accepted for the
-# direct inoperability solution.
-FIXED_POINT_TOL = 1e-9
 
 TOP_OVERLAP_K = 10
 
@@ -48,32 +46,23 @@ TOP_OVERLAP_K = 10
 class ExtractionSpec:
     """A partial extraction of sector k's deliveries.
 
-    alpha holds one intensity per purchasing sector; b_k is the target's
-    coefficient row with a zero at the diagonal (own use is part of the
-    sector's recipe and is never extracted); f_bar is the final-demand vector
-    solved against.
+    alpha holds one intensity per purchasing sector; f_bar is the
+    final-demand vector solved against. partial_extraction checks both, and
+    k, against the model's sectors.
     """
 
     k: int
     alpha: np.ndarray
-    b_k: np.ndarray
     f_bar: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        alpha = np.array(self.alpha, dtype=float)
-        if not np.all((alpha >= 0) & (alpha <= 1)):
-            raise ValueError("extraction intensities must lie in [0, 1]")
-        b_k = np.array(self.b_k, dtype=float)
-        if b_k[self.k] != 0.0:
-            raise ValueError("extraction row must be zero at the target's own position")
-        for a in (alpha, b_k):
+        for name in ("alpha", "f_bar"):
+            a = np.array(getattr(self, name), dtype=float)
             a.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "b_k", b_k)
-        fbar = np.array(self.f_bar, dtype=float)
-        fbar.setflags(write=False)
-        object.__setattr__(self, "f_bar", fbar)
+            object.__setattr__(self, name, a)
+        if not np.all((self.alpha >= 0) & (self.alpha <= 1)):
+            raise ValueError("extraction intensities must lie in [0, 1]")
 
 
 def make_extraction_spec(
@@ -83,17 +72,10 @@ def make_extraction_spec(
     f_bar: np.ndarray | None = None,
     label: str = "",
 ) -> ExtractionSpec:
-    """Derive the zero-diagonal extraction row from the model's coefficients."""
-    k = model.sector_index(target)
-    b_k = model.A[k, :].copy()
-    b_k[k] = 0.0
-    return ExtractionSpec(
-        k=k,
-        alpha=alpha,
-        b_k=b_k,
-        f_bar=model.f if f_bar is None else f_bar,
-        label=label,
-    )
+    """The extraction of ``target`` from the model's economy, solved against
+    f_bar, the table's f by default."""
+    f_bar = model.f if f_bar is None else f_bar
+    return ExtractionSpec(k=model.sector_index(target), alpha=alpha, f_bar=f_bar, label=label)
 
 
 @dataclass(frozen=True)
@@ -144,13 +126,6 @@ def _assemble(model, method, scenario, dx) -> ImpactResult:
     )
 
 
-def fixed_point_gap(model: LeontiefModel, dx: np.ndarray, df: np.ndarray) -> float:
-    """Largest residual of the fixed-point system q = A* q + f* for a solution
-    dx of (I - A) dx = df, that is max |((I - A) dx - df) / x|: O(n^2), and NaN
-    when anything in it is not finite."""
-    return np.abs((dx - model.A @ dx - df) / model.x).max()
-
-
 def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
     """Propagate a final-demand change: dx = L df, q = dx / x.
 
@@ -185,9 +160,17 @@ def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResu
     Row k of A becomes a_kj (1 - alpha_j) for j != k; the diagonal and the
     whole k-th column stay untouched. The new output x_bar solves
     (I - A_bar) x_bar = f_bar, obtained from L by the rank-one update.
+    alpha and f_bar must hold one value per sector and k must be a sector
+    position: nothing is broadcast.
     """
-    k = spec.k
-    d = spec.b_k * spec.alpha
+    k, n = spec.k, model.table.n
+    for name, values in (("alpha", spec.alpha), ("f_bar", spec.f_bar)):
+        if values.shape != (n,):
+            raise ValueError(f"{name} has shape {values.shape}, not ({n},): one value per sector")
+    if not 0 <= k < n:
+        raise ValueError(f"extraction target k={k} is not a sector position of an n={n} model")
+    d = model.A[k] * spec.alpha
+    d[k] = 0.0
     y, l_k = _solve_with_column(model, spec.f_bar, k)
     denom = 1.0 + d @ l_k
     # At least one whenever A >= 0; anything else, NaN included, means the
@@ -205,7 +188,7 @@ def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResu
 def satellite_deltas(model: LeontiefModel, dx: np.ndarray) -> dict[str, np.ndarray]:
     """Translate an output change into per-satellite changes, dh = h_c * dx,
     for every kind the model has coefficients for."""
-    return {kind: coeff * dx for kind, coeff in model.coeffs.satellite_coefficients.items()}
+    return {kind: coeff * dx for kind, coeff in model.satellite_coefficients.items()}
 
 
 def check_blowup_factor(b: float) -> None:

@@ -33,9 +33,9 @@ as one entry under ``$XDG_CACHE_HOME/ioimpact`` (default
 ``~/.cache/ioimpact``), keyed by the sha256 of the table file, the metadata
 file, this module's and leontief.py's sources and the numpy version.
 load_model adds the block LDU factors of I - A to the same entry, so a table
-has one key and one file. Its factors come either from leontief_inverse
-or from the entry, checked against A before use; only factors that certify
-A as productive are served or cached.
+has one key and one file. It hands the entry's factors to
+leontief.build_model, which serves them only once they pass its checks, and
+stores the factors build_model computed instead.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ import numpy as np
 
 from . import leontief
 from .errors import ScenarioConfigError, StructuralError, TableParseError
-from .impact import FIXED_POINT_TOL, fixed_point_gap
-from .leontief import LeontiefModel, check_coefficients, leontief_inverse, technical_coefficients
 from .scenario import IntermediateSpec, Reallocation, ScenarioSpec, UseRatio
 from .table import (
     FD_CODES,
@@ -454,8 +452,9 @@ def load_table_entry(
     ``<key>.npz``, where load_model keeps the factors of I - A; the
     metadata and satellite files are parsed every time and the table is
     built through IOTable, so it is checked as on a miss. A table that fails
-    to parse is not cached; one whose files changed while they were parsed
-    gets no entry (None). An entry that cannot be read or holds the wrong
+    to parse is not cached; one whose files changed while they were hashed
+    and parsed gets no entry (None): a hit whose files changed is parsed
+    again as a miss. An entry that cannot be read or holds the wrong
     shapes or a non-finite value is a miss, and is overwritten. A cache
     that cannot be written leaves the run uncached.
     """
@@ -478,7 +477,7 @@ def load_table_entry(
                 "value_added": (n,),
             },
         )
-        if arrays is not None:
+        if arrays is not None and _stamp(inputs) == stamp:
             table = IOTable(
                 sectors=tuple(sectors),
                 Z=arrays["Z"],
@@ -497,35 +496,23 @@ def load_table_entry(
     return table, entry
 
 
-def load_model(table: IOTable, entry: TableEntry | None) -> LeontiefModel:
+def load_model(table: IOTable, entry: TableEntry | None) -> leontief.LeontiefModel:
     """leontief.build_model, with the factors of I - A kept in the table's
     cache entry between runs.
 
     ``table`` is the entry's table after drop_zero_sectors, so the factors
-    are a function of the entry's parsed arrays. check_coefficients runs
-    before the entry's factors are read, so a cached entry never lets a
-    negative or NaN A through. The factors are served only if they are a
-    finite float64 n x n array that solves (I - A) x = f to within
-    FIXED_POINT_TOL, the residual inoperability demands of every solve;
-    otherwise they are computed again and the entry is rewritten with them
-    and the parsed arrays in memory. certify_productive runs after the
-    residual check on a hit and before the write on a miss, so a
-    non-productive A fails alike on both and is never cached. Without an
-    entry nothing is cached.
+    are a function of the entry's parsed arrays. The entry's factors, if it
+    holds a finite float64 n x n array, go to build_model, which checks A
+    before it uses them and serves them only if they pass its checks. When
+    build_model factorized instead, the entry is rewritten with its factors
+    and the parsed arrays in memory; a table that fails build_model is never
+    cached. Without an entry nothing is cached.
     """
-    coeffs = technical_coefficients(table)
-    check_coefficients(coeffs)
     n = table.n
     arrays = None if entry is None else _read_entry(entry.path, {"factors": (n, n)})
-    if arrays is not None:
-        factors = arrays["factors"]
-        factors.setflags(write=False)
-        model = LeontiefModel(table=table, coeffs=coeffs, factors=factors)
-        if fixed_point_gap(model, model.solve(table.f), table.f) <= FIXED_POINT_TOL:
-            leontief.certify_productive(model)
-            return model
-    model = leontief_inverse(coeffs)
-    if entry is not None:
+    stored = None if arrays is None else arrays["factors"]
+    model = leontief.build_model(table, stored)
+    if entry is not None and model.factors is not stored:
         _write_entry(entry, factors=model.factors)
     return model
 
@@ -550,9 +537,10 @@ def _file_digest(path) -> bytes:
 
 
 def _read_entry(path: Path, shapes: dict[str, tuple]) -> dict[str, np.ndarray] | None:
-    """The arrays of a cache entry, one per name in ``shapes``, or None if the
-    entry is missing or unusable: unreadable, or with an array that is not
-    finite float64 of its shape. A usable entry is marked as just used."""
+    """The arrays of a cache entry, read-only, one per name in ``shapes``, or
+    None if the entry is missing or unusable: unreadable, or with an array
+    that is not finite float64 of its shape. A usable entry is marked as just
+    used."""
     try:
         with open(path, "rb") as fh:
             entry = np.load(fh, allow_pickle=False)
@@ -566,6 +554,7 @@ def _read_entry(path: Path, shapes: dict[str, tuple]) -> dict[str, np.ndarray] |
         a = arrays[name]
         if a.dtype != np.float64 or a.shape != shape or not np.isfinite(a).all():
             return None
+        a.setflags(write=False)
     with contextlib.suppress(OSError):
         os.utime(path)
     return arrays

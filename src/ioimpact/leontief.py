@@ -1,4 +1,4 @@
-"""Technical coefficients, the factorized Leontief model, and multiplier families.
+"""The factorized Leontief model of a table, and multiplier families.
 
 Everything here is a pure function of a validated IOTable. The Leontief
 inverse L = (I - A)^-1 is never formed. Instead I - A is factorized once per
@@ -15,17 +15,18 @@ nonsingular M-matrix, and elimination without pivoting is stable on it
 entry before anything is factorized, and certify_productive proves from the
 factors, at the cost of one solve, that A is productive.
 
-build_model and leontief_inverse always factorize and never touch the disk.
-The CLI gets its model from ingest.load_model instead, which runs the same
-check_coefficients and then either serves the factors an earlier run stored
-in the table's cache entry, once they solve (I - A) x = f, or calls
-leontief_inverse and adds its factors to that entry. Every model handed out,
-cached or not, has passed certify_productive.
+build_model is the one builder of a model, and never touches the disk. It
+takes the factors an earlier build stored, if any: they are served once they
+solve (I - A) x = f, and I - A is factorized otherwise. The CLI gets its model
+from ingest.load_model, which hands build_model the factors of the table's
+cache entry and stores the ones it computed. Every model handed out, with
+stored factors or fresh ones, has passed check_coefficients and
+certify_productive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,20 +37,10 @@ from .table import SATELLITE_KINDS, IOTable, Sector
 # this many sectors is one block, factorized by a single LAPACK inverse.
 _BLOCK = 128
 
-
-@dataclass(frozen=True)
-class TechnicalCoefficients:
-    """Input requirements per unit of output, plus coefficient rows for
-    imports and for every satellite kind the table can report.
-
-    A[i, j] = Z[i, j] / x[j]; all coefficient rows divide by the same x.
-    satellite_coefficients holds its kinds in SATELLITE_KINDS order.
-    """
-
-    table: IOTable
-    A: np.ndarray
-    import_coefficients: np.ndarray
-    satellite_coefficients: dict[str, np.ndarray]
+# Largest residual of the fixed-point system q = A* q + f* accepted for a
+# solve with the factors: of every inoperability result, and of x = L f for
+# stored factors before they are served.
+FIXED_POINT_TOL = 1e-9
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:
@@ -60,16 +51,21 @@ def _blocks(n: int) -> list[tuple[int, int]]:
 class LeontiefModel:
     """A table bound to its coefficients and the block LDU factors of I - A.
 
-    With the sectors cut into _BLOCK-wide diagonal blocks, I - A = L D U,
-    where L is unit block lower triangular, D block diagonal and U unit block
-    upper triangular. factors holds all three in one read-only n x n array:
-    the blocks of L below the diagonal, the inverse of each D_j on it, and
-    the blocks of D U above it. The Leontief inverse is applied through
-    solve and solve_t, never formed.
+    A[i, j] = Z[i, j] / x[j], the input requirements per unit of output; the
+    coefficient rows for imports and for every satellite kind the table can
+    report divide by the same x, satellite_coefficients in SATELLITE_KINDS
+    order. With the sectors cut into _BLOCK-wide diagonal blocks,
+    I - A = L D U, where L is unit block lower triangular, D block diagonal
+    and U unit block upper triangular. factors holds all three in one
+    read-only n x n array: the blocks of L below the diagonal, the inverse of
+    each D_j on it, and the blocks of D U above it. The Leontief inverse is
+    applied through solve and solve_t, never formed.
     """
 
     table: IOTable
-    coeffs: TechnicalCoefficients
+    A: np.ndarray
+    import_coefficients: np.ndarray
+    satellite_coefficients: dict[str, np.ndarray]
     factors: np.ndarray
 
     def solve(self, rhs) -> np.ndarray:
@@ -108,10 +104,6 @@ class LeontiefModel:
         return self.table.sectors
 
     @property
-    def A(self) -> np.ndarray:
-        return self.coeffs.A
-
-    @property
     def f(self) -> np.ndarray:
         return self.table.f
 
@@ -121,37 +113,6 @@ class LeontiefModel:
 
     def sector_index(self, sector) -> int:
         return self.table.sector_index(sector)
-
-
-def technical_coefficients(table: IOTable) -> TechnicalCoefficients:
-    """Derive A and all coefficient rows from a validated table.
-
-    Satellite kinds backed by an account use it. Two kinds are read off the
-    table when no account was supplied: value added from the value-added
-    row, gross fixed capital formation from its final-demand column. Every
-    sector must have positive output: drop_zero_sectors removes the empty
-    ones, and validate_table reports a negative one.
-    """
-    if np.any(table.x <= 0):
-        bad = [table.codes[j] for j in np.flatnonzero(table.x <= 0)]
-        raise ValueError(
-            f"sectors with non-positive output: {bad}; the model needs every output to be "
-            "positive (drop_zero_sectors removes zero-output sectors)"
-        )
-    x = table.x
-    A = table.Z / x[np.newaxis, :]
-    gfcf = "gross_fixed_capital_formation"
-    sources = {
-        "value_added": table.value_added,
-        gfcf: table.final_demand.component(gfcf),
-        **{kind: sat.values for kind, sat in table.satellites.items()},
-    }
-    return TechnicalCoefficients(
-        table=table,
-        A=A,
-        import_coefficients=table.imports / x,
-        satellite_coefficients={k: sources[k] / x for k in SATELLITE_KINDS if k in sources},
-    )
 
 
 def _factorize(m: np.ndarray) -> None:
@@ -170,18 +131,19 @@ def _factorize(m: np.ndarray) -> None:
             m[e:, e:] -= m[e:, s:e] @ m[s:e, e:]
 
 
-def check_coefficients(coeffs: TechnicalCoefficients) -> None:
-    """The check A must pass before I - A is factorized.
+def check_coefficients(model: LeontiefModel) -> None:
+    """The check A must pass before I - A is factorized or its stored
+    factors are used.
 
     Raises ValueError, naming the flow, when A has a negative or NaN entry:
     the factorization is sound only for A >= 0.
     """
-    A = coeffs.A
+    A = model.A
     if not (A.min(initial=0.0) >= 0):  # NaN fails this test too
         i, j = divmod(int(np.argmax(~(A >= 0))), A.shape[1])
-        codes = coeffs.table.codes
+        codes = model.table.codes
         raise ValueError(
-            f"Z[{codes[i]}, {codes[j]}] is {float(coeffs.table.Z[i, j])}; the Leontief "
+            f"Z[{codes[i]}, {codes[j]}] is {float(model.table.Z[i, j])}; the Leontief "
             "factorization needs non-negative, non-NaN flows"
         )
 
@@ -228,18 +190,58 @@ def certify_productive(model: LeontiefModel) -> None:
     )
 
 
-def leontief_inverse(coeffs: TechnicalCoefficients) -> LeontiefModel:
-    """Build the model carrying the factors of I - A: check_coefficients,
-    then ldu_factors, then certify_productive."""
-    check_coefficients(coeffs)
-    model = LeontiefModel(table=coeffs.table, coeffs=coeffs, factors=ldu_factors(coeffs.A))
+def fixed_point_gap(model: LeontiefModel, dx: np.ndarray, df: np.ndarray) -> float:
+    """Largest residual of the fixed-point system q = A* q + f* for a solution
+    dx of (I - A) dx = df, that is max |((I - A) dx - df) / x|: O(n^2), and NaN
+    when anything in it is not finite."""
+    return np.abs((dx - model.A @ dx - df) / model.x).max()
+
+
+def build_model(table: IOTable, factors: np.ndarray | None = None) -> LeontiefModel:
+    """The model of a validated table: A and the coefficient rows, accepted by
+    check_coefficients, and factors of I - A that pass certify_productive.
+
+    Satellite kinds backed by an account use it. Two kinds are read off the
+    table when no account was supplied: value added from the value-added
+    row, gross fixed capital formation from its final-demand column. Every
+    sector must have positive output: drop_zero_sectors removes the empty
+    ones, and validate_table reports a negative one.
+
+    ``factors`` are the factors an earlier build of the same table stored.
+    They are served as they are if they are a read-only float64 n x n array
+    and x = L f solves (I - A) x = f to within FIXED_POINT_TOL; otherwise, a
+    writable array that could change under the model included, or without
+    them, ldu_factors factorizes I - A. The checks run in the same order
+    either way, so a table fails alike with and without stored factors.
+    """
+    if np.any(table.x <= 0):
+        bad = [table.codes[j] for j in np.flatnonzero(table.x <= 0)]
+        raise ValueError(
+            f"sectors with non-positive output: {bad}; the model needs every output to be "
+            "positive (drop_zero_sectors removes zero-output sectors)"
+        )
+    x = table.x
+    gfcf = "gross_fixed_capital_formation"
+    sources = {
+        "value_added": table.value_added,
+        gfcf: table.final_demand.component(gfcf),
+        **{kind: sat.values for kind, sat in table.satellites.items()},
+    }
+    model = LeontiefModel(
+        table=table,
+        A=table.Z / x[np.newaxis, :],
+        import_coefficients=table.imports / x,
+        satellite_coefficients={k: sources[k] / x for k in SATELLITE_KINDS if k in sources},
+        factors=factors,
+    )
+    check_coefficients(model)
+    f = table.f
+    servable = isinstance(factors, np.ndarray) and not factors.flags.writeable
+    servable = servable and factors.dtype == np.float64 and factors.shape == (table.n, table.n)
+    if not (servable and fixed_point_gap(model, model.solve(f), f) <= FIXED_POINT_TOL):
+        model = replace(model, factors=ldu_factors(model.A))
     certify_productive(model)
     return model
-
-
-def build_model(table: IOTable) -> LeontiefModel:
-    """Convenience composition: coefficients then factors."""
-    return leontief_inverse(technical_coefficients(table))
 
 
 def output_multipliers(model: LeontiefModel) -> np.ndarray:
@@ -254,7 +256,7 @@ def satellite_multipliers(model: LeontiefModel, kind: str) -> np.ndarray:
     Units: currency per currency for monetary satellites, jobs per
     currency-million for employment.
     """
-    coeffs = model.coeffs.satellite_coefficients
+    coeffs = model.satellite_coefficients
     if kind not in coeffs:
         raise ValueError(f"no satellite account of kind {kind!r} in this table")
     return model.solve_t(coeffs[kind])
@@ -298,6 +300,6 @@ def downstream_importance(model: LeontiefModel, sector, top_k: int) -> list[tupl
     return _ranked(model, model.A[i, :], top_k)
 
 
-def import_share(coeffs: TechnicalCoefficients, sector) -> float:
+def import_share(model: LeontiefModel, sector) -> float:
     """Imported inputs per unit of output for one sector."""
-    return float(coeffs.import_coefficients[coeffs.table.sector_index(sector)])
+    return float(model.import_coefficients[model.sector_index(sector)])

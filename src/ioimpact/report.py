@@ -254,7 +254,7 @@ def sector_profile_table(model: LeontiefModel, sector) -> ReportTable:
     the stacked coefficient rows (ones for output)."""
     j = model.sector_index(sector)
     code = model.sectors[j].code
-    coeffs = model.coeffs.satellite_coefficients
+    coeffs = model.satellite_coefficients
     stacked = np.column_stack([np.ones(model.table.n), *coeffs.values()])
     values = model.solve_t(stacked)[j]
     rows = [(kind, float(v)) for kind, v in zip(("output", *coeffs), values)]

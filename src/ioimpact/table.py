@@ -40,7 +40,7 @@ SIGNED_FD_COMPONENTS = frozenset({"inventory_changes"})
 
 # Satellite kinds, in report order. Value added and gross fixed capital
 # formation can always be reported: without an account they are read off the
-# table's value-added row and final-demand column (see technical_coefficients).
+# table's value-added row and final-demand column (see leontief.build_model).
 SATELLITE_KINDS = (
     "value_added",
     "income",

@@ -292,7 +292,6 @@ def test_national_table_linkage_examples():
     table = io.parse_io_table(d / "table.csv", d / "sectors.csv", satellites)
     table, _ = io.drop_zero_sectors(table)
     model = io.build_model(table)
-    coeffs = model.coeffs
     at = table.sector_index("AT")
 
     recipe = io.input_recipe(model, "AT", top_k=2)
@@ -305,7 +304,7 @@ def test_national_table_linkage_examples():
     assert downstream[0][0].code == "TRV"
     assert abs(downstream[0][1] - 0.07373) < 1e-4
 
-    assert abs(io.import_share(coeffs, "AT") - 0.49) < 0.01
+    assert abs(io.import_share(model, "AT") - 0.49) < 0.01
 
     mults = io.output_multipliers(model)
     rank_lowest = int(np.sum(mults <= mults[at]))

@@ -772,14 +772,13 @@ class TestModelCache:
     @pytest.fixture
     def factorizations(self, monkeypatch):
         calls = []
-        for name in ("_factorize", "leontief_inverse"):
-            real = getattr(leontief, name)
+        real = leontief.ldu_factors
 
-            def counting(*args, _real=real, _name=name):
-                calls.append(_name)
-                return _real(*args)
+        def counting(A):
+            calls.append("ldu_factors")
+            return real(A)
 
-            monkeypatch.setattr(leontief, name, counting)
+        monkeypatch.setattr(leontief, "ldu_factors", counting)
         return calls
 
     @staticmethod
@@ -806,19 +805,33 @@ class TestModelCache:
         argv = ["run", *table_flags(args), "--scenario", str(scenario), "--method", "both",
                 "--out", str(out)]
         assert main(argv) == 0
-        assert factorizations == ["_factorize"]
+        assert factorizations == ["ldu_factors"]
         miss = TestParseCache.files(out)
         shutil.rmtree(out)
         assert main(argv) == 0
-        assert factorizations == ["_factorize"]
+        assert factorizations == ["ldu_factors"]
         assert TestParseCache.files(out) == miss
+
+    def test_cold_run_checks_A_once(self, tmp_path, monkeypatch, factorizations):
+        checks = []
+        real = leontief.check_coefficients
+
+        def counting(model):
+            checks.append(model.table.n)
+            return real(model)
+
+        monkeypatch.setattr(leontief, "check_coefficients", counting)
+        assert TestParseCache.run_both(tmp_path / "reports") == 0
+        assert (checks, factorizations) == ([2], ["ldu_factors"])
+        assert TestParseCache.run_both(tmp_path / "reports") == 0
+        assert (checks, factorizations) == ([2, 2], ["ldu_factors"])
 
     def test_multipliers_share_the_entry(self, tmp_path, factorizations):
         out = tmp_path / "reports"
         assert TestParseCache.run_both(out) == 0
         assert main(["multipliers", *table_flags(e2_args()), "--sector", "S1",
                      "--out", str(tmp_path / "m")]) == 0
-        assert factorizations == ["_factorize"]
+        assert factorizations == ["ldu_factors"]
 
     NON_PRODUCTIVE = (
         "sector,S1,S2,HH,NPISH,GOV,GFCF,INV,EXP,total_output\n"
@@ -836,7 +849,7 @@ class TestModelCache:
         ids=["negative-flow", "non-productive"],
     )
     def test_bad_table_fails_alike_with_a_populated_cache(
-        self, tmp_path, monkeypatch, capsys, text, code, message
+        self, tmp_path, capsys, text, code, message
     ):
         table = tmp_path / "table.csv"
         table.write_text(text)
@@ -850,21 +863,15 @@ class TestModelCache:
         with np.load(entry) as npz:
             assert "factors" not in npz.files
         # Plant the factors a hit would serve: the table's own ldu_factors,
-        # added to its entry by a load_model that checks nothing.
+        # which no check has passed.
         loaded, table_entry = ingest.load_table_entry(args["table"], args["meta"])
         loaded, _ = drop_zero_sectors(loaded)
-        with monkeypatch.context() as m:
-            m.setattr(ingest, "check_coefficients", lambda coeffs: None)
-            m.setattr(leontief, "check_coefficients", lambda coeffs: None)
-            m.setattr(leontief, "certify_productive", lambda model: None)
-            ingest.load_model(loaded, table_entry)
+        ingest._write_entry(table_entry, factors=leontief.ldu_factors(loaded.Z / loaded.x))
         assert cache_files() == [entry]
-        with np.load(entry) as npz:
-            planted = npz["factors"]
-        A = leontief.technical_coefficients(loaded).A
-        assert planted.tobytes() == leontief.ldu_factors(A).tobytes()
+        planted = entry.read_bytes()
         assert main(argv) == code
         assert capsys.readouterr() == cold
+        assert entry.read_bytes() == planted
 
     def test_one_entry_for_validate_run_and_multipliers(self, tmp_path, monkeypatch,
                                                         factorizations):
@@ -884,7 +891,7 @@ class TestModelCache:
             ["multipliers", "--sector", "S17", "--out", str(tmp_path / "m")],
         ):
             assert main([argv[0], *table_flags(args), *argv[1:]]) == 0
-            counts.append((len(parses), factorizations.count("_factorize")))
+            counts.append((len(parses), factorizations.count("ldu_factors")))
         # validate stores the parsed table; run adds the factors to its entry.
         assert counts == [(1, 0), (1, 1), (1, 1)]
         cache = Path(os.environ["XDG_CACHE_HOME"]) / "ioimpact"
@@ -945,7 +952,7 @@ class TestModelCache:
         for _ in range(2):
             assert TestParseCache.run_both(out) == 0
             assert TestParseCache.files(out) == cached
-        assert factorizations == ["_factorize"] * 3
+        assert factorizations == ["ldu_factors"] * 3
 
 
 class TestScenariosReadFirst:

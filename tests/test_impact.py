@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -167,9 +168,14 @@ class TestPartialExtraction:
         assert np.allclose(result.dx, [0.0, 0.0], atol=1e-9)
 
     def test_diagonal_and_column_untouched(self, e2_model):
-        spec = make_extraction_spec(e2_model, "S1", np.array([0.7, 0.7]))
-        assert spec.b_k[0] == 0.0
-        assert spec.b_k[1] == pytest.approx(0.2)
+        # The target's own intensity is never applied: own use stays in its recipe.
+        got = partial_extraction(e2_model, make_extraction_spec(e2_model, "S1", [0.7, 0.7]))
+        same = partial_extraction(e2_model, make_extraction_spec(e2_model, "S1", [0.0, 0.7]))
+        assert np.array_equal(got.dx, same.dx)
+        a_bar = e2_model.A.copy()
+        a_bar[0, 1] *= 1 - 0.7
+        x_bar = np.linalg.solve(np.eye(2) - a_bar, e2_model.f)
+        assert np.allclose(got.dx, x_bar - e2_model.x, atol=1e-9)
 
     def test_nesting_reproduces_inoperability(self, e2, e2_model):
         delta = e2_delta(e2)
@@ -180,13 +186,14 @@ class TestPartialExtraction:
         assert np.allclose(ext.q, ino.q, atol=1e-12)
 
     def test_rank_one_form(self, e2_model):
-        # Uniform alpha: scaling row k equals subtracting alpha * e_k b_k'.
+        # Uniform alpha: scaling row k equals subtracting alpha * e_k b_k',
+        # where b_k is row k of A with a zero at the diagonal.
         alpha = 0.37
-        spec = make_extraction_spec(e2_model, "S1", np.full(2, alpha))
         A = e2_model.A
         e_k = np.zeros(2)
         e_k[0] = 1.0
-        expected = A - alpha * np.outer(e_k, spec.b_k)
+        b_k = np.array([0.0, A[0, 1]])
+        expected = A - alpha * np.outer(e_k, b_k)
         a_bar = A.copy()
         a_bar[0, 1] *= 1 - alpha
         assert np.abs(a_bar - expected).max() < 1e-12
@@ -207,6 +214,29 @@ class TestPartialExtraction:
     def test_alpha_out_of_range_rejected(self, e2_model):
         with pytest.raises(ValueError):
             make_extraction_spec(e2_model, "S1", np.array([1.5, 0.0]))
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("alpha", np.array([0.5])), ("alpha", np.full(5, 0.5)), ("alpha", np.full((4, 1), 0.5)),
+         ("alpha", np.float64(0.5)), ("f_bar", np.ones(3)), ("f_bar", np.ones((4, 2))),
+         ("f_bar", 1.0)],
+    )
+    def test_inputs_of_the_wrong_shape_rejected(self, name, value):
+        model = build_model(random_economy(EconomyGenSpec(n=4, seed=1)))
+        inputs = {"alpha": np.full(4, 0.5), "f_bar": np.ones(4), name: value}
+        shape = re.escape(str(np.shape(value)))
+        message = rf"{name} has shape {shape}, not \(4,\): one value"
+        with pytest.raises(ValueError, match=message):
+            partial_extraction(model, make_extraction_spec(model, 0, **inputs))
+        with pytest.raises(ValueError, match=message):
+            partial_extraction(model, ExtractionSpec(k=0, **inputs))
+
+    @pytest.mark.parametrize("k", [4, -1])
+    def test_target_outside_the_model_rejected(self, k):
+        model = build_model(random_economy(EconomyGenSpec(n=4, seed=1)))
+        spec = ExtractionSpec(k=k, alpha=np.full(4, 0.5), f_bar=np.ones(4))
+        with pytest.raises(ValueError, match=rf"target k={k} is not a sector position"):
+            partial_extraction(model, spec)
 
 
 def oracle_alpha(kind, n, rng):
@@ -264,9 +294,10 @@ class TestUpdateDenominators:
             make_extraction_spec(e2_model, "S1", np.array([np.nan, np.nan]))
 
     def test_nan_denominator_rejected(self, e2_model):
-        spec = ExtractionSpec(k=0, alpha=np.ones(2), b_k=np.array([0.0, np.nan]), f_bar=e2_model.f)
-        with pytest.raises(NonProductiveEconomyError, match="nan"):
-            partial_extraction(e2_model, spec)
+        broken = replace(e2_model, factors=np.full((2, 2), np.nan))
+        spec = ExtractionSpec(k=0, alpha=np.ones(2), f_bar=e2_model.f)
+        with pytest.raises(NonProductiveEconomyError, match="is nan, not at least one"):
+            partial_extraction(broken, spec)
 
 
 class TestSatelliteDeltas:

@@ -29,7 +29,6 @@ from ioimpact import (
 from ioimpact import NonProductiveEconomyError, ingest, leontief
 from ioimpact.ingest import CACHE_ENTRIES, load_model, parse_blowup_history
 from ioimpact.table import FinalDemandBlock, IOTable, Sector, drop_zero_sectors
-from ioimpact.leontief import leontief_inverse, technical_coefficients
 from ioimpact.testkit import EconomyGenSpec, canonical_e2, random_economy
 
 from test_leontief import column_stochastic, table_with_A
@@ -414,6 +413,29 @@ class TestParseCache:
         assert len(parse_calls) == 2
         assert len(_cache_files()) == 2
 
+    def test_metadata_edited_after_hashing_is_not_a_hit(self, tmp_path, monkeypatch,
+                                                        parse_calls):
+        d = _copy_e2(tmp_path / "in")
+        _load(d)
+        (entry,) = _cache_files()
+        stored = entry.read_bytes()
+        meta = d / "sectors.csv"
+        past = time.time() - 100
+        os.utime(meta, (past, past))  # the edit below then moves the mtime
+        real = ingest.parse_sector_metadata
+
+        def edit_then_parse(path):
+            meta.write_text(meta.read_text().replace("S1,", "X1,"))
+            return real(path)
+
+        # The hit's metadata parse reads X1, though the key hashed S1; a parse
+        # of the same files fails.
+        monkeypatch.setattr(ingest, "parse_sector_metadata", edit_then_parse)
+        with pytest.raises(TableParseError, match="header mismatch"):
+            ingest.load_table_entry(d / "table.csv", meta)
+        assert len(parse_calls) == 2
+        assert entry.read_bytes() == stored
+
     def test_satellites_are_read_on_a_hit(self, tmp_path):
         d = _copy_e2(tmp_path / "in")
         _load(d)
@@ -534,7 +556,7 @@ class TestParseCache:
 
 
 def _fresh_factors(table):
-    return leontief_inverse(technical_coefficients(table)).factors
+    return leontief.build_model(table).factors
 
 
 def _table_files(table, d):
@@ -562,15 +584,15 @@ def _entry_arrays(path):
 
 @pytest.fixture
 def factorize_calls(monkeypatch):
-    """The number of block LDU factorizations made so far."""
+    """The size of every I - A factorized so far."""
     calls = []
-    real = leontief._factorize
+    real = leontief.ldu_factors
 
-    def counting(m):
-        calls.append(len(m))
-        return real(m)
+    def counting(A):
+        calls.append(len(A))
+        return real(A)
 
-    monkeypatch.setattr(leontief, "_factorize", counting)
+    monkeypatch.setattr(leontief, "ldu_factors", counting)
     return calls
 
 
@@ -578,8 +600,7 @@ def _no_factorization(monkeypatch):
     def fail(*args):
         raise AssertionError("factorized on a cache hit")
 
-    monkeypatch.setattr(leontief, "_factorize", fail)
-    monkeypatch.setattr(leontief, "leontief_inverse", fail)
+    monkeypatch.setattr(leontief, "ldu_factors", fail)
 
 
 def _damage_model_missing(path, table):
@@ -719,26 +740,23 @@ class TestModelCache:
          (table_with_A(column_stochastic(300, seed=3)), NonProductiveEconomyError)],
         ids=["negative", "non-productive", "column-stochastic"],
     )
-    def test_checks_run_before_the_lookup(self, tmp_path, monkeypatch, table, error):
+    def test_bad_table_fails_alike_with_planted_factors(self, tmp_path, table, error):
         d = _table_files(table, tmp_path / "in")
         with pytest.raises(error) as cold:
             _load_model(d)
         (entry,) = _cache_files()
         assert "factors" not in _entry_arrays(entry)
         # Plant the factors a hit would serve: the table's own ldu_factors,
-        # added to its entry by a load_model that checks nothing.
-        with monkeypatch.context() as m:
-            m.setattr(ingest, "check_coefficients", lambda coeffs: None)
-            m.setattr(leontief, "check_coefficients", lambda coeffs: None)
-            m.setattr(leontief, "certify_productive", lambda model: None)
-            _load_model(d)
-        A = technical_coefficients(table).A
-        assert _entry_arrays(entry)["factors"].tobytes() == leontief.ldu_factors(A).tobytes()
+        # which no check has passed.
+        loaded, table_entry = _load_entry(d)
+        ingest._write_entry(table_entry, factors=leontief.ldu_factors(loaded.Z / loaded.x))
+        planted = entry.read_bytes()
         with pytest.raises(error) as warm:
             _load_model(d)
         assert str(warm.value) == str(cold.value)
+        assert entry.read_bytes() == planted
 
-    def test_nan_flow_is_rejected_before_the_factors_are_read(self, tmp_path):
+    def test_nan_flow_is_rejected_with_stored_factors(self, tmp_path):
         # A table file cannot hold a NaN, so a library table brings it along
         # with the entry of the finite table it was edited from.
         d = _table_files(_e2_with_flow(20.0), tmp_path / "in")

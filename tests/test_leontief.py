@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from ioimpact import (
     downstream_importance,
     import_share,
     input_recipe,
-    leontief_inverse,
+    leontief,
     output_multipliers,
     satellite_multipliers,
-    technical_coefficients,
 )
+from ioimpact.leontief import FIXED_POINT_TOL, ldu_factors
 from ioimpact.testkit import EconomyGenSpec, dense_inverse, neumann_oracle, random_economy, rescale
 
 from conftest import E2_A, E2_L
@@ -23,26 +24,24 @@ from test_table import make_table
 
 
 class TestTechnicalCoefficients:
-    def test_e2_matrix(self, e2):
-        coeffs = technical_coefficients(e2)
-        assert np.array_equal(coeffs.A, E2_A)
-        assert np.array_equal(coeffs.import_coefficients, [-0.1, 0.0])
+    def test_e2_matrix(self, e2, e2_model):
+        assert np.array_equal(e2_model.A, E2_A)
+        assert np.array_equal(e2_model.import_coefficients, [-0.1, 0.0])
         assert np.array_equal(e2.value_added / e2.x, [0.3, 0.4])
-        assert np.array_equal(coeffs.satellite_coefficients["employment"], [0.1, 0.2])
+        assert np.array_equal(e2_model.satellite_coefficients["employment"], [0.1, 0.2])
 
     def test_zero_flows_give_zero_matrix(self):
         table = make_table(np.zeros((2, 2)), [10, 20], [10, 20])
-        coeffs = technical_coefficients(table)
-        assert np.array_equal(coeffs.A, np.zeros((2, 2)))
+        assert np.array_equal(build_model(table).A, np.zeros((2, 2)))
 
     def test_zero_output_rejected(self):
         table = make_table([[0.0, 0], [0, 0]], [10, 0], [10, 0])
         with pytest.raises(ValueError, match="non-positive output"):
-            technical_coefficients(table)
+            build_model(table)
 
-    def test_column_sums_account_for_everything(self, e2):
-        coeffs = technical_coefficients(e2)
-        total = coeffs.A.sum(axis=0) + coeffs.import_coefficients + e2.value_added / e2.x
+    def test_column_sums_account_for_everything(self, e2, e2_model):
+        model = e2_model
+        total = model.A.sum(axis=0) + model.import_coefficients + e2.value_added / e2.x
         assert np.allclose(total, 1.0, atol=1e-12)
 
 
@@ -61,10 +60,8 @@ class TestLeontiefInverse:
     def test_non_productive_economy_rejected(self):
         # Column sums 1.2 with spectral radius 1.2: the expansion diverges,
         # and (I - A)^-1 1 = [-5, -5] is no certificate.
-        table = make_table([[70, 50], [50, 70]], [-20, -20], [100, 100])
-        coeffs = technical_coefficients(table)
         with pytest.raises(NonProductiveEconomyError, match=r"\(I - A\)\^-1 1 is -5 at sector S1"):
-            leontief_inverse(coeffs)
+            build_model(NON_PRODUCTIVE)
 
     def test_high_column_sum_but_productive_is_accepted(self):
         # Column sum 1.2 yet spectral radius 0.6: the certificate must pass it.
@@ -78,6 +75,10 @@ class TestLeontiefInverse:
         L = dense_inverse(e2_model)
         assert np.all(L >= 0)
         assert np.all(np.diag(L) >= 1)
+
+
+# rho(A) = 1.2, though I - A is nonsingular.
+NON_PRODUCTIVE = make_table([[70, 50], [50, 70]], [-20, -20], [100, 100])
 
 
 def table_with_A(A):
@@ -214,16 +215,101 @@ class TestBlockFactorization:
         assert shapes == [(128, 128), (128, 128), (44, 44)]
 
     def test_peak_memory_below_two_dense_matrices(self):
-        # An explicit inverse holds I - A and L: 2 n^2 floats traced.
+        # An explicit inverse holds I - A and L: 2 n^2 floats traced. The
+        # traced work is build_model's: the check of A, the factorization
+        # and the certificate.
         n = 600
-        coeffs = technical_coefficients(random_economy(EconomyGenSpec(n=n, seed=5)))
+        model = build_model(random_economy(EconomyGenSpec(n=n, seed=5)))
         tracemalloc.start()
         try:
-            leontief_inverse(coeffs)
+            leontief.check_coefficients(model)
+            leontief.certify_productive(replace(model, factors=ldu_factors(model.A)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2.0 * n * n * 8
+
+
+class TestStoredFactors:
+    """build_model(table, factors): stored factors are served once they
+    solve (I - A) x = f, and every check runs as it does without them."""
+
+    @pytest.fixture
+    def ldu_calls(self, monkeypatch):
+        calls = []
+        real = leontief.ldu_factors
+
+        def counting(A):
+            calls.append(len(A))
+            return real(A)
+
+        monkeypatch.setattr(leontief, "ldu_factors", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 300])
+    def test_passing_factors_are_served_as_they_are(self, ldu_calls, n):
+        table = random_economy(EconomyGenSpec(n=n, seed=n))
+        factors = build_model(table).factors
+        model = build_model(table, factors)
+        assert model.factors is factors
+        assert ldu_calls == [n]
+
+    def test_factors_past_the_tolerance_are_factorized_again(self, ldu_calls):
+        table = random_economy(EconomyGenSpec(n=300, seed=4))
+        fresh = build_model(table)
+        perturbed = fresh.factors.copy()
+        perturbed[0, 0] *= 1.0 + 1e-6
+        perturbed.setflags(write=False)
+        f = table.f
+        off = replace(fresh, factors=perturbed)
+        assert leontief.fixed_point_gap(off, off.solve(f), f) > FIXED_POINT_TOL
+        model = build_model(table, perturbed)
+        assert model.factors is not perturbed
+        assert model.factors.tobytes() == fresh.factors.tobytes()
+        assert ldu_calls == [300, 300]
+
+    @pytest.mark.parametrize(
+        "unservable",
+        [
+            lambda a: a.copy(),  # writable: the caller could change it under the model
+            lambda a: a.astype(np.float32),
+            lambda a: a[:-1],
+            lambda a: a.tolist(),
+        ],
+        ids=["writable", "float32", "shape", "list"],
+    )
+    def test_factors_that_could_change_or_do_not_fit_are_factorized_again(
+        self, ldu_calls, unservable
+    ):
+        table = random_economy(EconomyGenSpec(n=4, seed=1))
+        fresh = build_model(table)
+        given = unservable(fresh.factors)
+        model = build_model(table, given)
+        assert model.factors is not given
+        assert not model.factors.flags.writeable
+        assert model.factors.tobytes() == fresh.factors.tobytes()
+        assert ldu_calls == [4, 4]
+
+    @pytest.mark.parametrize("flow,shown", [(-5.0, "-5.0"), (np.nan, "nan")])
+    def test_bad_flow_is_rejected_with_factors(self, ldu_calls, flow, shown):
+        stored = build_model(make_table([[50, 20], [30, 40]], [30, 30], [100, 100])).factors
+        table = make_table([[50, flow], [30, 40]], [30, 30], [100, 100])
+        with pytest.raises(ValueError, match=rf"Z\[S1, S2\] is {shown};"):
+            build_model(table, stored)
+        assert ldu_calls == [2]
+
+    def test_non_productive_fails_alike_with_planted_factors(self, monkeypatch):
+        with pytest.raises(NonProductiveEconomyError) as fresh:
+            build_model(NON_PRODUCTIVE)
+        planted = ldu_factors(NON_PRODUCTIVE.Z / NON_PRODUCTIVE.x)
+
+        def fail(A):
+            raise AssertionError("factorized although the planted factors solve for x")
+
+        monkeypatch.setattr(leontief, "ldu_factors", fail)
+        with pytest.raises(NonProductiveEconomyError) as served:
+            build_model(NON_PRODUCTIVE, planted)
+        assert str(served.value) == str(fresh.value)
 
 
 class TestMultipliers:
@@ -295,14 +381,13 @@ class TestRankings:
 class TestImportShare:
     def test_explicit_imports(self):
         table = make_table([[50, 20], [30, 40]], [30, 30], [100, 100], imports=[10.0, 15.0])
-        coeffs = technical_coefficients(table)
-        assert import_share(coeffs, "S1") == pytest.approx(0.10)
-        assert import_share(coeffs, "S2") == pytest.approx(0.15)
+        model = build_model(table)
+        assert import_share(model, "S1") == pytest.approx(0.10)
+        assert import_share(model, "S2") == pytest.approx(0.15)
 
     def test_zero_import_sector(self):
         table = make_table([[50, 20], [30, 40]], [30, 30], [100, 100], imports=[0.0, 15.0])
-        coeffs = technical_coefficients(table)
-        assert import_share(coeffs, "S1") == 0.0
+        assert import_share(build_model(table), "S1") == 0.0
 
 
 class TestProperties:
@@ -358,26 +443,25 @@ class TestSectorLookup:
             assert e2_model.table.sector_index(sector) == 1
 
     @pytest.mark.parametrize("sector", [-1, 2, 5, "S9"])
-    def test_import_share_rejects_unknown_sector(self, e2, sector):
+    def test_import_share_rejects_unknown_sector(self, e2_model, sector):
         with pytest.raises(KeyError):
-            import_share(technical_coefficients(e2), sector)
+            import_share(e2_model, sector)
 
-    def test_import_share_by_index(self, e2):
-        coeffs = technical_coefficients(e2)
-        assert import_share(coeffs, 0) == import_share(coeffs, "S1") == pytest.approx(-0.1)
+    def test_import_share_by_index(self, e2_model):
+        model = e2_model
+        assert import_share(model, 0) == import_share(model, "S1") == pytest.approx(-0.1)
 
 
 class TestSatelliteKinds:
-    def test_report_order_with_table_fallbacks(self, e2):
-        coeffs = technical_coefficients(e2)
-        assert list(coeffs.satellite_coefficients) == [
+    def test_report_order_with_table_fallbacks(self, e2_model):
+        coeffs = e2_model.satellite_coefficients
+        assert list(coeffs) == [
             "value_added", "income", "employment", "gross_fixed_capital_formation",
         ]
-        assert np.array_equal(coeffs.satellite_coefficients["value_added"], [0.3, 0.4])
+        assert np.array_equal(coeffs["value_added"], [0.3, 0.4])
 
     def test_without_accounts_only_fallbacks(self):
         table = make_table([[50, 20], [30, 40]], [30, 30], [100, 100])
-        coeffs = technical_coefficients(table)
-        assert list(coeffs.satellite_coefficients) == [
+        assert list(build_model(table).satellite_coefficients) == [
             "value_added", "gross_fixed_capital_formation",
         ]

@@ -1,6 +1,7 @@
 """The package's public surface: what ``import ioimpact`` exports and loads,
 and the README's library quickstart, run as written."""
 
+import ast
 import os
 import re
 import subprocess
@@ -32,7 +33,6 @@ PUBLIC_NAMES = {
     "Sector",
     "StructuralError",
     "TableParseError",
-    "TechnicalCoefficients",
     "UseRatio",
     "ValidationReport",
     "apply_blowup",
@@ -47,7 +47,6 @@ PUBLIC_NAMES = {
     "import_share",
     "inoperability",
     "input_recipe",
-    "leontief_inverse",
     "load_io_table",
     "make_extraction_spec",
     "output_multipliers",
@@ -56,18 +55,44 @@ PUBLIC_NAMES = {
     "partial_extraction",
     "satellite_deltas",
     "satellite_multipliers",
-    "technical_coefficients",
     "validate_table",
     "write_table_files",
 }
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 42
     assert set(ioimpact.__all__) == PUBLIC_NAMES
     assert len(ioimpact.__all__) == len(PUBLIC_NAMES)
     for name in ioimpact.__all__:
         assert getattr(ioimpact, name) is not None
+
+
+def package_imports(module: str) -> set[str]:
+    """The modules of the package that ``module`` imports, by name."""
+    source = (ROOT / "src" / "ioimpact" / f"{module}.py").read_text(encoding="utf-8")
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            if base in (".", "ioimpact"):
+                found.update(alias.name for alias in node.names)
+            elif base.startswith((".", "ioimpact.")):
+                found.add(base.lstrip(".").removeprefix("ioimpact."))
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.removeprefix("ioimpact.")
+                for alias in node.names
+                if alias.name.startswith("ioimpact.")
+            )
+    return found
+
+
+def test_import_direction():
+    # The model depends only on the table; file handling never on the analysis.
+    assert package_imports("leontief") == {"errors", "table"}
+    assert "impact" not in package_imports("ingest")
+    assert {"leontief", "table"} <= package_imports("ingest")
 
 
 def test_package_and_cli_do_not_load_testkit():
