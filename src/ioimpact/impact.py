@@ -145,9 +145,9 @@ def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
 
 
 def _solve_with_column(model: LeontiefModel, f_bar: np.ndarray, k: int):
-    """y = L f_bar and the column L[:, k], from one two-column solve.
-    Column-major, so each returned column is contiguous."""
-    rhs = np.zeros((model.table.n, 2), order="F")
+    """y = L f_bar and the column L[:, k], from one two-column solve of a
+    row-major n x 2 right-hand side."""
+    rhs = np.zeros((model.table.n, 2))
     rhs[:, 0] = f_bar
     rhs[k, 1] = 1.0
     sol = model.solve(rhs)
@@ -161,7 +161,8 @@ def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResu
     whole k-th column stay untouched. The new output x_bar solves
     (I - A_bar) x_bar = f_bar, obtained from L by the rank-one update.
     alpha and f_bar must hold one value per sector and k must be a sector
-    position: nothing is broadcast.
+    position: nothing is broadcast. A NaN or infinite f_bar is refused, as
+    inoperability refuses a non-finite demand change.
     """
     k, n = spec.k, model.table.n
     for name, values in (("alpha", spec.alpha), ("f_bar", spec.f_bar)):
@@ -169,6 +170,10 @@ def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResu
             raise ValueError(f"{name} has shape {values.shape}, not ({n},): one value per sector")
     if not 0 <= k < n:
         raise ValueError(f"extraction target k={k} is not a sector position of an n={n} model")
+    if not np.isfinite(spec.f_bar).all():
+        j = int(np.argmax(~np.isfinite(spec.f_bar)))
+        code = model.table.codes[j]
+        raise ValueError(f"f_bar is {spec.f_bar[j]} at sector {code}; it must be finite")
     d = model.A[k] * spec.alpha
     d[k] = 0.0
     y, l_k = _solve_with_column(model, spec.f_bar, k)
@@ -270,7 +275,7 @@ def compare_methods(a: ImpactResult, b: ImpactResult) -> ComparisonReport:
     k = min(TOP_OVERLAP_K, len(a.sectors))
 
     def top(result):
-        return [result.sectors[i].code for i in sector_order(result.q)[:k]]
+        return [result.sectors[i].code for i in sector_order(result.q, k=k)]
 
     top_a = top(a)
     top_b = set(top(b))

@@ -69,12 +69,14 @@ class LeontiefModel:
     factors: np.ndarray
 
     def solve(self, rhs) -> np.ndarray:
-        """(I - A)^-1 rhs for a vector or an n x k matrix: a forward pass
-        through L, then a backward pass through D U."""
+        """(I - A)^-1 rhs for a vector or an n x k matrix of any memory
+        layout: a forward pass through L, then a backward pass through D U.
+        The right-hand side is copied into row-major order, the layout in
+        which the block products run fastest, and the result is C-contiguous."""
         M = self.factors
         n = len(M)
         blocks = _blocks(n)
-        v = np.array(rhs, dtype=float)
+        v = np.array(rhs, dtype=float, order="C")
         for s, e in blocks[:-1]:
             v[e:] -= M[e:, s:e] @ v[s:e]
         for s, e in reversed(blocks):
@@ -86,11 +88,12 @@ class LeontiefModel:
     def solve_t(self, rhs) -> np.ndarray:
         """(I - A)^-T rhs for a vector or an n x k matrix: for a vector u this
         is the row u'(I - A)^-1, for a matrix one such row per column. A
-        forward pass through (D U)', then a backward pass through L'."""
+        forward pass through (D U)', then a backward pass through L'. Any
+        layout is accepted and copied into row-major order, as in solve."""
         M = self.factors
         n = len(M)
         blocks = _blocks(n)
-        v = np.array(rhs, dtype=float)
+        v = np.array(rhs, dtype=float, order="C")
         for s, e in blocks:
             v[s:e] = M[s:e, s:e].T @ v[s:e]
             if e < n:
@@ -262,12 +265,24 @@ def satellite_multipliers(model: LeontiefModel, kind: str) -> np.ndarray:
     return model.solve_t(coeffs[kind])
 
 
-def sector_order(values, descending: bool = False) -> list[int]:
+def sector_order(values, descending: bool = False, k: int | None = None) -> list[int]:
     """Sector positions ordered by value, ties (-0.0 against 0.0 included)
-    broken by sector index: the ranking rule behind every ranked view.
-    Python ints, which index faster than numpy integers, are returned."""
+    broken by sector index and NaN last: the ranking rule behind every ranked
+    view. Python ints, which index faster than numpy integers, are returned.
+
+    With a depth k the result is the full order's first k positions,
+    sector_order(values, descending)[:k], found without sorting all n: the
+    k-th smallest key is selected, and only the keys at or below it are
+    sorted. They come first in the full order, so the two agree exactly.
+    """
     values = np.asarray(values, dtype=float)
-    return np.argsort(-values if descending else values, kind="stable").tolist()
+    keys = -values if descending else values
+    if k is not None and 0 < k < len(keys):
+        cut = np.partition(keys, k - 1)[k - 1]
+        if not np.isnan(cut):  # a NaN cut selects no key; sort them all
+            head = np.flatnonzero(keys <= cut)
+            return head[np.argsort(keys[head], kind="stable")[:k]].tolist()
+    return np.argsort(keys, kind="stable").tolist()[:k]
 
 
 def check_top_k(top_k: int) -> None:
@@ -281,7 +296,7 @@ def _ranked(model: LeontiefModel, values: np.ndarray, top_k: int) -> list[tuple[
     # Descending order puts every positive value ahead of the rest.
     return [
         (model.sectors[i], float(values[i]))
-        for i in sector_order(values, descending=True)[:top_k]
+        for i in sector_order(values, descending=True, k=top_k)
         if values[i] > 0
     ]
 

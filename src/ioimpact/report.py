@@ -347,7 +347,7 @@ def plotdata_table(result: ImpactResult, top_k: int = 10) -> ReportTable:
     check_top_k(top_k)
     rows = tuple(
         (result.sectors[i].code, result.sectors[i].name, float(result.q[i]), rank)
-        for rank, i in enumerate(sector_order(result.q)[:top_k], start=1)
+        for rank, i in enumerate(sector_order(result.q, k=top_k), start=1)
     )
     return ReportTable(
         name=f"plotdata_top{top_k}",

@@ -161,6 +161,7 @@ class IOTable:
         object.__setattr__(self, "satellites", dict(self.satellites))
         check_structure(self)
         object.__setattr__(self, "_index", {s.code: s.index for s in self.sectors})
+        object.__setattr__(self, "_f", _readonly(self.final_demand.totals()))
 
     @property
     def n(self) -> int:
@@ -172,8 +173,9 @@ class IOTable:
 
     @property
     def f(self) -> np.ndarray:
-        """Total final demand per sector."""
-        return self.final_demand.totals()
+        """Total final demand per sector: the read-only row sums of the
+        final-demand block, summed once when the table is built."""
+        return self._f
 
     def sector_index(self, sector) -> int:
         """Matrix position of a sector given as a Sector, an index or a code.

@@ -21,6 +21,7 @@ from ioimpact import (
     partial_extraction,
     satellite_deltas,
 )
+from ioimpact.leontief import LeontiefModel
 from ioimpact.testkit import (
     EconomyGenSpec,
     demand_perturbation,
@@ -230,6 +231,35 @@ class TestPartialExtraction:
             partial_extraction(model, make_extraction_spec(model, 0, **inputs))
         with pytest.raises(ValueError, match=message):
             partial_extraction(model, ExtractionSpec(k=0, **inputs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_final_demand_rejected(self, bad):
+        model = build_model(random_economy(EconomyGenSpec(n=6, seed=1)))
+        f_bar = model.f.copy()
+        f_bar[[2, 4]] = bad
+        alpha = np.full(6, 0.5)
+        message = re.escape(f"f_bar is {bad} at sector {model.table.codes[2]}; it must be finite")
+        with pytest.raises(ValueError, match=message):
+            partial_extraction(model, make_extraction_spec(model, 0, alpha, f_bar=f_bar))
+        with pytest.raises(ValueError, match=message):
+            partial_extraction(model, ExtractionSpec(k=0, alpha=alpha, f_bar=f_bar))
+
+    def test_one_row_major_two_column_solve(self, monkeypatch):
+        # The block products of a solve run slower on a column-major right-hand side.
+        model = build_model(random_economy(EconomyGenSpec(n=300, seed=2)))
+        spec = make_extraction_spec(model, 5, np.full(300, 0.5))
+        calls = []
+        solve = LeontiefModel.solve
+
+        def spy(self, rhs):
+            calls.append(rhs)
+            return solve(self, rhs)
+
+        monkeypatch.setattr(LeontiefModel, "solve", spy)
+        partial_extraction(model, spec)
+        assert len(calls) == 1
+        assert calls[0].shape == (300, 2)
+        assert calls[0].flags.c_contiguous
 
     @pytest.mark.parametrize("k", [4, -1])
     def test_target_outside_the_model_rejected(self, k):

@@ -199,6 +199,30 @@ class TestBlockFactorization:
         if n <= 128:
             assert np.array_equal(model.solve(v), L @ v)
 
+    @pytest.mark.parametrize("n", [127, 128, 129, 300])
+    def test_every_layout_solves_alike(self, n):
+        # The right-hand side is copied into row-major order whatever its
+        # layout, so C-order, F-order and strided inputs give one answer.
+        model = build_model(random_economy(EconomyGenSpec(n=n, seed=n)))
+        base = np.random.default_rng(n).standard_normal((n, 3))
+        spaced = np.zeros((2 * n, 6))
+        spaced[::2, ::2] = base
+        layouts = {
+            "C": base,
+            "F": np.asfortranarray(base),
+            "strided": spaced[::2, ::2],
+            "vector": base[:, 0].copy(),
+            "strided vector": spaced[::2, 0],
+        }
+        assert not layouts["strided"].flags.c_contiguous
+        for solve in (model.solve, model.solve_t):
+            want = {2: solve(layouts["C"]), 1: solve(layouts["vector"])}
+            for name, rhs in layouts.items():
+                got = solve(rhs)
+                assert got.flags.c_contiguous, name
+                ref = want[got.ndim]
+                assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max(), name
+
     def test_factors_are_read_only(self, e2_model):
         assert not e2_model.factors.flags.writeable
 

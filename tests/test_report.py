@@ -229,6 +229,47 @@ class TestTiesBreakBySectorIndex:
         assert sector_order(values, descending=True) == [2, 5, 0, 1, 3, 4]
         assert all(type(i) is int for i in sector_order(values))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        pool=st.lists(
+            st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+            | st.floats(-1e3, 1e3),
+            min_size=1,
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        descending=st.booleans(),
+        data=st.data(),
+    )
+    def test_depth_gives_the_full_order_prefix(self, n, pool, seed, descending, data):
+        # Few distinct values, so ties (signed zeros and NaN included) abound.
+        values = np.random.default_rng(seed).choice(np.array(pool), n)
+        k = data.draw(st.integers(0, n + 2), label="k")
+        full = sector_order(values, descending)
+        got = sector_order(values, descending, k)
+        assert got == full[:k]
+        assert all(type(i) is int for i in got)
+
+    @pytest.mark.parametrize("top_k", [0, 1, 2, 3])
+    def test_ranked_views_of_e2_follow_the_full_order(self, e2, e2_model, top_k):
+        delta = DemandDelta(
+            scenario="demo", target="S1", delta=np.array([-12.0, 0.0]),
+            component_changes={}, total_drop_fraction=-0.4,
+        )
+        ino = inoperability(e2_model, delta)
+        ext = partial_extraction(e2_model, make_extraction_spec(e2_model, "S1", [0.5, 0.5]))
+        assert [r[0] for r in plotdata_table(ino, top_k=top_k).rows] == [
+            e2.codes[i] for i in sector_order(ino.q)[:top_k]
+        ]
+        top_ext = [e2.codes[i] for i in sector_order(ext.q)]
+        top_ino = {e2.codes[i] for i in sector_order(ino.q)}
+        assert compare_methods(ext, ino).top_overlap == tuple(c for c in top_ext if c in top_ino)
+        recipes = recipe_tables(e2_model, "S1", top_k)
+        for table, values in zip(recipes, (e2_model.A[:, 0], e2_model.A[0])):
+            ranked = sector_order(values, descending=True)[:top_k]
+            assert [r[0] for r in table.rows] == [e2.codes[i] for i in ranked if values[i] > 0]
+
     def test_recipes(self, tied_model):
         recipe = input_recipe(tied_model, "S1", top_k=self.N)
         assert [s.code for s, _ in recipe] == ["S1", "S4", "S6", "S8", "S10"]

@@ -201,6 +201,23 @@ class TestFinalDemandBlock:
     def test_totals(self, e2):
         assert np.array_equal(e2.final_demand.totals(), [30, 30])
 
+    def test_table_sums_f_once_read_only(self, e2):
+        assert e2.f is e2.f
+        assert np.array_equal(e2.f, e2.final_demand.totals())
+        assert not e2.f.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            e2.f[0] = 1.0
+
+    def test_reduced_table_has_its_own_f(self):
+        Z = [[50, 0, 20], [0, 0, 0], [30, 0, 40]]
+        table = make_table(Z, [30, 0, 30], [100, 0, 100])
+        reduced, _ = drop_zero_sectors(table)
+        assert reduced.f is not table.f
+        assert reduced.f is reduced.f
+        assert np.array_equal(reduced.f, reduced.final_demand.values.sum(axis=1))
+        assert np.array_equal(reduced.f, [30, 30])
+        assert not reduced.f.flags.writeable
+
 
 def test_rescale_keeps_employment():
     table = canonical_e2()
