@@ -18,15 +18,8 @@ blank rows are skipped. Scenario files are JSON; see parse_scenario. Parsing
 is total: either a fully populated object is returned or an error carrying
 the file coordinates is raised. Numeric cells must be finite. Files are
 decoded line by line, so the first bad line or cell in the file is the one
-named.
-
-A table file of at least 1 MiB is parsed in two processes where os.fork
-exists and two CPUs are usable: a forked worker parses the second half of
-the sector rows and the trailing rows into a shared mapping, and its rows
-are used only if it parsed them all. Otherwise this process parses that
-half itself, so the result, or the error with its row and column, is the
-one-process parse's, and an error in the second half costs a one-process
-parse of that half; see _parse_rows.
+named. A line with no quote or NUL is split at its commas, and any other
+goes to csv.reader, so every file reads as csv.reader reads it (see _cells).
 
 load_io_table is parse_io_table memoised on disk: a parsed table is stored
 as one entry under ``$XDG_CACHE_HOME/ioimpact`` (default
@@ -43,14 +36,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import math
-import mmap
 import os
 import re
-import signal
 import tempfile
-import threading
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,63 +72,55 @@ _DAMAGED_ENTRY = (OSError, ValueError, KeyError, EOFError, RuntimeError, zipfile
 _LONE_CR = re.compile("(?<=\r)(?!\n)")
 
 
-class _Lines:
-    """The lines of a binary file, from its current position, decoded one
-    by one for csv.reader.
+def _lines(fh, path):
+    """The lines of a binary file, decoded one by one; a UTF-8 BOM at its
+    start is dropped.
 
     Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in a text file
-    opened with ``newline=""``. ``lines`` counts the ``\\n``-ended lines
-    handed out and ``end`` is the byte offset after them. ``plain`` stays
-    true while no line held a ``"`` or a lone ``\\r``: up to then every line
-    is one CSV record. Iteration stops at byte offset ``stop`` if the lines
-    before it were plain, and can be resumed by iterating again. A line that
-    is not valid UTF-8 raises TableParseError naming it, counted from where
-    the lines start.
+    opened with ``newline=""``. A line that is not valid UTF-8 raises
+    TableParseError naming it, counted in ``\\n``-ended lines.
     """
-
-    def __init__(self, fh, path, encoding="utf-8"):
-        self.fh = fh
-        self.path = path
-        self.encoding = encoding  # of the next line; "utf-8-sig" drops a BOM
-        self.lines = 0
-        self.end = fh.tell()
-        self.stop = None
-        self.plain = True
-
-    def __iter__(self):
-        while not (self.plain and self.end == self.stop):
-            line = self.fh.readline()
-            if not line:
-                return
-            self.lines += 1
-            self.end += len(line)
-            try:
-                text = line.decode(self.encoding)
-            except UnicodeDecodeError as exc:
-                raise TableParseError(
-                    f"{self.path}: not valid UTF-8 ({exc.reason})", row=self.lines
-                ) from None
-            self.encoding = "utf-8"
-            if b'"' in line:
-                self.plain = False
-            if b"\r" in line and line.count(b"\r") != line.endswith(b"\r\n"):
-                self.plain = False
-                yield from filter(None, _LONE_CR.split(text))
-            else:
-                yield text
+    encoding = "utf-8-sig"
+    for row, line in enumerate(fh, start=1):
+        try:
+            text = line.decode(encoding)
+        except UnicodeDecodeError as exc:
+            raise TableParseError(f"{path}: not valid UTF-8 ({exc.reason})", row=row) from None
+        encoding = "utf-8"
+        if b"\r" in line and line.count(b"\r") != line.endswith(b"\r\n"):
+            yield from filter(None, _LONE_CR.split(text))
+        else:
+            yield text
 
 
-def _records(lines: _Lines, path, width: int, r: int = 0, header: bool = True):
-    """Yield ``(1-based row number, cells)`` for each non-blank CSV record,
-    numbering the records after the first ``r``.
+def _cells(lines):
+    """The cells of each CSV record in ``lines``, as csv.reader gives them.
 
-    While ``header`` holds, the next non-blank record is the header, which
-    the caller checks; every later record must have ``width`` cells. A
-    record of another width or one csv cannot read (such as a cell over
-    csv.field_size_limit()) raises TableParseError naming it.
+    A line that holds a ``"``, or a NUL (which Python 3.10's csv rejects
+    and later versions read), or is longer than csv.field_size_limit(),
+    goes to csv.reader, with the lines after it so that a quoted record can
+    span lines. Any other line is one record, split at its commas.
     """
+    limit = csv.field_size_limit()
+    lines = iter(lines)
+    for text in lines:
+        if '"' in text or "\0" in text or len(text) > limit:
+            yield from itertools.islice(csv.reader(itertools.chain((text,), lines)), 1)
+        else:
+            yield text.rstrip("\r\n").split(",")
+
+
+def _records(lines, path, width: int):
+    """Yield ``(1-based row number, cells)`` for each non-blank CSV record.
+
+    The first non-blank record is the header, which the caller checks;
+    every later record must have ``width`` cells. A record of another width
+    or one csv cannot read (such as a cell over csv.field_size_limit())
+    raises TableParseError naming it.
+    """
+    r, header = 0, True
     try:
-        for r, cells in enumerate(csv.reader(lines), start=r + 1):
+        for r, cells in enumerate(_cells(lines), start=1):
             if not any(cell.strip() for cell in cells):
                 continue
             if not header and len(cells) != width:
@@ -151,9 +134,9 @@ def _records(lines: _Lines, path, width: int, r: int = 0, header: bool = True):
 
 
 def _csv_rows(path, width: int):
-    """_records over a whole file, which may start with a UTF-8 BOM."""
+    """_records over a whole file."""
     with open(path, "rb") as fh:
-        yield from _records(_Lines(fh, path, "utf-8-sig"), path, width)
+        yield from _records(_lines(fh, path), path, width)
 
 
 def _cell(raw: str, row: int, col: int) -> float:
@@ -232,10 +215,9 @@ def parse_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTa
 
     The table is read in one pass: each row's numeric cells are converted
     at once into a preallocated array holding Z, the final-demand block and
-    x, then the trailing rows. A large table is parsed in two processes
-    (see _parse_rows), with the same result or the same error as in one.
-    The result is structurally checked but not identity-validated; run
-    validate_table (after drop_zero_sectors, for real tables) next.
+    x, then the trailing rows. The result is structurally checked but not
+    identity-validated; run validate_table (after drop_zero_sectors, for
+    real tables) next.
     """
     sectors = parse_sector_metadata(sector_metadata_file)
     codes = tuple(s.code for s in sectors)
@@ -245,8 +227,7 @@ def parse_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTa
     # Row i of the table after the header; trailing rows use n cells.
     out = np.empty((n + len(TRAILING_ROWS), len(expected_header) - 1))
     with open(table_file, "rb") as fh:
-        lines = _Lines(fh, table_file, "utf-8-sig")
-        rows = _records(lines, table_file, len(expected_header))
+        rows = _records(_lines(fh, table_file), table_file, len(expected_header))
         r, header = next(rows, (1, None))
         if header is None:
             raise TableParseError(f"{table_file}: empty file")
@@ -257,7 +238,7 @@ def parse_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTa
                 f"per the metadata file, got {header[:4]}...",
                 row=r,
             )
-        count = _parse_rows(table_file, fh, lines, rows, codes, out)
+        count = _fill(rows, codes, out)
     if count != n_rows:
         raise TableParseError(
             f"{table_file}: expected {n_rows} rows "
@@ -275,14 +256,15 @@ def parse_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTa
     )
 
 
-def _fill(rows, codes: tuple[str, ...], out: np.ndarray, first: int, count: int) -> int:
-    """Parse table rows into ``out``: row i after the header, a sector row
-    or a trailing row, goes to ``out[i - first]``. ``count`` is the number
-    of non-blank rows before ``rows``, the header included; returns the
-    number after them. Rows past the expected count are only counted."""
+def _fill(rows, codes: tuple[str, ...], out: np.ndarray) -> int:
+    """Parse the table rows after the header into ``out``: row i after the
+    header, a sector row or a trailing row, goes to ``out[i]``. Returns the
+    number of non-blank rows, the header included; rows past the expected
+    count are only counted."""
     n = len(codes)
     n_rows = 1 + n + len(TRAILING_ROWS)
-    for count, (r, row) in enumerate(rows, start=count + 1):
+    count = 1
+    for count, (r, row) in enumerate(rows, start=2):
         if count > n_rows:
             continue  # only counted, for the row-count check
         i = count - 2
@@ -294,14 +276,14 @@ def _fill(rows, codes: tuple[str, ...], out: np.ndarray, first: int, count: int)
                     row=r,
                     column=1,
                 )
-            out[i - first] = _row_values(row[1:], r)
+            out[i] = _row_values(row[1:], r)
             continue
         expected = TRAILING_ROWS[i - n]
         if label != expected:
             raise TableParseError(
                 f"expected trailing row {expected!r}, got {label!r}", row=r, column=1
             )
-        out[i - first, :n] = _row_values(row[1 : 1 + n], r)
+        out[i, :n] = _row_values(row[1 : 1 + n], r)
         for c in range(n + 1, len(row)):
             if row[c].strip():
                 raise TableParseError(
@@ -310,109 +292,6 @@ def _fill(rows, codes: tuple[str, ...], out: np.ndarray, first: int, count: int)
                     column=c + 1,
                 )
     return count
-
-
-# A table file smaller than this is parsed in one process. Forking a worker
-# and reaping it costs about 4 ms in a process with numpy loaded, while a
-# 0.8 MB table (n = 200) parses in about 43 ms and a 91 KB one (n = 65) in
-# 6.5 ms: below 1 MiB the second process would spend most of what it saves.
-_SPLIT_BYTES = 1 << 20
-
-
-def _parse_rows(path, fh, lines: _Lines, rows, codes: tuple[str, ...], out: np.ndarray) -> int:
-    """_fill for the rows after the header, in two processes when it pays.
-
-    float() is most of a parse, so on a large table a forked worker parses
-    the second part of the file, from the line starting the sector row j
-    found by _split_point, into a shared mapping, while this process parses
-    the first part. The worker only speeds the parse up: its rows are used
-    if it exited with status 0, which it does only when the whole table
-    parsed with the right row count, and the first part holds exactly the
-    header and j sector rows with every line one CSV record (no ``"``, no
-    lone ``\\r``), so that the worker started where a single pass would
-    have been. Otherwise this process parses the rest itself, as one pass,
-    and that pass names any error with its row and column. So an error in
-    the second part of a large table is raised only after this process has
-    parsed that part at one-process speed.
-    """
-    split = _split_point(path, fh, lines.end, codes)
-    if split is None:
-        return _fill(rows, codes, out, 0, 1)
-    offset, j = split
-    pid = None
-    parent = os.getpid()
-    try:
-        with mmap.mmap(-1, (len(out) - j) * out.strides[0]) as shared:
-            with contextlib.suppress(OSError):  # no process to spare: one pass
-                pid = os.fork()
-            if pid == 0:
-                _worker(path, offset, codes, j, shared)
-            if pid is not None:
-                lines.stop = offset
-            count = _fill(rows, codes, out, 0, 1)
-            if lines.end == offset and count == 1 + j:
-                _, status = os.waitpid(pid, 0)
-                pid = None
-                if status == 0:
-                    out[j:] = np.frombuffer(shared).reshape(len(out) - j, -1)
-                    return 1 + len(out)  # the header and every row of out
-    finally:
-        if os.getpid() != parent:  # the worker, interrupted before _worker took over
-            os._exit(1)
-        if pid is not None:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    # The worker's rows are not used: go on from the split, as one pass.
-    lines.stop = None
-    rows = _records(lines, path, out.shape[1] + 1, lines.lines, header=False)
-    return _fill(rows, codes, out, 0, count)
-
-
-def _split_point(path, fh, start: int, codes: tuple[str, ...]) -> tuple[int, int] | None:
-    """Where _parse_rows splits the table, ``(byte offset, j)``, or None for
-    one process: the first line at or past the middle of the file (and past
-    ``start``) whose label is ``codes[j]`` with 0 < j < n.
-
-    None unless the file is at least _SPLIT_BYTES long, os.fork exists,
-    no other thread runs (a forked child would inherit only this one, with
-    any lock another thread held still held), and two CPUs are usable.
-    """
-    size = os.fstat(fh.fileno()).st_size
-    if len(codes) < 2 or size < _SPLIT_BYTES:
-        return None
-    if not hasattr(os, "fork") or threading.active_count() != 1:
-        return None
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return None
-    index = {code: j for j, code in enumerate(codes)}
-    with open(path, "rb") as probe:
-        probe.seek(max(size // 2, start) - 1)
-        probe.readline()  # to the next line start
-        offset = probe.tell()
-        for line in probe:
-            j = index.get(line.split(b",", 1)[0].decode("utf-8", "replace").strip())
-            if j:
-                return offset, j
-            offset += len(line)
-    return None
-
-
-def _worker(path, offset: int, codes: tuple[str, ...], j: int, shared: mmap.mmap):
-    """The forked worker of _parse_rows: parse the table from ``offset``,
-    sector row j on, into ``shared``. Never returns: it ends the process
-    with status 0 if every row parsed and the file holds exactly the header,
-    the n sector rows and the trailing rows, and with status 1 otherwise."""
-    status = 1
-    try:
-        out = np.frombuffer(shared).reshape(-1, len(codes) + len(FD_CODES) + 1)
-        with open(path, "rb") as fh:
-            fh.seek(offset)
-            rows = _records(_Lines(fh, path), path, out.shape[1] + 1, header=False)
-            if _fill(rows, codes, out, j, 1 + j) == 1 + j + len(out):
-                status = 0
-    finally:
-        os._exit(status)
 
 
 def _parse_satellites(satellite_files, codes: tuple[str, ...]) -> dict[str, SatelliteAccount]:
@@ -596,7 +475,9 @@ def _num(v: float) -> str:
 
 
 def _quoted(text: str) -> str:
-    if any(ch in text for ch in ',"\n'):
+    """``text`` as one CSV cell: quoted if it holds a comma, a quote or a
+    line end."""
+    if any(ch in text for ch in ',"\n\r'):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -610,10 +491,10 @@ def write_table_files(table: IOTable, out_dir) -> dict:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    codes = table.codes
     n = table.n
     blank = [""] * (len(FD_CODES) + 1)
 
+    codes = [_quoted(code) for code in table.codes]
     lines = [",".join(["sector", *codes, *FD_CODES, "total_output"])]
     for i in range(n):
         cells = [codes[i]]
@@ -631,7 +512,9 @@ def write_table_files(table: IOTable, out_dir) -> dict:
     table_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     meta_path = out_dir / "sectors.csv"
-    meta_lines = ["code,name"] + [f"{s.code},{_quoted(s.name)}" for s in table.sectors]
+    meta_lines = ["code,name"] + [
+        f"{code},{_quoted(s.name)}" for code, s in zip(codes, table.sectors)
+    ]
     meta_path.write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
 
     paths = {"table": table_path, "sectors": meta_path, "satellites": {}}
@@ -671,6 +554,10 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
     path = Path(scenario_file)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioConfigError(
+            f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
     except json.JSONDecodeError as exc:
         raise ScenarioConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -180,11 +180,13 @@ class IOTable:
     def sector_index(self, sector) -> int:
         """Matrix position of a sector given as a Sector, an index or a code.
 
+        A Sector is found by its code, so one taken from another table, such
+        as the table before drop_zero_sectors, names the same sector here.
         Raises KeyError for an unknown code or an index outside 0..n-1.
         """
         if isinstance(sector, Sector):
-            return sector.index
-        if isinstance(sector, (int, np.integer)):
+            sector = sector.code
+        elif isinstance(sector, (int, np.integer)):
             if not 0 <= sector < self.n:
                 raise KeyError(f"sector index {sector} out of range")
             return int(sector)

@@ -20,8 +20,8 @@ def cold_parse_cache(tmp_path, monkeypatch):
 
 @pytest.fixture(autouse=True)
 def no_child_left_behind():
-    """A test that leaves a child process (a forked parse worker, say)
-    unreaped fails."""
+    """A test that leaves a child process unreaped fails. The program
+    starts none, so one left behind is a test's own or a regression."""
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

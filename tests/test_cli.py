@@ -356,6 +356,15 @@ class TestMultiScenarioNames:
         assert f"{second}: scenario name 'same' is also the name of {first}" in err
         assert not out.exists()
 
+    def test_scenario_not_utf8_is_named(self, tmp_path, capsys):
+        bad = self.scenario(tmp_path, "bad", "bad")
+        bad.write_bytes(bad.read_bytes().replace(b"S2", b"S\xff"))
+        out = tmp_path / "reports"
+        assert self.run([bad, E2 / "shock_s1.json"], out) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: not valid UTF-8 (invalid start byte at byte " in err
+        assert not out.exists()
+
     def test_single_scenario_writes_to_out_whatever_its_name(self, tmp_path):
         only = self.scenario(tmp_path, "only", "../escaped")
         out = tmp_path / "reports"

@@ -1,9 +1,7 @@
 import contextlib
+import csv
 import os
 import shutil
-import signal
-import subprocess
-import sys
 import tempfile
 import time
 import tracemalloc
@@ -889,15 +887,20 @@ class TestParserFuzz:
             assert np.isfinite(a).all()
 
 
-def _parse_outcome(d, split_bytes):
-    """What parse_io_table gives with the split threshold at ``split_bytes``:
-    the array bytes, or the error's type, message and coordinates."""
-    with mock.patch.object(ingest, "_SPLIT_BYTES", split_bytes):
-        try:
-            t = parse_io_table(d / "table.csv", d / "sectors.csv")
-        except IOModelError as exc:
-            return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+def _parse_outcome(d):
+    """What parse_io_table gives: the array bytes, or the error's type,
+    message and coordinates."""
+    try:
+        t = parse_io_table(d / "table.csv", d / "sectors.csv")
+    except IOModelError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
     return [a.tobytes() for a in (t.Z, t.final_demand.values, t.x, t.imports, t.value_added)]
+
+
+def _oracle_outcome(d):
+    """_parse_outcome with every line read by csv.reader."""
+    with mock.patch.object(ingest, "_cells", csv.reader):
+        return _parse_outcome(d)
 
 
 def _table_lines(n, values):
@@ -924,6 +927,10 @@ def _plant(lines, fault, row, col):
         cells.insert(col, "1.0")
     elif fault == "label":
         cells[0] = "BOGUS"
+    elif fault == "nul-label":
+        cells[0] += "\0"
+    elif fault == "nul-cell":
+        cells[col] = "\0" + cells[col]
     elif fault == "swap":
         other = 1 + col % (len(lines) - 1)
         lines[row], lines[other] = lines[other], lines[row]
@@ -939,6 +946,10 @@ def _plant(lines, fault, row, col):
         return lines
     elif fault == "quoted":
         cells[col] = f'"{cells[col]}"'
+    elif fault == "quoted-newline":  # one cell spanning the end of this line and the next
+        cells[-1] = '"' + cells[-1]
+        if row + 1 < len(lines):
+            lines[row + 1] += '"'
     elif fault == "blank":
         lines.insert(row, "" if col % 2 else " , ")
         return lines
@@ -946,17 +957,14 @@ def _plant(lines, fault, row, col):
     return lines
 
 
-FAULTS = ["none", "malformed", "non-finite", "short-row", "long-row", "label", "swap",
-          "missing-row", "extra-row", "trailing", "quoted", "blank", "utf8"]
+FAULTS = ["none", "malformed", "non-finite", "short-row", "long-row", "label", "nul-label",
+          "nul-cell", "swap", "missing-row", "extra-row", "trailing", "quoted",
+          "quoted-newline", "blank", "utf8"]
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "fork") or len(os.sched_getaffinity(0)) < 2,
-    reason="the split parse needs os.fork and two usable CPUs",
-)
 class TestSplitParse:
-    """parse_io_table in two processes against the one-process parse, the
-    oracle, which a threshold of infinity selects."""
+    """parse_io_table, which splits quote-free lines at their commas,
+    against csv.reader reading every line, the oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -995,13 +1003,13 @@ class TestSplitParse:
             d = Path(d)
             (d / "sectors.csv").write_text("code,name\n" + "".join(f"{c},{c}\n" for c in codes))
             (d / "table.csv").write_bytes(raw)
-            assert _parse_outcome(d, 0) == _parse_outcome(d, float("inf"))
+            assert _parse_outcome(d) == _oracle_outcome(d)
 
     @pytest.mark.parametrize("fault", ["missing-row", "extra-row", "swap", "other-code",
-                                       "quoted-newline"])
+                                       "quoted-newline", "nul-label", "nul-cell"])
     def test_fault_at_every_row(self, tmp_path, fault):
-        """Faults that move the rows against the lines, planted at every row,
-        so that one of them sits at the split."""
+        """Faults that move the rows against the lines or send a line to
+        csv.reader, planted at every row."""
         n = 30
         paths = write_table_files(random_economy(EconomyGenSpec(n=n, seed=2)), tmp_path)
         original = paths["table"].read_text().splitlines()
@@ -1015,143 +1023,100 @@ class TestSplitParse:
                 lines[k], lines[k + 1] = lines[k + 1], lines[k]
             elif fault == "other-code":
                 lines[k] = f"S{1 + (k + 5) % n}," + lines[k].split(",", 1)[1]
-            else:  # one quoted cell spanning the end of row k and all of row k + 1
-                head, last = lines[k].rsplit(",", 1)
-                lines[k] = f'{head},"{last}'
-                lines[k + 1] += '"'
+            else:
+                lines = _plant(lines, fault, k, k)
             paths["table"].write_text("\n".join(lines) + "\n")
-            assert _parse_outcome(tmp_path, 0) == _parse_outcome(tmp_path, float("inf")), k
+            assert _parse_outcome(tmp_path) == _oracle_outcome(tmp_path), k
+
+    @pytest.mark.parametrize("where", ["label", "cell"])
+    def test_nul(self, tmp_path, where):
+        paths = write_table_files(canonical_e2(), tmp_path)
+        lines = _plant(paths["table"].read_text().splitlines(), f"nul-{where}", 2, 2)
+        paths["table"].write_text("\n".join(lines) + "\n")
+        want = (TableParseError("expected sector 'S2' per metadata order, got 'S2\\x00'", 3, 1)
+                if where == "label"
+                else TableParseError(f"malformed numeric cell {lines[2].split(',')[2]!r}", 3, 3))
+        outcome = _parse_outcome(tmp_path)
+        assert outcome == _oracle_outcome(tmp_path)
+        assert outcome == (TableParseError, str(want), want.row, want.column)
+
+    def test_quoted_cell_spanning_two_lines(self, tmp_path):
+        """A quoted cell spanning two lines, between plain lines, is one
+        record, and the records after it are numbered as csv numbers them."""
+        paths = write_table_files(canonical_e2(), tmp_path)
+        want = _parse_outcome(tmp_path)
+        lines = paths["table"].read_text().splitlines()
+        head, last = lines[1].rsplit(",", 1)
+        lines[1] = f'{head},"{last}\n"'  # x of S1, then a newline, in one cell
+        paths["table"].write_text("\n".join(lines) + "\n")
+        assert _parse_outcome(tmp_path) == _oracle_outcome(tmp_path) == want
+        lines[2] = lines[2].replace(",", ",x", 1)
+        paths["table"].write_text("\n".join(lines) + "\n")
+        outcome = _parse_outcome(tmp_path)
+        assert outcome == _oracle_outcome(tmp_path)
+        assert outcome[2:] == (3, 2)
+
+    @pytest.mark.parametrize("limit,parses", [(30, True), (12, False)])
+    def test_line_longer_than_the_field_size_limit(self, tmp_path, limit, parses):
+        """Every line is longer than the limit; each cell is shorter at 30,
+        and some cell longer at 12, where csv names it."""
+        write_table_files(random_economy(EconomyGenSpec(n=5, seed=3)), tmp_path)
+        old = csv.field_size_limit(limit)
+        try:
+            outcome = _parse_outcome(tmp_path)
+            assert outcome == _oracle_outcome(tmp_path)
+        finally:
+            csv.field_size_limit(old)
+        assert isinstance(outcome, list) == parses
+        if not parses:
+            assert f"field larger than field limit ({limit})" in outcome[1]
+
+    def test_only_a_quoted_record_goes_through_csv_reader(self, tmp_path, monkeypatch):
+        paths = write_table_files(canonical_e2(), tmp_path)
+        want = parse_io_table(paths["table"], paths["sectors"])
+        lines = paths["table"].read_text().splitlines()
+        head, last = lines[1].rsplit(",", 1)
+        lines[1] = f'{head},"{last}"'
+        paths["table"].write_text("\n".join(lines) + "\n")
+        records, reader = [], csv.reader
+        monkeypatch.setattr(csv, "reader", lambda lines: (
+            records.append(cells) or cells for cells in reader(lines)
+        ))
+        _assert_bit_identical(parse_io_table(paths["table"], paths["sectors"]), want)
+        assert records == [lines[1].replace('"', "").split(",")]
 
     @pytest.fixture
     def big(self, tmp_path):
-        """A generated n = 200 table of about 0.8 MB, parsed split at threshold 0."""
+        """A generated n = 200 table of about 0.8 MB."""
         paths = write_table_files(random_economy(EconomyGenSpec(n=200, seed=5)), tmp_path)
         return paths["table"], paths["sectors"]
 
-    @staticmethod
-    def _spy_fill(monkeypatch):
-        """The calls of _fill this process makes; the worker's are its own."""
-        calls, real_fill = [], ingest._fill
-        monkeypatch.setattr(ingest, "_fill", lambda *args: calls.append(1) or real_fill(*args))
-        return calls
-
-    def test_splits_once_and_uses_the_worker(self, big, monkeypatch):
-        forks = []
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-        fills = self._spy_fill(monkeypatch)
-        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
-        table = parse_io_table(*big)
-        assert len(forks) == 1
-        assert len(fills) == 1
-        monkeypatch.setattr(ingest, "_SPLIT_BYTES", float("inf"))
-        _assert_bit_identical(table, parse_io_table(*big))
-
-    @pytest.mark.parametrize("death", ["exit", "kill", "raise"])
-    def test_dead_worker_still_gives_the_table(self, big, monkeypatch, death):
-        def worker(path, offset, codes, j, shared):
-            if death == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            if death == "raise":  # the caller's finally must end the process
-                raise RuntimeError("worker escaped")
-            os._exit(1)
-
-        monkeypatch.setattr(ingest, "_SPLIT_BYTES", float("inf"))
-        want = parse_io_table(*big)
-        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
-        monkeypatch.setattr(ingest, "_worker", worker)
-        _assert_bit_identical(parse_io_table(*big), want)
-
-    def test_worker_error_resumes_the_one_pass(self, big, monkeypatch):
+    def test_first_error_in_the_file_is_named(self, big):
         table, sectors = big
         lines = table.read_text().splitlines()
         lines[190] = lines[190].replace(",", ",oops,", 1)
         lines[190] = lines[190][: lines[190].rindex(",")]  # keep the width
         table.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TableParseError) as one:
+        with pytest.raises(TableParseError, match="malformed numeric cell 'oops'") as err:
             parse_io_table(table, sectors)
-        fills = self._spy_fill(monkeypatch)
-        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
-        with pytest.raises(TableParseError) as two:
-            parse_io_table(table, sectors)
-        assert len(fills) == 2
-        assert type(two.value) is type(one.value)
-        assert (str(two.value), two.value.row, two.value.column) == (
-            str(one.value), one.value.row, one.value.column
-        )
-        assert (two.value.row, two.value.column) == (191, 2)
-
-    def test_parent_error_does_not_wait_for_the_worker(self, big, monkeypatch):
-        table, sectors = big
-        lines = table.read_text().splitlines()
-        lines[3] = lines[3].replace(",", ",x", 1)
-        table.write_text("\n".join(lines) + "\n")
-        monkeypatch.setattr(ingest, "_worker", lambda *args: time.sleep(60) or os._exit(0))
-        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
-        start = time.monotonic()
-        with pytest.raises(TableParseError, match="malformed"):
-            parse_io_table(table, sectors)
-        assert time.monotonic() - start < 30
-
-    @pytest.mark.parametrize("case", ["success", "parent-error", "worker-error", "dead-worker"])
-    def test_leaves_no_child_fd_or_mapping(self, big, monkeypatch, case):
-        table, sectors = big
-        lines = table.read_text().splitlines()
-        if case == "parent-error":
-            lines[3] = lines[3].replace(",", ",x", 1)
-        if case == "worker-error":
-            lines[-5] = lines[-5].replace(",", ",x", 1)
-        table.write_text("\n".join(lines) + "\n")
-        if case == "dead-worker":
-            monkeypatch.setattr(ingest, "_worker", lambda *args: os._exit(1))
-        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
-
-        def maps():
-            return Path("/proc/self/maps").read_text().count("/dev/zero (deleted)")
-
-        fds, mappings = set(os.listdir("/proc/self/fd")), maps()
-        with contextlib.suppress(TableParseError):
-            parse_io_table(table, sectors)
-        assert set(os.listdir("/proc/self/fd")) == fds
-        assert maps() == mappings
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_worker_error_is_named_from_the_start_of_the_file(self, big, monkeypatch):
-        table, sectors = big
-        lines = table.read_text().splitlines()
+        assert (err.value.row, err.value.column) == (191, 2)
         lines[180] = lines[180].replace(",", ",1e400,", 1)
-        lines[190] = lines[190].replace(",", ",oops,", 1)
         table.write_text("\n".join(lines) + "\n")
-        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
         with pytest.raises(TableParseError, match="row has 209 cells, expected 208") as err:
             parse_io_table(table, sectors)
         assert (err.value.row, err.value.column) == (181, None)
 
-    def test_with_a_live_blas_pool(self, big):
-        """A fork while OpenBLAS's own threads run (BLAS unpinned, a matmul
-        done first) still completes."""
-        script = (
-            "import numpy as np, os, sys\n"
-            "from ioimpact import ingest\n"
-            "a = np.ones((400, 400)); a @ a\n"
-            "forks = []; real = os.fork\n"
-            "os.fork = lambda: forks.append(1) or real()\n"
-            "ingest._SPLIT_BYTES = 0\n"
-            "t = ingest.parse_io_table(sys.argv[1], sys.argv[2])\n"
-            "print(len(forks), t.n)\n"
-        )
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(ingest.__file__).parents[1]), env.get("PYTHONPATH")])
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", script, *map(str, big)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["1", "200"]
+    @pytest.mark.parametrize("case", ["success", "error"])
+    def test_leaves_no_open_file(self, big, case):
+        table, sectors = big
+        if case == "error":
+            lines = table.read_text().splitlines()
+            lines[-5] = lines[-5].replace(",", ",x", 1)
+            table.write_text("\n".join(lines) + "\n")
+        fds = set(os.listdir("/proc/self/fd"))
+        with contextlib.suppress(TableParseError):
+            parse_io_table(table, sectors)
+        assert set(os.listdir("/proc/self/fd")) == fds
 
 
 class TestSatelliteFiles:
@@ -1229,6 +1194,27 @@ class TestRoundTrip:
                               list(paths["satellites"].values()))
         assert back.sectors[0].name == "Name 0, with comma"
 
+    # Cells the parser strips, so a code or name must not start or end with
+    # whitespace; NUL is left out because Python 3.10's csv rejects it.
+    _LABELS = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "a", "B", "1", "\u00e9"]),
+                      min_size=1, max_size=6).filter(lambda s: s == s.strip())
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.lists(st.tuples(_LABELS, _LABELS), min_size=1, max_size=4,
+                           unique_by=lambda label: label[0]))
+    def test_codes_and_names_with_quotes_and_line_ends_survive(self, labels):
+        table = random_economy(EconomyGenSpec(n=len(labels), seed=1))
+        renamed = type(table)(
+            sectors=tuple(Sector(code, name, i) for i, (code, name) in enumerate(labels)),
+            Z=table.Z, final_demand=table.final_demand, imports=table.imports,
+            value_added=table.value_added, satellites=table.satellites, x=table.x,
+        )
+        with tempfile.TemporaryDirectory() as d:
+            paths = write_table_files(renamed, d)
+            back = parse_io_table(paths["table"], paths["sectors"],
+                                  list(paths["satellites"].values()))
+        _assert_bit_identical(back, renamed)
+
 
 class TestParseScenario:
     def test_bundled_covid_fixture(self):
@@ -1275,6 +1261,13 @@ class TestParseScenario:
         p.write_text('{"name": "x", "sub_service_drop": 0.5}')
         with pytest.raises(ScenarioConfigError, match="target_sector"):
             parse_scenario(p)
+
+    def test_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"name": "x\xff", "target_sector": "S1", "sub_service_drop": 0.5}')
+        with pytest.raises(ScenarioConfigError) as err:
+            parse_scenario(path)
+        assert str(err.value) == f"{path}: not valid UTF-8 (invalid start byte at byte 11)"
 
 
 class TestBlowupHistoryFiles:

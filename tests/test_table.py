@@ -9,9 +9,11 @@ from ioimpact import (
     SatelliteAccount,
     Sector,
     StructuralError,
+    build_model,
     drop_zero_sectors,
     validate_table,
 )
+from ioimpact.leontief import input_recipe
 from ioimpact.testkit import canonical_e2, rescale
 
 
@@ -186,6 +188,19 @@ class TestDropZeroSectors:
     def test_negative_zero_output_is_dropped(self):
         table = make_table([[0.0, 0], [0, 0]], [10, 0], [10, -0.0])
         assert [s.code for s in drop_zero_sectors(table)[1]] == ["S2"]
+
+    def test_sector_from_the_original_table_resolves_by_code(self):
+        Z = [[50, 0, 20, 10], [0, 0, 0, 0], [30, 0, 40, 5], [10, 0, 5, 30]]
+        table = make_table(Z, [20, 0, 25, 55], [100, 0, 100, 100])
+        reduced, dropped = drop_zero_sectors(table)
+        assert reduced.codes == ("S1", "S3", "S4")
+        model = build_model(reduced)
+        s3 = table.sectors[2]
+        assert reduced.sector_index(s3) == 1
+        assert input_recipe(model, s3, 3) == input_recipe(model, "S3", 3)
+        assert input_recipe(model, s3, 3) != input_recipe(model, "S4", 3)
+        with pytest.raises(KeyError, match="unknown sector code 'S2'"):
+            reduced.sector_index(dropped[0])
 
 
 class TestFinalDemandBlock:
