@@ -488,7 +488,18 @@ def write_table_files(table: IOTable, out_dir) -> dict:
     Emits ``table.csv``, ``sectors.csv``, and one ``satellite_<kind>.csv``
     per account; values use shortest round-trip formatting so a parse of the
     output reproduces the table exactly. Returns the paths written.
+
+    Raises ValueError, naming the label and writing nothing, for a sector
+    code or name with whitespace at either edge: the parser strips every
+    cell, quoted or not, so it would read back another label.
     """
+    for s in table.sectors:
+        for what, label in (("code", s.code), ("name", s.name)):
+            if label != label.strip():
+                raise ValueError(
+                    f"sector {what} {label!r} starts or ends with whitespace, which the "
+                    "parser strips; it cannot be written"
+                )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = table.n

@@ -17,15 +17,20 @@ factors, at the cost of one solve, that A is productive.
 
 build_model is the one builder of a model, and never touches the disk. It
 takes the factors an earlier build stored, if any: they are served once they
-solve (I - A) x = f, and I - A is factorized otherwise. The CLI gets its model
-from ingest.load_model, which hands build_model the factors of the table's
-cache entry and stores the ones it computed. Every model handed out, with
-stored factors or fresh ones, has passed check_coefficients and
+solve (I - A) x = f, and I - A is factorized otherwise. Within a process it
+keeps the factors of the last model built from each live table, so a second
+build of the same table object takes them through the same checks instead of
+factorizing again. They live as long as the table, n^2 doubles of memory, and
+are freed with it; a table must therefore not be changed in place. The CLI
+gets its model from ingest.load_model, which hands build_model the factors of
+the table's cache entry and stores the ones it computed. Every model handed
+out, with stored factors or fresh ones, has passed check_coefficients and
 certify_productive.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +46,11 @@ _BLOCK = 128
 # solve with the factors: of every inoperability result, and of x = L f for
 # stored factors before they are served.
 FIXED_POINT_TOL = 1e-9
+
+# The factors of the last model build_model returned for each live table,
+# keyed by the table's identity. A value holds no reference to its table, so
+# an entry dies with the table it belongs to.
+_built: weakref.WeakKeyDictionary[IOTable, np.ndarray] = weakref.WeakKeyDictionary()
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:
@@ -211,11 +221,17 @@ def build_model(table: IOTable, factors: np.ndarray | None = None) -> LeontiefMo
     ones, and validate_table reports a negative one.
 
     ``factors`` are the factors an earlier build of the same table stored.
-    They are served as they are if they are a read-only float64 n x n array
-    and x = L f solves (I - A) x = f to within FIXED_POINT_TOL; otherwise, a
-    writable array that could change under the model included, or without
-    them, ldu_factors factorizes I - A. The checks run in the same order
-    either way, so a table fails alike with and without stored factors.
+    Without them, the factors of the last model built from this table object
+    in this process are taken, if any. Either are served as they are if they
+    are a read-only float64 n x n array and x = L f solves (I - A) x = f to
+    within FIXED_POINT_TOL; otherwise, a writable array that could change
+    under the model included, or without them, ldu_factors factorizes I - A.
+    The checks run in the same order either way, so a table fails alike with
+    and without stored factors. The factors of the model returned are kept
+    for the next build of the table until the table is freed: n^2 doubles,
+    8 MB at n = 1000. A table changed in place after a build is factorized
+    again once its kept factors fail the x = L f check; tables are not meant
+    to be changed in place (f, for one, is summed once).
     """
     if np.any(table.x <= 0):
         bad = [table.codes[j] for j in np.flatnonzero(table.x <= 0)]
@@ -230,6 +246,8 @@ def build_model(table: IOTable, factors: np.ndarray | None = None) -> LeontiefMo
         gfcf: table.final_demand.component(gfcf),
         **{kind: sat.values for kind, sat in table.satellites.items()},
     }
+    if factors is None:
+        factors = _built.get(table)
     model = LeontiefModel(
         table=table,
         A=table.Z / x[np.newaxis, :],
@@ -244,6 +262,7 @@ def build_model(table: IOTable, factors: np.ndarray | None = None) -> LeontiefMo
     if not (servable and fixed_point_gap(model, model.solve(f), f) <= FIXED_POINT_TOL):
         model = replace(model, factors=ldu_factors(model.A))
     certify_productive(model)
+    _built[table] = model.factors
     return model
 
 

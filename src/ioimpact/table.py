@@ -129,9 +129,13 @@ class SatelliteAccount:
         object.__setattr__(self, "values", _readonly(self.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IOTable:
     """A complete, structurally checked IO table.
+
+    Tables compare and hash by identity: a copy with the same content is
+    another table. leontief.build_model keeps the factors of I - A for each
+    live table object, so a table must not be changed in place.
 
     Fields
     ------

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -334,6 +336,65 @@ class TestStoredFactors:
         with pytest.raises(NonProductiveEconomyError) as served:
             build_model(NON_PRODUCTIVE, planted)
         assert str(served.value) == str(fresh.value)
+
+
+    def test_second_build_of_a_table_serves_its_factors(self, ldu_calls):
+        table = random_economy(EconomyGenSpec(n=300, seed=5))
+        first = build_model(table)
+        second = build_model(table)
+        assert ldu_calls == [300]
+        assert second.factors is first.factors
+        rhs = np.random.default_rng(5).standard_normal((300, 3))
+        assert second.solve(rhs).tobytes() == first.solve(rhs).tobytes()
+        assert second.solve_t(rhs).tobytes() == first.solve_t(rhs).tobytes()
+
+    def test_tables_with_equal_content_do_not_share_factors(self, ldu_calls):
+        table = random_economy(EconomyGenSpec(n=4, seed=2))
+        twin = replace(table)
+        first, second = build_model(table), build_model(twin)
+        assert ldu_calls == [4, 4]
+        assert second.factors is not first.factors
+        assert second.factors.tobytes() == first.factors.tobytes()
+
+    def test_table_changed_in_place_is_factorized_again(self, ldu_calls):
+        table = random_economy(EconomyGenSpec(n=300, seed=6))
+        kept = build_model(table).factors
+        table.Z.setflags(write=True)
+        table.Z[0, 1] *= 1.0 + 1e-6
+        table.Z.setflags(write=False)
+        model = build_model(table)
+        stale = replace(model, factors=kept)
+        assert leontief.fixed_point_gap(stale, stale.solve(table.f), table.f) > FIXED_POINT_TOL
+        assert ldu_calls == [300, 300]
+        assert model.factors is not kept
+        assert model.factors.tobytes() == ldu_factors(table.Z / table.x).tobytes()
+        assert build_model(table).factors is model.factors
+
+    def test_kept_factors_die_with_their_table(self):
+        table = random_economy(EconomyGenSpec(n=4, seed=3))
+        model = build_model(table)
+        factors = weakref.ref(model.factors)
+        del table, model
+        gc.collect()
+        assert factors() is None
+
+    @pytest.mark.parametrize(
+        "table,error",
+        [
+            (make_table([[50, -5], [30, 40]], [30, 30], [100, 100]), ValueError),
+            (NON_PRODUCTIVE, NonProductiveEconomyError),
+        ],
+        ids=["negative-flow", "non-productive"],
+    )
+    def test_failed_build_keeps_nothing_and_fails_again(self, ldu_calls, table, error):
+        with pytest.raises(error) as first:
+            build_model(table)
+        assert table not in leontief._built
+        with pytest.raises(error) as second:
+            build_model(table)
+        assert str(second.value) == str(first.value)
+        assert table not in leontief._built
+        assert ldu_calls == ([] if error is ValueError else [2, 2])
 
 
 class TestMultipliers:

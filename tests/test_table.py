@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -232,6 +233,23 @@ class TestFinalDemandBlock:
         assert np.array_equal(reduced.f, reduced.final_demand.values.sum(axis=1))
         assert np.array_equal(reduced.f, [30, 30])
         assert not reduced.f.flags.writeable
+
+
+class TestIdentity:
+    """Tables compare and hash by identity, never by their arrays."""
+
+    def test_a_table_equals_itself_and_hashes(self):
+        t = canonical_e2()
+        assert t == t
+        assert hash(t) == hash(t)
+        assert {t: 1}[t] == 1
+
+    def test_a_copy_is_another_table(self):
+        t = canonical_e2()
+        for other in (copy.copy(t), replace(t), canonical_e2()):
+            assert other != t
+            assert not other == t
+            assert len({t, other}) == 2
 
 
 def test_rescale_keeps_employment():
