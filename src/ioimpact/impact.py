@@ -9,15 +9,22 @@ Inoperability propagates a final-demand change, dx = L df, normalizes it to
 output, q = dx / x, and checks on every call that q satisfies the equivalent
 fixed-point system q = A* q + f*. Since A* = D^-1 A D with D = diag(x), that
 residual is ((I - A) dx - df) / x, an O(n^2) check of the factors against A.
+A non-finite df is refused by sector before anything is solved.
 
 Partial extraction scales the target sector k's deliveries per purchaser,
 which changes only row k of A: A_bar = A - e_k d', where d = A[k, :] * alpha
 with d_k = 0 (own use is part of the sector's recipe and is never
 extracted). The Sherman-Morrison formula then gives the extracted output
 from L, x_bar = y - L[:, k] (d . y) / (1 + d . L[:, k]) with y = L f_bar
-(Miller & Blair, Input-Output Analysis, 2009, ch. 12). It needs only y and
-the column L[:, k], which one two-column solve against [f_bar, e_k] returns
-together.
+(Miller & Blair, Input-Output Analysis, 2009, ch. 12). The change is
+measured from the model's own baseline x0 = L f, the textbook
+hypothetical-extraction baseline, not from the table's x: with
+u = L (f_bar - f), y = x0 + u and
+dx = x_bar - x0 = u - L[:, k] (d . (x0 + u)) / (1 + d . L[:, k]).
+One two-column solve against [f_bar - f, e_k] returns u and L[:, k]; both
+columns are zero in all but a few sectors for a scenario's shock, and no
+two output-sized vectors are subtracted, so a null scenario (f_bar = f,
+alpha = 0) gives dx = 0 exactly and a small change keeps its precision.
 With A >= 0 (which the model guarantees) and alpha in [0, 1] the
 denominator is at least one, and the extracted economy is productive
 whenever the original is.
@@ -129,12 +136,14 @@ def _assemble(model, method, scenario, dx) -> ImpactResult:
 def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
     """Propagate a final-demand change: dx = L df, q = dx / x.
 
-    The fixed-point system q = A* q + f* must hold for the result to within
-    FIXED_POINT_TOL on every call; a larger or non-finite residual signals a
-    defect in the model math or a non-finite demand change, not a shock to
+    A NaN or infinite demand change is refused with a ValueError naming its
+    first such sector. The fixed-point system q = A* q + f* must then hold
+    for the result to within FIXED_POINT_TOL on every call; a larger or
+    non-finite residual signals a defect in the model math, not a shock to
     report.
     """
     df = delta.delta
+    _require_finite(model, "the demand change", df)
     dx = model.solve(df)
     gap = fixed_point_gap(model, dx, df)
     if not (gap <= FIXED_POINT_TOL):
@@ -144,14 +153,12 @@ def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
     return _assemble(model, "inoperability", delta.scenario, dx)
 
 
-def _solve_with_column(model: LeontiefModel, f_bar: np.ndarray, k: int):
-    """y = L f_bar and the column L[:, k], from one two-column solve of a
-    row-major n x 2 right-hand side."""
-    rhs = np.zeros((model.table.n, 2))
-    rhs[:, 0] = f_bar
-    rhs[k, 1] = 1.0
-    sol = model.solve(rhs)
-    return sol[:, 0], sol[:, 1]
+def _require_finite(model: LeontiefModel, name: str, values: np.ndarray) -> None:
+    """ValueError naming the first sector where ``values`` is NaN or infinite."""
+    if not np.isfinite(values).all():
+        j = int(np.argmax(~np.isfinite(values)))
+        code = model.table.codes[j]
+        raise ValueError(f"{name} is {values[j]} at sector {code}; it must be finite")
 
 
 def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResult:
@@ -159,7 +166,8 @@ def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResu
 
     Row k of A becomes a_kj (1 - alpha_j) for j != k; the diagonal and the
     whole k-th column stay untouched. The new output x_bar solves
-    (I - A_bar) x_bar = f_bar, obtained from L by the rank-one update.
+    (I - A_bar) x_bar = f_bar, obtained from L by the rank-one update, and
+    dx = x_bar - x0 is measured from the model's baseline x0 = L f.
     alpha and f_bar must hold one value per sector and k must be a sector
     position: nothing is broadcast. A NaN or infinite f_bar is refused, as
     inoperability refuses a non-finite demand change.
@@ -170,13 +178,14 @@ def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResu
             raise ValueError(f"{name} has shape {values.shape}, not ({n},): one value per sector")
     if not 0 <= k < n:
         raise ValueError(f"extraction target k={k} is not a sector position of an n={n} model")
-    if not np.isfinite(spec.f_bar).all():
-        j = int(np.argmax(~np.isfinite(spec.f_bar)))
-        code = model.table.codes[j]
-        raise ValueError(f"f_bar is {spec.f_bar[j]} at sector {code}; it must be finite")
+    _require_finite(model, "f_bar", spec.f_bar)
     d = model.A[k] * spec.alpha
     d[k] = 0.0
-    y, l_k = _solve_with_column(model, spec.f_bar, k)
+    # One row-major n x 2 right-hand side: u = L (f_bar - f) and L[:, k].
+    rhs = np.zeros((n, 2))
+    rhs[:, 0] = spec.f_bar - model.f
+    rhs[k, 1] = 1.0
+    u, l_k = model.solve(rhs).T
     denom = 1.0 + d @ l_k
     # At least one whenever A >= 0; anything else, NaN included, means the
     # coefficients are not those of a productive economy.
@@ -185,8 +194,7 @@ def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResu
             f"the rank-one update denominator 1 + d . L[:, k] is {denom:.6g}, not at least "
             "one; the coefficients are not those of a productive economy"
         )
-    x_bar = y - l_k * ((d @ y) / denom)
-    dx = x_bar - model.x
+    dx = u - l_k * ((d @ (model.x0 + u)) / denom)
     return _assemble(model, "extraction", spec.label, dx)
 
 

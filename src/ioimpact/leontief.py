@@ -4,7 +4,11 @@ Everything here is a pure function of a validated IOTable. The Leontief
 inverse L = (I - A)^-1 is never formed. Instead I - A is factorized once per
 table into block LDU factors, and every consumer asks for a product with L:
 L v through LeontiefModel.solve, u'L through LeontiefModel.solve_t. Each
-product costs O(n^2) per right-hand side, the cost of a product with a dense L.
+product costs O(n^2) per right-hand side, the cost of a product with a dense L:
+a solve reads each of the n^2 factors once, one row-panel product per block
+and sweep, and skips the leading rows of a right-hand side that are zero. A
+scenario's shock is zero in all but a few sectors, so its forward sweep
+starts at the first of them.
 
 The factorization eliminates without pivoting. That is sound because, for a
 productive A >= 0, I - A is a nonsingular M-matrix: every leading principal
@@ -25,7 +29,9 @@ are freed with it; a table must therefore not be changed in place. The CLI
 gets its model from ingest.load_model, which hands build_model the factors of
 the table's cache entry and stores the ones it computed. Every model handed
 out, with stored factors or fresh ones, has passed check_coefficients and
-certify_productive.
+certify_productive, and carries the output its factors give for the table's
+final demand, x0 = L f: the baseline that impact measures output changes
+from (Miller & Blair 2009, ch. 12).
 """
 
 from __future__ import annotations
@@ -42,6 +48,15 @@ from .table import SATELLITE_KINDS, IOTable, Sector
 # this many sectors is one block, factorized by a single LAPACK inverse.
 _BLOCK = 128
 
+# The forward sweep of a solve starts at a multiple of this many rows. BLAS
+# kernels sum a dot product in interleaved partial sums, and which partial
+# sum a term joins depends on its offset from the start of the product: the
+# skip of leading zero rows is bit-exact only when it keeps that offset
+# modulo the kernel's grouping. With OpenBLAS 0.3.31 on an AVX-512 host,
+# starts at multiples of 16 rows were bit-exact on every solve tried at
+# n = 300, 1000 and 1500, and multiples of 8 were not.
+_ALIGN = 16
+
 # Largest residual of the fixed-point system q = A* q + f* accepted for a
 # solve with the factors: of every inoperability result, and of x = L f for
 # stored factors before they are served.
@@ -57,6 +72,34 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     return [(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
 
 
+def _sweeps(M: np.ndarray, rhs) -> np.ndarray:
+    """(I - A)^-1 rhs from the factors M that LeontiefModel holds, or
+    (I - A)^-T rhs from their transpose.
+
+    The right-hand side is copied into row-major order, the layout in which
+    the block products run fastest. Each sweep makes one row-panel product
+    per block, so a solve reads each factor once. The forward sweep through
+    the unit lower factor is left-looking, v[s:e] += M[s:e, first:s] @
+    v[first:s], and starts at ``first``: the first row of rhs with an entry
+    that is not zero (NaN included), rounded down to a multiple of _ALIGN.
+    The rows above it stay exact zeros and the factors are finite, so
+    skipping them changes no bit. The backward sweep gives each block row
+    from the rows below it, v[s:e] = M[s:e, s:] @ v[s:], with D_j^-1 on the
+    diagonal and -U right of it.
+    """
+    v = np.array(rhs, dtype=float, order="C")
+    nonzero = v.reshape(-1) != 0
+    first = int(nonzero.argmax()) * len(v) // v.size if v.size else 0
+    first -= first % _ALIGN
+    blocks = _blocks(len(M))
+    for s, e in blocks:
+        if s > first:
+            v[s:e] += M[s:e, first:s] @ v[first:s]
+    for s, e in reversed(blocks):
+        v[s:e] = M[s:e, s:] @ v[s:]
+    return v
+
+
 @dataclass(frozen=True)
 class LeontiefModel:
     """A table bound to its coefficients and the block LDU factors of I - A.
@@ -67,9 +110,16 @@ class LeontiefModel:
     order. With the sectors cut into _BLOCK-wide diagonal blocks,
     I - A = L D U, where L is unit block lower triangular, D block diagonal
     and U unit block upper triangular. factors holds all three in one
-    read-only n x n array: the blocks of L below the diagonal, the inverse of
-    each D_j on it, and the blocks of D U above it. The Leontief inverse is
-    applied through solve and solve_t, never formed.
+    read-only n x n array: the blocks of -L below the diagonal, the inverse
+    of each D_j on it, and the blocks of -U = -D^-1 (D U) above it. So each
+    block row of the backward sweep through D U is one product with the
+    row panel factors[s:e, s:]. The Leontief inverse is applied through
+    solve and solve_t, never formed.
+
+    x0 = L f, read-only, is the output the factors give for the table's
+    final demand. It differs from the table's x by the rounding of the
+    solve, and by as much as the table's identities are off; extraction
+    measures its change from x0, so that a null scenario changes nothing.
     """
 
     table: IOTable
@@ -77,40 +127,20 @@ class LeontiefModel:
     import_coefficients: np.ndarray
     satellite_coefficients: dict[str, np.ndarray]
     factors: np.ndarray
+    x0: np.ndarray
 
     def solve(self, rhs) -> np.ndarray:
         """(I - A)^-1 rhs for a vector or an n x k matrix of any memory
-        layout: a forward pass through L, then a backward pass through D U.
-        The right-hand side is copied into row-major order, the layout in
-        which the block products run fastest, and the result is C-contiguous."""
-        M = self.factors
-        n = len(M)
-        blocks = _blocks(n)
-        v = np.array(rhs, dtype=float, order="C")
-        for s, e in blocks[:-1]:
-            v[e:] -= M[e:, s:e] @ v[s:e]
-        for s, e in reversed(blocks):
-            if e < n:
-                v[s:e] -= M[s:e, e:] @ v[e:]
-            v[s:e] = M[s:e, s:e] @ v[s:e]
-        return v
+        layout: a forward sweep through L, then a backward sweep through D U
+        (see _sweeps). The result is C-contiguous."""
+        return _sweeps(self.factors, rhs)
 
     def solve_t(self, rhs) -> np.ndarray:
         """(I - A)^-T rhs for a vector or an n x k matrix: for a vector u this
-        is the row u'(I - A)^-1, for a matrix one such row per column. A
-        forward pass through (D U)', then a backward pass through L'. Any
-        layout is accepted and copied into row-major order, as in solve."""
-        M = self.factors
-        n = len(M)
-        blocks = _blocks(n)
-        v = np.array(rhs, dtype=float, order="C")
-        for s, e in blocks:
-            v[s:e] = M[s:e, s:e].T @ v[s:e]
-            if e < n:
-                v[e:] -= M[s:e, e:].T @ v[s:e]
-        for s, e in reversed(blocks[:-1]):
-            v[s:e] -= M[e:, s:e].T @ v[e:]
-        return v
+        is the row u'(I - A)^-1, for a matrix one such row per column. The
+        same sweeps as solve, on the transposed factors: through U', then
+        through D' L'."""
+        return _sweeps(self.factors.T, rhs)
 
     @property
     def sectors(self) -> tuple[Sector, ...]:
@@ -131,17 +161,21 @@ class LeontiefModel:
 def _factorize(m: np.ndarray) -> None:
     """Overwrite m = I - A with the block LDU factors LeontiefModel holds.
 
-    For each diagonal block D_j: invert it, scale the block column below it
-    by D_j^-1, and subtract the Schur update from the trailing submatrix. No
-    pivoting; see the module docstring for why none is needed.
+    For each diagonal block D_j: invert it, turn the block column below it
+    into -L (the columns of L, negated) and subtract the Schur update from
+    the trailing submatrix, then turn the block row right of it into
+    -U = -D_j^-1 (D U). No pivoting; see the module docstring for why none
+    is needed.
     """
     n = len(m)
     for s, e in _blocks(n):
         d_inv = np.linalg.inv(m[s:e, s:e])
         m[s:e, s:e] = d_inv
         if e < n:
+            np.negative(d_inv, out=d_inv)
             m[e:, s:e] = m[e:, s:e] @ d_inv
-            m[e:, e:] -= m[e:, s:e] @ m[s:e, e:]
+            m[e:, e:] += m[e:, s:e] @ m[s:e, e:]
+            m[s:e, e:] = d_inv @ m[s:e, e:]
 
 
 def check_coefficients(model: LeontiefModel) -> None:
@@ -227,9 +261,10 @@ def build_model(table: IOTable, factors: np.ndarray | None = None) -> LeontiefMo
     within FIXED_POINT_TOL; otherwise, a writable array that could change
     under the model included, or without them, ldu_factors factorizes I - A.
     The checks run in the same order either way, so a table fails alike with
-    and without stored factors. The factors of the model returned are kept
-    for the next build of the table until the table is freed: n^2 doubles,
-    8 MB at n = 1000. A table changed in place after a build is factorized
+    and without stored factors. x0 = L f is the solve of that check, or one
+    more solve after a factorization. The factors of the model returned are
+    kept for the next build of the table until the table is freed: n^2
+    doubles, 8 MB at n = 1000. A table changed in place after a build is factorized
     again once its kept factors fail the x = L f check; tables are not meant
     to be changed in place (f, for one, is summed once).
     """
@@ -254,16 +289,20 @@ def build_model(table: IOTable, factors: np.ndarray | None = None) -> LeontiefMo
         import_coefficients=table.imports / x,
         satellite_coefficients={k: sources[k] / x for k in SATELLITE_KINDS if k in sources},
         factors=factors,
+        x0=None,
     )
     check_coefficients(model)
     f = table.f
     servable = isinstance(factors, np.ndarray) and not factors.flags.writeable
     servable = servable and factors.dtype == np.float64 and factors.shape == (table.n, table.n)
-    if not (servable and fixed_point_gap(model, model.solve(f), f) <= FIXED_POINT_TOL):
+    x0 = model.solve(f) if servable else None
+    if x0 is None or not (fixed_point_gap(model, x0, f) <= FIXED_POINT_TOL):
         model = replace(model, factors=ldu_factors(model.A))
+        x0 = model.solve(f)
     certify_productive(model)
+    x0.setflags(write=False)
     _built[table] = model.factors
-    return model
+    return replace(model, x0=x0)
 
 
 def output_multipliers(model: LeontiefModel) -> np.ndarray:

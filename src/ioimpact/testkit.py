@@ -2,10 +2,12 @@
 
 The truncated-expansion oracle recomputes the Leontief inverse by a route
 that shares no code with the solver; dense_inverse forms L from the model's
-own factors, so assertions about L check the production factorization. The
-re-solve oracles answer each impact question with a fresh dense solve of the
-modified system, the slow routes that the rank-one and principal-submatrix
-updates in impact.py replace.
+own factors, so assertions about L check the production factorization.
+full_sweep_solve runs the model's block sweeps from row 0 whatever the
+right-hand side, the route that the skip of a right-hand side's leading
+zero rows must match bit for bit. The re-solve oracles answer each impact
+question with a fresh dense solve of the modified system, the slow routes
+that the rank-one update in impact.py replaces.
 json_report_oracle is the json.dumps route that report.py's column-wise
 encoder must match byte for byte: table_payload and result_to_dict build the
 documents it encodes, the row objects of a report table and the payload of
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import NonProductiveEconomyError
 from .impact import ExtractionSpec, ImpactResult
-from .leontief import LeontiefModel
+from .leontief import LeontiefModel, _blocks
 from .scenario import DemandDelta
 from .table import FinalDemandBlock, IOTable, SatelliteAccount, Sector
 
@@ -61,6 +63,20 @@ def dense_inverse(model: LeontiefModel) -> np.ndarray:
     return model.solve(np.eye(model.table.n))
 
 
+def full_sweep_solve(model: LeontiefModel, rhs, transpose: bool = False) -> np.ndarray:
+    """model.solve(rhs), or model.solve_t(rhs) with ``transpose``, by the
+    same block sweeps with the forward sweep started at row 0, not at the
+    first non-zero row of rhs."""
+    M = model.factors.T if transpose else model.factors
+    v = np.array(rhs, dtype=float, order="C")
+    blocks = _blocks(len(M))
+    for s, e in blocks[1:]:
+        v[s:e] += M[s:e, :s] @ v[:s]
+    for s, e in reversed(blocks):
+        v[s:e] = M[s:e, s:] @ v[s:]
+    return v
+
+
 def interdependency_matrix(model: LeontiefModel) -> np.ndarray:
     """A* with entries a_ij * (x_j / x_i); equals A when outputs are equal."""
     x = model.x
@@ -81,15 +97,17 @@ def inoperability_oracle(model: LeontiefModel, delta: DemandDelta) -> np.ndarray
 
 
 def partial_extraction_oracle(model: LeontiefModel, spec: ExtractionSpec) -> np.ndarray:
-    """Extracted output from a dense solve of (I - A_bar) x_bar = f_bar, where
-    row k of A_bar is a_kj (1 - alpha_j) off the diagonal."""
+    """The output change of an extraction from two dense solves: x_bar from
+    (I - A_bar) x_bar = f_bar, where row k of A_bar is a_kj (1 - alpha_j) off
+    the diagonal, minus the baseline L f from (I - A) x = f."""
     A = model.A
     k = spec.k
     a_bar = A.copy()
     scale = 1.0 - spec.alpha
     scale[k] = 1.0
     a_bar[k, :] = A[k, :] * scale
-    return np.linalg.solve(np.eye(A.shape[0]) - a_bar, spec.f_bar)
+    eye = np.eye(A.shape[0])
+    return np.linalg.solve(eye - a_bar, spec.f_bar) - np.linalg.solve(eye - A, model.f)
 
 
 def table_payload(table) -> list[dict]:

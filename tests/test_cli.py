@@ -673,11 +673,11 @@ class TestReportDigests:
     # sort_keys=True) wrote them; manifest.json holds the output path.
     RUN_JSON = {
         "comparison.json": "3568b687a75ea5636b157958ff1d4d2c7897331e0a0ea644caba1a6436756385",
-        "impact_extraction.json": "6eff644a07c2759f2e0c22a9dbed7188dab83dc57ce86525bedc516d32d20624",
+        "impact_extraction.json": "370dd26d0451b0f414e5690dc99bf0d0f6a6eff2bd125cad41337cd172160474",
         "impact_inoperability.json": "9c36210eaeb43431cfeb69d6dc6f9e72d2e47ddcdb33e9a5c4b2976e5b5d3111",
         "multipliers.json": "a8f36154980eee620c28979078a9a0c202179f78b9616ccc754aa454ec696eae",
         "plotdata_top10.json": "b5e82ff03ceca2bce3fe2816744e3557490c29e92a3871554936b078c44fb1f5",
-        "result_extraction.json": "47ef3017fb5961c6a45551860952545d51a3a8240522a19ada3465468ac57ea6",
+        "result_extraction.json": "52afc3403362fae335e828b7fdf9f008660e4ccc8f42559fb9724380a062d2c7",
         "result_inoperability.json": "8e8d756573ef4978ed8007b6d7a7d244abbb2d01069a2d02dd54038974a883bb",
         "validation.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     }

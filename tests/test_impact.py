@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from ioimpact import (
     satellite_deltas,
 )
 from ioimpact.leontief import LeontiefModel
+from ioimpact.table import validate_table
 from ioimpact.testkit import (
     EconomyGenSpec,
     demand_perturbation,
@@ -129,14 +131,30 @@ class TestInoperability:
         q_loss = np.linalg.solve(np.eye(n) - a_star, f_star)
         assert np.abs(q_loss - (-result.q)).max() < 1e-9
 
-    def test_nan_demand_change_rejected(self, e2, e2_model):
-        delta = e2_delta(e2)
-        nan_delta = DemandDelta(
-            scenario=delta.scenario, target=delta.target, delta=np.array([np.nan, 0.0]),
-            component_changes={}, total_drop_fraction=0.0,
-        )
-        with pytest.raises(InternalConsistencyError):
-            inoperability(e2_model, nan_delta)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_demand_change_rejected_before_solving(self, monkeypatch, bad):
+        model = build_model(random_economy(EconomyGenSpec(n=6, seed=1)))
+        df = np.zeros(6)
+        df[[2, 4]] = bad
+        delta = DemandDelta(scenario="bad", target="S1", delta=df,
+                            component_changes={}, total_drop_fraction=0.0)
+
+        def no_solve(self, rhs):
+            raise AssertionError("solved a non-finite demand change")
+
+        monkeypatch.setattr(LeontiefModel, "solve", no_solve)
+        message = f"the demand change is {bad} at sector {model.table.codes[2]}; it must be finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                inoperability(model, delta)
+
+    def test_residual_past_the_tolerance_is_a_consistency_error(self, e2, e2_model):
+        # Factors that no longer solve (I - A) dx = df are a defect of the
+        # model, not of the shock.
+        off = replace(e2_model, factors=e2_model.factors * (1.0 + 1e-6))
+        with pytest.raises(InternalConsistencyError, match="fixed-point system by"):
+            inoperability(off, e2_delta(e2))
 
     def test_sign_discipline_on_pure_loss(self):
         table = random_economy(EconomyGenSpec(n=10, seed=3))
@@ -302,9 +320,65 @@ class TestFastRoutesMatchOracles:
         k = int(rng.integers(0, n))
         f_bar = model.f * rng.uniform(0.1, 1.0, n)
         spec = make_extraction_spec(model, k, oracle_alpha(kind, n, rng), f_bar=f_bar)
-        x_bar = partial_extraction_oracle(model, spec)
+        dx = partial_extraction_oracle(model, spec)
         result = partial_extraction(model, spec)
-        assert np.abs(result.dx - (x_bar - model.x)).max() <= 1e-12 * np.abs(x_bar).max()
+        # The dense dx is a difference of two outputs, exact to their rounding.
+        x_bar = np.abs(result.dx + model.x0).max()
+        assert np.abs(result.dx - dx).max() <= 1e-12 * x_bar
+
+
+class TestModelBaseline:
+    """Extraction measures its change from the model's own output x0 = L f,
+    not from the table's x."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([1, 2, 40, 128, 129, 300]), seed=st.integers(0, 10_000),
+           k=st.integers(0, 299))
+    def test_null_scenario_changes_nothing(self, n, seed, k):
+        model = build_model(random_economy(EconomyGenSpec(n=n, seed=seed)))
+        k %= n
+        null = DemandDelta(scenario="null", target=model.table.codes[k], delta=np.zeros(n),
+                           component_changes={}, total_drop_fraction=0.0)
+        assert np.array_equal(inoperability(model, null).dx, np.zeros(n))
+        spec = make_extraction_spec(model, k, np.zeros(n))  # alpha = 0, f_bar = f
+        assert np.array_equal(partial_extraction(model, spec).dx, np.zeros(n))
+
+    def test_identity_error_of_the_table_stays_out(self):
+        # A table whose x is off by 1e-7 relative still validates at 1e-6.
+        # Measured from that x, a null extraction moved total output by
+        # -2.0e-4; measured from x0 = L f, it moves nothing.
+        base = random_economy(EconomyGenSpec(n=300, seed=3))
+        wobble = np.random.default_rng(3).uniform(-1.0, 1.0, 300)
+        table = replace(base, x=base.x * (1.0 + 1e-7 * wobble))
+        assert validate_table(table, 1e-6).passed
+        model = build_model(table)
+        assert abs((model.x0 - model.x).sum()) > 1e-4
+        result = partial_extraction(model, make_extraction_spec(model, 0, np.zeros(300)))
+        assert result.dx.sum() == 0.0
+        assert result.totals["output"] == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 40, 128, 129, 300]), seed=st.integers(0, 10_000),
+           sparse=st.booleans())
+    def test_zero_alpha_extraction_is_inoperability(self, n, seed, sparse):
+        # The same u = L (f_bar - f), but from a two-column solve against a
+        # one-column one: equal to the last bits, not bit for bit.
+        model = build_model(random_economy(EconomyGenSpec(n=n, seed=seed)))
+        rng = np.random.default_rng(seed + 3)
+        delta = random_loss(model.table, rng)
+        if sparse:
+            delta = replace(delta, delta=np.where(rng.random(n) < 0.9, 0.0, delta.delta))
+        k = int(rng.integers(n))
+        f_bar = model.f + delta.delta
+        ext = partial_extraction(model, make_extraction_spec(model, k, np.zeros(n), f_bar=f_bar))
+        ino = inoperability(model, replace(delta, delta=f_bar - model.f))
+        assert np.abs(ext.dx - ino.dx).max() <= 1e-13 * np.abs(ino.dx).max()
+
+    def test_baseline_is_read_only_and_solves_for_f(self, e2_model):
+        model = build_model(random_economy(EconomyGenSpec(n=300, seed=7)))
+        assert not model.x0.flags.writeable
+        assert model.x0.tobytes() == model.solve(model.f).tobytes()
+        assert np.allclose(e2_model.x0, [100.0, 100.0], rtol=1e-15, atol=0.0)
 
 
 class TestUpdateDenominators:

@@ -22,7 +22,9 @@ from ioimpact import (
     TableParseError,
     disaggregate_aggregate,
     load_io_table,
+    make_extraction_spec,
     parse_io_table,
+    partial_extraction,
     parse_scenario,
     write_table_files,
 )
@@ -643,6 +645,22 @@ _FACTOR_DAMAGE = [_damage_model_missing, _damage_model_shape, _damage_model_nan,
                   _damage_model_other_table, _damage_model_flip]
 
 
+def _older_layout_factors(A):
+    """Read-only block LDU factors of I - A in the layout kept before the
+    row-panel solve: L below the diagonal, each D_j^-1 on it, D U above it."""
+    m = np.eye(len(A)) - A
+    n = len(m)
+    for s in range(0, n, leontief._BLOCK):
+        e = min(s + leontief._BLOCK, n)
+        d_inv = np.linalg.inv(m[s:e, s:e])
+        m[s:e, s:e] = d_inv
+        if e < n:
+            m[e:, s:e] = m[e:, s:e] @ d_inv
+            m[e:, e:] -= m[e:, s:e] @ m[s:e, e:]
+    m.setflags(write=False)
+    return m
+
+
 def _e2_with_flow(z12):
     Z = canonical_e2().Z.copy()
     Z[0, 1] = z12
@@ -755,6 +773,30 @@ class TestModelCache:
             _load_model(d)
         assert str(warm.value) == str(cold.value)
         assert entry.read_bytes() == planted
+
+    def test_factors_of_an_older_layout_are_refused_and_rewritten(self, tmp_path,
+                                                                   factorize_calls):
+        # Factors stored in the layout that held L and D U off the diagonal
+        # (before -L and -U) fail the x = L f check and are factorized again.
+        # On a single block the two layouts agree, so the table has three.
+        table = random_economy(EconomyGenSpec(n=300, seed=4))
+        d = _table_files(table, tmp_path / "in")
+        cold = _load_model(d)
+        (entry,) = _cache_files()
+        loaded, table_entry = _load_entry(d)
+        stale = _older_layout_factors(loaded.Z / loaded.x)
+        ingest._write_entry(table_entry, factors=stale)
+        assert _entry_arrays(entry)["factors"].tobytes() == stale.tobytes()
+        before = len(factorize_calls)
+        warm = _load_model(d)
+        assert len(factorize_calls) == before + 1
+        assert warm.factors.tobytes() == cold.factors.tobytes()
+        assert _entry_arrays(entry)["factors"].tobytes() == cold.factors.tobytes()
+        assert warm.x0.tobytes() == cold.x0.tobytes()
+        for k in (0, 150, 299):
+            spec = make_extraction_spec(warm, k, np.full(300, 0.5), f_bar=table.f * 0.9)
+            assert partial_extraction(warm, spec).dx.tobytes() == \
+                partial_extraction(cold, spec).dx.tobytes()
 
     def test_nan_flow_is_rejected_with_stored_factors(self, tmp_path):
         # A table file cannot hold a NaN, so a library table brings it along

@@ -1,3 +1,4 @@
+import functools
 import gc
 import tracemalloc
 import weakref
@@ -19,7 +20,14 @@ from ioimpact import (
     satellite_multipliers,
 )
 from ioimpact.leontief import FIXED_POINT_TOL, ldu_factors
-from ioimpact.testkit import EconomyGenSpec, dense_inverse, neumann_oracle, random_economy, rescale
+from ioimpact.testkit import (
+    EconomyGenSpec,
+    dense_inverse,
+    full_sweep_solve,
+    neumann_oracle,
+    random_economy,
+    rescale,
+)
 
 from conftest import E2_A, E2_L
 from test_table import make_table
@@ -164,6 +172,28 @@ def heavy_column_table(n: int, seed: int):
 
 
 BLOCK_SIZES = [1, 2, 127, 128, 129, 255, 256, 257, 400]
+SOLVE_SIZES = [1, 2, 127, 128, 129, 255, 256, 257, 300]
+
+
+@functools.cache
+def solve_model(n: int):
+    return build_model(random_economy(EconomyGenSpec(n=n, seed=n)))
+
+
+def boundary_rows(n: int) -> list[int]:
+    """Every row next to a block boundary (and the first and last row)."""
+    rows = {0, n - 1}
+    for edge in range(leontief._BLOCK, n, leontief._BLOCK):
+        rows.update((edge - 1, edge, edge + 1))
+    return sorted(r for r in rows if 0 <= r < n)
+
+
+def right_hand_side_layouts(rhs: np.ndarray) -> dict[str, np.ndarray]:
+    """``rhs`` in C order, in Fortran order and as a strided view."""
+    spaced = np.zeros(tuple(2 * d for d in rhs.shape))
+    spaced[(slice(None, None, 2),) * rhs.ndim] = rhs
+    return {"C": rhs, "F": np.asfortranarray(rhs),
+            "strided": spaced[(slice(None, None, 2),) * rhs.ndim]}
 
 
 class TestBlockFactorization:
@@ -201,29 +231,46 @@ class TestBlockFactorization:
         if n <= 128:
             assert np.array_equal(model.solve(v), L @ v)
 
-    @pytest.mark.parametrize("n", [127, 128, 129, 300])
-    def test_every_layout_solves_alike(self, n):
-        # The right-hand side is copied into row-major order whatever its
-        # layout, so C-order, F-order and strided inputs give one answer.
-        model = build_model(random_economy(EconomyGenSpec(n=n, seed=n)))
-        base = np.random.default_rng(n).standard_normal((n, 3))
-        spaced = np.zeros((2 * n, 6))
-        spaced[::2, ::2] = base
-        layouts = {
-            "C": base,
-            "F": np.asfortranarray(base),
-            "strided": spaced[::2, ::2],
-            "vector": base[:, 0].copy(),
-            "strided vector": spaced[::2, 0],
-        }
-        assert not layouts["strided"].flags.c_contiguous
-        for solve in (model.solve, model.solve_t):
-            want = {2: solve(layouts["C"]), 1: solve(layouts["vector"])}
-            for name, rhs in layouts.items():
+    @pytest.mark.parametrize(
+        "n,first", [(n, first) for n in SOLVE_SIZES for first in boundary_rows(n)]
+    )
+    def test_every_layout_solves_alike(self, n, first):
+        # A right-hand side whose first non-zero row is ``first``, with signed
+        # zeros above and below it, as a vector and as n x k matrices. It is
+        # copied into row-major order whatever its layout, so C-order, F-order
+        # and strided inputs give one answer, and the skip of its leading zero
+        # rows changes no bit of it.
+        model = solve_model(n)
+        rng = np.random.default_rng([n, first])
+        dense = np.eye(n) - model.A
+        for k in (None, 1, 2, 4):
+            shape = (n,) if k is None else (n, k)
+            rhs = rng.standard_normal(shape)
+            rhs[rng.random(shape) < 0.3] = 0.0
+            rhs[:first] = 0.0
+            rhs[np.signbit(rng.standard_normal(shape)) & (rhs == 0)] = -0.0
+            rhs[first] = rng.uniform(1.0, 2.0, rhs[first].shape)
+            layouts = right_hand_side_layouts(rhs)
+            assert n == 1 or not layouts["strided"].flags.c_contiguous
+            for solve, matrix, transpose in ((model.solve, dense, False),
+                                             (model.solve_t, dense.T, True)):
+                want = np.linalg.solve(matrix, rhs)
+                full = full_sweep_solve(model, rhs, transpose)
+                for name, view in layouts.items():
+                    got = solve(view)
+                    assert got.shape == rhs.shape and got.flags.c_contiguous, name
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+                    assert got.tobytes() == full.tobytes(), name
+
+    @pytest.mark.parametrize("n", SOLVE_SIZES)
+    def test_zero_right_hand_sides(self, n):
+        model = solve_model(n)
+        signs = np.where(np.random.default_rng(n).random((n, 3)) < 0.5, -0.0, 0.0)
+        for rhs in (np.zeros(n), -np.zeros(n), signs, np.asfortranarray(signs)):
+            for solve, transpose in ((model.solve, False), (model.solve_t, True)):
                 got = solve(rhs)
-                assert got.flags.c_contiguous, name
-                ref = want[got.ndim]
-                assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max(), name
+                assert np.array_equal(got, np.zeros(rhs.shape))
+                assert got.tobytes() == full_sweep_solve(model, rhs, transpose).tobytes()
 
     def test_factors_are_read_only(self, e2_model):
         assert not e2_model.factors.flags.writeable
