@@ -25,7 +25,14 @@ from .impact import (
     make_extraction_spec,
     partial_extraction,
 )
-from .ingest import load_model, load_table_entry, parse_blowup_history, parse_scenario
+from .ingest import (
+    load_io_table,
+    load_model,
+    load_table_entry,
+    parse_blowup_history,
+    parse_scenario,
+    store_table,
+)
 from .leontief import check_top_k
 from .report import (
     ReportBundle,
@@ -123,21 +130,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_validated(args):
-    """The table with its zero-output sectors dropped, its validation report
-    and its cache entry, which load_model reads the factors from. A bad
-    --rel-tol exits 2 before the table is read."""
-    check_rel_tol(args.rel_tol)
-    table, entry = load_table_entry(args.table, args.meta, args.satellites)
+def _validated(table, args):
+    """``table`` with its zero-output sectors dropped, and its validation
+    report."""
     table, dropped = drop_zero_sectors(table)
     for sector in dropped:
         print(f"dropped zero-output sector: {sector.code} ({sector.name})", file=sys.stderr)
-    report = validate_table(table, rel_tol=args.rel_tol)
-    return table, report, entry
+    return table, validate_table(table, rel_tol=args.rel_tol)
+
+
+def _load_validated(args):
+    """_validated's table and report, and the table's cache entry, which
+    load_model reads the factors from and writes. A bad --rel-tol exits 2
+    before the table is read."""
+    check_rel_tol(args.rel_tol)
+    table, entry = load_table_entry(args.table, args.meta, args.satellites)
+    return (*_validated(table, args), entry)
 
 
 def cmd_validate(args) -> int:
-    _, report, _ = _load_validated(args)
+    check_rel_tol(args.rel_tol)
+    _, report = _validated(load_io_table(args.table, args.meta, args.satellites), args)
     for line in report.lines():
         print(line)
     if args.out:
@@ -156,7 +169,11 @@ def cmd_multipliers(args) -> int:
             print(line, file=sys.stderr)
         return EXIT_VALIDATION
     if args.sector:
-        table.sector_index(args.sector)  # an unknown code exits 2 before the model is built
+        try:  # an unknown code exits 2 before the model is built
+            table.sector_index(args.sector)
+        except KeyError:
+            store_table(entry)  # the table works; the request names a sector it lacks
+            raise
     model = load_model(table, entry)
     bundle = ReportBundle()
     bundle.add(validation_table(report))
@@ -260,7 +277,11 @@ def cmd_run(args) -> int:
         for line in report.lines():
             print(line, file=sys.stderr)
         return EXIT_VALIDATION
-    shocks = _build_shocks(table, args.scenario, specs)
+    try:
+        shocks = _build_shocks(table, args.scenario, specs)
+    except ScenarioConfigError:
+        store_table(entry)  # the table works; a scenario names a sector it lacks
+        raise
     model = load_model(table, entry)
     runs = [
         _run_scenario(model, spec, delta, alpha, args, override)

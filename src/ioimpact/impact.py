@@ -9,7 +9,8 @@ Inoperability propagates a final-demand change, dx = L df, normalizes it to
 output, q = dx / x, and checks on every call that q satisfies the equivalent
 fixed-point system q = A* q + f*. Since A* = D^-1 A D with D = diag(x), that
 residual is ((I - A) dx - df) / x, an O(n^2) check of the factors against A.
-A non-finite df is refused by sector before anything is solved.
+A df that is not one finite value per sector is refused before anything
+is solved.
 
 Partial extraction scales the target sector k's deliveries per purchaser,
 which changes only row k of A: A_bar = A - e_k d', where d = A[k, :] * alpha
@@ -136,14 +137,15 @@ def _assemble(model, method, scenario, dx) -> ImpactResult:
 def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
     """Propagate a final-demand change: dx = L df, q = dx / x.
 
-    A NaN or infinite demand change is refused with a ValueError naming its
-    first such sector. The fixed-point system q = A* q + f* must then hold
-    for the result to within FIXED_POINT_TOL on every call; a larger or
-    non-finite residual signals a defect in the model math, not a shock to
-    report.
+    A demand change that is not one finite value per sector is refused with
+    a ValueError naming its shape or its first NaN or infinite sector,
+    before anything is solved. The fixed-point system q = A* q + f* must
+    then hold for the result to within FIXED_POINT_TOL on every call; a
+    larger or non-finite residual signals a defect in the model math, not a
+    shock to report.
     """
     df = delta.delta
-    _require_finite(model, "the demand change", df)
+    _require_per_sector(model, "the demand change", df)
     dx = model.solve(df)
     gap = fixed_point_gap(model, dx, df)
     if not (gap <= FIXED_POINT_TOL):
@@ -153,8 +155,13 @@ def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
     return _assemble(model, "inoperability", delta.scenario, dx)
 
 
-def _require_finite(model: LeontiefModel, name: str, values: np.ndarray) -> None:
-    """ValueError naming the first sector where ``values`` is NaN or infinite."""
+def _require_per_sector(model: LeontiefModel, name: str, values: np.ndarray) -> None:
+    """ValueError unless ``values`` holds one finite value per sector: it
+    names a wrong shape, or the first sector where ``values`` is NaN or
+    infinite. Nothing is broadcast."""
+    n = model.table.n
+    if values.shape != (n,):
+        raise ValueError(f"{name} has shape {values.shape}, not ({n},): one value per sector")
     if not np.isfinite(values).all():
         j = int(np.argmax(~np.isfinite(values)))
         code = model.table.codes[j]
@@ -173,12 +180,10 @@ def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResu
     inoperability refuses a non-finite demand change.
     """
     k, n = spec.k, model.table.n
-    for name, values in (("alpha", spec.alpha), ("f_bar", spec.f_bar)):
-        if values.shape != (n,):
-            raise ValueError(f"{name} has shape {values.shape}, not ({n},): one value per sector")
+    _require_per_sector(model, "alpha", spec.alpha)
+    _require_per_sector(model, "f_bar", spec.f_bar)
     if not 0 <= k < n:
         raise ValueError(f"extraction target k={k} is not a sector position of an n={n} model")
-    _require_finite(model, "f_bar", spec.f_bar)
     d = model.A[k] * spec.alpha
     d[k] = 0.0
     # One row-major n x 2 right-hand side: u = L (f_bar - f) and L[:, k].

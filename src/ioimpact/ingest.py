@@ -21,14 +21,20 @@ decoded line by line, so the first bad line or cell in the file is the one
 named. A line with no quote or NUL is split at its commas, and any other
 goes to csv.reader, so every file reads as csv.reader reads it (see _cells).
 
-load_io_table is parse_io_table memoised on disk: a parsed table is stored
-as one entry under ``$XDG_CACHE_HOME/ioimpact`` (default
-``~/.cache/ioimpact``), keyed by the sha256 of the table file, the metadata
-file, this module's and leontief.py's sources and the numpy version.
-load_model adds the block LDU factors of I - A to the same entry, so a table
-has one key and one file. It hands the entry's factors to
-leontief.build_model, which serves them only once they pass its checks, and
-stores the factors build_model computed instead.
+A table has one cache entry, one file under ``$XDG_CACHE_HOME/ioimpact``
+(default ``~/.cache/ioimpact``), keyed by the sha256 of the table file, the
+metadata file, this module's and leontief.py's sources and the numpy
+version. It holds the parsed arrays and, once a model was built from them,
+the block LDU factors of I - A. load_table_entry reads an entry and writes
+none; each loader writes the entry at most once, after it knows what the
+entry will hold. store_table stores the parsed arrays of a missed entry;
+load_io_table, parse_io_table memoised on disk, calls it. load_model stores
+the arrays and the factors together, when the entry was a miss or when
+leontief.build_model, which serves stored factors only once they pass its
+checks, factorized again. A table that fails to parse, or to build its
+model (so to certify), gets no entry; the CLI's run and multipliers also
+store none for a table that fails validation, and store_table's for one
+that validates but whose request names a sector it lacks.
 """
 
 from __future__ import annotations
@@ -305,24 +311,37 @@ def _parse_satellites(satellite_files, codes: tuple[str, ...]) -> dict[str, Sate
 
 
 def load_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTable:
-    """parse_io_table, cached on disk between runs; see load_table_entry."""
-    return load_table_entry(table_file, sector_metadata_file, satellite_files)[0]
+    """parse_io_table, cached on disk between runs: load_table_entry, and
+    on a miss the table's parsed arrays are stored in its entry."""
+    table, entry = load_table_entry(table_file, sector_metadata_file, satellite_files)
+    store_table(entry)
+    return table
+
+
+def store_table(entry: TableEntry | None) -> None:
+    """Store a missed entry's parsed arrays, without factors. A hit, or no
+    entry, is left as it is."""
+    if entry is not None and not entry.hit:
+        _write_entry(entry)
 
 
 @dataclass(frozen=True)
 class TableEntry:
     """A table's cache entry: its file, which holds the table's parsed
-    arrays and, once load_model has built a model from them, ``factors``,
-    and the table as parsed, before drop_zero_sectors."""
+    arrays and, once load_model has built a model from them, ``factors``;
+    the table as parsed, before drop_zero_sectors; and ``hit``, whether
+    the file already holds these parsed arrays."""
 
     path: Path
     table: IOTable
+    hit: bool
 
 
 def load_table_entry(
     table_file, sector_metadata_file, satellite_files=()
 ) -> tuple[IOTable, TableEntry | None]:
-    """load_io_table, and the table's cache entry for load_model.
+    """The table and its cache entry, which this function reads but never
+    writes: load_io_table or load_model stores it.
 
     The entry is named by the sha256 of this module's and leontief.py's
     sources, the numpy version, the metadata file and the table file, so an
@@ -331,11 +350,11 @@ def load_table_entry(
     ``<key>.npz``, where load_model keeps the factors of I - A; the
     metadata and satellite files are parsed every time and the table is
     built through IOTable, so it is checked as on a miss. A table that fails
-    to parse is not cached; one whose files changed while they were hashed
-    and parsed gets no entry (None): a hit whose files changed is parsed
-    again as a miss. An entry that cannot be read or holds the wrong
-    shapes or a non-finite value is a miss, and is overwritten. A cache
-    that cannot be written leaves the run uncached.
+    to parse raises; one whose files changed while they were hashed and
+    parsed gets no entry (None): a hit whose files changed is parsed again
+    as a miss. An entry that cannot be read or holds the wrong shapes or a
+    non-finite value is a miss (``hit`` False), which the loaders overwrite
+    whole.
     """
     inputs = (sector_metadata_file, table_file)
     stamp = _stamp(inputs)
@@ -366,13 +385,11 @@ def load_table_entry(
                 satellites=_parse_satellites(satellite_files, tuple(s.code for s in sectors)),
                 x=arrays["x"],
             )
-            return table, TableEntry(path, table)
+            return table, TableEntry(path, table, hit=True)
     table = parse_io_table(table_file, sector_metadata_file, satellite_files)
     if _stamp(inputs) != stamp:  # the parsed bytes are not the hashed bytes
         return table, None
-    entry = TableEntry(path, table)
-    _write_entry(entry)
-    return table, entry
+    return table, TableEntry(path, table, hit=False)
 
 
 def load_model(table: IOTable, entry: TableEntry | None) -> leontief.LeontiefModel:
@@ -380,15 +397,17 @@ def load_model(table: IOTable, entry: TableEntry | None) -> leontief.LeontiefMod
     cache entry between runs.
 
     ``table`` is the entry's table after drop_zero_sectors, so the factors
-    are a function of the entry's parsed arrays. The entry's factors, if it
-    holds a finite float64 n x n array, go to build_model, which checks A
-    before it uses them and serves them only if they pass its checks. When
-    build_model factorized instead, the entry is rewritten with its factors
-    and the parsed arrays in memory; a table that fails build_model is never
+    are a function of the entry's parsed arrays. On a hit, the entry's
+    factors, if it holds a finite float64 n x n array, go to build_model,
+    which checks A before it uses them and serves them only if they pass
+    its checks. On a miss, or when build_model did not serve the stored
+    factors, the entry is written once, whole: the parsed arrays in memory
+    and the model's factors. A table that fails build_model is never
     cached. Without an entry nothing is cached.
     """
     n = table.n
-    arrays = None if entry is None else _read_entry(entry.path, {"factors": (n, n)})
+    hit = entry is not None and entry.hit
+    arrays = _read_entry(entry.path, {"factors": (n, n)}) if hit else None
     stored = None if arrays is None else arrays["factors"]
     model = leontief.build_model(table, stored)
     if entry is not None and model.factors is not stored:

@@ -770,8 +770,12 @@ class TestParseCache:
         assert self.files(out) == cached
 
 
+def cache_dir():
+    return Path(os.environ["XDG_CACHE_HOME"]) / "ioimpact"
+
+
 def cache_files():
-    return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "ioimpact").glob("*.npz"))
+    return sorted(cache_dir().glob("*.npz"))
 
 
 class TestModelCache:
@@ -868,15 +872,14 @@ class TestModelCache:
         assert main(argv) == code
         cold = capsys.readouterr()
         assert message in cold.err
-        (entry,) = cache_files()
-        with np.load(entry) as npz:
-            assert "factors" not in npz.files
+        # A table that fails to validate or to certify is never cached.
+        assert list(cache_dir().glob("*")) == []
         # Plant the factors a hit would serve: the table's own ldu_factors,
         # which no check has passed.
         loaded, table_entry = ingest.load_table_entry(args["table"], args["meta"])
         loaded, _ = drop_zero_sectors(loaded)
         ingest._write_entry(table_entry, factors=leontief.ldu_factors(loaded.Z / loaded.x))
-        assert cache_files() == [entry]
+        (entry,) = cache_files()
         planted = entry.read_bytes()
         assert main(argv) == code
         assert capsys.readouterr() == cold
@@ -903,9 +906,103 @@ class TestModelCache:
             counts.append((len(parses), factorizations.count("ldu_factors")))
         # validate stores the parsed table; run adds the factors to its entry.
         assert counts == [(1, 0), (1, 1), (1, 1)]
-        cache = Path(os.environ["XDG_CACHE_HOME"]) / "ioimpact"
+        cache = cache_dir()
         assert [p.name for p in cache.iterdir()] == [cache_files()[0].name]
         assert not (cache / "models").exists()
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        """For each cache entry written so far, whether it held factors."""
+        calls = []
+        real = ingest._write_entry
+
+        def counting(entry, **factors):
+            calls.append("factors" in factors)
+            return real(entry, **factors)
+
+        monkeypatch.setattr(ingest, "_write_entry", counting)
+        return calls
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The arguments of each parse_io_table call so far."""
+        calls = []
+        real = ingest.parse_io_table
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ingest, "parse_io_table", counting)
+        return calls
+
+    @staticmethod
+    def e2_argv(tmp_path, command):
+        extra = {
+            "validate": [],
+            "run": ["--scenario", str(E2 / "shock_s1.json"), "--out", str(tmp_path / "run")],
+            "multipliers": ["--sector", "S1", "--out", str(tmp_path / "m")],
+        }[command]
+        return [command, *table_flags(e2_args()), *extra]
+
+    @pytest.mark.parametrize("command,cold", [("run", [True]), ("multipliers", [True]),
+                                              ("validate", [False])])
+    def test_cold_command_writes_once_and_warm_never(self, tmp_path, writes, command, cold):
+        argv = self.e2_argv(tmp_path, command)
+        assert main(argv) == 0
+        assert writes == cold
+        assert main(argv) == 0
+        assert writes == cold
+
+    def test_validate_then_run_adds_the_factors(self, tmp_path, writes):
+        assert main(self.e2_argv(tmp_path, "validate")) == 0
+        assert writes == [False]
+        assert main(self.e2_argv(tmp_path, "run")) == 0
+        assert writes == [False, True]
+        for command in ("validate", "multipliers", "run"):
+            assert main(self.e2_argv(tmp_path, command)) == 0
+        assert writes == [False, True]
+        (entry,) = cache_files()
+        with np.load(entry) as npz:
+            assert "factors" in npz.files
+
+    @pytest.mark.parametrize("command,wrong", [("run", "--scenario"), ("multipliers", "--sector")])
+    def test_unknown_sector_keeps_the_parsed_table(self, tmp_path, capsys, parses, writes,
+                                                   command, wrong):
+        # The table validated; only the request names a sector it lacks. So
+        # the corrected rerun parses nothing and adds the factors.
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"name": "x", "target_sector": "S9", "sub_service_drop": 0.5}')
+        value = str(bad) if wrong == "--scenario" else "S9"
+        assert main([command, *table_flags(e2_args()), wrong, value,
+                     "--out", str(tmp_path / "typo")]) == 2
+        assert "unknown sector code 'S9'" in capsys.readouterr().err
+        assert (len(parses), writes) == (1, [False])
+        assert main(self.e2_argv(tmp_path, command)) == 0
+        assert (len(parses), writes) == (1, [False, True])
+
+    def test_damaged_arrays_with_intact_factors_are_rewritten_whole(
+        self, tmp_path, factorizations, parses, writes
+    ):
+        args, scenario = self.n300_args(tmp_path)
+        argv = ["run", *table_flags(args), "--scenario", str(scenario), "--out",
+                str(tmp_path / "reports")]
+        assert main(argv) == 0
+        (entry,) = cache_files()
+        with np.load(entry) as npz:
+            stored = {name: npz[name] for name in npz.files}
+        damaged = {**stored, "Z": stored["Z"].copy()}
+        damaged["Z"][0, 1] = np.nan
+        np.savez(entry, **damaged)
+        assert main(argv) == 0
+        assert (len(parses), writes) == (2, [True, True])
+        with np.load(entry) as npz:
+            assert {name: npz[name].tobytes() for name in npz.files} == {
+                name: array.tobytes() for name, array in stored.items()
+            }
+        assert main(argv) == 0
+        assert (len(parses), writes) == (2, [True, True])
+        assert factorizations == ["ldu_factors"] * 2
 
     def test_warm_run_hashes_each_input_once_and_never_A(self, tmp_path, monkeypatch):
         args, scenario = self.n300_args(tmp_path)
@@ -975,6 +1072,7 @@ class TestScenariosReadFirst:
             raise AssertionError("the table was read")
 
         monkeypatch.setattr(cli, "load_table_entry", fail)
+        monkeypatch.setattr(cli, "load_io_table", fail)
 
     def test_malformed_scenario(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -149,6 +149,20 @@ class TestInoperability:
             with pytest.raises(ValueError, match=re.escape(message)):
                 inoperability(model, delta)
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 2)])
+    def test_demand_change_of_another_shape_rejected_before_solving(self, monkeypatch, shape):
+        model = build_model(random_economy(EconomyGenSpec(n=4, seed=1)))
+        delta = DemandDelta(scenario="bad", target="S1", delta=np.ones(shape),
+                            component_changes={}, total_drop_fraction=0.0)
+
+        def no_solve(self, rhs):
+            raise AssertionError("solved a demand change of another shape")
+
+        monkeypatch.setattr(LeontiefModel, "solve", no_solve)
+        message = f"the demand change has shape {shape}, not (4,): one value per sector"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            inoperability(model, delta)
+
     def test_residual_past_the_tolerance_is_a_consistency_error(self, e2, e2_model):
         # Factors that no longer solve (I - A) dx = df are a defect of the
         # model, not of the shock.

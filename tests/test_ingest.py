@@ -407,6 +407,15 @@ class TestParseCache:
         _assert_bit_identical(hit, parsed)
         assert np.signbit(hit.final_demand.values[0, 1])
 
+    def test_only_load_io_table_stores_the_parsed_table(self, tmp_path):
+        d = _copy_e2(tmp_path / "in")
+        _, entry = _load_entry(d)
+        assert (entry.hit, _cache_files()) == (False, set())
+        _load(d)
+        (stored,) = _cache_files()
+        _, entry = _load_entry(d)
+        assert (entry.hit, entry.path) == (True, stored)
+
     def test_renamed_sector_is_a_miss(self, tmp_path, parse_calls):
         d = _copy_e2(tmp_path / "in")
         _load(d)
@@ -762,12 +771,12 @@ class TestModelCache:
         d = _table_files(table, tmp_path / "in")
         with pytest.raises(error) as cold:
             _load_model(d)
-        (entry,) = _cache_files()
-        assert "factors" not in _entry_arrays(entry)
+        assert _cache_files() == set()  # a table that fails build_model is never cached
         # Plant the factors a hit would serve: the table's own ldu_factors,
         # which no check has passed.
         loaded, table_entry = _load_entry(d)
         ingest._write_entry(table_entry, factors=leontief.ldu_factors(loaded.Z / loaded.x))
+        (entry,) = _cache_files()
         planted = entry.read_bytes()
         with pytest.raises(error) as warm:
             _load_model(d)
