@@ -558,8 +558,28 @@ def write_table_files(table: IOTable, out_dir) -> dict:
     return paths
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members; a repeated key is refused, not overwritten."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise ScenarioConfigError(f"repeated key {key!r}")
+        members[key] = value
+    return members
+
+
+def _layout(block, what: str, known: tuple[str, ...]) -> dict:
+    """block as an object that holds only known keys."""
+    if not isinstance(block, dict):
+        raise ScenarioConfigError(f"{what} must be an object, got {block!r:.40}")
+    unknown = set(block) - set(known)
+    if unknown:
+        raise ScenarioConfigError(f"{what} has unknown fields {sorted(unknown)}")
+    return block
+
+
 def parse_scenario(scenario_file) -> ScenarioSpec:
-    """Parse and validate a scenario JSON file.
+    """Parse a scenario JSON file into a ScenarioSpec.
 
     Schema::
 
@@ -577,86 +597,46 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
           "blowup_factor": finite float > 0                    # optional
         }
 
-    An empty or missing reallocation block means the savings-only scenario.
-    Values must have their JSON types (float() would also take a numeric
-    string or a boolean), and no block may hold an unknown key.
+    This checks the document's layout: valid JSON, no key repeated in an
+    object, no unknown key at the top level or in a block, the required
+    fields, and blocks that are objects. An empty or missing reallocation
+    block means the savings-only scenario. The spec classes check every
+    value, by the rules that hold for a spec built in Python. Each error
+    names the file.
     """
     path = Path(scenario_file)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        if not isinstance(raw, dict):
+            raise ScenarioConfigError("top level must be an object")
+        top_level = ("name", "target_sector", "sub_service_drop", "component_ratios",
+                     "absolute_changes", "reallocation", "intermediate", "blowup_factor")
+        _layout(raw, "scenario", top_level)
+        for required in ("name", "target_sector", "sub_service_drop"):
+            if required not in raw:
+                raise ScenarioConfigError(f"missing required field {required!r}")
+        known = ("savings_fraction", "shares")
+        realloc = _layout(raw.get("reallocation", {}), "reallocation", known)
+        if realloc and "savings_fraction" not in realloc:
+            raise ScenarioConfigError("reallocation needs savings_fraction")
+        known = ("apply", "use_ratios", "default_ratio")
+        inter = _layout(raw.get("intermediate", {}), "intermediate", known)
+        # The file's keys are the classes' fields, but for the intermediate
+        # block's use ratios.
+        return ScenarioSpec(
+            **{key: raw[key] for key in raw if key not in ("reallocation", "intermediate")},
+            reallocation=Reallocation(**realloc) if realloc else None,
+            intermediate=IntermediateSpec(
+                inter.get("apply", True),
+                UseRatio(inter.get("use_ratios", {}), inter.get("default_ratio", 1.0)),
+            ) if inter else None,
+        )
     except UnicodeDecodeError as exc:
         raise ScenarioConfigError(
             f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
         ) from None
     except json.JSONDecodeError as exc:
         raise ScenarioConfigError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioConfigError(f"{path}: top level must be an object")
-
-    def mapping(block, what: str, known=None) -> dict:
-        if not isinstance(block, dict):
-            raise ScenarioConfigError(f"{what} must be an object, got {block!r:.40}")
-        unknown = set(block) - set(block if known is None else known)
-        if unknown:
-            raise ScenarioConfigError(f"{what} has unknown fields {sorted(unknown)}")
-        return block
-
-    def number(value, what: str):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioConfigError(f"{what} must be a number, got {value!r}")
-        return value
-
-    def numbers(parent: dict, key: str, each: str, what=None) -> dict:
-        block = mapping(parent.get(key, {}), what or key)
-        return {k: number(v, f"{each} {k!r}") for k, v in block.items()}
-
-    # Every error from here on, the spec classes' value checks included,
-    # names the file.
-    try:
-        top_level = ("name", "target_sector", "sub_service_drop", "component_ratios",
-                     "absolute_changes", "reallocation", "intermediate", "blowup_factor")
-        mapping(raw, "scenario", top_level)
-        for required in ("name", "target_sector", "sub_service_drop"):
-            if required not in raw:
-                raise ScenarioConfigError(f"missing required field {required!r}")
-        for key in ("name", "target_sector"):
-            if not isinstance(raw[key], str):
-                raise ScenarioConfigError(f"{key} must be a string, got {raw[key]!r}")
-
-        realloc = None
-        block = mapping(raw.get("reallocation", {}), "reallocation", ("savings_fraction", "shares"))
-        if block:
-            if "savings_fraction" not in block:
-                raise ScenarioConfigError("reallocation needs savings_fraction")
-            realloc = Reallocation(
-                savings_fraction=number(block["savings_fraction"], "savings_fraction"),
-                shares=numbers(block, "shares", "reallocation share for", "reallocation shares"),
-            )
-
-        intermediate = None
-        known = ("apply", "use_ratios", "default_ratio")
-        block = mapping(raw.get("intermediate", {}), "intermediate", known)
-        if block:
-            if not isinstance(apply := block.get("apply", True), bool):
-                raise ScenarioConfigError(f"intermediate apply must be a boolean, got {apply!r}")
-            intermediate = IntermediateSpec(
-                apply=apply,
-                use_ratios=UseRatio(
-                    ratios=numbers(block, "use_ratios", "use ratio for", "intermediate use_ratios"),
-                    default=number(block.get("default_ratio", 1.0), "default use ratio"),
-                ),
-            )
-
-        return ScenarioSpec(
-            name=raw["name"],
-            target_sector=raw["target_sector"],
-            sub_service_drop=number(raw["sub_service_drop"], "sub_service_drop"),
-            component_ratios=numbers(raw, "component_ratios", "component ratio for"),
-            absolute_changes=numbers(raw, "absolute_changes", "absolute change for"),
-            reallocation=realloc,
-            intermediate=intermediate,
-            blowup_factor=number(raw.get("blowup_factor", 1.0), "blowup_factor"),
-        )
     except ScenarioConfigError as exc:
         raise ScenarioConfigError(f"{path}: {exc}") from exc
 

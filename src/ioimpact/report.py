@@ -233,20 +233,25 @@ def validation_table(report: ValidationReport) -> ReportTable:
     )
 
 
+def _ranked_table(name: str, ranked, value_format: str) -> ReportTable:
+    """A ``sector_code,sector_name,value,rank`` table from (sector, value)
+    pairs, ranked first to last."""
+    return ReportTable(
+        name=name,
+        columns=("sector_code", "sector_name", "value", "rank"),
+        formats=("s", "s", value_format, "int"),
+        rows=tuple(
+            (s.code, s.name, value, rank) for rank, (s, value) in enumerate(ranked, start=1)
+        ),
+    )
+
+
 def multiplier_table(model: LeontiefModel) -> ReportTable:
     """All output multipliers, ranked descending."""
     mults = output_multipliers(model)
     order = sector_order(mults, descending=True)
-    sectors = model.sectors
-    return ReportTable(
-        name="multipliers",
-        columns=("sector_code", "sector_name", "value", "rank"),
-        formats=("s", "s", "coef", "int"),
-        rows=tuple(
-            (sectors[i].code, sectors[i].name, value, rank)
-            for rank, (i, value) in enumerate(zip(order, mults[order].tolist()), start=1)
-        ),
-    )
+    ranked = zip([model.sectors[i] for i in order], mults[order].tolist())
+    return _ranked_table("multipliers", ranked, "coef")
 
 
 def sector_profile_table(model: LeontiefModel, sector) -> ReportTable:
@@ -270,23 +275,10 @@ def recipe_tables(model: LeontiefModel, sector, top_k: int) -> list[ReportTable]
     """Ranked input-recipe and downstream-importance views for one sector."""
     j = model.sector_index(sector)
     code = model.sectors[j].code
-    out = []
-    for name, entries in (
-        (f"input_recipe_{code}", input_recipe(model, j, top_k)),
-        (f"downstream_{code}", downstream_importance(model, j, top_k)),
-    ):
-        rows = tuple(
-            (s.code, s.name, value, rank) for rank, (s, value) in enumerate(entries, start=1)
-        )
-        out.append(
-            ReportTable(
-                name=name,
-                columns=("sector_code", "sector_name", "value", "rank"),
-                formats=("s", "s", "coef", "int"),
-                rows=rows,
-            )
-        )
-    return out
+    return [
+        _ranked_table(f"input_recipe_{code}", input_recipe(model, j, top_k), "coef"),
+        _ranked_table(f"downstream_{code}", downstream_importance(model, j, top_k), "coef"),
+    ]
 
 
 def impact_table(result: ImpactResult) -> ReportTable:
@@ -345,16 +337,9 @@ def comparison_table(comparison: ComparisonReport) -> ReportTable:
 def plotdata_table(result: ImpactResult, top_k: int = 10) -> ReportTable:
     """Most-affected sectors by normalized output change, for charting."""
     check_top_k(top_k)
-    rows = tuple(
-        (result.sectors[i].code, result.sectors[i].name, float(result.q[i]), rank)
-        for rank, i in enumerate(sector_order(result.q, k=top_k), start=1)
-    )
-    return ReportTable(
-        name=f"plotdata_top{top_k}",
-        columns=("sector_code", "sector_name", "value", "rank"),
-        formats=("s", "s", "q", "int"),
-        rows=rows,
-    )
+    order = sector_order(result.q, k=top_k)
+    ranked = [(result.sectors[i], float(result.q[i])) for i in order]
+    return _ranked_table(f"plotdata_top{top_k}", ranked, "q")
 
 
 _RESULT_KEYS = ("method", "scenario", "sectors", "q", "dx", "satellite_changes", "totals", "pct_output")

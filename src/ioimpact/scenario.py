@@ -8,11 +8,18 @@ of the freed *consumption* spending to named sectors. build_delta is the one
 entry point for both; a spec's reallocation block selects the variant. Use
 ratios translate the same shock into per-purchaser extraction intensities
 for the intermediate-demand side.
+
+Each spec class checks every value it holds when it is built, so a spec
+built in Python obeys the rules a scenario file does (ingest.parse_scenario
+checks only the file's layout): a number is a real number, not a bool or a
+string; fractions lie in [0, 1]; names are strings, apply is a bool and each
+mapping is a dict; and no final-demand component is named twice.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,10 +52,14 @@ SHARE_SUM_TOL = 1e-9
 
 
 def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioConfigError(f"{what} must be a number, got {value!r}") from None
+    """A real number as a float. A bool (Python or numpy), a string and an
+    integer beyond the float range are refused."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ScenarioConfigError(f"{what} must be a number, got {value!r}")
 
 
 def _check_fraction(value, what: str) -> float:
@@ -56,6 +67,38 @@ def _check_fraction(value, what: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ScenarioConfigError(f"{what} must lie in [0, 1], got {value}")
     return value
+
+
+def _finite(value, what: str) -> float:
+    value = _number(value, what)
+    if not math.isfinite(value):
+        raise ScenarioConfigError(f"{what} must be finite, got {value}")
+    return value
+
+
+def _mapping(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioConfigError(f"{what} must be an object, got {value!r:.40}")
+    return value
+
+
+def _fractions(block, what: str, each: str) -> dict[str, float]:
+    return {key: _check_fraction(v, f"{each} {key!r}") for key, v in _mapping(block, what).items()}
+
+
+def _components(block, what: str, each: str, check) -> dict[str, float]:
+    """A final-demand block keyed by full component name. A key is a short
+    code or a full name, and one component may not be named by both."""
+    normalized, seen = {}, {}
+    for key, value in _mapping(block, what).items():
+        comp = FD_CODE_TO_COMPONENT.get(key, key)
+        if comp not in FD_COMPONENTS:
+            raise ScenarioConfigError(f"unknown final-demand component {key!r}")
+        if comp in seen:
+            raise ScenarioConfigError(f"{what} names {comp} twice, as {seen[comp]!r} and {key!r}")
+        seen[comp] = key
+        normalized[comp] = check(value, f"{each} {key!r}")
+    return normalized
 
 
 @dataclass(frozen=True)
@@ -67,9 +110,7 @@ class UseRatio:
     default: float = 1.0
 
     def __post_init__(self):
-        ratios = {
-            code: _check_fraction(r, f"use ratio for {code!r}") for code, r in self.ratios.items()
-        }
+        ratios = _fractions(self.ratios, "intermediate use_ratios", "use ratio for")
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "default", _check_fraction(self.default, "default use ratio"))
 
@@ -83,6 +124,10 @@ class IntermediateSpec:
 
     apply: bool
     use_ratios: UseRatio = field(default_factory=UseRatio)
+
+    def __post_init__(self):
+        if not isinstance(self.apply, bool):
+            raise ScenarioConfigError(f"intermediate apply must be a boolean, got {self.apply!r}")
 
 
 @dataclass(frozen=True)
@@ -99,13 +144,10 @@ class Reallocation:
     def __post_init__(self):
         fraction = _check_fraction(self.savings_fraction, "savings_fraction")
         object.__setattr__(self, "savings_fraction", fraction)
-        shares = {
-            code: _check_fraction(s, f"reallocation share for {code!r}")
-            for code, s in self.shares.items()
-        }
+        shares = _fractions(self.shares, "reallocation shares", "reallocation share for")
         object.__setattr__(self, "shares", shares)
         total = sum(shares.values())
-        if self.shares and abs(total - 1.0) > SHARE_SUM_TOL:
+        if shares and abs(total - 1.0) > SHARE_SUM_TOL:
             raise ScenarioConfigError(f"reallocation shares must sum to 1, got {total!r}")
 
 
@@ -115,9 +157,10 @@ class ScenarioSpec:
 
     sub_service_drop is the fraction by which demand for the shocked
     sub-service falls; component_ratios give the sub-service share of each
-    final-demand component (short codes or full names). absolute_changes, if
-    given, override the percentage rule for those components with signed
-    currency amounts. blowup_factor must be finite and positive.
+    final-demand component (short codes or full names, not both for one
+    component). absolute_changes, if given, override the percentage rule for
+    those components with finite signed currency amounts. blowup_factor
+    must be finite and positive.
     """
 
     name: str
@@ -130,27 +173,14 @@ class ScenarioSpec:
     blowup_factor: float = 1.0
 
     def __post_init__(self):
+        for key in ("name", "target_sector"):
+            if not isinstance(value := getattr(self, key), str):
+                raise ScenarioConfigError(f"{key} must be a string, got {value!r}")
         drop = _check_fraction(self.sub_service_drop, "sub_service_drop")
         object.__setattr__(self, "sub_service_drop", drop)
-        normalized = {}
-        for key, ratio in self.component_ratios.items():
-            comp = FD_CODE_TO_COMPONENT.get(key, key)
-            if comp not in FD_COMPONENTS:
-                raise ScenarioConfigError(f"unknown final-demand component {key!r}")
-            normalized[comp] = _check_fraction(ratio, f"component ratio for {key!r}")
-        object.__setattr__(self, "component_ratios", normalized)
-        absolute = {}
-        for key, amount in self.absolute_changes.items():
-            comp = FD_CODE_TO_COMPONENT.get(key, key)
-            if comp not in FD_COMPONENTS:
-                raise ScenarioConfigError(f"unknown final-demand component {key!r}")
-            amount = _number(amount, f"absolute change for {key!r}")
-            if not math.isfinite(amount):
-                raise ScenarioConfigError(
-                    f"absolute change for {key!r} must be finite, got {amount}"
-                )
-            absolute[comp] = amount
-        object.__setattr__(self, "absolute_changes", absolute)
+        for key, each, check in (("component_ratios", "component ratio for", _check_fraction),
+                                 ("absolute_changes", "absolute change for", _finite)):
+            object.__setattr__(self, key, _components(getattr(self, key), key, each, check))
         blowup = _number(self.blowup_factor, "blowup_factor")
         if not (math.isfinite(blowup) and blowup > 0):
             raise ScenarioConfigError(

@@ -10,6 +10,8 @@ import pytest
 
 from ioimpact import cli, drop_zero_sectors, ingest, leontief, write_table_files
 from ioimpact.cli import main
+from ioimpact.errors import ScenarioConfigError
+from ioimpact.scenario import IntermediateSpec, Reallocation, ScenarioSpec, UseRatio
 from ioimpact.testkit import EconomyGenSpec, canonical_e2, random_economy, rescale
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ioimpact" / "fixtures"
@@ -1198,78 +1200,139 @@ def test_bad_scenario_wins_over_a_bad_table(tmp_path, capsys):
     assert f"{bad}: top level must be an object" in capsys.readouterr().err
 
 
+# A scenario value of the wrong type, one fault per case: the fields of a
+# document, and the message that names the fault.
+WRONG_VALUES = [
+    ('"sub_service_drop": null', "sub_service_drop must be a number, got None"),
+    ('"sub_service_drop": [0.5]', "sub_service_drop must be a number, got [0.5]"),
+    ('"sub_service_drop": 0.5, "reallocation": {"savings_fraction": 0.5, "shares": null}',
+     "reallocation shares must be an object, got None"),
+    ('"sub_service_drop": 0.5, "reallocation": {"savings_fraction": null}',
+     "savings_fraction must be a number"),
+    ('"sub_service_drop": 0.5, "component_ratios": [["HH", 1.0]]',
+     "component_ratios must be an object"),
+    ('"sub_service_drop": 0.5, "absolute_changes": [1.0]',
+     "absolute_changes must be an object"),
+    ('"sub_service_drop": 0.5, "intermediate": {"use_ratios": [0.5]}',
+     "intermediate use_ratios must be an object"),
+    ('"sub_service_drop": 0.5, "intermediate": {"use_ratios": {"S2": {}}}',
+     "use ratio for 'S2' must be a number"),
+    ('"sub_service_drop": 0.5, "intermediate": {"default_ratio": null}',
+     "default use ratio must be a number"),
+    ('"sub_service_drop": 0.5, "blowup_factor": null', "blowup_factor must be a number"),
+    ('"sub_service_drop": 0.5, "absolute_changes": {"HH": "x"}',
+     "absolute change for 'HH' must be a number"),
+    # Rejected when parsed, not later as a fixed-point violation by nan.
+    ('"sub_service_drop": 0.5, "absolute_changes": {"EXP": NaN}',
+     "absolute change for 'EXP' must be finite, got nan"),
+    ('"sub_service_drop": 0.5, "absolute_changes": {"EXP": -Infinity}',
+     "absolute change for 'EXP' must be finite, got -inf"),
+    # float() would take a numeric string or a boolean; a spec must not.
+    ('"sub_service_drop": true', "sub_service_drop must be a number, got True"),
+    ('"sub_service_drop": "0.4"', "sub_service_drop must be a number, got '0.4'"),
+    ('"sub_service_drop": 0.5, "blowup_factor": "1.5"',
+     "blowup_factor must be a number, got '1.5'"),
+    ('"sub_service_drop": 0.5, "component_ratios": {"HH": "1"}',
+     "component ratio for 'HH' must be a number, got '1'"),
+    ('"sub_service_drop": 0.5, "absolute_changes": {"HH": false}',
+     "absolute change for 'HH' must be a number, got False"),
+    ('"sub_service_drop": 0.5, "reallocation": {"savings_fraction": "0.5"}',
+     "savings_fraction must be a number, got '0.5'"),
+    ('"sub_service_drop": 0.5, "reallocation": {"savings_fraction": 0.5, '
+     '"shares": {"S2": true}}',
+     "reallocation share for 'S2' must be a number, got True"),
+    ('"sub_service_drop": 0.5, "intermediate": {"use_ratios": {"S2": "0"}}',
+     "use ratio for 'S2' must be a number, got '0'"),
+    ('"sub_service_drop": 0.5, "intermediate": {"default_ratio": true}',
+     "default use ratio must be a number, got True"),
+    ('"sub_service_drop": 0.5, "intermediate": {"apply": "false"}',
+     "intermediate apply must be a boolean, got 'false'"),
+    ('"sub_service_drop": 0.5, "intermediate": {"apply": 0}',
+     "intermediate apply must be a boolean, got 0"),
+    ('"sub_service_drop": 0.5, "name": 5', "name must be a string, got 5"),
+    ('"sub_service_drop": 0.5, "target_sector": ["S1"]',
+     "target_sector must be a string, got ['S1']"),
+    # An integer literal beyond the float range, which float() refuses.
+    pytest.param('"sub_service_drop": 0.5, "blowup_factor": 1' + "0" * 400,
+                 "blowup_factor must be a number, got 1000", id="integer-overflow"),
+]
+
+# A block that is not a JSON object: a fault of the file's layout. A Python
+# caller passes a Reallocation or None, and None is the savings-only spec.
+WRONG_BLOCKS = [
+    ('"sub_service_drop": 0.5, "reallocation": [["savings_fraction", 1.0]]',
+     "reallocation must be an object"),
+    ('"sub_service_drop": 0.5, "reallocation": null',
+     "reallocation must be an object, got None"),
+]
+
+
+def scenario_document(fields: str) -> str:
+    """A scenario document of the given fields, with name "x" and target
+    sector "S1" unless the fields give their own: each key appears once."""
+    defaults = [f'"{key}": "{value}"' for key, value in (("name", "x"), ("target_sector", "S1"))
+                if f'"{key}":' not in fields]
+    return "{" + ", ".join([*defaults, fields]) + "}"
+
+
+def build_from_python(fields: str):
+    """Build the spec class that holds the one faulty field straight from
+    Python, with the values of the document."""
+    doc = json.loads(scenario_document(fields))
+    realloc, inter = doc.pop("reallocation", None), doc.pop("intermediate", None)
+    if realloc is not None:
+        return Reallocation(**realloc)
+    if inter is not None:
+        ratios = UseRatio(inter.get("use_ratios", {}), inter.get("default_ratio", 1.0))
+        return IntermediateSpec(inter.get("apply", True), ratios)
+    return ScenarioSpec(**doc)
+
+
 class TestScenarioValueTypes:
     """A scenario value of the wrong type is a configuration error naming it."""
 
-    @pytest.mark.parametrize(
-        "fields,message",
-        [
-            ('"sub_service_drop": null', "sub_service_drop must be a number, got None"),
-            ('"sub_service_drop": [0.5]', "sub_service_drop must be a number, got [0.5]"),
-            ('"sub_service_drop": 0.5, "reallocation": {"savings_fraction": 0.5, "shares": null}',
-             "reallocation shares must be an object, got None"),
-            ('"sub_service_drop": 0.5, "reallocation": {"savings_fraction": null}',
-             "savings_fraction must be a number"),
-            ('"sub_service_drop": 0.5, "reallocation": [["savings_fraction", 1.0]]',
-             "reallocation must be an object"),
-            ('"sub_service_drop": 0.5, "component_ratios": [["HH", 1.0]]',
-             "component_ratios must be an object"),
-            ('"sub_service_drop": 0.5, "absolute_changes": [1.0]',
-             "absolute_changes must be an object"),
-            ('"sub_service_drop": 0.5, "intermediate": {"use_ratios": [0.5]}',
-             "intermediate use_ratios must be an object"),
-            ('"sub_service_drop": 0.5, "intermediate": {"use_ratios": {"S2": {}}}',
-             "use ratio for 'S2' must be a number"),
-            ('"sub_service_drop": 0.5, "intermediate": {"default_ratio": null}',
-             "default use ratio must be a number"),
-            ('"sub_service_drop": 0.5, "blowup_factor": null', "blowup_factor must be a number"),
-            ('"sub_service_drop": 0.5, "absolute_changes": {"HH": "x"}',
-             "absolute change for 'HH' must be a number"),
-            # Rejected when parsed, not later as a fixed-point violation by nan.
-            ('"sub_service_drop": 0.5, "absolute_changes": {"EXP": NaN}',
-             "absolute change for 'EXP' must be finite, got nan"),
-            ('"sub_service_drop": 0.5, "absolute_changes": {"EXP": -Infinity}',
-             "absolute change for 'EXP' must be finite, got -inf"),
-            # float() would take a numeric string or a boolean; a file must not.
-            ('"sub_service_drop": true', "sub_service_drop must be a number, got True"),
-            ('"sub_service_drop": "0.4"', "sub_service_drop must be a number, got '0.4'"),
-            ('"sub_service_drop": 0.5, "blowup_factor": "1.5"',
-             "blowup_factor must be a number, got '1.5'"),
-            ('"sub_service_drop": 0.5, "component_ratios": {"HH": "1"}',
-             "component ratio for 'HH' must be a number, got '1'"),
-            ('"sub_service_drop": 0.5, "absolute_changes": {"HH": false}',
-             "absolute change for 'HH' must be a number, got False"),
-            ('"sub_service_drop": 0.5, "reallocation": {"savings_fraction": "0.5"}',
-             "savings_fraction must be a number, got '0.5'"),
-            ('"sub_service_drop": 0.5, "reallocation": {"savings_fraction": 0.5, '
-             '"shares": {"S2": true}}',
-             "reallocation share for 'S2' must be a number, got True"),
-            ('"sub_service_drop": 0.5, "intermediate": {"use_ratios": {"S2": "0"}}',
-             "use ratio for 'S2' must be a number, got '0'"),
-            ('"sub_service_drop": 0.5, "intermediate": {"default_ratio": true}',
-             "default use ratio must be a number, got True"),
-            ('"sub_service_drop": 0.5, "intermediate": {"apply": "false"}',
-             "intermediate apply must be a boolean, got 'false'"),
-            ('"sub_service_drop": 0.5, "intermediate": {"apply": 0}',
-             "intermediate apply must be a boolean, got 0"),
-            ('"sub_service_drop": 0.5, "name": 5', "name must be a string, got 5"),
-            ('"sub_service_drop": 0.5, "target_sector": ["S1"]',
-             "target_sector must be a string, got ['S1']"),
-            ('"sub_service_drop": 0.5, "reallocation": null',
-             "reallocation must be an object, got None"),
-            # An integer literal beyond the float range, which float() refuses.
-            pytest.param('"sub_service_drop": 0.5, "blowup_factor": 1' + "0" * 400,
-                         "blowup_factor must be a number, got 1000", id="integer-overflow"),
-        ],
-    )
+    @pytest.mark.parametrize("fields,message", WRONG_VALUES + WRONG_BLOCKS)
     def test_wrong_type_exits_two(self, tmp_path, capsys, fields, message):
         scenario = tmp_path / "s.json"
-        scenario.write_text('{"name": "x", "target_sector": "S1", ' + fields + "}")
+        scenario.write_text(scenario_document(fields))
         out = tmp_path / "reports"
         code = main(["run", *table_flags(e2_args()), "--scenario", str(scenario),
                      "--out", str(out)])
         assert code == 2
         assert f"error: {scenario}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields,message", WRONG_VALUES)
+    def test_python_route_gives_the_file_message(self, tmp_path, fields, message):
+        # The class that holds the value checks it, for a file and for a
+        # Python caller alike; the file route only adds the file's name.
+        scenario = tmp_path / "s.json"
+        scenario.write_text(scenario_document(fields))
+        with pytest.raises(ScenarioConfigError) as from_file:
+            ingest.parse_scenario(scenario)
+        with pytest.raises(ScenarioConfigError) as from_python:
+            build_from_python(fields)
+        assert str(from_python.value).startswith(message)
+        assert str(from_file.value) == f"{scenario}: {from_python.value}"
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [('"sub_service_drop": 0.4, "sub_service_drop": 0.9',
+          "repeated key 'sub_service_drop'"),
+         ('"sub_service_drop": 0.4, "component_ratios": {"HH": 1.0, "HH": 0.5}',
+          "repeated key 'HH'"),
+         ('"sub_service_drop": 0.4, "absolute_changes": {"EXP": -5.0, "exports": 7.0}',
+          "absolute_changes names exports twice, as 'EXP' and 'exports'")],
+    )
+    def test_a_value_given_twice_exits_two(self, tmp_path, capsys, fields, message):
+        # Neither spelling may silently override the other.
+        scenario = tmp_path / "s.json"
+        scenario.write_text(scenario_document(fields))
+        out = tmp_path / "reports"
+        code = main(["run", *table_flags(e2_args()), "--scenario", str(scenario),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

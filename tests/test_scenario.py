@@ -273,20 +273,64 @@ class TestSpecValidation:
             )
 
     def test_numbers_are_stored_as_floats(self, e2):
-        # float() accepts a numeric string; the spec keeps the converted value,
-        # so build_delta never multiplies by the string.
+        # A real number of any type, numpy scalars included, is kept as a
+        # float, so build_delta never multiplies by a numpy scalar.
         spec = ScenarioSpec(
-            name="s", target_sector="S1", sub_service_drop="0.4",
-            component_ratios={"HH": 1}, blowup_factor=np.float32(2.0),
-            reallocation=Reallocation(savings_fraction="0.5", shares={"S2": "1"}),
-            intermediate=IntermediateSpec(apply=True, use_ratios=UseRatio({"S2": "0.5"}, "1")),
+            name="s", target_sector="S1", sub_service_drop=np.float32(0.5),
+            component_ratios={"HH": 1}, absolute_changes={"EXP": np.int64(-3)},
+            blowup_factor=np.float32(2.0),
+            reallocation=Reallocation(savings_fraction=np.int64(0), shares={"S2": 1}),
+            intermediate=IntermediateSpec(
+                apply=True, use_ratios=UseRatio({"S2": np.float32(0.25)}, np.int64(1))
+            ),
         )
-        values = [spec.sub_service_drop, spec.blowup_factor, spec.reallocation.savings_fraction,
-                  spec.reallocation.shares["S2"], spec.intermediate.use_ratios.get("S2"),
-                  spec.intermediate.use_ratios.get("S1")]
-        assert values == [0.4, 2.0, 0.5, 1.0, 0.5, 1.0]
+        values = [spec.sub_service_drop, spec.component_ratios["household_consumption"],
+                  spec.absolute_changes["exports"], spec.blowup_factor,
+                  spec.reallocation.savings_fraction, spec.reallocation.shares["S2"],
+                  spec.intermediate.use_ratios.get("S2"), spec.intermediate.use_ratios.get("S1")]
+        assert values == [0.5, 1.0, -3.0, 2.0, 0.0, 1.0, 0.25, 1.0]
         assert all(type(v) is float for v in values)
-        assert build_delta(e2, spec).delta[0] == pytest.approx(-12.0)
+        plain = ScenarioSpec(
+            name="s", target_sector="S1", sub_service_drop=0.5,
+            component_ratios={"HH": 1.0}, absolute_changes={"EXP": -3.0},
+            reallocation=Reallocation(savings_fraction=0.0, shares={"S2": 1.0}),
+        )
+        assert np.array_equal(build_delta(e2, spec).delta, build_delta(e2, plain).delta)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: spec_s1(alpha=np.True_),
+             f"sub_service_drop must be a number, got {np.True_!r}"),
+            (lambda: UseRatio(default=np.False_),
+             f"default use ratio must be a number, got {np.False_!r}"),
+        ],
+    )
+    def test_numpy_bool_is_not_a_number(self, build, message):
+        # No scenario file holds one, but float() would take it as 1 or 0.
+        # The file's cases run through the classes in test_cli.py.
+        with pytest.raises(ScenarioConfigError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "block,values,message",
+        [
+            ("absolute_changes", {"EXP": -5.0, "exports": 7.0},
+             "absolute_changes names exports twice, as 'EXP' and 'exports'"),
+            ("component_ratios", {"HH": 1.0, "household_consumption": 0.25},
+             "component_ratios names household_consumption twice, "
+             "as 'HH' and 'household_consumption'"),
+            ("component_ratios", {"government_consumption": 0.5, "GOV": 0.5},
+             "component_ratios names government_consumption twice, "
+             "as 'government_consumption' and 'GOV'"),
+        ],
+    )
+    def test_component_named_twice_rejected(self, block, values, message):
+        # Otherwise the later of the two spellings would win without a word.
+        with pytest.raises(ScenarioConfigError) as exc:
+            ScenarioSpec(name="s", target_sector="S1", sub_service_drop=0.5, **{block: values})
+        assert str(exc.value) == message
 
     def test_build_delta_dispatches_on_reallocation(self, e2):
         assert build_delta(e2, spec_s1()).reallocated == {}
