@@ -35,7 +35,6 @@ from .ingest import (
 )
 from .leontief import check_top_k
 from .report import (
-    ReportBundle,
     comparison_table,
     impact_table,
     is_plain_name,
@@ -154,9 +153,7 @@ def cmd_validate(args) -> int:
     for line in report.lines():
         print(line)
     if args.out:
-        bundle = ReportBundle()
-        bundle.add(validation_table(report))
-        write_reports(bundle, args.out, formats=("csv", "json"))
+        write_reports([validation_table(report)], args.out, formats=("csv", "json"))
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
@@ -175,14 +172,11 @@ def cmd_multipliers(args) -> int:
             store_table(entry)  # the table works; the request names a sector it lacks
             raise
     model = load_model(table, entry)
-    bundle = ReportBundle()
-    bundle.add(validation_table(report))
-    bundle.add(multiplier_table(model))
+    tables = [validation_table(report), multiplier_table(model)]
     if args.sector:
-        bundle.add(sector_profile_table(model, args.sector))
-        for t in recipe_tables(model, args.sector, args.top_k):
-            bundle.add(t)
-    manifest = write_reports(bundle, args.out, formats=tuple(args.format))
+        tables.append(sector_profile_table(model, args.sector))
+        tables += recipe_tables(model, args.sector, args.top_k)
+    manifest = write_reports(tables, args.out, formats=tuple(args.format))
     print(f"wrote {len(manifest['files'])} report files to {args.out}")
     return EXIT_OK
 
@@ -288,20 +282,15 @@ def cmd_run(args) -> int:
         for spec, (delta, alpha) in zip(specs, shocks)
     ]
 
-    # Shared by every scenario's bundle; report tables are immutable.
-    validation = validation_table(report)
-    multipliers = multiplier_table(model)
+    # Shared by every scenario's reports; report tables are immutable.
+    shared = [validation_table(report), multiplier_table(model)]
     for spec, delta, blowup, results in runs:
-        bundle = ReportBundle(results=results)
-        bundle.add(validation)
-        bundle.add(multipliers)
-        for result in results:
-            bundle.add(impact_table(result))
-        bundle.add(plotdata_table(results[0], top_k=args.top_k))
+        tables = [*shared, *map(impact_table, results)]
+        tables.append(plotdata_table(results[0], top_k=args.top_k))
         if len(results) == 2:
-            bundle.add(comparison_table(compare_methods(results[1], results[0])))
+            tables.append(comparison_table(compare_methods(results[1], results[0])))
         out_dir = Path(args.out) / spec.name if multi else Path(args.out)
-        write_reports(bundle, out_dir, formats=tuple(args.format))
+        write_reports(tables, out_dir, formats=tuple(args.format), results=results)
         _print_summary(spec, blowup, results)
     return EXIT_OK
 
@@ -310,9 +299,7 @@ def cmd_compare(args) -> int:
     a = load_impact_result(args.result_a)
     b = load_impact_result(args.result_b)
     comparison = compare_methods(a, b)
-    bundle = ReportBundle()
-    bundle.add(comparison_table(comparison))
-    write_reports(bundle, args.out, formats=tuple(args.format))
+    write_reports([comparison_table(comparison)], args.out, formats=tuple(args.format))
     for key, value in sorted(comparison.total_diffs.items()):
         print(f"{key} difference ({a.method} - {b.method}): {value:,.0f}")
     return EXIT_OK

@@ -12,29 +12,33 @@ decimal separator)::
     TOTAL_USES,x_1,...,x_n,,,,,,,
 
 Sector codes must match the metadata file (``code,name`` rows, order defines
-the matrix order). Satellite files are ``sector,<kind>`` CSVs with one row
-per sector. Every CSV row has exactly as many cells as its header names;
-blank rows are skipped. Scenario files are JSON; see parse_scenario. Parsing
-is total: either a fully populated object is returned or an error carrying
-the file coordinates is raised. Numeric cells must be finite. Files are
-decoded line by line, so the first bad line or cell in the file is the one
-named. A line with no quote or NUL is split at its commas, and any other
-goes to csv.reader, so every file reads as csv.reader reads it (see _cells).
+the matrix order). The TOTAL_USES row is kept as IOTable.total_uses, which
+table.validate_table checks against x. Satellite files are ``sector,<kind>``
+CSVs with one row per sector. Every CSV row has exactly as many cells as its
+header names; blank rows are skipped. Scenario files are JSON (see
+parse_scenario); unique_keys refuses a key repeated in any JSON object, here
+and in report.load_impact_result. Parsing is total: either a fully populated
+object is returned or an error carrying the file coordinates is raised.
+Numeric cells must be finite. Files are decoded line by line, so the first
+bad line or cell in the file is the one named. A line with no quote or NUL
+is split at its commas, and any other goes to csv.reader, so every file
+reads as csv.reader reads it (see _cells).
 
 A table has one cache entry, one file under ``$XDG_CACHE_HOME/ioimpact``
 (default ``~/.cache/ioimpact``), keyed by the sha256 of the table file, the
 metadata file, this module's and leontief.py's sources and the numpy
-version. It holds the parsed arrays and, once a model was built from them,
-the block LDU factors of I - A. load_table_entry reads an entry and writes
-none; each loader writes the entry at most once, after it knows what the
-entry will hold. store_table stores the parsed arrays of a missed entry;
-load_io_table, parse_io_table memoised on disk, calls it. load_model stores
-the arrays and the factors together, when the entry was a miss or when
-leontief.build_model, which serves stored factors only once they pass its
-checks, factorized again. A table that fails to parse, or to build its
-model (so to certify), gets no entry; the CLI's run and multipliers also
-store none for a table that fails validation, and store_table's for one
-that validates but whose request names a sector it lacks.
+version. It holds the parsed arrays, the TOTAL_USES row among them, and,
+once a model was built from them, the block LDU factors of I - A.
+load_table_entry reads an entry and writes none; each loader writes the
+entry at most once, after it knows what the entry will hold. store_table
+stores the parsed arrays of a missed entry; load_io_table, parse_io_table
+memoised on disk, calls it. load_model stores the arrays and the factors
+together, when the entry was a miss or when leontief.build_model, which
+serves stored factors only once they pass its checks, factorized again. A
+table that fails to parse, or to build its model (so to certify), gets no
+entry; the CLI's run and multipliers also store none for a table that fails
+validation, and store_table's for one that validates but whose request names
+a sector it lacks.
 """
 
 from __future__ import annotations
@@ -259,6 +263,7 @@ def parse_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTa
         value_added=out[n + 1, :n],
         satellites=_parse_satellites(satellite_files, codes),
         x=out[:n, -1],
+        total_uses=out[n + 2, :n],
     )
 
 
@@ -346,8 +351,8 @@ def load_table_entry(
     The entry is named by the sha256 of this module's and leontief.py's
     sources, the numpy version, the metadata file and the table file, so an
     edit to either file, the parse rules or the factorization is a miss. A
-    hit reads Z, final demand, x, imports and value added from
-    ``<key>.npz``, where load_model keeps the factors of I - A; the
+    hit reads Z, final demand, x, imports, value added and the total-uses
+    row from ``<key>.npz``, where load_model keeps the factors of I - A; the
     metadata and satellite files are parsed every time and the table is
     built through IOTable, so it is checked as on a miss. A table that fails
     to parse raises; one whose files changed while they were hashed and
@@ -373,6 +378,7 @@ def load_table_entry(
                 "x": (n,),
                 "imports": (n,),
                 "value_added": (n,),
+                "total_uses": (n,),
             },
         )
         if arrays is not None and _stamp(inputs) == stamp:
@@ -384,6 +390,7 @@ def load_table_entry(
                 value_added=arrays["value_added"],
                 satellites=_parse_satellites(satellite_files, tuple(s.code for s in sectors)),
                 x=arrays["x"],
+                total_uses=arrays["total_uses"],
             )
             return table, TableEntry(path, table, hit=True)
     table = parse_io_table(table_file, sector_metadata_file, satellite_files)
@@ -475,6 +482,7 @@ def _write_entry(entry: TableEntry, **factors: np.ndarray) -> None:
                     x=table.x,
                     imports=table.imports,
                     value_added=table.value_added,
+                    total_uses=table.total_uses,
                     **factors,
                 )
             os.replace(tmp, entry.path)
@@ -506,7 +514,9 @@ def write_table_files(table: IOTable, out_dir) -> dict:
 
     Emits ``table.csv``, ``sectors.csv``, and one ``satellite_<kind>.csv``
     per account; values use shortest round-trip formatting so a parse of the
-    output reproduces the table exactly. Returns the paths written.
+    output reproduces the table exactly. The ``TOTAL_USES`` row is the
+    table's own, or for a table without one the column sums of Z, imports
+    and value added. Returns the paths written.
 
     Raises ValueError, naming the label and writing nothing, for a sector
     code or name with whitespace at either edge: the parser strips every
@@ -523,6 +533,9 @@ def write_table_files(table: IOTable, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     n = table.n
     blank = [""] * (len(FD_CODES) + 1)
+    total_uses = table.total_uses
+    if total_uses is None:
+        total_uses = table.Z.sum(axis=0) + table.imports + table.value_added
 
     codes = [_quoted(code) for code in table.codes]
     lines = [",".join(["sector", *codes, *FD_CODES, "total_output"])]
@@ -535,7 +548,7 @@ def write_table_files(table: IOTable, out_dir) -> dict:
     for label, values in (
         ("IMPORTS", table.imports),
         ("VALUE_ADDED", table.value_added),
-        ("TOTAL_USES", table.Z.sum(axis=0) + table.imports + table.value_added),
+        ("TOTAL_USES", total_uses),
     ):
         lines.append(",".join([label, *[_num(v) for v in values], *blank]))
     table_path = out_dir / "table.csv"
@@ -558,12 +571,13 @@ def write_table_files(table: IOTable, out_dir) -> dict:
     return paths
 
 
-def _unique_keys(pairs) -> dict:
-    """A JSON object's members; a repeated key is refused, not overwritten."""
+def unique_keys(pairs) -> dict:
+    """A JSON object's members, as the ``object_pairs_hook`` of json.loads:
+    a repeated key raises ValueError, where json.loads keeps the last."""
     members = {}
     for key, value in pairs:
         if key in members:
-            raise ScenarioConfigError(f"repeated key {key!r}")
+            raise ValueError(f"repeated key {key!r}")
         members[key] = value
     return members
 
@@ -606,7 +620,7 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
     """
     path = Path(scenario_file)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
         if not isinstance(raw, dict):
             raise ScenarioConfigError("top level must be an object")
         top_level = ("name", "target_sector", "sub_service_drop", "component_ratios",
@@ -637,7 +651,7 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
         ) from None
     except json.JSONDecodeError as exc:
         raise ScenarioConfigError(f"{path}: not valid JSON: {exc}") from exc
-    except ScenarioConfigError as exc:
+    except (ScenarioConfigError, ValueError) as exc:  # json.loads: repeated key, long int
         raise ScenarioConfigError(f"{path}: {exc}") from exc
 
 

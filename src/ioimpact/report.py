@@ -1,10 +1,10 @@
 """Report assembly and deterministic serialization.
 
-Reports are small named tables with per-column formatting rules: ranked
-coefficient/multiplier tables keep five decimals, normalized output changes
-six, and nominal currency figures are rounded to whole millions. Identical
-inputs produce byte-identical files, and the returned manifest carries a
-content digest per file.
+Reports are small named tables, each a mapping from column name to the
+column's format and values: ranked coefficient/multiplier tables keep five
+decimals, normalized output changes six, and nominal currency figures are
+rounded to whole millions. Identical inputs produce byte-identical files,
+and the returned manifest carries a content digest per file.
 
 JSON reports follow one byte contract, that of
 ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` plus one
@@ -13,8 +13,9 @@ with ASCII escapes, floats as ``float.__repr__``, and never a NaN or an
 infinity. A report cell is a str, a float or an int, and a JSON column holds
 only one of the three: one encoder maps the type's C-level encoder over the
 whole column. A non-finite float cell raises ValueError naming the report
-and the column, in CSV and JSON alike; any other JSON column (a bool, None,
-a numpy scalar or a mix of types) raises TypeError naming both. Row tables,
+and the column when its table is built, and a result's when it is encoded;
+any other JSON column (a bool, None, a numpy scalar or a mix of types)
+raises TypeError naming both. Tables,
 ``result_<method>.json`` and ``manifest.json`` each have a fixed layout
 built from encoded columns; ``testkit.json_report_oracle`` is the
 ``json.dumps`` route they must match byte for byte.
@@ -24,15 +25,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from math import isfinite, nan
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from .impact import ComparisonReport, ImpactResult
+from .ingest import unique_keys
 from .leontief import (
     LeontiefModel,
     check_top_k,
@@ -67,42 +71,35 @@ _METRIC_LABELS = (
 
 @dataclass(frozen=True)
 class ReportTable:
+    """A named report table: ``columns`` maps each column name, in file
+    order, to its CSV format and its values. Building the table checks that
+    every column has the same length and that every float is finite; the
+    columns are then read-only, as the encodings are cached."""
+
     name: str
-    columns: tuple[str, ...]
-    formats: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    columns: Mapping[str, tuple[str, tuple]]
 
     def __post_init__(self):
-        if len(set(self.columns)) != len(self.columns):
-            raise ValueError(f"report {self.name!r}: repeated column name in {self.columns}")
-
-    @cached_property
-    def _columns(self) -> list[tuple]:
-        """Each column's values; a non-finite float raises."""
-        cells = list(zip(*self.rows, strict=True))
-        if self.rows and len(cells) != len(self.columns):
-            raise ValueError(
-                f"report {self.name!r}: rows have {len(cells)} values "
-                f"for {len(self.columns)} columns"
-            )
-        for column, values in zip(self.columns, cells):
-            _check_finite([v for v in values if isinstance(v, float)], self.name, column)
-        return cells
+        columns = {key: (fmt, tuple(values)) for key, (fmt, values) in self.columns.items()}
+        lengths = {key: len(values) for key, (_, values) in columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"report {self.name!r}: columns differ in length: {lengths}")
+        for key, (_, values) in columns.items():
+            _check_finite([v for v in values if isinstance(v, float)], self.name, key)
+        object.__setattr__(self, "columns", MappingProxyType(columns))
 
     def csv_text(self) -> str:
-        formatted = [
-            map(_FORMATTERS[fmt], values) for fmt, values in zip(self.formats, self._columns)
-        ]
-        lines = map(",".join, _transpose(formatted, len(self.rows)))
+        formatted = [map(_FORMATTERS[fmt], values) for fmt, values in self.columns.values()]
+        lines = map(",".join, zip(*formatted))
         return "\n".join([",".join(self.columns), *lines]) + "\n"
 
     def json_text(self) -> str:
         """The rows as a JSON list of objects keyed by column."""
-        columns = sorted(zip(self.columns, self._columns))
-        encoded = [_encode_column(values, self.name, key) for key, values in columns]
-        return _encode_records([key for key, _ in columns], encoded, len(self.rows)) + "\n"
+        columns = sorted(self.columns.items())
+        encoded = [_encode_column(values, self.name, key) for key, (_, values) in columns]
+        return _encode_records([key for key, _ in columns], encoded) + "\n"
 
-    # Encoded once per table: a table shared by several bundles is
+    # Encoded once per table: a table written to several directories is
     # serialized and hashed once.
     @cached_property
     def _csv_file(self) -> tuple[bytes, str]:
@@ -111,11 +108,6 @@ class ReportTable:
     @cached_property
     def _json_file(self) -> tuple[bytes, str]:
         return _file_bytes(self.json_text())
-
-
-def _transpose(columns: list, nrows: int):
-    """Row tuples from column iterables, also for a table without columns."""
-    return zip(*columns) if columns else [()] * nrows
 
 
 def _file_bytes(text: str) -> tuple[bytes, str]:
@@ -151,19 +143,17 @@ def _encode_column(values, report: str, column: str) -> list[str]:
     )
 
 
-def _encode_records(keys: list[str], encoded: list[list[str]], nrows: int, indent: str = "") -> str:
+def _encode_records(keys: list[str], encoded: list[list[str]], indent: str = "") -> str:
     """JSON text of a list of flat objects with the same sorted keys, from
     each key's column of encoded values: one ``%`` template per list,
     applied row by row."""
-    if not nrows:
-        return "[]"
     inner = indent + "  "
     fields = (",\n" + inner + "  ").join(
         encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
     )
-    template = inner + "{\n" + inner + "  " + fields + "\n" + inner + "}" if keys else inner + "{}"
-    rows = map(template.__mod__, _transpose(encoded, nrows))
-    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+    template = inner + "{\n" + inner + "  " + fields + "\n" + inner + "}"
+    rows = ",\n".join(map(template.__mod__, zip(*encoded)))
+    return "[\n" + rows + "\n" + indent + "]" if rows else "[]"
 
 
 def _encode_object(members: dict[str, str], indent: str = "") -> str:
@@ -197,7 +187,7 @@ def result_json_text(result: ImpactResult) -> str:
     document = {
         "method": scalar("method", result.method),
         "scenario": scalar("scenario", result.scenario),
-        "sectors": _encode_records(["code", "name"], sectors, len(result.sectors), "  "),
+        "sectors": _encode_records(["code", "name"], sectors, "  "),
         "q": vector("q", result.q, "  "),
         "dx": vector("dx", result.dx, "  "),
         "satellite_changes": _encode_object(changes, "  "),
@@ -208,50 +198,40 @@ def result_json_text(result: ImpactResult) -> str:
     return _encode_object(document) + "\n"
 
 
-@dataclass
-class ReportBundle:
-    """Everything one pipeline run wants written to disk: row tables, and
-    impact results, each written as ``result_<method>.json``."""
-
-    tables: list[ReportTable] = field(default_factory=list)
-    results: list[ImpactResult] = field(default_factory=list)
-
-    def add(self, table: ReportTable) -> None:
-        self.tables.append(table)
-
-
 def validation_table(report: ValidationReport) -> ReportTable:
-    rows = [
-        (v.kind, v.sector, v.expected, v.actual, v.rel_err, v.message) for v in report.violations
-    ]
-    rows += [("warning", "", 0.0, 0.0, 0.0, w) for w in report.warnings]
-    return ReportTable(
-        name="validation",
-        columns=("kind", "sector", "expected", "actual", "rel_err", "message"),
-        formats=("s", "s", "raw", "raw", "raw", "s"),
-        rows=tuple(rows),
-    )
+    """Each violation, then each warning as a ``warning`` row."""
+    violations, warnings = report.violations, report.warnings
+
+    def column(fmt, attr, warning_value):
+        return fmt, [getattr(v, attr) for v in violations] + [warning_value] * len(warnings)
+
+    return ReportTable("validation", {
+        "kind": column("s", "kind", "warning"),
+        "sector": column("s", "sector", ""),
+        "expected": column("raw", "expected", 0.0),
+        "actual": column("raw", "actual", 0.0),
+        "rel_err": column("raw", "rel_err", 0.0),
+        "message": ("s", [v.message for v in violations] + list(warnings)),
+    })
 
 
-def _ranked_table(name: str, ranked, value_format: str) -> ReportTable:
-    """A ``sector_code,sector_name,value,rank`` table from (sector, value)
-    pairs, ranked first to last."""
-    return ReportTable(
-        name=name,
-        columns=("sector_code", "sector_name", "value", "rank"),
-        formats=("s", "s", value_format, "int"),
-        rows=tuple(
-            (s.code, s.name, value, rank) for rank, (s, value) in enumerate(ranked, start=1)
-        ),
-    )
+def _ranked_table(name: str, sectors, values: list, value_format: str) -> ReportTable:
+    """A ``sector_code,sector_name,value,rank`` table of sectors and their
+    values, ranked first to last."""
+    return ReportTable(name, {
+        "sector_code": ("s", [s.code for s in sectors]),
+        "sector_name": ("s", [s.name for s in sectors]),
+        "value": (value_format, values),
+        "rank": ("int", list(range(1, len(values) + 1))),
+    })
 
 
 def multiplier_table(model: LeontiefModel) -> ReportTable:
     """All output multipliers, ranked descending."""
     mults = output_multipliers(model)
     order = sector_order(mults, descending=True)
-    ranked = zip([model.sectors[i] for i in order], mults[order].tolist())
-    return _ranked_table("multipliers", ranked, "coef")
+    sectors = [model.sectors[i] for i in order]
+    return _ranked_table("multipliers", sectors, mults[order].tolist(), "coef")
 
 
 def sector_profile_table(model: LeontiefModel, sector) -> ReportTable:
@@ -262,13 +242,10 @@ def sector_profile_table(model: LeontiefModel, sector) -> ReportTable:
     coeffs = model.satellite_coefficients
     stacked = np.column_stack([np.ones(model.table.n), *coeffs.values()])
     values = model.solve_t(stacked)[j]
-    rows = [(kind, float(v)) for kind, v in zip(("output", *coeffs), values)]
-    return ReportTable(
-        name=f"sector_multipliers_{code}",
-        columns=("multiplier", "value"),
-        formats=("s", "coef"),
-        rows=tuple(rows),
-    )
+    return ReportTable(f"sector_multipliers_{code}", {
+        "multiplier": ("s", ["output", *coeffs]),
+        "value": ("coef", values.tolist()),
+    })
 
 
 def recipe_tables(model: LeontiefModel, sector, top_k: int) -> list[ReportTable]:
@@ -276,70 +253,63 @@ def recipe_tables(model: LeontiefModel, sector, top_k: int) -> list[ReportTable]
     j = model.sector_index(sector)
     code = model.sectors[j].code
     return [
-        _ranked_table(f"input_recipe_{code}", input_recipe(model, j, top_k), "coef"),
-        _ranked_table(f"downstream_{code}", downstream_importance(model, j, top_k), "coef"),
+        _ranked_table(f"{view}_{code}", [s for s, _ in ranked], [v for _, v in ranked], "coef")
+        for view, ranked in (("input_recipe", input_recipe(model, j, top_k)),
+                             ("downstream", downstream_importance(model, j, top_k)))
     ]
 
 
 def impact_table(result: ImpactResult) -> ReportTable:
     """Per-sector impact, most affected first, with a trailing TOTAL row."""
-    kinds = [k for k in SATELLITE_KINDS if k in result.satellite_changes]
-    columns = ["sector_code", "sector_name", "q", "output_change"]
-    columns += [f"{k}_change" for k in kinds]
-    formats = ["s", "s", "q", "million"] + ["million"] * len(kinds)
     order = sector_order(result.q)
     ranked = [result.sectors[i] for i in order]
-    values = [result.q, result.dx, *(result.satellite_changes[k] for k in kinds)]
-    rows = list(zip(
-        [s.code for s in ranked],
-        [s.name for s in ranked],
-        *(np.asarray(v, dtype=float)[order].tolist() for v in values),
-    ))
-    total = ["TOTAL", "", float(result.pct_output), float(result.totals["output"])]
-    total += [float(result.totals[k]) for k in kinds]
-    rows.append(tuple(total))
-    return ReportTable(
-        name=f"impact_{result.method}",
-        columns=tuple(columns),
-        formats=tuple(formats),
-        rows=tuple(rows),
-    )
+
+    def column(fmt, vector, total):
+        return fmt, np.asarray(vector, dtype=float)[order].tolist() + [float(total)]
+
+    changes = {"output": result.dx}
+    changes.update((k, result.satellite_changes[k]) for k in SATELLITE_KINDS
+                   if k in result.satellite_changes)
+    return ReportTable(f"impact_{result.method}", {
+        "sector_code": ("s", [s.code for s in ranked] + ["TOTAL"]),
+        "sector_name": ("s", [s.name for s in ranked] + [""]),
+        "q": column("q", result.q, result.pct_output),
+        **{f"{k}_change": column("million", v, result.totals[k]) for k, v in changes.items()},
+    })
 
 
 def comparison_table(comparison: ComparisonReport) -> ReportTable:
     """Aggregate metrics side by side: each method's value and a - b. The
     value columns take the method names, suffixed " (a)" and " (b)" when a
     name would repeat a column, as it does for two results of one method."""
-    rows = []
+    totals = (comparison.totals_a, comparison.totals_b, comparison.total_diffs)
+    metrics = [
+        (label, "{:.0f}", tuple(t[key] for t in totals))
+        for key, label in _METRIC_LABELS
+        if key in comparison.total_diffs
+    ]
+    pct = (comparison.pct_a * 100, comparison.pct_b * 100, comparison.pct_diff * 100)
+    metrics.append(("change in output (%)", "{:.2f}", pct))
     # The cells are preformatted strings, so the numbers behind them are
     # checked here.
-    for key, label in _METRIC_LABELS:
-        if key not in comparison.total_diffs:
-            continue
-        values = (comparison.totals_a[key], comparison.totals_b[key], comparison.total_diffs[key])
+    for label, _, values in metrics:
         _check_finite(values, "comparison", label)
-        rows.append((label, *map("{:.0f}".format, values)))
-    pct = (comparison.pct_a * 100, comparison.pct_b * 100, comparison.pct_diff * 100)
-    _check_finite(pct, "comparison", "change in output (%)")
-    rows.append(("change in output (%)", *map("{:.2f}".format, pct)))
     a, b = comparison.method_a, comparison.method_b
-    columns = ("metric", a, b, "difference")
-    if len(set(columns)) != len(columns):
-        columns = ("metric", f"{a} (a)", f"{b} (b)", "difference")
-    return ReportTable(
-        name="comparison",
-        columns=columns,
-        formats=("s", "s", "s", "s"),
-        rows=tuple(rows),
-    )
+    if len({"metric", a, b, "difference"}) < 4:
+        a, b = f"{a} (a)", f"{b} (b)"
+    columns = {"metric": ("s", [label for label, _, _ in metrics])}
+    for i, key in enumerate((a, b, "difference")):
+        columns[key] = ("s", [fmt.format(values[i]) for _, fmt, values in metrics])
+    return ReportTable("comparison", columns)
 
 
 def plotdata_table(result: ImpactResult, top_k: int = 10) -> ReportTable:
     """Most-affected sectors by normalized output change, for charting."""
     check_top_k(top_k)
     order = sector_order(result.q, k=top_k)
-    ranked = [(result.sectors[i], float(result.q[i])) for i in order]
-    return _ranked_table(f"plotdata_top{top_k}", ranked, "q")
+    sectors = [result.sectors[i] for i in order]
+    values = np.asarray(result.q, dtype=float)[order].tolist()
+    return _ranked_table(f"plotdata_top{top_k}", sectors, values, "q")
 
 
 _RESULT_KEYS = ("method", "scenario", "sectors", "q", "dx", "satellite_changes", "totals", "pct_output")
@@ -418,13 +388,14 @@ def _reject_constant(name: str):
 
 
 def load_impact_result(path) -> ImpactResult:
-    """Read a ``result_*.json`` report back. Invalid JSON, a NaN or infinity,
-    or an incomplete result raises ValueError naming the path; a syntax error
-    also gives its line and column."""
+    """Read a ``result_*.json`` report back. Invalid JSON, a key repeated in
+    an object, a NaN or infinity, or an incomplete result raises ValueError
+    naming the path; a syntax error also gives its line and column."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-        return result_from_dict(json.loads(text, parse_constant=_reject_constant))
+        payload = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=unique_keys)
+        return result_from_dict(payload)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -439,8 +410,8 @@ def is_plain_name(name: str) -> bool:
     return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
 
 
-def write_reports(bundle: ReportBundle, out_dir, formats=("csv", "json")) -> dict:
-    """Write every report in the requested formats.
+def write_reports(tables, out_dir, formats=("csv", "json"), results=()) -> dict:
+    """Write each table in the requested formats, each result as ``result_<method>.json``.
 
     Returns a manifest listing each file with its sha256 content digest;
     the manifest itself is written as ``manifest.json``. Re-running on
@@ -457,12 +428,12 @@ def write_reports(bundle: ReportBundle, out_dir, formats=("csv", "json")) -> dic
     # Everything is encoded before anything is written, so a report that
     # cannot be encoded leaves no partial output behind.
     files = []
-    for table in bundle.tables:
+    for table in tables:
         if "csv" in formats:
             files.append((table.name, "csv", table._csv_file))
         if "json" in formats:
             files.append((table.name, "json", table._json_file))
-    for result in bundle.results:
+    for result in results:
         files.append((f"result_{result.method}", "json", _file_bytes(result_json_text(result))))
     for name, _, _ in files:
         if not is_plain_name(name):
@@ -483,7 +454,7 @@ def write_reports(bundle: ReportBundle, out_dir, formats=("csv", "json")) -> dic
     keys = ["format", "path", "report", "sha256"]
     columns = [_encode_column([e[k] for e in entries], "manifest", k) for k in keys]
     text = _encode_object({
-        "files": _encode_records(keys, columns, len(entries), "  "),
+        "files": _encode_records(keys, columns, "  "),
         "out_dir": _encode_column([manifest["out_dir"]], "manifest", "out_dir")[0],
     })
     (out_dir / "manifest.json").write_text(text + "\n", encoding="utf-8")

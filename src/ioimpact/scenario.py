@@ -12,8 +12,9 @@ for the intermediate-demand side.
 Each spec class checks every value it holds when it is built, so a spec
 built in Python obeys the rules a scenario file does (ingest.parse_scenario
 checks only the file's layout): a number is a real number, not a bool or a
-string; fractions lie in [0, 1]; names are strings, apply is a bool and each
-mapping is a dict; and no final-demand component is named twice.
+string; fractions lie in [0, 1]; names are strings, apply is a bool, each
+mapping is a dict and each block is an instance of its class; and no
+final-demand component is named twice.
 """
 
 from __future__ import annotations
@@ -82,6 +83,11 @@ def _mapping(value, what: str) -> dict:
     return value
 
 
+def _instance(value, cls, what: str) -> None:
+    if not isinstance(value, cls):
+        raise ScenarioConfigError(f"{what} must be of class {cls.__name__}, got {value!r:.40}")
+
+
 def _fractions(block, what: str, each: str) -> dict[str, float]:
     return {key: _check_fraction(v, f"{each} {key!r}") for key, v in _mapping(block, what).items()}
 
@@ -126,6 +132,7 @@ class IntermediateSpec:
     use_ratios: UseRatio = field(default_factory=UseRatio)
 
     def __post_init__(self):
+        _instance(self.use_ratios, UseRatio, "intermediate use_ratios")
         if not isinstance(self.apply, bool):
             raise ScenarioConfigError(f"intermediate apply must be a boolean, got {self.apply!r}")
 
@@ -173,6 +180,9 @@ class ScenarioSpec:
     blowup_factor: float = 1.0
 
     def __post_init__(self):
+        for key, cls in (("reallocation", Reallocation), ("intermediate", IntermediateSpec)):
+            if (value := getattr(self, key)) is not None:
+                _instance(value, cls, key)
         for key in ("name", "target_sector"):
             if not isinstance(value := getattr(self, key), str):
                 raise ScenarioConfigError(f"{key} must be a string, got {value!r}")

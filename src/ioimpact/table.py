@@ -146,6 +146,8 @@ class IOTable:
     value_added : per-sector value-added row
     satellites : mapping kind -> SatelliteAccount
     x : per-sector total gross output
+    total_uses : the table's own total-uses row, which validate_table checks
+        against x, or None for a table without one
     """
 
     sectors: tuple[Sector, ...]
@@ -155,6 +157,7 @@ class IOTable:
     value_added: np.ndarray
     satellites: dict[str, SatelliteAccount] = field(default_factory=dict)
     x: np.ndarray = None
+    total_uses: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "sectors", tuple(self.sectors))
@@ -162,6 +165,8 @@ class IOTable:
         object.__setattr__(self, "imports", _readonly(self.imports))
         object.__setattr__(self, "value_added", _readonly(self.value_added))
         object.__setattr__(self, "x", _readonly(self.x))
+        if self.total_uses is not None:
+            object.__setattr__(self, "total_uses", _readonly(self.total_uses))
         object.__setattr__(self, "satellites", dict(self.satellites))
         check_structure(self)
         object.__setattr__(self, "_index", {s.code: s.index for s in self.sectors})
@@ -217,7 +222,10 @@ def check_structure(table: IOTable) -> None:
         raise StructuralError(
             f"final-demand block has {table.final_demand.values.shape[0]} rows, expected {n}"
         )
-    for name, vec in (("imports", table.imports), ("value_added", table.value_added), ("x", table.x)):
+    vectors = [("imports", table.imports), ("value_added", table.value_added), ("x", table.x)]
+    if table.total_uses is not None:
+        vectors.append(("total_uses", table.total_uses))
+    for name, vec in vectors:
         if vec.shape != (n,):
             raise StructuralError(f"{name} must have length {n}, got {vec.shape}")
     for kind, sat in table.satellites.items():
@@ -240,7 +248,7 @@ class Violation:
     rel_err 1.
     """
 
-    kind: str  # row_identity | column_identity | negative_flow | negative_output
+    kind: str  # row_identity | column_identity | total_uses | negative_flow | negative_output
     sector: str
     expected: float
     actual: float
@@ -271,8 +279,8 @@ def check_rel_tol(rel_tol: float) -> None:
 
 
 def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> ValidationReport:
-    """Check the row and column accounting identities and the signs of
-    flows and outputs.
+    """Check the row and column accounting identities, the table's own
+    total-uses row against x, and the signs of flows and outputs.
 
     Returns a report listing every violation with sector, expected, actual,
     and relative error. The report passes iff no identity violation exceeds
@@ -316,7 +324,10 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
 
     row_sums = table.Z.sum(axis=1) + table.f
     col_sums = table.Z.sum(axis=0) + table.imports + table.value_added
-    for kind, actual in (("row_identity", row_sums), ("column_identity", col_sums)):
+    identities = [("row_identity", row_sums), ("column_identity", col_sums)]
+    if table.total_uses is not None:
+        identities.append(("total_uses", table.total_uses))
+    for kind, actual in identities:
         rel_errs = np.abs(table.x - actual) / denom
         # Written so that a NaN error, from a NaN cell, is a violation.
         for j in np.flatnonzero(~(rel_errs <= rel_tol)):
@@ -396,6 +407,7 @@ def drop_zero_sectors(table: IOTable) -> tuple[IOTable, list[Sector]]:
         value_added=table.value_added[idx],
         satellites=satellites,
         x=table.x[idx],
+        total_uses=None if table.total_uses is None else table.total_uses[idx],
     )
     return reduced, dropped
 

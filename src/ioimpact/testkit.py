@@ -112,7 +112,8 @@ def partial_extraction_oracle(model: LeontiefModel, spec: ExtractionSpec) -> np.
 
 def table_payload(table) -> list[dict]:
     """A report table as the list of row objects its JSON file holds."""
-    return [dict(zip(table.columns, row)) for row in table.rows]
+    rows = zip(*(values for _, values in table.columns.values()))
+    return [dict(zip(table.columns, row)) for row in rows]
 
 
 def result_to_dict(result: ImpactResult) -> dict:
@@ -151,9 +152,10 @@ _CSV_CELL = {
 
 def csv_report_oracle(table) -> str:
     """CSV report text formatted one cell at a time."""
+    formats = [fmt for fmt, _ in table.columns.values()]
     lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_CSV_CELL[fmt](v) for fmt, v in zip(table.formats, row)))
+    for row in zip(*(values for _, values in table.columns.values())):
+        lines.append(",".join(_CSV_CELL[fmt](v) for fmt, v in zip(formats, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -173,6 +175,7 @@ def rescale(table: IOTable, factor: float) -> IOTable:
         value_added=table.value_added * factor,
         satellites=satellites,
         x=table.x * factor,
+        total_uses=None if table.total_uses is None else table.total_uses * factor,
     )
 
 

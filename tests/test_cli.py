@@ -51,6 +51,21 @@ class TestValidateCmd:
         assert code == 1
         assert "row identity" in capsys.readouterr().out
 
+    def test_total_uses_row_against_output_exits_one(self, tmp_path, capsys):
+        broken = (E2 / "table.csv").read_text().replace(
+            "TOTAL_USES,100.0,100.0", "TOTAL_USES,999.0,5.0"
+        )
+        p = tmp_path / "table.csv"
+        p.write_text(broken)
+        out = tmp_path / "reports"
+        assert main(["validate", *table_flags(e2_args(table=str(p))), "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert "violation [total_uses] total uses for S1: expected 100, got 999" in stdout
+        assert "violation [total_uses] total uses for S2: expected 100, got 5" in stdout
+        rows = json.loads((out / "validation.json").read_text())
+        assert [(r["kind"], r["sector"]) for r in rows] == [("total_uses", "S1"),
+                                                             ("total_uses", "S2")]
+
     def test_infinite_tolerance_exits_two(self, tmp_path, capsys):
         broken = (E2 / "table.csv").read_text().replace(
             "S1,50.0,20.0,30.0,0.0,0.0,0.0,0.0,0.0,100.0",
@@ -401,6 +416,8 @@ class TestCompareRejectsBrokenResults:
             (lambda text: re.sub(r'("q": \[\s*)[^,\s]+', rf"\g<1>{10**400}", text),
              "'q' holds an integer beyond the float range"),
             (lambda text: text.replace('"q"', '"q_renamed"'), "missing key(s): 'q'"),
+            (lambda text: text.replace('"dx": ', '"dx": [0.0, 0.0], "dx": ', 1),
+             "repeated key 'dx'"),
             (lambda text: text.replace('"dx": [', '"dx": [1.0, '), "'dx' has 3 values for 2 sectors"),
             (lambda text: text.replace('"income": [', '"income": [1.0, '),
              "'satellite_changes.income' has 3 values for 2 sectors"),
@@ -408,7 +425,7 @@ class TestCompareRejectsBrokenResults:
              "'q' has 2 values for 3 sectors"),
         ],
         ids=["nan", "infinity", "overflow", "int-overflow-total", "int-overflow-q", "missing-key",
-             "dx-length", "satellite-length", "extra-sector"],
+             "repeated-key", "dx-length", "satellite-length", "extra-sector"],
     )
     def test_bad_content_exits_two(self, tmp_path, capsys, edit, message):
         good, other = self.results(tmp_path)
@@ -1361,6 +1378,7 @@ class TestScenarioValueTypes:
             '"sub_service_drop": null',
             '"sub_service_drop": 0.5, "reallocation": {"savings_fraction": 2.0}',
             '"sub_service_drop": 0.5, "intermediate": {"use_ratios": {"S2": -1}}',
+            '"sub_service_drop": 0.5, "blowup_factor": 1' + "0" * 5000,
         ],
     )
     def test_value_error_names_the_scenario_file(self, tmp_path, capsys, fields):

@@ -272,6 +272,7 @@ class TestStreamedParseMatchesFloat:
             "x": oracle[:, -1],
             "imports": np.array([float(raw) for raw in tail[0]]),
             "value_added": np.array([float(raw) for raw in tail[1]]),
+            "total_uses": np.array([float(raw) for raw in tail[2]]),
         }
         got = {
             "Z": parsed.Z,
@@ -279,6 +280,7 @@ class TestStreamedParseMatchesFloat:
             "x": parsed.x,
             "imports": parsed.imports,
             "value_added": parsed.value_added,
+            "total_uses": parsed.total_uses,
         }
         for name, want in expected.items():
             assert got[name].tobytes() == np.ascontiguousarray(want).tobytes(), name
@@ -331,6 +333,8 @@ def _assert_bit_identical(got, want):
         (got.imports, want.imports),
         (got.value_added, want.value_added),
     ]
+    if want.total_uses is not None:  # a table built in Python may have no total-uses row
+        pairs.append((got.total_uses, want.total_uses))
     pairs += [(got.satellites[k].values, want.satellites[k].values) for k in want.satellites]
     for a, b in pairs:
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
@@ -713,7 +717,7 @@ class TestModelCache:
         assert len(factorize_calls) == 2  # the fresh model's and the miss's
         (entry,) = _cache_files()
         assert set(_entry_arrays(entry)) == {"Z", "final_demand", "x", "imports", "value_added",
-                                             "factors"}
+                                             "total_uses", "factors"}
         _no_factorization(monkeypatch)
         loaded, table_entry = _load_entry(d)
         hit = load_model(loaded, table_entry)
@@ -1204,6 +1208,17 @@ class TestSatelliteFiles:
 
 
 class TestRoundTrip:
+    def test_own_total_uses_row_is_written_back(self, tmp_path):
+        d = _copy_e2(tmp_path / "in")
+        _set_cell(d / "table.csv", 6, 2, "999.0")
+        _set_cell(d / "table.csv", 6, 3, "5.0")
+        table = parse_io_table(d / "table.csv", d / "sectors.csv")
+        assert table.total_uses.tolist() == [999.0, 5.0]
+        assert not table.total_uses.flags.writeable
+        paths = write_table_files(table, tmp_path / "out")
+        _assert_bit_identical(parse_io_table(paths["table"], paths["sectors"]), table)
+        assert canonical_e2().total_uses is None
+
     def test_e2_exact(self, tmp_path):
         e2 = canonical_e2()
         paths = write_table_files(e2, tmp_path)

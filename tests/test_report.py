@@ -24,7 +24,6 @@ from ioimpact import (
 )
 from ioimpact.leontief import sector_order
 from ioimpact.report import (
-    ReportBundle,
     ReportTable,
     comparison_table,
     impact_table,
@@ -54,28 +53,32 @@ def impact(e2, e2_model):
 
 
 @pytest.fixture
-def bundle(e2, e2_model, impact):
+def tables(e2, e2_model, impact):
     delta = np.array([-12.0, 0.0])
     spec = make_extraction_spec(e2_model, "S1", np.array([0.5, 0.5]),
                                 f_bar=e2.f + delta, label="demo")
     extraction = partial_extraction(e2_model, spec)
-    b = ReportBundle()
-    b.add(validation_table(validate_table(e2)))
-    b.add(multiplier_table(e2_model))
-    b.add(impact_table(impact))
-    b.add(impact_table(extraction))
-    b.add(comparison_table(compare_methods(extraction, impact)))
-    b.add(plotdata_table(impact, top_k=10))
-    b.results.append(impact)
-    return b
+    return [
+        validation_table(validate_table(e2)),
+        multiplier_table(e2_model),
+        impact_table(impact),
+        impact_table(extraction),
+        comparison_table(compare_methods(extraction, impact)),
+        plotdata_table(impact, top_k=10),
+    ]
+
+
+def column_values(table, column):
+    """The values of one column of a report table."""
+    return list(table.columns[column][1])
 
 
 class TestTables:
     def test_multiplier_table_ranked_descending(self, e2_model):
         t = multiplier_table(e2_model)
-        assert t.columns == ("sector_code", "sector_name", "value", "rank")
-        assert [r[0] for r in t.rows] == ["S1", "S2"]
-        assert [r[3] for r in t.rows] == [1, 2]
+        assert list(t.columns) == ["sector_code", "sector_name", "value", "rank"]
+        assert column_values(t, "sector_code") == ["S1", "S2"]
+        assert column_values(t, "rank") == [1, 2]
         assert "3.75000" in t.csv_text()
 
     def test_impact_table_formats(self, impact):
@@ -89,20 +92,19 @@ class TestTables:
 
     def test_sector_profile(self, e2_model):
         t = sector_profile_table(e2_model, "S1")
-        values = dict((r[0], r[1]) for r in t.rows)
-        assert values["output"] == pytest.approx(3.75)
-        assert values["employment"] == pytest.approx(0.5)
+        profile = dict(zip(column_values(t, "multiplier"), column_values(t, "value")))
+        assert profile["output"] == pytest.approx(3.75)
+        assert profile["employment"] == pytest.approx(0.5)
 
     def test_recipe_tables(self, e2_model):
         recipe, downstream = recipe_tables(e2_model, "S1", top_k=2)
         assert recipe.name == "input_recipe_S1"
-        assert [r[0] for r in recipe.rows] == ["S1", "S2"]
-        assert downstream.rows[0][2] == pytest.approx(0.5)
+        assert column_values(recipe, "sector_code") == ["S1", "S2"]
+        assert column_values(downstream, "value")[0] == pytest.approx(0.5)
 
     def test_plotdata_truncates(self, impact):
         t = plotdata_table(impact, top_k=1)
-        assert len(t.rows) == 1
-        assert t.rows[0][0] == "S1"
+        assert column_values(t, "sector_code") == ["S1"]
 
     def test_plotdata_rejects_negative_top_k(self, impact):
         with pytest.raises(ValueError, match="top_k must be non-negative"):
@@ -110,9 +112,9 @@ class TestTables:
 
     def test_comparison_of_one_method_keeps_both_columns(self, impact):
         t = comparison_table(compare_methods(impact, impact))
-        assert t.columns == ("metric", "inoperability (a)", "inoperability (b)", "difference")
+        assert list(t.columns) == ["metric", "inoperability (a)", "inoperability (b)", "difference"]
         t = comparison_table(compare_methods(replace(impact, method="difference"), impact))
-        assert t.columns == ("metric", "difference (a)", "inoperability (b)", "difference")
+        assert list(t.columns) == ["metric", "difference (a)", "inoperability (b)", "difference"]
 
 
 class TestResultSerialization:
@@ -132,8 +134,8 @@ class TestResultSerialization:
 
 
 class TestWriteReports:
-    def test_expected_files_and_manifest(self, bundle, tmp_path):
-        manifest = write_reports(bundle, tmp_path, formats=("csv", "json"))
+    def test_expected_files_and_manifest(self, tables, impact, tmp_path):
+        manifest = write_reports(tables, tmp_path, formats=("csv", "json"), results=[impact])
         names = {(e["report"], e["format"]) for e in manifest["files"]}
         assert ("multipliers", "csv") in names
         assert ("impact_inoperability", "csv") in names
@@ -147,40 +149,40 @@ class TestWriteReports:
             assert len(entry["sha256"]) == 64
         assert (tmp_path / "manifest.json").exists()
 
-    def test_reruns_are_byte_identical(self, bundle, tmp_path):
-        a = write_reports(bundle, tmp_path / "a", formats=("csv", "json"))
-        b = write_reports(bundle, tmp_path / "b", formats=("csv", "json"))
+    def test_reruns_are_byte_identical(self, tables, impact, tmp_path):
+        a = write_reports(tables, tmp_path / "a", formats=("csv", "json"), results=[impact])
+        b = write_reports(tables, tmp_path / "b", formats=("csv", "json"), results=[impact])
         digests_a = {e["report"]: e["sha256"] for e in a["files"]}
         digests_b = {e["report"]: e["sha256"] for e in b["files"]}
         assert digests_a == digests_b
 
-    def test_empty_formats_rejected(self, bundle, tmp_path):
+    def test_empty_formats_rejected(self, tables, tmp_path):
         with pytest.raises(ValueError):
-            write_reports(bundle, tmp_path, formats=())
+            write_reports(tables, tmp_path, formats=())
 
-    def test_unknown_format_rejected(self, bundle, tmp_path):
+    def test_unknown_format_rejected(self, tables, tmp_path):
         with pytest.raises(ValueError):
-            write_reports(bundle, tmp_path, formats=("xml",))
+            write_reports(tables, tmp_path, formats=("xml",))
 
     @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../up", "a\\b", "a\x00b"])
-    def test_report_name_must_be_one_path_component(self, bundle, tmp_path, name):
-        bundle.add(ReportTable(name, ("a",), ("s",), (("x",),)))
+    def test_report_name_must_be_one_path_component(self, tables, tmp_path, name):
+        tables.append(ReportTable(name, {"a": ("s", ["x"])}))
         out = tmp_path / "out" / "deep"
         with pytest.raises(ValueError, match=f"report name {re.escape(repr(name))} must be"):
-            write_reports(bundle, out, formats=("csv", "json"))
+            write_reports(tables, out, formats=("csv", "json"))
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method", ["a/b", "../up", "a\\b", "a\x00b"])
-    def test_result_name_must_be_one_path_component(self, bundle, impact, tmp_path, method):
-        bundle.results.append(replace(impact, method=method))
+    def test_result_name_must_be_one_path_component(self, tables, impact, tmp_path, method):
+        results = [impact, replace(impact, method=method)]
         out = tmp_path / "out" / "deep"
         name = re.escape(repr(f"result_{method}"))
         with pytest.raises(ValueError, match=f"report name {name} must be"):
-            write_reports(bundle, out, formats=("csv", "json"))
+            write_reports(tables, out, formats=("csv", "json"), results=results)
         assert not (tmp_path / "out").exists()
 
-    def test_json_payload_loadable(self, bundle, tmp_path):
-        write_reports(bundle, tmp_path, formats=("json",))
+    def test_json_payload_loadable(self, tables, impact, tmp_path):
+        write_reports(tables, tmp_path, formats=("json",), results=[impact])
         result = load_impact_result(tmp_path / "result_inoperability.json")
         assert result.method == "inoperability"
         payload = json.loads((tmp_path / "multipliers.json").read_text())
@@ -259,7 +261,7 @@ class TestTiesBreakBySectorIndex:
         )
         ino = inoperability(e2_model, delta)
         ext = partial_extraction(e2_model, make_extraction_spec(e2_model, "S1", [0.5, 0.5]))
-        assert [r[0] for r in plotdata_table(ino, top_k=top_k).rows] == [
+        assert column_values(plotdata_table(ino, top_k=top_k), "sector_code") == [
             e2.codes[i] for i in sector_order(ino.q)[:top_k]
         ]
         top_ext = [e2.codes[i] for i in sector_order(ext.q)]
@@ -268,7 +270,8 @@ class TestTiesBreakBySectorIndex:
         recipes = recipe_tables(e2_model, "S1", top_k)
         for table, values in zip(recipes, (e2_model.A[:, 0], e2_model.A[0])):
             ranked = sector_order(values, descending=True)[:top_k]
-            assert [r[0] for r in table.rows] == [e2.codes[i] for i in ranked if values[i] > 0]
+            codes = column_values(table, "sector_code")
+            assert codes == [e2.codes[i] for i in ranked if values[i] > 0]
 
     def test_recipes(self, tied_model):
         recipe = input_recipe(tied_model, "S1", top_k=self.N)
@@ -278,17 +281,17 @@ class TestTiesBreakBySectorIndex:
 
     def test_multipliers(self, tied_model):
         mults = output_multipliers(tied_model)
-        rows = multiplier_table(tied_model).rows
+        codes = column_values(multiplier_table(tied_model), "sector_code")
         assert len(set(mults.tolist())) < self.N  # ties are present
         expected = self.ascending([-m for m in mults])
-        assert [r[0] for r in rows] == [f"S{i + 1}" for i in expected]
+        assert codes == [f"S{i + 1}" for i in expected]
 
     def test_impact_and_plotdata(self, tied_results):
         result = tied_results[0]
         expected = [f"S{i + 1}" for i in self.ascending(result.q.tolist())]
         assert expected[:5] == ["S6", "S11", "S2", "S4", "S8"]
-        assert [r[0] for r in impact_table(result).rows[:-1]] == expected
-        assert [r[0] for r in plotdata_table(result, top_k=7).rows] == expected[:7]
+        assert column_values(impact_table(result), "sector_code") == [*expected, "TOTAL"]
+        assert column_values(plotdata_table(result, top_k=7), "sector_code") == expected[:7]
 
     def test_compare_overlap(self, tied_results):
         a, b = tied_results
@@ -325,16 +328,20 @@ COLUMN_KINDS = {
 
 
 @st.composite
+def report_columns(draw, nrows):
+    """A column mapping of up to six columns of ``nrows`` values each."""
+    columns = {}
+    for name in draw(st.lists(names, max_size=6, unique=True)):
+        values, formats = COLUMN_KINDS[draw(st.sampled_from(sorted(COLUMN_KINDS)))]
+        fmt = draw(st.sampled_from(formats))
+        columns[name] = (fmt, draw(st.lists(values, min_size=nrows, max_size=nrows)))
+    return columns
+
+
+@st.composite
 def report_tables(draw, min_rows=0, max_rows=5):
-    columns = draw(st.lists(names, max_size=6, unique=True))
-    kinds = [draw(st.sampled_from(sorted(COLUMN_KINDS))) for _ in columns]
     nrows = draw(st.integers(min_rows, max_rows))
-    cells = [
-        draw(st.lists(COLUMN_KINDS[k][0], min_size=nrows, max_size=nrows)) for k in kinds
-    ]
-    formats = tuple(draw(st.sampled_from(COLUMN_KINDS[k][1])) for k in kinds)
-    rows = tuple(zip(*cells)) if cells else ((),) * nrows
-    return ReportTable(name="t%", columns=tuple(columns), formats=formats, rows=rows)
+    return ReportTable("t%", draw(report_columns(nrows)))
 
 
 @st.composite
@@ -375,24 +382,32 @@ class TestSerializerMatchesOracle:
         assert result_json_text(result) == json_report_oracle(result_to_dict(result))
 
     def test_empty_and_one_row_tables(self):
-        empty = ReportTable("e", ("a", "b"), ("s", "raw"), ())
-        one = ReportTable("o", ("b", "a"), ("s", "raw"), (("x", -0.0),))
-        no_columns = ReportTable("z", (), (), ((), ()))
-        for table in (empty, one, no_columns):
+        empty = ReportTable("e", {"a": ("s", []), "b": ("raw", [])})
+        one = ReportTable("o", {"b": ("s", ["x"]), "a": ("raw", [-0.0])})
+        for table in (empty, one):
             assert table.json_text() == json_report_oracle(table_payload(table))
             assert table.csv_text() == csv_report_oracle(table)
         assert one.json_text() == '[\n  {\n    "a": -0.0,\n    "b": "x"\n  }\n]\n'
 
-    def test_repeated_column_rejected(self):
-        with pytest.raises(ValueError, match=r"report 'd': repeated column name"):
-            ReportTable("d", ("a", "b", "a"), ("s", "s", "s"), (("x", "y", "z"),))
+    def test_columns_of_other_lengths_rejected(self):
+        with pytest.raises(ValueError, match=r"report 'd': columns differ in length"):
+            ReportTable("d", {"a": ("s", ["x", "y"]), "b": ("s", ["z"])})
 
-    def test_fixture_bundle(self, bundle):
-        for table in bundle.tables:
+    def test_columns_read_only_once_built(self):
+        columns = {"a": ("s", ["x"])}
+        table = ReportTable("r", columns)
+        columns["a"][1].append("y")
+        columns["b"] = ("s", ["z"])
+        with pytest.raises(TypeError):
+            table.columns["b"] = ("s", ["z"])
+        assert dict(table.columns) == {"a": ("s", ("x",))}
+        assert table.csv_text() == "a\nx\n"
+
+    def test_fixture_tables(self, tables, impact):
+        for table in tables:
             assert table.json_text() == json_report_oracle(table_payload(table))
             assert table.csv_text() == csv_report_oracle(table)
-        for result in bundle.results:
-            assert result_json_text(result) == json_report_oracle(result_to_dict(result))
+        assert result_json_text(impact) == json_report_oracle(result_to_dict(impact))
 
     @pytest.mark.parametrize(
         "values",
@@ -400,7 +415,7 @@ class TestSerializerMatchesOracle:
         ids=["float-int", "int-float", "bool", "int-bool", "none", "numpy-float"],
     )
     def test_other_columns_rejected(self, values):
-        table = ReportTable("t", ("code", "v"), ("s", "s"), tuple(zip(("S1", "S2"), values)))
+        table = ReportTable("t", {"code": ("s", ["S1", "S2"]), "v": ("s", values)})
         with pytest.raises(TypeError, match=r"report 't': 'v' holds .*; a report column holds"):
             table.json_text()
 
@@ -408,30 +423,24 @@ class TestSerializerMatchesOracle:
 class TestNonFiniteNeverWritten:
     @settings(max_examples=100, deadline=None)
     @given(
-        table=report_tables(min_rows=1, max_rows=4),
+        nrows=st.integers(1, 4),
         bad=st.sampled_from([math.nan, math.inf, -math.inf]),
         data=st.data(),
     )
-    def test_row_tables(self, table, bad, data):
-        # Insert a float column "x" with one non-finite cell.
-        assume("x" not in table.columns)
-        c = data.draw(st.integers(0, len(table.columns)))
-        r = data.draw(st.integers(0, len(table.rows) - 1))
+    def test_row_tables(self, nrows, bad, data):
+        # Insert a float column "x" with one non-finite cell: the table is
+        # refused when it is built.
+        columns = list(data.draw(report_columns(nrows)).items())
+        assume("x" not in dict(columns))
+        c = data.draw(st.integers(0, len(columns)))
+        r = data.draw(st.integers(0, nrows - 1))
         values, formats = COLUMN_KINDS["float"]
         fmt = data.draw(st.sampled_from(formats))
-        x = data.draw(st.lists(values, min_size=len(table.rows), max_size=len(table.rows)))
+        x = data.draw(st.lists(values, min_size=nrows, max_size=nrows))
         x[r] = bad
-        rows = tuple((*row[:c], x[i], *row[c:]) for i, row in enumerate(table.rows))
-        broken = ReportTable(
-            "broken",
-            (*table.columns[:c], "x", *table.columns[c:]),
-            (*table.formats[:c], fmt, *table.formats[c:]),
-            rows,
-        )
+        columns.insert(c, ("x", (fmt, x)))
         with pytest.raises(ValueError, match=r"report 'broken': 'x' holds a NaN or infinite"):
-            broken.csv_text()
-        with pytest.raises(ValueError, match=r"report 'broken': 'x' holds a NaN or infinite"):
-            broken.json_text()
+            ReportTable("broken", dict(columns))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["q", "employment", "output", "pct_output"])
@@ -452,13 +461,12 @@ class TestNonFiniteNeverWritten:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_write_reports_names_report_and_column(self, fmt, tmp_path, impact):
-        bundle = ReportBundle()
-        bundle.add(ReportTable("impact_x", ("sector_code", "q"), ("s", "q"),
-                               (("S1", 0.5), ("S2", math.nan))))
-        bundle.results.append(replace(impact, method="x"))
+        result = replace(impact, method="x", q=np.array([0.5, math.nan]))
         out = tmp_path / "reports"
         with pytest.raises(ValueError, match=r"report 'impact_x': 'q' holds a NaN"):
-            write_reports(bundle, out, formats=(fmt,))
+            write_reports([impact_table(result)], out, formats=(fmt,), results=[result])
+        with pytest.raises(ValueError, match=r"report 'result_x': 'q' holds a NaN"):
+            write_reports([], out, formats=(fmt,), results=[result])
         assert not out.exists()
 
     def test_comparison_numbers_checked(self, impact):

@@ -314,6 +314,24 @@ class TestSpecValidation:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: spec_s1(reallocation={"savings_fraction": 0.5, "shares": {"S2": 1.0}}),
+             "reallocation must be of class Reallocation, got {'savings_fraction': 0.5, 'shares': {'S2"),
+            (lambda: spec_s1(intermediate={"apply": True}),
+             "intermediate must be of class IntermediateSpec, got {'apply': True}"),
+            (lambda: IntermediateSpec(True, use_ratios={"S1": 0.5}),
+             "intermediate use_ratios must be of class UseRatio, got {'S1': 0.5}"),
+        ],
+    )
+    def test_blocks_hold_their_classes(self, build, message):
+        # A mapping in place of a block's class used to fail later, inside
+        # build_delta or extraction_intensities, with an AttributeError.
+        with pytest.raises(ScenarioConfigError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
         "block,values,message",
         [
             ("absolute_changes", {"EXP": -5.0, "exports": 7.0},

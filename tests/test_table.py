@@ -80,6 +80,17 @@ class TestValidate:
         assert (violation.kind, violation.sector, violation.expected, violation.actual,
                 violation.rel_err) == ("negative_output", "S2", 0.0, -5.0, 1.0)
 
+    def test_total_uses_row_is_checked_against_output(self, e2):
+        report = validate_table(replace(e2, total_uses=[999.0, 100.4]), rel_tol=5e-3)
+        assert not report.passed
+        (violation,) = report.violations
+        assert (violation.kind, violation.sector, violation.expected, violation.actual) == (
+            "total_uses", "S1", 100.0, 999.0)
+        assert violation.message == "total uses for S1: expected 100, got 999 (rel err 8.99)"
+        assert validate_table(replace(e2, total_uses=e2.x)).passed
+        with pytest.raises(StructuralError, match="total_uses must have length 2"):
+            replace(e2, total_uses=[100.0, 100.0, 0.0])
+
     def test_rel_tol_must_be_positive(self, e2):
         with pytest.raises(ValueError):
             validate_table(e2, rel_tol=0.0)
@@ -160,6 +171,7 @@ class TestDropZeroSectors:
         Z = [[50, 0, 20], [0, 0, 0], [30, 0, 40]]
         table = make_table(Z, [30, 0, 30], [100, 0, 100],
                            satellites={"employment": SatelliteAccount("employment", [10, 0, 20])})
+        table = replace(table, total_uses=[100, 0, 100])
         reduced, dropped = drop_zero_sectors(table)
         assert [s.code for s in dropped] == ["S2"]
         assert reduced.codes == ("S1", "S3")
@@ -167,6 +179,7 @@ class TestDropZeroSectors:
         assert np.array_equal(reduced.Z, [[50, 20], [30, 40]])
         assert np.array_equal(reduced.x, [100, 100])
         assert np.array_equal(reduced.satellites["employment"].values, [10, 20])
+        assert np.array_equal(reduced.total_uses, [100, 100])
         assert validate_table(reduced).passed
 
     def test_no_division_hazard_after_drop(self):
@@ -261,6 +274,7 @@ def test_rescale_keeps_employment():
     assert np.array_equal(scaled.satellites["income"].values,
                           table.satellites["income"].values * 3)
     assert validate_table(scaled).passed
+    assert validate_table(rescale(replace(table, total_uses=table.x), 3.0)).passed
 
 
 class TestNonFiniteLibraryTable:
