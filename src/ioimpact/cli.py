@@ -1,7 +1,9 @@
 """Command-line pipeline: validate -> model -> scenario -> analyze -> report.
 
-Every number printed or written comes from a library operation. Exit codes:
-0 success, 1 identity violations, 2 structural or parse errors,
+Every number printed or written comes from a library operation: run gets
+the results of all its scenarios from impact.scenario_impacts, one solve for
+every scenario and method, and --method selects only what is computed. Exit
+codes: 0 success, 1 identity violations, 2 structural or parse errors,
 3 non-productive economy.
 
 Subcommands: validate, multipliers, run, compare. The default output
@@ -17,13 +19,12 @@ from pathlib import Path
 
 from .errors import IOModelError, NonProductiveEconomyError, ScenarioConfigError
 from .impact import (
+    METHODS,
     apply_blowup,
     check_blowup_factor,
     compare_methods,
     estimate_blowup_factor,
-    inoperability,
-    make_extraction_spec,
-    partial_extraction,
+    scenario_impacts,
 )
 from .ingest import (
     load_io_table,
@@ -53,8 +54,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_STRUCTURAL = 2
 EXIT_NON_PRODUCTIVE = 3
-
-_METHODS = ("inoperability", "extraction", "both")
 
 
 def _add_table_args(p: argparse.ArgumentParser) -> None:
@@ -111,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_args(p)
     _add_output_args(p)
     p.add_argument("--scenario", required=True, nargs="+", help="scenario JSON file(s)")
-    p.add_argument("--method", choices=_METHODS, default="both")
+    p.add_argument("--method", choices=[*METHODS, "both"], default="both")
     p.add_argument("--blowup", type=float, help="override blowup factor")
     p.add_argument(
         "--blowup-history",
@@ -141,10 +140,13 @@ def _validated(table, args):
 def _load_validated(args):
     """_validated's table and report, and the table's cache entry, which
     load_model reads the factors from and writes. A bad --rel-tol exits 2
-    before the table is read."""
+    before the table is read; a failed report is printed to stderr."""
     check_rel_tol(args.rel_tol)
     table, entry = load_table_entry(args.table, args.meta, args.satellites)
-    return (*_validated(table, args), entry)
+    table, report = _validated(table, args)
+    if not report.passed:
+        print("\n".join(report.lines()), file=sys.stderr)
+    return table, report, entry
 
 
 def cmd_validate(args) -> int:
@@ -162,8 +164,6 @@ def cmd_multipliers(args) -> int:
         check_top_k(args.top_k)
     table, report, entry = _load_validated(args)
     if not report.passed:
-        for line in report.lines():
-            print(line, file=sys.stderr)
         return EXIT_VALIDATION
     if args.sector:
         try:  # an unknown code exits 2 before the model is built
@@ -213,7 +213,7 @@ def _check_scenario_names(paths, specs) -> None:
         seen[name] = path
 
 
-def _build_shocks(table, paths, specs):
+def _build_shocks(table, entry, paths, specs):
     """Each scenario's final-demand change and extraction intensities, for
     every method: a sector code the table lacks exits 2, naming the file,
     before the model is built."""
@@ -222,25 +222,9 @@ def _build_shocks(table, paths, specs):
         try:
             shocks.append((build_delta(table, spec), extraction_intensities(table, spec)))
         except KeyError as exc:
+            store_table(entry)  # the table works; a scenario names a sector it lacks
             raise ScenarioConfigError(f"{path}: {exc.args[0]}") from None
     return shocks
-
-
-def _run_scenario(model, spec, delta, alpha, args, override):
-    blowup = spec.blowup_factor if override is None else override
-    results = []
-    if args.method in ("inoperability", "both"):
-        results.append(apply_blowup(inoperability(model, delta), blowup))
-    if args.method in ("extraction", "both"):
-        ext_spec = make_extraction_spec(
-            model,
-            spec.target_sector,
-            alpha,
-            f_bar=model.f + delta.delta,
-            label=delta.scenario,
-        )
-        results.append(apply_blowup(partial_extraction(model, ext_spec), blowup))
-    return spec, delta, blowup, results
 
 
 def _print_summary(spec, blowup, results) -> None:
@@ -268,23 +252,16 @@ def cmd_run(args) -> int:
     override = _blowup_override(args)
     table, report, entry = _load_validated(args)
     if not report.passed:
-        for line in report.lines():
-            print(line, file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        shocks = _build_shocks(table, args.scenario, specs)
-    except ScenarioConfigError:
-        store_table(entry)  # the table works; a scenario names a sector it lacks
-        raise
+    shocks = _build_shocks(table, entry, args.scenario, specs)
     model = load_model(table, entry)
-    runs = [
-        _run_scenario(model, spec, delta, alpha, args, override)
-        for spec, (delta, alpha) in zip(specs, shocks)
-    ]
+    impacts = scenario_impacts(model, shocks, METHODS if args.method == "both" else [args.method])
 
     # Shared by every scenario's reports; report tables are immutable.
     shared = [validation_table(report), multiplier_table(model)]
-    for spec, delta, blowup, results in runs:
+    for spec, results in zip(specs, impacts):
+        blowup = spec.blowup_factor if override is None else override
+        results = [apply_blowup(result, blowup) for result in results]
         tables = [*shared, *map(impact_table, results)]
         tables.append(plotdata_table(results[0], top_k=args.top_k))
         if len(results) == 2:

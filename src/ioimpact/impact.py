@@ -1,34 +1,30 @@
-"""Economy-wide impacts of a demand shock.
+"""Economy-wide impacts of demand shocks.
 
 Every result here is a product with the Leontief inverse L = (I - A)^-1,
 taken through the model's one factorization of I - A (LeontiefModel.solve);
-no scenario factorizes or solves a matrix of its own, and L is never formed.
-Each scenario costs O(n^2).
+L is never formed. Both methods start from the propagated shock u = L df,
+and scenario_impacts is their one route: one solve against the row-major
+block [df_1 ... df_S, e_k for each distinct extraction target k] serves
+every shock of a run, and each then costs O(n) per method. inoperability
+and partial_extraction are its one-shock, one-method case.
 
-Inoperability propagates a final-demand change, dx = L df, normalizes it to
-output, q = dx / x, and checks on every call that q satisfies the equivalent
-fixed-point system q = A* q + f*. Since A* = D^-1 A D with D = diag(x), that
-residual is ((I - A) dx - df) / x, an O(n^2) check of the factors against A.
-A df that is not one finite value per sector is refused before anything
-is solved.
+Inoperability is dx = u, normalized to output, q = dx / x. One product with
+A checks every inoperability column against the equivalent fixed-point
+system q = A* q + f*: since A* = D^-1 A D with D = diag(x), its residual is
+((I - A) dx - df) / x.
 
 Partial extraction scales the target sector k's deliveries per purchaser,
 which changes only row k of A: A_bar = A - e_k d', where d = A[k, :] * alpha
 with d_k = 0 (own use is part of the sector's recipe and is never
-extracted). The Sherman-Morrison formula then gives the extracted output
-from L, x_bar = y - L[:, k] (d . y) / (1 + d . L[:, k]) with y = L f_bar
-(Miller & Blair, Input-Output Analysis, 2009, ch. 12). The change is
-measured from the model's own baseline x0 = L f, the textbook
-hypothetical-extraction baseline, not from the table's x: with
-u = L (f_bar - f), y = x0 + u and
-dx = x_bar - x0 = u - L[:, k] (d . (x0 + u)) / (1 + d . L[:, k]).
-One two-column solve against [f_bar - f, e_k] returns u and L[:, k]; both
-columns are zero in all but a few sectors for a scenario's shock, and no
-two output-sized vectors are subtracted, so a null scenario (f_bar = f,
-alpha = 0) gives dx = 0 exactly and a small change keeps its precision.
-With A >= 0 (which the model guarantees) and alpha in [0, 1] the
-denominator is at least one, and the extracted economy is productive
-whenever the original is.
+extracted). By the Sherman-Morrison formula (Miller & Blair, Input-Output
+Analysis, 2009, ch. 12), the change from the model's own output x0 = L f,
+the hypothetical-extraction baseline, not the table's x, is
+dx = u - L[:, k] (d . (x0 + u)) / (1 + d . L[:, k]). u and L[:, k] are zero
+in all but a few sectors for a scenario's shock, and no two output-sized
+vectors are subtracted, so a null scenario (df = 0, alpha = 0) gives dx = 0
+exactly and a small change keeps its precision. With A >= 0 and alpha in
+[0, 1] the denominator is at least one, and the extracted economy is
+productive whenever the original is.
 
 Output changes translate into satellite changes through the coefficient
 rows, and an aged-table correction can inflate the nominal figures without
@@ -48,6 +44,9 @@ from .scenario import DemandDelta
 from .table import Sector
 
 TOP_OVERLAP_K = 10
+
+METHODS = ("inoperability", "extraction")
+_SELECTIONS = (METHODS, METHODS[::-1], METHODS[:1], METHODS[1:])
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,13 @@ class ExtractionSpec:
             a = np.array(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        if not np.all((self.alpha >= 0) & (self.alpha <= 1)):
-            raise ValueError("extraction intensities must lie in [0, 1]")
+        _check_intensities(self.alpha)
+
+
+def _check_intensities(alpha: np.ndarray) -> np.ndarray:
+    if not np.all((alpha >= 0) & (alpha <= 1)):  # NaN fails this test too
+        raise ValueError("extraction intensities must lie in [0, 1]")
+    return alpha
 
 
 def make_extraction_spec(
@@ -134,73 +138,93 @@ def _assemble(model, method, scenario, dx) -> ImpactResult:
     )
 
 
-def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
-    """Propagate a final-demand change: dx = L df, q = dx / x.
-
-    A demand change that is not one finite value per sector is refused with
-    a ValueError naming its shape or its first NaN or infinite sector,
-    before anything is solved. The fixed-point system q = A* q + f* must
-    then hold for the result to within FIXED_POINT_TOL on every call; a
-    larger or non-finite residual signals a defect in the model math, not a
-    shock to report.
-    """
-    df = delta.delta
-    _require_per_sector(model, "the demand change", df)
-    dx = model.solve(df)
-    gap = fixed_point_gap(model, dx, df)
-    if not (gap <= FIXED_POINT_TOL):
-        raise InternalConsistencyError(
-            f"inoperability violates the fixed-point system by {gap:.3e}"
-        )
-    return _assemble(model, "inoperability", delta.scenario, dx)
-
-
-def _require_per_sector(model: LeontiefModel, name: str, values: np.ndarray) -> None:
-    """ValueError unless ``values`` holds one finite value per sector: it
-    names a wrong shape, or the first sector where ``values`` is NaN or
-    infinite. Nothing is broadcast."""
-    n = model.table.n
+def _per_sector(model: LeontiefModel, name: str, values) -> np.ndarray:
+    """``values`` as a float array, or ValueError unless it holds one finite
+    value per sector: it names a wrong shape, or the first sector where
+    ``values`` is NaN or infinite. Nothing is broadcast."""
+    values, n = np.asarray(values, dtype=float), model.table.n
     if values.shape != (n,):
         raise ValueError(f"{name} has shape {values.shape}, not ({n},): one value per sector")
     if not np.isfinite(values).all():
         j = int(np.argmax(~np.isfinite(values)))
         code = model.table.codes[j]
         raise ValueError(f"{name} is {values[j]} at sector {code}; it must be finite")
+    return values
+
+
+def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list[ImpactResult]]:
+    """For each (DemandDelta, alpha) pair of ``shocks``, one ImpactResult per
+    method in ``methods`` order, a non-empty selection of METHODS.
+
+    Extraction targets delta.target with the intensities alpha; only what
+    ``methods`` selects is computed and checked. Before anything is solved,
+    a df or alpha that is not one finite value per sector, or an alpha
+    outside [0, 1], raises ValueError and an unknown target KeyError. An
+    inoperability residual above FIXED_POINT_TOL, or NaN, is a defect of the
+    model math: InternalConsistencyError names the scenario with the largest.
+    A rank-one denominator below one, or NaN, raises NonProductiveEconomyError.
+    """
+    if not (isinstance(methods, (tuple, list)) and tuple(methods) in _SELECTIONS):
+        raise ValueError(f"methods must be a non-empty selection of {METHODS}, got {methods!r}")
+    deltas, alphas, targets = [], [], []
+    for delta, alpha in shocks:
+        deltas.append(delta)
+        _per_sector(model, "the demand change", delta.delta)
+        if "extraction" in methods:
+            alphas.append(_check_intensities(_per_sector(model, "alpha", alpha)))
+            targets.append(model.sector_index(delta.target))
+    S = len(deltas)
+    # One row-major n x (S + K) right-hand side: each df, then e_k per target.
+    columns = {k: j for j, k in enumerate(sorted(set(targets)), start=S)}
+    rhs = np.zeros((model.table.n, S + len(columns)))
+    for s, delta in enumerate(deltas):
+        rhs[:, s] = delta.delta
+    for k, j in columns.items():
+        rhs[k, j] = 1.0
+    u = model.solve(rhs)
+    if "inoperability" in methods:
+        gaps = fixed_point_gap(model, u[:, :S], rhs[:, :S])
+        if not (gaps <= FIXED_POINT_TOL).all():  # NaN fails this test too
+            worst = int(np.argmax(gaps))  # the first NaN, if there is one
+            raise InternalConsistencyError(
+                f"inoperability violates the fixed-point system by {gaps[worst]:.3e} "
+                f"in scenario {deltas[worst].scenario!r}"
+            )
+    results = []
+    for s, delta in enumerate(deltas):
+        dx = {"inoperability": u[:, s]}
+        if "extraction" in methods:
+            k = targets[s]
+            l_k = u[:, columns[k]]
+            d = model.A[k] * alphas[s]
+            d[k] = 0.0
+            denom = 1.0 + d @ l_k
+            if not (denom >= 1.0):
+                raise NonProductiveEconomyError(
+                    f"the rank-one update denominator 1 + d . L[:, k] is {denom:.6g}, not at "
+                    "least one; the coefficients are not those of a productive economy"
+                )
+            dx["extraction"] = u[:, s] - l_k * ((d @ (model.x0 + u[:, s])) / denom)
+        results.append([_assemble(model, m, delta.scenario, dx[m]) for m in methods])
+    return results
+
+
+def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
+    """The one-shock inoperability case of scenario_impacts: dx = L df, q = dx / x."""
+    return scenario_impacts(model, [(delta, None)], ("inoperability",))[0][0]
 
 
 def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResult:
-    """Scale the target's deliveries per purchaser and solve for the new output.
-
-    Row k of A becomes a_kj (1 - alpha_j) for j != k; the diagonal and the
-    whole k-th column stay untouched. The new output x_bar solves
-    (I - A_bar) x_bar = f_bar, obtained from L by the rank-one update, and
-    dx = x_bar - x0 is measured from the model's baseline x0 = L f.
-    alpha and f_bar must hold one value per sector and k must be a sector
-    position: nothing is broadcast. A NaN or infinite f_bar is refused, as
-    inoperability refuses a non-finite demand change.
-    """
+    """The one-shock extraction case of scenario_impacts, with df = f_bar - f:
+    row k of A becomes a_kj (1 - alpha_j) for j != k. alpha and f_bar must
+    hold one finite value per sector and k must be a sector position."""
     k, n = spec.k, model.table.n
-    _require_per_sector(model, "alpha", spec.alpha)
-    _require_per_sector(model, "f_bar", spec.f_bar)
+    _per_sector(model, "f_bar", spec.f_bar)
     if not 0 <= k < n:
         raise ValueError(f"extraction target k={k} is not a sector position of an n={n} model")
-    d = model.A[k] * spec.alpha
-    d[k] = 0.0
-    # One row-major n x 2 right-hand side: u = L (f_bar - f) and L[:, k].
-    rhs = np.zeros((n, 2))
-    rhs[:, 0] = spec.f_bar - model.f
-    rhs[k, 1] = 1.0
-    u, l_k = model.solve(rhs).T
-    denom = 1.0 + d @ l_k
-    # At least one whenever A >= 0; anything else, NaN included, means the
-    # coefficients are not those of a productive economy.
-    if not (denom >= 1.0):
-        raise NonProductiveEconomyError(
-            f"the rank-one update denominator 1 + d . L[:, k] is {denom:.6g}, not at least "
-            "one; the coefficients are not those of a productive economy"
-        )
-    dx = u - l_k * ((d @ (model.x0 + u)) / denom)
-    return _assemble(model, "extraction", spec.label, dx)
+    delta = DemandDelta(scenario=spec.label, target=model.sectors[k].code,
+                        delta=spec.f_bar - model.f, component_changes={}, total_drop_fraction=0.0)
+    return scenario_impacts(model, [(delta, spec.alpha)], ("extraction",))[0][0]
 
 
 def satellite_deltas(model: LeontiefModel, dx: np.ndarray) -> dict[str, np.ndarray]:
@@ -290,9 +314,8 @@ def compare_methods(a: ImpactResult, b: ImpactResult) -> ComparisonReport:
     def top(result):
         return [result.sectors[i].code for i in sector_order(result.q, k=k)]
 
-    top_a = top(a)
     top_b = set(top(b))
-    overlap = tuple(code for code in top_a if code in top_b)
+    overlap = tuple(code for code in top(a) if code in top_b)
     return ComparisonReport(
         scenario=a.scenario if a.scenario == b.scenario else f"{a.scenario} vs {b.scenario}",
         method_a=a.method,

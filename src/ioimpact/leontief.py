@@ -237,11 +237,11 @@ def certify_productive(model: LeontiefModel) -> None:
     )
 
 
-def fixed_point_gap(model: LeontiefModel, dx: np.ndarray, df: np.ndarray) -> float:
+def fixed_point_gap(model: LeontiefModel, dx: np.ndarray, df: np.ndarray) -> float | np.ndarray:
     """Largest residual of the fixed-point system q = A* q + f* for a solution
-    dx of (I - A) dx = df, that is max |((I - A) dx - df) / x|: O(n^2), and NaN
-    when anything in it is not finite."""
-    return np.abs((dx - model.A @ dx - df) / model.x).max()
+    dx of (I - A) dx = df, max |((I - A) dx - df) / x|, and NaN when anything
+    in it is not finite: O(n^2), or one per column of n x S blocks dx, df."""
+    return np.abs((dx - model.A @ dx - df).T / model.x).max(axis=-1)
 
 
 def build_model(table: IOTable, factors: np.ndarray | None = None) -> LeontiefModel:

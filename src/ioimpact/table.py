@@ -244,11 +244,13 @@ class Violation:
     ``rel_err`` is |expected - actual| / max(|x|, 1e-30) with x the gross
     output of ``sector``: for a negative flow Z_ij that is |Z_ij| / max(|x_i|,
     1e-30), the denominator the identity checks use, so it is always finite.
-    A negative gross output x_j is reported with expected 0, actual x_j and
-    rel_err 1.
+    A negative or zero gross output x_j is reported with expected 0, actual
+    x_j and rel_err 1.
     """
 
-    kind: str  # row_identity | column_identity | total_uses | negative_flow | negative_output
+    # row_identity | column_identity | total_uses | negative_flow | negative_output
+    # | zero_output
+    kind: str
     sector: str
     expected: float
     actual: float
@@ -285,9 +287,10 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
     Returns a report listing every violation with sector, expected, actual,
     and relative error. The report passes iff no identity violation exceeds
     ``rel_tol``, no interindustry flow is negative and no sector's gross
-    output is negative (the model needs x > 0, and drop_zero_sectors only
-    removes x == 0). The input table is never modified. Structural defects
-    raise StructuralError instead of being reported.
+    output is negative or zero (the model needs x > 0, and drop_zero_sectors
+    only removes a sector that holds nothing but zeros). The input table is
+    never modified. Structural defects raise StructuralError instead of being
+    reported.
     """
     check_rel_tol(rel_tol)
     check_structure(table)
@@ -319,6 +322,21 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
                 actual=float(table.x[j]),
                 rel_err=1.0,
                 message=f"total output of {codes[j]} = {table.x[j]:g} is negative",
+            )
+        )
+
+    for j in np.flatnonzero(table.x == 0):
+        violations.append(
+            Violation(
+                kind="zero_output",
+                sector=codes[j],
+                expected=0.0,
+                actual=0.0,
+                rel_err=1.0,
+                message=(
+                    f"total output of {codes[j]} is zero; the model needs it positive, and "
+                    "only a sector that holds nothing but zeros is dropped"
+                ),
             )
         )
 
@@ -380,13 +398,24 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
 
 
 def drop_zero_sectors(table: IOTable) -> tuple[IOTable, list[Sector]]:
-    """Remove sectors with no gross output (x == 0), re-indexing everything
-    else. A negative or NaN output is kept, for validate_table to report.
+    """Remove the empty sectors, re-indexing everything else: a sector is
+    dropped only when its gross output and every other value it holds are
+    zero (its Z row and column, final-demand row, imports, value added, total
+    uses and satellite values), so that a drop loses nothing but zeros. A
+    sector with x == 0 that holds anything else, NaN included, is kept for
+    validate_table to report as zero_output, and a negative or NaN output is
+    kept for it to report too.
 
     Pairwise flows among retained sectors are preserved exactly. Returns the
     reduced table and the dropped sectors.
     """
     keep = table.x != 0
+    vectors = [table.imports, table.value_added, table.total_uses,
+               *(sat.values for sat in table.satellites.values())]
+    for j in np.flatnonzero(~keep):
+        held = [table.Z[j], table.Z[:, j], table.final_demand.values[j],
+                [v[j] for v in vectors if v is not None]]
+        keep[j] = not (np.concatenate(held) == 0).all()  # NaN is not zero
     if keep.all():
         return table, []
     dropped = [s for s, k in zip(table.sectors, keep) if not k]

@@ -561,6 +561,41 @@ class TestDropZeroIntegration:
         assert not (tmp_path / "reports").exists()
 
 
+    # S3 produces nothing, but its imports, value added and total uses are
+    # not zero: dropping it would lose them.
+    LOSSY = (
+        "sector,S1,S2,S3,HH,NPISH,GOV,GFCF,INV,EXP,total_output\n"
+        "S1,50.0,20.0,0.0,30.0,0.0,0.0,0.0,0.0,0.0,100.0\n"
+        "S2,30.0,40.0,0.0,30.0,0.0,0.0,0.0,0.0,0.0,100.0\n"
+        "S3,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0\n"
+        "IMPORTS,-10.0,0.0,7.0,,,,,,,\n"
+        "VALUE_ADDED,30.0,40.0,-7.0,,,,,,,\n"
+        "TOTAL_USES,100.0,100.0,50.0,,,,,,,\n"
+    )
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("household", ["0.0", "5.0"])
+    def test_zero_output_sector_holding_values_is_kept_and_fails(self, tmp_path, capsys,
+                                                                 command, household):
+        table = self.LOSSY.replace("S3," + "0.0," * 3 + "0.0", "S3," + "0.0," * 3 + household)
+        (tmp_path / "table.csv").write_text(table)
+        (tmp_path / "sectors.csv").write_text("code,name\nS1,a\nS2,b\nS3,c\n")
+        args = e2_args(table=str(tmp_path / "table.csv"), meta=str(tmp_path / "sectors.csv"),
+                       satellites=[])
+        extra = {"validate": [], "run": ["--scenario", str(E2 / "shock_s1.json"),
+                                         "--out", str(tmp_path / "reports")]}[command]
+        assert main([command, *table_flags(args), *extra]) == 1
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert "dropped zero-output sector" not in captured.err
+        assert "validation FAILED" in text
+        assert ("violation [zero_output] total output of S3 is zero; the model needs it "
+                "positive, and only a sector that holds nothing but zeros is dropped") in text
+        assert "violation [total_uses] total uses for S3: expected 0, got 50" in text
+        assert ("row identity for S3" in text) == (household == "5.0")
+        assert not (tmp_path / "reports").exists()
+
+
 class TestReportNames:
     def test_sector_code_with_a_slash_exits_two_and_writes_nothing(self, tmp_path, capsys):
         d = tmp_path / "in"
@@ -787,6 +822,59 @@ class TestParseCache:
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
         assert self.run_both(out) == 0
         assert self.files(out) == cached
+
+
+class TestOneSolvePerRun:
+    """A warm run makes the same solves at any number of scenarios: one
+    scenario block for all of them, beside the model's own x0 and
+    productivity solves."""
+
+    TARGETS = ["S2", "S1", "S2", "S2", "S1"]
+
+    @staticmethod
+    def scenarios(tmp_path, count):
+        paths = []
+        for s, target in enumerate(TestOneSolvePerRun.TARGETS[:count]):
+            doc = {"name": f"scn{s}", "target_sector": target, "sub_service_drop": 0.1 * (s + 1),
+                   "intermediate": {"apply": True, "use_ratios": {}, "default_ratio": 0.5}}
+            paths.append(tmp_path / f"scn{s}.json")
+            paths[-1].write_text(json.dumps(doc))
+        return paths
+
+    @pytest.mark.parametrize("fixture", ["e2", "n130"])
+    @pytest.mark.parametrize("method", ["both", "inoperability", "extraction"])
+    def test_warm_run_solves_one_block(self, tmp_path, monkeypatch, fixture, method):
+        if fixture == "e2":
+            args, n = e2_args(), 2
+        else:  # two diagonal blocks of the factorization
+            paths = write_table_files(random_economy(EconomyGenSpec(n=130, seed=4)), tmp_path)
+            args = e2_args(table=str(paths["table"]), meta=str(paths["sectors"]),
+                           satellites=[str(p) for p in paths["satellites"].values()])
+            n = 130
+        calls = {}
+        solve = leontief.LeontiefModel.solve
+        for count in (1, 5):
+            argv = ["run", *table_flags(args), "--scenario",
+                    *map(str, self.scenarios(tmp_path, count)), "--method", method,
+                    "--out", str(tmp_path / f"out{count}")]
+            assert main(argv) == 0  # the first run of a count is cold
+            shutil.rmtree(tmp_path / f"out{count}")
+            calls[count] = []
+
+            def spy(model, rhs, seen=calls[count]):
+                seen.append(rhs)
+                return solve(model, rhs)
+
+            monkeypatch.setattr(leontief.LeontiefModel, "solve", spy)
+            assert main(argv) == 0
+            monkeypatch.undo()
+        assert len(calls[1]) == len(calls[5])
+        for count, distinct in ((1, 1), (5, 2)):
+            blocks = [rhs for rhs in calls[count] if np.ndim(rhs) == 2]
+            assert len(blocks) == 1
+            width = count + (0 if method == "inoperability" else distinct)
+            assert blocks[0].shape == (n, width)
+            assert blocks[0].flags.c_contiguous
 
 
 def cache_dir():

@@ -22,6 +22,7 @@ from ioimpact import (
     partial_extraction,
     satellite_deltas,
 )
+from ioimpact.impact import METHODS, scenario_impacts
 from ioimpact.leontief import LeontiefModel
 from ioimpact.table import validate_table
 from ioimpact.testkit import (
@@ -560,3 +561,178 @@ class TestCompare:
 
         with pytest.raises(StructuralError):
             compare_methods(a, b)
+
+
+SELECTIONS = [METHODS, METHODS[::-1], METHODS[:1], METHODS[1:]]
+
+
+@st.composite
+def runs(draw):
+    """A model at a size on or beside a block boundary, and S shocks: sparse
+    losses with repeated, unsorted targets, one shock and target in the last
+    sector, and intensities that are zero, uniform or drawn per sector."""
+    n = draw(st.sampled_from([1, 2, 128, 129, 300]))
+    seed = draw(st.integers(0, 10_000))
+    model = build_model(random_economy(EconomyGenSpec(n=n, seed=seed)))
+    rng = np.random.default_rng(seed + 5)
+    shocks = []
+    for s in range(draw(st.integers(1, 40))):
+        k = n - 1 if s == 0 else int(rng.integers(n))
+        hit = rng.random(n) < 0.1 if s else np.zeros(n, dtype=bool)
+        hit[k] = True
+        df = np.where(hit, -model.f * rng.uniform(0.1, 0.9, n), 0.0)
+        alpha = [np.zeros(n), np.full(n, rng.uniform()), rng.uniform(0.0, 1.0, n)][s % 3]
+        delta = DemandDelta(scenario=f"scn{s}", target=model.table.codes[k], delta=df,
+                            component_changes={}, total_drop_fraction=0.0)
+        shocks.append((delta, alpha))
+    shocks.insert(int(rng.integers(len(shocks) + 1)), shocks.pop(0))
+    return model, shocks
+
+
+def max_rel(got, ref, scale=None):
+    """max |got - ref| relative to max |ref| (or ``scale``); exact when both are zero."""
+    scale = np.abs(ref).max() if scale is None else scale
+    err = np.abs(got - ref).max()
+    return err if scale == 0 else err / scale
+
+
+class TestScenarioImpacts:
+    """The one route of a run against the per-scenario functions and the
+    dense oracles."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(run=runs(), methods=st.sampled_from(SELECTIONS))
+    def test_every_result_matches_the_one_scenario_route_and_the_oracles(self, run, methods):
+        model, shocks = run
+        impacts = scenario_impacts(model, shocks, methods)
+        assert len(impacts) == len(shocks)
+        for (delta, alpha), results in zip(shocks, impacts):
+            assert [r.method for r in results] == list(methods)
+            for result in results:
+                assert result.scenario == delta.scenario
+                if result.method == "inoperability":
+                    one = inoperability(model, delta)
+                    q_loss = inoperability_oracle(model, delta)
+                    assert max_rel(-result.q, q_loss) <= 1e-9
+                else:
+                    f_bar = model.f + delta.delta
+                    spec = make_extraction_spec(model, delta.target, alpha, f_bar=f_bar,
+                                                label=delta.scenario)
+                    one = partial_extraction(model, spec)
+                    x_bar = np.abs(result.dx + model.x0).max()
+                    dense = partial_extraction_oracle(model, spec)
+                    assert max_rel(result.dx, dense, scale=x_bar) <= 1e-9
+                assert max_rel(result.dx, one.dx) <= 1e-12
+                assert max_rel(result.q, one.q) <= 1e-12
+                for key, total in one.totals.items():
+                    assert max_rel(result.totals[key], total) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(run=runs())
+    def test_zero_intensities_give_inoperability_bit_for_bit(self, run):
+        model, shocks = run
+        shocks = [(delta, np.zeros(model.table.n)) for delta, _ in shocks]
+        for ino, ext in scenario_impacts(model, shocks):
+            assert ext.dx.tobytes() == ino.dx.tobytes()
+            assert ext.totals == ino.totals
+
+    @settings(max_examples=20, deadline=None)
+    @given(run=runs(), methods=st.sampled_from(SELECTIONS), at=st.integers(0, 39))
+    def test_a_null_shock_changes_nothing(self, run, methods, at):
+        model, shocks = run
+        n = model.table.n
+        delta = shocks[at % len(shocks)][0]
+        shocks.insert(at % (len(shocks) + 1), (replace(delta, delta=np.zeros(n)), np.zeros(n)))
+        results = scenario_impacts(model, shocks, methods)[at % len(shocks)]
+        for result in results:
+            assert np.array_equal(result.dx, np.zeros(n))
+            assert result.totals["output"] == 0.0
+
+    def test_no_shocks_no_results(self, e2_model):
+        assert scenario_impacts(e2_model, []) == []
+
+    @pytest.mark.parametrize(
+        "alpha,message",
+        [([0.5, 1.5], r"extraction intensities must lie in \[0, 1\]"),
+         ([-0.1, 0.5], r"extraction intensities must lie in \[0, 1\]"),
+         ([0.5, np.nan], "alpha is nan at sector S2; it must be finite"),
+         ([0.5], r"alpha has shape \(1,\), not \(2,\)"),
+         ([[0.5, 0.5]], r"alpha has shape \(1, 2\), not \(2,\)"),
+         (None, r"alpha has shape \(\), not \(2,\)")],
+    )
+    def test_bad_intensities_refused_before_solving(self, e2, e2_model, monkeypatch, alpha,
+                                                    message):
+        monkeypatch.setattr(LeontiefModel, "solve", self.no_solve)
+        shocks = [(e2_delta(e2), np.zeros(2)), (e2_delta(e2), alpha)]
+        with pytest.raises(ValueError, match=message):
+            scenario_impacts(e2_model, shocks)
+        with pytest.raises(ValueError, match=message):
+            scenario_impacts(e2_model, shocks, ("extraction",))
+        # Without extraction, the intensities are not read.
+        monkeypatch.undo()
+        assert len(scenario_impacts(e2_model, shocks, ("inoperability",))) == 2
+
+    @pytest.mark.parametrize("methods", SELECTIONS)
+    def test_non_finite_demand_change_refused_before_solving(self, e2, e2_model, monkeypatch,
+                                                             methods):
+        monkeypatch.setattr(LeontiefModel, "solve", self.no_solve)
+        bad = replace(e2_delta(e2), delta=np.array([-12.0, np.nan]))
+        with pytest.raises(ValueError, match="the demand change is nan at sector S2"):
+            scenario_impacts(e2_model, [(e2_delta(e2), np.zeros(2)), (bad, np.zeros(2))],
+                             methods)
+
+    @pytest.mark.parametrize(
+        "methods",
+        [(), [], ("inoperability", "inoperability"), ("extraction", "both"), ("both",),
+         "inoperability", "extraction", None, ("Inoperability",), {"extraction"}],
+    )
+    def test_unknown_methods_refused(self, e2, e2_model, monkeypatch, methods):
+        monkeypatch.setattr(LeontiefModel, "solve", self.no_solve)
+        with pytest.raises(ValueError, match="methods must be a non-empty selection of"):
+            scenario_impacts(e2_model, [(e2_delta(e2), np.zeros(2))], methods)
+
+    def test_unknown_target_refused(self, e2, e2_model):
+        shock = (replace(e2_delta(e2), target="S9"), np.zeros(2))
+        with pytest.raises(KeyError, match="unknown sector code 'S9'"):
+            scenario_impacts(e2_model, [shock])
+        assert scenario_impacts(e2_model, [shock], ["inoperability"])[0][0].dx[0] != 0
+
+    def test_the_gap_error_names_the_worst_scenario(self, e2, e2_model):
+        off = replace(e2_model, factors=e2_model.factors * (1.0 + 1e-6))
+        shocks = [(replace(e2_delta(e2, -6.0), scenario=name), None) for name in "ab"]
+        shocks.insert(1, (replace(e2_delta(e2, -12.0), scenario="big"), None))
+        with pytest.raises(InternalConsistencyError,
+                           match=r"fixed-point system by .* in scenario 'big'"):
+            scenario_impacts(off, shocks, ["inoperability"])
+        # Extraction alone makes no gap product.
+        assert len(scenario_impacts(off, [(d, np.zeros(2)) for d, _ in shocks],
+                                    ["extraction"])) == 3
+        broken = replace(e2_model, factors=np.where(np.eye(2) > 0, np.nan, e2_model.factors))
+        with pytest.raises(InternalConsistencyError, match=r"by nan in scenario 'a'"):
+            scenario_impacts(broken, shocks, ["inoperability"])
+
+    @staticmethod
+    def no_solve(self, rhs):
+        raise AssertionError("solved before the inputs were checked")
+
+    @pytest.mark.parametrize("methods,width", [(METHODS, 5), (METHODS[:1], 3),
+                                               (METHODS[1:], 5)])
+    def test_one_row_major_block(self, monkeypatch, methods, width):
+        model = build_model(random_economy(EconomyGenSpec(n=300, seed=2)))
+        calls = []
+        solve = LeontiefModel.solve
+
+        def spy(self, rhs):
+            calls.append(rhs)
+            return solve(self, rhs)
+
+        monkeypatch.setattr(LeontiefModel, "solve", spy)
+        shocks = []
+        for s, k in enumerate([7, 299, 7]):  # two distinct targets
+            delta = random_loss(model.table, np.random.default_rng(s))
+            shocks.append((replace(delta, target=model.table.codes[k]), np.full(300, 0.5)))
+        scenario_impacts(model, shocks, methods)
+        assert len(calls) == 1
+        assert calls[0].shape == (300, width)
+        assert calls[0].flags.c_contiguous
+        assert np.array_equal(calls[0][:, 3:], np.eye(300)[:, [7, 299][:width - 3]])

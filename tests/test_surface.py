@@ -125,3 +125,14 @@ def test_readme_quickstart_runs_and_matches_its_comments():
     assert np.allclose(io.output_multipliers(ns["model"]), [3.75, 2.9167], atol=5e-5)
     assert np.array_equal(ns["delta"].delta, [-12.0, 0.0])
     assert np.allclose(ns["result"].q, [-0.30, -0.15], atol=1e-12)
+
+
+def test_impact_solves_and_checks_gaps_in_one_place():
+    # Every scenario of every method goes through scenario_impacts: one solve
+    # and one fixed-point gap product for all of them.
+    source = (ROOT / "src" / "ioimpact" / "impact.py").read_text(encoding="utf-8")
+    calls = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    solves = [f for f in calls if isinstance(f, ast.Attribute) and f.attr in ("solve", "solve_t")]
+    gaps = [f for f in calls if getattr(f, "id", getattr(f, "attr", None)) == "fixed_point_gap"]
+    assert len(solves) == 1 and solves[0].attr == "solve"
+    assert len(gaps) == 1

@@ -203,6 +203,58 @@ class TestDropZeroSectors:
         table = make_table([[0.0, 0], [0, 0]], [10, 0], [10, -0.0])
         assert [s.code for s in drop_zero_sectors(table)[1]] == ["S2"]
 
+    @staticmethod
+    def dead_middle(**held):
+        """The middle-sector table above, its S2 holding nothing but zeros
+        except what ``held`` puts in it."""
+        Z = np.array([[50, 0, 20], [0, 0, 0], [30, 0, 40]], dtype=float)
+        fd = np.zeros((3, 6))
+        fd[[0, 2], 0] = 30.0
+        vectors = {"imports": np.zeros(3), "value_added": np.array([20.0, 0.0, 40.0]),
+                   "total_uses": np.array([100.0, 0.0, 100.0]),
+                   "employment": np.array([10.0, 0.0, 20.0])}
+        for where, value in held.items():
+            if where == "z_row":
+                Z[1, 0] = value
+            elif where == "z_column":
+                Z[0, 1] = value
+            elif where == "final_demand":
+                fd[1, 5] = value
+            else:
+                vectors[where][1] = value
+        return IOTable(
+            sectors=tuple(Sector(f"S{i + 1}", f"Sector {i + 1}", i) for i in range(3)),
+            Z=Z, final_demand=FinalDemandBlock(fd), imports=vectors["imports"],
+            value_added=vectors["value_added"], x=[100.0, 0.0, 100.0],
+            total_uses=vectors["total_uses"],
+            satellites={"employment": SatelliteAccount("employment", vectors["employment"])},
+        )
+
+    def test_an_empty_zero_output_sector_is_dropped(self):
+        table = self.dead_middle()
+        assert validate_table(table).violations[0].kind == "zero_output"
+        reduced, dropped = drop_zero_sectors(table)
+        assert [s.code for s in dropped] == ["S2"]
+        assert validate_table(reduced).passed
+
+    @pytest.mark.parametrize("where", ["z_row", "z_column", "final_demand", "imports",
+                                       "value_added", "total_uses", "employment"])
+    @pytest.mark.parametrize("value", [5.0, -7.0, 1e-300, np.nan])
+    def test_a_zero_output_sector_holding_a_value_is_kept_and_reported(self, where, value):
+        table = self.dead_middle(**{where: value})
+        reduced, dropped = drop_zero_sectors(table)
+        assert dropped == [] and reduced is table
+        report = validate_table(reduced)
+        assert not report.passed
+        zero = [v for v in report.violations if v.kind == "zero_output"]
+        assert [(v.sector, v.expected, v.actual, v.rel_err) for v in zero] == [
+            ("S2", 0.0, 0.0, 1.0)
+        ]
+        assert zero[0].message == (
+            "total output of S2 is zero; the model needs it positive, and only a sector "
+            "that holds nothing but zeros is dropped"
+        )
+
     def test_sector_from_the_original_table_resolves_by_code(self):
         Z = [[50, 0, 20, 10], [0, 0, 0, 0], [30, 0, 40, 5], [10, 0, 5, 30]]
         table = make_table(Z, [20, 0, 25, 55], [100, 0, 100, 100])
