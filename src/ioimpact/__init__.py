@@ -30,7 +30,6 @@ from .ingest import (
     disaggregate_aggregate,
     load_io_table,
     parse_io_table,
-    parse_scenario,
     write_table_files,
 )
 from .leontief import (
@@ -50,6 +49,7 @@ from .scenario import (
     UseRatio,
     build_delta,
     extraction_intensities,
+    parse_scenario,
 )
 from .table import (
     FinalDemandBlock,

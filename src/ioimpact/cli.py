@@ -31,7 +31,6 @@ from .ingest import (
     load_model,
     load_table_entry,
     parse_blowup_history,
-    parse_scenario,
     store_table,
 )
 from .leontief import check_top_k
@@ -47,7 +46,7 @@ from .report import (
     validation_table,
     write_reports,
 )
-from .scenario import build_delta, extraction_intensities
+from .scenario import build_delta, extraction_intensities, parse_scenario
 from .table import INGESTED_REL_TOL, check_rel_tol, drop_zero_sectors, validate_table
 
 EXIT_OK = 0

@@ -1,4 +1,4 @@
-"""File ingestion: IO tables, satellite accounts, scenarios, blowup history.
+"""File ingestion: IO tables, satellite accounts, blowup history.
 
 Table layout (CSV, UTF-8 with or without a BOM, comma-delimited, period
 decimal separator)::
@@ -15,13 +15,11 @@ Sector codes must match the metadata file (``code,name`` rows, order defines
 the matrix order). The TOTAL_USES row is kept as IOTable.total_uses, which
 table.validate_table checks against x. Satellite files are ``sector,<kind>``
 CSVs with one row per sector. Every CSV row has exactly as many cells as its
-header names; blank rows are skipped. Scenario files are JSON (see
-parse_scenario); unique_keys refuses a key repeated in any JSON object, here
-and in report.load_impact_result. Parsing is total: either a fully populated
-object is returned or an error carrying the file coordinates is raised.
-Numeric cells must be finite. Files are decoded line by line, so the first
-bad line or cell in the file is the one named. A line with no quote or NUL
-is split at its commas, and any other goes to csv.reader, so every file
+header names; blank rows are skipped. Parsing is total: either a fully
+populated object is returned or an error carrying the file coordinates is
+raised. Numeric cells must be finite. Files are decoded line by line, so the
+first bad line or cell in the file is the one named. A line with no quote or
+NUL is split at its commas, and any other goes to csv.reader, so every file
 reads as csv.reader reads it (see _cells).
 
 A table has one cache entry, one file under ``$XDG_CACHE_HOME/ioimpact``
@@ -47,7 +45,6 @@ import contextlib
 import csv
 import hashlib
 import itertools
-import json
 import math
 import os
 import re
@@ -59,8 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from . import leontief
-from .errors import ScenarioConfigError, StructuralError, TableParseError
-from .scenario import IntermediateSpec, Reallocation, ScenarioSpec, UseRatio
+from .errors import StructuralError, TableParseError
 from .table import (
     FD_CODES,
     FinalDemandBlock,
@@ -501,9 +497,10 @@ def _num(v: float) -> str:
     return repr(float(v))
 
 
-def _quoted(text: str) -> str:
+def quoted_cell(text: str) -> str:
     """``text`` as one CSV cell: quoted if it holds a comma, a quote or a
-    line end."""
+    line end, with each quote doubled; otherwise ``text`` itself. Every CSV
+    the program writes, tables here and reports in report.py, follows it."""
     if any(ch in text for ch in ',"\n\r'):
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -537,7 +534,7 @@ def write_table_files(table: IOTable, out_dir) -> dict:
     if total_uses is None:
         total_uses = table.Z.sum(axis=0) + table.imports + table.value_added
 
-    codes = [_quoted(code) for code in table.codes]
+    codes = [quoted_cell(code) for code in table.codes]
     lines = [",".join(["sector", *codes, *FD_CODES, "total_output"])]
     for i in range(n):
         cells = [codes[i]]
@@ -556,7 +553,7 @@ def write_table_files(table: IOTable, out_dir) -> dict:
 
     meta_path = out_dir / "sectors.csv"
     meta_lines = ["code,name"] + [
-        f"{code},{_quoted(s.name)}" for code, s in zip(codes, table.sectors)
+        f"{code},{quoted_cell(s.name)}" for code, s in zip(codes, table.sectors)
     ]
     meta_path.write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
 
@@ -569,90 +566,6 @@ def write_table_files(table: IOTable, out_dir) -> dict:
         sat_path.write_text("\n".join(sat_lines) + "\n", encoding="utf-8")
         paths["satellites"][kind] = sat_path
     return paths
-
-
-def unique_keys(pairs) -> dict:
-    """A JSON object's members, as the ``object_pairs_hook`` of json.loads:
-    a repeated key raises ValueError, where json.loads keeps the last."""
-    members = {}
-    for key, value in pairs:
-        if key in members:
-            raise ValueError(f"repeated key {key!r}")
-        members[key] = value
-    return members
-
-
-def _layout(block, what: str, known: tuple[str, ...]) -> dict:
-    """block as an object that holds only known keys."""
-    if not isinstance(block, dict):
-        raise ScenarioConfigError(f"{what} must be an object, got {block!r:.40}")
-    unknown = set(block) - set(known)
-    if unknown:
-        raise ScenarioConfigError(f"{what} has unknown fields {sorted(unknown)}")
-    return block
-
-
-def parse_scenario(scenario_file) -> ScenarioSpec:
-    """Parse a scenario JSON file into a ScenarioSpec.
-
-    Schema::
-
-        {
-          "name": str,
-          "target_sector": str,
-          "sub_service_drop": float in [0, 1],
-          "component_ratios": {"HH"|...|"EXP": float in [0, 1]},
-          "absolute_changes": {component: signed amount},      # optional
-          "reallocation": {"savings_fraction": float,
-                           "shares": {sector_code: float}},    # optional
-          "intermediate": {"apply": bool,
-                           "use_ratios": {sector_code: float},
-                           "default_ratio": float},            # optional
-          "blowup_factor": finite float > 0                    # optional
-        }
-
-    This checks the document's layout: valid JSON, no key repeated in an
-    object, no unknown key at the top level or in a block, the required
-    fields, and blocks that are objects. An empty or missing reallocation
-    block means the savings-only scenario. The spec classes check every
-    value, by the rules that hold for a spec built in Python. Each error
-    names the file.
-    """
-    path = Path(scenario_file)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
-        if not isinstance(raw, dict):
-            raise ScenarioConfigError("top level must be an object")
-        top_level = ("name", "target_sector", "sub_service_drop", "component_ratios",
-                     "absolute_changes", "reallocation", "intermediate", "blowup_factor")
-        _layout(raw, "scenario", top_level)
-        for required in ("name", "target_sector", "sub_service_drop"):
-            if required not in raw:
-                raise ScenarioConfigError(f"missing required field {required!r}")
-        known = ("savings_fraction", "shares")
-        realloc = _layout(raw.get("reallocation", {}), "reallocation", known)
-        if realloc and "savings_fraction" not in realloc:
-            raise ScenarioConfigError("reallocation needs savings_fraction")
-        known = ("apply", "use_ratios", "default_ratio")
-        inter = _layout(raw.get("intermediate", {}), "intermediate", known)
-        # The file's keys are the classes' fields, but for the intermediate
-        # block's use ratios.
-        return ScenarioSpec(
-            **{key: raw[key] for key in raw if key not in ("reallocation", "intermediate")},
-            reallocation=Reallocation(**realloc) if realloc else None,
-            intermediate=IntermediateSpec(
-                inter.get("apply", True),
-                UseRatio(inter.get("use_ratios", {}), inter.get("default_ratio", 1.0)),
-            ) if inter else None,
-        )
-    except UnicodeDecodeError as exc:
-        raise ScenarioConfigError(
-            f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
-        ) from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioConfigError(f"{path}: not valid JSON: {exc}") from exc
-    except (ScenarioConfigError, ValueError) as exc:  # json.loads: repeated key, long int
-        raise ScenarioConfigError(f"{path}: {exc}") from exc
 
 
 def parse_blowup_history(fd_file, gdp_file) -> tuple[dict[int, float], dict[int, float]]:

@@ -251,8 +251,9 @@ def build_model(table: IOTable, factors: np.ndarray | None = None) -> LeontiefMo
     Satellite kinds backed by an account use it. Two kinds are read off the
     table when no account was supplied: value added from the value-added
     row, gross fixed capital formation from its final-demand column. Every
-    sector must have positive output: drop_zero_sectors removes the empty
-    ones, and validate_table reports a negative one.
+    sector must have finite positive output: drop_zero_sectors removes the
+    empty ones, and validate_table reports a negative one; ValueError names
+    every sector whose output is not a finite positive number.
 
     ``factors`` are the factors an earlier build of the same table stored.
     Without them, the factors of the last model built from this table object
@@ -268,13 +269,20 @@ def build_model(table: IOTable, factors: np.ndarray | None = None) -> LeontiefMo
     again once its kept factors fail the x = L f check; tables are not meant
     to be changed in place (f, for one, is summed once).
     """
-    if np.any(table.x <= 0):
-        bad = [table.codes[j] for j in np.flatnonzero(table.x <= 0)]
-        raise ValueError(
-            f"sectors with non-positive output: {bad}; the model needs every output to be "
-            "positive (drop_zero_sectors removes zero-output sectors)"
-        )
     x = table.x
+    finite = np.isfinite(x)
+    usable = finite & (x > 0)  # False for NaN
+    if not usable.all():
+        bad = [table.codes[j] for j in np.flatnonzero(~usable)]
+        if finite.all():
+            raise ValueError(
+                f"sectors with non-positive output: {bad}; the model needs every output to be "
+                "positive (drop_zero_sectors removes zero-output sectors)"
+            )
+        raise ValueError(
+            f"sectors with non-finite or non-positive output: {bad}; the model needs every "
+            "output to be a finite positive number"
+        )
     gfcf = "gross_fixed_capital_formation"
     sources = {
         "value_added": table.value_added,

@@ -36,7 +36,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .impact import ComparisonReport, ImpactResult
-from .ingest import unique_keys
+from .ingest import quoted_cell
 from .leontief import (
     LeontiefModel,
     check_top_k,
@@ -45,6 +45,7 @@ from .leontief import (
     output_multipliers,
     sector_order,
 )
+from .scenario import unique_keys
 from .table import SATELLITE_KINDS, Sector, ValidationReport
 
 # Column formats: s = string, coef = 5 decimals, q = 6 decimals,
@@ -73,8 +74,10 @@ _METRIC_LABELS = (
 class ReportTable:
     """A named report table: ``columns`` maps each column name, in file
     order, to its CSV format and its values. Building the table checks that
-    every column has the same length and that every float is finite; the
-    columns are then read-only, as the encodings are cached."""
+    every column has the same length and that every float is finite, and
+    finds the string columns with a cell that CSV quotes (see
+    ingest.quoted_cell); the columns are then read-only, as the encodings
+    are cached."""
 
     name: str
     columns: Mapping[str, tuple[str, tuple]]
@@ -87,11 +90,20 @@ class ReportTable:
         for key, (_, values) in columns.items():
             _check_finite([v for v in values if isinstance(v, float)], self.name, key)
         object.__setattr__(self, "columns", MappingProxyType(columns))
+        # Only a string format can give a cell that needs quotes, and a
+        # column's cells do if quoting them joined changes the text.
+        quoted = {key for key, (fmt, values) in columns.items()
+                  if fmt == "s" and quoted_cell(text := "".join(map(str, values))) != text}
+        object.__setattr__(self, "_quoted", quoted)
 
     def csv_text(self) -> str:
-        formatted = [map(_FORMATTERS[fmt], values) for fmt, values in self.columns.values()]
+        formatted = [
+            map(quoted_cell, map(str, values)) if key in self._quoted
+            else map(_FORMATTERS[fmt], values)
+            for key, (fmt, values) in self.columns.items()
+        ]
         lines = map(",".join, zip(*formatted))
-        return "\n".join([",".join(self.columns), *lines]) + "\n"
+        return "\n".join([",".join(map(quoted_cell, self.columns)), *lines]) + "\n"
 
     def json_text(self) -> str:
         """The rows as a JSON list of objects keyed by column."""

@@ -10,18 +10,20 @@ ratios translate the same shock into per-purchaser extraction intensities
 for the intermediate-demand side.
 
 Each spec class checks every value it holds when it is built, so a spec
-built in Python obeys the rules a scenario file does (ingest.parse_scenario
-checks only the file's layout): a number is a real number, not a bool or a
-string; fractions lie in [0, 1]; names are strings, apply is a bool, each
-mapping is a dict and each block is an instance of its class; and no
-final-demand component is named twice.
+built in Python obeys the rules a scenario file does (parse_scenario, which
+reads scenario files, checks only their layout): a number is a real number,
+not a bool or a string; fractions lie in [0, 1]; names are strings, apply is
+a bool, each mapping is a dict and each block is an instance of its class;
+and no final-demand component is named twice.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -200,6 +202,83 @@ class ScenarioSpec:
 
     def component_ratio(self, component: str) -> float:
         return self.component_ratios.get(component, DEFAULT_COMPONENT_RATIOS[component])
+
+
+def unique_keys(pairs) -> dict:
+    """A JSON object's members, as the ``object_pairs_hook`` of json.loads:
+    a repeated key raises ValueError, where json.loads keeps the last."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise ValueError(f"repeated key {key!r}")
+        members[key] = value
+    return members
+
+
+def _layout(block, what: str, known) -> dict:
+    """block as an object that holds only known keys."""
+    unknown = set(_mapping(block, what)) - set(known)
+    if unknown:
+        raise ScenarioConfigError(f"{what} has unknown fields {sorted(unknown)}")
+    return block
+
+
+def _keys(cls) -> tuple[list[str], list[str]]:
+    """The names of a spec class's fields, and of those without a default."""
+    names = [f.name for f in fields(cls)]
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    return names, required
+
+
+def parse_scenario(scenario_file) -> ScenarioSpec:
+    """Parse a scenario JSON file into a ScenarioSpec; README "Scenario
+    files" gives the layout.
+
+    This checks the document's layout: UTF-8, with or without a byte-order
+    mark, and valid JSON, no key repeated in an object, no unknown key at
+    the top level or in a block, the required fields, and blocks that are
+    objects. The top-level keys are the fields of ScenarioSpec and the
+    reallocation block's those of Reallocation; the intermediate block is a
+    flattened view of IntermediateSpec and its UseRatio. An empty or missing
+    reallocation block means the savings-only scenario. The spec classes
+    check every value, by the rules that hold for a spec built in Python.
+    Each error names the file.
+    """
+    path = Path(scenario_file)
+    try:
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
+        raw = json.loads(text, object_pairs_hook=unique_keys)
+        if not isinstance(raw, dict):
+            raise ScenarioConfigError("top level must be an object")
+        known, required = _keys(ScenarioSpec)
+        _layout(raw, "scenario", known)
+        for key in required:
+            if key not in raw:
+                raise ScenarioConfigError(f"missing required field {key!r}")
+        known, required = _keys(Reallocation)
+        realloc = _layout(raw.pop("reallocation", {}), "reallocation", known)
+        for key in required:
+            if realloc and key not in realloc:
+                raise ScenarioConfigError(f"reallocation needs {key}")
+        known = ("apply", "use_ratios", "default_ratio")
+        inter = _layout(raw.pop("intermediate", {}), "intermediate", known)
+        return ScenarioSpec(
+            **raw,
+            reallocation=Reallocation(**realloc) if realloc else None,
+            intermediate=IntermediateSpec(
+                inter.get("apply", True),
+                UseRatio(inter.get("use_ratios", {}), inter.get("default_ratio", UseRatio.default)),
+            ) if inter else None,
+        )
+    except UnicodeDecodeError as exc:
+        raise ScenarioConfigError(
+            f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise ScenarioConfigError(f"{path}: not valid JSON: {exc}") from exc
+    except (ScenarioConfigError, ValueError) as exc:  # json.loads: repeated key, long int
+        raise ScenarioConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -150,12 +150,19 @@ _CSV_CELL = {
 }
 
 
+def _csv_quoted(cell: str) -> str:
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def csv_report_oracle(table) -> str:
-    """CSV report text formatted one cell at a time."""
+    """CSV report text formatted and quoted one cell at a time: a cell that
+    holds a comma, a quote, CR or LF is quoted, with each quote doubled."""
     formats = [fmt for fmt, _ in table.columns.values()]
-    lines = [",".join(table.columns)]
+    lines = [",".join(map(_csv_quoted, table.columns))]
     for row in zip(*(values for _, values in table.columns.values())):
-        lines.append(",".join(_CSV_CELL[fmt](v) for fmt, v in zip(formats, row)))
+        lines.append(",".join(_csv_quoted(_CSV_CELL[fmt](v)) for fmt, v in zip(formats, row)))
     return "\n".join(lines) + "\n"
 
 

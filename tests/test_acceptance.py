@@ -17,7 +17,7 @@ import pytest
 
 import ioimpact as io
 from ioimpact.cli import main
-from ioimpact.ingest import parse_scenario
+from ioimpact.scenario import parse_scenario
 from ioimpact.testkit import (
     EconomyGenSpec,
     canonical_e2,

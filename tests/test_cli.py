@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from ioimpact import cli, drop_zero_sectors, ingest, leontief, write_table_files
 from ioimpact.cli import main
 from ioimpact.errors import ScenarioConfigError
-from ioimpact.scenario import IntermediateSpec, Reallocation, ScenarioSpec, UseRatio
+from ioimpact.scenario import IntermediateSpec, Reallocation, ScenarioSpec, UseRatio, parse_scenario
 from ioimpact.testkit import EconomyGenSpec, canonical_e2, random_economy, rescale
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ioimpact" / "fixtures"
@@ -336,6 +337,50 @@ class TestCompareCmd:
         rows = json.loads((cmp_out / "comparison.json").read_text())
         assert all(sorted(row) == sorted(columns) for row in rows)
         assert all(row["inoperability (a)"] == row["inoperability (b)"] for row in rows)
+
+
+class TestReportCsvQuoting:
+    """A report cell that holds a comma, a quote or a line end is quoted, so
+    every CSV report reads back through csv.reader as the rows of its JSON
+    twin."""
+
+    def assert_csv_reads_back(self, out):
+        paths = sorted(out.glob("*.csv"))
+        assert paths
+        for path in paths:
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            records = json.loads(path.with_suffix(".json").read_text())
+            assert len(rows) == len(records)
+            assert all(len(row) == len(header) for row in rows), path.name
+            for j, key in enumerate(header):
+                if all(isinstance(r[key], str) for r in records):
+                    assert [row[j] for row in rows] == [r[key] for r in records], path.name
+
+    def test_validation_messages_with_commas(self, tmp_path):
+        broken = (E2 / "table.csv").read_text().replace("S1,50.0,20.0", "S1,50.0,-5.0")
+        p = tmp_path / "table.csv"
+        p.write_text(broken)
+        out = tmp_path / "reports"
+        assert main(["validate", *table_flags(e2_args(table=str(p))), "--out", str(out)]) == 1
+        self.assert_csv_reads_back(out)
+        messages = [r["message"] for r in json.loads((out / "validation.json").read_text())]
+        assert len(messages) == 3 and all("," in m for m in messages)
+
+    def test_sector_name_with_a_comma_and_quotes(self, tmp_path):
+        meta = tmp_path / "sectors.csv"
+        meta.write_text('code,name\nS1,"Air, transport ""AT"""\nS2,Sector 2\n')
+        flags = table_flags(e2_args(meta=str(meta)))
+        run = tmp_path / "run"
+        assert main(["run", *flags, "--scenario", str(E2 / "shock_s1.json"), "--method", "both",
+                     "--out", str(run)]) == 0
+        assert main(["multipliers", *flags, "--sector", "S1", "--out", str(tmp_path / "mult")]) == 0
+        assert main(["compare", str(run / "result_extraction.json"),
+                     str(run / "result_inoperability.json"), "--out", str(tmp_path / "cmp")]) == 0
+        for out in ("run", "mult", "cmp"):
+            self.assert_csv_reads_back(tmp_path / out)
+        with open(run / "impact_inoperability.csv", newline="", encoding="utf-8") as fh:
+            assert 'Air, transport "AT"' in [row[1] for row in csv.reader(fh)]
 
 
 class TestMultiScenarioNames:
@@ -1414,7 +1459,7 @@ class TestScenarioValueTypes:
         scenario = tmp_path / "s.json"
         scenario.write_text(scenario_document(fields))
         with pytest.raises(ScenarioConfigError) as from_file:
-            ingest.parse_scenario(scenario)
+            parse_scenario(scenario)
         with pytest.raises(ScenarioConfigError) as from_python:
             build_from_python(fields)
         assert str(from_python.value).startswith(message)

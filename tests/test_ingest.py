@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from ioimpact import (
     IOModelError,
-    ScenarioConfigError,
     StructuralError,
     TableParseError,
     disaggregate_aggregate,
@@ -25,7 +24,6 @@ from ioimpact import (
     make_extraction_spec,
     parse_io_table,
     partial_extraction,
-    parse_scenario,
     write_table_files,
 )
 from ioimpact import NonProductiveEconomyError, ingest, leontief
@@ -1292,60 +1290,6 @@ class TestRoundTrip:
             back = parse_io_table(paths["table"], paths["sectors"],
                                   list(paths["satellites"].values()))
             _assert_bit_identical(back, renamed(inner))
-
-
-class TestParseScenario:
-    def test_bundled_covid_fixture(self):
-        spec = parse_scenario(FIXTURES / "scenarios" / "covid_scenario1.json")
-        assert spec.sub_service_drop == 0.74
-        assert spec.component_ratios["exports"] == 0.93
-        assert spec.component_ratios["household_consumption"] == 1.0
-        assert spec.component_ratios["gross_fixed_capital_formation"] == 0.0
-        assert spec.blowup_factor == 1.092
-        assert spec.reallocation is None
-        assert spec.intermediate.use_ratios.get("WHS") == 0.07
-
-    def test_bundled_covid_reallocation(self):
-        spec = parse_scenario(FIXTURES / "scenarios" / "covid_scenario2.json")
-        assert spec.reallocation.savings_fraction == 0.5
-        assert sum(spec.reallocation.shares.values()) == pytest.approx(1.0, abs=1e-12)
-        assert spec.reallocation.shares["WT"] == 0.05
-
-    def test_share_sum_error_reports_sum(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(
-            '{"name": "x", "target_sector": "S1", "sub_service_drop": 0.5,'
-            ' "reallocation": {"savings_fraction": 0.5,'
-            ' "shares": {"A": 0.5, "B": 0.45}}}'
-        )
-        with pytest.raises(ScenarioConfigError, match="0.95"):
-            parse_scenario(p)
-
-    def test_empty_reallocation_means_savings_only(self, tmp_path):
-        p = tmp_path / "s.json"
-        p.write_text(
-            '{"name": "x", "target_sector": "S1", "sub_service_drop": 0.5, "reallocation": {}}'
-        )
-        assert parse_scenario(p).reallocation is None
-
-    def test_unknown_fields_rejected(self, tmp_path):
-        p = tmp_path / "s.json"
-        p.write_text('{"name": "x", "target_sector": "S1", "sub_service_drop": 0.5, "typo": 1}')
-        with pytest.raises(ScenarioConfigError, match="typo"):
-            parse_scenario(p)
-
-    def test_missing_required_field(self, tmp_path):
-        p = tmp_path / "s.json"
-        p.write_text('{"name": "x", "sub_service_drop": 0.5}')
-        with pytest.raises(ScenarioConfigError, match="target_sector"):
-            parse_scenario(p)
-
-    def test_not_utf8_is_named(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_bytes(b'{"name": "x\xff", "target_sector": "S1", "sub_service_drop": 0.5}')
-        with pytest.raises(ScenarioConfigError) as err:
-            parse_scenario(path)
-        assert str(err.value) == f"{path}: not valid UTF-8 (invalid start byte at byte 11)"
 
 
 class TestBlowupHistoryFiles:

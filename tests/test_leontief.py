@@ -49,6 +49,22 @@ class TestTechnicalCoefficients:
         with pytest.raises(ValueError, match="non-positive output"):
             build_model(table)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_rejected(self, e2, value):
+        # NaN passes x <= 0, and an infinite output would give a zero column
+        # of A; either names the sector, not a healthy flow.
+        x = e2.x.copy()
+        x[1] = value
+        message = (r"sectors with non-finite or non-positive output: \['S2'\]; the model "
+                   r"needs every output to be a finite positive number")
+        with pytest.raises(ValueError, match=message):
+            build_model(replace(e2, x=x))
+
+    def test_every_bad_output_is_named(self):
+        table = make_table(np.zeros((3, 3)), [1, 0, 3], [1, 0, np.nan])
+        with pytest.raises(ValueError, match=r"output: \['S2', 'S3'\]"):
+            build_model(table)
+
     def test_column_sums_account_for_everything(self, e2, e2_model):
         model = e2_model
         total = model.A.sum(axis=0) + model.import_coefficients + e2.value_added / e2.x

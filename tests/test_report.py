@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import re
@@ -24,6 +26,7 @@ from ioimpact import (
 )
 from ioimpact.leontief import sector_order
 from ioimpact.report import (
+    _FORMATTERS,
     ReportTable,
     comparison_table,
     impact_table,
@@ -311,11 +314,12 @@ EDGE_FLOATS = (
     1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-4, 1e-5, 0.1, -2.5,
 )
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
-# Any code point but surrogates, with quotes, backslashes, control
-# characters, non-ASCII and the template's own '%' made likely.
+# Any code point but surrogates, with quotes, commas, line ends,
+# backslashes, control characters, non-ASCII and the template's own '%' made
+# likely.
 names = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",))
-    | st.sampled_from('%"\\\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+    | st.sampled_from('%",\r\n\\\x00\x1f\x7f\u00e9\u2028\U0001f600'),
     max_size=6,
 )
 
@@ -380,6 +384,16 @@ class TestSerializerMatchesOracle:
     @given(result=impact_results())
     def test_results(self, result):
         assert result_json_text(result) == json_report_oracle(result_to_dict(result))
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=report_tables())
+    def test_csv_reads_back_as_its_cells(self, table):
+        # One column is left out: a row of one empty cell is a blank line,
+        # which csv.reader reads as no cells. Every real report has two.
+        assume(len(table.columns) >= 2)
+        rows = list(csv.reader(io.StringIO(table.csv_text(), newline="")))
+        cells = [list(map(_FORMATTERS[fmt], values)) for fmt, values in table.columns.values()]
+        assert rows == [list(table.columns), *map(list, zip(*cells))]
 
     def test_empty_and_one_row_tables(self):
         empty = ReportTable("e", {"a": ("s", []), "b": ("raw", [])})

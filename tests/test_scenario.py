@@ -1,4 +1,7 @@
+import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +18,12 @@ from ioimpact import (
     UseRatio,
     build_delta,
     extraction_intensities,
+    parse_scenario,
 )
 from ioimpact.scenario import IntermediateSpec
 from ioimpact.testkit import EconomyGenSpec, random_economy
+
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ioimpact" / "fixtures"
 
 
 def spec_s1(alpha=0.4, **kwargs):
@@ -361,3 +367,136 @@ class TestBlowupFactorRule:
     def test_must_be_finite_and_positive(self, value):
         with pytest.raises(ScenarioConfigError, match="finite and positive"):
             spec_s1(blowup_factor=value)
+
+
+class TestParseScenario:
+    def test_bundled_covid_fixture(self):
+        spec = parse_scenario(FIXTURES / "scenarios" / "covid_scenario1.json")
+        assert spec.sub_service_drop == 0.74
+        assert spec.component_ratios["exports"] == 0.93
+        assert spec.component_ratios["household_consumption"] == 1.0
+        assert spec.component_ratios["gross_fixed_capital_formation"] == 0.0
+        assert spec.blowup_factor == 1.092
+        assert spec.reallocation is None
+        assert spec.intermediate.use_ratios.get("WHS") == 0.07
+
+    def test_bundled_covid_reallocation(self):
+        spec = parse_scenario(FIXTURES / "scenarios" / "covid_scenario2.json")
+        assert spec.reallocation.savings_fraction == 0.5
+        assert sum(spec.reallocation.shares.values()) == pytest.approx(1.0, abs=1e-12)
+        assert spec.reallocation.shares["WT"] == 0.05
+
+    def test_share_sum_error_reports_sum(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(
+            '{"name": "x", "target_sector": "S1", "sub_service_drop": 0.5,'
+            ' "reallocation": {"savings_fraction": 0.5,'
+            ' "shares": {"A": 0.5, "B": 0.45}}}'
+        )
+        with pytest.raises(ScenarioConfigError, match="0.95"):
+            parse_scenario(p)
+
+    def test_empty_reallocation_means_savings_only(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text(
+            '{"name": "x", "target_sector": "S1", "sub_service_drop": 0.5, "reallocation": {}}'
+        )
+        assert parse_scenario(p).reallocation is None
+
+    def test_unknown_fields_rejected(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text('{"name": "x", "target_sector": "S1", "sub_service_drop": 0.5, "typo": 1}')
+        with pytest.raises(ScenarioConfigError, match="typo"):
+            parse_scenario(p)
+
+    def test_missing_required_field(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text('{"name": "x", "sub_service_drop": 0.5}')
+        with pytest.raises(ScenarioConfigError, match="target_sector"):
+            parse_scenario(p)
+
+    def test_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"name": "x\xff", "target_sector": "S1", "sub_service_drop": 0.5}')
+        with pytest.raises(ScenarioConfigError) as err:
+            parse_scenario(path)
+        assert str(err.value) == f"{path}: not valid UTF-8 (invalid start byte at byte 11)"
+
+
+# A value for every key a scenario file can hold.
+FULL_DOCUMENT = {
+    "name": "full",
+    "target_sector": "S1",
+    "sub_service_drop": 0.5,
+    "component_ratios": {"HH": 0.5},
+    "absolute_changes": {"EXP": -1.0},
+    "reallocation": {"savings_fraction": 0.25, "shares": {"S2": 1.0}},
+    "intermediate": {"apply": False, "use_ratios": {"S2": 0.5}, "default_ratio": 0.75},
+    "blowup_factor": 1.5,
+}
+
+
+class TestFileKeysAreSpecFields:
+    """The top-level keys of a scenario file are the fields of ScenarioSpec
+    and the reallocation block's those of Reallocation; only the intermediate
+    block flattens its classes."""
+
+    def write(self, tmp_path, document):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(document))
+        return path
+
+    def test_every_field_is_a_key(self, tmp_path):
+        assert list(FULL_DOCUMENT) == [f.name for f in fields(ScenarioSpec)]
+        assert list(FULL_DOCUMENT["reallocation"]) == [f.name for f in fields(Reallocation)]
+        spec = parse_scenario(self.write(tmp_path, FULL_DOCUMENT))
+        assert spec == ScenarioSpec(
+            **{k: v for k, v in FULL_DOCUMENT.items() if k not in ("reallocation", "intermediate")},
+            reallocation=Reallocation(**FULL_DOCUMENT["reallocation"]),
+            intermediate=IntermediateSpec(False, UseRatio({"S2": 0.5}, 0.75)),
+        )
+
+    @pytest.mark.parametrize("block", [None, "reallocation", "intermediate"])
+    def test_no_other_key(self, tmp_path, block):
+        document = json.loads(json.dumps(FULL_DOCUMENT))
+        (document[block] if block else document)["ratios"] = {}
+        path = self.write(tmp_path, document)
+        with pytest.raises(ScenarioConfigError) as err:
+            parse_scenario(path)
+        assert str(err.value) == f"{path}: {block or 'scenario'} has unknown fields ['ratios']"
+
+    @pytest.mark.parametrize("block,key", [
+        (None, "name"), (None, "target_sector"), (None, "sub_service_drop"),
+        ("reallocation", "savings_fraction"),
+    ])
+    def test_fields_without_a_default_are_required(self, tmp_path, block, key):
+        document = json.loads(json.dumps(FULL_DOCUMENT))
+        del (document[block] if block else document)[key]
+        path = self.write(tmp_path, document)
+        with pytest.raises(ScenarioConfigError) as err:
+            parse_scenario(path)
+        expected = f"reallocation needs {key}" if block else f"missing required field {key!r}"
+        assert str(err.value) == f"{path}: {expected}"
+
+    def test_default_ratio_falls_back_to_use_ratio_default(self, tmp_path):
+        path = self.write(tmp_path, {**FULL_DOCUMENT, "intermediate": {"apply": True}})
+        assert parse_scenario(path).intermediate == IntermediateSpec(True, UseRatio())
+
+
+class TestScenarioByteOrderMark:
+    """A scenario file may start with a UTF-8 byte-order mark, as CSV inputs
+    may; byte offsets still count from the start of the file."""
+
+    def test_bom_file_reads_as_without(self, tmp_path):
+        source = FIXTURES / "e2" / "shock_s1.json"
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        assert parse_scenario(path) == parse_scenario(source)
+
+    def test_bad_byte_after_bom_counts_from_file_start(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xef\xbb\xbf{"name": "x\xff", "target_sector": "S1", '
+                         b'"sub_service_drop": 0.5}')
+        with pytest.raises(ScenarioConfigError) as err:
+            parse_scenario(path)
+        assert str(err.value) == f"{path}: not valid UTF-8 (invalid start byte at byte 14)"

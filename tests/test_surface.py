@@ -68,11 +68,16 @@ def test_all_lists_the_public_names():
         assert getattr(ioimpact, name) is not None
 
 
+def import_nodes(module: str):
+    source = (ROOT / "src" / "ioimpact" / f"{module}.py").read_text(encoding="utf-8")
+    return [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
 def package_imports(module: str) -> set[str]:
     """The modules of the package that ``module`` imports, by name."""
-    source = (ROOT / "src" / "ioimpact" / f"{module}.py").read_text(encoding="utf-8")
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in import_nodes(module):
         if isinstance(node, ast.ImportFrom):
             base = "." * node.level + (node.module or "")
             if base in (".", "ioimpact"):
@@ -88,11 +93,27 @@ def package_imports(module: str) -> set[str]:
     return found
 
 
+def absolute_imports(module: str) -> set[str]:
+    """The top-level names of the modules that ``module`` imports absolutely."""
+    found = set()
+    for node in import_nodes(module):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
 def test_import_direction():
     # The model depends only on the table; file handling never on the analysis.
     assert package_imports("leontief") == {"errors", "table"}
-    assert "impact" not in package_imports("ingest")
+    assert not {"scenario", "impact", "report"} & package_imports("ingest")
     assert {"leontief", "table"} <= package_imports("ingest")
+    # Scenario files, layout and values, are read in one module, which
+    # depends on nothing but the table.
+    assert package_imports("scenario") == {"errors", "table"}
+    assert "json" not in absolute_imports("ingest")
+    assert ioimpact.parse_scenario is ioimpact.scenario.parse_scenario
 
 
 def test_package_and_cli_do_not_load_testkit():
