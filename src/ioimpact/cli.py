@@ -138,7 +138,7 @@ def _validated(table, args):
 
 def _load_validated(args):
     """_validated's table and report, and the table's cache entry, which
-    load_model reads the factors from and writes. A bad --rel-tol exits 2
+    load_model reads L from and writes. A bad --rel-tol exits 2
     before the table is read; a failed report is printed to stderr."""
     check_rel_tol(args.rel_tol)
     table, entry = load_table_entry(args.table, args.meta, args.satellites)

@@ -1,12 +1,14 @@
 """Economy-wide impacts of demand shocks.
 
-Every result here is a product with the Leontief inverse L = (I - A)^-1,
-taken through the model's one factorization of I - A (LeontiefModel.solve);
-L is never formed. Both methods start from the propagated shock u = L df,
-and scenario_impacts is their one route: one solve against the row-major
-block [df_1 ... df_S, e_k for each distinct extraction target k] serves
-every shock of a run, and each then costs O(n) per method. inoperability
-and partial_extraction are its one-shock, one-method case.
+Every result here is a product with the model's Leontief inverse
+L = (I - A)^-1, formed once per table (LeontiefModel.solve). Both methods
+start from the propagated shock u = L df, and scenario_impacts is their one
+route: one solve against the row-major block [df_1 ... df_S, e_k for each
+distinct extraction target k] serves every shock of a run. The solve reads
+only the columns of L at the rows the block touches, so an e_k column is a
+column read of L and a shock to r sectors costs O(n r); each scenario then
+costs O(n) per method. inoperability and partial_extraction are its
+one-shock, one-method case.
 
 Inoperability is dx = u, normalized to output, q = dx / x. One product with
 A checks every inoperability column against the equivalent fixed-point
@@ -260,7 +262,14 @@ def estimate_blowup_factor(fd_totals: dict, gdp_growth: dict) -> float:
     average ratio applied to the projection years' GDP growth compounds into
     the factor: b = prod_y (1 + avg_ratio * gdp_growth_y) over years after
     the last final-demand observation.
+
+    ValueError names the year of a NaN or infinite total or growth, and
+    refuses a factor that is not finite and positive.
     """
+    for name, series in (("final-demand total", fd_totals), ("GDP growth", gdp_growth)):
+        for year, value in series.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} for {year} is {value}; it must be finite")
     years = sorted(fd_totals)
     ratios = []
     for prev, year in zip(years, years[1:]):
@@ -281,6 +290,7 @@ def estimate_blowup_factor(fd_totals: dict, gdp_growth: dict) -> float:
     for year in sorted(gdp_growth):
         if year > last_fd_year:
             b *= 1.0 + avg_ratio * gdp_growth[year]
+    check_blowup_factor(b)
     return b
 
 

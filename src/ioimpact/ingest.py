@@ -26,13 +26,13 @@ A table has one cache entry, one file under ``$XDG_CACHE_HOME/ioimpact``
 (default ``~/.cache/ioimpact``), keyed by the sha256 of the table file, the
 metadata file, this module's and leontief.py's sources and the numpy
 version. It holds the parsed arrays, the TOTAL_USES row among them, and,
-once a model was built from them, the block LDU factors of I - A.
+once a model was built from them, the Leontief inverse L = (I - A)^-1.
 load_table_entry reads an entry and writes none; each loader writes the
 entry at most once, after it knows what the entry will hold. store_table
 stores the parsed arrays of a missed entry; load_io_table, parse_io_table
-memoised on disk, calls it. load_model stores the arrays and the factors
-together, when the entry was a miss or when leontief.build_model, which
-serves stored factors only once they pass its checks, factorized again. A
+memoised on disk, calls it. load_model stores the arrays and L together,
+when the entry was a miss or when leontief.build_model, which serves a
+stored L only once it passes its checks, inverted I - A again. A
 table that fails to parse, or to build its model (so to certify), gets no
 entry; the CLI's run and multipliers also store none for a table that fails
 validation, and store_table's for one that validates but whose request names
@@ -320,7 +320,7 @@ def load_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTab
 
 
 def store_table(entry: TableEntry | None) -> None:
-    """Store a missed entry's parsed arrays, without factors. A hit, or no
+    """Store a missed entry's parsed arrays, without L. A hit, or no
     entry, is left as it is."""
     if entry is not None and not entry.hit:
         _write_entry(entry)
@@ -329,7 +329,7 @@ def store_table(entry: TableEntry | None) -> None:
 @dataclass(frozen=True)
 class TableEntry:
     """A table's cache entry: its file, which holds the table's parsed
-    arrays and, once load_model has built a model from them, ``factors``;
+    arrays and, once load_model has built a model from them, ``L``;
     the table as parsed, before drop_zero_sectors; and ``hit``, whether
     the file already holds these parsed arrays."""
 
@@ -346,9 +346,9 @@ def load_table_entry(
 
     The entry is named by the sha256 of this module's and leontief.py's
     sources, the numpy version, the metadata file and the table file, so an
-    edit to either file, the parse rules or the factorization is a miss. A
+    edit to either file, the parse rules or the inversion is a miss. A
     hit reads Z, final demand, x, imports, value added and the total-uses
-    row from ``<key>.npz``, where load_model keeps the factors of I - A; the
+    row from ``<key>.npz``, where load_model keeps L = (I - A)^-1; the
     metadata and satellite files are parsed every time and the table is
     built through IOTable, so it is checked as on a miss. A table that fails
     to parse raises; one whose files changed while they were hashed and
@@ -396,25 +396,25 @@ def load_table_entry(
 
 
 def load_model(table: IOTable, entry: TableEntry | None) -> leontief.LeontiefModel:
-    """leontief.build_model, with the factors of I - A kept in the table's
-    cache entry between runs.
+    """leontief.build_model, with the Leontief inverse L = (I - A)^-1 kept in
+    the table's cache entry between runs.
 
-    ``table`` is the entry's table after drop_zero_sectors, so the factors
-    are a function of the entry's parsed arrays. On a hit, the entry's
-    factors, if it holds a finite float64 n x n array, go to build_model,
-    which checks A before it uses them and serves them only if they pass
-    its checks. On a miss, or when build_model did not serve the stored
-    factors, the entry is written once, whole: the parsed arrays in memory
-    and the model's factors. A table that fails build_model is never
-    cached. Without an entry nothing is cached.
+    ``table`` is the entry's table after drop_zero_sectors, so L is a
+    function of the entry's parsed arrays. On a hit, the entry's L, if it
+    holds a finite float64 n x n array, goes to build_model, which checks A
+    before it uses L and serves it only if it passes its checks. On a miss,
+    or when build_model did not serve the stored L, the entry is written
+    once, whole: the parsed arrays in memory and the model's L. A table
+    that fails build_model is never cached. Without an entry nothing is
+    cached.
     """
     n = table.n
     hit = entry is not None and entry.hit
-    arrays = _read_entry(entry.path, {"factors": (n, n)}) if hit else None
-    stored = None if arrays is None else arrays["factors"]
+    arrays = _read_entry(entry.path, {"L": (n, n)}) if hit else None
+    stored = None if arrays is None else arrays["L"]
     model = leontief.build_model(table, stored)
-    if entry is not None and model.factors is not stored:
-        _write_entry(entry, factors=model.factors)
+    if entry is not None and model.L is not stored:
+        _write_entry(entry, L=model.L)
     return model
 
 
@@ -461,10 +461,10 @@ def _read_entry(path: Path, shapes: dict[str, tuple]) -> dict[str, np.ndarray] |
     return arrays
 
 
-def _write_entry(entry: TableEntry, **factors: np.ndarray) -> None:
-    """Store the entry's parsed arrays and ``factors``, if given, atomically,
-    then keep the CACHE_ENTRIES most recently used entries. A cache that
-    cannot be written is left as it is."""
+def _write_entry(entry: TableEntry, **model: np.ndarray) -> None:
+    """Store the entry's parsed arrays and the ``model`` arrays (``L``), if
+    given, atomically, then keep the CACHE_ENTRIES most recently used
+    entries. A cache that cannot be written is left as it is."""
     table = entry.table
     with contextlib.suppress(OSError):
         entry.path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -479,7 +479,7 @@ def _write_entry(entry: TableEntry, **factors: np.ndarray) -> None:
                     imports=table.imports,
                     value_added=table.value_added,
                     total_uses=table.total_uses,
-                    **factors,
+                    **model,
                 )
             os.replace(tmp, entry.path)
         finally:

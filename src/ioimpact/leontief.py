@@ -1,35 +1,34 @@
-"""The factorized Leontief model of a table, and multiplier families.
+"""The Leontief model of a table, and multiplier families.
 
 Everything here is a pure function of a validated IOTable. The Leontief
-inverse L = (I - A)^-1 is never formed. Instead I - A is factorized once per
-table into block LDU factors, and every consumer asks for a product with L:
-L v through LeontiefModel.solve, u'L through LeontiefModel.solve_t. Each
-product costs O(n^2) per right-hand side, the cost of a product with a dense L:
-a solve reads each of the n^2 factors once, one row-panel product per block
-and sweep, and skips the leading rows of a right-hand side that are zero. A
-scenario's shock is zero in all but a few sectors, so its forward sweep
-starts at the first of them.
+inverse L = (I - A)^-1 is formed once per table, by block Gauss-Jordan
+elimination of I - A in place, and every consumer asks for a product with
+it: L v through LeontiefModel.solve, u'L through LeontiefModel.solve_t. A
+product reads only the columns (or rows) of L that meet a row of the
+right-hand side that is not zero, so it costs O(n r) for r such rows and
+O(n^2) for a dense one. A scenario's shock is zero in all but a few
+sectors, so its solve reads a few columns of L.
 
-The factorization eliminates without pivoting. That is sound because, for a
-productive A >= 0, I - A is a nonsingular M-matrix: every leading principal
-submatrix and every Schur complement met during elimination is again a
-nonsingular M-matrix, and elimination without pivoting is stable on it
-(Funderlic, Neumann & Plemmons 1982; Miller & Blair, Input-Output Analysis,
-2009, ch. 2). check_coefficients therefore rejects an A with a negative or NaN
-entry before anything is factorized, and certify_productive proves from the
-factors, at the cost of one solve, that A is productive.
+The elimination does not pivot. That is sound because, for a productive
+A >= 0, I - A is a nonsingular M-matrix: every pivot block is a diagonal
+block of a Schur complement of I - A, which is again a nonsingular
+M-matrix, and elimination without pivoting is stable on it (Funderlic,
+Neumann & Plemmons 1982; Miller & Blair, Input-Output Analysis, 2009,
+ch. 2). check_coefficients therefore rejects an A with a negative or NaN
+entry before anything is inverted, and certify_productive proves from L,
+at the cost of one solve, that A is productive.
 
 build_model is the one builder of a model, and never touches the disk. It
-takes the factors an earlier build stored, if any: they are served once they
-solve (I - A) x = f, and I - A is factorized otherwise. Within a process it
-keeps the factors of the last model built from each live table, so a second
-build of the same table object takes them through the same checks instead of
-factorizing again. They live as long as the table, n^2 doubles of memory, and
-are freed with it; a table must therefore not be changed in place. The CLI
-gets its model from ingest.load_model, which hands build_model the factors of
-the table's cache entry and stores the ones it computed. Every model handed
-out, with stored factors or fresh ones, has passed check_coefficients and
-certify_productive, and carries the output its factors give for the table's
+takes the L an earlier build stored, if any: it is served once it solves
+(I - A) x = f, and I - A is inverted otherwise. Within a process it keeps
+the L of the last model built from each live table, so a second build of
+the same table object takes it through the same checks instead of
+inverting again. It lives as long as the table, n^2 doubles of memory, and
+is freed with it; a table must therefore not be changed in place. The CLI
+gets its model from ingest.load_model, which hands build_model the L of
+the table's cache entry and stores the one it computed. Every model handed
+out, with a stored L or a fresh one, has passed check_coefficients and
+certify_productive, and carries the output its L gives for the table's
 final demand, x0 = L f: the baseline that impact measures output changes
 from (Miller & Blair 2009, ch. 12).
 """
@@ -44,27 +43,19 @@ import numpy as np
 from .errors import NonProductiveEconomyError
 from .table import SATELLITE_KINDS, IOTable, Sector
 
-# Width of the diagonal blocks of the factorization. A table with at most
-# this many sectors is one block, factorized by a single LAPACK inverse.
+# Width of the pivot blocks of the inversion, and height of the row panels
+# it updates. A table with at most this many sectors is one block, inverted
+# by a single LAPACK inverse.
 _BLOCK = 128
 
-# The forward sweep of a solve starts at a multiple of this many rows. BLAS
-# kernels sum a dot product in interleaved partial sums, and which partial
-# sum a term joins depends on its offset from the start of the product: the
-# skip of leading zero rows is bit-exact only when it keeps that offset
-# modulo the kernel's grouping. With OpenBLAS 0.3.31 on an AVX-512 host,
-# starts at multiples of 16 rows were bit-exact on every solve tried at
-# n = 300, 1000 and 1500, and multiples of 8 were not.
-_ALIGN = 16
-
 # Largest residual of the fixed-point system q = A* q + f* accepted for a
-# solve with the factors: of every inoperability result, and of x = L f for
-# stored factors before they are served.
+# solve with L: of every inoperability result, and of x = L f for a stored
+# L before it is served.
 FIXED_POINT_TOL = 1e-9
 
-# The factors of the last model build_model returned for each live table,
-# keyed by the table's identity. A value holds no reference to its table, so
-# an entry dies with the table it belongs to.
+# The L of the last model build_model returned for each live table, keyed
+# by the table's identity. A value holds no reference to its table, so an
+# entry dies with the table it belongs to.
 _built: weakref.WeakKeyDictionary[IOTable, np.ndarray] = weakref.WeakKeyDictionary()
 
 
@@ -72,75 +63,57 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     return [(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
 
 
-def _sweeps(M: np.ndarray, rhs) -> np.ndarray:
-    """(I - A)^-1 rhs from the factors M that LeontiefModel holds, or
-    (I - A)^-T rhs from their transpose.
+def _product(M: np.ndarray, rhs) -> np.ndarray:
+    """M @ rhs for M = L or L', reading only the columns of M that meet a row
+    of rhs that is not zero (NaN and +-inf are not zero).
 
-    The right-hand side is copied into row-major order, the layout in which
-    the block products run fastest. Each sweep makes one row-panel product
-    per block, so a solve reads each factor once. The forward sweep through
-    the unit lower factor is left-looking, v[s:e] += M[s:e, first:s] @
-    v[first:s], and starts at ``first``: the first row of rhs with an entry
-    that is not zero (NaN included), rounded down to a multiple of _ALIGN.
-    The rows above it stay exact zeros and the factors are finite, so
-    skipping them changes no bit. The backward sweep gives each block row
-    from the rows below it, v[s:e] = M[s:e, s:] @ v[s:], with D_j^-1 on the
-    diagonal and -U right of it.
+    The right-hand side is taken in row-major order, so every layout gives
+    the same bytes, and an all-zero one gives +0.0. One with more than half
+    of its rows not zero, f or a vector of ones say, is one product with the
+    whole of M, so no copy of M is ever larger than half of it. The result
+    is C-contiguous.
     """
-    v = np.array(rhs, dtype=float, order="C")
-    nonzero = v.reshape(-1) != 0
-    first = int(nonzero.argmax()) * len(v) // v.size if v.size else 0
-    first -= first % _ALIGN
-    blocks = _blocks(len(M))
-    for s, e in blocks:
-        if s > first:
-            v[s:e] += M[s:e, first:s] @ v[first:s]
-    for s, e in reversed(blocks):
-        v[s:e] = M[s:e, s:] @ v[s:]
-    return v
+    v = np.ascontiguousarray(rhs, dtype=float)
+    rows = np.flatnonzero((v != 0).reshape(len(v), -1).any(axis=1))
+    product = M @ v if 2 * len(rows) > len(v) else M[:, rows] @ v[rows]
+    return np.ascontiguousarray(product)
 
 
 @dataclass(frozen=True)
 class LeontiefModel:
-    """A table bound to its coefficients and the block LDU factors of I - A.
+    """A table bound to its coefficients and its Leontief inverse.
 
     A[i, j] = Z[i, j] / x[j], the input requirements per unit of output; the
     coefficient rows for imports and for every satellite kind the table can
     report divide by the same x, satellite_coefficients in SATELLITE_KINDS
-    order. With the sectors cut into _BLOCK-wide diagonal blocks,
-    I - A = L D U, where L is unit block lower triangular, D block diagonal
-    and U unit block upper triangular. factors holds all three in one
-    read-only n x n array: the blocks of -L below the diagonal, the inverse
-    of each D_j on it, and the blocks of -U = -D^-1 (D U) above it. So each
-    block row of the backward sweep through D U is one product with the
-    row panel factors[s:e, s:]. The Leontief inverse is applied through
-    solve and solve_t, never formed.
+    order. L = (I - A)^-1 is read-only; solve and solve_t apply it, reading
+    only what the right-hand side needs.
 
-    x0 = L f, read-only, is the output the factors give for the table's
-    final demand. It differs from the table's x by the rounding of the
-    solve, and by as much as the table's identities are off; extraction
-    measures its change from x0, so that a null scenario changes nothing.
+    x0 = L f, read-only, is the output L gives for the table's final
+    demand. It differs from the table's x by the rounding of the product,
+    and by as much as the table's identities are off; extraction measures
+    its change from x0, so that a null scenario changes nothing.
     """
 
     table: IOTable
     A: np.ndarray
     import_coefficients: np.ndarray
     satellite_coefficients: dict[str, np.ndarray]
-    factors: np.ndarray
+    L: np.ndarray
     x0: np.ndarray
 
     def solve(self, rhs) -> np.ndarray:
-        """(I - A)^-1 rhs for a vector or an n x k matrix of any memory
-        layout: a forward sweep through L, then a backward sweep through D U
-        (see _sweeps). The result is C-contiguous."""
-        return _sweeps(self.factors, rhs)
+        """(I - A)^-1 rhs = L rhs for a vector or an n x k matrix of any
+        memory layout: L[:, rows] @ rhs[rows] over the rows of rhs that are
+        not zero, O(n r k) for r such rows (see _product). The result is
+        C-contiguous."""
+        return _product(self.L, rhs)
 
     def solve_t(self, rhs) -> np.ndarray:
-        """(I - A)^-T rhs for a vector or an n x k matrix: for a vector u this
-        is the row u'(I - A)^-1, for a matrix one such row per column. The
-        same sweeps as solve, on the transposed factors: through U', then
-        through D' L'."""
-        return _sweeps(self.factors.T, rhs)
+        """(I - A)^-T rhs = L' rhs for a vector or an n x k matrix: for a
+        vector u this is the row u'L, for a matrix one such row per column.
+        The same rule as solve, on the rows of L."""
+        return _product(self.L.T, rhs)
 
     @property
     def sectors(self) -> tuple[Sector, ...]:
@@ -158,32 +131,33 @@ class LeontiefModel:
         return self.table.sector_index(sector)
 
 
-def _factorize(m: np.ndarray) -> None:
-    """Overwrite m = I - A with the block LDU factors LeontiefModel holds.
+def _invert(m: np.ndarray) -> None:
+    """Overwrite m = I - A with its inverse by block Gauss-Jordan elimination.
 
-    For each diagonal block D_j: invert it, turn the block column below it
-    into -L (the columns of L, negated) and subtract the Schur update from
-    the trailing submatrix, then turn the block row right of it into
-    -U = -D_j^-1 (D U). No pivoting; see the module docstring for why none
-    is needed.
+    For each pivot block P = m[s:e, s:e]: scale the pivot row panel by P^-1,
+    with P^-1 in the pivot columns, then eliminate the pivot columns C of
+    every other row panel, above the pivot and below it, which leaves
+    -C P^-1 in their place. One row panel is updated at a time, so no
+    temporary is larger than _BLOCK x n. No pivoting; see the module
+    docstring for why none is needed.
     """
-    n = len(m)
-    for s, e in _blocks(n):
-        d_inv = np.linalg.inv(m[s:e, s:e])
-        m[s:e, s:e] = d_inv
-        if e < n:
-            np.negative(d_inv, out=d_inv)
-            m[e:, s:e] = m[e:, s:e] @ d_inv
-            m[e:, e:] += m[e:, s:e] @ m[s:e, e:]
-            m[s:e, e:] = d_inv @ m[s:e, e:]
+    blocks = _blocks(len(m))
+    for s, e in blocks:
+        p_inv = np.linalg.inv(m[s:e, s:e])
+        m[s:e] = p_inv @ m[s:e]
+        m[s:e, s:e] = p_inv
+        for i, j in blocks:
+            if i != s:
+                c = m[i:j, s:e].copy()
+                m[i:j, s:e] = 0.0
+                m[i:j] -= c @ m[s:e]
 
 
 def check_coefficients(model: LeontiefModel) -> None:
-    """The check A must pass before I - A is factorized or its stored
-    factors are used.
+    """The check A must pass before I - A is inverted or a stored L is used.
 
     Raises ValueError, naming the flow, when A has a negative or NaN entry:
-    the factorization is sound only for A >= 0.
+    the inversion is sound only for A >= 0.
     """
     A = model.A
     if not (A.min(initial=0.0) >= 0):  # NaN fails this test too
@@ -191,27 +165,27 @@ def check_coefficients(model: LeontiefModel) -> None:
         codes = model.table.codes
         raise ValueError(
             f"Z[{codes[i]}, {codes[j]}] is {float(model.table.Z[i, j])}; the Leontief "
-            "factorization needs non-negative, non-NaN flows"
+            "inverse needs non-negative, non-NaN flows"
         )
 
 
-def ldu_factors(A: np.ndarray) -> np.ndarray:
-    """The read-only block LDU factors of I - A that LeontiefModel holds, for
-    an A that check_coefficients accepted. Raises NonProductiveEconomyError
-    when (I - A) is singular."""
-    # I - A is built without an identity matrix and factorized in place.
-    factors = np.negative(A)
-    factors[np.diag_indices_from(factors)] += 1.0
+def leontief_inverse(A: np.ndarray) -> np.ndarray:
+    """The read-only Leontief inverse L = (I - A)^-1 that LeontiefModel
+    holds, for an A that check_coefficients accepted. Raises
+    NonProductiveEconomyError when a pivot block of I - A is singular."""
+    # I - A is built without an identity matrix and inverted in place.
+    L = np.negative(A)
+    L[np.diag_indices_from(L)] += 1.0
     try:
-        _factorize(factors)
+        _invert(L)
     except np.linalg.LinAlgError as exc:
         raise NonProductiveEconomyError(f"(I - A) is singular: {exc}") from exc
-    factors.setflags(write=False)
-    return factors
+    L.setflags(write=False)
+    return L
 
 
 def certify_productive(model: LeontiefModel) -> None:
-    """Raise NonProductiveEconomyError unless the factors prove rho(A) < 1,
+    """Raise NonProductiveEconomyError unless L proves rho(A) < 1,
     so that sum_k A^k converges to (I - A)^-1.
 
     Collatz-Wielandt: for A >= 0, any x > 0 with A x <= c x and c < 1 proves
@@ -244,9 +218,9 @@ def fixed_point_gap(model: LeontiefModel, dx: np.ndarray, df: np.ndarray) -> flo
     return np.abs((dx - model.A @ dx - df).T / model.x).max(axis=-1)
 
 
-def build_model(table: IOTable, factors: np.ndarray | None = None) -> LeontiefModel:
+def build_model(table: IOTable, L: np.ndarray | None = None) -> LeontiefModel:
     """The model of a validated table: A and the coefficient rows, accepted by
-    check_coefficients, and factors of I - A that pass certify_productive.
+    check_coefficients, and an L = (I - A)^-1 that passes certify_productive.
 
     Satellite kinds backed by an account use it. Two kinds are read off the
     table when no account was supplied: value added from the value-added
@@ -255,19 +229,19 @@ def build_model(table: IOTable, factors: np.ndarray | None = None) -> LeontiefMo
     empty ones, and validate_table reports a negative one; ValueError names
     every sector whose output is not a finite positive number.
 
-    ``factors`` are the factors an earlier build of the same table stored.
-    Without them, the factors of the last model built from this table object
-    in this process are taken, if any. Either are served as they are if they
-    are a read-only float64 n x n array and x = L f solves (I - A) x = f to
-    within FIXED_POINT_TOL; otherwise, a writable array that could change
-    under the model included, or without them, ldu_factors factorizes I - A.
-    The checks run in the same order either way, so a table fails alike with
-    and without stored factors. x0 = L f is the solve of that check, or one
-    more solve after a factorization. The factors of the model returned are
-    kept for the next build of the table until the table is freed: n^2
-    doubles, 8 MB at n = 1000. A table changed in place after a build is factorized
-    again once its kept factors fail the x = L f check; tables are not meant
-    to be changed in place (f, for one, is summed once).
+    ``L`` is the inverse an earlier build of the same table stored. Without
+    it, the L of the last model built from this table object in this
+    process is taken, if any. Either is served as it is if it is a read-only
+    float64 n x n array and x = L f solves (I - A) x = f to within
+    FIXED_POINT_TOL; otherwise, a writable array that could change under the
+    model included, or without one, leontief_inverse inverts I - A. The
+    checks run in the same order either way, so a table fails alike with
+    and without a stored L. x0 = L f is the solve of that check, or one more
+    solve after an inversion. The L of the model returned is kept for the
+    next build of the table until the table is freed: n^2 doubles, 8 MB at
+    n = 1000. A table changed in place after a build is inverted again once
+    its kept L fails the x = L f check; tables are not meant to be changed
+    in place (f, for one, is summed once).
     """
     x = table.x
     finite = np.isfinite(x)
@@ -289,27 +263,27 @@ def build_model(table: IOTable, factors: np.ndarray | None = None) -> LeontiefMo
         gfcf: table.final_demand.component(gfcf),
         **{kind: sat.values for kind, sat in table.satellites.items()},
     }
-    if factors is None:
-        factors = _built.get(table)
+    if L is None:
+        L = _built.get(table)
     model = LeontiefModel(
         table=table,
         A=table.Z / x[np.newaxis, :],
         import_coefficients=table.imports / x,
         satellite_coefficients={k: sources[k] / x for k in SATELLITE_KINDS if k in sources},
-        factors=factors,
+        L=L,
         x0=None,
     )
     check_coefficients(model)
     f = table.f
-    servable = isinstance(factors, np.ndarray) and not factors.flags.writeable
-    servable = servable and factors.dtype == np.float64 and factors.shape == (table.n, table.n)
+    servable = isinstance(L, np.ndarray) and not L.flags.writeable
+    servable = servable and L.dtype == np.float64 and L.shape == (table.n, table.n)
     x0 = model.solve(f) if servable else None
     if x0 is None or not (fixed_point_gap(model, x0, f) <= FIXED_POINT_TOL):
-        model = replace(model, factors=ldu_factors(model.A))
+        model = replace(model, L=leontief_inverse(model.A))
         x0 = model.solve(f)
     certify_productive(model)
     x0.setflags(write=False)
-    _built[table] = model.factors
+    _built[table] = model.L
     return replace(model, x0=x0)
 
 

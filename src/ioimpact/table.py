@@ -134,7 +134,7 @@ class IOTable:
     """A complete, structurally checked IO table.
 
     Tables compare and hash by identity: a copy with the same content is
-    another table. leontief.build_model keeps the factors of I - A for each
+    another table. leontief.build_model keeps L = (I - A)^-1 for each
     live table object, so a table must not be changed in place.
 
     Fields

@@ -1,13 +1,10 @@
 """Independent oracles and generators backing the property tests.
 
 The truncated-expansion oracle recomputes the Leontief inverse by a route
-that shares no code with the solver; dense_inverse forms L from the model's
-own factors, so assertions about L check the production factorization.
-full_sweep_solve runs the model's block sweeps from row 0 whatever the
-right-hand side, the route that the skip of a right-hand side's leading
-zero rows must match bit for bit. The re-solve oracles answer each impact
-question with a fresh dense solve of the modified system, the slow routes
-that the rank-one update in impact.py replaces.
+that shares no code with the solver; tests compare the model's own L,
+model.L, with it and with numpy's inv and solve. The re-solve oracles
+answer each impact question with a fresh dense solve of the modified
+system, the slow routes that the rank-one update in impact.py replaces.
 json_report_oracle is the json.dumps route that report.py's column-wise
 encoder must match byte for byte: table_payload and result_to_dict build the
 documents it encodes, the row objects of a report table and the payload of
@@ -28,7 +25,7 @@ import numpy as np
 
 from .errors import NonProductiveEconomyError
 from .impact import ExtractionSpec, ImpactResult
-from .leontief import LeontiefModel, _blocks
+from .leontief import LeontiefModel
 from .scenario import DemandDelta
 from .table import FinalDemandBlock, IOTable, SatelliteAccount, Sector
 
@@ -55,26 +52,6 @@ def neumann_oracle(A: np.ndarray, K: int) -> np.ndarray:
                 "power-series terms grow without bound; economy is not productive"
             )
     return total
-
-
-def dense_inverse(model: LeontiefModel) -> np.ndarray:
-    """The explicit Leontief inverse L = (I - A)^-1, solved from the model's
-    factors against the identity."""
-    return model.solve(np.eye(model.table.n))
-
-
-def full_sweep_solve(model: LeontiefModel, rhs, transpose: bool = False) -> np.ndarray:
-    """model.solve(rhs), or model.solve_t(rhs) with ``transpose``, by the
-    same block sweeps with the forward sweep started at row 0, not at the
-    first non-zero row of rhs."""
-    M = model.factors.T if transpose else model.factors
-    v = np.array(rhs, dtype=float, order="C")
-    blocks = _blocks(len(M))
-    for s, e in blocks[1:]:
-        v[s:e] += M[s:e, :s] @ v[:s]
-    for s, e in reversed(blocks):
-        v[s:e] = M[s:e, s:] @ v[s:]
-    return v
 
 
 def interdependency_matrix(model: LeontiefModel) -> np.ndarray:

@@ -891,7 +891,7 @@ class TestOneSolvePerRun:
     def test_warm_run_solves_one_block(self, tmp_path, monkeypatch, fixture, method):
         if fixture == "e2":
             args, n = e2_args(), 2
-        else:  # two diagonal blocks of the factorization
+        else:  # two pivot blocks of the inversion
             paths = write_table_files(random_economy(EconomyGenSpec(n=130, seed=4)), tmp_path)
             args = e2_args(table=str(paths["table"]), meta=str(paths["sectors"]),
                            satellites=[str(p) for p in paths["satellites"].values()])
@@ -931,19 +931,19 @@ def cache_files():
 
 
 class TestModelCache:
-    """run and multipliers load the factors of I - A from the table's cache
-    entry when an earlier run factorized the same A."""
+    """run and multipliers load L = (I - A)^-1 from the table's cache
+    entry when an earlier run inverted the same I - A."""
 
     @pytest.fixture
     def factorizations(self, monkeypatch):
         calls = []
-        real = leontief.ldu_factors
+        real = leontief.leontief_inverse
 
         def counting(A):
-            calls.append("ldu_factors")
+            calls.append("leontief_inverse")
             return real(A)
 
-        monkeypatch.setattr(leontief, "ldu_factors", counting)
+        monkeypatch.setattr(leontief, "leontief_inverse", counting)
         return calls
 
     @staticmethod
@@ -970,11 +970,11 @@ class TestModelCache:
         argv = ["run", *table_flags(args), "--scenario", str(scenario), "--method", "both",
                 "--out", str(out)]
         assert main(argv) == 0
-        assert factorizations == ["ldu_factors"]
+        assert factorizations == ["leontief_inverse"]
         miss = TestParseCache.files(out)
         shutil.rmtree(out)
         assert main(argv) == 0
-        assert factorizations == ["ldu_factors"]
+        assert factorizations == ["leontief_inverse"]
         assert TestParseCache.files(out) == miss
 
     def test_cold_run_checks_A_once(self, tmp_path, monkeypatch, factorizations):
@@ -987,16 +987,16 @@ class TestModelCache:
 
         monkeypatch.setattr(leontief, "check_coefficients", counting)
         assert TestParseCache.run_both(tmp_path / "reports") == 0
-        assert (checks, factorizations) == ([2], ["ldu_factors"])
+        assert (checks, factorizations) == ([2], ["leontief_inverse"])
         assert TestParseCache.run_both(tmp_path / "reports") == 0
-        assert (checks, factorizations) == ([2, 2], ["ldu_factors"])
+        assert (checks, factorizations) == ([2, 2], ["leontief_inverse"])
 
     def test_multipliers_share_the_entry(self, tmp_path, factorizations):
         out = tmp_path / "reports"
         assert TestParseCache.run_both(out) == 0
         assert main(["multipliers", *table_flags(e2_args()), "--sector", "S1",
                      "--out", str(tmp_path / "m")]) == 0
-        assert factorizations == ["ldu_factors"]
+        assert factorizations == ["leontief_inverse"]
 
     NON_PRODUCTIVE = (
         "sector,S1,S2,HH,NPISH,GOV,GFCF,INV,EXP,total_output\n"
@@ -1026,11 +1026,11 @@ class TestModelCache:
         assert message in cold.err
         # A table that fails to validate or to certify is never cached.
         assert list(cache_dir().glob("*")) == []
-        # Plant the factors a hit would serve: the table's own ldu_factors,
+        # Plant the L a hit would serve: the table's own leontief_inverse,
         # which no check has passed.
         loaded, table_entry = ingest.load_table_entry(args["table"], args["meta"])
         loaded, _ = drop_zero_sectors(loaded)
-        ingest._write_entry(table_entry, factors=leontief.ldu_factors(loaded.Z / loaded.x))
+        ingest._write_entry(table_entry, L=leontief.leontief_inverse(loaded.Z / loaded.x))
         (entry,) = cache_files()
         planted = entry.read_bytes()
         assert main(argv) == code
@@ -1055,8 +1055,8 @@ class TestModelCache:
             ["multipliers", "--sector", "S17", "--out", str(tmp_path / "m")],
         ):
             assert main([argv[0], *table_flags(args), *argv[1:]]) == 0
-            counts.append((len(parses), factorizations.count("ldu_factors")))
-        # validate stores the parsed table; run adds the factors to its entry.
+            counts.append((len(parses), factorizations.count("leontief_inverse")))
+        # validate stores the parsed table; run adds L to its entry.
         assert counts == [(1, 0), (1, 1), (1, 1)]
         cache = cache_dir()
         assert [p.name for p in cache.iterdir()] == [cache_files()[0].name]
@@ -1064,13 +1064,13 @@ class TestModelCache:
 
     @pytest.fixture
     def writes(self, monkeypatch):
-        """For each cache entry written so far, whether it held factors."""
+        """For each cache entry written so far, whether it held L."""
         calls = []
         real = ingest._write_entry
 
-        def counting(entry, **factors):
-            calls.append("factors" in factors)
-            return real(entry, **factors)
+        def counting(entry, **model):
+            calls.append("L" in model)
+            return real(entry, **model)
 
         monkeypatch.setattr(ingest, "_write_entry", counting)
         return calls
@@ -1116,13 +1116,13 @@ class TestModelCache:
         assert writes == [False, True]
         (entry,) = cache_files()
         with np.load(entry) as npz:
-            assert "factors" in npz.files
+            assert "L" in npz.files
 
     @pytest.mark.parametrize("command,wrong", [("run", "--scenario"), ("multipliers", "--sector")])
     def test_unknown_sector_keeps_the_parsed_table(self, tmp_path, capsys, parses, writes,
                                                    command, wrong):
         # The table validated; only the request names a sector it lacks. So
-        # the corrected rerun parses nothing and adds the factors.
+        # the corrected rerun parses nothing and adds L.
         bad = tmp_path / "bad.json"
         bad.write_text('{"name": "x", "target_sector": "S9", "sub_service_drop": 0.5}')
         value = str(bad) if wrong == "--scenario" else "S9"
@@ -1154,7 +1154,7 @@ class TestModelCache:
             }
         assert main(argv) == 0
         assert (len(parses), writes) == (2, [True, True])
-        assert factorizations == ["ldu_factors"] * 2
+        assert factorizations == ["leontief_inverse"] * 2
 
     def test_warm_run_hashes_each_input_once_and_never_A(self, tmp_path, monkeypatch):
         args, scenario = self.n300_args(tmp_path)
@@ -1210,7 +1210,7 @@ class TestModelCache:
         for _ in range(2):
             assert TestParseCache.run_both(out) == 0
             assert TestParseCache.files(out) == cached
-        assert factorizations == ["ldu_factors"] * 3
+        assert factorizations == ["leontief_inverse"] * 3
 
 
 class TestScenariosReadFirst:

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -165,9 +166,9 @@ class TestInoperability:
             inoperability(model, delta)
 
     def test_residual_past_the_tolerance_is_a_consistency_error(self, e2, e2_model):
-        # Factors that no longer solve (I - A) dx = df are a defect of the
+        # An L that no longer solves (I - A) dx = df is a defect of the
         # model, not of the shock.
-        off = replace(e2_model, factors=e2_model.factors * (1.0 + 1e-6))
+        off = replace(e2_model, L=e2_model.L * (1.0 + 1e-6))
         with pytest.raises(InternalConsistencyError, match="fixed-point system by"):
             inoperability(off, e2_delta(e2))
 
@@ -413,7 +414,7 @@ class TestUpdateDenominators:
             make_extraction_spec(e2_model, "S1", np.array([np.nan, np.nan]))
 
     def test_nan_denominator_rejected(self, e2_model):
-        broken = replace(e2_model, factors=np.full((2, 2), np.nan))
+        broken = replace(e2_model, L=np.full((2, 2), np.nan))
         spec = ExtractionSpec(k=0, alpha=np.ones(2), f_bar=e2_model.f)
         with pytest.raises(NonProductiveEconomyError, match="is nan, not at least one"):
             partial_extraction(broken, spec)
@@ -496,6 +497,26 @@ class TestBlowupEstimate:
         gdp = {2016: 0.04, 2017: 0.04, 2018: 0.04}
         with pytest.raises(ValueError, match="2015 is zero"):
             estimate_blowup_factor(fd, gdp)
+
+    HISTORY = {2015: 1000.0, 2016: 1048.0, 2017: 1090.0}
+    GROWTH = {2016: 0.04, 2017: 0.04, 2018: 0.04, 2019: 0.04}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("series,year", [("GDP growth", 2018), ("GDP growth", 2016),
+                                             ("final-demand total", 2016)],
+                             ids=["projection-growth", "historical-growth", "total"])
+    def test_non_finite_input_names_its_year(self, series, year, value):
+        fd, gdp = dict(self.HISTORY), dict(self.GROWTH)
+        (gdp if series == "GDP growth" else fd)[year] = value
+        with pytest.raises(ValueError, match=f"^{series} for {year} is {value}; it must be finite$"):
+            estimate_blowup_factor(fd, gdp)
+
+    @pytest.mark.parametrize("projection,shown", [((1e308, 1e308), "inf"), ((-2.0, 0.04), "-")],
+                             ids=["overflow", "negative"])
+    def test_factor_that_is_not_finite_and_positive_is_refused(self, projection, shown):
+        gdp = {**self.GROWTH, 2018: projection[0], 2019: projection[1]}
+        with pytest.raises(ValueError, match=f"finite and positive, got {shown}"):
+            estimate_blowup_factor(self.HISTORY, gdp)
 
 
 class TestCompare:
@@ -698,7 +719,7 @@ class TestScenarioImpacts:
         assert scenario_impacts(e2_model, [shock], ["inoperability"])[0][0].dx[0] != 0
 
     def test_the_gap_error_names_the_worst_scenario(self, e2, e2_model):
-        off = replace(e2_model, factors=e2_model.factors * (1.0 + 1e-6))
+        off = replace(e2_model, L=e2_model.L * (1.0 + 1e-6))
         shocks = [(replace(e2_delta(e2, -6.0), scenario=name), None) for name in "ab"]
         shocks.insert(1, (replace(e2_delta(e2, -12.0), scenario="big"), None))
         with pytest.raises(InternalConsistencyError,
@@ -707,7 +728,7 @@ class TestScenarioImpacts:
         # Extraction alone makes no gap product.
         assert len(scenario_impacts(off, [(d, np.zeros(2)) for d, _ in shocks],
                                     ["extraction"])) == 3
-        broken = replace(e2_model, factors=np.where(np.eye(2) > 0, np.nan, e2_model.factors))
+        broken = replace(e2_model, L=np.where(np.eye(2) > 0, np.nan, e2_model.L))
         with pytest.raises(InternalConsistencyError, match=r"by nan in scenario 'a'"):
             scenario_impacts(broken, shocks, ["inoperability"])
 

@@ -568,8 +568,8 @@ class TestParseCache:
         assert _cache_files() == kept
 
 
-def _fresh_factors(table):
-    return leontief.build_model(table).factors
+def _fresh_inverse(table):
+    return leontief.build_model(table).L
 
 
 def _table_files(table, d):
@@ -597,52 +597,52 @@ def _entry_arrays(path):
 
 @pytest.fixture
 def factorize_calls(monkeypatch):
-    """The size of every I - A factorized so far."""
+    """The size of every I - A inverted so far."""
     calls = []
-    real = leontief.ldu_factors
+    real = leontief.leontief_inverse
 
     def counting(A):
         calls.append(len(A))
         return real(A)
 
-    monkeypatch.setattr(leontief, "ldu_factors", counting)
+    monkeypatch.setattr(leontief, "leontief_inverse", counting)
     return calls
 
 
 def _no_factorization(monkeypatch):
     def fail(*args):
-        raise AssertionError("factorized on a cache hit")
+        raise AssertionError("inverted on a cache hit")
 
-    monkeypatch.setattr(leontief, "ldu_factors", fail)
+    monkeypatch.setattr(leontief, "leontief_inverse", fail)
 
 
 def _damage_model_missing(path, table):
     arrays = _entry_arrays(path)
-    del arrays["factors"]
+    del arrays["L"]
     np.savez(path, **arrays)
 
 
 def _damage_model_shape(path, table):
-    np.savez(path, **{**_entry_arrays(path), "factors": np.eye(table.n + 1)})
+    np.savez(path, **{**_entry_arrays(path), "L": np.eye(table.n + 1)})
 
 
 def _damage_model_nan(path, table):
     arrays = _entry_arrays(path)
-    arrays["factors"][0, -1] = np.nan
+    arrays["L"][0, -1] = np.nan
     np.savez(path, **arrays)
 
 
 def _damage_model_other_table(path, table):
     other = random_economy(EconomyGenSpec(n=table.n, seed=99))
-    other_factors = _fresh_factors(other)
-    assert np.isfinite(other_factors).all()
-    np.savez(path, **{**_entry_arrays(path), "factors": other_factors})
+    other_L = _fresh_inverse(other)
+    assert np.isfinite(other_L).all()
+    np.savez(path, **{**_entry_arrays(path), "L": other_L})
 
 
 def _damage_model_flip(path, table):
-    """Flip bytes inside the stored factors, so that their CRC fails."""
+    """Flip bytes inside the stored L, so that its CRC fails."""
     data = bytearray(path.read_bytes())
-    at = data.find(_entry_arrays(path)["factors"].tobytes()) + 8 * table.n
+    at = data.find(_entry_arrays(path)["L"].tobytes()) + 8 * table.n
     data[at : at + 8] = bytes(b ^ 0xFF for b in data[at : at + 8])
     path.write_bytes(bytes(data))
 
@@ -657,8 +657,9 @@ _FACTOR_DAMAGE = [_damage_model_missing, _damage_model_shape, _damage_model_nan,
 
 
 def _older_layout_factors(A):
-    """Read-only block LDU factors of I - A in the layout kept before the
-    row-panel solve: L below the diagonal, each D_j^-1 on it, D U above it."""
+    """Read-only block LDU factors of I - A in a layout that earlier versions
+    stored in place of L: the unit lower factor below the diagonal, each
+    D_j^-1 on it, D U above it."""
     m = np.eye(len(A)) - A
     n = len(m)
     for s in range(0, n, leontief._BLOCK):
@@ -703,26 +704,26 @@ def _with_dead_sector(table):
 
 
 class TestModelCache:
-    """load_model keeps the factors of I - A in the table's cache entry."""
+    """load_model keeps L = (I - A)^-1 in the table's cache entry."""
 
     @pytest.mark.parametrize("table", [canonical_e2(), random_economy(EconomyGenSpec(300, 4))],
                              ids=["e2", "n300"])
     def test_hit_does_not_factorize_and_is_bit_identical(self, tmp_path, monkeypatch,
                                                          factorize_calls, table):
         d = _table_files(table, tmp_path / "in")
-        fresh = _fresh_factors(table)
+        fresh = _fresh_inverse(table)
         miss = _load_model(d)
         assert len(factorize_calls) == 2  # the fresh model's and the miss's
         (entry,) = _cache_files()
         assert set(_entry_arrays(entry)) == {"Z", "final_demand", "x", "imports", "value_added",
-                                             "total_uses", "factors"}
+                                             "total_uses", "L"}
         _no_factorization(monkeypatch)
         loaded, table_entry = _load_entry(d)
         hit = load_model(loaded, table_entry)
         for model in (miss, hit):
-            assert model.factors.dtype == np.float64 and model.factors.shape == fresh.shape
-            assert model.factors.tobytes() == fresh.tobytes()
-            assert not model.factors.flags.writeable
+            assert model.L.dtype == np.float64 and model.L.shape == fresh.shape
+            assert model.L.tobytes() == fresh.tobytes()
+            assert not model.L.flags.writeable
         assert hit.table is loaded
         assert np.array_equal(hit.solve(table.f), miss.solve(table.f))
         assert _cache_files() == {entry}
@@ -732,14 +733,14 @@ class TestModelCache:
     def test_damaged_entry_is_a_miss_and_rewritten(self, tmp_path, factorize_calls, damage):
         table = random_economy(EconomyGenSpec(n=300, seed=4))
         d = _table_files(table, tmp_path / "in")
-        fresh = _fresh_factors(table)
+        fresh = _fresh_inverse(table)
         _load_model(d)
         (entry,) = _cache_files()
         damage(entry, table)
         before = len(factorize_calls)
-        assert _load_model(d).factors.tobytes() == fresh.tobytes()
+        assert _load_model(d).L.tobytes() == fresh.tobytes()
         assert len(factorize_calls) == before + 1
-        assert _load_model(d).factors.tobytes() == fresh.tobytes()  # the rewritten entry
+        assert _load_model(d).L.tobytes() == fresh.tobytes()  # the rewritten entry
         assert len(factorize_calls) == before + 1
         assert _cache_files() == {entry}
 
@@ -751,13 +752,13 @@ class TestModelCache:
         d = _table_files(table, tmp_path / "in")
         _load_model(d)
         (entry,) = _cache_files()
-        parsed = {k: v for k, v in _entry_arrays(entry).items() if k != "factors"}
+        parsed = {k: v for k, v in _entry_arrays(entry).items() if k != "L"}
         damage(entry, table)
         before = len(factorize_calls)
         _load_model(d)
         assert (len(parse_calls), len(factorize_calls)) == (1, before + 1)
         rewritten = _entry_arrays(entry)
-        assert rewritten["factors"].tobytes() == _fresh_factors(table).tobytes()
+        assert rewritten["L"].tobytes() == _fresh_inverse(table).tobytes()
         for name, array in parsed.items():
             assert rewritten[name].tobytes() == array.tobytes()
 
@@ -774,10 +775,10 @@ class TestModelCache:
         with pytest.raises(error) as cold:
             _load_model(d)
         assert _cache_files() == set()  # a table that fails build_model is never cached
-        # Plant the factors a hit would serve: the table's own ldu_factors,
+        # Plant the L a hit would serve: the table's own leontief_inverse,
         # which no check has passed.
         loaded, table_entry = _load_entry(d)
-        ingest._write_entry(table_entry, factors=leontief.ldu_factors(loaded.Z / loaded.x))
+        ingest._write_entry(table_entry, L=leontief.leontief_inverse(loaded.Z / loaded.x))
         (entry,) = _cache_files()
         planted = entry.read_bytes()
         with pytest.raises(error) as warm:
@@ -787,22 +788,22 @@ class TestModelCache:
 
     def test_factors_of_an_older_layout_are_refused_and_rewritten(self, tmp_path,
                                                                    factorize_calls):
-        # Factors stored in the layout that held L and D U off the diagonal
-        # (before -L and -U) fail the x = L f check and are factorized again.
-        # On a single block the two layouts agree, so the table has three.
+        # Block LDU factors stored in place of L fail the x = L f check, and
+        # I - A is inverted again. On a single block the factors are L
+        # itself, so the table has three.
         table = random_economy(EconomyGenSpec(n=300, seed=4))
         d = _table_files(table, tmp_path / "in")
         cold = _load_model(d)
         (entry,) = _cache_files()
         loaded, table_entry = _load_entry(d)
         stale = _older_layout_factors(loaded.Z / loaded.x)
-        ingest._write_entry(table_entry, factors=stale)
-        assert _entry_arrays(entry)["factors"].tobytes() == stale.tobytes()
+        ingest._write_entry(table_entry, L=stale)
+        assert _entry_arrays(entry)["L"].tobytes() == stale.tobytes()
         before = len(factorize_calls)
         warm = _load_model(d)
         assert len(factorize_calls) == before + 1
-        assert warm.factors.tobytes() == cold.factors.tobytes()
-        assert _entry_arrays(entry)["factors"].tobytes() == cold.factors.tobytes()
+        assert warm.L.tobytes() == cold.L.tobytes()
+        assert _entry_arrays(entry)["L"].tobytes() == cold.L.tobytes()
         assert warm.x0.tobytes() == cold.x0.tobytes()
         for k in (0, 150, 299):
             spec = make_extraction_spec(warm, k, np.full(300, 0.5), f_bar=table.f * 0.9)
@@ -842,11 +843,11 @@ class TestModelCache:
         (entry,) = _cache_files()
         arrays = _entry_arrays(entry)
         assert arrays["Z"].shape == (141, 141)
-        assert arrays["factors"].shape == (140, 140)
-        fresh = _fresh_factors(table)
+        assert arrays["L"].shape == (140, 140)
+        fresh = _fresh_inverse(table)
         _no_factorization(monkeypatch)
         hit = _load_model(d)
-        assert hit.factors.tobytes() == miss.factors.tobytes() == fresh.tobytes()
+        assert hit.L.tobytes() == miss.L.tobytes() == fresh.tobytes()
 
     def test_table_edited_during_parse_caches_nothing(self, tmp_path, monkeypatch,
                                                       factorize_calls):
@@ -882,7 +883,7 @@ class TestModelCache:
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
         models = [_load_model(d) for _ in range(2)]
         assert len(factorize_calls) == 2
-        assert models[0].factors.tobytes() == models[1].factors.tobytes()
+        assert models[0].L.tobytes() == models[1].L.tobytes()
         assert blocker.read_text() == ""
 
 

@@ -19,11 +19,9 @@ from ioimpact import (
     output_multipliers,
     satellite_multipliers,
 )
-from ioimpact.leontief import FIXED_POINT_TOL, ldu_factors
+from ioimpact.leontief import FIXED_POINT_TOL, leontief_inverse
 from ioimpact.testkit import (
     EconomyGenSpec,
-    dense_inverse,
-    full_sweep_solve,
     neumann_oracle,
     random_economy,
     rescale,
@@ -73,15 +71,15 @@ class TestTechnicalCoefficients:
 
 class TestLeontiefInverse:
     def test_e2_matches_analytic_inverse(self, e2_model):
-        assert np.allclose(dense_inverse(e2_model), E2_L, atol=1e-12)
+        assert np.allclose(e2_model.L, E2_L, atol=1e-12)
         n = 2
-        L = dense_inverse(e2_model)
+        L = e2_model.L
         assert np.allclose(L @ (np.eye(n) - e2_model.A), np.eye(n), atol=1e-9)
 
     def test_zero_matrix_gives_identity(self):
         table = make_table(np.zeros((3, 3)), [1, 2, 3], [1, 2, 3])
         model = build_model(table)
-        assert np.allclose(dense_inverse(model), np.eye(3), atol=1e-15)
+        assert np.allclose(model.L, np.eye(3), atol=1e-15)
 
     def test_non_productive_economy_rejected(self):
         # Column sums 1.2 with spectral radius 1.2: the expansion diverges,
@@ -95,10 +93,10 @@ class TestLeontiefInverse:
         assert np.array_equal(build_model(table_with_A(A)).A, A)
 
     def test_model_reproduces_output_from_demand(self, e2_model):
-        assert np.allclose(dense_inverse(e2_model) @ e2_model.f, e2_model.x, atol=1e-9)
+        assert np.allclose(e2_model.L @ e2_model.f, e2_model.x, atol=1e-9)
 
     def test_nonnegative_inverse_with_unit_diagonal(self, e2_model):
-        L = dense_inverse(e2_model)
+        L = e2_model.L
         assert np.all(L >= 0)
         assert np.all(np.diag(L) >= 1)
 
@@ -134,7 +132,7 @@ def scaled_to_radius(n: int, seed: int, rho: float, non_normal: bool) -> np.ndar
 
 
 class TestProductivityCertificate:
-    """build_model accepts A >= 0 iff rho(A) < 1, decided from the factors."""
+    """build_model accepts A >= 0 iff rho(A) < 1, decided from L."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -213,8 +211,33 @@ def right_hand_side_layouts(rhs: np.ndarray) -> dict[str, np.ndarray]:
 
 
 class TestBlockFactorization:
-    """The block LDU route against an explicit LAPACK inverse of I - A, on
-    sizes around the 128-wide block boundaries."""
+    """The block Gauss-Jordan inverse and the solves that read it, against
+    LAPACK's inverse and solve of I - A, on sizes around the 128-wide block
+    boundaries."""
+
+    @staticmethod
+    def table(n, seed, heavy):
+        table = heavy_column_table(n, seed) if heavy else random_economy(EconomyGenSpec(n, seed))
+        if heavy and n > 1:
+            assert (table.Z / table.x).sum(axis=0).max() > 1.0
+        return table
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from(BLOCK_SIZES), seed=st.integers(0, 10_000), heavy=st.booleans())
+    def test_inverse_matches_lapack(self, n, seed, heavy):
+        model = build_model(self.table(n, seed, heavy))
+        want = np.linalg.inv(np.eye(n) - model.A)
+        assert np.abs(model.L - want).max() <= 1e-12 * np.abs(want).max()
+        assert (model.L >= 0).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128])
+    def test_one_block_is_one_lapack_inverse(self, n):
+        # At most one block: the inverse is LAPACK's inverse of I - A, bit
+        # for bit, as I - A is built.
+        A = build_model(random_economy(EconomyGenSpec(n=n, seed=n))).A
+        m = np.negative(A)
+        m[np.diag_indices_from(m)] += 1.0
+        assert leontief_inverse(A).tobytes() == np.linalg.inv(m).tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -223,14 +246,7 @@ class TestBlockFactorization:
         heavy=st.booleans(),
     )
     def test_solves_match_dense_inverse(self, n, seed, heavy):
-        table = (
-            heavy_column_table(n, seed)
-            if heavy
-            else random_economy(EconomyGenSpec(n=n, seed=seed))
-        )
-        model = build_model(table)
-        if heavy and n > 1:
-            assert model.A.sum(axis=0).max() > 1.0
+        model = build_model(self.table(n, seed, heavy))
         L = np.linalg.inv(np.eye(n) - model.A)
         rng = np.random.default_rng(seed + 1)
         v = rng.standard_normal(n)
@@ -247,15 +263,69 @@ class TestBlockFactorization:
         if n <= 128:
             assert np.array_equal(model.solve(v), L @ v)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from(BLOCK_SIZES),
+        seed=st.integers(0, 10_000),
+        heavy=st.booleans(),
+        nonzero=st.integers(0, 8),
+        k=st.sampled_from([None, 1, 3]),
+    )
+    def test_sparse_right_hand_sides(self, n, seed, heavy, nonzero, k):
+        # A shock to a few sectors, signed zeros elsewhere, as a vector and
+        # as n x k matrices in every layout: each layout gives the same
+        # bytes, within 1e-12 of LAPACK's solve.
+        model = build_model(self.table(n, seed, heavy))
+        rng = np.random.default_rng(seed)
+        shape = (n,) if k is None else (n, k)
+        rhs = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        rows = rng.choice(n, size=min(nonzero, n), replace=False)
+        rhs[rows] = rng.standard_normal((len(rows), *shape[1:]))
+        dense = np.eye(n) - model.A
+        for solve, matrix in ((model.solve, dense), (model.solve_t, dense.T)):
+            want = np.linalg.solve(matrix, rhs)
+            got = {name: solve(view) for name, view in right_hand_side_layouts(rhs).items()}
+            for name, result in got.items():
+                assert result.shape == rhs.shape and result.flags.c_contiguous, name
+                assert np.abs(result - want).max() <= 1e-12 * np.abs(want).max(), name
+                assert result.tobytes() == got["C"].tobytes(), name
+
+    @pytest.mark.parametrize("n", SOLVE_SIZES)
+    def test_unit_right_hand_side_reads_a_column(self, n):
+        model = solve_model(n)
+        for k in boundary_rows(n):
+            e_k = np.zeros(n)
+            e_k[k] = 1.0
+            assert model.solve(e_k).tobytes() == model.L[:, k].tobytes()
+            assert model.solve_t(e_k).tobytes() == model.L[k].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 300])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_never_a_silent_zero(self, n, bad):
+        # L >= 0, so an infinite row gives an infinity of its sign wherever
+        # L is positive, and a NaN row NaN everywhere.
+        model = solve_model(n)
+        for shape in ((n,), (n, 2)):
+            rhs = np.zeros(shape)
+            rhs[n // 2] = bad
+            rhs[0] = 1.0
+            for solve in (model.solve, model.solve_t):
+                with np.errstate(invalid="ignore"):  # BLAS may meet inf * 0 on the way
+                    got = solve(rhs)
+                if np.isnan(bad):
+                    assert np.isnan(got).all()
+                else:
+                    assert (got == bad).all()
+
     @pytest.mark.parametrize(
         "n,first", [(n, first) for n in SOLVE_SIZES for first in boundary_rows(n)]
     )
     def test_every_layout_solves_alike(self, n, first):
         # A right-hand side whose first non-zero row is ``first``, with signed
         # zeros above and below it, as a vector and as n x k matrices. It is
-        # copied into row-major order whatever its layout, so C-order, F-order
-        # and strided inputs give one answer, and the skip of its leading zero
-        # rows changes no bit of it.
+        # read in row-major order whatever its layout, so C-order, F-order
+        # and strided inputs give the same bytes, within 1e-12 of LAPACK's
+        # solve.
         model = solve_model(n)
         rng = np.random.default_rng([n, first])
         dense = np.eye(n) - model.A
@@ -268,28 +338,28 @@ class TestBlockFactorization:
             rhs[first] = rng.uniform(1.0, 2.0, rhs[first].shape)
             layouts = right_hand_side_layouts(rhs)
             assert n == 1 or not layouts["strided"].flags.c_contiguous
-            for solve, matrix, transpose in ((model.solve, dense, False),
-                                             (model.solve_t, dense.T, True)):
+            for solve, matrix in ((model.solve, dense), (model.solve_t, dense.T)):
                 want = np.linalg.solve(matrix, rhs)
-                full = full_sweep_solve(model, rhs, transpose)
+                c_order = solve(rhs)
                 for name, view in layouts.items():
                     got = solve(view)
                     assert got.shape == rhs.shape and got.flags.c_contiguous, name
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
-                    assert got.tobytes() == full.tobytes(), name
+                    assert got.tobytes() == c_order.tobytes(), name
 
     @pytest.mark.parametrize("n", SOLVE_SIZES)
     def test_zero_right_hand_sides(self, n):
+        # Signed zeros in, +0.0 out, in every layout.
         model = solve_model(n)
         signs = np.where(np.random.default_rng(n).random((n, 3)) < 0.5, -0.0, 0.0)
         for rhs in (np.zeros(n), -np.zeros(n), signs, np.asfortranarray(signs)):
-            for solve, transpose in ((model.solve, False), (model.solve_t, True)):
+            for solve in (model.solve, model.solve_t):
                 got = solve(rhs)
-                assert np.array_equal(got, np.zeros(rhs.shape))
-                assert got.tobytes() == full_sweep_solve(model, rhs, transpose).tobytes()
+                assert got.shape == rhs.shape and got.flags.c_contiguous
+                assert got.tobytes() == np.zeros(rhs.shape).tobytes()
 
     def test_factors_are_read_only(self, e2_model):
-        assert not e2_model.factors.flags.writeable
+        assert not e2_model.L.flags.writeable
 
     def test_no_full_inverse_above_one_block(self, monkeypatch):
         shapes = []
@@ -304,15 +374,15 @@ class TestBlockFactorization:
         assert shapes == [(128, 128), (128, 128), (44, 44)]
 
     def test_peak_memory_below_two_dense_matrices(self):
-        # An explicit inverse holds I - A and L: 2 n^2 floats traced. The
-        # traced work is build_model's: the check of A, the factorization
-        # and the certificate.
+        # An inverse that kept I - A beside L would hold 2 n^2 floats; L
+        # overwrites I - A in place. The traced work is build_model's: the
+        # check of A, the inversion and the certificate.
         n = 600
         model = build_model(random_economy(EconomyGenSpec(n=n, seed=5)))
         tracemalloc.start()
         try:
             leontief.check_coefficients(model)
-            leontief.certify_productive(replace(model, factors=ldu_factors(model.A)))
+            leontief.certify_productive(replace(model, L=leontief_inverse(model.A)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -320,42 +390,42 @@ class TestBlockFactorization:
 
 
 class TestStoredFactors:
-    """build_model(table, factors): stored factors are served once they
-    solve (I - A) x = f, and every check runs as it does without them."""
+    """build_model(table, L): a stored L is served once it solves
+    (I - A) x = f, and every check runs as it does without it."""
 
     @pytest.fixture
-    def ldu_calls(self, monkeypatch):
+    def inverse_calls(self, monkeypatch):
         calls = []
-        real = leontief.ldu_factors
+        real = leontief.leontief_inverse
 
         def counting(A):
             calls.append(len(A))
             return real(A)
 
-        monkeypatch.setattr(leontief, "ldu_factors", counting)
+        monkeypatch.setattr(leontief, "leontief_inverse", counting)
         return calls
 
     @pytest.mark.parametrize("n", [2, 300])
-    def test_passing_factors_are_served_as_they_are(self, ldu_calls, n):
+    def test_passing_factors_are_served_as_they_are(self, inverse_calls, n):
         table = random_economy(EconomyGenSpec(n=n, seed=n))
-        factors = build_model(table).factors
-        model = build_model(table, factors)
-        assert model.factors is factors
-        assert ldu_calls == [n]
+        stored = build_model(table).L
+        model = build_model(table, stored)
+        assert model.L is stored
+        assert inverse_calls == [n]
 
-    def test_factors_past_the_tolerance_are_factorized_again(self, ldu_calls):
+    def test_factors_past_the_tolerance_are_factorized_again(self, inverse_calls):
         table = random_economy(EconomyGenSpec(n=300, seed=4))
         fresh = build_model(table)
-        perturbed = fresh.factors.copy()
+        perturbed = fresh.L.copy()
         perturbed[0, 0] *= 1.0 + 1e-6
         perturbed.setflags(write=False)
         f = table.f
-        off = replace(fresh, factors=perturbed)
+        off = replace(fresh, L=perturbed)
         assert leontief.fixed_point_gap(off, off.solve(f), f) > FIXED_POINT_TOL
         model = build_model(table, perturbed)
-        assert model.factors is not perturbed
-        assert model.factors.tobytes() == fresh.factors.tobytes()
-        assert ldu_calls == [300, 300]
+        assert model.L is not perturbed
+        assert model.L.tobytes() == fresh.L.tobytes()
+        assert inverse_calls == [300, 300]
 
     @pytest.mark.parametrize(
         "unservable",
@@ -368,78 +438,78 @@ class TestStoredFactors:
         ids=["writable", "float32", "shape", "list"],
     )
     def test_factors_that_could_change_or_do_not_fit_are_factorized_again(
-        self, ldu_calls, unservable
+        self, inverse_calls, unservable
     ):
         table = random_economy(EconomyGenSpec(n=4, seed=1))
         fresh = build_model(table)
-        given = unservable(fresh.factors)
+        given = unservable(fresh.L)
         model = build_model(table, given)
-        assert model.factors is not given
-        assert not model.factors.flags.writeable
-        assert model.factors.tobytes() == fresh.factors.tobytes()
-        assert ldu_calls == [4, 4]
+        assert model.L is not given
+        assert not model.L.flags.writeable
+        assert model.L.tobytes() == fresh.L.tobytes()
+        assert inverse_calls == [4, 4]
 
     @pytest.mark.parametrize("flow,shown", [(-5.0, "-5.0"), (np.nan, "nan")])
-    def test_bad_flow_is_rejected_with_factors(self, ldu_calls, flow, shown):
-        stored = build_model(make_table([[50, 20], [30, 40]], [30, 30], [100, 100])).factors
+    def test_bad_flow_is_rejected_with_factors(self, inverse_calls, flow, shown):
+        stored = build_model(make_table([[50, 20], [30, 40]], [30, 30], [100, 100])).L
         table = make_table([[50, flow], [30, 40]], [30, 30], [100, 100])
         with pytest.raises(ValueError, match=rf"Z\[S1, S2\] is {shown};"):
             build_model(table, stored)
-        assert ldu_calls == [2]
+        assert inverse_calls == [2]
 
     def test_non_productive_fails_alike_with_planted_factors(self, monkeypatch):
         with pytest.raises(NonProductiveEconomyError) as fresh:
             build_model(NON_PRODUCTIVE)
-        planted = ldu_factors(NON_PRODUCTIVE.Z / NON_PRODUCTIVE.x)
+        planted = leontief_inverse(NON_PRODUCTIVE.Z / NON_PRODUCTIVE.x)
 
         def fail(A):
-            raise AssertionError("factorized although the planted factors solve for x")
+            raise AssertionError("inverted although the planted L solves for x")
 
-        monkeypatch.setattr(leontief, "ldu_factors", fail)
+        monkeypatch.setattr(leontief, "leontief_inverse", fail)
         with pytest.raises(NonProductiveEconomyError) as served:
             build_model(NON_PRODUCTIVE, planted)
         assert str(served.value) == str(fresh.value)
 
 
-    def test_second_build_of_a_table_serves_its_factors(self, ldu_calls):
+    def test_second_build_of_a_table_serves_its_factors(self, inverse_calls):
         table = random_economy(EconomyGenSpec(n=300, seed=5))
         first = build_model(table)
         second = build_model(table)
-        assert ldu_calls == [300]
-        assert second.factors is first.factors
+        assert inverse_calls == [300]
+        assert second.L is first.L
         rhs = np.random.default_rng(5).standard_normal((300, 3))
         assert second.solve(rhs).tobytes() == first.solve(rhs).tobytes()
         assert second.solve_t(rhs).tobytes() == first.solve_t(rhs).tobytes()
 
-    def test_tables_with_equal_content_do_not_share_factors(self, ldu_calls):
+    def test_tables_with_equal_content_do_not_share_factors(self, inverse_calls):
         table = random_economy(EconomyGenSpec(n=4, seed=2))
         twin = replace(table)
         first, second = build_model(table), build_model(twin)
-        assert ldu_calls == [4, 4]
-        assert second.factors is not first.factors
-        assert second.factors.tobytes() == first.factors.tobytes()
+        assert inverse_calls == [4, 4]
+        assert second.L is not first.L
+        assert second.L.tobytes() == first.L.tobytes()
 
-    def test_table_changed_in_place_is_factorized_again(self, ldu_calls):
+    def test_table_changed_in_place_is_factorized_again(self, inverse_calls):
         table = random_economy(EconomyGenSpec(n=300, seed=6))
-        kept = build_model(table).factors
+        kept = build_model(table).L
         table.Z.setflags(write=True)
         table.Z[0, 1] *= 1.0 + 1e-6
         table.Z.setflags(write=False)
         model = build_model(table)
-        stale = replace(model, factors=kept)
+        stale = replace(model, L=kept)
         assert leontief.fixed_point_gap(stale, stale.solve(table.f), table.f) > FIXED_POINT_TOL
-        assert ldu_calls == [300, 300]
-        assert model.factors is not kept
-        assert model.factors.tobytes() == ldu_factors(table.Z / table.x).tobytes()
-        assert build_model(table).factors is model.factors
+        assert inverse_calls == [300, 300]
+        assert model.L is not kept
+        assert model.L.tobytes() == leontief_inverse(table.Z / table.x).tobytes()
+        assert build_model(table).L is model.L
 
     def test_kept_factors_die_with_their_table(self):
         table = random_economy(EconomyGenSpec(n=4, seed=3))
         model = build_model(table)
-        factors = weakref.ref(model.factors)
+        kept = weakref.ref(model.L)
         del table, model
         gc.collect()
-        assert factors() is None
+        assert kept() is None
 
     @pytest.mark.parametrize(
         "table,error",
@@ -449,7 +519,7 @@ class TestStoredFactors:
         ],
         ids=["negative-flow", "non-productive"],
     )
-    def test_failed_build_keeps_nothing_and_fails_again(self, ldu_calls, table, error):
+    def test_failed_build_keeps_nothing_and_fails_again(self, inverse_calls, table, error):
         with pytest.raises(error) as first:
             build_model(table)
         assert table not in leontief._built
@@ -457,7 +527,7 @@ class TestStoredFactors:
             build_model(table)
         assert str(second.value) == str(first.value)
         assert table not in leontief._built
-        assert ldu_calls == ([] if error is ValueError else [2, 2])
+        assert inverse_calls == ([] if error is ValueError else [2, 2])
 
 
 class TestMultipliers:
@@ -547,7 +617,7 @@ class TestProperties:
         scaled_model = build_model(rescale(table, scale))
         assert np.allclose(scaled_model.A, model.A, rtol=1e-12, atol=1e-15)
         assert np.allclose(
-            dense_inverse(scaled_model), dense_inverse(model), rtol=1e-12, atol=1e-12
+            scaled_model.L, model.L, rtol=1e-12, atol=1e-12
         )
         assert np.allclose(
             output_multipliers(scaled_model), output_multipliers(model), rtol=1e-12
@@ -573,11 +643,11 @@ class TestProperties:
         table = random_economy(EconomyGenSpec(n=n, seed=seed))
         model = build_model(table)
         approx = neumann_oracle(model.A, 200)
-        assert np.abs(dense_inverse(model) - approx).max() < 1e-8
+        assert np.abs(model.L - approx).max() < 1e-8
 
     def test_neumann_error_decreases_in_k(self, e2_model):
         errors = [
-            np.abs(dense_inverse(e2_model) - neumann_oracle(e2_model.A, K)).max()
+            np.abs(e2_model.L - neumann_oracle(e2_model.A, K)).max()
             for K in (10, 25, 50, 100)
         ]
         assert all(a > b for a, b in zip(errors, errors[1:]))

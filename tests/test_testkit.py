@@ -5,7 +5,6 @@ from ioimpact import NonProductiveEconomyError, build_model, validate_table
 from ioimpact.testkit import (
     EconomyGenSpec,
     canonical_e2,
-    dense_inverse,
     neumann_oracle,
     random_economy,
 )
@@ -56,7 +55,7 @@ class TestRandomEconomy:
     def test_demand_round_trip(self):
         table = random_economy(EconomyGenSpec(n=20, seed=5))
         model = build_model(table)
-        assert np.abs(dense_inverse(model) @ table.f - table.x).max() < 1e-9 * table.x.max()
+        assert np.abs(model.L @ table.f - table.x).max() < 1e-9 * table.x.max()
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -83,4 +82,4 @@ class TestCanonicalE2:
     def test_derived_matrices(self):
         model = build_model(canonical_e2())
         assert np.allclose(model.A, E2_A, atol=1e-15)
-        assert np.allclose(dense_inverse(model), E2_L, atol=1e-12)
+        assert np.allclose(model.L, E2_L, atol=1e-12)
