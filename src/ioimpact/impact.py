@@ -3,11 +3,11 @@
 Every result here is a product with the model's Leontief inverse
 L = (I - A)^-1, formed once per table (LeontiefModel.solve). Both methods
 start from the propagated shock u = L df, and scenario_impacts is their one
-route: one solve against the row-major block [df_1 ... df_S, e_k for each
-distinct extraction target k] serves every shock of a run. The solve reads
-only the columns of L at the rows the block touches, so an e_k column is a
-column read of L and a shock to r sectors costs O(n r); each scenario then
-costs O(n) per method. inoperability and partial_extraction are its
+route: one solve against the row-major n x S block [df_1 ... df_S] serves
+every shock of a run. The solve reads only the columns of L at the rows
+the block touches, so a shock to r sectors costs O(n r); an extraction
+reads its target's column L[:, k] straight from the inverse. Each scenario
+then costs O(n) per method. inoperability and partial_extraction are its
 one-shock, one-method case.
 
 Inoperability is dx = u, normalized to output, q = dx / x. One product with
@@ -21,8 +21,7 @@ with d_k = 0 (own use is part of the sector's recipe and is never
 extracted). By the Sherman-Morrison formula (Miller & Blair, Input-Output
 Analysis, 2009, ch. 12), the change from the model's own output x0 = L f,
 the hypothetical-extraction baseline, not the table's x, is
-dx = u - L[:, k] (d . (x0 + u)) / (1 + d . L[:, k]). u and L[:, k] are zero
-in all but a few sectors for a scenario's shock, and no two output-sized
+dx = u - L[:, k] (d . (x0 + u)) / (1 + d . L[:, k]). No two output-sized
 vectors are subtracted, so a null scenario (df = 0, alpha = 0) gives dx = 0
 exactly and a small change keeps its precision. With A >= 0 and alpha in
 [0, 1] the denominator is at least one, and the extracted economy is
@@ -36,6 +35,8 @@ touching the normalized ones.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -175,17 +176,13 @@ def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list
         if "extraction" in methods:
             alphas.append(_check_intensities(_per_sector(model, "alpha", alpha)))
             targets.append(model.sector_index(delta.target))
-    S = len(deltas)
-    # One row-major n x (S + K) right-hand side: each df, then e_k per target.
-    columns = {k: j for j, k in enumerate(sorted(set(targets)), start=S)}
-    rhs = np.zeros((model.table.n, S + len(columns)))
+    # One row-major n x S right-hand side, one df per column.
+    rhs = np.zeros((model.table.n, len(deltas)))
     for s, delta in enumerate(deltas):
         rhs[:, s] = delta.delta
-    for k, j in columns.items():
-        rhs[k, j] = 1.0
     u = model.solve(rhs)
     if "inoperability" in methods:
-        gaps = fixed_point_gap(model, u[:, :S], rhs[:, :S])
+        gaps = fixed_point_gap(model, u, rhs)
         if not (gaps <= FIXED_POINT_TOL).all():  # NaN fails this test too
             worst = int(np.argmax(gaps))  # the first NaN, if there is one
             raise InternalConsistencyError(
@@ -197,16 +194,15 @@ def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list
         dx = {"inoperability": u[:, s]}
         if "extraction" in methods:
             k = targets[s]
-            l_k = u[:, columns[k]]
             d = model.A[k] * alphas[s]
             d[k] = 0.0
-            denom = 1.0 + d @ l_k
+            denom = 1.0 + d @ model.L[:, k]
             if not (denom >= 1.0):
                 raise NonProductiveEconomyError(
                     f"the rank-one update denominator 1 + d . L[:, k] is {denom:.6g}, not at "
                     "least one; the coefficients are not those of a productive economy"
                 )
-            dx["extraction"] = u[:, s] - l_k * ((d @ (model.x0 + u[:, s])) / denom)
+            dx["extraction"] = u[:, s] - model.L[:, k] * ((d @ (model.x0 + u[:, s])) / denom)
         results.append([_assemble(model, m, delta.scenario, dx[m]) for m in methods])
     return results
 
@@ -236,8 +232,11 @@ def satellite_deltas(model: LeontiefModel, dx: np.ndarray) -> dict[str, np.ndarr
 
 
 def check_blowup_factor(b: float) -> None:
-    """ValueError unless the blowup factor ``b`` is finite and positive."""
-    if not (math.isfinite(b) and b > 0):
+    """ValueError unless the blowup factor ``b`` is a finite positive real
+    number, not a bool or a string: ScenarioSpec's rule for blowup_factor."""
+    if isinstance(b, bool) or not isinstance(b, numbers.Real):
+        raise ValueError(f"blowup factor must be a number, got {b!r}")
+    if not 0 < b <= sys.float_info.max:  # NaN, inf and an int past the float range fail
         raise ValueError(f"blowup factor must be finite and positive, got {b}")
 
 

@@ -71,9 +71,13 @@ def _product(M: np.ndarray, rhs) -> np.ndarray:
     the same bytes, and an all-zero one gives +0.0. One with more than half
     of its rows not zero, f or a vector of ones say, is one product with the
     whole of M, so no copy of M is ever larger than half of it. The result
-    is C-contiguous.
+    is C-contiguous. ValueError names any other shape than a length-n
+    vector or an n x k matrix before anything is multiplied.
     """
-    v = np.ascontiguousarray(rhs, dtype=float)
+    v, n = np.asarray(rhs, dtype=float), len(M)
+    if v.ndim not in (1, 2) or len(v) != n:
+        raise ValueError(f"right-hand side has shape {v.shape}; a solve takes ({n},) or ({n}, k)")
+    v = np.ascontiguousarray(v)
     rows = np.flatnonzero((v != 0).reshape(len(v), -1).any(axis=1))
     product = M @ v if 2 * len(rows) > len(v) else M[:, rows] @ v[rows]
     return np.ascontiguousarray(product)
@@ -103,16 +107,16 @@ class LeontiefModel:
     x0: np.ndarray
 
     def solve(self, rhs) -> np.ndarray:
-        """(I - A)^-1 rhs = L rhs for a vector or an n x k matrix of any
-        memory layout: L[:, rows] @ rhs[rows] over the rows of rhs that are
-        not zero, O(n r k) for r such rows (see _product). The result is
-        C-contiguous."""
+        """(I - A)^-1 rhs = L rhs for a length-n vector or an n x k matrix of
+        any memory layout, and ValueError for any other shape: L[:, rows] @
+        rhs[rows] over the rows of rhs that are not zero, O(n r k) for r such
+        rows (see _product). The result is C-contiguous."""
         return _product(self.L, rhs)
 
     def solve_t(self, rhs) -> np.ndarray:
-        """(I - A)^-T rhs = L' rhs for a vector or an n x k matrix: for a
-        vector u this is the row u'L, for a matrix one such row per column.
-        The same rule as solve, on the rows of L."""
+        """(I - A)^-T rhs = L' rhs for a length-n vector or an n x k matrix:
+        for a vector u this is the row u'L, for a matrix one such row per
+        column. The same rules as solve, on the rows of L."""
         return _product(self.L.T, rhs)
 
     @property
@@ -313,15 +317,18 @@ def sector_order(values, descending: bool = False, k: int | None = None) -> list
     With a depth k the result is the full order's first k positions,
     sector_order(values, descending)[:k], found without sorting all n: the
     k-th smallest key is selected, and only the keys at or below it are
-    sorted. They come first in the full order, so the two agree exactly.
+    sorted. They come first in the full order, so the two agree exactly. A
+    negative k is refused as check_top_k refuses it.
     """
     values = np.asarray(values, dtype=float)
     keys = -values if descending else values
-    if k is not None and 0 < k < len(keys):
-        cut = np.partition(keys, k - 1)[k - 1]
-        if not np.isnan(cut):  # a NaN cut selects no key; sort them all
-            head = np.flatnonzero(keys <= cut)
-            return head[np.argsort(keys[head], kind="stable")[:k]].tolist()
+    if k is not None:
+        check_top_k(k)
+        if 0 < k < len(keys):
+            cut = np.partition(keys, k - 1)[k - 1]
+            if not np.isnan(cut):  # a NaN cut selects no key; sort them all
+                head = np.flatnonzero(keys <= cut)
+                return head[np.argsort(keys[head], kind="stable")[:k]].tolist()
     return np.argsort(keys, kind="stable").tolist()[:k]
 
 

@@ -871,8 +871,9 @@ class TestParseCache:
 
 class TestOneSolvePerRun:
     """A warm run makes the same solves at any number of scenarios: one
-    scenario block for all of them, beside the model's own x0 and
-    productivity solves."""
+    n x S block of the S demand changes, under every method, beside the
+    model's own x0 and productivity solves. Extraction reads its target's
+    column of L without a solve."""
 
     TARGETS = ["S2", "S1", "S2", "S2", "S1"]
 
@@ -914,11 +915,10 @@ class TestOneSolvePerRun:
             assert main(argv) == 0
             monkeypatch.undo()
         assert len(calls[1]) == len(calls[5])
-        for count, distinct in ((1, 1), (5, 2)):
+        for count in (1, 5):
             blocks = [rhs for rhs in calls[count] if np.ndim(rhs) == 2]
             assert len(blocks) == 1
-            width = count + (0 if method == "inoperability" else distinct)
-            assert blocks[0].shape == (n, width)
+            assert blocks[0].shape == (n, count)
             assert blocks[0].flags.c_contiguous
 
 

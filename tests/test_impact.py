@@ -13,6 +13,7 @@ from ioimpact import (
     ExtractionSpec,
     InternalConsistencyError,
     NonProductiveEconomyError,
+    ScenarioConfigError,
     ScenarioSpec,
     apply_blowup,
     build_model,
@@ -278,8 +279,9 @@ class TestPartialExtraction:
         with pytest.raises(ValueError, match=message):
             partial_extraction(model, ExtractionSpec(k=0, alpha=alpha, f_bar=f_bar))
 
-    def test_one_row_major_two_column_solve(self, monkeypatch):
-        # The block products of a solve run slower on a column-major right-hand side.
+    def test_one_row_major_one_column_solve(self, monkeypatch):
+        # The block products of a solve run slower on a column-major
+        # right-hand side. L[:, k] is read from the inverse, not solved for.
         model = build_model(random_economy(EconomyGenSpec(n=300, seed=2)))
         spec = make_extraction_spec(model, 5, np.full(300, 0.5))
         calls = []
@@ -292,7 +294,7 @@ class TestPartialExtraction:
         monkeypatch.setattr(LeontiefModel, "solve", spy)
         partial_extraction(model, spec)
         assert len(calls) == 1
-        assert calls[0].shape == (300, 2)
+        assert calls[0].shape == (300, 1)
         assert calls[0].flags.c_contiguous
 
     @pytest.mark.parametrize("k", [4, -1])
@@ -468,11 +470,26 @@ class TestBlowup:
         with pytest.raises(ValueError):
             apply_blowup(result, 0.0)
 
-    @pytest.mark.parametrize("b", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("b", [float("nan"), float("inf"), 10**400])
     def test_non_finite_factor_rejected(self, e2, e2_model, b):
         result = inoperability(e2_model, e2_delta(e2))
         with pytest.raises(ValueError, match="finite and positive"):
             apply_blowup(result, b)
+
+    @pytest.mark.parametrize("b", [True, False, np.True_, "1.5", None, [1.0]])
+    def test_non_number_factor_rejected(self, e2, e2_model, b):
+        # The rule ScenarioSpec applies to blowup_factor: no bool, no string.
+        result = inoperability(e2_model, e2_delta(e2))
+        message = re.escape(f"blowup factor must be a number, got {b!r}")
+        with pytest.raises(ValueError, match=message):
+            apply_blowup(result, b)
+        with pytest.raises(ScenarioConfigError, match="blowup_factor must be a number"):
+            ScenarioSpec(name="x", target_sector="S1", sub_service_drop=0.5, blowup_factor=b)
+
+    @pytest.mark.parametrize("b", [2, np.int64(2), np.float64(1.5), 1.092])
+    def test_real_number_factors_accepted(self, e2, e2_model, b):
+        result = inoperability(e2_model, e2_delta(e2))
+        assert apply_blowup(result, b).blowup_applied == float(b)
 
 
 class TestBlowupEstimate:
@@ -736,9 +753,8 @@ class TestScenarioImpacts:
     def no_solve(self, rhs):
         raise AssertionError("solved before the inputs were checked")
 
-    @pytest.mark.parametrize("methods,width", [(METHODS, 5), (METHODS[:1], 3),
-                                               (METHODS[1:], 5)])
-    def test_one_row_major_block(self, monkeypatch, methods, width):
+    @pytest.mark.parametrize("methods", [METHODS, METHODS[:1], METHODS[1:]])
+    def test_one_row_major_block(self, monkeypatch, methods):
         model = build_model(random_economy(EconomyGenSpec(n=300, seed=2)))
         calls = []
         solve = LeontiefModel.solve
@@ -754,6 +770,28 @@ class TestScenarioImpacts:
             shocks.append((replace(delta, target=model.table.codes[k]), np.full(300, 0.5)))
         scenario_impacts(model, shocks, methods)
         assert len(calls) == 1
-        assert calls[0].shape == (300, width)
+        assert calls[0].shape == (300, 3)
         assert calls[0].flags.c_contiguous
-        assert np.array_equal(calls[0][:, 3:], np.eye(300)[:, [7, 299][:width - 3]])
+        for s, (delta, _) in enumerate(shocks):
+            assert np.array_equal(calls[0][:, s], delta.delta)
+
+    @pytest.mark.parametrize("n", [6, 130])
+    def test_extraction_reads_the_solved_column_of_L(self, n):
+        # Every extraction reads L[:, k], which is model.solve(e_k) bit for
+        # bit; the result is the Sherman-Morrison formula on that column.
+        model = build_model(random_economy(EconomyGenSpec(n=n, seed=3)))
+        rng = np.random.default_rng(n)
+        targets = [0, n - 1, n // 2, 0]
+        shocks = [(replace(random_loss(model.table, np.random.default_rng(s)),
+                           target=model.table.codes[k]), rng.uniform(0.0, 1.0, n))
+                  for s, k in enumerate(targets)]
+        results = scenario_impacts(model, shocks)
+        u = model.solve(np.column_stack([delta.delta for delta, _ in shocks]))
+        for s, k in enumerate(targets):
+            l_k = model.solve(np.eye(n)[k])
+            assert l_k.tobytes() == model.L[:, k].tobytes()
+            d = model.A[k] * shocks[s][1]
+            d[k] = 0.0
+            want = u[:, s] - l_k * ((d @ (model.x0 + u[:, s])) / (1.0 + d @ l_k))
+            got = results[s][1].dx
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()

@@ -1,5 +1,6 @@
 import functools
 import gc
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -357,6 +358,18 @@ class TestBlockFactorization:
                 got = solve(rhs)
                 assert got.shape == rhs.shape and got.flags.c_contiguous
                 assert got.tobytes() == np.zeros(rhs.shape).tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (6, 2, 2), (5,), (7, 2), (2, 6), (0,)])
+    def test_other_shapes_refused_before_any_product(self, shape):
+        # Nothing is broadcast: a (6, 2, 2) block with two rows that are not
+        # zero would otherwise come back as a (2, 6, 2) array.
+        model = solve_model(6)
+        rhs = np.zeros(shape)
+        rhs[(slice(0, 2),) * rhs.ndim] = 1.0
+        message = re.escape(f"right-hand side has shape {shape}; a solve takes (6,) or (6, k)")
+        for solve in (model.solve, model.solve_t):
+            with pytest.raises(ValueError, match=message):
+                solve(rhs)
 
     def test_factors_are_read_only(self, e2_model):
         assert not e2_model.L.flags.writeable

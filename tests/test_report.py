@@ -256,6 +256,11 @@ class TestTiesBreakBySectorIndex:
         assert got == full[:k]
         assert all(type(i) is int for i in got)
 
+    @pytest.mark.parametrize("k", [-1, -3, -4])
+    def test_negative_depth_refused(self, k):
+        with pytest.raises(ValueError, match="top_k must be non-negative"):
+            sector_order([3.0, 1.0, 2.0], k=k)
+
     @pytest.mark.parametrize("top_k", [0, 1, 2, 3])
     def test_ranked_views_of_e2_follow_the_full_order(self, e2, e2_model, top_k):
         delta = DemandDelta(

@@ -68,6 +68,15 @@ def test_all_lists_the_public_names():
         assert getattr(ioimpact, name) is not None
 
 
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml promises Python >= 3.10.
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    sources = sorted((ROOT / "src" / "ioimpact").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 def import_nodes(module: str):
     source = (ROOT / "src" / "ioimpact" / f"{module}.py").read_text(encoding="utf-8")
     return [node for node in ast.walk(ast.parse(source))
