@@ -16,7 +16,6 @@ from .errors import (
 )
 from .impact import (
     ComparisonReport,
-    ExtractionSpec,
     ImpactResult,
     apply_blowup,
     compare_methods,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ComparisonReport",
     "DemandDelta",
-    "ExtractionSpec",
     "FinalDemandBlock",
     "IOModelError",
     "IOTable",

@@ -52,28 +52,6 @@ METHODS = ("inoperability", "extraction")
 _SELECTIONS = (METHODS, METHODS[::-1], METHODS[:1], METHODS[1:])
 
 
-@dataclass(frozen=True)
-class ExtractionSpec:
-    """A partial extraction of sector k's deliveries.
-
-    alpha holds one intensity per purchasing sector; f_bar is the
-    final-demand vector solved against. partial_extraction checks both, and
-    k, against the model's sectors.
-    """
-
-    k: int
-    alpha: np.ndarray
-    f_bar: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        for name in ("alpha", "f_bar"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        _check_intensities(self.alpha)
-
-
 def _check_intensities(alpha: np.ndarray) -> np.ndarray:
     if not np.all((alpha >= 0) & (alpha <= 1)):  # NaN fails this test too
         raise ValueError("extraction intensities must lie in [0, 1]")
@@ -86,11 +64,18 @@ def make_extraction_spec(
     alpha: np.ndarray,
     f_bar: np.ndarray | None = None,
     label: str = "",
-) -> ExtractionSpec:
+) -> tuple[DemandDelta, np.ndarray]:
     """The extraction of ``target`` from the model's economy, solved against
-    f_bar, the table's f by default."""
-    f_bar = model.f if f_bar is None else f_bar
-    return ExtractionSpec(k=model.sector_index(target), alpha=alpha, f_bar=f_bar, label=label)
+    f_bar (the table's f by default), as the (DemandDelta, alpha) shock that
+    scenario_impacts takes, with df = f_bar - f. An unknown target raises
+    KeyError; an alpha outside [0, 1] and an f_bar that is not one finite
+    value per sector raise ValueError."""
+    k = model.sector_index(target)
+    alpha = _check_intensities(np.array(alpha, dtype=float))
+    f_bar = model.f if f_bar is None else _per_sector(model, "f_bar", f_bar)
+    delta = DemandDelta(scenario=label, target=model.sectors[k].code, delta=f_bar - model.f,
+                        component_changes={}, total_drop_fraction=0.0)
+    return delta, alpha
 
 
 @dataclass(frozen=True)
@@ -212,17 +197,10 @@ def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
     return scenario_impacts(model, [(delta, None)], ("inoperability",))[0][0]
 
 
-def partial_extraction(model: LeontiefModel, spec: ExtractionSpec) -> ImpactResult:
-    """The one-shock extraction case of scenario_impacts, with df = f_bar - f:
-    row k of A becomes a_kj (1 - alpha_j) for j != k. alpha and f_bar must
-    hold one finite value per sector and k must be a sector position."""
-    k, n = spec.k, model.table.n
-    _per_sector(model, "f_bar", spec.f_bar)
-    if not 0 <= k < n:
-        raise ValueError(f"extraction target k={k} is not a sector position of an n={n} model")
-    delta = DemandDelta(scenario=spec.label, target=model.sectors[k].code,
-                        delta=spec.f_bar - model.f, component_changes={}, total_drop_fraction=0.0)
-    return scenario_impacts(model, [(delta, spec.alpha)], ("extraction",))[0][0]
+def partial_extraction(model: LeontiefModel, shock: tuple[DemandDelta, np.ndarray]) -> ImpactResult:
+    """The one-shock extraction case of scenario_impacts, for a shock built by
+    make_extraction_spec: row k of A becomes a_kj (1 - alpha_j) for j != k."""
+    return scenario_impacts(model, [shock], ("extraction",))[0][0]
 
 
 def satellite_deltas(model: LeontiefModel, dx: np.ndarray) -> dict[str, np.ndarray]:
@@ -245,6 +223,7 @@ def apply_blowup(result: ImpactResult, b: float) -> ImpactResult:
     exact regardless of table age and stay untouched. b must be finite and
     positive."""
     check_blowup_factor(b)
+    b = float(b)  # a Fraction would leave object-dtype arrays
     return replace(
         result,
         dx=result.dx * b,

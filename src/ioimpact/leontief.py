@@ -35,6 +35,7 @@ from (Miller & Blair 2009, ch. 12).
 
 from __future__ import annotations
 
+import numbers
 import weakref
 from dataclasses import dataclass, replace
 
@@ -318,7 +319,7 @@ def sector_order(values, descending: bool = False, k: int | None = None) -> list
     sector_order(values, descending)[:k], found without sorting all n: the
     k-th smallest key is selected, and only the keys at or below it are
     sorted. They come first in the full order, so the two agree exactly. A
-    negative k is refused as check_top_k refuses it.
+    k that is negative or no integer is refused as check_top_k refuses it.
     """
     values = np.asarray(values, dtype=float)
     keys = -values if descending else values
@@ -333,7 +334,10 @@ def sector_order(values, descending: bool = False, k: int | None = None) -> list
 
 
 def check_top_k(top_k: int) -> None:
-    """ValueError unless ``top_k``, the depth of a ranked view, is non-negative."""
+    """ValueError unless ``top_k``, the depth of a ranked view, is a
+    non-negative integer, Python or numpy, and not a bool."""
+    if isinstance(top_k, bool) or not isinstance(top_k, numbers.Integral):
+        raise ValueError(f"top_k must be an integer, got {top_k!r}")
     if top_k < 0:
         raise ValueError("top_k must be non-negative")
 

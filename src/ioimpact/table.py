@@ -191,11 +191,12 @@ class IOTable:
 
         A Sector is found by its code, so one taken from another table, such
         as the table before drop_zero_sectors, names the same sector here.
-        Raises KeyError for an unknown code or an index outside 0..n-1.
+        Raises KeyError for an unknown code, an index outside 0..n-1 or a
+        bool, which is no index here.
         """
         if isinstance(sector, Sector):
             sector = sector.code
-        elif isinstance(sector, (int, np.integer)):
+        elif isinstance(sector, (int, np.integer)) and not isinstance(sector, bool):
             if not 0 <= sector < self.n:
                 raise KeyError(f"sector index {sector} out of range")
             return int(sector)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonProductiveEconomyError
-from .impact import ExtractionSpec, ImpactResult
+from .impact import ImpactResult
 from .leontief import LeontiefModel
 from .scenario import DemandDelta
 from .table import FinalDemandBlock, IOTable, SatelliteAccount, Sector
@@ -73,18 +73,20 @@ def inoperability_oracle(model: LeontiefModel, delta: DemandDelta) -> np.ndarray
     )
 
 
-def partial_extraction_oracle(model: LeontiefModel, spec: ExtractionSpec) -> np.ndarray:
-    """The output change of an extraction from two dense solves: x_bar from
-    (I - A_bar) x_bar = f_bar, where row k of A_bar is a_kj (1 - alpha_j) off
-    the diagonal, minus the baseline L f from (I - A) x = f."""
+def partial_extraction_oracle(model: LeontiefModel, shock) -> np.ndarray:
+    """The output change of a (DemandDelta, alpha) extraction shock from two
+    dense solves: x_bar from (I - A_bar) x_bar = f + df, where row k of A_bar
+    is a_kj (1 - alpha_j) off the diagonal, minus the baseline L f from
+    (I - A) x = f."""
+    delta, alpha = shock
     A = model.A
-    k = spec.k
+    k = model.sector_index(delta.target)
     a_bar = A.copy()
-    scale = 1.0 - spec.alpha
+    scale = 1.0 - np.asarray(alpha, dtype=float)
     scale[k] = 1.0
     a_bar[k, :] = A[k, :] * scale
     eye = np.eye(A.shape[0])
-    return np.linalg.solve(eye - a_bar, spec.f_bar) - np.linalg.solve(eye - A, model.f)
+    return np.linalg.solve(eye - a_bar, model.f + delta.delta) - np.linalg.solve(eye - A, model.f)
 
 
 def table_payload(table) -> list[dict]:

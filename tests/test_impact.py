@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from ioimpact import (
     DemandDelta,
-    ExtractionSpec,
     InternalConsistencyError,
     NonProductiveEconomyError,
     ScenarioConfigError,
@@ -264,8 +264,6 @@ class TestPartialExtraction:
         message = rf"{name} has shape {shape}, not \(4,\): one value"
         with pytest.raises(ValueError, match=message):
             partial_extraction(model, make_extraction_spec(model, 0, **inputs))
-        with pytest.raises(ValueError, match=message):
-            partial_extraction(model, ExtractionSpec(k=0, **inputs))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_final_demand_rejected(self, bad):
@@ -276,8 +274,6 @@ class TestPartialExtraction:
         message = re.escape(f"f_bar is {bad} at sector {model.table.codes[2]}; it must be finite")
         with pytest.raises(ValueError, match=message):
             partial_extraction(model, make_extraction_spec(model, 0, alpha, f_bar=f_bar))
-        with pytest.raises(ValueError, match=message):
-            partial_extraction(model, ExtractionSpec(k=0, alpha=alpha, f_bar=f_bar))
 
     def test_one_row_major_one_column_solve(self, monkeypatch):
         # The block products of a solve run slower on a column-major
@@ -297,12 +293,22 @@ class TestPartialExtraction:
         assert calls[0].shape == (300, 1)
         assert calls[0].flags.c_contiguous
 
+    def test_returns_the_shock_scenario_impacts_takes(self, e2, e2_model):
+        f_bar = e2.f + np.array([-12.0, 3.0])
+        delta, alpha = make_extraction_spec(e2_model, 1, [0.25, 0.5], f_bar=f_bar, label="x")
+        assert (delta.scenario, delta.target) == ("x", "S2")
+        assert delta.delta.tobytes() == (f_bar - e2_model.f).tobytes()
+        assert alpha.dtype == np.float64 and alpha.tolist() == [0.25, 0.5]
+        [[ext]] = scenario_impacts(e2_model, [(delta, alpha)], ("extraction",))
+        assert partial_extraction(e2_model, (delta, alpha)).dx.tobytes() == ext.dx.tobytes()
+        default, _ = make_extraction_spec(e2_model, "S1", np.zeros(2))
+        assert np.array_equal(default.delta, np.zeros(2))
+
     @pytest.mark.parametrize("k", [4, -1])
     def test_target_outside_the_model_rejected(self, k):
         model = build_model(random_economy(EconomyGenSpec(n=4, seed=1)))
-        spec = ExtractionSpec(k=k, alpha=np.full(4, 0.5), f_bar=np.ones(4))
-        with pytest.raises(ValueError, match=rf"target k={k} is not a sector position"):
-            partial_extraction(model, spec)
+        with pytest.raises(KeyError, match=rf"sector index {k} out of range"):
+            make_extraction_spec(model, k, np.full(4, 0.5), f_bar=np.ones(4))
 
 
 def oracle_alpha(kind, n, rng):
@@ -417,7 +423,7 @@ class TestUpdateDenominators:
 
     def test_nan_denominator_rejected(self, e2_model):
         broken = replace(e2_model, L=np.full((2, 2), np.nan))
-        spec = ExtractionSpec(k=0, alpha=np.ones(2), f_bar=e2_model.f)
+        spec = make_extraction_spec(e2_model, 0, np.ones(2), f_bar=e2_model.f)
         with pytest.raises(NonProductiveEconomyError, match="is nan, not at least one"):
             partial_extraction(broken, spec)
 
@@ -490,6 +496,15 @@ class TestBlowup:
     def test_real_number_factors_accepted(self, e2, e2_model, b):
         result = inoperability(e2_model, e2_delta(e2))
         assert apply_blowup(result, b).blowup_applied == float(b)
+
+    def test_fraction_factor_gives_float_vectors(self, e2, e2_model):
+        result = inoperability(e2_model, e2_delta(e2))
+        got, want = apply_blowup(result, Fraction(3, 2)), apply_blowup(result, 1.5)
+        assert got.blowup_applied == 1.5 and got.totals == want.totals
+        assert got.satellite_changes.keys() == want.satellite_changes.keys()
+        for kind, vec in got.satellite_changes.items():
+            assert vec.dtype == np.float64
+            assert vec.tobytes() == want.satellite_changes[kind].tobytes()
 
 
 class TestBlowupEstimate:

@@ -608,6 +608,16 @@ class TestRankings:
         with pytest.raises(KeyError):
             input_recipe(e2_model, "S9", top_k=1)
 
+    @pytest.mark.parametrize("top_k", [True, False, np.True_, 2.5, 2.0, "2", None])
+    def test_depth_that_is_no_integer_refused(self, e2_model, top_k):
+        message = re.escape(f"top_k must be an integer, got {top_k!r}")
+        for ranked in (input_recipe, downstream_importance):
+            with pytest.raises(ValueError, match=message):
+                ranked(e2_model, "S1", top_k=top_k)
+
+    def test_numpy_integer_depth_accepted(self, e2_model):
+        assert input_recipe(e2_model, "S1", top_k=np.int64(1)) == input_recipe(e2_model, "S1", 1)
+
 
 class TestImportShare:
     def test_explicit_imports(self):
@@ -672,6 +682,12 @@ class TestSectorLookup:
         for sector in (s2, 1, np.int64(1), "S2"):
             assert e2_model.sector_index(sector) == 1
             assert e2_model.table.sector_index(sector) == 1
+
+    @pytest.mark.parametrize("sector", [True, False, np.True_, np.False_])
+    def test_bool_is_no_sector(self, e2_model, sector):
+        for lookup in (e2_model.sector_index, e2_model.table.sector_index):
+            with pytest.raises(KeyError, match="unknown sector code"):
+                lookup(sector)
 
     @pytest.mark.parametrize("sector", [-1, 2, 5, "S9"])
     def test_import_share_rejects_unknown_sector(self, e2_model, sector):

@@ -113,6 +113,11 @@ class TestTables:
         with pytest.raises(ValueError, match="top_k must be non-negative"):
             plotdata_table(impact, top_k=-1)
 
+    @pytest.mark.parametrize("top_k", [True, 2.5, 2.0])
+    def test_plotdata_rejects_a_depth_that_is_no_integer(self, impact, top_k):
+        with pytest.raises(ValueError, match="top_k must be an integer"):
+            plotdata_table(impact, top_k=top_k)
+
     def test_comparison_of_one_method_keeps_both_columns(self, impact):
         t = comparison_table(compare_methods(impact, impact))
         assert list(t.columns) == ["metric", "inoperability (a)", "inoperability (b)", "difference"]

@@ -1,7 +1,9 @@
 """The package's public surface: what ``import ioimpact`` exports and loads,
-and the README's library quickstart, run as written."""
+the README's library quickstart, run as written, and the library calls of
+the benchmark's worker."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -9,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ioimpact
 
@@ -17,7 +20,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PUBLIC_NAMES = {
     "ComparisonReport",
     "DemandDelta",
-    "ExtractionSpec",
     "FinalDemandBlock",
     "IOModelError",
     "IOTable",
@@ -61,7 +63,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 42
+    assert len(PUBLIC_NAMES) == 41
     assert set(ioimpact.__all__) == PUBLIC_NAMES
     assert len(ioimpact.__all__) == len(PUBLIC_NAMES)
     for name in ioimpact.__all__:
@@ -139,6 +141,30 @@ def test_package_and_cli_do_not_load_testkit():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_benchmark_library_pass_meets_its_gate(seed):
+    # The library calls perfbench/worker.py times, checked by the benchmark's
+    # own gate against its dense reference solves. The worker sets BLAS
+    # thread variables when imported, so it runs in a child process, which
+    # leaves no bytecode in perfbench/.
+    probe = (
+        "import json\n"
+        "import inputs, worker\n"
+        "from gate import check_library_output\n"
+        f"table, docs = inputs.generate_table(24, {seed}), inputs.make_scenarios(24, 4, {seed})\n"
+        "runs = worker.library_pass(table, [inputs.scenario_spec(doc) for doc in docs])\n"
+        "problems, _ = check_library_output(runs, inputs.references(table, docs))\n"
+        "print(json.dumps([len(runs), problems]))\n"
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == [4, []]
 
 
 def test_readme_quickstart_runs_and_matches_its_comments():

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from ioimpact import NonProductiveEconomyError, build_model, validate_table
+from ioimpact import (
+    DemandDelta,
+    NonProductiveEconomyError,
+    build_model,
+    make_extraction_spec,
+    validate_table,
+)
 from ioimpact.testkit import (
     EconomyGenSpec,
     canonical_e2,
     neumann_oracle,
+    partial_extraction_oracle,
     random_economy,
 )
 
@@ -83,3 +90,21 @@ class TestCanonicalE2:
         model = build_model(canonical_e2())
         assert np.allclose(model.A, E2_A, atol=1e-15)
         assert np.allclose(model.L, E2_L, atol=1e-12)
+
+
+class TestPartialExtractionOracle:
+    def test_e2_uniform_half(self):
+        model = build_model(canonical_e2())
+        shock = make_extraction_spec(model, "S1", [0.5, 0.5])
+        dx = partial_extraction_oracle(model, shock)
+        assert np.allclose(dx, [2100 / 27 - 100, 2400 / 27 - 100], atol=1e-9)
+
+    def test_reads_the_target_code_and_the_demand_change(self):
+        # S2's deliveries to S1 fully extracted (S2's own use is kept) and
+        # S1's demand cut by 12: (I - A_bar) x_bar = [18, 30] with
+        # A_bar = [[0.5, 0.2], [0, 0.4]] gives x_bar = [56, 50].
+        model = build_model(canonical_e2())
+        delta = DemandDelta(scenario="", target="S2", delta=[-12.0, 0.0],
+                            component_changes={}, total_drop_fraction=0.0)
+        dx = partial_extraction_oracle(model, (delta, np.ones(2)))
+        assert np.allclose(dx, [-44.0, -50.0], atol=1e-9)
