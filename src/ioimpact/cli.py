@@ -26,13 +26,7 @@ from .impact import (
     estimate_blowup_factor,
     scenario_impacts,
 )
-from .ingest import (
-    load_io_table,
-    load_model,
-    load_table_entry,
-    parse_blowup_history,
-    store_table,
-)
+from .ingest import load_io_table, load_model, load_table_entry, parse_blowup_history
 from .leontief import check_top_k
 from .report import (
     comparison_table,
@@ -138,8 +132,8 @@ def _validated(table, args):
 
 def _load_validated(args):
     """_validated's table and report, and the table's cache entry, which
-    load_model reads L from and writes. A bad --rel-tol exits 2
-    before the table is read; a failed report is printed to stderr."""
+    only load_model writes. A bad --rel-tol exits 2 before the table is
+    read; a failed report is printed to stderr."""
     check_rel_tol(args.rel_tol)
     table, entry = load_table_entry(args.table, args.meta, args.satellites)
     table, report = _validated(table, args)
@@ -159,20 +153,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_multipliers(args) -> int:
-    if args.sector:
+    if args.sector is not None:
         check_top_k(args.top_k)
     table, report, entry = _load_validated(args)
     if not report.passed:
         return EXIT_VALIDATION
-    if args.sector:
-        try:  # an unknown code exits 2 before the model is built
-            table.sector_index(args.sector)
-        except KeyError:
-            store_table(entry)  # the table works; the request names a sector it lacks
-            raise
+    if args.sector is not None:
+        table.sector_index(args.sector)  # an unknown code exits 2 before the model is built
     model = load_model(table, entry)
     tables = [validation_table(report), multiplier_table(model)]
-    if args.sector:
+    if args.sector is not None:
         tables.append(sector_profile_table(model, args.sector))
         tables += recipe_tables(model, args.sector, args.top_k)
     manifest = write_reports(tables, args.out, formats=tuple(args.format))
@@ -212,16 +202,15 @@ def _check_scenario_names(paths, specs) -> None:
         seen[name] = path
 
 
-def _build_shocks(table, entry, paths, specs):
+def _build_shocks(table, paths, specs):
     """Each scenario's final-demand change and extraction intensities, for
-    every method: a sector code the table lacks exits 2, naming the file,
-    before the model is built."""
+    every method: a sector code the table lacks, or a change that is not
+    finite, exits 2, naming the file, before the model is built."""
     shocks = []
     for path, spec in zip(paths, specs):
         try:
             shocks.append((build_delta(table, spec), extraction_intensities(table, spec)))
-        except KeyError as exc:
-            store_table(entry)  # the table works; a scenario names a sector it lacks
+        except (KeyError, ScenarioConfigError) as exc:
             raise ScenarioConfigError(f"{path}: {exc.args[0]}") from None
     return shocks
 
@@ -252,7 +241,7 @@ def cmd_run(args) -> int:
     table, report, entry = _load_validated(args)
     if not report.passed:
         return EXIT_VALIDATION
-    shocks = _build_shocks(table, entry, args.scenario, specs)
+    shocks = _build_shocks(table, args.scenario, specs)
     model = load_model(table, entry)
     impacts = scenario_impacts(model, shocks, METHODS if args.method == "both" else [args.method])
 

@@ -34,6 +34,7 @@ touching the normalized ones.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import sys
@@ -126,6 +127,17 @@ def _assemble(model, method, scenario, dx) -> ImpactResult:
     )
 
 
+@contextlib.contextmanager
+def _overflow_refused(scenario: str, what: str):
+    """Run the block with numpy raising where it would warn of an overflow,
+    and raise that as ValueError naming the scenario and ``what``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"scenario {scenario!r}: {what} overflows float64") from None
+
+
 def _per_sector(model: LeontiefModel, name: str, values) -> np.ndarray:
     """``values`` as a float array, or ValueError unless it holds one finite
     value per sector: it names a wrong shape, or the first sector where
@@ -147,10 +159,12 @@ def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list
     Extraction targets delta.target with the intensities alpha; only what
     ``methods`` selects is computed and checked. Before anything is solved,
     a df or alpha that is not one finite value per sector, or an alpha
-    outside [0, 1], raises ValueError and an unknown target KeyError. An
-    inoperability residual above FIXED_POINT_TOL, or NaN, is a defect of the
-    model math: InternalConsistencyError names the scenario with the largest.
-    A rank-one denominator below one, or NaN, raises NonProductiveEconomyError.
+    outside [0, 1], raises ValueError and an unknown target KeyError. A
+    shock whose L df, or a figure built from it, overflows float64 raises
+    ValueError naming its scenario. Any other inoperability residual above
+    FIXED_POINT_TOL, or NaN, is a defect of the model math:
+    InternalConsistencyError names the scenario with the largest. A
+    rank-one denominator below one, or NaN, raises NonProductiveEconomyError.
     """
     if not (isinstance(methods, (tuple, list)) and tuple(methods) in _SELECTIONS):
         raise ValueError(f"methods must be a non-empty selection of {METHODS}, got {methods!r}")
@@ -165,7 +179,13 @@ def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list
     rhs = np.zeros((model.table.n, len(deltas)))
     for s, delta in enumerate(deltas):
         rhs[:, s] = delta.delta
-    u = model.solve(rhs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        u = model.solve(rhs)
+    for s in np.flatnonzero(~np.isfinite(u).all(axis=0)):
+        # With finite columns of L at the rows df touches, L df overflowed.
+        if np.isfinite(model.L[:, rhs[:, s] != 0]).all():
+            scenario = deltas[s].scenario
+            raise ValueError(f"scenario {scenario!r}: the output change L df overflows float64")
     if "inoperability" in methods:
         gaps = fixed_point_gap(model, u, rhs)
         if not (gaps <= FIXED_POINT_TOL).all():  # NaN fails this test too
@@ -187,8 +207,10 @@ def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list
                     f"the rank-one update denominator 1 + d . L[:, k] is {denom:.6g}, not at "
                     "least one; the coefficients are not those of a productive economy"
                 )
-            dx["extraction"] = u[:, s] - model.L[:, k] * ((d @ (model.x0 + u[:, s])) / denom)
-        results.append([_assemble(model, m, delta.scenario, dx[m]) for m in methods])
+        with _overflow_refused(delta.scenario, "the impact"):
+            if "extraction" in methods:
+                dx["extraction"] = u[:, s] - model.L[:, k] * ((d @ (model.x0 + u[:, s])) / denom)
+            results.append([_assemble(model, m, delta.scenario, dx[m]) for m in methods])
     return results
 
 
@@ -221,16 +243,21 @@ def check_blowup_factor(b: float) -> None:
 def apply_blowup(result: ImpactResult, b: float) -> ImpactResult:
     """Inflate every nominal figure by b; q and the percentage aggregate are
     exact regardless of table age and stay untouched. b must be finite and
-    positive."""
+    positive, and a figure it inflates past float64 raises ValueError naming
+    the scenario and b."""
     check_blowup_factor(b)
     b = float(b)  # a Fraction would leave object-dtype arrays
-    return replace(
-        result,
-        dx=result.dx * b,
-        satellite_changes={k: v * b for k, v in result.satellite_changes.items()},
-        totals={k: v * b for k, v in result.totals.items()},
-        blowup_applied=result.blowup_applied * b,
-    )
+    with _overflow_refused(result.scenario, f"the impact times the blowup factor {b:g}"):
+        totals = {k: v * b for k, v in result.totals.items()}
+        if not all(map(math.isfinite, totals.values())):
+            raise FloatingPointError  # a product of floats overflows to inf without raising
+        return replace(
+            result,
+            dx=result.dx * b,
+            satellite_changes={k: v * b for k, v in result.satellite_changes.items()},
+            totals=totals,
+            blowup_applied=result.blowup_applied * b,
+        )
 
 
 def estimate_blowup_factor(fd_totals: dict, gdp_growth: dict) -> float:

@@ -27,16 +27,16 @@ A table has one cache entry, one file under ``$XDG_CACHE_HOME/ioimpact``
 metadata file, this module's and leontief.py's sources and the numpy
 version. It holds the parsed arrays, the TOTAL_USES row among them, and,
 once a model was built from them, the Leontief inverse L = (I - A)^-1.
-load_table_entry reads an entry and writes none; each loader writes the
-entry at most once, after it knows what the entry will hold. store_table
-stores the parsed arrays of a missed entry; load_io_table, parse_io_table
-memoised on disk, calls it. load_model stores the arrays and L together,
-when the entry was a miss or when leontief.build_model, which serves a
-stored L only once it passes its checks, inverted I - A again. A
-table that fails to parse, or to build its model (so to certify), gets no
-entry; the CLI's run and multipliers also store none for a table that fails
-validation, and store_table's for one that validates but whose request names
-a sector it lacks.
+This module alone decides what an entry stores, and each loader writes it
+at most once: load_io_table, parse_io_table memoised on disk, stores the
+parsed arrays on a miss; load_model stores the arrays and L together once
+leontief.build_model has certified the model, when the entry was a miss or
+when build_model, which serves a stored L only once it passes its checks,
+inverted I - A again. load_table_entry reads an entry and writes none, so
+a caller that stops between it and load_model, as the CLI's run and
+multipliers do on a failed validation or an unknown sector, stores
+nothing. A table that fails to parse gets no entry, and one that fails
+build_model none from load_model.
 """
 
 from __future__ import annotations
@@ -172,7 +172,8 @@ def _row_values(cells: list[str], row: int) -> np.ndarray:
 
 
 def parse_sector_metadata(path) -> list[Sector]:
-    """Read the ``code,name`` metadata file; order defines matrix order."""
+    """Read the ``code,name`` metadata file; order defines matrix order.
+    A blank or repeated code raises TableParseError naming its row."""
     rows = _csv_rows(path, 2)
     r, header = next(rows, (1, []))
     if [c.strip() for c in header] != ["code", "name"]:
@@ -181,6 +182,8 @@ def parse_sector_metadata(path) -> list[Sector]:
     seen = set()
     for r, row in rows:
         code = row[0].strip()
+        if not code:
+            raise TableParseError(f"{path}: blank sector code", row=r, column=1)
         if code in seen:
             raise TableParseError(f"duplicate sector code {code!r}", row=r)
         seen.add(code)
@@ -251,15 +254,27 @@ def parse_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTa
             f"({n} sectors + trailing {', '.join(TRAILING_ROWS)}), got {count}"
         )
 
-    return IOTable(
-        sectors=tuple(sectors),
+    return _table(
+        sectors,
+        satellite_files,
         Z=out[:n, :n],
-        final_demand=FinalDemandBlock(out[:n, n:-1]),
+        final_demand=out[:n, n:-1],
+        x=out[:n, -1],
         imports=out[n, :n],
         value_added=out[n + 1, :n],
-        satellites=_parse_satellites(satellite_files, codes),
-        x=out[:n, -1],
         total_uses=out[n + 2, :n],
+    )
+
+
+def _table(sectors, satellite_files, final_demand, **arrays) -> IOTable:
+    """The IOTable of a table's six parsed arrays, read from its file or its
+    cache entry: Z, final_demand, x, imports, value_added and total_uses.
+    The satellite files are parsed against ``sectors``."""
+    return IOTable(
+        sectors=tuple(sectors),
+        final_demand=FinalDemandBlock(final_demand),
+        satellites=_parse_satellites(satellite_files, tuple(s.code for s in sectors)),
+        **arrays,
     )
 
 
@@ -313,17 +328,11 @@ def _parse_satellites(satellite_files, codes: tuple[str, ...]) -> dict[str, Sate
 
 def load_io_table(table_file, sector_metadata_file, satellite_files=()) -> IOTable:
     """parse_io_table, cached on disk between runs: load_table_entry, and
-    on a miss the table's parsed arrays are stored in its entry."""
+    on a miss the table's parsed arrays are stored in its entry, without L."""
     table, entry = load_table_entry(table_file, sector_metadata_file, satellite_files)
-    store_table(entry)
-    return table
-
-
-def store_table(entry: TableEntry | None) -> None:
-    """Store a missed entry's parsed arrays, without L. A hit, or no
-    entry, is left as it is."""
     if entry is not None and not entry.hit:
         _write_entry(entry)
+    return table
 
 
 @dataclass(frozen=True)
@@ -378,16 +387,7 @@ def load_table_entry(
             },
         )
         if arrays is not None and _stamp(inputs) == stamp:
-            table = IOTable(
-                sectors=tuple(sectors),
-                Z=arrays["Z"],
-                final_demand=FinalDemandBlock(arrays["final_demand"]),
-                imports=arrays["imports"],
-                value_added=arrays["value_added"],
-                satellites=_parse_satellites(satellite_files, tuple(s.code for s in sectors)),
-                x=arrays["x"],
-                total_uses=arrays["total_uses"],
-            )
+            table = _table(sectors, satellite_files, **arrays)
             return table, TableEntry(path, table, hit=True)
     table = parse_io_table(table_file, sector_metadata_file, satellite_files)
     if _stamp(inputs) != stamp:  # the parsed bytes are not the hashed bytes
@@ -515,11 +515,16 @@ def write_table_files(table: IOTable, out_dir) -> dict:
     table's own, or for a table without one the column sums of Z, imports
     and value added. Returns the paths written.
 
-    Raises ValueError, naming the label and writing nothing, for a sector
-    code or name with whitespace at either edge: the parser strips every
-    cell, quoted or not, so it would read back another label.
+    Raises ValueError, naming the label and writing nothing, for a blank
+    sector code, which the parser refuses, and for a sector code or name
+    with whitespace at either edge: the parser strips every cell, quoted or
+    not, so it would read back another label.
     """
     for s in table.sectors:
+        if not s.code:
+            raise ValueError(
+                "a sector code is blank, which the parser refuses; it cannot be written"
+            )
         for what, label in (("code", s.code), ("name", s.name)):
             if label != label.strip():
                 raise ValueError(

@@ -307,7 +307,8 @@ def build_delta(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
     untouched. With one, the non-saved share of the *consumption* drop is
     returned to the named sectors, distributed exactly by the configured
     shares; export and capital-formation losses never reallocate, and
-    savings_fraction = 1 returns nothing.
+    savings_fraction = 1 returns nothing. A change that overflows float64
+    raises ScenarioConfigError naming the scenario and the sector.
     """
     k = table.sector_index(spec.target_sector)
     changes = {}
@@ -328,11 +329,18 @@ def build_delta(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
     if realloc is not None:
         consumption_drop = sum(changes[c] for c in CONSUMPTION_COMPONENTS)
         pool = (1.0 - realloc.savings_fraction) * max(0.0, -consumption_drop)
-        for code, share in realloc.shares.items():
-            j = table.sector_index(code)
-            gain = share * pool
-            delta[j] += gain
-            gains[code] = gain
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            for code, share in realloc.shares.items():
+                j = table.sector_index(code)
+                gain = share * pool
+                delta[j] += gain
+                gains[code] = gain
+    if not np.isfinite(delta).all():
+        j = int(np.argmax(~np.isfinite(delta)))
+        raise ScenarioConfigError(
+            f"scenario {spec.name!r}: the demand change is {delta[j]} at sector "
+            f"{table.codes[j]}; it must be finite"
+        )
 
     f_total = float(table.f[k])
     fraction = float(delta[k]) / f_total if f_total != 0 else 0.0

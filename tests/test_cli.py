@@ -1007,10 +1007,11 @@ class TestModelCache:
         "TOTAL_USES,100.0,100.0,,,,,,,\n"
     )
 
+    NEGATIVE_FLOW = (E2 / "table.csv").read_text().replace("S1,50.0,20.0", "S1,50.0,-5.0")
+
     @pytest.mark.parametrize(
         "text,code,message",
-        [((E2 / "table.csv").read_text().replace("S1,50.0,20.0", "S1,50.0,-5.0"), 1, "negative"),
-         (NON_PRODUCTIVE, 3, "diverge")],
+        [(NEGATIVE_FLOW, 1, "negative"), (NON_PRODUCTIVE, 3, "diverge")],
         ids=["negative-flow", "non-productive"],
     )
     def test_bad_table_fails_alike_with_a_populated_cache(
@@ -1118,20 +1119,56 @@ class TestModelCache:
         with np.load(entry) as npz:
             assert "L" in npz.files
 
-    @pytest.mark.parametrize("command,wrong", [("run", "--scenario"), ("multipliers", "--sector")])
-    def test_unknown_sector_keeps_the_parsed_table(self, tmp_path, capsys, parses, writes,
-                                                   command, wrong):
-        # The table validated; only the request names a sector it lacks. So
-        # the corrected rerun parses nothing and adds L.
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"name": "x", "target_sector": "S9", "sub_service_drop": 0.5}')
-        value = str(bad) if wrong == "--scenario" else "S9"
-        assert main([command, *table_flags(e2_args()), wrong, value,
-                     "--out", str(tmp_path / "typo")]) == 2
-        assert "unknown sector code 'S9'" in capsys.readouterr().err
-        assert (len(parses), writes) == (1, [False])
-        assert main(self.e2_argv(tmp_path, command)) == 0
-        assert (len(parses), writes) == (1, [False, True])
+    UNKNOWN_TARGET = '{"name": "x", "target_sector": "S9", "sub_service_drop": 0.5}'
+    INFINITE_CHANGE = ('{"name": "x", "target_sector": "S1", "sub_service_drop": 0.5,'
+                       ' "absolute_changes": {"HH": -1e308, "GOV": -1e308}}')
+
+    @pytest.mark.parametrize(
+        "command,table,view,code,message",
+        [("run", NEGATIVE_FLOW, None, 1, "negative"),
+         ("multipliers", NEGATIVE_FLOW, None, 1, "negative"),
+         ("run", None, UNKNOWN_TARGET, 2, "unknown sector code 'S9'"),
+         ("multipliers", None, "S9", 2, "unknown sector code 'S9'"),
+         ("run", None, INFINITE_CHANGE, 2, "the demand change is -inf at sector S1"),
+         ("run", NON_PRODUCTIVE, None, 3, "diverge"),
+         ("multipliers", NON_PRODUCTIVE, None, 3, "diverge")],
+        ids=["run-invalid", "multipliers-invalid", "run-unknown-sector",
+             "multipliers-unknown-sector", "run-infinite-change", "run-non-productive",
+             "multipliers-non-productive"],
+    )
+    def test_command_that_stops_before_its_model_stores_nothing(
+        self, tmp_path, capsys, parses, writes, command, table, view, code, message
+    ):
+        def argv(table, view):
+            if command == "run":
+                scenario = E2 / "shock_s1.json"
+                if view is not None:
+                    scenario = tmp_path / "bad.json"
+                    scenario.write_text(view)
+                extra = ["--scenario", str(scenario)]
+            else:
+                extra = ["--sector", "S1" if view is None else view]
+            return [command, *table_flags(table), *extra, "--out", str(tmp_path / "reports")]
+
+        args = e2_args(satellites=[])
+        if table is not None:
+            (tmp_path / "table.csv").write_text(table)
+            args["table"] = str(tmp_path / "table.csv")
+        failing = argv(args, view)
+        assert main(failing) == code
+        assert message in capsys.readouterr().err
+        assert writes == []
+        assert list(cache_dir().glob("*")) == []
+        # The corrected rerun parses the table again and stores it with L, in one write.
+        parses.clear()
+        assert main(argv(e2_args(satellites=[]), None)) == 0
+        assert (len(parses), writes) == (1, [True])
+        # Warm: validate adds the failing table's entry if it is another table.
+        # The failing command leaves every entry as it was.
+        assert main(["validate", *table_flags(args)]) == (1 if table == self.NEGATIVE_FLOW else 0)
+        warm = {p.name: p.read_bytes() for p in cache_files()}
+        assert main(failing) == code
+        assert {p.name: p.read_bytes() for p in cache_files()} == warm
 
     def test_damaged_arrays_with_intact_factors_are_rewritten_whole(
         self, tmp_path, factorizations, parses, writes
@@ -1328,15 +1365,42 @@ class TestUnknownScenarioSectors:
         assert not out.exists()
 
 
-def test_key_error_is_printed_without_quotes(tmp_path, capsys, monkeypatch):
+class TestScenarioOverflow:
+    """A scenario whose numbers overflow float64 exits 2 naming it, without
+    a RuntimeWarning (pytest makes one an error) and without writing."""
+
+    @pytest.mark.parametrize(
+        "changes,blowup,message",
+        [({"HH": -1e308, "GOV": -1e308}, 1.0,
+          "{path}: scenario 'huge': the demand change is -inf at sector S1; it must be finite"),
+         ({"HH": -1e308}, 1.0, "scenario 'huge': the output change L df overflows float64"),
+         ({"HH": -1e300}, 1e10,
+          "scenario 'huge': the impact times the blowup factor 1e+10 overflows float64")],
+        ids=["demand-change", "solve", "blowup"],
+    )
+    @pytest.mark.parametrize("method", ["both", "inoperability", "extraction"])
+    def test_exits_two_naming_the_scenario(self, tmp_path, capsys, changes, blowup, message,
+                                           method):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"name": "huge", "target_sector": "S1", "sub_service_drop": 0.5,
+                                    "absolute_changes": changes, "blowup_factor": blowup}))
+        out = tmp_path / "reports"
+        assert main(["run", *table_flags(e2_args()), "--scenario", str(path),
+                     "--method", method, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("sector", ["S9", ""])
+def test_key_error_is_printed_without_quotes(tmp_path, capsys, monkeypatch, sector):
     def fail(*args):
         raise AssertionError("the model was built")
 
     monkeypatch.setattr(cli, "load_model", fail)
-    code = main(["multipliers", *table_flags(e2_args()), "--sector", "S9",
+    code = main(["multipliers", *table_flags(e2_args()), "--sector", sector,
                  "--out", str(tmp_path / "reports")])
     assert code == 2
-    assert capsys.readouterr().err == "error: unknown sector code 'S9'\n"
+    assert capsys.readouterr().err == f"error: unknown sector code {sector!r}\n"
 
 
 def test_bad_scenario_wins_over_a_bad_table(tmp_path, capsys):

@@ -482,6 +482,14 @@ class TestBlowup:
         with pytest.raises(ValueError, match="finite and positive"):
             apply_blowup(result, b)
 
+    # At -1e300 dx times 1e10 overflows; at -6e297 only the output total does.
+    @pytest.mark.parametrize("amount", [-1e300, -6e297])
+    def test_factor_that_overflows_a_figure_names_scenario_and_factor(self, e2, e2_model, amount):
+        result = inoperability(e2_model, e2_delta(e2, amount))
+        message = "scenario 'demo': the impact times the blowup factor 1e+10 overflows float64"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_blowup(result, 1e10)
+
     @pytest.mark.parametrize("b", [True, False, np.True_, "1.5", None, [1.0]])
     def test_non_number_factor_rejected(self, e2, e2_model, b):
         # The rule ScenarioSpec applies to blowup_factor: no bool, no string.
@@ -763,6 +771,21 @@ class TestScenarioImpacts:
         broken = replace(e2_model, L=np.where(np.eye(2) > 0, np.nan, e2_model.L))
         with pytest.raises(InternalConsistencyError, match=r"by nan in scenario 'a'"):
             scenario_impacts(broken, shocks, ["inoperability"])
+
+    @pytest.mark.parametrize("methods", [METHODS, ["inoperability"], ["extraction"]])
+    @pytest.mark.parametrize(
+        "amount,what",
+        [(-1e308, "the output change L df"), (-5e307, "the impact")],
+        ids=["solve", "impact"],
+    )
+    def test_overflow_names_the_scenario(self, e2, e2_model, methods, amount, what):
+        # L df, or a figure built from it, past float64 is the shock's fault,
+        # not the model's: ValueError, with no RuntimeWarning on the way.
+        shocks = [(e2_delta(e2), np.zeros(2)), (replace(e2_delta(e2, amount), scenario="huge"),
+                                                np.zeros(2))]
+        message = f"scenario 'huge': {what} overflows float64"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scenario_impacts(e2_model, shocks, methods)
 
     @staticmethod
     def no_solve(self, rhs):

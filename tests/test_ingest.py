@@ -114,6 +114,13 @@ class TestParseTable:
         with pytest.raises(TableParseError, match="duplicate"):
             parse_io_table(tmp_path / "missing.csv", tmp_path / "sectors.csv")
 
+    @pytest.mark.parametrize("code", ["", "  ", '"\t"'])
+    def test_blank_sector_code_in_metadata(self, tmp_path, code):
+        (tmp_path / "sectors.csv").write_text(f"code,name\nS1,One\n{code},Empty code\n")
+        with pytest.raises(TableParseError, match="blank sector code") as exc:
+            parse_io_table(tmp_path / "missing.csv", tmp_path / "sectors.csv")
+        assert (exc.value.row, exc.value.column) == (3, 1)
+
 
 def _set_cell(path, row, column, raw):
     """Overwrite one cell (1-based coordinates) of a comma-separated file."""
@@ -1245,6 +1252,13 @@ class TestRoundTrip:
         assert np.abs(table.final_demand.values - back.final_demand.values).max() <= 1e-12
         for kind, sat in table.satellites.items():
             assert np.array_equal(back.satellites[kind].values, sat.values)
+
+    def test_blank_code_is_refused_before_writing(self, tmp_path):
+        table = random_economy(EconomyGenSpec(n=2, seed=0))
+        blank = replace(table, sectors=(Sector("", "Empty code", 0), table.sectors[1]))
+        with pytest.raises(ValueError, match="a sector code is blank"):
+            write_table_files(blank, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_sector_names_with_commas_survive(self, tmp_path):
         table = random_economy(EconomyGenSpec(n=2, seed=0))

@@ -75,6 +75,23 @@ class TestScenario1:
         delta = build_delta(e2, spec)
         assert delta.delta[0] == pytest.approx(-7.5)
 
+    @pytest.mark.parametrize(
+        "shares,value",
+        [({}, "-inf"), ({"S2": 1.0}, "-inf"), ({"S1": 1.0}, "nan")],
+        ids=["savings", "reallocation", "reallocation-to-target"],
+    )
+    def test_change_past_float64_names_scenario_and_sector(self, e2, shares, value):
+        # Each change is finite, their sum is not; returning the pool of an
+        # infinite loss to the target adds inf to -inf without a warning.
+        spec = ScenarioSpec(
+            name="huge", target_sector="S1", sub_service_drop=0.4,
+            absolute_changes={"HH": -1e308, "GOV": -1e308},
+            reallocation=Reallocation(savings_fraction=0.0, shares=shares) if shares else None,
+        )
+        message = f"scenario 'huge': the demand change is {value} at sector S1; it must be finite"
+        with pytest.raises(ScenarioConfigError, match=f"^{message}$"):
+            build_delta(e2, spec)
+
     def test_does_not_mutate_table(self, e2):
         before = e2.final_demand.values.copy()
         build_delta(e2, spec_s1())

@@ -167,6 +167,43 @@ def test_benchmark_library_pass_meets_its_gate(seed):
     assert json.loads(done.stdout.splitlines()[-1]) == [4, []]
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_benchmark_cli_run_meets_its_gate(seed, tmp_path):
+    # The `ioimpact run` of perfbench's CLI workloads at n = 24, cold and then
+    # warm, checked by the benchmark's own gate against its dense reference
+    # solves. It runs in a child process, as the library pass does, which
+    # leaves no bytecode in perfbench/.
+    probe = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "import inputs\n"
+        "from gate import check_cli_output\n"
+        "from ioimpact import cli\n"
+        "work = Path(sys.argv[1])\n"
+        f"plan = inputs.prepare(inputs.Workload('tiny', 'cli', n=24, scenarios=3), {seed}, work)\n"
+        "refs = inputs.load_references(Path(plan['references']))\n"
+        "checks = []\n"
+        "for run in ('cold', 'warm'):\n"
+        "    out = work / run\n"
+        "    code = cli.main(inputs.cli_argv(plan, Path(plan['inputs_dir']), out))\n"
+        "    checks.append([code, *check_cli_output(out, plan, refs)])\n"
+        "print(json.dumps(checks))\n"
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "work")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    cold, warm = json.loads(done.stdout.splitlines()[-1])
+    assert cold[:2] == warm[:2] == [0, []]
+    assert len(cold[2]) == 3 and cold[2] == warm[2]
+    (entry,) = (Path(os.environ["XDG_CACHE_HOME"]) / "ioimpact").glob("*.npz")
+    with np.load(entry) as npz:
+        assert "L" in npz.files
+
+
 def test_readme_quickstart_runs_and_matches_its_comments():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library quickstart", 1)[1]
