@@ -245,8 +245,11 @@ def cmd_run(args) -> int:
     model = load_model(table, entry)
     impacts = scenario_impacts(model, shocks, METHODS if args.method == "both" else [args.method])
 
-    # Shared by every scenario's reports; report tables are immutable.
+    # Every scenario's reports are built before the first is written, so a
+    # scenario that fails writes nothing. Report tables are immutable, and
+    # the shared ones serve every scenario.
     shared = [validation_table(report), multiplier_table(model)]
+    runs = []
     for spec, results in zip(specs, impacts):
         blowup = spec.blowup_factor if override is None else override
         results = [apply_blowup(result, blowup) for result in results]
@@ -254,6 +257,8 @@ def cmd_run(args) -> int:
         tables.append(plotdata_table(results[0], top_k=args.top_k))
         if len(results) == 2:
             tables.append(comparison_table(compare_methods(results[1], results[0])))
+        runs.append((spec, blowup, results, tables))
+    for spec, blowup, results, tables in runs:
         out_dir = Path(args.out) / spec.name if multi else Path(args.out)
         write_reports(tables, out_dir, formats=tuple(args.format), results=results)
         _print_summary(spec, blowup, results)

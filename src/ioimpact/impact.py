@@ -162,7 +162,8 @@ def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list
     outside [0, 1], raises ValueError and an unknown target KeyError. A
     shock whose L df, or a figure built from it, overflows float64 raises
     ValueError naming its scenario. Any other inoperability residual above
-    FIXED_POINT_TOL, or NaN, is a defect of the model math:
+    FIXED_POINT_TOL relative to max(1, max |q|) (leontief.fixed_point_gap),
+    or NaN, is a defect of the model math:
     InternalConsistencyError names the scenario with the largest. A
     rank-one denominator below one, or NaN, raises NonProductiveEconomyError.
     """

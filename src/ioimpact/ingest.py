@@ -187,7 +187,7 @@ def parse_sector_metadata(path) -> list[Sector]:
         if code in seen:
             raise TableParseError(f"duplicate sector code {code!r}", row=r)
         seen.add(code)
-        sectors.append(Sector(code=code, name=row[1].strip(), index=len(sectors)))
+        sectors.append(Sector(code=code, name=row[1].strip()))
     if not sectors:
         raise TableParseError(f"{path}: no sectors defined")
     return sectors

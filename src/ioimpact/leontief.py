@@ -50,8 +50,8 @@ from .table import SATELLITE_KINDS, IOTable, Sector
 _BLOCK = 128
 
 # Largest residual of the fixed-point system q = A* q + f* accepted for a
-# solve with L: of every inoperability result, and of x = L f for a stored
-# L before it is served.
+# solve with L, relative to max(1, max |q|) (see fixed_point_gap): of every
+# inoperability result, and of x = L f for a stored L before it is served.
 FIXED_POINT_TOL = 1e-9
 
 # The L of the last model build_model returned for each live table, keyed
@@ -218,9 +218,12 @@ def certify_productive(model: LeontiefModel) -> None:
 
 def fixed_point_gap(model: LeontiefModel, dx: np.ndarray, df: np.ndarray) -> float | np.ndarray:
     """Largest residual of the fixed-point system q = A* q + f* for a solution
-    dx of (I - A) dx = df, max |((I - A) dx - df) / x|, and NaN when anything
-    in it is not finite: O(n^2), or one per column of n x S blocks dx, df."""
-    return np.abs((dx - model.A @ dx - df).T / model.x).max(axis=-1)
+    dx of (I - A) dx = df, max |((I - A) dx - df) / x|, divided by
+    max(1, max |q|) with q = dx / x, since the rounding in it grows with the
+    shock; NaN when anything in it is not finite. O(n^2), or one per column
+    of n x S blocks dx, df."""
+    gap = np.abs((dx - model.A @ dx - df).T / model.x).max(axis=-1)
+    return gap / np.maximum(1.0, np.abs(dx.T / model.x).max(axis=-1))
 
 
 def build_model(table: IOTable, L: np.ndarray | None = None) -> LeontiefModel:

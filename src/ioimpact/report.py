@@ -382,7 +382,7 @@ def result_from_dict(payload: dict) -> ImpactResult:
     return ImpactResult(
         method=_text(payload["method"], "method"),
         scenario=_text(payload["scenario"], "scenario"),
-        sectors=tuple(Sector(code=s["code"], name=s["name"], index=i) for i, s in enumerate(entries)),
+        sectors=tuple(Sector(code=s["code"], name=s["name"]) for s in entries),
         q=_finite_vector(payload["q"], "q", n),
         dx=_finite_vector(payload["dx"], "dx", n),
         satellite_changes={

@@ -62,11 +62,11 @@ def _readonly(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Sector:
-    """One industry sector: short code, full label, matrix position."""
+    """One industry sector: short code and full label. Its matrix position is
+    its place in the table's ``sectors``."""
 
     code: str
     name: str
-    index: int
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class IOTable:
 
     Fields
     ------
-    sectors : ordered sectors; index equals matrix position
+    sectors : ordered sectors; a sector's place here is its matrix position
     Z : n x n interindustry flows (seller row i -> buyer column j)
     final_demand : per-sector component block
     imports : per-sector imports row
@@ -169,7 +169,7 @@ class IOTable:
             object.__setattr__(self, "total_uses", _readonly(self.total_uses))
         object.__setattr__(self, "satellites", dict(self.satellites))
         check_structure(self)
-        object.__setattr__(self, "_index", {s.code: s.index for s in self.sectors})
+        object.__setattr__(self, "_index", {s.code: i for i, s in enumerate(self.sectors)})
         object.__setattr__(self, "_f", _readonly(self.final_demand.totals()))
 
     @property
@@ -207,7 +207,7 @@ class IOTable:
 
 
 def check_structure(table: IOTable) -> None:
-    """Raise StructuralError on any dimension or indexing inconsistency."""
+    """Raise StructuralError on any dimension or sector-code inconsistency."""
     n = len(table.sectors)
     if n == 0:
         raise StructuralError("table has no sectors")
@@ -215,8 +215,6 @@ def check_structure(table: IOTable) -> None:
     if len(set(codes)) != n:
         dupes = sorted({c for c in codes if codes.count(c) > 1})
         raise StructuralError(f"duplicate sector codes: {dupes}")
-    if [s.index for s in table.sectors] != list(range(n)):
-        raise StructuralError("sector indices must be contiguous 0..n-1 in order")
     if table.Z.shape != (n, n):
         raise StructuralError(f"Z must be {n}x{n}, got {table.Z.shape}")
     if table.final_demand.values.shape[0] != n:
@@ -261,10 +259,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    passed: bool
     violations: tuple[Violation, ...]
     warnings: tuple[str, ...]
     rel_tol: float
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def lines(self) -> list[str]:
         out = [f"validation {'PASSED' if self.passed else 'FAILED'} (rel_tol={self.rel_tol:g})"]
@@ -300,46 +301,24 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
     warnings: list[str] = []
     codes = table.codes
 
+    def violation(kind, at, expected, actual, rel_err, message):
+        violations.append(Violation(kind=kind, sector=codes[at], expected=float(expected),
+                                    actual=float(actual), rel_err=float(rel_err),
+                                    message=message))
+
     denom = np.maximum(np.abs(table.x), 1e-30)
-    neg = np.argwhere(table.Z < 0)
-    for i, j in neg:
-        violations.append(
-            Violation(
-                kind="negative_flow",
-                sector=codes[i],
-                expected=0.0,
-                actual=float(table.Z[i, j]),
-                rel_err=float(abs(table.Z[i, j]) / denom[i]),
-                message=f"Z[{codes[i]},{codes[j]}] = {table.Z[i, j]:g} is negative",
-            )
-        )
+    for i, j in np.argwhere(table.Z < 0):
+        violation("negative_flow", i, 0.0, table.Z[i, j], abs(table.Z[i, j]) / denom[i],
+                  f"Z[{codes[i]},{codes[j]}] = {table.Z[i, j]:g} is negative")
 
     for j in np.flatnonzero(table.x < 0):
-        violations.append(
-            Violation(
-                kind="negative_output",
-                sector=codes[j],
-                expected=0.0,
-                actual=float(table.x[j]),
-                rel_err=1.0,
-                message=f"total output of {codes[j]} = {table.x[j]:g} is negative",
-            )
-        )
+        violation("negative_output", j, 0.0, table.x[j], 1.0,
+                  f"total output of {codes[j]} = {table.x[j]:g} is negative")
 
     for j in np.flatnonzero(table.x == 0):
-        violations.append(
-            Violation(
-                kind="zero_output",
-                sector=codes[j],
-                expected=0.0,
-                actual=0.0,
-                rel_err=1.0,
-                message=(
-                    f"total output of {codes[j]} is zero; the model needs it positive, and "
-                    "only a sector that holds nothing but zeros is dropped"
-                ),
-            )
-        )
+        violation("zero_output", j, 0.0, 0.0, 1.0,
+                  f"total output of {codes[j]} is zero; the model needs it positive, and "
+                  "only a sector that holds nothing but zeros is dropped")
 
     row_sums = table.Z.sum(axis=1) + table.f
     col_sums = table.Z.sum(axis=0) + table.imports + table.value_added
@@ -350,20 +329,9 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
         rel_errs = np.abs(table.x - actual) / denom
         # Written so that a NaN error, from a NaN cell, is a violation.
         for j in np.flatnonzero(~(rel_errs <= rel_tol)):
-            expected, got, rel_err = float(table.x[j]), float(actual[j]), float(rel_errs[j])
-            violations.append(
-                Violation(
-                    kind=kind,
-                    sector=codes[j],
-                    expected=expected,
-                    actual=got,
-                    rel_err=rel_err,
-                    message=(
-                        f"{kind.replace('_', ' ')} for {codes[j]}: "
-                        f"expected {expected:g}, got {got:g} (rel err {rel_err:.4g})"
-                    ),
-                )
-            )
+            violation(kind, j, table.x[j], actual[j], rel_errs[j],
+                      f"{kind.replace('_', ' ')} for {codes[j]}: expected {table.x[j]:g}, "
+                      f"got {actual[j]:g} (rel err {rel_errs[j]:.4g})")
 
     for comp in FD_COMPONENTS:
         if comp in SIGNED_FD_COMPONENTS:
@@ -390,16 +358,12 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
                 f"negative employment for sector {codes[j]}: {employment.values[j]:g}"
             )
 
-    return ValidationReport(
-        passed=not violations,
-        violations=tuple(violations),
-        warnings=tuple(warnings),
-        rel_tol=rel_tol,
-    )
+    return ValidationReport(violations=tuple(violations), warnings=tuple(warnings),
+                            rel_tol=rel_tol)
 
 
 def drop_zero_sectors(table: IOTable) -> tuple[IOTable, list[Sector]]:
-    """Remove the empty sectors, re-indexing everything else: a sector is
+    """Remove the empty sectors, keeping everything else in order: a sector is
     dropped only when its gross output and every other value it holds are
     zero (its Z row and column, final-demand row, imports, value added, total
     uses and satellite values), so that a drop loses nothing but zeros. A
@@ -421,16 +385,12 @@ def drop_zero_sectors(table: IOTable) -> tuple[IOTable, list[Sector]]:
         return table, []
     dropped = [s for s, k in zip(table.sectors, keep) if not k]
     idx = np.flatnonzero(keep)
-    sectors = tuple(
-        Sector(code=s.code, name=s.name, index=new)
-        for new, s in enumerate(table.sectors[i] for i in idx)
-    )
     satellites = {
         kind: SatelliteAccount(kind=kind, values=sat.values[idx])
         for kind, sat in table.satellites.items()
     }
     reduced = IOTable(
-        sectors=sectors,
+        sectors=[table.sectors[i] for i in idx],
         Z=table.Z[np.ix_(idx, idx)],
         final_demand=FinalDemandBlock(table.final_demand.values[idx, :]),
         imports=table.imports[idx],

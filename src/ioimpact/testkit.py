@@ -32,6 +32,14 @@ from .table import FinalDemandBlock, IOTable, SatelliteAccount, Sector
 # Partial-sum norm above this is treated as divergence.
 ORACLE_DIVERGENCE_CAP = 1e6
 
+# The random economy's uniform draws: final demand per sector, employment
+# headcount, income as a share of value added and imports as a share of the
+# column residual.
+FINAL_DEMAND_RANGE = (10.0, 100.0)
+EMPLOYMENT_RANGE = (1.0, 50.0)
+INCOME_SHARE_RANGE = (0.3, 0.7)
+IMPORT_SHARE_RANGE = (0.1, 0.9)
+
 
 def neumann_oracle(A: np.ndarray, K: int) -> np.ndarray:
     """Truncated power series sum_{k=0..K} A^k.
@@ -176,10 +184,6 @@ class EconomyGenSpec:
     n: int
     seed: int
     max_column_sum: float = 0.8
-    final_demand_range: tuple[float, float] = (10.0, 100.0)
-    employment_range: tuple[float, float] = (1.0, 50.0)
-    income_share_range: tuple[float, float] = (0.3, 0.7)
-    import_share_range: tuple[float, float] = (0.1, 0.9)
 
     def __post_init__(self):
         if self.n < 1:
@@ -203,7 +207,7 @@ def random_economy(spec: EconomyGenSpec) -> IOTable:
     target = rng.uniform(0.2, 1.0, n) * spec.max_column_sum
     A = raw / raw.sum(axis=0) * target
 
-    f = rng.uniform(*spec.final_demand_range, n)
+    f = rng.uniform(*FINAL_DEMAND_RANGE, n)
     x = np.linalg.solve(np.eye(n) - A, f)
     Z = A * x[np.newaxis, :]
 
@@ -216,12 +220,12 @@ def random_economy(spec: EconomyGenSpec) -> IOTable:
     )
 
     residual = x - Z.sum(axis=0)
-    imports = residual * rng.uniform(*spec.import_share_range, n)
+    imports = residual * rng.uniform(*IMPORT_SHARE_RANGE, n)
     value_added = residual - imports
-    income = value_added * rng.uniform(*spec.income_share_range, n)
-    employment = rng.uniform(*spec.employment_range, n)
+    income = value_added * rng.uniform(*INCOME_SHARE_RANGE, n)
+    employment = rng.uniform(*EMPLOYMENT_RANGE, n)
 
-    sectors = tuple(Sector(code=f"S{i + 1}", name=f"Sector {i + 1}", index=i) for i in range(n))
+    sectors = tuple(Sector(code=f"S{i + 1}", name=f"Sector {i + 1}") for i in range(n))
     return IOTable(
         sectors=sectors,
         Z=Z,
@@ -248,7 +252,7 @@ def canonical_e2() -> IOTable:
     x = np.array([100.0, 100.0])
     value_added = np.array([30.0, 40.0])
     imports = x - Z.sum(axis=0) - value_added
-    sectors = (Sector("S1", "Sector 1", 0), Sector("S2", "Sector 2", 1))
+    sectors = (Sector("S1", "Sector 1"), Sector("S2", "Sector 2"))
     return IOTable(
         sectors=sectors,
         Z=Z,

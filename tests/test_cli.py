@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -508,7 +510,7 @@ class TestNationalScalePipeline:
             rows = list(csv.reader(fh))[1:]
         base = random_economy(EconomyGenSpec(n=len(rows), seed=2017))
         table = IOTable(
-            sectors=tuple(Sector(code, name, i) for i, (code, name) in enumerate(rows)),
+            sectors=tuple(Sector(code, name) for code, name in rows),
             Z=base.Z, final_demand=base.final_demand, imports=base.imports,
             value_added=base.value_added, satellites=base.satellites, x=base.x,
         )
@@ -539,7 +541,7 @@ class TestDropZeroIntegration:
         fd = np.zeros((3, 6))
         fd[[0, 2], :] = table.final_demand.values
         big = IOTable(
-            sectors=(Sector("S1", "One", 0), Sector("DEAD", "Defunct", 1), Sector("S2", "Two", 2)),
+            sectors=(Sector("S1", "One"), Sector("DEAD", "Defunct"), Sector("S2", "Two")),
             Z=Z,
             final_demand=FinalDemandBlock(fd),
             imports=np.array([table.imports[0], 0.0, table.imports[1]]),
@@ -1389,6 +1391,51 @@ class TestScenarioOverflow:
                      "--method", method, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
         assert not out.exists()
+
+    def test_a_shock_far_beyond_output_runs(self, tmp_path):
+        # The fixed-point residual grows with the shock; it is checked
+        # relative to the shock's size, so a finite shock is no defect.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"name": "huge", "target_sector": "S1", "sub_service_drop": 0.5,
+                                    "absolute_changes": {"HH": -1e306}}))
+        out = tmp_path / "reports"
+        assert main(["run", *table_flags(e2_args()), "--scenario", str(path),
+                     "--out", str(out)]) == 0
+        result = json.loads((out / "result_inoperability.json").read_text())
+        assert result["totals"]["output"] < -1e306
+
+    def test_a_failing_scenario_writes_nothing_for_the_others(self, tmp_path, capsys):
+        ok, blow = tmp_path / "ok.json", tmp_path / "blow.json"
+        ok.write_text(json.dumps({"name": "ok", "target_sector": "S1", "sub_service_drop": 0.5}))
+        blow.write_text(json.dumps({"name": "blow", "target_sector": "S1", "sub_service_drop": 0.5,
+                                    "absolute_changes": {"HH": -1e300}, "blowup_factor": 1e10}))
+        out = tmp_path / "reports"
+        assert main(["run", *table_flags(e2_args()), "--scenario", str(ok), str(blow),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: scenario 'blow': the impact times the blowup factor "
+                                "1e+10 overflows float64\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+
+def test_entry_point_runs_without_warnings(tmp_path):
+    # The module entry point in a child process, with every warning an error
+    # and no pytest filters, writes what an in-process run writes.
+    argv = ["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "XDG_CACHE_HOME": str(tmp_path / "child"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-W", "error", "-m", "ioimpact.cli", *argv,
+                            "--out", str(tmp_path / "child-out")],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert main([*argv, "--out", str(tmp_path / "main-out")]) == 0
+
+    def files(out):
+        return json.loads((tmp_path / out / "manifest.json").read_text())["files"]
+
+    assert files("child-out") == files("main-out")
 
 
 @pytest.mark.parametrize("sector", ["S9", ""])

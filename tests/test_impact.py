@@ -173,6 +173,21 @@ class TestInoperability:
         with pytest.raises(InternalConsistencyError, match="fixed-point system by"):
             inoperability(off, e2_delta(e2))
 
+    @pytest.mark.parametrize("k", [6, 8, 10, 12])
+    def test_residual_is_relative_to_the_shock(self, k):
+        # The rounding in (I - A) dx - df grows with the shock, so a shock
+        # far beyond output is no defect; an L off by 1e-6 still is.
+        table = random_economy(EconomyGenSpec(n=50, seed=1))
+        model = build_model(table)
+        delta = DemandDelta(scenario="big", target="S1", delta=-table.f * 10.0**k,
+                            component_changes={}, total_drop_fraction=0.0)
+        q_loss = inoperability_oracle(model, delta)
+        result = inoperability(model, delta)
+        assert np.abs(result.q + q_loss).max() <= 1e-9 * np.abs(q_loss).max()
+        off = replace(model, L=model.L * (1.0 + 1e-6))
+        with pytest.raises(InternalConsistencyError, match="in scenario 'big'"):
+            inoperability(off, delta)
+
     def test_sign_discipline_on_pure_loss(self):
         table = random_economy(EconomyGenSpec(n=10, seed=3))
         model = build_model(table)

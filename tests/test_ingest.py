@@ -701,7 +701,7 @@ def _with_dead_sector(table):
         return out
 
     return IOTable(
-        sectors=tuple(Sector(c, c, i) for i, c in enumerate(["S1", "DEAD", *table.codes[1:]])),
+        sectors=tuple(Sector(c, c) for c in ["S1", "DEAD", *table.codes[1:]]),
         Z=Z,
         final_demand=FinalDemandBlock(fd),
         imports=padded(table.imports),
@@ -1255,7 +1255,7 @@ class TestRoundTrip:
 
     def test_blank_code_is_refused_before_writing(self, tmp_path):
         table = random_economy(EconomyGenSpec(n=2, seed=0))
-        blank = replace(table, sectors=(Sector("", "Empty code", 0), table.sectors[1]))
+        blank = replace(table, sectors=(Sector("", "Empty code"), table.sectors[1]))
         with pytest.raises(ValueError, match="a sector code is blank"):
             write_table_files(blank, tmp_path / "out")
         assert not (tmp_path / "out").exists()
@@ -1264,7 +1264,7 @@ class TestRoundTrip:
         table = random_economy(EconomyGenSpec(n=2, seed=0))
         renamed = type(table)(
             sectors=tuple(
-                type(s)(s.code, f"Name {i}, with comma", s.index)
+                type(s)(s.code, f"Name {i}, with comma")
                 for i, s in enumerate(table.sectors)
             ),
             Z=table.Z, final_demand=table.final_demand, imports=table.imports,
@@ -1287,7 +1287,7 @@ class TestRoundTrip:
 
         def renamed(pairs):
             return replace(table, sectors=tuple(
-                Sector(code, name, i) for i, (code, name) in enumerate(pairs)))
+                Sector(code, name) for code, name in pairs))
 
         # The parser strips every cell, quoted or not, so a label with
         # whitespace at either edge is refused before anything is written;

@@ -368,7 +368,7 @@ def impact_results(draw):
     return ImpactResult(
         method=draw(st.sampled_from(["inoperability", "extraction"])),
         scenario=draw(names),
-        sectors=tuple(Sector(draw(names), draw(names), i) for i in range(n)),
+        sectors=tuple(Sector(draw(names), draw(names)) for _ in range(n)),
         q=draw(vectors),
         dx=draw(vectors),
         satellite_changes={k: draw(vectors) for k in kinds},

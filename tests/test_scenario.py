@@ -52,7 +52,7 @@ class TestScenario1:
             exports=[10.0, 0.0],
         )
         table = IOTable(
-            sectors=(Sector("S1", "one", 0), Sector("S2", "two", 1)),
+            sectors=(Sector("S1", "one"), Sector("S2", "two")),
             Z=[[10, 10], [10, 10]],
             final_demand=fd,
             imports=[0, 0],
@@ -116,7 +116,7 @@ class TestScenario2:
             2, household_consumption=[10.0, 0.0], exports=[30.0, 0.0]
         )
         table = IOTable(
-            sectors=(Sector("S1", "one", 0), Sector("S2", "two", 1)),
+            sectors=(Sector("S1", "one"), Sector("S2", "two")),
             Z=[[10, 10], [10, 10]],
             final_demand=fd,
             imports=[0, 0],
@@ -183,7 +183,7 @@ class TestPaperShapedArithmetic:
         Z = np.array([[1000.0, 500.0], [800.0, 600.0]])
         x = Z.sum(axis=1) + f
         return IOTable(
-            sectors=(Sector("AT", "Air transport", 0), Sector("WHS", "Warehousing", 1)),
+            sectors=(Sector("AT", "Air transport"), Sector("WHS", "Warehousing")),
             Z=Z,
             final_demand=fd,
             imports=[0.0, 0.0],

@@ -30,7 +30,7 @@ def make_table(Z, f_household, x, imports=None, value_added=None, satellites=Non
         imports = residual - value_added
     elif value_added is None:
         value_added = residual - imports
-    sectors = tuple(Sector(f"S{i + 1}", f"Sector {i + 1}", i) for i in range(n))
+    sectors = tuple(Sector(f"S{i + 1}", f"Sector {i + 1}") for i in range(n))
     return IOTable(
         sectors=sectors,
         Z=Z,
@@ -113,7 +113,7 @@ class TestValidate:
             n, household_consumption=[35, 30], inventory_changes=[-5, 0]
         )
         table = IOTable(
-            sectors=(Sector("S1", "Sector 1", 0), Sector("S2", "Sector 2", 1)),
+            sectors=(Sector("S1", "Sector 1"), Sector("S2", "Sector 2")),
             Z=[[50, 20], [30, 40]],
             final_demand=fd,
             imports=[0, 0],
@@ -153,7 +153,7 @@ class TestValidate:
             )
 
     def test_duplicate_codes_are_structural(self, e2):
-        sectors = (Sector("S1", "a", 0), Sector("S1", "b", 1))
+        sectors = (Sector("S1", "a"), Sector("S1", "b"))
         with pytest.raises(StructuralError, match="duplicate"):
             IOTable(
                 sectors=sectors, Z=e2.Z, final_demand=e2.final_demand,
@@ -175,7 +175,8 @@ class TestDropZeroSectors:
         reduced, dropped = drop_zero_sectors(table)
         assert [s.code for s in dropped] == ["S2"]
         assert reduced.codes == ("S1", "S3")
-        assert [s.index for s in reduced.sectors] == [0, 1]
+        # The retained Sector objects themselves, their positions now 0 and 1.
+        assert reduced.sectors[0] is table.sectors[0] and reduced.sectors[1] is table.sectors[2]
         assert np.array_equal(reduced.Z, [[50, 20], [30, 40]])
         assert np.array_equal(reduced.x, [100, 100])
         assert np.array_equal(reduced.satellites["employment"].values, [10, 20])
@@ -223,7 +224,7 @@ class TestDropZeroSectors:
             else:
                 vectors[where][1] = value
         return IOTable(
-            sectors=tuple(Sector(f"S{i + 1}", f"Sector {i + 1}", i) for i in range(3)),
+            sectors=tuple(Sector(f"S{i + 1}", f"Sector {i + 1}") for i in range(3)),
             Z=Z, final_demand=FinalDemandBlock(fd), imports=vectors["imports"],
             value_added=vectors["value_added"], x=[100.0, 0.0, 100.0],
             total_uses=vectors["total_uses"],
