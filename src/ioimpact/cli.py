@@ -40,7 +40,7 @@ from .report import (
     validation_table,
     write_reports,
 )
-from .scenario import build_delta, extraction_intensities, parse_scenario
+from .scenario import build_delta, parse_scenario
 from .table import INGESTED_REL_TOL, check_rel_tol, drop_zero_sectors, validate_table
 
 EXIT_OK = 0
@@ -203,13 +203,13 @@ def _check_scenario_names(paths, specs) -> None:
 
 
 def _build_shocks(table, paths, specs):
-    """Each scenario's final-demand change and extraction intensities, for
-    every method: a sector code the table lacks, or a change that is not
-    finite, exits 2, naming the file, before the model is built."""
+    """Each scenario's shock, for every method: a sector code the table
+    lacks, or a change that is not finite, exits 2, naming the file, before
+    the model is built."""
     shocks = []
     for path, spec in zip(paths, specs):
         try:
-            shocks.append((build_delta(table, spec), extraction_intensities(table, spec)))
+            shocks.append(build_delta(table, spec))
         except (KeyError, ScenarioConfigError) as exc:
             raise ScenarioConfigError(f"{path}: {exc.args[0]}") from None
     return shocks

@@ -15,13 +15,13 @@ A checks every inoperability column against the equivalent fixed-point
 system q = A* q + f*: since A* = D^-1 A D with D = diag(x), its residual is
 ((I - A) dx - df) / x.
 
-Partial extraction scales the target sector k's deliveries per purchaser,
-which changes only row k of A: A_bar = A - e_k d', where d = A[k, :] * alpha
-with d_k = 0 (own use is part of the sector's recipe and is never
-extracted). By the Sherman-Morrison formula (Miller & Blair, Input-Output
-Analysis, 2009, ch. 12), the change from the model's own output x0 = L f,
-the hypothetical-extraction baseline, not the table's x, is
-dx = u - L[:, k] (d . (x0 + u)) / (1 + d . L[:, k]). No two output-sized
+Partial extraction scales the target sector k's deliveries per purchaser
+by the DemandDelta's intensities alpha, which changes only row k of A:
+A_bar = A - e_k d', where d = A[k, :] * alpha with d_k = 0 (own use is part
+of the sector's recipe and is never extracted). By the Sherman-Morrison
+formula (Miller & Blair, Input-Output Analysis, 2009, ch. 12), the change
+from the model's own output x0 = L f, the hypothetical-extraction baseline,
+not the table's x, is dx = u - L[:, k] (d . (x0 + u)) / (1 + d . L[:, k]). No two output-sized
 vectors are subtracted, so a null scenario (df = 0, alpha = 0) gives dx = 0
 exactly and a small change keeps its precision. With A >= 0 and alpha in
 [0, 1] the denominator is at least one, and the extracted economy is
@@ -45,7 +45,7 @@ import numpy as np
 from .errors import InternalConsistencyError, NonProductiveEconomyError, StructuralError
 from .leontief import FIXED_POINT_TOL, LeontiefModel, fixed_point_gap, sector_order
 from .scenario import DemandDelta
-from .table import Sector
+from .table import Sector, _readonly
 
 TOP_OVERLAP_K = 10
 
@@ -65,18 +65,16 @@ def make_extraction_spec(
     alpha: np.ndarray,
     f_bar: np.ndarray | None = None,
     label: str = "",
-) -> tuple[DemandDelta, np.ndarray]:
+) -> DemandDelta:
     """The extraction of ``target`` from the model's economy, solved against
-    f_bar (the table's f by default), as the (DemandDelta, alpha) shock that
-    scenario_impacts takes, with df = f_bar - f. An unknown target raises
-    KeyError; an alpha outside [0, 1] and an f_bar that is not one finite
-    value per sector raise ValueError."""
+    f_bar (the table's f by default), as the DemandDelta shock that
+    scenario_impacts takes, with df = f_bar - f and the intensities alpha.
+    An unknown target raises KeyError; an alpha outside [0, 1] and an f_bar
+    that is not one finite value per sector raise ValueError."""
     k = model.sector_index(target)
     alpha = _check_intensities(np.array(alpha, dtype=float))
     f_bar = model.f if f_bar is None else _per_sector(model, "f_bar", f_bar)
-    delta = DemandDelta(scenario=label, target=model.sectors[k].code, delta=f_bar - model.f,
-                        component_changes={}, total_drop_fraction=0.0)
-    return delta, alpha
+    return DemandDelta(label, model.sectors[k].code, f_bar - model.f, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -101,9 +99,7 @@ class ImpactResult:
 
     def __post_init__(self):
         for name in ("q", "dx"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def codes(self) -> tuple[str, ...]:
@@ -153,13 +149,13 @@ def _per_sector(model: LeontiefModel, name: str, values) -> np.ndarray:
 
 
 def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list[ImpactResult]]:
-    """For each (DemandDelta, alpha) pair of ``shocks``, one ImpactResult per
-    method in ``methods`` order, a non-empty selection of METHODS.
+    """For each DemandDelta of ``shocks``, one ImpactResult per method in
+    ``methods`` order, a non-empty selection of METHODS.
 
-    Extraction targets delta.target with the intensities alpha; only what
-    ``methods`` selects is computed and checked. Before anything is solved,
-    a df or alpha that is not one finite value per sector, or an alpha
-    outside [0, 1], raises ValueError and an unknown target KeyError. A
+    Extraction targets delta.target with the intensities delta.alpha; only
+    what ``methods`` selects is computed and checked. Before anything is
+    solved, a df or alpha that is not one finite value per sector, or an
+    alpha outside [0, 1], raises ValueError and an unknown target KeyError. A
     shock whose L df, or a figure built from it, overflows float64 raises
     ValueError naming its scenario. Any other inoperability residual above
     FIXED_POINT_TOL relative to max(1, max |q|) (leontief.fixed_point_gap),
@@ -169,12 +165,11 @@ def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list
     """
     if not (isinstance(methods, (tuple, list)) and tuple(methods) in _SELECTIONS):
         raise ValueError(f"methods must be a non-empty selection of {METHODS}, got {methods!r}")
-    deltas, alphas, targets = [], [], []
-    for delta, alpha in shocks:
-        deltas.append(delta)
+    deltas, alphas, targets = list(shocks), [], []
+    for delta in deltas:
         _per_sector(model, "the demand change", delta.delta)
         if "extraction" in methods:
-            alphas.append(_check_intensities(_per_sector(model, "alpha", alpha)))
+            alphas.append(_check_intensities(_per_sector(model, "alpha", delta.alpha)))
             targets.append(model.sector_index(delta.target))
     # One row-major n x S right-hand side, one df per column.
     rhs = np.zeros((model.table.n, len(deltas)))
@@ -217,12 +212,12 @@ def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list
 
 def inoperability(model: LeontiefModel, delta: DemandDelta) -> ImpactResult:
     """The one-shock inoperability case of scenario_impacts: dx = L df, q = dx / x."""
-    return scenario_impacts(model, [(delta, None)], ("inoperability",))[0][0]
+    return scenario_impacts(model, [delta], ("inoperability",))[0][0]
 
 
-def partial_extraction(model: LeontiefModel, shock: tuple[DemandDelta, np.ndarray]) -> ImpactResult:
-    """The one-shock extraction case of scenario_impacts, for a shock built by
-    make_extraction_spec: row k of A becomes a_kj (1 - alpha_j) for j != k."""
+def partial_extraction(model: LeontiefModel, shock: DemandDelta) -> ImpactResult:
+    """The one-shock extraction case of scenario_impacts: row k of A becomes
+    a_kj (1 - alpha_j) for j != k, alpha being the shock's intensities."""
     return scenario_impacts(model, [shock], ("extraction",))[0][0]
 
 

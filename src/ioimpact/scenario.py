@@ -7,7 +7,7 @@ all freed spending from the economy; the reallocation variant returns part
 of the freed *consumption* spending to named sectors. build_delta is the one
 entry point for both; a spec's reallocation block selects the variant. Use
 ratios translate the same shock into per-purchaser extraction intensities
-for the intermediate-demand side.
+for the intermediate-demand side, which the DemandDelta carries as alpha.
 
 Each spec class checks every value it holds when it is built, so a spec
 built in Python obeys the rules a scenario file does (parse_scenario, which
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioConfigError
-from .table import FD_CODE_TO_COMPONENT, FD_COMPONENTS, IOTable
+from .table import FD_CODE_TO_COMPONENT, FD_COMPONENTS, IOTable, _readonly
 
 # Components whose drop counts as final consumption: only these feed the
 # reallocation pool. Exports are spent abroad and capital formation does not
@@ -283,23 +283,26 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
 
 @dataclass(frozen=True)
 class DemandDelta:
-    """A concrete per-sector final-demand change (losses negative)."""
+    """A scenario's shock: a per-sector final-demand change (losses
+    negative) and, for partial extraction, the intensities ``alpha``."""
 
     scenario: str
     target: str
     delta: np.ndarray
-    component_changes: dict[str, float]
-    total_drop_fraction: float
+    component_changes: dict[str, float] = field(default_factory=dict)
+    total_drop_fraction: float = 0.0
     reallocated: dict[str, float] = field(default_factory=dict)
+    alpha: np.ndarray | None = None
 
     def __post_init__(self):
-        d = np.array(self.delta, dtype=float)
-        d.setflags(write=False)
-        object.__setattr__(self, "delta", d)
+        object.__setattr__(self, "delta", _readonly(self.delta))
+        if self.alpha is not None:
+            object.__setattr__(self, "alpha", _readonly(self.alpha))
 
 
 def build_delta(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
-    """The final-demand change of a scenario, for both variants.
+    """A scenario's shock: its final-demand change, for both variants, and
+    its extraction intensities (extraction_intensities).
 
     The target's change is the sum over components of
     -(component value) x (component ratio) x (sub-service drop). Without a
@@ -308,7 +311,8 @@ def build_delta(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
     returned to the named sectors, distributed exactly by the configured
     shares; export and capital-formation losses never reallocate, and
     savings_fraction = 1 returns nothing. A change that overflows float64
-    raises ScenarioConfigError naming the scenario and the sector.
+    raises ScenarioConfigError naming the scenario and the sector; a
+    sector code the table lacks, KeyError.
     """
     k = table.sector_index(spec.target_sector)
     changes = {}
@@ -351,6 +355,7 @@ def build_delta(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
         component_changes=changes,
         total_drop_fraction=fraction,
         reallocated=gains,
+        alpha=extraction_intensities(table, spec),
     )
 
 

@@ -81,16 +81,15 @@ def inoperability_oracle(model: LeontiefModel, delta: DemandDelta) -> np.ndarray
     )
 
 
-def partial_extraction_oracle(model: LeontiefModel, shock) -> np.ndarray:
-    """The output change of a (DemandDelta, alpha) extraction shock from two
-    dense solves: x_bar from (I - A_bar) x_bar = f + df, where row k of A_bar
-    is a_kj (1 - alpha_j) off the diagonal, minus the baseline L f from
+def partial_extraction_oracle(model: LeontiefModel, delta: DemandDelta) -> np.ndarray:
+    """The output change of a DemandDelta's extraction from two dense
+    solves: x_bar from (I - A_bar) x_bar = f + df, where row k of A_bar is
+    a_kj (1 - alpha_j) off the diagonal, minus the baseline L f from
     (I - A) x = f."""
-    delta, alpha = shock
     A = model.A
     k = model.sector_index(delta.target)
     a_bar = A.copy()
-    scale = 1.0 - np.asarray(alpha, dtype=float)
+    scale = 1.0 - delta.alpha
     scale[k] = 1.0
     a_bar[k, :] = A[k, :] * scale
     eye = np.eye(A.shape[0])
@@ -155,8 +154,8 @@ def csv_report_oracle(table) -> str:
 
 def rescale(table: IOTable, factor: float) -> IOTable:
     """Uniformly rescale all currency cells (unit change); employment is kept."""
-    if factor <= 0:
-        raise ValueError("rescale factor must be positive")
+    if not 0 < factor < np.inf:  # NaN fails this test too
+        raise ValueError(f"rescale factor must be positive and finite, got {factor}")
     satellites = {}
     for kind, sat in table.satellites.items():
         vals = sat.values if kind == "employment" else sat.values * factor

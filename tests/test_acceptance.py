@@ -37,7 +37,6 @@ def ok(criterion, text):
 def demand_delta(table, vec, name="acc"):
     return io.DemandDelta(
         scenario=name, target=table.sectors[0].code, delta=np.asarray(vec, dtype=float),
-        component_changes={}, total_drop_fraction=0.0,
     )
 
 

@@ -15,7 +15,7 @@ from ioimpact import cli, drop_zero_sectors, ingest, leontief, write_table_files
 from ioimpact.cli import main
 from ioimpact.errors import ScenarioConfigError
 from ioimpact.scenario import IntermediateSpec, Reallocation, ScenarioSpec, UseRatio, parse_scenario
-from ioimpact.testkit import EconomyGenSpec, canonical_e2, random_economy, rescale
+from ioimpact.testkit import EconomyGenSpec, canonical_e2, random_economy
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ioimpact" / "fixtures"
 E2 = FIXTURES / "e2"

@@ -39,13 +39,14 @@ from ioimpact.testkit import (
 from test_table import make_table
 
 
-def e2_delta(e2, amount=-12.0):
+def e2_delta(e2, amount=-12.0, alpha=None):
     delta = np.zeros(2)
     delta[0] = amount
     return DemandDelta(
         scenario="demo", target="S1", delta=delta,
         component_changes={"household_consumption": amount},
         total_drop_fraction=amount / 30.0,
+        alpha=alpha,
     )
 
 
@@ -54,7 +55,6 @@ def random_loss(table, rng):
     return DemandDelta(
         scenario="rand", target=table.sectors[0].code,
         delta=-table.f * rng.uniform(0.0, 0.9, table.n),
-        component_changes={}, total_drop_fraction=0.0,
     )
 
 
@@ -139,8 +139,7 @@ class TestInoperability:
         model = build_model(random_economy(EconomyGenSpec(n=6, seed=1)))
         df = np.zeros(6)
         df[[2, 4]] = bad
-        delta = DemandDelta(scenario="bad", target="S1", delta=df,
-                            component_changes={}, total_drop_fraction=0.0)
+        delta = DemandDelta(scenario="bad", target="S1", delta=df)
 
         def no_solve(self, rhs):
             raise AssertionError("solved a non-finite demand change")
@@ -155,8 +154,7 @@ class TestInoperability:
     @pytest.mark.parametrize("shape", [(3,), (4, 2)])
     def test_demand_change_of_another_shape_rejected_before_solving(self, monkeypatch, shape):
         model = build_model(random_economy(EconomyGenSpec(n=4, seed=1)))
-        delta = DemandDelta(scenario="bad", target="S1", delta=np.ones(shape),
-                            component_changes={}, total_drop_fraction=0.0)
+        delta = DemandDelta(scenario="bad", target="S1", delta=np.ones(shape))
 
         def no_solve(self, rhs):
             raise AssertionError("solved a demand change of another shape")
@@ -179,8 +177,7 @@ class TestInoperability:
         # far beyond output is no defect; an L off by 1e-6 still is.
         table = random_economy(EconomyGenSpec(n=50, seed=1))
         model = build_model(table)
-        delta = DemandDelta(scenario="big", target="S1", delta=-table.f * 10.0**k,
-                            component_changes={}, total_drop_fraction=0.0)
+        delta = DemandDelta(scenario="big", target="S1", delta=-table.f * 10.0**k)
         q_loss = inoperability_oracle(model, delta)
         result = inoperability(model, delta)
         assert np.abs(result.q + q_loss).max() <= 1e-9 * np.abs(q_loss).max()
@@ -310,13 +307,13 @@ class TestPartialExtraction:
 
     def test_returns_the_shock_scenario_impacts_takes(self, e2, e2_model):
         f_bar = e2.f + np.array([-12.0, 3.0])
-        delta, alpha = make_extraction_spec(e2_model, 1, [0.25, 0.5], f_bar=f_bar, label="x")
+        delta = make_extraction_spec(e2_model, 1, [0.25, 0.5], f_bar=f_bar, label="x")
         assert (delta.scenario, delta.target) == ("x", "S2")
         assert delta.delta.tobytes() == (f_bar - e2_model.f).tobytes()
-        assert alpha.dtype == np.float64 and alpha.tolist() == [0.25, 0.5]
-        [[ext]] = scenario_impacts(e2_model, [(delta, alpha)], ("extraction",))
-        assert partial_extraction(e2_model, (delta, alpha)).dx.tobytes() == ext.dx.tobytes()
-        default, _ = make_extraction_spec(e2_model, "S1", np.zeros(2))
+        assert delta.alpha.dtype == np.float64 and delta.alpha.tolist() == [0.25, 0.5]
+        [[ext]] = scenario_impacts(e2_model, [delta], ("extraction",))
+        assert partial_extraction(e2_model, delta).dx.tobytes() == ext.dx.tobytes()
+        default = make_extraction_spec(e2_model, "S1", np.zeros(2))
         assert np.array_equal(default.delta, np.zeros(2))
 
     @pytest.mark.parametrize("k", [4, -1])
@@ -376,8 +373,7 @@ class TestModelBaseline:
     def test_null_scenario_changes_nothing(self, n, seed, k):
         model = build_model(random_economy(EconomyGenSpec(n=n, seed=seed)))
         k %= n
-        null = DemandDelta(scenario="null", target=model.table.codes[k], delta=np.zeros(n),
-                           component_changes={}, total_drop_fraction=0.0)
+        null = DemandDelta(scenario="null", target=model.table.codes[k], delta=np.zeros(n))
         assert np.array_equal(inoperability(model, null).dx, np.zeros(n))
         spec = make_extraction_spec(model, k, np.zeros(n))  # alpha = 0, f_bar = f
         assert np.array_equal(partial_extraction(model, spec).dx, np.zeros(n))
@@ -630,8 +626,7 @@ class TestCompare:
         other_model = build_model(other)
         b = inoperability(
             other_model,
-            DemandDelta(scenario="x", target="S1", delta=np.zeros(3),
-                        component_changes={}, total_drop_fraction=0.0),
+            DemandDelta(scenario="x", target="S1", delta=np.zeros(3)),
         )
         from ioimpact import StructuralError
 
@@ -658,9 +653,8 @@ def runs(draw):
         hit[k] = True
         df = np.where(hit, -model.f * rng.uniform(0.1, 0.9, n), 0.0)
         alpha = [np.zeros(n), np.full(n, rng.uniform()), rng.uniform(0.0, 1.0, n)][s % 3]
-        delta = DemandDelta(scenario=f"scn{s}", target=model.table.codes[k], delta=df,
-                            component_changes={}, total_drop_fraction=0.0)
-        shocks.append((delta, alpha))
+        shocks.append(DemandDelta(scenario=f"scn{s}", target=model.table.codes[k], delta=df,
+                                  alpha=alpha))
     shocks.insert(int(rng.integers(len(shocks) + 1)), shocks.pop(0))
     return model, shocks
 
@@ -682,7 +676,7 @@ class TestScenarioImpacts:
         model, shocks = run
         impacts = scenario_impacts(model, shocks, methods)
         assert len(impacts) == len(shocks)
-        for (delta, alpha), results in zip(shocks, impacts):
+        for delta, results in zip(shocks, impacts):
             assert [r.method for r in results] == list(methods)
             for result in results:
                 assert result.scenario == delta.scenario
@@ -692,7 +686,7 @@ class TestScenarioImpacts:
                     assert max_rel(-result.q, q_loss) <= 1e-9
                 else:
                     f_bar = model.f + delta.delta
-                    spec = make_extraction_spec(model, delta.target, alpha, f_bar=f_bar,
+                    spec = make_extraction_spec(model, delta.target, delta.alpha, f_bar=f_bar,
                                                 label=delta.scenario)
                     one = partial_extraction(model, spec)
                     x_bar = np.abs(result.dx + model.x0).max()
@@ -707,7 +701,7 @@ class TestScenarioImpacts:
     @given(run=runs())
     def test_zero_intensities_give_inoperability_bit_for_bit(self, run):
         model, shocks = run
-        shocks = [(delta, np.zeros(model.table.n)) for delta, _ in shocks]
+        shocks = [replace(delta, alpha=np.zeros(model.table.n)) for delta in shocks]
         for ino, ext in scenario_impacts(model, shocks):
             assert ext.dx.tobytes() == ino.dx.tobytes()
             assert ext.totals == ino.totals
@@ -717,8 +711,8 @@ class TestScenarioImpacts:
     def test_a_null_shock_changes_nothing(self, run, methods, at):
         model, shocks = run
         n = model.table.n
-        delta = shocks[at % len(shocks)][0]
-        shocks.insert(at % (len(shocks) + 1), (replace(delta, delta=np.zeros(n)), np.zeros(n)))
+        delta = shocks[at % len(shocks)]
+        shocks.insert(at % (len(shocks) + 1), replace(delta, delta=np.zeros(n), alpha=np.zeros(n)))
         results = scenario_impacts(model, shocks, methods)[at % len(shocks)]
         for result in results:
             assert np.array_equal(result.dx, np.zeros(n))
@@ -739,7 +733,7 @@ class TestScenarioImpacts:
     def test_bad_intensities_refused_before_solving(self, e2, e2_model, monkeypatch, alpha,
                                                     message):
         monkeypatch.setattr(LeontiefModel, "solve", self.no_solve)
-        shocks = [(e2_delta(e2), np.zeros(2)), (e2_delta(e2), alpha)]
+        shocks = [e2_delta(e2, alpha=np.zeros(2)), e2_delta(e2, alpha=alpha)]
         with pytest.raises(ValueError, match=message):
             scenario_impacts(e2_model, shocks)
         with pytest.raises(ValueError, match=message):
@@ -752,10 +746,9 @@ class TestScenarioImpacts:
     def test_non_finite_demand_change_refused_before_solving(self, e2, e2_model, monkeypatch,
                                                              methods):
         monkeypatch.setattr(LeontiefModel, "solve", self.no_solve)
-        bad = replace(e2_delta(e2), delta=np.array([-12.0, np.nan]))
+        bad = replace(e2_delta(e2, alpha=np.zeros(2)), delta=np.array([-12.0, np.nan]))
         with pytest.raises(ValueError, match="the demand change is nan at sector S2"):
-            scenario_impacts(e2_model, [(e2_delta(e2), np.zeros(2)), (bad, np.zeros(2))],
-                             methods)
+            scenario_impacts(e2_model, [e2_delta(e2, alpha=np.zeros(2)), bad], methods)
 
     @pytest.mark.parametrize(
         "methods",
@@ -765,23 +758,23 @@ class TestScenarioImpacts:
     def test_unknown_methods_refused(self, e2, e2_model, monkeypatch, methods):
         monkeypatch.setattr(LeontiefModel, "solve", self.no_solve)
         with pytest.raises(ValueError, match="methods must be a non-empty selection of"):
-            scenario_impacts(e2_model, [(e2_delta(e2), np.zeros(2))], methods)
+            scenario_impacts(e2_model, [e2_delta(e2, alpha=np.zeros(2))], methods)
 
     def test_unknown_target_refused(self, e2, e2_model):
-        shock = (replace(e2_delta(e2), target="S9"), np.zeros(2))
+        shock = replace(e2_delta(e2, alpha=np.zeros(2)), target="S9")
         with pytest.raises(KeyError, match="unknown sector code 'S9'"):
             scenario_impacts(e2_model, [shock])
         assert scenario_impacts(e2_model, [shock], ["inoperability"])[0][0].dx[0] != 0
 
     def test_the_gap_error_names_the_worst_scenario(self, e2, e2_model):
         off = replace(e2_model, L=e2_model.L * (1.0 + 1e-6))
-        shocks = [(replace(e2_delta(e2, -6.0), scenario=name), None) for name in "ab"]
-        shocks.insert(1, (replace(e2_delta(e2, -12.0), scenario="big"), None))
+        shocks = [replace(e2_delta(e2, -6.0), scenario=name) for name in "ab"]
+        shocks.insert(1, replace(e2_delta(e2, -12.0), scenario="big"))
         with pytest.raises(InternalConsistencyError,
                            match=r"fixed-point system by .* in scenario 'big'"):
             scenario_impacts(off, shocks, ["inoperability"])
         # Extraction alone makes no gap product.
-        assert len(scenario_impacts(off, [(d, np.zeros(2)) for d, _ in shocks],
+        assert len(scenario_impacts(off, [replace(d, alpha=np.zeros(2)) for d in shocks],
                                     ["extraction"])) == 3
         broken = replace(e2_model, L=np.where(np.eye(2) > 0, np.nan, e2_model.L))
         with pytest.raises(InternalConsistencyError, match=r"by nan in scenario 'a'"):
@@ -796,8 +789,8 @@ class TestScenarioImpacts:
     def test_overflow_names_the_scenario(self, e2, e2_model, methods, amount, what):
         # L df, or a figure built from it, past float64 is the shock's fault,
         # not the model's: ValueError, with no RuntimeWarning on the way.
-        shocks = [(e2_delta(e2), np.zeros(2)), (replace(e2_delta(e2, amount), scenario="huge"),
-                                                np.zeros(2))]
+        shocks = [e2_delta(e2, alpha=np.zeros(2)),
+                  replace(e2_delta(e2, amount, alpha=np.zeros(2)), scenario="huge")]
         message = f"scenario 'huge': {what} overflows float64"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             scenario_impacts(e2_model, shocks, methods)
@@ -820,12 +813,12 @@ class TestScenarioImpacts:
         shocks = []
         for s, k in enumerate([7, 299, 7]):  # two distinct targets
             delta = random_loss(model.table, np.random.default_rng(s))
-            shocks.append((replace(delta, target=model.table.codes[k]), np.full(300, 0.5)))
+            shocks.append(replace(delta, target=model.table.codes[k], alpha=np.full(300, 0.5)))
         scenario_impacts(model, shocks, methods)
         assert len(calls) == 1
         assert calls[0].shape == (300, 3)
         assert calls[0].flags.c_contiguous
-        for s, (delta, _) in enumerate(shocks):
+        for s, delta in enumerate(shocks):
             assert np.array_equal(calls[0][:, s], delta.delta)
 
     @pytest.mark.parametrize("n", [6, 130])
@@ -835,15 +828,15 @@ class TestScenarioImpacts:
         model = build_model(random_economy(EconomyGenSpec(n=n, seed=3)))
         rng = np.random.default_rng(n)
         targets = [0, n - 1, n // 2, 0]
-        shocks = [(replace(random_loss(model.table, np.random.default_rng(s)),
-                           target=model.table.codes[k]), rng.uniform(0.0, 1.0, n))
+        shocks = [replace(random_loss(model.table, np.random.default_rng(s)),
+                          target=model.table.codes[k], alpha=rng.uniform(0.0, 1.0, n))
                   for s, k in enumerate(targets)]
         results = scenario_impacts(model, shocks)
-        u = model.solve(np.column_stack([delta.delta for delta, _ in shocks]))
+        u = model.solve(np.column_stack([delta.delta for delta in shocks]))
         for s, k in enumerate(targets):
             l_k = model.solve(np.eye(n)[k])
             assert l_k.tobytes() == model.L[:, k].tobytes()
-            d = model.A[k] * shocks[s][1]
+            d = model.A[k] * shocks[s].alpha
             d[k] = 0.0
             want = u[:, s] - l_k * ((d @ (model.x0 + u[:, s])) / (1.0 + d @ l_k))
             got = results[s][1].dx

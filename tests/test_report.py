@@ -270,7 +270,7 @@ class TestTiesBreakBySectorIndex:
     def test_ranked_views_of_e2_follow_the_full_order(self, e2, e2_model, top_k):
         delta = DemandDelta(
             scenario="demo", target="S1", delta=np.array([-12.0, 0.0]),
-            component_changes={}, total_drop_fraction=-0.4,
+            total_drop_fraction=-0.4,
         )
         ino = inoperability(e2_model, delta)
         ext = partial_extraction(e2_model, make_extraction_spec(e2_model, "S1", [0.5, 0.5]))

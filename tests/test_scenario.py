@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ioimpact import (
+    DemandDelta,
     FinalDemandBlock,
     IOTable,
     Reallocation,
@@ -274,6 +275,29 @@ class TestExtractionIntensities:
         )
         with pytest.raises(KeyError):
             extraction_intensities(e2, spec)
+        with pytest.raises(KeyError, match="unknown sector code 'S9'"):
+            build_delta(e2, spec)
+
+    @pytest.mark.parametrize("n", [None, 1, 7])  # None: e2
+    @pytest.mark.parametrize(
+        "intermediate",
+        [None, IntermediateSpec(False, UseRatio({"S1": 0.3})),
+         IntermediateSpec(True, UseRatio({"S1": 0.3}, default=0.6))],
+        ids=["none", "not-applied", "applied"],
+    )
+    def test_build_delta_carries_the_intensities(self, e2, n, intermediate):
+        table = e2 if n is None else random_economy(EconomyGenSpec(n=n, seed=n))
+        spec = ScenarioSpec(name="x", target_sector="S1", sub_service_drop=0.74,
+                            intermediate=intermediate)
+        alpha = build_delta(table, spec).alpha
+        want = extraction_intensities(table, spec)
+        assert (alpha.dtype, alpha.tobytes()) == (np.float64, want.tobytes())
+        assert not alpha.flags.writeable
+
+    def test_a_hand_built_shock_has_no_intensities(self):
+        delta = DemandDelta("s", "S1", [1.0, 0.0], {}, 0.0)
+        assert delta.alpha is None
+        assert (delta.delta.dtype, delta.delta.tolist()) == (np.float64, [1.0, 0.0])
 
 
 class TestSpecValidation:

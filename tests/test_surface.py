@@ -115,6 +115,32 @@ def absolute_imports(module: str) -> set[str]:
     return found
 
 
+def unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads. A ``__future__`` import
+    and a name listed in ``__all__`` count as used."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = f"{path.name}:{node.lineno} {name}"
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [where for name, where in imported.items() if name not in used]
+
+
+def test_every_import_is_used():
+    sources = [*sorted((ROOT / "src" / "ioimpact").glob("*.py")),
+               *sorted((ROOT / "tests").glob("*.py"))]
+    assert [where for path in sources for where in unused_imports(path)] == []
+
+
 def test_import_direction():
     # The model depends only on the table; file handling never on the analysis.
     assert package_imports("leontief") == {"errors", "table"}

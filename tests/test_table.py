@@ -330,6 +330,12 @@ def test_rescale_keeps_employment():
     assert validate_table(rescale(replace(table, total_uses=table.x), 3.0)).passed
 
 
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_rescale_refuses_a_factor_that_is_not_positive_and_finite(factor):
+    with pytest.raises(ValueError, match=f"must be positive and finite, got {factor}$"):
+        rescale(canonical_e2(), factor)
+
+
 class TestNonFiniteLibraryTable:
     def test_nan_cell_fails_validation(self):
         table = canonical_e2()

@@ -104,7 +104,6 @@ class TestPartialExtractionOracle:
         # S1's demand cut by 12: (I - A_bar) x_bar = [18, 30] with
         # A_bar = [[0.5, 0.2], [0, 0.4]] gives x_bar = [56, 50].
         model = build_model(canonical_e2())
-        delta = DemandDelta(scenario="", target="S2", delta=[-12.0, 0.0],
-                            component_changes={}, total_drop_fraction=0.0)
-        dx = partial_extraction_oracle(model, (delta, np.ones(2)))
+        delta = DemandDelta(scenario="", target="S2", delta=[-12.0, 0.0], alpha=np.ones(2))
+        dx = partial_extraction_oracle(model, delta)
         assert np.allclose(dx, [-44.0, -50.0], atol=1e-9)
