@@ -24,9 +24,11 @@ reads as csv.reader reads it (see _cells).
 
 A table has one cache entry, one file under ``$XDG_CACHE_HOME/ioimpact``
 (default ``~/.cache/ioimpact``), keyed by the sha256 of the table file, the
-metadata file, this module's and leontief.py's sources and the numpy
-version. It holds the parsed arrays, the TOTAL_USES row among them, and,
-once a model was built from them, the Leontief inverse L = (I - A)^-1.
+metadata file, this module's and leontief.py's sources, the numpy version,
+and the BLAS library numpy uses with its live thread count, since OpenBLAS
+inverts I - A to other bits under another count. It holds the parsed
+arrays, the TOTAL_USES row among them, and, once a model was built from
+them, the Leontief inverse L = (I - A)^-1.
 This module alone decides what an entry stores, and each loader writes it
 at most once: load_io_table, parse_io_table memoised on disk, stores the
 parsed arrays on a miss; load_model stores the arrays and L together once
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import hashlib
 import itertools
 import math
@@ -354,21 +357,22 @@ def load_table_entry(
     writes: load_io_table or load_model stores it.
 
     The entry is named by the sha256 of this module's and leontief.py's
-    sources, the numpy version, the metadata file and the table file, so an
-    edit to either file, the parse rules or the inversion is a miss. A
-    hit reads Z, final demand, x, imports, value added and the total-uses
-    row from ``<key>.npz``, where load_model keeps L = (I - A)^-1; the
-    metadata and satellite files are parsed every time and the table is
-    built through IOTable, so it is checked as on a miss. A table that fails
-    to parse raises; one whose files changed while they were hashed and
-    parsed gets no entry (None): a hit whose files changed is parsed again
-    as a miss. An entry that cannot be read or holds the wrong shapes or a
-    non-finite value is a miss (``hit`` False), which the loaders overwrite
-    whole.
+    sources, the numpy version, the BLAS library and its thread count (see
+    _blas_key), the metadata file and the table file, so an edit to either
+    file, the parse rules or the inversion, or another BLAS or thread count,
+    is a miss. A hit reads Z, final demand, x, imports, value added and the
+    total-uses row from ``<key>.npz``, where load_model keeps L =
+    (I - A)^-1; the metadata and satellite files are parsed every time and
+    the table is built through IOTable, so it is checked as on a miss. A
+    table that fails to parse raises; one whose files changed while they
+    were hashed and parsed gets no entry (None): a hit whose files changed
+    is parsed again as a miss. An entry that cannot be read or holds the
+    wrong shapes or a non-finite value is a miss (``hit`` False), which the
+    loaders overwrite whole.
     """
     inputs = (sector_metadata_file, table_file)
     stamp = _stamp(inputs)
-    key = hashlib.sha256(f"numpy {np.__version__}\n".encode())
+    key = hashlib.sha256(f"numpy {np.__version__}\n{_blas_key()}\n".encode())
     for path in (__file__, leontief.__file__, *inputs):
         key.update(_file_digest(path))
     path = _cache_dir() / f"{key.hexdigest()}.npz"
@@ -416,6 +420,27 @@ def load_model(table: IOTable, entry: TableEntry | None) -> leontief.LeontiefMod
     if entry is not None and model.L is not stored:
         _write_entry(entry, L=model.L)
     return model
+
+
+def _blas_key() -> str:
+    """The BLAS library numpy links and its live thread count, as the cache
+    key names them: L's bits depend on both. The count is read from
+    OpenBLAS through ctypes and is ``unknown`` where it cannot be asked."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 has no dict form
+        blas = {}
+    threads = "unknown"
+    with contextlib.suppress(OSError):
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                threads = getter()
+                break
+    return f"blas {blas.get('name')} {blas.get('version')} threads {threads}"
 
 
 def _cache_dir() -> Path:

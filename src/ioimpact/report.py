@@ -9,16 +9,16 @@ and the returned manifest carries a content digest per file.
 JSON reports follow one byte contract, that of
 ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` plus one
 trailing newline: two-space indentation, keys sorted by code point, strings
-with ASCII escapes, floats as ``float.__repr__``, and never a NaN or an
-infinity. A report cell is a str, a float or an int, and a JSON column holds
-only one of the three: one encoder maps the type's C-level encoder over the
-whole column. A non-finite float cell raises ValueError naming the report
-and the column when its table is built, and a result's when it is encoded;
-any other JSON column (a bool, None, a numpy scalar or a mix of types)
-raises TypeError naming both. Tables,
-``result_<method>.json`` and ``manifest.json`` each have a fixed layout
-built from encoded columns; ``testkit.json_report_oracle`` is the
-``json.dumps`` route they must match byte for byte.
+with ASCII escapes and floats as ``float.__repr__``. A column's format fixes
+its cell type: str for ``s``, int for ``int`` (a bool is not one) and float
+for the others. Each column is checked once, when its table is built (a
+result's and the manifest's when they are encoded): a cell of another type,
+such as a bool, None or a numpy scalar, raises TypeError, and a NaN or an
+infinity ValueError, each naming the report and the column. JSON maps the
+type's C-level encoder over the column. Tables, ``result_<method>.json``
+and ``manifest.json`` each have a fixed layout built from encoded columns;
+``testkit.json_report_oracle`` is the ``json.dumps`` route they must match
+byte for byte.
 """
 
 from __future__ import annotations
@@ -49,16 +49,19 @@ from .scenario import unique_keys
 from .table import SATELLITE_KINDS, Sector, ValidationReport
 
 # Column formats: s = string, coef = 5 decimals, q = 6 decimals,
-# million = whole currency millions, int = integer.
-# Each entry formats one cell and is mapped over a whole column.
+# million = whole currency millions, int = integer, raw = shortest repr.
+# Each entry formats one CSV cell and is mapped over a whole column.
 _FORMATTERS = {
     "s": str,
     "coef": "{:.5f}".format,
     "q": "{:.6f}".format,
     "million": "{:.0f}".format,
-    "int": lambda v: f"{int(v)}",
-    "raw": lambda v: repr(float(v)),
+    "int": int.__repr__,
+    "raw": float.__repr__,
 }
+# The one type of a column's cells, by format, and each type's JSON encoder.
+_CELL_TYPES = {"s": str, "int": int, "coef": float, "q": float, "million": float, "raw": float}
+_JSON_ENCODERS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
 
 # Metric labels for aggregate tables, in presentation order.
 _METRIC_LABELS = (
@@ -74,32 +77,30 @@ _METRIC_LABELS = (
 class ReportTable:
     """A named report table: ``columns`` maps each column name, in file
     order, to its CSV format and its values. Building the table checks that
-    every column has the same length and that every float is finite, and
-    finds the string columns with a cell that CSV quotes (see
-    ingest.quoted_cell); the columns are then read-only, as the encodings
-    are cached."""
+    every column has the same length and holds only its format's cell type
+    (see _checked), and finds the string columns with a cell that CSV
+    quotes (see ingest.quoted_cell); the columns are then read-only, as the
+    encodings are cached."""
 
     name: str
     columns: Mapping[str, tuple[str, tuple]]
 
     def __post_init__(self):
-        columns = {key: (fmt, tuple(values)) for key, (fmt, values) in self.columns.items()}
+        columns = {key: (fmt, _checked(_CELL_TYPES[fmt], values, self.name, key))
+                   for key, (fmt, values) in self.columns.items()}
         lengths = {key: len(values) for key, (_, values) in columns.items()}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"report {self.name!r}: columns differ in length: {lengths}")
-        for key, (_, values) in columns.items():
-            _check_finite([v for v in values if isinstance(v, float)], self.name, key)
         object.__setattr__(self, "columns", MappingProxyType(columns))
-        # Only a string format can give a cell that needs quotes, and a
-        # column's cells do if quoting them joined changes the text.
+        # Only a string column can hold a cell that needs quotes, and its
+        # cells do if quoting them joined changes the text.
         quoted = {key for key, (fmt, values) in columns.items()
-                  if fmt == "s" and quoted_cell(text := "".join(map(str, values))) != text}
+                  if fmt == "s" and quoted_cell(text := "".join(values)) != text}
         object.__setattr__(self, "_quoted", quoted)
 
     def csv_text(self) -> str:
         formatted = [
-            map(quoted_cell, map(str, values)) if key in self._quoted
-            else map(_FORMATTERS[fmt], values)
+            map(quoted_cell if key in self._quoted else _FORMATTERS[fmt], values)
             for key, (fmt, values) in self.columns.items()
         ]
         lines = map(",".join, zip(*formatted))
@@ -108,7 +109,8 @@ class ReportTable:
     def json_text(self) -> str:
         """The rows as a JSON list of objects keyed by column."""
         columns = sorted(self.columns.items())
-        encoded = [_encode_column(values, self.name, key) for key, (_, values) in columns]
+        encoded = [list(map(_JSON_ENCODERS[_CELL_TYPES[fmt]], values))
+                   for _, (fmt, values) in columns]
         return _encode_records([key for key, _ in columns], encoded) + "\n"
 
     # Encoded once per table: a table written to several directories is
@@ -127,32 +129,29 @@ def _file_bytes(text: str) -> tuple[bytes, str]:
     return data, hashlib.sha256(data).hexdigest()
 
 
-def _check_finite(numbers, report: str, column: str) -> None:
-    if not all(map(isfinite, numbers)):
+def _checked(cell_type: type, values, report: str, column: str) -> tuple:
+    """A column's values as a tuple, once each is of exactly ``cell_type``
+    (a bool is not an int, nor a numpy scalar a float) and, for float, finite.
+    Otherwise TypeError or ValueError names the report and the column."""
+    values = tuple(values)
+    wrong = set(map(type, values)) - {cell_type}
+    if wrong:
+        held = ", ".join(sorted(t.__name__ for t in wrong))
+        raise TypeError(
+            f"report {report!r}: {column!r} holds {held} values, "
+            f"and its format holds only {cell_type.__name__} values"
+        )
+    if cell_type is float and not all(map(isfinite, values)):
         raise ValueError(
             f"report {report!r}: {column!r} holds a NaN or infinite value, "
             "and reports never hold one"
         )
+    return values
 
 
-def _encode_column(values, report: str, column: str) -> list[str]:
-    """The JSON text of each value of a column that holds only str, only
-    float or only int, by one C-level encoder mapped over the column. A NaN
-    or infinity raises ValueError, and any other column TypeError, naming
-    the report and the column."""
-    types = set(map(type, values))
-    if types <= {float}:  # an empty column, such as an empty manifest's, too
-        _check_finite(values, report, column)
-        return list(map(float.__repr__, values))
-    if types == {str}:
-        return list(map(encode_basestring_ascii, values))
-    if types == {int}:
-        return list(map(int.__repr__, values))
-    held = ", ".join(sorted(t.__name__ for t in types))
-    raise TypeError(
-        f"report {report!r}: {column!r} holds {held} values; "
-        "a report column holds only str, only float or only int"
-    )
+def _encoded(cell_type: type, values, report: str, column: str) -> list[str]:
+    """The JSON text of each value of a column, checked by _checked."""
+    return list(map(_JSON_ENCODERS[cell_type], _checked(cell_type, values, report, column)))
 
 
 def _encode_records(keys: list[str], encoded: list[list[str]], indent: str = "") -> str:
@@ -182,30 +181,30 @@ def result_json_text(result: ImpactResult) -> str:
     totals and its scalars, under the JSON byte contract."""
     report = f"result_{result.method}"
 
-    def scalar(key, value) -> str:
-        return _encode_column([value], report, key)[0]
+    def scalar(cell_type, key, value) -> str:
+        return _encoded(cell_type, [value], report, key)[0]
 
     def vector(key, values, indent) -> str:
-        encoded = _encode_column(np.asarray(values, dtype=float).tolist(), report, key)
+        encoded = _encoded(float, np.asarray(values, dtype=float).tolist(), report, key)
         inner = indent + "  "
         return "[\n" + inner + (",\n" + inner).join(encoded) + "\n" + indent + "]"
 
     sectors = [
-        _encode_column([s.code for s in result.sectors], report, "code"),
-        _encode_column([s.name for s in result.sectors], report, "name"),
+        _encoded(str, [s.code for s in result.sectors], report, "code"),
+        _encoded(str, [s.name for s in result.sectors], report, "name"),
     ]
     changes = {k: vector(k, v, "    ") for k, v in result.satellite_changes.items()}
-    totals = {k: scalar(k, float(v)) for k, v in result.totals.items()}
+    totals = {k: scalar(float, k, float(v)) for k, v in result.totals.items()}
     document = {
-        "method": scalar("method", result.method),
-        "scenario": scalar("scenario", result.scenario),
+        "method": scalar(str, "method", result.method),
+        "scenario": scalar(str, "scenario", result.scenario),
         "sectors": _encode_records(["code", "name"], sectors, "  "),
         "q": vector("q", result.q, "  "),
         "dx": vector("dx", result.dx, "  "),
         "satellite_changes": _encode_object(changes, "  "),
         "totals": _encode_object(totals, "  "),
-        "pct_output": scalar("pct_output", float(result.pct_output)),
-        "blowup_applied": scalar("blowup_applied", float(result.blowup_applied)),
+        "pct_output": scalar(float, "pct_output", float(result.pct_output)),
+        "blowup_applied": scalar(float, "blowup_applied", float(result.blowup_applied)),
     }
     return _encode_object(document) + "\n"
 
@@ -303,9 +302,9 @@ def comparison_table(comparison: ComparisonReport) -> ReportTable:
     pct = (comparison.pct_a * 100, comparison.pct_b * 100, comparison.pct_diff * 100)
     metrics.append(("change in output (%)", "{:.2f}", pct))
     # The cells are preformatted strings, so the numbers behind them are
-    # checked here.
+    # checked here, as a float column is.
     for label, _, values in metrics:
-        _check_finite(values, "comparison", label)
+        _checked(float, map(float, values), "comparison", label)
     a, b = comparison.method_a, comparison.method_b
     if len({"metric", a, b, "difference"}) < 4:
         a, b = f"{a} (a)", f"{b} (b)"
@@ -464,10 +463,10 @@ def write_reports(tables, out_dir, formats=("csv", "json"), results=()) -> dict:
     entries.sort(key=lambda e: (e["report"], e["format"]))
     manifest = {"out_dir": str(out_dir), "files": entries}
     keys = ["format", "path", "report", "sha256"]
-    columns = [_encode_column([e[k] for e in entries], "manifest", k) for k in keys]
+    columns = [_encoded(str, [e[k] for e in entries], "manifest", k) for k in keys]
     text = _encode_object({
         "files": _encode_records(keys, columns, "  "),
-        "out_dir": _encode_column([manifest["out_dir"]], "manifest", "out_dir")[0],
+        "out_dir": _encoded(str, [manifest["out_dir"]], "manifest", "out_dir")[0],
     })
     (out_dir / "manifest.json").write_text(text + "\n", encoding="utf-8")
     return manifest

@@ -790,6 +790,48 @@ class TestReportDigests:
         "validation.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     }
 
+    # run --method both on a generated 40-sector table with both satellites
+    # and two scenarios, the second with reallocation: every CSV and JSON
+    # report of each scenario's directory. OpenBLAS inverts this table to
+    # the same bits under 1 and 2 threads.
+    N40_SCENARIOS = [
+        {"name": "loss", "target_sector": "S3", "sub_service_drop": 0.4,
+         "intermediate": {"apply": True, "use_ratios": {"S5": 0.2}, "default_ratio": 0.5}},
+        {"name": "shift", "target_sector": "S11", "sub_service_drop": 0.3,
+         "intermediate": {"apply": True, "use_ratios": {}, "default_ratio": 0.3},
+         "reallocation": {"savings_fraction": 0.25, "shares": {"S2": 0.6, "S7": 0.4}}},
+    ]
+    N40_RUN = {
+        "loss/comparison.csv": "a4f97422bec2bdceee08466c509e9046ed63557dfe73c4e47c47341c1a9cff67",
+        "loss/comparison.json": "2b42510350bcc3b136b1a1a0a7d53f98c643bae6279702b6fbca2b30de6a7c1a",
+        "loss/impact_extraction.csv": "740d34feb15f14eef2f70aa2ccf3d2b0efaecb5c95b7bcf566a1a513d33f79d1",
+        "loss/impact_extraction.json": "29985cdb6bf75c9c80cab6f297b03219721532021d08eba39ae1f10d8922e3ac",
+        "loss/impact_inoperability.csv": "bbfacb93b12cb8ad87ae8b8d0bfc7fd24f9232639afa2be15fb6c74a76dd46c8",
+        "loss/impact_inoperability.json": "10456c22ccae95c928cd0f3ea75911806c64f946fb5c100762c9fe4b70fd9f76",
+        "loss/multipliers.csv": "252e9099554c24ed6e521dd8b00d1a33bb983a4f08fce1a76e53ae3f08a248b7",
+        "loss/multipliers.json": "041f34d0aed830263fe4b5bb1eeb3b4ae6e17b14cc60654761a19ef326c17308",
+        "loss/plotdata_top10.csv": "e17a23e69d9decadd451af65137f66c1f7063737ad27a932573d39f2ea4f9a89",
+        "loss/plotdata_top10.json": "5f55fed042af7c97bf52046aaa504d1a24763381c1daa8ba43c828ad6b62bc11",
+        "loss/result_extraction.json": "383f5388bdfc9fb946637566a412802fd6355eacf41c1da1b53ace0ddae46a91",
+        "loss/result_inoperability.json": "931e99dc103197ab422ddc0cbcbdf0fd43dede095533fdf3920fa214e97f706a",
+        "loss/validation.csv": "77e9da49d92d47048c83ae4bd470c4750188353f51ac210a5420a693366fe211",
+        "loss/validation.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "shift/comparison.csv": "fb980ae4870b24681901611bcfea62d0f120d589061033a4e0bdb8085c466bb1",
+        "shift/comparison.json": "2698107b2028c871d84f74824858bc74b4982abdcffa4a3824ba10d9910f13bf",
+        "shift/impact_extraction.csv": "24034910f18bb459724a5dc5304cdae2946d1778c1b2c09e20e2f4c4b96b4403",
+        "shift/impact_extraction.json": "3e125f4226096b0246c69a21f60e553169847a94c47736d7a10f329043f9094a",
+        "shift/impact_inoperability.csv": "1b738dd3e16b82849d399b5d0c91df76f267b30be33e410d285c5df4b197188b",
+        "shift/impact_inoperability.json": "467f245e732847861efae7473a15ccda41a280db911cd2f7ae706a417017ecb2",
+        "shift/multipliers.csv": "252e9099554c24ed6e521dd8b00d1a33bb983a4f08fce1a76e53ae3f08a248b7",
+        "shift/multipliers.json": "041f34d0aed830263fe4b5bb1eeb3b4ae6e17b14cc60654761a19ef326c17308",
+        "shift/plotdata_top10.csv": "eca784efc53ee627910cec9ce50e7e97d7ce3940457e9c7a63f9f5717b0e2686",
+        "shift/plotdata_top10.json": "e8fa9216d43b14cdf2ad47443928fe696823895159a53a4b03955ca1ffdd619e",
+        "shift/result_extraction.json": "7a3b5e2b019b5ec9f34d00860c363ff0d486a2988d99f71daff37a78ce11fc4a",
+        "shift/result_inoperability.json": "de2bbca07fef9424188ef4106425099a5fd03bc8b3ebc5003ff15b899170b7a4",
+        "shift/validation.csv": "77e9da49d92d47048c83ae4bd470c4750188353f51ac210a5420a693366fe211",
+        "shift/validation.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    }
+
     @staticmethod
     def csv_digests(out):
         return {
@@ -813,6 +855,23 @@ class TestReportDigests:
         assert code == 0
         assert self.csv_digests(out) == self.RUN
         assert self.json_digests(out) == self.RUN_JSON
+
+    def test_run_method_both_n40(self, tmp_path):
+        paths = write_table_files(random_economy(EconomyGenSpec(n=40, seed=7)), tmp_path / "in")
+        scenarios = []
+        for doc in self.N40_SCENARIOS:
+            scenarios.append(tmp_path / "in" / f"{doc['name']}.json")
+            scenarios[-1].write_text(json.dumps(doc))
+        args = e2_args(table=str(paths["table"]), meta=str(paths["sectors"]),
+                       satellites=[str(p) for p in paths["satellites"].values()])
+        out = tmp_path / "reports"
+        assert main(["run", *table_flags(args), "--scenario", *map(str, scenarios),
+                     "--method", "both", "--out", str(out)]) == 0
+        digests = {
+            p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"
+        }
+        assert digests == self.N40_RUN
 
     def test_multipliers_sector(self, tmp_path):
         out = tmp_path / "reports"
@@ -1250,6 +1309,33 @@ class TestModelCache:
             assert TestParseCache.run_both(out) == 0
             assert TestParseCache.files(out) == cached
         assert factorizations == ["leontief_inverse"] * 3
+
+    def test_entry_serves_only_its_blas_thread_count(self, tmp_path):
+        # OpenBLAS inverts I - A to other bits under another thread count at
+        # this size, so an entry written by a 2-thread run must not serve a
+        # 1-thread run: the second run writes the bytes of a cold one.
+        paths = write_table_files(random_economy(EconomyGenSpec(n=256, seed=5)), tmp_path / "in")
+        scenario = tmp_path / "in" / "n256.json"
+        scenario.write_text(json.dumps({"name": "n256", "target_sector": "S17",
+                                        "sub_service_drop": 0.6}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+
+        def run(threads, cache, out):
+            env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+                   "OPENBLAS_NUM_THREADS": str(threads), "XDG_CACHE_HOME": str(tmp_path / cache),
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            argv = ["run", "--table", str(paths["table"]), "--meta", str(paths["sectors"]),
+                    "--scenario", str(scenario), "--method", "both", "--out", str(tmp_path / out)]
+            child = subprocess.run([sys.executable, "-m", "ioimpact.cli", *argv],
+                                   env=env, capture_output=True, text=True, timeout=120)
+            assert (child.returncode, child.stderr) == (0, "")
+            files = TestParseCache.files(tmp_path / out)
+            del files["manifest.json"]  # it holds the output directory
+            return files
+
+        run(2, "shared", "out-2")
+        assert run(1, "shared", "out-1") == run(1, "cold", "out-cold")
+        assert len(list((tmp_path / "shared" / "ioimpact").glob("*.npz"))) == 2
 
 
 class TestScenariosReadFirst:

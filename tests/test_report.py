@@ -333,11 +333,11 @@ names = st.text(
     max_size=6,
 )
 
-# A column kind is its value strategy and the CSV formats that suit it.
+# A column kind is its value strategy and the formats whose cell type it is.
 COLUMN_KINDS = {
-    "float": (finite_floats, ("coef", "q", "million", "raw", "s")),
+    "float": (finite_floats, ("coef", "q", "million", "raw")),
     "str": (names, ("s",)),
-    "int": (st.integers(-(2**70), 2**70), ("int", "s")),
+    "int": (st.integers(-(2**70), 2**70), ("int",)),
 }
 
 
@@ -434,14 +434,25 @@ class TestSerializerMatchesOracle:
         assert result_json_text(impact) == json_report_oracle(result_to_dict(impact))
 
     @pytest.mark.parametrize(
-        "values",
-        [(0.5, 1), (1, 0.5), (True, False), (1, True), (None, None), (np.float64(0.5), 0.5)],
+        "fmt,values",
+        [("raw", (0.5, 1)), ("int", (1, 0.5)), ("int", (True, False)), ("int", (1, True)),
+         ("s", (None, None)), ("raw", (np.float64(0.5), 0.5))],
         ids=["float-int", "int-float", "bool", "int-bool", "none", "numpy-float"],
     )
-    def test_other_columns_rejected(self, values):
-        table = ReportTable("t", {"code": ("s", ["S1", "S2"]), "v": ("s", values)})
-        with pytest.raises(TypeError, match=r"report 't': 'v' holds .*; a report column holds"):
-            table.json_text()
+    def test_other_columns_rejected(self, fmt, values):
+        with pytest.raises(TypeError, match=r"report 't': 'v' holds .* values, and its format"):
+            ReportTable("t", {"code": ("s", ["S1", "S2"]), "v": (fmt, values)})
+
+    @pytest.mark.parametrize("fmt,values,message", [
+        ("s", [1.5], "holds float values, and its format holds only str values"),
+        ("coef", ["0.5"], "holds str values, and its format holds only float values"),
+        ("int", [True], "holds bool values, and its format holds only int values"),
+    ], ids=["s-float", "coef-str", "int-bool"])
+    def test_cell_of_another_type_refused_when_built(self, fmt, values, message):
+        # Before any write, so a CSV-only write, which encodes no JSON, is
+        # refused as well.
+        with pytest.raises(TypeError, match=f"report 't': 'v' {message}"):
+            ReportTable("t", {"code": ("s", ["S1"]), "v": (fmt, values)})
 
 
 class TestNonFiniteNeverWritten:
