@@ -23,7 +23,6 @@ from .impact import (
     inoperability,
     make_extraction_spec,
     partial_extraction,
-    satellite_deltas,
 )
 from .ingest import (
     disaggregate_aggregate,
@@ -100,7 +99,6 @@ __all__ = [
     "parse_io_table",
     "parse_scenario",
     "partial_extraction",
-    "satellite_deltas",
     "satellite_multipliers",
     "validate_table",
     "write_table_files",

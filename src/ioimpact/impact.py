@@ -84,7 +84,7 @@ class ImpactResult:
     q is the normalized output change dx/x with losses negative; dx and the
     satellite changes are nominal and carry any blowup applied; pct_output is
     the economy-wide output change relative to baseline output and is never
-    rescaled by a blowup.
+    rescaled by a blowup. The arrays are read-only copies.
     """
 
     method: str  # "inoperability" | "extraction"
@@ -100,6 +100,8 @@ class ImpactResult:
     def __post_init__(self):
         for name in ("q", "dx"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+        changes = {kind: _readonly(v) for kind, v in self.satellite_changes.items()}
+        object.__setattr__(self, "satellite_changes", changes)
 
     @property
     def codes(self) -> tuple[str, ...]:

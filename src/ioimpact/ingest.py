@@ -174,23 +174,41 @@ def _row_values(cells: list[str], row: int) -> np.ndarray:
     return np.array([_cell(raw, row, 2 + j) for j, raw in enumerate(cells)])
 
 
-def parse_sector_metadata(path) -> list[Sector]:
-    """Read the ``code,name`` metadata file; order defines matrix order.
-    A blank or repeated code raises TableParseError naming its row."""
+def _keyed_rows(path, header: str, key=str):
+    """Read a two-column key-value CSV whose header reads ``header``, such
+    as ``code,name``: yields the header's row, first cell and second cell,
+    which the caller checks, then (row, key, value cell) for each record.
+    Each key is stripped and converted by ``key``; a blank key, one that
+    ``key`` refuses with ValueError, or a repeated one raises
+    TableParseError naming the file, the row and column 1."""
     rows = _csv_rows(path, 2)
-    r, header = next(rows, (1, []))
-    if [c.strip() for c in header] != ["code", "name"]:
-        raise TableParseError(f"{path}: expected header 'code,name'", row=r)
-    sectors = []
+    r, cells = next(rows, (1, []))
+    name = header.partition(",")[0]
+    if len(cells) != 2 or cells[0].strip() != name:
+        raise TableParseError(f"{path}: expected header {header!r}", row=r)
+    yield r, name, cells[1].strip()
     seen = set()
-    for r, row in rows:
-        code = row[0].strip()
-        if not code:
-            raise TableParseError(f"{path}: blank sector code", row=r, column=1)
-        if code in seen:
-            raise TableParseError(f"duplicate sector code {code!r}", row=r)
-        seen.add(code)
-        sectors.append(Sector(code=code, name=row[1].strip()))
+    for r, (raw, value) in rows:
+        text = raw.strip()
+        if not text:
+            raise TableParseError(f"{path}: blank {name}", row=r, column=1)
+        try:
+            k = key(text)
+        except ValueError:
+            raise TableParseError(f"{path}: malformed {name} {text!r}", row=r, column=1) from None
+        if k in seen:
+            raise TableParseError(f"{path}: duplicate {name} {k!r}", row=r, column=1)
+        seen.add(k)
+        yield r, k, value
+
+
+def parse_sector_metadata(path) -> list[Sector]:
+    """Read the ``code,name`` metadata file; order defines matrix order."""
+    rows = _keyed_rows(path, "code,name")
+    r, _, name = next(rows)
+    if name != "name":
+        raise TableParseError(f"{path}: expected header 'code,name'", row=r)
+    sectors = [Sector(code=code, name=label.strip()) for _, code, label in rows]
     if not sectors:
         raise TableParseError(f"{path}: no sectors defined")
     return sectors
@@ -198,24 +216,18 @@ def parse_sector_metadata(path) -> list[Sector]:
 
 def parse_satellite_file(path, codes: tuple[str, ...]) -> SatelliteAccount:
     """Read one ``sector,<kind>`` file covering every sector exactly once."""
-    rows = _csv_rows(path, 2)
-    r, header = next(rows, (1, []))
-    if len(header) != 2 or header[0].strip() != "sector":
-        raise TableParseError(f"{path}: expected header 'sector,<kind>'", row=r)
-    kind = header[1].strip()
+    rows = _keyed_rows(path, "sector,<kind>")
+    r, _, kind = next(rows)
     if kind not in SATELLITE_KINDS:
         raise TableParseError(
             f"{path}: unknown satellite kind {kind!r}; expected one of {SATELLITE_KINDS}", row=r
         )
     known = set(codes)
     values = {}
-    for r, row in rows:
-        code = row[0].strip()
+    for r, code, raw in rows:
         if code not in known:
             raise TableParseError(f"{path}: unknown sector code {code!r}", row=r)
-        if code in values:
-            raise TableParseError(f"{path}: duplicate sector {code!r}", row=r)
-        values[code] = _cell(row[1], r, 2)
+        values[code] = _cell(raw, r, 2)
     missing = [c for c in codes if c not in values]
     if missing:
         raise StructuralError(f"{path}: satellite {kind!r} missing sectors {missing}")
@@ -602,20 +614,9 @@ def parse_blowup_history(fd_file, gdp_file) -> tuple[dict[int, float], dict[int,
     """Read ``year,total_final_demand`` and ``year,gdp_growth`` CSVs."""
 
     def read(path, value_name):
-        rows = _csv_rows(path, 2)
-        r, header = next(rows, (1, []))
-        if len(header) != 2 or header[0].strip() != "year":
-            raise TableParseError(f"{path}: expected header 'year,{value_name}'", row=r)
-        out = {}
-        for r, row in rows:
-            try:
-                year = int(row[0])
-            except ValueError:
-                raise TableParseError(f"malformed year {row[0]!r}", row=r, column=1) from None
-            if year in out:
-                raise TableParseError(f"{path}: duplicate year {year}", row=r, column=1)
-            out[year] = _cell(row[1], r, 2)
-        return out
+        rows = _keyed_rows(path, f"year,{value_name}", key=int)
+        next(rows)
+        return {year: _cell(raw, r, 2) for r, year, raw in rows}
 
     return read(fd_file, "total_final_demand"), read(gdp_file, "gdp_growth")
 

@@ -24,7 +24,6 @@ byte for byte.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,7 +44,7 @@ from .leontief import (
     output_multipliers,
     sector_order,
 )
-from .scenario import unique_keys
+from .scenario import read_json
 from .table import SATELLITE_KINDS, Sector, ValidationReport
 
 # Column formats: s = string, coef = 5 decimals, q = 6 decimals,
@@ -394,25 +393,14 @@ def result_from_dict(payload: dict) -> ImpactResult:
     )
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"non-finite number {name} is not allowed")
-
-
 def load_impact_result(path) -> ImpactResult:
-    """Read a ``result_*.json`` report back. Invalid JSON, a key repeated in
-    an object, a NaN or infinity, or an incomplete result raises ValueError
-    naming the path; a syntax error also gives its line and column."""
-    path = Path(path)
+    """Read a ``result_*.json`` report back. A file that breaks the rules of
+    every JSON input (scenario.read_json), a NaN or infinity, or an
+    incomplete result raises ValueError naming the path."""
     try:
-        text = path.read_text(encoding="utf-8")
-        payload = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=unique_keys)
-        return result_from_dict(payload)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+        return result_from_dict(read_json(path))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{Path(path)}: {exc}") from None
 
 
 def is_plain_name(name: str) -> bool:

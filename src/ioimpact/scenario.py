@@ -215,6 +215,23 @@ def unique_keys(pairs) -> dict:
     return members
 
 
+def read_json(path):
+    """The document of a JSON input, scenario or result: UTF-8, a leading
+    byte-order mark dropped, no key repeated in an object. A syntax error's
+    line counts \\n, \\r\\n and lone \\r, as for CSV inputs (JSON allows
+    them only between tokens). Each fault raises ValueError without the path."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+
+
 def _layout(block, what: str, known) -> dict:
     """block as an object that holds only known keys."""
     unknown = set(_mapping(block, what)) - set(known)
@@ -235,20 +252,19 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
     """Parse a scenario JSON file into a ScenarioSpec; README "Scenario
     files" gives the layout.
 
-    This checks the document's layout: UTF-8, with or without a byte-order
-    mark, and valid JSON, no key repeated in an object, no unknown key at
-    the top level or in a block, the required fields, and blocks that are
-    objects. The top-level keys are the fields of ScenarioSpec and the
-    reallocation block's those of Reallocation; the intermediate block is a
-    flattened view of IntermediateSpec and its UseRatio. An empty or missing
-    reallocation block means the savings-only scenario. The spec classes
+    This checks the document's layout: the rules of every JSON input
+    (read_json), no unknown key at the top level or in a block, the
+    required fields, and blocks that are objects. The top-level keys are
+    the fields of ScenarioSpec and the reallocation block's those of
+    Reallocation; the intermediate block is a flattened view of
+    IntermediateSpec and its UseRatio. An empty or missing reallocation
+    block means the savings-only scenario. The spec classes
     check every value, by the rules that hold for a spec built in Python.
     Each error names the file.
     """
     path = Path(scenario_file)
     try:
-        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
-        raw = json.loads(text, object_pairs_hook=unique_keys)
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise ScenarioConfigError("top level must be an object")
         known, required = _keys(ScenarioSpec)
@@ -271,13 +287,7 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
                 UseRatio(inter.get("use_ratios", {}), inter.get("default_ratio", UseRatio.default)),
             ) if inter else None,
         )
-    except UnicodeDecodeError as exc:
-        raise ScenarioConfigError(
-            f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
-        ) from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioConfigError(f"{path}: not valid JSON: {exc}") from exc
-    except (ScenarioConfigError, ValueError) as exc:  # json.loads: repeated key, long int
+    except (ScenarioConfigError, ValueError) as exc:  # read_json, or json.loads: long int
         raise ScenarioConfigError(f"{path}: {exc}") from exc
 
 

@@ -437,6 +437,76 @@ class TestMultiScenarioNames:
         assert not (tmp_path / "escaped").exists()
 
 
+class TestInputFaults:
+    """Every input file keeps its format's rules through the CLI: a leading
+    byte-order mark is accepted, and a byte that is not UTF-8 exits 2 naming
+    the file and its line (CSV) or byte offset (JSON), as a repeated key
+    does naming the file and where the key is. Nothing is written."""
+
+    # Each input, with the edit that repeats one of its keys and the message
+    # that names it.
+    INPUTS = {
+        "sectors.csv": (b"S2,", b"S1,", "duplicate code 'S1' (row 3, column 1)"),
+        "satellite_employment.csv": (b"S2,", b"S1,", "duplicate sector 'S1' (row 3, column 1)"),
+        "fd.csv": (b"2016,", b"2015,", "duplicate year 2015 (row 3, column 1)"),
+        "shock_s1.json": (b'"name"', b'"target_sector": "S1", "name"',
+                          "repeated key 'target_sector'"),
+        "result_inoperability.json": (b'"dx": ', b'"dx": [0.0, 0.0], "dx": ',
+                                      "repeated key 'dx'"),
+    }
+
+    @staticmethod
+    def argv(d: Path, name: str, out: Path) -> list[str]:
+        """compare for a result file; otherwise one run that reads every
+        other input."""
+        if name.startswith("result_"):
+            return ["compare", str(d / name), str(d / "result_extraction.json"), "--out", str(out)]
+        return ["run", "--table", str(E2 / "table.csv"), "--meta", str(d / "sectors.csv"),
+                "--satellites", str(d / "satellite_employment.csv"),
+                "--scenario", str(d / "shock_s1.json"), "--method", "both",
+                "--blowup-history", str(d / "fd.csv"), str(d / "gdp.csv"), "--out", str(out)]
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        for name in ("sectors.csv", "satellite_employment.csv", "shock_s1.json"):
+            shutil.copy(E2 / name, tmp_path / name)
+        (tmp_path / "fd.csv").write_text(
+            "year,total_final_demand\n2015,1000.0\n2016,1048.0\n2017,1089.92\n"
+        )
+        (tmp_path / "gdp.csv").write_text("year,gdp_growth\n2016,0.04\n2017,0.04\n2018,0.04\n")
+        assert main(self.argv(tmp_path, "", tmp_path)) == 0  # writes the result files
+        return tmp_path
+
+    @pytest.mark.parametrize("fault", ["bom", "bad-byte", "repeated-key"])
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_input_fault(self, inputs, capsys, name, fault):
+        path = inputs / name
+        data = path.read_bytes()
+        old, new, message = self.INPUTS[name]
+        if fault == "bom":
+            data = b"\xef\xbb\xbf" + data
+        elif fault == "bad-byte":  # in the last line, before its last character
+            at, row = len(data) - 2, data.count(b"\n")
+            data = data[:at] + b"\xff" + data[at:]
+            message = "not valid UTF-8 (invalid start byte" + (
+                f" at byte {at})" if name.endswith(".json") else f") (row {row})"
+            )
+        else:
+            assert data.count(old) == 1
+            data = data.replace(old, new)
+        path.write_bytes(data)
+        capsys.readouterr()
+        out = inputs / "out"
+        code = main(self.argv(inputs, name, out))
+        err = capsys.readouterr().err
+        if fault == "bom":
+            assert (code, err) == (0, "")
+            assert out.exists()
+        else:
+            assert (code, err) == (2, f"error: {path}: {message}\n")
+            assert not out.exists()
+
+
 class TestCompareRejectsBrokenResults:
     """compare exits 2 naming the file for a result that is not valid JSON,
     holds a NaN or infinity, lacks a key, or has vectors of unequal length;
@@ -453,9 +523,9 @@ class TestCompareRejectsBrokenResults:
         "edit, message",
         [
             (lambda text: text.replace('"pct_output": ', '"pct_output": NaN, "x": '),
-             "non-finite number NaN"),
+             "'pct_output' must be a finite number, got nan"),
             (lambda text: text.replace('"blowup_applied": 1.0', '"blowup_applied": Infinity'),
-             "non-finite number Infinity"),
+             "'blowup_applied' must be a finite number, got inf"),
             (lambda text: text.replace('"pct_output": ', '"pct_output": 1e400, "x": '),
              "'pct_output' must be a finite number"),
             (lambda text: text.replace('"output": ', f'"output": {10**400}, "x": '),
@@ -1357,7 +1427,10 @@ class TestScenariosReadFirst:
         code = main(["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json"),
                      str(bad), "--out", str(tmp_path / "reports")])
         assert code == 2
-        assert f"error: {bad}: not valid JSON" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {bad}: invalid JSON at line 1, column 15: "
+            "Expecting property name enclosed in double quotes\n"
+        )
 
     def test_repeated_name(self, tmp_path, capsys):
         first = tmp_path / "first.json"

@@ -22,9 +22,8 @@ from ioimpact import (
     inoperability,
     make_extraction_spec,
     partial_extraction,
-    satellite_deltas,
 )
-from ioimpact.impact import METHODS, scenario_impacts
+from ioimpact.impact import METHODS, satellite_deltas, scenario_impacts
 from ioimpact.leontief import LeontiefModel
 from ioimpact.table import validate_table
 from ioimpact.testkit import (
@@ -448,6 +447,21 @@ class TestSatelliteDeltas:
         deltas = satellite_deltas(e2_model, np.zeros(2))
         for vec in deltas.values():
             assert np.array_equal(vec, np.zeros(2))
+
+    def test_result_arrays_are_read_only(self, e2, e2_model):
+        # A result's satellite changes refuse writes, as its q and dx do,
+        # for each method and after a blowup; the caller's arrays stay writable.
+        delta = e2_delta(e2)
+        changes = {"employment": np.array([1.0, 2.0])}
+        shock = make_extraction_spec(e2_model, "S1", np.full(2, 0.5))
+        results = [inoperability(e2_model, delta), partial_extraction(e2_model, shock)]
+        results += [apply_blowup(results[0], 1.092),
+                    replace(results[0], satellite_changes=changes)]
+        for result in results:
+            for vec in (result.q, result.dx, *result.satellite_changes.values()):
+                with pytest.raises(ValueError, match="read-only"):
+                    vec[0] = 1e9
+        assert changes["employment"].flags.writeable
 
 
 class TestBlowup:

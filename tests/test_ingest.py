@@ -117,7 +117,7 @@ class TestParseTable:
     @pytest.mark.parametrize("code", ["", "  ", '"\t"'])
     def test_blank_sector_code_in_metadata(self, tmp_path, code):
         (tmp_path / "sectors.csv").write_text(f"code,name\nS1,One\n{code},Empty code\n")
-        with pytest.raises(TableParseError, match="blank sector code") as exc:
+        with pytest.raises(TableParseError, match="sectors.csv: blank code") as exc:
             parse_io_table(tmp_path / "missing.csv", tmp_path / "sectors.csv")
         assert (exc.value.row, exc.value.column) == (3, 1)
 

@@ -526,7 +526,8 @@ class TestFileKeysAreSpecFields:
 
 class TestScenarioByteOrderMark:
     """A scenario file may start with a UTF-8 byte-order mark, as CSV inputs
-    may; byte offsets still count from the start of the file."""
+    may; byte offsets still count from the start of the file, and a syntax
+    error's line from every line end a CSV input counts."""
 
     def test_bom_file_reads_as_without(self, tmp_path):
         source = FIXTURES / "e2" / "shock_s1.json"
@@ -541,3 +542,14 @@ class TestScenarioByteOrderMark:
         with pytest.raises(ScenarioConfigError) as err:
             parse_scenario(path)
         assert str(err.value) == f"{path}: not valid UTF-8 (invalid start byte at byte 14)"
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_syntax_error_line_counts_every_line_end(self, tmp_path, eol):
+        path = tmp_path / "bad.json"
+        path.write_bytes(eol.join(['{"name": "x",', '"target_sector": "S1",', '"drop" 0.5}'])
+                         .encode())
+        with pytest.raises(ScenarioConfigError) as err:
+            parse_scenario(path)
+        assert str(err.value) == (
+            f"{path}: invalid JSON at line 3, column 8: Expecting ':' delimiter"
+        )

@@ -55,7 +55,6 @@ PUBLIC_NAMES = {
     "parse_io_table",
     "parse_scenario",
     "partial_extraction",
-    "satellite_deltas",
     "satellite_multipliers",
     "validate_table",
     "write_table_files",
@@ -63,7 +62,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 40
     assert set(ioimpact.__all__) == PUBLIC_NAMES
     assert len(ioimpact.__all__) == len(PUBLIC_NAMES)
     for name in ioimpact.__all__:
@@ -139,6 +138,31 @@ def test_every_import_is_used():
     sources = [*sorted((ROOT / "src" / "ioimpact").glob("*.py")),
                *sorted((ROOT / "tests").glob("*.py"))]
     assert [where for path in sources for where in unused_imports(path)] == []
+
+
+def test_every_private_name_is_used():
+    # A module-level private name that no source of the package reads, by
+    # name, as an attribute or in an import, is a leftover of a change.
+    defined, used = {}, set()
+    for path in sorted((ROOT / "src" / "ioimpact").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined.update((name, f"{path.name}:{node.lineno} {name}") for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, (ast.Attribute, ast.alias)):
+                used.add(node.attr if isinstance(node, ast.Attribute) else node.name)
+    assert defined
+    assert [where for name, where in defined.items() if name not in used] == []
 
 
 def test_import_direction():
