@@ -215,9 +215,9 @@ def _build_shocks(table, paths, specs):
     return shocks
 
 
-def _print_summary(spec, blowup, results) -> None:
+def _print_summary(results) -> None:
     for result in results:
-        print(f"scenario {spec.name} [{result.method}] blowup={blowup:g}")
+        print(f"scenario {result.scenario} [{result.method}] blowup={result.blowup_applied:g}")
         print(f"  change in output (M):              {result.totals['output']:,.0f}")
         print(f"  change in output (%):              {result.pct_output * 100:.2f}")
         for kind, label in (
@@ -257,11 +257,11 @@ def cmd_run(args) -> int:
         tables.append(plotdata_table(results[0], top_k=args.top_k))
         if len(results) == 2:
             tables.append(comparison_table(compare_methods(results[1], results[0])))
-        runs.append((spec, blowup, results, tables))
-    for spec, blowup, results, tables in runs:
-        out_dir = Path(args.out) / spec.name if multi else Path(args.out)
+        runs.append((spec.name, results, tables))
+    for name, results, tables in runs:
+        out_dir = Path(args.out) / name if multi else Path(args.out)
         write_reports(tables, out_dir, formats=tuple(args.format), results=results)
-        _print_summary(spec, blowup, results)
+        _print_summary(results)
     return EXIT_OK
 
 

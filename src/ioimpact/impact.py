@@ -299,18 +299,17 @@ def estimate_blowup_factor(fd_totals: dict, gdp_growth: dict) -> float:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Side-by-side differences between two impact results."""
+    """Differences between two impact results over one sector set, a minus
+    b: dx_diff per sector, total_diffs for each total both results carry,
+    and pct_diff of their pct_output. top_overlap lists the codes among a's
+    most-affected sectors (by q, at most TOP_OVERLAP_K) that are also among
+    b's, in a's order. Each result's own figures, its method, totals and
+    pct_output, are read from ``a`` and ``b``."""
 
-    scenario: str
-    method_a: str
-    method_b: str
-    sectors: tuple[Sector, ...]
+    a: ImpactResult = field(repr=False)
+    b: ImpactResult = field(repr=False)
     dx_diff: np.ndarray = field(repr=False)
-    totals_a: dict[str, float]
-    totals_b: dict[str, float]
     total_diffs: dict[str, float]
-    pct_a: float
-    pct_b: float
     pct_diff: float
     top_overlap: tuple[str, ...]
 
@@ -321,25 +320,17 @@ def compare_methods(a: ImpactResult, b: ImpactResult) -> ComparisonReport:
     if a.sectors is not b.sectors and a.codes != b.codes:
         raise StructuralError("impact results cover different sector sets")
     metrics = sorted(set(a.totals) & set(b.totals))
-    total_diffs = {m: a.totals[m] - b.totals[m] for m in metrics}
     k = min(TOP_OVERLAP_K, len(a.sectors))
 
     def top(result):
         return [result.sectors[i].code for i in sector_order(result.q, k=k)]
 
     top_b = set(top(b))
-    overlap = tuple(code for code in top(a) if code in top_b)
     return ComparisonReport(
-        scenario=a.scenario if a.scenario == b.scenario else f"{a.scenario} vs {b.scenario}",
-        method_a=a.method,
-        method_b=b.method,
-        sectors=a.sectors,
+        a=a,
+        b=b,
         dx_diff=a.dx - b.dx,
-        totals_a={m: a.totals[m] for m in metrics},
-        totals_b={m: b.totals[m] for m in metrics},
-        total_diffs=total_diffs,
-        pct_a=a.pct_output,
-        pct_b=b.pct_output,
+        total_diffs={m: a.totals[m] - b.totals[m] for m in metrics},
         pct_diff=a.pct_output - b.pct_output,
-        top_overlap=overlap,
+        top_overlap=tuple(code for code in top(a) if code in top_b),
     )

@@ -89,10 +89,10 @@ class LeontiefModel:
     """A table bound to its coefficients and its Leontief inverse.
 
     A[i, j] = Z[i, j] / x[j], the input requirements per unit of output; the
-    coefficient rows for imports and for every satellite kind the table can
-    report divide by the same x, satellite_coefficients in SATELLITE_KINDS
-    order. L = (I - A)^-1 is read-only; solve and solve_t apply it, reading
-    only what the right-hand side needs.
+    coefficient row of every satellite kind the table can report divides by
+    the same x, satellite_coefficients in SATELLITE_KINDS order. L = (I -
+    A)^-1 is read-only; solve and solve_t apply it, reading only what the
+    right-hand side needs.
 
     x0 = L f, read-only, is the output L gives for the table's final
     demand. It differs from the table's x by the rounding of the product,
@@ -102,7 +102,6 @@ class LeontiefModel:
 
     table: IOTable
     A: np.ndarray
-    import_coefficients: np.ndarray
     satellite_coefficients: dict[str, np.ndarray]
     L: np.ndarray
     x0: np.ndarray
@@ -227,8 +226,9 @@ def fixed_point_gap(model: LeontiefModel, dx: np.ndarray, df: np.ndarray) -> flo
 
 
 def build_model(table: IOTable, L: np.ndarray | None = None) -> LeontiefModel:
-    """The model of a validated table: A and the coefficient rows, accepted by
-    check_coefficients, and an L = (I - A)^-1 that passes certify_productive.
+    """The model of a validated table: A and the satellite coefficient rows,
+    accepted by check_coefficients, and an L = (I - A)^-1 that passes
+    certify_productive.
 
     Satellite kinds backed by an account use it. Two kinds are read off the
     table when no account was supplied: value added from the value-added
@@ -276,7 +276,6 @@ def build_model(table: IOTable, L: np.ndarray | None = None) -> LeontiefModel:
     model = LeontiefModel(
         table=table,
         A=table.Z / x[np.newaxis, :],
-        import_coefficients=table.imports / x,
         satellite_coefficients={k: sources[k] / x for k in SATELLITE_KINDS if k in sources},
         L=L,
         x0=None,
@@ -370,5 +369,6 @@ def downstream_importance(model: LeontiefModel, sector, top_k: int) -> list[tupl
 
 
 def import_share(model: LeontiefModel, sector) -> float:
-    """Imported inputs per unit of output for one sector."""
-    return float(model.import_coefficients[model.sector_index(sector)])
+    """Imported inputs per unit of output for one sector, imports_j / x_j."""
+    j = model.sector_index(sector)
+    return float(model.table.imports[j] / model.x[j])

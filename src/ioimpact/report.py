@@ -292,19 +292,20 @@ def comparison_table(comparison: ComparisonReport) -> ReportTable:
     """Aggregate metrics side by side: each method's value and a - b. The
     value columns take the method names, suffixed " (a)" and " (b)" when a
     name would repeat a column, as it does for two results of one method."""
-    totals = (comparison.totals_a, comparison.totals_b, comparison.total_diffs)
+    ra, rb = comparison.a, comparison.b
+    totals = (ra.totals, rb.totals, comparison.total_diffs)
     metrics = [
         (label, "{:.0f}", tuple(t[key] for t in totals))
         for key, label in _METRIC_LABELS
         if key in comparison.total_diffs
     ]
-    pct = (comparison.pct_a * 100, comparison.pct_b * 100, comparison.pct_diff * 100)
+    pct = (ra.pct_output * 100, rb.pct_output * 100, comparison.pct_diff * 100)
     metrics.append(("change in output (%)", "{:.2f}", pct))
     # The cells are preformatted strings, so the numbers behind them are
     # checked here, as a float column is.
     for label, _, values in metrics:
         _checked(float, map(float, values), "comparison", label)
-    a, b = comparison.method_a, comparison.method_b
+    a, b = ra.method, rb.method
     if len({"metric", a, b, "difference"}) < 4:
         a, b = f"{a} (a)", f"{b} (b)"
     columns = {"metric": ("s", [label for label, _, _ in metrics])}
@@ -363,8 +364,8 @@ def _object(value, what: str) -> dict:
 
 def result_from_dict(payload: dict) -> ImpactResult:
     """Rebuild an ImpactResult from its report form. ValueError names a
-    missing key, a value that is not a finite number, or a vector whose
-    length differs from the number of sectors."""
+    missing key, a sector code listed twice, a value that is not a finite
+    number, or a vector whose length differs from the number of sectors."""
     payload = _object(payload, "result")
     missing = [key for key in _RESULT_KEYS if key not in payload]
     if missing:
@@ -375,6 +376,11 @@ def result_from_dict(payload: dict) -> ImpactResult:
         for s in entries
     ):
         raise ValueError("'sectors' must be a list of objects with string 'code' and 'name'")
+    seen = set()
+    for code in (s["code"] for s in entries):
+        if code in seen:
+            raise ValueError(f"'sectors' repeats code {code!r}")
+        seen.add(code)
     n = len(entries)
     totals = _object(payload["totals"], "totals")
     return ImpactResult(

@@ -13,8 +13,10 @@ Each spec class checks every value it holds when it is built, so a spec
 built in Python obeys the rules a scenario file does (parse_scenario, which
 reads scenario files, checks only their layout): a number is a real number,
 not a bool or a string; fractions lie in [0, 1]; names are strings, apply is
-a bool, each mapping is a dict and each block is an instance of its class;
-and no final-demand component is named twice.
+a bool, each mapping is a Mapping and each block is an instance of its class;
+and no final-demand component is named twice. A spec stores each mapping
+read-only (a MappingProxyType), so it cannot be changed past these checks;
+dataclasses.replace builds a new spec and checks it again.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -79,8 +83,8 @@ def _finite(value, what: str) -> float:
     return value
 
 
-def _mapping(value, what: str) -> dict:
-    if not isinstance(value, dict):
+def _mapping(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
         raise ScenarioConfigError(f"{what} must be an object, got {value!r:.40}")
     return value
 
@@ -90,13 +94,14 @@ def _instance(value, cls, what: str) -> None:
         raise ScenarioConfigError(f"{what} must be of class {cls.__name__}, got {value!r:.40}")
 
 
-def _fractions(block, what: str, each: str) -> dict[str, float]:
-    return {key: _check_fraction(v, f"{each} {key!r}") for key, v in _mapping(block, what).items()}
+def _fractions(block, what: str, each: str) -> Mapping[str, float]:
+    return MappingProxyType({key: _check_fraction(v, f"{each} {key!r}")
+                             for key, v in _mapping(block, what).items()})
 
 
-def _components(block, what: str, each: str, check) -> dict[str, float]:
-    """A final-demand block keyed by full component name. A key is a short
-    code or a full name, and one component may not be named by both."""
+def _components(block, what: str, each: str, check) -> Mapping[str, float]:
+    """A final-demand block keyed by full component name, read-only. A key is
+    a short code or a full name, and one component may not be named by both."""
     normalized, seen = {}, {}
     for key, value in _mapping(block, what).items():
         comp = FD_CODE_TO_COMPONENT.get(key, key)
@@ -106,24 +111,22 @@ def _components(block, what: str, each: str, check) -> dict[str, float]:
             raise ScenarioConfigError(f"{what} names {comp} twice, as {seen[comp]!r} and {key!r}")
         seen[comp] = key
         normalized[comp] = check(value, f"{each} {key!r}")
-    return normalized
+    return MappingProxyType(normalized)
 
 
 @dataclass(frozen=True)
 class UseRatio:
     """Per-sector share of purchases from the target attributable to the
-    shocked sub-service; sectors without data use the default."""
+    shocked sub-service, read-only; extraction_intensities gives sectors
+    without a ratio the default."""
 
-    ratios: dict[str, float] = field(default_factory=dict)
+    ratios: Mapping[str, float] = field(default_factory=dict)
     default: float = 1.0
 
     def __post_init__(self):
         ratios = _fractions(self.ratios, "intermediate use_ratios", "use ratio for")
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "default", _check_fraction(self.default, "default use ratio"))
-
-    def get(self, code: str) -> float:
-        return self.ratios.get(code, self.default)
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ class Reallocation:
     """
 
     savings_fraction: float
-    shares: dict[str, float] = field(default_factory=dict)
+    shares: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         fraction = _check_fraction(self.savings_fraction, "savings_fraction")
@@ -175,8 +178,8 @@ class ScenarioSpec:
     name: str
     target_sector: str
     sub_service_drop: float
-    component_ratios: dict[str, float] = field(default_factory=dict)
-    absolute_changes: dict[str, float] = field(default_factory=dict)
+    component_ratios: Mapping[str, float] = field(default_factory=dict)
+    absolute_changes: Mapping[str, float] = field(default_factory=dict)
     reallocation: Reallocation | None = None
     intermediate: IntermediateSpec | None = None
     blowup_factor: float = 1.0

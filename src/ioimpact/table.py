@@ -16,7 +16,9 @@ threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -95,10 +97,6 @@ class FinalDemandBlock:
             raise KeyError(f"unknown final-demand component {name!r}") from None
         return self.values[:, col]
 
-    def totals(self) -> np.ndarray:
-        """Total final demand per sector (row sums)."""
-        return self.values.sum(axis=1)
-
     @classmethod
     def from_components(cls, n: int, **components) -> "FinalDemandBlock":
         """Build a block from named component vectors; missing ones are zero."""
@@ -135,7 +133,8 @@ class IOTable:
 
     Tables compare and hash by identity: a copy with the same content is
     another table. leontief.build_model keeps L = (I - A)^-1 for each
-    live table object, so a table must not be changed in place.
+    live table object, so a table must not be changed in place: its arrays
+    are read-only, and its satellites a read-only mapping.
 
     Fields
     ------
@@ -144,7 +143,7 @@ class IOTable:
     final_demand : per-sector component block
     imports : per-sector imports row
     value_added : per-sector value-added row
-    satellites : mapping kind -> SatelliteAccount
+    satellites : read-only mapping kind -> SatelliteAccount
     x : per-sector total gross output
     total_uses : the table's own total-uses row, which validate_table checks
         against x, or None for a table without one
@@ -155,7 +154,7 @@ class IOTable:
     final_demand: FinalDemandBlock
     imports: np.ndarray
     value_added: np.ndarray
-    satellites: dict[str, SatelliteAccount] = field(default_factory=dict)
+    satellites: Mapping[str, SatelliteAccount] = field(default_factory=dict)
     x: np.ndarray = None
     total_uses: np.ndarray | None = None
 
@@ -167,10 +166,10 @@ class IOTable:
         object.__setattr__(self, "x", _readonly(self.x))
         if self.total_uses is not None:
             object.__setattr__(self, "total_uses", _readonly(self.total_uses))
-        object.__setattr__(self, "satellites", dict(self.satellites))
+        object.__setattr__(self, "satellites", MappingProxyType(dict(self.satellites)))
         check_structure(self)
         object.__setattr__(self, "_index", {s.code: i for i, s in enumerate(self.sectors)})
-        object.__setattr__(self, "_f", _readonly(self.final_demand.totals()))
+        object.__setattr__(self, "_f", _readonly(self.final_demand.values.sum(axis=1)))
 
     @property
     def n(self) -> int:

@@ -564,6 +564,54 @@ class TestCompareRejectsBrokenResults:
         err = capsys.readouterr().err
         assert f"error: {bad}: invalid JSON at line {line}, column 12: Expecting ':' delimiter" in err
 
+    def test_repeated_sector_code_exits_two(self, tmp_path, capsys):
+        # Both files name S1 twice, so their sector lists still agree: only
+        # the reader can refuse them.
+        bad = []
+        for path in self.results(tmp_path):
+            bad.append(tmp_path / f"bad_{path.name}")
+            bad[-1].write_text(path.read_text().replace('"code": "S2"', '"code": "S1"'))
+        cmp_out = tmp_path / "cmp"
+        assert main(["compare", *map(str, bad), "--out", str(cmp_out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad[0]}: 'sectors' repeats code 'S1'" in err
+        assert not cmp_out.exists()
+
+
+class TestOutEnvironment:
+    """IOIMPACT_OUT is the default --out of multipliers, run and compare, and
+    turns on validate's report files."""
+
+    @pytest.fixture
+    def env_out(self, tmp_path, monkeypatch):
+        out = tmp_path / "env-out"
+        monkeypatch.setenv("IOIMPACT_OUT", str(out))
+        return out
+
+    def test_validate_writes_reports(self, env_out):
+        assert main(["validate", *table_flags(e2_args())]) == 0
+        assert sorted(p.name for p in env_out.iterdir()) == [
+            "manifest.json", "validation.csv", "validation.json"]
+
+    def test_multipliers_default_out(self, env_out, capsys):
+        assert main(["multipliers", *table_flags(e2_args())]) == 0
+        assert f"wrote 4 report files to {env_out}" in capsys.readouterr().out
+        assert (env_out / "multipliers.csv").exists()
+
+    def test_run_default_out(self, env_out):
+        assert main(["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json")]) == 0
+        assert (env_out / "result_extraction.json").exists()
+        assert (env_out / "comparison.csv").exists()
+
+    def test_compare_default_out(self, env_out, tmp_path):
+        out = tmp_path / "reports"
+        assert main(["run", *table_flags(e2_args()), "--scenario", str(E2 / "shock_s1.json"),
+                     "--out", str(out)]) == 0
+        assert main(["compare", str(out / "result_extraction.json"),
+                     str(out / "result_inoperability.json")]) == 0
+        assert sorted(p.name for p in env_out.iterdir()) == [
+            "comparison.csv", "comparison.json", "manifest.json"]
+
 
 class TestNationalScalePipeline:
     """The bundled COVID fixtures must bind to the bundled sector codes on a

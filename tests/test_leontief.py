@@ -35,7 +35,7 @@ from test_table import make_table
 class TestTechnicalCoefficients:
     def test_e2_matrix(self, e2, e2_model):
         assert np.array_equal(e2_model.A, E2_A)
-        assert np.array_equal(e2_model.import_coefficients, [-0.1, 0.0])
+        assert np.array_equal(e2.imports / e2.x, [-0.1, 0.0])
         assert np.array_equal(e2.value_added / e2.x, [0.3, 0.4])
         assert np.array_equal(e2_model.satellite_coefficients["employment"], [0.1, 0.2])
 
@@ -66,7 +66,7 @@ class TestTechnicalCoefficients:
 
     def test_column_sums_account_for_everything(self, e2, e2_model):
         model = e2_model
-        total = model.A.sum(axis=0) + model.import_coefficients + e2.value_added / e2.x
+        total = model.A.sum(axis=0) + e2.imports / e2.x + e2.value_added / e2.x
         assert np.allclose(total, 1.0, atol=1e-12)
 
 

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +180,7 @@ class TestPaperShapedArithmetic:
             government_consumption=[gov, 0.0],
             exports=[exp, 0.0],
         )
-        f = fd.totals()
+        f = fd.values.sum(axis=1)
         Z = np.array([[1000.0, 500.0], [800.0, 600.0]])
         x = Z.sum(axis=1) + f
         return IOTable(
@@ -264,7 +264,7 @@ class TestExtractionIntensities:
             name="x", target_sector="S1", sub_service_drop=drop,
             intermediate=IntermediateSpec(apply=True, use_ratios=ratios),
         )
-        want = np.array([ratios.get(code) * drop for code in table.codes])
+        want = np.array([ratios.ratios.get(code, ratios.default) * drop for code in table.codes])
         got = extraction_intensities(table, spec)
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
@@ -334,7 +334,7 @@ class TestSpecValidation:
         values = [spec.sub_service_drop, spec.component_ratios["household_consumption"],
                   spec.absolute_changes["exports"], spec.blowup_factor,
                   spec.reallocation.savings_fraction, spec.reallocation.shares["S2"],
-                  spec.intermediate.use_ratios.get("S2"), spec.intermediate.use_ratios.get("S1")]
+                  spec.intermediate.use_ratios.ratios["S2"], spec.intermediate.use_ratios.default]
         assert values == [0.5, 1.0, -3.0, 2.0, 0.0, 1.0, 0.25, 1.0]
         assert all(type(v) is float for v in values)
         plain = ScenarioSpec(
@@ -403,6 +403,53 @@ class TestSpecValidation:
         assert build_delta(e2, spec).reallocated != {}
 
 
+class TestSpecMappingsReadOnly:
+    """A spec's mappings cannot change after its checks; replace checks a
+    new spec again."""
+
+    @staticmethod
+    def full_spec():
+        return spec_s1(
+            absolute_changes={"EXP": -3.0},
+            reallocation=Reallocation(savings_fraction=0.5, shares={"S2": 1.0}),
+            intermediate=IntermediateSpec(apply=True, use_ratios=UseRatio({"S2": 0.25})),
+        )
+
+    @pytest.mark.parametrize(
+        "mapping, key",
+        [
+            (lambda spec: spec.component_ratios, "household_consumption"),
+            (lambda spec: spec.absolute_changes, "exports"),
+            (lambda spec: spec.reallocation.shares, "S2"),
+            (lambda spec: spec.intermediate.use_ratios.ratios, "S2"),
+        ],
+        ids=["component_ratios", "absolute_changes", "shares", "use_ratios"],
+    )
+    def test_writes_raise(self, e2, mapping, key):
+        spec = self.full_spec()
+        before = build_delta(e2, spec)
+        with pytest.raises(TypeError):
+            mapping(spec)[key] = 7.0
+        with pytest.raises(TypeError):
+            del mapping(spec)[key]
+        after = build_delta(e2, spec)
+        assert np.array_equal(after.delta, before.delta)
+        assert np.array_equal(after.alpha, before.alpha)
+
+    def test_replace_checks_again(self, e2):
+        spec = self.full_spec()
+        again = replace(spec, sub_service_drop=0.5,
+                        reallocation=replace(spec.reallocation, savings_fraction=1.0),
+                        intermediate=replace(spec.intermediate, use_ratios=replace(
+                            spec.intermediate.use_ratios, default=0.5)))
+        assert again.component_ratios == {"household_consumption": 1.0}
+        assert again.reallocation.shares == {"S2": 1.0}
+        assert again.intermediate.use_ratios.ratios == {"S2": 0.25}
+        assert np.array_equal(build_delta(e2, again).alpha, [0.25, 0.125])
+        with pytest.raises(ScenarioConfigError, match="component ratio for 'HH' must lie in"):
+            replace(spec, component_ratios={"HH": 7.0})
+
+
 class TestBlowupFactorRule:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     def test_must_be_finite_and_positive(self, value):
@@ -419,7 +466,7 @@ class TestParseScenario:
         assert spec.component_ratios["gross_fixed_capital_formation"] == 0.0
         assert spec.blowup_factor == 1.092
         assert spec.reallocation is None
-        assert spec.intermediate.use_ratios.get("WHS") == 0.07
+        assert spec.intermediate.use_ratios.ratios["WHS"] == 0.07
 
     def test_bundled_covid_reallocation(self):
         spec = parse_scenario(FIXTURES / "scenarios" / "covid_scenario2.json")

@@ -217,6 +217,38 @@ def test_benchmark_library_pass_meets_its_gate(seed):
     assert json.loads(done.stdout.splitlines()[-1]) == [4, []]
 
 
+def test_benchmark_comparison_tamper_changes_its_digest():
+    # The benchmark's self-test tampers with a comparison by
+    # replace(cmp_, top_overlap=cmp_.top_overlap + ("X",)), and its gate
+    # digests dx_diff, total_diffs, pct_diff and top_overlap. Both must keep
+    # working on ComparisonReport. A child process, as above.
+    probe = (
+        "import json\n"
+        "from dataclasses import replace\n"
+        "import inputs, worker\n"
+        "from gate import check_library_output\n"
+        "table, docs = inputs.generate_table(24, 1), inputs.make_scenarios(24, 2, 1)\n"
+        "runs = worker.library_pass(table, [inputs.scenario_spec(doc) for doc in docs])\n"
+        "refs = inputs.references(table, docs)\n"
+        "name, inop, ext, cmp_ = runs[0]\n"
+        "changed = replace(cmp_, top_overlap=cmp_.top_overlap + ('X',))\n"
+        "tampered = [(name, inop, ext, changed), *runs[1:]]\n"
+        "checks = [check_library_output(r, refs) for r in (runs, tampered)]\n"
+        "print(json.dumps([changed.top_overlap[-1], checks]))\n"
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    last, ((problems, digest), (tampered_problems, tampered_digest)) = json.loads(
+        done.stdout.splitlines()[-1])
+    assert last == "X"
+    assert problems == tampered_problems == []
+    assert digest != tampered_digest
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_benchmark_cli_run_meets_its_gate(seed, tmp_path):
     # The `ioimpact run` of perfbench's CLI workloads at n = 24, cold and then

@@ -281,11 +281,11 @@ class TestFinalDemandBlock:
             e2.final_demand.component("nope")
 
     def test_totals(self, e2):
-        assert np.array_equal(e2.final_demand.totals(), [30, 30])
+        assert np.array_equal(e2.f, [30, 30])
 
     def test_table_sums_f_once_read_only(self, e2):
         assert e2.f is e2.f
-        assert np.array_equal(e2.f, e2.final_demand.totals())
+        assert np.array_equal(e2.f, e2.final_demand.values.sum(axis=1))
         assert not e2.f.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             e2.f[0] = 1.0
@@ -316,6 +316,17 @@ class TestIdentity:
             assert other != t
             assert not other == t
             assert len({t, other}) == 2
+
+
+def test_satellites_are_read_only():
+    # A write would slip past check_structure's rule that each account is
+    # stored under its own kind.
+    table = canonical_e2()
+    with pytest.raises(TypeError):
+        table.satellites["income"] = SatelliteAccount("employment", [1.0, 2.0])
+    assert table.satellites["income"].kind == "income"
+    again = replace(table)
+    assert dict(again.satellites) == dict(table.satellites)
 
 
 def test_rescale_keeps_employment():
