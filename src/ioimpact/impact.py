@@ -28,17 +28,19 @@ exactly and a small change keeps its precision. With A >= 0 and alpha in
 productive whenever the original is.
 
 Output changes translate into satellite changes through the coefficient
-rows, and an aged-table correction can inflate the nominal figures without
-touching the normalized ones.
+rows, and a blowup (an aged-table correction) inflates the nominal figures,
+not the normalized ones. A result is checked once, when ImpactResult is
+built: it holds one read-only block of finite figures.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -84,7 +86,12 @@ class ImpactResult:
     q is the normalized output change dx/x with losses negative; dx and the
     satellite changes are nominal and carry any blowup applied; pct_output is
     the economy-wide output change relative to baseline output and is never
-    rescaled by a blowup. The arrays are read-only copies.
+    rescaled by a blowup.
+
+    Building a result is its one check: q, dx and the satellite changes
+    become rows of one read-only float64 block, and the mappings read-only.
+    ValueError names the shapes of vectors without one value per sector, or
+    the scenario, and any blowup applied, of a NaN or infinite figure.
     """
 
     method: str  # "inoperability" | "extraction"
@@ -92,16 +99,29 @@ class ImpactResult:
     sectors: tuple[Sector, ...]
     q: np.ndarray
     dx: np.ndarray
-    satellite_changes: dict[str, np.ndarray]
-    totals: dict[str, float]
+    satellite_changes: Mapping[str, np.ndarray]
+    totals: Mapping[str, float]
     pct_output: float
     blowup_applied: float = 1.0
 
     def __post_init__(self):
-        for name in ("q", "dx"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-        changes = {kind: _readonly(v) for kind, v in self.satellite_changes.items()}
-        object.__setattr__(self, "satellite_changes", changes)
+        rows = [self.q, self.dx, *self.satellite_changes.values()]
+        shapes = dict(zip(["q", "dx", *self.satellite_changes], map(np.shape, rows)))
+        if set(shapes.values()) != {(len(self.sectors),)}:
+            raise ValueError(f"scenario {self.scenario!r}: vectors of shapes {shapes} for "
+                             f"{len(self.sectors)} sectors; each needs one value per sector")
+        block = np.array(rows, dtype=float)
+        block.setflags(write=False)
+        totals = {kind: float(total) for kind, total in self.totals.items()}
+        pct, b = float(self.pct_output), float(self.blowup_applied)
+        if not (np.isfinite(block).all() and all(map(math.isfinite, [*totals.values(), pct, b]))):
+            what = "the impact" if b == 1 else f"the impact times the blowup factor {b:g}"
+            raise ValueError(f"scenario {self.scenario!r}: {what} overflows float64")
+        changes = MappingProxyType(dict(zip(self.satellite_changes, block[2:])))
+        for name, value in {"q": block[0], "dx": block[1], "satellite_changes": changes,
+                            "totals": MappingProxyType(totals), "pct_output": pct,
+                            "blowup_applied": b}.items():
+            object.__setattr__(self, name, value)
 
     @property
     def codes(self) -> tuple[str, ...]:
@@ -109,31 +129,11 @@ class ImpactResult:
 
 
 def _assemble(model, method, scenario, dx) -> ImpactResult:
-    q = dx / model.x
     changes = satellite_deltas(model, dx)
-    totals = {"output": float(dx.sum())}
-    totals.update((kind, float(change.sum())) for kind, change in changes.items())
-    return ImpactResult(
-        method=method,
-        scenario=scenario,
-        sectors=model.sectors,
-        q=q,
-        dx=dx,
-        satellite_changes=changes,
-        totals=totals,
-        pct_output=float(dx.sum() / model.x.sum()),
-    )
-
-
-@contextlib.contextmanager
-def _overflow_refused(scenario: str, what: str):
-    """Run the block with numpy raising where it would warn of an overflow,
-    and raise that as ValueError naming the scenario and ``what``."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        raise ValueError(f"scenario {scenario!r}: {what} overflows float64") from None
+    totals = {"output": dx.sum(), **{kind: change.sum() for kind, change in changes.items()}}
+    return ImpactResult(method, scenario, model.sectors, q=dx / model.x, dx=dx,
+                        satellite_changes=changes, totals=totals,
+                        pct_output=totals["output"] / model.x.sum())
 
 
 def _per_sector(model: LeontiefModel, name: str, values) -> np.ndarray:
@@ -158,10 +158,10 @@ def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list
     what ``methods`` selects is computed and checked. Before anything is
     solved, a df or alpha that is not one finite value per sector, or an
     alpha outside [0, 1], raises ValueError and an unknown target KeyError. A
-    shock whose L df, or a figure built from it, overflows float64 raises
-    ValueError naming its scenario. Any other inoperability residual above
-    FIXED_POINT_TOL relative to max(1, max |q|) (leontief.fixed_point_gap),
-    or NaN, is a defect of the model math:
+    shock whose L df overflows float64, or a figure built from it (refused
+    by ImpactResult), raises ValueError naming its scenario. Any other
+    inoperability residual above FIXED_POINT_TOL relative to max(1, max |q|)
+    (leontief.fixed_point_gap), or NaN, is a defect of the model math:
     InternalConsistencyError names the scenario with the largest. A
     rank-one denominator below one, or NaN, raises NonProductiveEconomyError.
     """
@@ -193,20 +193,19 @@ def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list
                 f"in scenario {deltas[worst].scenario!r}"
             )
     results = []
-    for s, delta in enumerate(deltas):
-        dx = {"inoperability": u[:, s]}
-        if "extraction" in methods:
-            k = targets[s]
-            d = model.A[k] * alphas[s]
-            d[k] = 0.0
-            denom = 1.0 + d @ model.L[:, k]
-            if not (denom >= 1.0):
-                raise NonProductiveEconomyError(
-                    f"the rank-one update denominator 1 + d . L[:, k] is {denom:.6g}, not at "
-                    "least one; the coefficients are not those of a productive economy"
-                )
-        with _overflow_refused(delta.scenario, "the impact"):
+    with np.errstate(over="ignore", invalid="ignore"):  # ImpactResult refuses an overflow
+        for s, delta in enumerate(deltas):
+            dx = {"inoperability": u[:, s]}
             if "extraction" in methods:
+                k = targets[s]
+                d = model.A[k] * alphas[s]
+                d[k] = 0.0
+                denom = 1.0 + d @ model.L[:, k]
+                if not (denom >= 1.0):
+                    raise NonProductiveEconomyError(
+                        f"the rank-one update denominator 1 + d . L[:, k] is {denom:.6g}, not "
+                        "at least one; the coefficients are not those of a productive economy"
+                    )
                 dx["extraction"] = u[:, s] - model.L[:, k] * ((d @ (model.x0 + u[:, s])) / denom)
             results.append([_assemble(model, m, delta.scenario, dx[m]) for m in methods])
     return results
@@ -241,19 +240,16 @@ def check_blowup_factor(b: float) -> None:
 def apply_blowup(result: ImpactResult, b: float) -> ImpactResult:
     """Inflate every nominal figure by b; q and the percentage aggregate are
     exact regardless of table age and stay untouched. b must be finite and
-    positive, and a figure it inflates past float64 raises ValueError naming
-    the scenario and b."""
+    positive; a figure it inflates past float64 is refused as the new
+    result is built, by a ValueError naming the scenario and the factor."""
     check_blowup_factor(b)
     b = float(b)  # a Fraction would leave object-dtype arrays
-    with _overflow_refused(result.scenario, f"the impact times the blowup factor {b:g}"):
-        totals = {k: v * b for k, v in result.totals.items()}
-        if not all(map(math.isfinite, totals.values())):
-            raise FloatingPointError  # a product of floats overflows to inf without raising
+    with np.errstate(over="ignore"):  # ImpactResult refuses an overflow
         return replace(
             result,
             dx=result.dx * b,
             satellite_changes={k: v * b for k, v in result.satellite_changes.items()},
-            totals=totals,
+            totals={k: v * b for k, v in result.totals.items()},
             blowup_applied=result.blowup_applied * b,
         )
 
@@ -304,14 +300,19 @@ class ComparisonReport:
     and pct_diff of their pct_output. top_overlap lists the codes among a's
     most-affected sectors (by q, at most TOP_OVERLAP_K) that are also among
     b's, in a's order. Each result's own figures, its method, totals and
-    pct_output, are read from ``a`` and ``b``."""
+    pct_output, are read from ``a`` and ``b``. dx_diff is a read-only copy
+    and total_diffs a read-only mapping."""
 
     a: ImpactResult = field(repr=False)
     b: ImpactResult = field(repr=False)
     dx_diff: np.ndarray = field(repr=False)
-    total_diffs: dict[str, float]
+    total_diffs: Mapping[str, float]
     pct_diff: float
     top_overlap: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "dx_diff", _readonly(self.dx_diff))
+        object.__setattr__(self, "total_diffs", MappingProxyType(dict(self.total_diffs)))
 
 
 def compare_methods(a: ImpactResult, b: ImpactResult) -> ComparisonReport:

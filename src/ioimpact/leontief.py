@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import numbers
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -90,9 +92,10 @@ class LeontiefModel:
 
     A[i, j] = Z[i, j] / x[j], the input requirements per unit of output; the
     coefficient row of every satellite kind the table can report divides by
-    the same x, satellite_coefficients in SATELLITE_KINDS order. L = (I -
-    A)^-1 is read-only; solve and solve_t apply it, reading only what the
-    right-hand side needs.
+    the same x, satellite_coefficients in SATELLITE_KINDS order. A, each
+    coefficient row, the mapping that holds them and L = (I - A)^-1 are
+    read-only, so a model cannot change past the checks build_model made;
+    solve and solve_t apply L, reading only what the right-hand side needs.
 
     x0 = L f, read-only, is the output L gives for the table's final
     demand. It differs from the table's x by the rounding of the product,
@@ -102,7 +105,7 @@ class LeontiefModel:
 
     table: IOTable
     A: np.ndarray
-    satellite_coefficients: dict[str, np.ndarray]
+    satellite_coefficients: Mapping[str, np.ndarray]
     L: np.ndarray
     x0: np.ndarray
 
@@ -273,10 +276,14 @@ def build_model(table: IOTable, L: np.ndarray | None = None) -> LeontiefModel:
     }
     if L is None:
         L = _built.get(table)
+    A = table.Z / x[np.newaxis, :]
+    coefficients = {k: sources[k] / x for k in SATELLITE_KINDS if k in sources}
+    for fresh in (A, *coefficients.values()):
+        fresh.setflags(write=False)  # frozen in place: a copy of A costs n^2 doubles
     model = LeontiefModel(
         table=table,
-        A=table.Z / x[np.newaxis, :],
-        satellite_coefficients={k: sources[k] / x for k in SATELLITE_KINDS if k in sources},
+        A=A,
+        satellite_coefficients=MappingProxyType(coefficients),
         L=L,
         x0=None,
     )

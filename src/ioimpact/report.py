@@ -11,11 +11,11 @@ JSON reports follow one byte contract, that of
 trailing newline: two-space indentation, keys sorted by code point, strings
 with ASCII escapes and floats as ``float.__repr__``. A column's format fixes
 its cell type: str for ``s``, int for ``int`` (a bool is not one) and float
-for the others. Each column is checked once, when its table is built (a
-result's and the manifest's when they are encoded): a cell of another type,
-such as a bool, None or a numpy scalar, raises TypeError, and a NaN or an
-infinity ValueError, each naming the report and the column. JSON maps the
-type's C-level encoder over the column. Tables, ``result_<method>.json``
+for the others. Each column is checked once, when its table is built: a
+cell of another type, such as a bool, None or a numpy scalar, raises
+TypeError, and a NaN or an infinity ValueError, each naming the report and
+the column; a result's figures were checked when it was built. JSON maps
+the type's C-level encoder over the column. Tables, ``result_<method>.json``
 and ``manifest.json`` each have a fixed layout built from encoded columns;
 ``testkit.json_report_oracle`` is the ``json.dumps`` route they must match
 byte for byte.
@@ -148,11 +148,6 @@ def _checked(cell_type: type, values, report: str, column: str) -> tuple:
     return values
 
 
-def _encoded(cell_type: type, values, report: str, column: str) -> list[str]:
-    """The JSON text of each value of a column, checked by _checked."""
-    return list(map(_JSON_ENCODERS[cell_type], _checked(cell_type, values, report, column)))
-
-
 def _encode_records(keys: list[str], encoded: list[list[str]], indent: str = "") -> str:
     """JSON text of a list of flat objects with the same sorted keys, from
     each key's column of encoded values: one ``%`` template per list,
@@ -177,33 +172,27 @@ def _encode_object(members: dict[str, str], indent: str = "") -> str:
 
 def result_json_text(result: ImpactResult) -> str:
     """``result_<method>.json``: the result's vectors in sector order, its
-    totals and its scalars, under the JSON byte contract."""
-    report = f"result_{result.method}"
+    totals and its scalars, under the JSON byte contract; each figure is a
+    finite float, as building the result checked."""
 
-    def scalar(cell_type, key, value) -> str:
-        return _encoded(cell_type, [value], report, key)[0]
-
-    def vector(key, values, indent) -> str:
-        encoded = _encoded(float, np.asarray(values, dtype=float).tolist(), report, key)
+    def vector(values, indent) -> str:
         inner = indent + "  "
+        encoded = map(float.__repr__, values.tolist())
         return "[\n" + inner + (",\n" + inner).join(encoded) + "\n" + indent + "]"
 
-    sectors = [
-        _encoded(str, [s.code for s in result.sectors], report, "code"),
-        _encoded(str, [s.name for s in result.sectors], report, "name"),
-    ]
-    changes = {k: vector(k, v, "    ") for k, v in result.satellite_changes.items()}
-    totals = {k: scalar(float, k, float(v)) for k, v in result.totals.items()}
+    sectors = [[encode_basestring_ascii(s.code) for s in result.sectors],
+               [encode_basestring_ascii(s.name) for s in result.sectors]]
+    changes = {k: vector(v, "    ") for k, v in result.satellite_changes.items()}
     document = {
-        "method": scalar(str, "method", result.method),
-        "scenario": scalar(str, "scenario", result.scenario),
+        "method": encode_basestring_ascii(result.method),
+        "scenario": encode_basestring_ascii(result.scenario),
         "sectors": _encode_records(["code", "name"], sectors, "  "),
-        "q": vector("q", result.q, "  "),
-        "dx": vector("dx", result.dx, "  "),
+        "q": vector(result.q, "  "),
+        "dx": vector(result.dx, "  "),
         "satellite_changes": _encode_object(changes, "  "),
-        "totals": _encode_object(totals, "  "),
-        "pct_output": scalar(float, "pct_output", float(result.pct_output)),
-        "blowup_applied": scalar(float, "blowup_applied", float(result.blowup_applied)),
+        "totals": _encode_object({k: float.__repr__(v) for k, v in result.totals.items()}, "  "),
+        "pct_output": float.__repr__(result.pct_output),
+        "blowup_applied": float.__repr__(result.blowup_applied),
     }
     return _encode_object(document) + "\n"
 
@@ -275,7 +264,7 @@ def impact_table(result: ImpactResult) -> ReportTable:
     ranked = [result.sectors[i] for i in order]
 
     def column(fmt, vector, total):
-        return fmt, np.asarray(vector, dtype=float)[order].tolist() + [float(total)]
+        return fmt, vector[order].tolist() + [total]
 
     changes = {"output": result.dx}
     changes.update((k, result.satellite_changes[k]) for k in SATELLITE_KINDS
@@ -319,7 +308,7 @@ def plotdata_table(result: ImpactResult, top_k: int = 10) -> ReportTable:
     check_top_k(top_k)
     order = sector_order(result.q, k=top_k)
     sectors = [result.sectors[i] for i in order]
-    values = np.asarray(result.q, dtype=float)[order].tolist()
+    values = result.q[order].tolist()
     return _ranked_table(f"plotdata_top{top_k}", sectors, values, "q")
 
 
@@ -457,10 +446,10 @@ def write_reports(tables, out_dir, formats=("csv", "json"), results=()) -> dict:
     entries.sort(key=lambda e: (e["report"], e["format"]))
     manifest = {"out_dir": str(out_dir), "files": entries}
     keys = ["format", "path", "report", "sha256"]
-    columns = [_encoded(str, [e[k] for e in entries], "manifest", k) for k in keys]
+    columns = [[encode_basestring_ascii(e[k]) for e in entries] for k in keys]
     text = _encode_object({
         "files": _encode_records(keys, columns, "  "),
-        "out_dir": _encoded(str, [manifest["out_dir"]], "manifest", "out_dir")[0],
+        "out_dir": encode_basestring_ascii(manifest["out_dir"]),
     })
     (out_dir / "manifest.json").write_text(text + "\n", encoding="utf-8")
     return manifest

@@ -297,20 +297,23 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
 @dataclass(frozen=True)
 class DemandDelta:
     """A scenario's shock: a per-sector final-demand change (losses
-    negative) and, for partial extraction, the intensities ``alpha``."""
+    negative) and, for partial extraction, the intensities ``alpha``. Its
+    arrays are read-only copies and its mappings read-only."""
 
     scenario: str
     target: str
     delta: np.ndarray
-    component_changes: dict[str, float] = field(default_factory=dict)
+    component_changes: Mapping[str, float] = field(default_factory=dict)
     total_drop_fraction: float = 0.0
-    reallocated: dict[str, float] = field(default_factory=dict)
+    reallocated: Mapping[str, float] = field(default_factory=dict)
     alpha: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "delta", _readonly(self.delta))
         if self.alpha is not None:
             object.__setattr__(self, "alpha", _readonly(self.alpha))
+        for name in ("component_changes", "reallocated"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
 
 def build_delta(table: IOTable, spec: ScenarioSpec) -> DemandDelta:

@@ -131,10 +131,12 @@ class SatelliteAccount:
 class IOTable:
     """A complete, structurally checked IO table.
 
-    Tables compare and hash by identity: a copy with the same content is
-    another table. leontief.build_model keeps L = (I - A)^-1 for each
-    live table object, so a table must not be changed in place: its arrays
-    are read-only, and its satellites a read-only mapping.
+    Building a table runs check_structure: structural defects raise
+    StructuralError, so validate_table never sees one. Tables compare and
+    hash by identity: a copy with the same content is another table.
+    leontief.build_model keeps L = (I - A)^-1 for each live table object, so
+    a table must not be changed in place: its arrays are read-only, and its
+    satellites a read-only mapping.
 
     Fields
     ------
@@ -290,11 +292,9 @@ def validate_table(table: IOTable, rel_tol: float = SYNTHETIC_REL_TOL) -> Valida
     ``rel_tol``, no interindustry flow is negative and no sector's gross
     output is negative or zero (the model needs x > 0, and drop_zero_sectors
     only removes a sector that holds nothing but zeros). The input table is
-    never modified. Structural defects raise StructuralError instead of being
-    reported.
+    never modified.
     """
     check_rel_tol(rel_tol)
-    check_structure(table)
 
     violations: list[Violation] = []
     warnings: list[str] = []

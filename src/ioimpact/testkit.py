@@ -110,13 +110,10 @@ def result_to_dict(result: ImpactResult) -> dict:
         "sectors": [{"code": s.code, "name": s.name} for s in result.sectors],
         "q": result.q.tolist(),
         "dx": result.dx.tolist(),
-        "satellite_changes": {
-            k: np.asarray(vec, dtype=float).tolist()
-            for k, vec in sorted(result.satellite_changes.items())
-        },
-        "totals": {k: float(v) for k, v in sorted(result.totals.items())},
-        "pct_output": float(result.pct_output),
-        "blowup_applied": float(result.blowup_applied),
+        "satellite_changes": {k: v.tolist() for k, v in sorted(result.satellite_changes.items())},
+        "totals": dict(sorted(result.totals.items())),
+        "pct_output": result.pct_output,
+        "blowup_applied": result.blowup_applied,
     }
 
 

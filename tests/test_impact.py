@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from ioimpact import (
     DemandDelta,
+    ImpactResult,
     InternalConsistencyError,
     NonProductiveEconomyError,
     ScenarioConfigError,
     ScenarioSpec,
+    Sector,
     apply_blowup,
     build_model,
     compare_methods,
@@ -462,6 +464,78 @@ class TestSatelliteDeltas:
                 with pytest.raises(ValueError, match="read-only"):
                     vec[0] = 1e9
         assert changes["employment"].flags.writeable
+
+
+def hand_built(**change):
+    """An e2-sized result built by hand, with ``change`` to its fields."""
+    fields = dict(
+        method="inoperability", scenario="demo", sectors=(Sector("S1", "a"), Sector("S2", "b")),
+        q=[-0.3, -0.15], dx=[-30.0, -15.0], satellite_changes={"employment": [-3.0, -3.0]},
+        totals={"output": -45.0, "employment": -6.0}, pct_output=-0.225,
+    )
+    return ImpactResult(**{**fields, **change})
+
+
+class TestImpactResult:
+    """Building a result is its one check: one read-only, finite block."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        where=st.sampled_from(["q", "dx", "employment", "output", "employment total",
+                               "pct_output", "blowup_applied"]),
+        at=st.integers(0, 1),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        b=st.sampled_from([1.0, 1.092, 1e10]),
+    )
+    def test_non_finite_figure_names_the_scenario(self, where, at, bad, b):
+        result = hand_built(blowup_applied=b)
+        if where in ("q", "dx", "employment"):
+            vectors = {"q": result.q, "dx": result.dx, **result.satellite_changes}
+            vector = vectors[where].copy()
+            vector[at] = bad
+            change = ({"satellite_changes": {"employment": vector}} if where == "employment"
+                      else {where: vector})
+        elif where.endswith("total"):
+            change = {"totals": {**result.totals, "employment": bad}}
+        elif where == "output":
+            change = {"totals": {**result.totals, "output": bad}}
+        else:
+            change = {where: bad}
+        factor = bad if where == "blowup_applied" else b
+        what = "the impact" if factor == 1 else f"the impact times the blowup factor {factor:g}"
+        message = f"scenario 'demo': {what} overflows float64"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(result, **change)
+
+    @pytest.mark.parametrize("change,shapes,n", [
+        ({"q": [0.1, 0.2, 0.3]}, "'q': (3,), 'dx': (2,), 'employment': (2,)", 2),
+        ({"dx": [1.0]}, "'q': (2,), 'dx': (1,), 'employment': (2,)", 2),
+        ({"satellite_changes": {"employment": [1.0, 2.0, 3.0]}},
+         "'q': (2,), 'dx': (2,), 'employment': (3,)", 2),
+        ({"q": [[0.1, 0.2]]}, "'q': (1, 2), 'dx': (2,), 'employment': (2,)", 2),
+        ({"sectors": (Sector("S1", "a"),)}, "'q': (2,), 'dx': (2,), 'employment': (2,)", 1),
+    ])
+    def test_vectors_without_one_value_per_sector_refused(self, change, shapes, n):
+        message = re.escape(f"scenario 'demo': vectors of shapes {{{shapes}}} for {n} sectors;")
+        with pytest.raises(ValueError, match=message):
+            hand_built(**change)
+
+    def test_vectors_are_rows_of_one_read_only_block(self, e2, e2_model):
+        result = inoperability(e2_model, e2_delta(e2))
+        vectors = [result.q, result.dx, *result.satellite_changes.values()]
+        assert all(vector.base is result.q.base for vector in vectors)
+        for vector in vectors:
+            with pytest.raises(ValueError):
+                vector.setflags(write=True)
+        assert result.q.tolist() == pytest.approx([-0.30, -0.15])
+
+    def test_mappings_refuse_writes(self, e2, e2_model):
+        result = inoperability(e2_model, e2_delta(e2))
+        with pytest.raises(TypeError):
+            result.totals["output"] = 0.0
+        with pytest.raises(TypeError):
+            result.satellite_changes["employment"] = np.zeros(2)
+        assert result.totals["output"] == pytest.approx(-45.0)
 
 
 class TestBlowup:

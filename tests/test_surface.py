@@ -3,17 +3,23 @@ the README's library quickstart, run as written, and the library calls of
 the benchmark's worker."""
 
 import ast
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 import ioimpact
+from ioimpact.impact import scenario_impacts
+from ioimpact.report import multiplier_table
+from ioimpact.testkit import canonical_e2
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -311,3 +317,53 @@ def test_impact_solves_and_checks_gaps_in_one_place():
     gaps = [f for f in calls if getattr(f, "id", getattr(f, "attr", None)) == "fixed_point_gap"]
     assert len(solves) == 1 and solves[0].attr == "solve"
     assert len(gaps) == 1
+
+
+def writable_parts(value, path):
+    """The paths, below ``value``, of every mapping that is not a
+    MappingProxyType and every writable ndarray, through dataclass fields,
+    mappings, tuples and lists."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from writable_parts(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, Mapping):
+        if type(value) is not MappingProxyType:
+            yield path
+        for key, item in value.items():
+            yield from writable_parts(item, f"{path}[{key!r}]")
+    elif isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            yield from writable_parts(item, f"{path}[{i}]")
+    elif isinstance(value, np.ndarray) and value.flags.writeable:
+        yield path
+
+
+def test_built_values_are_read_only():
+    # Every value the library builds holds read-only mappings and arrays, so
+    # nothing changes past the checks it made when it was built.
+    table = canonical_e2()
+    model = ioimpact.build_model(table)
+    spec = ioimpact.ScenarioSpec(
+        name="demo", target_sector="S1", sub_service_drop=0.4,
+        component_ratios={"HH": 1.0, "EXP": 0.5}, absolute_changes={"GOV": -1.0},
+        reallocation=ioimpact.Reallocation(savings_fraction=0.5, shares={"S2": 1.0}),
+        intermediate=ioimpact.IntermediateSpec(True, ioimpact.UseRatio({"S2": 0.5}, 0.2)),
+    )
+    delta = ioimpact.build_delta(table, spec)
+    assert delta.reallocated and delta.alpha.any()
+    inop, ext = scenario_impacts(model, [delta])[0]
+    values = {
+        "table": table,
+        "sector": table.sectors[0],
+        "model": model,
+        "spec": spec,
+        "extraction spec": ioimpact.make_extraction_spec(model, "S1", delta.alpha),
+        "delta": delta,
+        "inoperability": inop,
+        "extraction": ext,
+        "blown up": ioimpact.apply_blowup(inop, 1.092),
+        "comparison": ioimpact.compare_methods(inop, ext),
+        "validation": ioimpact.validate_table(table),
+        "multipliers": multiplier_table(model),
+    }
+    assert [path for name, value in values.items() for path in writable_parts(value, name)] == []
