@@ -16,7 +16,8 @@ system q = A* q + f*: since A* = D^-1 A D with D = diag(x), its residual is
 ((I - A) dx - df) / x.
 
 Partial extraction scales the target sector k's deliveries per purchaser
-by the DemandDelta's intensities alpha, which changes only row k of A:
+by the DemandDelta's intensities alpha, which the shock checked in [0, 1]
+when it was built. This changes only row k of A:
 A_bar = A - e_k d', where d = A[k, :] * alpha with d_k = 0 (own use is part
 of the sector's recipe and is never extracted). By the Sherman-Morrison
 formula (Miller & Blair, Input-Output Analysis, 2009, ch. 12), the change
@@ -55,12 +56,6 @@ METHODS = ("inoperability", "extraction")
 _SELECTIONS = (METHODS, METHODS[::-1], METHODS[:1], METHODS[1:])
 
 
-def _check_intensities(alpha: np.ndarray) -> np.ndarray:
-    if not np.all((alpha >= 0) & (alpha <= 1)):  # NaN fails this test too
-        raise ValueError("extraction intensities must lie in [0, 1]")
-    return alpha
-
-
 def make_extraction_spec(
     model: LeontiefModel,
     target,
@@ -71,10 +66,10 @@ def make_extraction_spec(
     """The extraction of ``target`` from the model's economy, solved against
     f_bar (the table's f by default), as the DemandDelta shock that
     scenario_impacts takes, with df = f_bar - f and the intensities alpha.
-    An unknown target raises KeyError; an alpha outside [0, 1] and an f_bar
-    that is not one finite value per sector raise ValueError."""
+    An unknown target raises KeyError; an f_bar that is not one finite value
+    per sector raises ValueError, and so does an alpha that DemandDelta
+    refuses (not one value per sector, or outside [0, 1])."""
     k = model.sector_index(target)
-    alpha = _check_intensities(np.array(alpha, dtype=float))
     f_bar = model.f if f_bar is None else _per_sector(model, "f_bar", f_bar)
     return DemandDelta(label, model.sectors[k].code, f_bar - model.f, alpha=alpha)
 
@@ -154,10 +149,10 @@ def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list
     """For each DemandDelta of ``shocks``, one ImpactResult per method in
     ``methods`` order, a non-empty selection of METHODS.
 
-    Extraction targets delta.target with the intensities delta.alpha; only
-    what ``methods`` selects is computed and checked. Before anything is
-    solved, a df or alpha that is not one finite value per sector, or an
-    alpha outside [0, 1], raises ValueError and an unknown target KeyError. A
+    Extraction targets delta.target with the intensities delta.alpha, which
+    the DemandDelta checked when it was built; only what ``methods`` selects
+    is computed and checked. Before anything is solved, a df that is not one
+    finite value per sector raises ValueError and an unknown target KeyError. A
     shock whose L df overflows float64, or a figure built from it (refused
     by ImpactResult), raises ValueError naming its scenario. Any other
     inoperability residual above FIXED_POINT_TOL relative to max(1, max |q|)
@@ -167,11 +162,10 @@ def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list
     """
     if not (isinstance(methods, (tuple, list)) and tuple(methods) in _SELECTIONS):
         raise ValueError(f"methods must be a non-empty selection of {METHODS}, got {methods!r}")
-    deltas, alphas, targets = list(shocks), [], []
+    deltas, targets = list(shocks), []
     for delta in deltas:
         _per_sector(model, "the demand change", delta.delta)
         if "extraction" in methods:
-            alphas.append(_check_intensities(_per_sector(model, "alpha", delta.alpha)))
             targets.append(model.sector_index(delta.target))
     # One row-major n x S right-hand side, one df per column.
     rhs = np.zeros((model.table.n, len(deltas)))
@@ -198,7 +192,7 @@ def scenario_impacts(model: LeontiefModel, shocks, methods=METHODS) -> list[list
             dx = {"inoperability": u[:, s]}
             if "extraction" in methods:
                 k = targets[s]
-                d = model.A[k] * alphas[s]
+                d = model.A[k] * delta.alpha
                 d[k] = 0.0
                 denom = 1.0 + d @ model.L[:, k]
                 if not (denom >= 1.0):
@@ -301,7 +295,9 @@ class ComparisonReport:
     most-affected sectors (by q, at most TOP_OVERLAP_K) that are also among
     b's, in a's order. Each result's own figures, its method, totals and
     pct_output, are read from ``a`` and ``b``. dx_diff is a read-only copy
-    and total_diffs a read-only mapping."""
+    and total_diffs a read-only mapping. Building a comparison checks its
+    differences: ValueError names both results' scenario and method when
+    one is NaN or infinite, as a - b of two finite figures can be."""
 
     a: ImpactResult = field(repr=False)
     b: ImpactResult = field(repr=False)
@@ -311,8 +307,14 @@ class ComparisonReport:
     top_overlap: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dx_diff", _readonly(self.dx_diff))
-        object.__setattr__(self, "total_diffs", MappingProxyType(dict(self.total_diffs)))
+        dx_diff, total_diffs = _readonly(self.dx_diff), dict(self.total_diffs)
+        if not (np.isfinite(dx_diff).all()
+                and all(map(math.isfinite, [*total_diffs.values(), self.pct_diff]))):
+            a, b = self.a, self.b
+            raise ValueError(f"comparing scenario {a.scenario!r} ({a.method}) with scenario "
+                             f"{b.scenario!r} ({b.method}): a difference overflows float64")
+        object.__setattr__(self, "dx_diff", dx_diff)
+        object.__setattr__(self, "total_diffs", MappingProxyType(total_diffs))
 
 
 def compare_methods(a: ImpactResult, b: ImpactResult) -> ComparisonReport:
@@ -327,10 +329,12 @@ def compare_methods(a: ImpactResult, b: ImpactResult) -> ComparisonReport:
         return [result.sectors[i].code for i in sector_order(result.q, k=k)]
 
     top_b = set(top(b))
+    with np.errstate(over="ignore"):  # ComparisonReport refuses an overflow
+        dx_diff = a.dx - b.dx
     return ComparisonReport(
         a=a,
         b=b,
-        dx_diff=a.dx - b.dx,
+        dx_diff=dx_diff,
         total_diffs={m: a.totals[m] - b.totals[m] for m in metrics},
         pct_diff=a.pct_output - b.pct_output,
         top_overlap=tuple(code for code in top(a) if code in top_b),

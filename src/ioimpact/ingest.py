@@ -87,18 +87,23 @@ def _lines(fh, path):
 
     Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in a text file
     opened with ``newline=""``. A line that is not valid UTF-8 raises
-    TableParseError naming it, counted in ``\\n``-ended lines.
+    TableParseError naming it, counted in these lines.
     """
-    encoding = "utf-8-sig"
-    for row, line in enumerate(fh, start=1):
+    encoding, row = "utf-8-sig", 0
+    for line in fh:
         try:
             text = line.decode(encoding)
         except UnicodeDecodeError as exc:
+            # A \r before the bad byte is a lone one (a \r\n ends the binary line).
+            row += 1 + exc.object.count(b"\r", 0, exc.start)
             raise TableParseError(f"{path}: not valid UTF-8 ({exc.reason})", row=row) from None
         encoding = "utf-8"
         if b"\r" in line and line.count(b"\r") != line.endswith(b"\r\n"):
-            yield from filter(None, _LONE_CR.split(text))
+            texts = list(filter(None, _LONE_CR.split(text)))
+            row += len(texts)
+            yield from texts
         else:
+            row += 1
             yield text
 
 
@@ -538,7 +543,7 @@ def quoted_cell(text: str) -> str:
     """``text`` as one CSV cell: quoted if it holds a comma, a quote or a
     line end, with each quote doubled; otherwise ``text`` itself. Every CSV
     the program writes, tables here and reports in report.py, follows it."""
-    if any(ch in text for ch in ',"\n\r'):
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 

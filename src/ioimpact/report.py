@@ -47,11 +47,12 @@ from .leontief import (
 from .scenario import read_json
 from .table import SATELLITE_KINDS, Sector, ValidationReport
 
-# Column formats: s = string, coef = 5 decimals, q = 6 decimals,
-# million = whole currency millions, int = integer, raw = shortest repr.
-# Each entry formats one CSV cell and is mapped over a whole column.
+# Column formats: s = string, quoted as CSV needs (ingest.quoted_cell),
+# coef = 5 decimals, q = 6 decimals, million = whole currency millions,
+# int = integer, raw = shortest repr. Each entry formats one CSV cell and is
+# mapped over a whole column.
 _FORMATTERS = {
-    "s": str,
+    "s": quoted_cell,
     "coef": "{:.5f}".format,
     "q": "{:.6f}".format,
     "million": "{:.0f}".format,
@@ -77,9 +78,8 @@ class ReportTable:
     """A named report table: ``columns`` maps each column name, in file
     order, to its CSV format and its values. Building the table checks that
     every column has the same length and holds only its format's cell type
-    (see _checked), and finds the string columns with a cell that CSV
-    quotes (see ingest.quoted_cell); the columns are then read-only, as the
-    encodings are cached."""
+    (see _checked); the columns are then read-only, as the encodings are
+    cached."""
 
     name: str
     columns: Mapping[str, tuple[str, tuple]]
@@ -91,17 +91,9 @@ class ReportTable:
         if len(set(lengths.values())) > 1:
             raise ValueError(f"report {self.name!r}: columns differ in length: {lengths}")
         object.__setattr__(self, "columns", MappingProxyType(columns))
-        # Only a string column can hold a cell that needs quotes, and its
-        # cells do if quoting them joined changes the text.
-        quoted = {key for key, (fmt, values) in columns.items()
-                  if fmt == "s" and quoted_cell(text := "".join(values)) != text}
-        object.__setattr__(self, "_quoted", quoted)
 
     def csv_text(self) -> str:
-        formatted = [
-            map(quoted_cell if key in self._quoted else _FORMATTERS[fmt], values)
-            for key, (fmt, values) in self.columns.items()
-        ]
+        formatted = [map(_FORMATTERS[fmt], values) for fmt, values in self.columns.values()]
         lines = map(",".join, zip(*formatted))
         return "\n".join([",".join(map(quoted_cell, self.columns)), *lines]) + "\n"
 
@@ -291,7 +283,8 @@ def comparison_table(comparison: ComparisonReport) -> ReportTable:
     pct = (ra.pct_output * 100, rb.pct_output * 100, comparison.pct_diff * 100)
     metrics.append(("change in output (%)", "{:.2f}", pct))
     # The cells are preformatted strings, so the numbers behind them are
-    # checked here, as a float column is.
+    # checked here, as a float column is: ComparisonReport checked the
+    # differences, but a percentage times 100 can still overflow.
     for label, _, values in metrics:
         _checked(float, map(float, values), "comparison", label)
     a, b = ra.method, rb.method

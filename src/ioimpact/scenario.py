@@ -7,7 +7,8 @@ all freed spending from the economy; the reallocation variant returns part
 of the freed *consumption* spending to named sectors. build_delta is the one
 entry point for both; a spec's reallocation block selects the variant. Use
 ratios translate the same shock into per-purchaser extraction intensities
-for the intermediate-demand side, which the DemandDelta carries as alpha.
+for the intermediate-demand side, which the DemandDelta carries as alpha
+and checks when it is built.
 
 Each spec class checks every value it holds when it is built, so a spec
 built in Python obeys the rules a scenario file does (parse_scenario, which
@@ -21,11 +22,14 @@ dataclasses.replace builds a new spec and checks it again.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
+from json.decoder import JSONObject
+from json.scanner import py_make_scanner
 from pathlib import Path
 from types import MappingProxyType
 
@@ -218,21 +222,51 @@ def unique_keys(pairs) -> dict:
     return members
 
 
+def _repeat_start(text: str) -> int | None:
+    """Where the first object of ``text`` that repeats a key begins, the
+    index of its "{", or None if none does: a second parse, by the
+    pure-Python scanner, whose parse_object is given that index."""
+    starts = []
+
+    def parse_object(s_and_end, strict, scan_once, *_):
+        pairs, end = JSONObject(s_and_end, strict, scan_once, None, list)
+        try:
+            return unique_keys(pairs), end
+        except ValueError:
+            starts.append(s_and_end[1] - 1)
+            raise
+
+    decoder = json.JSONDecoder()
+    decoder.parse_object = parse_object
+    decoder.scan_once = py_make_scanner(decoder)
+    with contextlib.suppress(ValueError):
+        decoder.decode(text)
+    return starts[0] if starts else None
+
+
 def read_json(path):
     """The document of a JSON input, scenario or result: UTF-8, a leading
     byte-order mark dropped, no key repeated in an object. A syntax error's
     line counts \\n, \\r\\n and lone \\r, as for CSV inputs (JSON allows
-    them only between tokens). Each fault raises ValueError without the path."""
+    them only between tokens), and so does the line of the object that
+    repeats a key, found by a second parse on that error only. Each fault
+    raises ValueError without the path."""
     try:
         text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return json.loads(text, object_pairs_hook=unique_keys)
     except UnicodeDecodeError as exc:
         raise ValueError(f"not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # a repeated key, or an integer too long to read
+        if (at := _repeat_start(text)) is None:
+            raise
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        raise ValueError(f"{exc} in the object at line {line}, column {column}") from None
 
 
 def _layout(block, what: str, known) -> dict:
@@ -296,29 +330,36 @@ def parse_scenario(scenario_file) -> ScenarioSpec:
 
 @dataclass(frozen=True)
 class DemandDelta:
-    """A scenario's shock: a per-sector final-demand change (losses
-    negative) and, for partial extraction, the intensities ``alpha``. Its
-    arrays are read-only copies and its mappings read-only."""
+    """A scenario's shock: a per-sector final-demand change ``delta``
+    (losses negative), the gains ``reallocated`` to each named sector, and,
+    for partial extraction, the per-purchaser intensities ``alpha``, zero
+    unless given. Its arrays are read-only float64 copies and its mapping
+    read-only. Building a shock is alpha's one check: ValueError unless it
+    has delta's shape and every value lies in [0, 1]."""
 
     scenario: str
     target: str
     delta: np.ndarray
-    component_changes: Mapping[str, float] = field(default_factory=dict)
-    total_drop_fraction: float = 0.0
     reallocated: Mapping[str, float] = field(default_factory=dict)
     alpha: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", _readonly(self.delta))
-        if self.alpha is not None:
-            object.__setattr__(self, "alpha", _readonly(self.alpha))
-        for name in ("component_changes", "reallocated"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        delta = _readonly(self.delta)
+        alpha = _readonly(np.zeros(delta.shape) if self.alpha is None else self.alpha)
+        if alpha.shape != delta.shape:
+            raise ValueError(f"alpha has shape {alpha.shape}, not {delta.shape}: "
+                             "one value per sector, as in delta")
+        if not np.all((alpha >= 0) & (alpha <= 1)):  # NaN fails this test too
+            raise ValueError("extraction intensities must lie in [0, 1]")
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "reallocated", MappingProxyType(dict(self.reallocated)))
 
 
 def build_delta(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
-    """A scenario's shock: its final-demand change, for both variants, and
-    its extraction intensities (extraction_intensities).
+    """A scenario's shock: its final-demand change, for both variants, the
+    gains it reallocates, and its extraction intensities
+    (extraction_intensities).
 
     The target's change is the sum over components of
     -(component value) x (component ratio) x (sub-service drop). Without a
@@ -361,18 +402,8 @@ def build_delta(table: IOTable, spec: ScenarioSpec) -> DemandDelta:
             f"scenario {spec.name!r}: the demand change is {delta[j]} at sector "
             f"{table.codes[j]}; it must be finite"
         )
-
-    f_total = float(table.f[k])
-    fraction = float(delta[k]) / f_total if f_total != 0 else 0.0
-    return DemandDelta(
-        scenario=spec.name,
-        target=spec.target_sector,
-        delta=delta,
-        component_changes=changes,
-        total_drop_fraction=fraction,
-        reallocated=gains,
-        alpha=extraction_intensities(table, spec),
-    )
+    return DemandDelta(spec.name, spec.target_sector, delta, gains,
+                       extraction_intensities(table, spec))
 
 
 def extraction_intensities(table: IOTable, spec: ScenarioSpec) -> np.ndarray:

@@ -177,7 +177,8 @@ def test_criterion_6_scenario_conservation_and_dominance():
         d2 = io.build_delta(table, spec2)
         from ioimpact.scenario import CONSUMPTION_COMPONENTS
 
-        consumption_drop = sum(d2.component_changes[c] for c in CONSUMPTION_COMPONENTS)
+        consumption_drop = -sum(table.final_demand.component(c)[0] * spec2.component_ratio(c)
+                                for c in CONSUMPTION_COMPONENTS) * spec2.sub_service_drop
         pool = (1 - savings) * abs(consumption_drop)
         gains = math.fsum(d2.reallocated.values())
         assert abs(gains - pool) <= 1e-12 * max(1.0, pool)

@@ -441,7 +441,8 @@ class TestInputFaults:
     """Every input file keeps its format's rules through the CLI: a leading
     byte-order mark is accepted, and a byte that is not UTF-8 exits 2 naming
     the file and its line (CSV) or byte offset (JSON), as a repeated key
-    does naming the file and where the key is. Nothing is written."""
+    does naming the file, the key and the line and column where the object
+    that repeats it begins. Nothing is written."""
 
     # Each input, with the edit that repeats one of its keys and the message
     # that names it.
@@ -450,9 +451,16 @@ class TestInputFaults:
         "satellite_employment.csv": (b"S2,", b"S1,", "duplicate sector 'S1' (row 3, column 1)"),
         "fd.csv": (b"2016,", b"2015,", "duplicate year 2015 (row 3, column 1)"),
         "shock_s1.json": (b'"name"', b'"target_sector": "S1", "name"',
-                          "repeated key 'target_sector'"),
+                          "repeated key 'target_sector' in the object at line 1, column 1"),
         "result_inoperability.json": (b'"dx": ', b'"dx": [0.0, 0.0], "dx": ',
-                                      "repeated key 'dx'"),
+                                      "repeated key 'dx' in the object at line 1, column 1"),
+    }
+    # A key repeated in a nested object: the edit, and the message.
+    NESTED = {
+        "shock_s1.json": (b'{"S2": 0.5}', b'{"S2": 0.5, "S2": 0.25}',
+                          "repeated key 'S2' in the object at line 6, column 49"),
+        "result_inoperability.json": (b'"code": "S2"', b'"code": "S2", "code": "S3"',
+                                      "repeated key 'code' in the object at line 33, column 5"),
     }
 
     @staticmethod
@@ -505,6 +513,21 @@ class TestInputFaults:
         else:
             assert (code, err) == (2, f"error: {path}: {message}\n")
             assert not out.exists()
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("name", list(NESTED))
+    def test_a_repeated_key_names_where_its_object_begins(self, inputs, capsys, name, eol):
+        # Lines are counted at every line end, as for a syntax error.
+        path = inputs / name
+        old, new, message = self.NESTED[name]
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new).replace(b"\n", eol))
+        capsys.readouterr()
+        out = inputs / "out"
+        assert main(self.argv(inputs, name, out)) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
 
 
 class TestCompareRejectsBrokenResults:
@@ -1786,9 +1809,9 @@ class TestScenarioValueTypes:
     @pytest.mark.parametrize(
         "fields,message",
         [('"sub_service_drop": 0.4, "sub_service_drop": 0.9',
-          "repeated key 'sub_service_drop'"),
+          "repeated key 'sub_service_drop' in the object at line 1, column 1"),
          ('"sub_service_drop": 0.4, "component_ratios": {"HH": 1.0, "HH": 0.5}',
-          "repeated key 'HH'"),
+          "repeated key 'HH' in the object at line 1, column 83"),
          ('"sub_service_drop": 0.4, "absolute_changes": {"EXP": -5.0, "exports": 7.0}',
           "absolute_changes names exports twice, as 'EXP' and 'exports'")],
     )

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import warnings
@@ -12,12 +13,16 @@ from hypothesis import strategies as st
 from ioimpact import (
     DemandDelta,
     ImpactResult,
+    IntermediateSpec,
     InternalConsistencyError,
     NonProductiveEconomyError,
+    Reallocation,
     ScenarioConfigError,
     ScenarioSpec,
     Sector,
+    UseRatio,
     apply_blowup,
+    build_delta,
     build_model,
     compare_methods,
     estimate_blowup_factor,
@@ -43,12 +48,7 @@ from test_table import make_table
 def e2_delta(e2, amount=-12.0, alpha=None):
     delta = np.zeros(2)
     delta[0] = amount
-    return DemandDelta(
-        scenario="demo", target="S1", delta=delta,
-        component_changes={"household_consumption": amount},
-        total_drop_fraction=amount / 30.0,
-        alpha=alpha,
-    )
+    return DemandDelta(scenario="demo", target="S1", delta=delta, alpha=alpha)
 
 
 def random_loss(table, rng):
@@ -666,6 +666,24 @@ class TestCompare:
         assert np.array_equal(report.dx_diff, np.zeros(2))
         assert report.pct_diff == 0.0
 
+    @pytest.mark.parametrize("what", ["dx", "totals", "pct_output"])
+    def test_a_difference_that_overflows_is_refused(self, e2, e2_model, what):
+        # Each result is finite and valid; a - b overflows float64. The
+        # comparison refuses it as it is built, naming both results, with no
+        # RuntimeWarning on the way (warnings are errors under pytest).
+        ino = inoperability(e2_model, e2_delta(e2))
+        high, low = {"dx": (np.array([1e308, 0.0]), np.array([-1e308, 0.0])),
+                     "totals": ({"output": 1e308}, {"output": -1e308}),
+                     "pct_output": (1e308, -1e308)}[what]
+        up = replace(ino, method="extraction", scenario="up", **{what: high})
+        down = replace(ino, scenario="down", **{what: low})
+        message = ("comparing scenario 'up' (extraction) with scenario 'down' (inoperability): "
+                   "a difference overflows float64")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                compare_methods(up, down)
+
     def test_extraction_loss_strictly_larger(self, e2, e2_model):
         delta = e2_delta(e2)
         ino = inoperability(e2_model, delta)
@@ -813,22 +831,22 @@ class TestScenarioImpacts:
         "alpha,message",
         [([0.5, 1.5], r"extraction intensities must lie in \[0, 1\]"),
          ([-0.1, 0.5], r"extraction intensities must lie in \[0, 1\]"),
-         ([0.5, np.nan], "alpha is nan at sector S2; it must be finite"),
+         ([0.5, np.nan], r"extraction intensities must lie in \[0, 1\]"),
          ([0.5], r"alpha has shape \(1,\), not \(2,\)"),
          ([[0.5, 0.5]], r"alpha has shape \(1, 2\), not \(2,\)"),
-         (None, r"alpha has shape \(\), not \(2,\)")],
+         (0.5, r"alpha has shape \(\), not \(2,\)")],
     )
     def test_bad_intensities_refused_before_solving(self, e2, e2_model, monkeypatch, alpha,
                                                     message):
+        # The shock refuses them as it is built, by hand, by replace or by
+        # make_extraction_spec, so no run can be given one.
         monkeypatch.setattr(LeontiefModel, "solve", self.no_solve)
-        shocks = [e2_delta(e2, alpha=np.zeros(2)), e2_delta(e2, alpha=alpha)]
         with pytest.raises(ValueError, match=message):
-            scenario_impacts(e2_model, shocks)
+            e2_delta(e2, alpha=alpha)
         with pytest.raises(ValueError, match=message):
-            scenario_impacts(e2_model, shocks, ("extraction",))
-        # Without extraction, the intensities are not read.
-        monkeypatch.undo()
-        assert len(scenario_impacts(e2_model, shocks, ("inoperability",))) == 2
+            replace(e2_delta(e2), alpha=alpha)
+        with pytest.raises(ValueError, match=message):
+            make_extraction_spec(e2_model, "S1", alpha)
 
     @pytest.mark.parametrize("methods", SELECTIONS)
     def test_non_finite_demand_change_refused_before_solving(self, e2, e2_model, monkeypatch,
@@ -886,6 +904,46 @@ class TestScenarioImpacts:
     @staticmethod
     def no_solve(self, rhs):
         raise AssertionError("solved before the inputs were checked")
+
+    # sha256 of the shocks of library_shocks at n = 40 and of every figure
+    # scenario_impacts gives for them, pinned: how a shock is built changes
+    # no bit of a result.
+    LIBRARY_SHOCKS = "b75743280b89106e087fc675dd3358a917b081f16a2002dfd6da3d3d1b2d8ce3"
+
+    @staticmethod
+    def library_shocks(model):
+        """build_delta's shocks, a savings, a reallocation and an absolute
+        change, each with its intensities, and make_extraction_spec's shock
+        of the same demand and intensities."""
+        specs = [
+            ScenarioSpec(name="savings", target_sector="S3", sub_service_drop=0.74,
+                         component_ratios={"HH": 1.0, "EXP": 0.93}),
+            ScenarioSpec(name="realloc", target_sector="S7", sub_service_drop=0.5,
+                         reallocation=Reallocation(0.3, {"S1": 0.25, "S12": 0.75}),
+                         intermediate=IntermediateSpec(True, UseRatio({"S2": 0.5}, 0.8))),
+            ScenarioSpec(name="absolute", target_sector="S40", sub_service_drop=0.2,
+                         absolute_changes={"GOV": -3.5},
+                         intermediate=IntermediateSpec(True, UseRatio({}, 0.6))),
+        ]
+        deltas = [build_delta(model.table, spec) for spec in specs]
+        return deltas + [
+            make_extraction_spec(model, d.target, d.alpha, f_bar=model.f + d.delta,
+                                 label=f"{d.scenario} spec")
+            for d in deltas
+        ]
+
+    def test_library_shocks_give_the_pinned_bits(self):
+        model = build_model(random_economy(EconomyGenSpec(n=40, seed=7)))
+        shocks = self.library_shocks(model)
+        digest = hashlib.sha256()
+        for shock, results in zip(shocks, scenario_impacts(model, shocks)):
+            digest.update(shock.delta.tobytes() + shock.alpha.tobytes())
+            digest.update(repr(sorted(shock.reallocated.items())).encode())
+            for r in results:
+                for vector in (r.q, r.dx, *r.satellite_changes.values()):
+                    digest.update(vector.tobytes())
+                digest.update(repr((sorted(r.totals.items()), r.pct_output)).encode())
+        assert digest.hexdigest() == self.LIBRARY_SHOCKS
 
     @pytest.mark.parametrize("methods", [METHODS, METHODS[:1], METHODS[1:]])
     def test_one_row_major_block(self, monkeypatch, methods):

@@ -234,6 +234,25 @@ class TestByteOrderMark:
             parse_io_table(paths["table.csv"], paths["sectors.csv"])
         assert err.value.row == row
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"code,name\nS1,a\nS2,\xff\n", b"code,name\r\nS1,a\r\nS2,\xff\r\n",
+         b"code,name\rS1,a\rS2,\xff\r", b"\xef\xbb\xbfcode,name\rS1,a\rS2,\xff\r",
+         b"code,name\rS1,a\nS2,\xff\n", b"code,name\r\nS1,a\rS2,\xff\r\n"],
+        ids=["lf", "crlf", "cr", "bom-cr", "cr-then-lf", "crlf-then-cr"],
+    )
+    def test_invalid_utf8_row_counts_every_line_end(self, tmp_path, data):
+        # As a width fault on the same line does: a lone CR ends a line
+        # wherever it is, before the bad byte or in an earlier line.
+        meta = tmp_path / "sectors.csv"
+        meta.write_bytes(data)
+        with pytest.raises(TableParseError, match=r"not valid UTF-8 \(invalid start byte\)") as err:
+            ingest.parse_sector_metadata(meta)
+        meta.write_bytes(data.replace(b"\xff", b"b,c"))
+        with pytest.raises(TableParseError, match="row has 3 cells, expected 2") as width:
+            ingest.parse_sector_metadata(meta)
+        assert err.value.row == width.value.row == 3
+
 
 def _finite(**kw):
     return st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, **kw)

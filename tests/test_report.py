@@ -48,10 +48,7 @@ from test_table import make_table
 
 @pytest.fixture
 def impact(e2, e2_model):
-    delta = DemandDelta(
-        scenario="demo", target="S1", delta=np.array([-12.0, 0.0]),
-        component_changes={"household_consumption": -12.0}, total_drop_fraction=-0.4,
-    )
+    delta = DemandDelta(scenario="demo", target="S1", delta=np.array([-12.0, 0.0]))
     return inoperability(e2_model, delta)
 
 
@@ -270,10 +267,7 @@ class TestTiesBreakBySectorIndex:
 
     @pytest.mark.parametrize("top_k", [0, 1, 2, 3])
     def test_ranked_views_of_e2_follow_the_full_order(self, e2, e2_model, top_k):
-        delta = DemandDelta(
-            scenario="demo", target="S1", delta=np.array([-12.0, 0.0]),
-            total_drop_fraction=-0.4,
-        )
+        delta = DemandDelta(scenario="demo", target="S1", delta=np.array([-12.0, 0.0]))
         ino = inoperability(e2_model, delta)
         ext = partial_extraction(e2_model, make_extraction_spec(e2_model, "S1", [0.5, 0.5]))
         assert column_values(plotdata_table(ino, top_k=top_k), "sector_code") == [
@@ -404,7 +398,9 @@ class TestSerializerMatchesOracle:
         # which csv.reader reads as no cells. Every real report has two.
         assume(len(table.columns) >= 2)
         rows = list(csv.reader(io.StringIO(table.csv_text(), newline="")))
-        cells = [list(map(_FORMATTERS[fmt], values)) for fmt, values in table.columns.values()]
+        # A string cell reads back as the string itself, its quotes gone.
+        formatters = {**_FORMATTERS, "s": str}
+        cells = [list(map(formatters[fmt], values)) for fmt, values in table.columns.values()]
         assert rows == [list(table.columns), *map(list, zip(*cells))]
 
     def test_empty_and_one_row_tables(self):
@@ -510,8 +506,14 @@ class TestNonFiniteNeverWritten:
         assert not out.exists()
 
     def test_comparison_numbers_checked(self, impact):
-        # Two finite output totals whose difference overflows float64.
+        # Two finite output totals whose difference overflows float64: the
+        # comparison refuses it as it is built.
         inflated = replace(impact, method="extraction", totals={"output": 1e308})
         deflated = replace(impact, totals={"output": -1e308})
-        with pytest.raises(ValueError, match="'change in output \\(M\\)'"):
-            comparison_table(compare_methods(inflated, deflated))
+        with pytest.raises(ValueError, match="a difference overflows float64"):
+            compare_methods(inflated, deflated)
+        # A finite percentage whose hundredfold overflows: only the table,
+        # which prints percentages, refuses it.
+        inflated = replace(impact, method="extraction", pct_output=1e307)
+        with pytest.raises(ValueError, match="'change in output \\(%\\)'"):
+            comparison_table(compare_methods(inflated, impact))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -18,10 +19,13 @@ from ioimpact import (
     Sector,
     UseRatio,
     build_delta,
+    build_model,
     extraction_intensities,
     parse_scenario,
 )
+from ioimpact.impact import scenario_impacts
 from ioimpact.scenario import IntermediateSpec
+from ioimpact.table import FD_COMPONENTS
 from ioimpact.testkit import EconomyGenSpec, random_economy
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ioimpact" / "fixtures"
@@ -38,8 +42,10 @@ class TestScenario1:
     def test_e2_drop(self, e2):
         delta = build_delta(e2, spec_s1())
         assert np.allclose(delta.delta, [-12.0, 0.0], atol=1e-12)
-        assert delta.component_changes["household_consumption"] == pytest.approx(-12.0)
-        assert delta.total_drop_fraction == pytest.approx(-0.4)
+        # Households alone buy S1's final demand: the drop is 40 % of it.
+        household = e2.final_demand.component("household_consumption")[0]
+        assert delta.delta[0] == pytest.approx(-household * 0.4)
+        assert delta.delta[0] / e2.f[0] == pytest.approx(-0.4)
 
     def test_zero_alpha_means_no_shock(self, e2):
         delta = build_delta(e2, spec_s1(alpha=0.0))
@@ -62,11 +68,13 @@ class TestScenario1:
         )
         spec = ScenarioSpec(name="d", target_sector="S1", sub_service_drop=0.5)
         delta = build_delta(table, spec)
-        # household and exports default to fully exposed, capital formation to exempt
-        assert delta.component_changes["household_consumption"] == pytest.approx(-5.0)
-        assert delta.component_changes["exports"] == pytest.approx(-5.0)
-        assert delta.component_changes["gross_fixed_capital_formation"] == 0.0
+        # household and exports default to fully exposed, capital formation to
+        # exempt: each ratio set by hand to the other value moves the drop by
+        # that component's half.
         assert delta.delta[0] == pytest.approx(-10.0)
+        for ratios, drop in (({"HH": 0.0}, -5.0), ({"EXP": 0.0}, -5.0), ({"GFCF": 1.0}, -20.0)):
+            set_by_hand = replace(spec, component_ratios=ratios)
+            assert build_delta(table, set_by_hand).delta[0] == pytest.approx(drop)
 
     def test_absolute_changes_override_percentage_rule(self, e2):
         spec = ScenarioSpec(
@@ -157,7 +165,8 @@ class TestScenario2:
         )
         from ioimpact.scenario import CONSUMPTION_COMPONENTS
 
-        consumption_drop = sum(d2.component_changes[c] for c in CONSUMPTION_COMPONENTS)
+        consumption_drop = -sum(table.final_demand.component(c)[0] * spec.component_ratio(c)
+                                for c in CONSUMPTION_COMPONENTS) * spec.sub_service_drop
         expected_pool = (1 - savings) * abs(consumption_drop)
         assert math.fsum(d2.reallocated.values()) == pytest.approx(expected_pool, rel=1e-12, abs=1e-12)
         assert np.all(d2.delta >= d1.delta - 1e-15)
@@ -200,14 +209,17 @@ class TestPaperShapedArithmetic:
         )
 
     def test_component_changes_and_71pct_total(self):
-        delta = build_delta(self.table(), self.spec())
-        c = delta.component_changes
+        table, spec = self.table(), self.spec()
+        delta = build_delta(table, spec)
+        c = {comp: -table.final_demand.component(comp)[0] * spec.component_ratio(comp)
+             * spec.sub_service_drop for comp in FD_COMPONENTS}
         assert c["household_consumption"] == pytest.approx(-4955, abs=0.01)
         assert c["npish_consumption"] == pytest.approx(-1.5, abs=0.01)
         assert c["government_consumption"] == pytest.approx(-48, abs=0.01)
         assert c["exports"] == pytest.approx(-7748, abs=0.01)
+        assert delta.delta[0] == pytest.approx(math.fsum(c.values()), abs=1e-9)
         assert delta.delta[0] == pytest.approx(-12752.5, abs=0.1)
-        assert delta.total_drop_fraction == pytest.approx(-0.71, abs=0.005)
+        assert delta.delta[0] / table.f[0] == pytest.approx(-0.71, abs=0.005)
 
     def test_half_of_consumption_drop_reallocates(self):
         realloc = Reallocation(savings_fraction=0.5, shares={"WHS": 1.0})
@@ -294,10 +306,54 @@ class TestExtractionIntensities:
         assert (alpha.dtype, alpha.tobytes()) == (np.float64, want.tobytes())
         assert not alpha.flags.writeable
 
-    def test_a_hand_built_shock_has_no_intensities(self):
-        delta = DemandDelta("s", "S1", [1.0, 0.0], {}, 0.0)
-        assert delta.alpha is None
-        assert (delta.delta.dtype, delta.delta.tolist()) == (np.float64, [1.0, 0.0])
+    def test_a_hand_built_shock_has_zero_intensities(self, e2):
+        # A shock built without alpha extracts nothing from interindustry
+        # demand: its extraction is its inoperability, bit for bit.
+        delta = DemandDelta("s", "S1", [-12.0, 0.0])
+        assert (delta.delta.dtype, delta.delta.tolist()) == (np.float64, [-12.0, 0.0])
+        assert (delta.alpha.dtype, delta.alpha.tolist()) == (np.float64, [0.0, 0.0])
+        assert not delta.alpha.flags.writeable
+        ino, ext = scenario_impacts(build_model(e2), [delta])[0]
+        assert ext.dx.tobytes() == ino.dx.tobytes()
+
+
+@st.composite
+def bad_intensities(draw):
+    """A shock's size n, the alpha it refuses and the message: a NaN, a
+    value outside [0, 1] (infinities too), or a shape other than (n,)."""
+    n = draw(st.integers(1, 6))
+    alpha = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    fault = draw(st.sampled_from(["nan", "range", "shape"]))
+    if fault == "shape":
+        shape = draw(st.lists(st.integers(0, 3), max_size=3).map(tuple).filter(lambda s: s != (n,)))
+        return n, np.full(shape, 0.5), re.escape(f"alpha has shape {shape}, not ({n},)")
+    at = draw(st.integers(0, n - 1))
+    alpha[at] = np.nan if fault == "nan" else draw(
+        st.floats(allow_nan=False).filter(lambda v: not 0.0 <= v <= 1.0))
+    return n, alpha, re.escape("extraction intensities must lie in [0, 1]")
+
+
+class TestShockIntensities:
+    """A shock checks its intensities once, when it is built."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=bad_intensities())
+    def test_bad_intensities_refused_when_built(self, case):
+        n, alpha, message = case
+        with pytest.raises(ValueError, match=message):
+            DemandDelta("s", "S1", np.zeros(n), alpha=alpha)
+        with pytest.raises(ValueError, match=message):
+            replace(DemandDelta("s", "S1", np.zeros(n)), alpha=alpha)
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(st.floats(0.0, 1.0), max_size=6))
+    def test_good_intensities_kept_and_the_default_is_zeros(self, values):
+        n = len(values)
+        given_alpha = DemandDelta("s", "S1", np.ones(n), alpha=values).alpha
+        default = DemandDelta("s", "S1", np.ones(n)).alpha
+        for alpha, want in ((given_alpha, values), (default, [0.0] * n)):
+            assert (alpha.dtype, alpha.shape, alpha.tolist()) == (np.float64, (n,), want)
+            assert not alpha.flags.writeable
 
 
 class TestSpecValidation:

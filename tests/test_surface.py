@@ -319,6 +319,24 @@ def test_impact_solves_and_checks_gaps_in_one_place():
     assert len(gaps) == 1
 
 
+def test_the_intensities_rule_is_written_once():
+    # alpha lies in [0, 1]: one check, made when a DemandDelta is built, and
+    # no other comparison in the package reads an alpha.
+    rule = "extraction intensities must lie in [0, 1]"
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "ioimpact").glob("*.py"))}
+    assert {name: text.count(rule) for name, text in sources.items() if rule in text} == {
+        "scenario.py": 1}
+
+    def reads_alpha(node):
+        return any(getattr(n, "id", getattr(n, "attr", None)) == "alpha" for n in ast.walk(node))
+
+    compares = {name for name, text in sources.items()
+                for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.Compare) and reads_alpha(node)}
+    assert compares == {"scenario.py"}
+
+
 def writable_parts(value, path):
     """The paths, below ``value``, of every mapping that is not a
     MappingProxyType and every writable ndarray, through dataclass fields,
@@ -359,6 +377,7 @@ def test_built_values_are_read_only():
         "spec": spec,
         "extraction spec": ioimpact.make_extraction_spec(model, "S1", delta.alpha),
         "delta": delta,
+        "hand-built shock": ioimpact.DemandDelta("s", "S1", [-12.0, 0.0], {"S2": 6.0}),
         "inoperability": inop,
         "extraction": ext,
         "blown up": ioimpact.apply_blowup(inop, 1.092),
